@@ -15,18 +15,14 @@ Usage::
     python -m repro.experiments offload [--smoke] [--seed N]
     python -m repro.experiments ablations
     python -m repro.experiments all [--full]
-    python -m repro.experiments bench engine [--smoke] [--tier NAME]
-    python -m repro.experiments bench offload [--smoke] [--seed N]
 
 Each command prints the rows/series the paper's corresponding figure
 reports (see EXPERIMENTS.md for the mapping and the recorded outputs).
 
-``bench engine`` measures the simulator kernel itself — wall clock and
-simulated-events/sec per workload tier — and ``--baseline`` records it to
-``benchmarks/results/BENCH_engine.json``.  Every command also accepts
-``--profile`` (cProfile the run, print the hottest functions) and
-``--profile-out PATH`` (dump the raw pstats file for ``snakeviz``/
-``pstats`` digging).
+Every command accepts ``--profile`` (cProfile the run, print the hottest
+functions) and ``--profile-out PATH`` (dump the raw pstats file for
+``snakeviz``/``pstats`` digging).  How fast the simulator itself runs is
+measured by the repository's benchmark, ``python -m bench``.
 
 The ``chaos`` command exits non-zero when any robustness invariant is
 violated, so CI can run it as a smoke check
@@ -56,7 +52,6 @@ from .ablations import (
 )
 from .chaos import ChaosConfig, run_chaos
 from .churn import ChurnConfig, run_churn
-from .engine import EngineConfig, run_engine
 from .failover import FailoverConfig, run_failover
 from .fig3 import Fig3Config, run_fig3
 from .fig4 import Fig4Config, run_fig4
@@ -374,47 +369,6 @@ def cmd_offload(args) -> None:
         raise SystemExit(1)
 
 
-def cmd_engine(args) -> None:
-    if args.tier:
-        config = EngineConfig(tiers=tuple(args.tier), repeats=args.repeats or 3)
-    elif args.smoke:
-        config = EngineConfig.smoke()
-    else:
-        config = EngineConfig(repeats=args.repeats or 3)
-    label = f"Engine: kernel throughput, tiers {'/'.join(config.tiers)}"
-    result = _timed(label, lambda: run_engine(config))
-    print(result.render())
-    if args.baseline:
-        result.write_baseline(args.baseline)
-        print(f"\nbaseline written to {args.baseline}")
-    if args.metrics_out:
-        # The engine benchmark's deliverable is its own payload, not a
-        # world snapshot: the canonical digests inside already certify the
-        # per-tier metrics exports.
-        with open(args.metrics_out, "w") as fh:
-            import json as _json
-
-            _json.dump(result.payload(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"metrics written to {args.metrics_out}")
-        args._metrics_written = True
-    if not result.ok:
-        raise SystemExit(1)
-
-
-def cmd_bench(args) -> None:
-    """``bench <target>``: the kernel benchmark or the offload sweep."""
-    target = args.target or "engine"
-    if target == "engine":
-        cmd_engine(args)
-    elif target == "offload":
-        cmd_offload(args)
-    else:
-        raise SystemExit(
-            f"unknown bench target {target!r} (expected 'engine' or 'offload')"
-        )
-
-
 COMMANDS = {
     "fig3": cmd_fig3,
     "fig4": cmd_fig4,
@@ -427,8 +381,6 @@ COMMANDS = {
     "multipath": cmd_multipath,
     "offload": cmd_offload,
     "ablations": cmd_ablations,
-    "engine": cmd_engine,
-    "bench": cmd_bench,
 }
 
 
@@ -438,11 +390,6 @@ def main(argv=None) -> int:
         description="Regenerate the paper's tables and figures.",
     )
     parser.add_argument("experiment", choices=[*COMMANDS, "all"])
-    parser.add_argument(
-        "target",
-        nargs="?",
-        help="bench target (only meaningful after 'bench'; default engine)",
-    )
     parser.add_argument(
         "--full",
         action="store_true",
@@ -550,28 +497,11 @@ def main(argv=None) -> int:
         metavar="N",
         help="fleet establishment count (default 100000; smoke 300)",
     )
-    engine_group = parser.add_argument_group("engine benchmark options")
-    engine_group.add_argument(
-        "--tier",
-        action="append",
-        choices=["smoke", "chaos_sweep", "scaled"],
-        help="engine tier to measure (repeatable; default: all three)",
-    )
-    engine_group.add_argument(
-        "--repeats",
-        type=int,
-        metavar="N",
-        help="engine: in-process repeats per tier, best wall clock kept",
-    )
     args = parser.parse_args(argv)
 
     def dispatch() -> None:
         if args.experiment == "all":
-            for name, command in COMMANDS.items():
-                # The kernel benchmarks measure wall clock; running them
-                # inside the 'all' sweep would only record a loaded host.
-                if name in ("engine", "bench"):
-                    continue
+            for command in COMMANDS.values():
                 command(args)
         else:
             COMMANDS[args.experiment](args)

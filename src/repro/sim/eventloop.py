@@ -432,15 +432,9 @@ class Environment:
     The heap holds ``(time, seq, entry)`` tuples where ``entry`` is any
     object with a ``_fire()`` method — full :class:`Event`\\ s, bare
     :class:`_OneShot` callables, or the network's delivery walkers.
-    ``dispatched`` counts every entry ever fired; the engine benchmark
-    reads it to report simulated-events/sec.
+    ``dispatched`` counts every entry ever fired; the benchmark's ledger
+    reads it to report events per operation.
     """
-
-    #: Process-wide total of entries fired across *all* environments.
-    #: Experiments like chaos build one world per sweep point; the engine
-    #: benchmark reads deltas of this aggregate around a tier to report
-    #: events/sec without reaching into each world's private environment.
-    dispatched_total = 0
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
@@ -537,7 +531,6 @@ class Environment:
         when, _seq, event = heappop(self._heap)
         self._now = when
         self.dispatched += 1
-        Environment.dispatched_total += 1
         event._fire()
 
     def run(self, until: Optional[float | Event] = None) -> Any:
@@ -577,7 +570,6 @@ class Environment:
                     fired += 1
             finally:
                 self.dispatched += fired
-                Environment.dispatched_total += fired
                 if gc_was_enabled:
                     gc.enable()
             if target._ok:
@@ -601,7 +593,6 @@ class Environment:
                     self._now = deadline
         finally:
             self.dispatched += fired
-            Environment.dispatched_total += fired
             if gc_was_enabled:
                 gc.enable()
         return None

@@ -25,7 +25,7 @@ paper's Figure 4 dynamic-switchover behaviour work).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 import networkx as nx
 
@@ -54,28 +54,25 @@ _MAX_REDIRECTS = 32
 SRCROUTE_HEADER = "srcroute_path"
 
 
-# _Walk states.  DEPART/ARRIVE_*/DELIVER are heap-dispatch targets; the
-# remaining states are reached through event callbacks (NIC completion,
-# packet-program station completions) on the program-bearing slow path.
+# _Walk states.  The first five are heap-dispatch targets (see ``_fire``).
+# In the last three the walk is not on the heap: it is running one hop's
+# packet programs, or waiting on one of their stations, and the state says
+# which hop so the chain's end knows where the datagram goes next.
 _W_DEPART = 0
 _W_ARRIVE_SWITCH = 1
 _W_ARRIVE_HOST = 2
 _W_RX_STACK = 3
 _W_DELIVER = 4
-_W_HOST_RESUME = 5
-_W_PROG_SWITCH = 6
-_W_PROG_NIC = 7
-_W_PROG_KERNEL = 8
+_W_SWITCH_PROGRAMS = 5
+_W_NIC_PROGRAMS = 6
+_W_KERNEL_PROGRAMS = 7
 
 
 class _Walk:
     """One datagram's whole journey as a single flat heap entry.
 
-    Two earlier engines delivered datagrams with a kickoff ``Event`` plus a
-    generator ``Process`` (one ``Timeout`` per hop), then with a generator
-    driven straight off the heap.  This is the third form: no generator at
-    all.  The walk is a small state machine that reschedules *itself*, and
-    it fuses pure-delay slots — instead of waking at the link's far end and
+    The walk is a small state machine that reschedules *itself*, and it
+    fuses pure-delay slots — instead of waking at the link's far end and
     again after the switch's forwarding latency, it computes the downstream
     timestamps up front and sleeps straight through to the next instant at
     which something order-sensitive happens.
@@ -83,24 +80,24 @@ class _Walk:
     Two disciplines make fused schedules reproduce the recorded same-seed
     baselines:
 
-    *Timestamps* are computed with exactly the floating-point operation
-    sequence the slot-per-hop engine used — ``(t + d1) + d2``, never
-    ``t + (d1 + d2)`` — and pushed at absolute times via
-    :meth:`Environment._push_at`, so every observable event lands on a
-    bit-identical clock reading.
+    *Timestamps* are computed with one fixed floating-point operation
+    sequence per hop — ``(t + d1) + d2``, never ``t + (d1 + d2)`` — and
+    pushed at absolute times via :meth:`Environment._push_at`, so every
+    observable event lands on a bit-identical clock reading.
 
-    *Order-sensitive effects* stay at their historical instants: fault-plan
-    RNG draws happen at link-entry time (draw order on a shared link is
-    draw order of the competing walks), NIC station submissions happen at
-    host-arrival time (FIFO slot assignment), and socket delivery happens
-    after the receive-side stack traversal.  Only effect-free waits are
-    fused away.
+    *Order-sensitive effects* keep their own instants: fault-plan RNG draws
+    happen at link-entry time (draw order on a shared link is draw order of
+    the competing walks), NIC station submissions happen at host-arrival
+    time (FIFO slot assignment), and socket delivery happens after the
+    receive-side stack traversal.  Only effect-free waits are fused away.
 
     Packet programs (switch rules, SmartNIC offloads, kernel fast-path
-    hooks) are the cold path: when a hop carries programs, the walk falls
-    back to driving the :meth:`Network._run_programs` generator through
-    real station-completion events, reproducing the unfused engine's
-    behaviour at those hops.
+    hooks) run on the walk too: :meth:`_step_programs` runs a hop's matched
+    programs in order.  A station wait is one heap entry, and not the
+    walk's: the walk submits the datagram and registers as second waiter on
+    the station's completion event (after the station's own accounting), so
+    it resumes at the completion instant without scheduling anything
+    itself.  The NIC of a program-bearing host is waited on the same way.
     """
 
     __slots__ = (
@@ -114,7 +111,8 @@ class _Walk:
         "dst_entity",
         "switch",
         "host",
-        "pgen",
+        "programs",
+        "index",
     )
 
     def __init__(
@@ -130,7 +128,7 @@ class _Walk:
         self.dst_entity = net.entities.get(dgram.dst.host)
         self.switch = None
         self.host = None
-        self.pgen = None
+        # ``programs`` and ``index`` are set on entering a program hop.
 
     # -- heap protocol -----------------------------------------------------
     def _fire(self) -> None:
@@ -151,7 +149,7 @@ class _Walk:
         """Cross the next link toward the destination (or deliver locally).
 
         Runs at the link-entry instant: the fault plan's RNG draw for this
-        crossing happens here, exactly when the unfused engine drew it.
+        crossing happens here, in the order walks enter the link.
         """
         net = self.net
         dgram = self.dgram
@@ -257,17 +255,7 @@ class _Walk:
         if switch.programs:
             programs = switch.matching_programs(dgram)
             if programs:
-                net = self.net
-                self.state = _W_PROG_SWITCH
-                if all(p.station is None for p in programs):
-                    # Line-rate programs stay on the fused fast path: no
-                    # station means no blocking, so they run inline here.
-                    self._programs_done(
-                        net._run_programs_inline(programs, dgram, self.current)
-                    )
-                    return
-                self.pgen = net._run_programs(programs, dgram, at=self.current)
-                self._drive_programs(None)
+                self._begin_programs(programs, _W_SWITCH_PROGRAMS)
                 return
         self._depart()
 
@@ -299,18 +287,17 @@ class _Walk:
                 )
             else:
                 # Jittered cost models draw from a shared RNG: the stack
-                # cost must be drawn at its historical instant.
+                # cost must be drawn at its own instant.
                 self.state = _W_RX_STACK
                 env._push(cost.loopback_latency, self)
             return
         nic = host.nic
         smartnic = host.smartnic
         if (smartnic is not None and smartnic.programs) or host.kernel_programs:
-            # Slow path: programs run between NIC completion and the stack
-            # traversal, each at its historical instant.
-            completion = nic.rx_station.submit(dgram)
-            self.state = _W_HOST_RESUME
-            completion.add_callback(self._on_event)
+            # Programs run between NIC completion and the stack traversal,
+            # each at its own instant, so nothing downstream can be fused:
+            # wait for the NIC as second waiter on its completion event.
+            nic.rx_station.submit(dgram).add_callback(self._nic_done)
             return
         done_at = nic.rx_station.submit_walk(dgram)
         dgram.hops.append(nic.rx_visit_label)
@@ -325,7 +312,12 @@ class _Walk:
             env._push_at(done_at, self)
 
     def _rx_stack(self) -> None:
-        """Stack traversal on a jittered host: the cost draw happens now."""
+        """Receive-side stack traversal starting now.
+
+        Reached off the heap on a jittered host (the cost draw from the
+        shared RNG must happen at this instant, not at arrival) and directly
+        from the end of a host's packet programs.
+        """
         dgram = self.dgram
         transport_cost = dgram.headers.get("rx_stack_cost")
         if transport_cost is None:
@@ -348,14 +340,8 @@ class _Walk:
         dgram.hops.append("socket:" + str(dgram.dst))
         socket.deliver(dgram)
 
-    # -- program-bearing slow path ----------------------------------------
-    def _on_event(self, event) -> None:
-        if self.state == _W_HOST_RESUME:
-            self._host_resume()
-        else:
-            self._drive_programs(event._value)
-
-    def _host_resume(self) -> None:
+    # -- packet programs ---------------------------------------------------
+    def _nic_done(self, _completion) -> None:
         """NIC receive completed on a host with installed programs."""
         dgram = self.dgram
         host = self.host
@@ -364,89 +350,87 @@ class _Walk:
         if smartnic is not None and smartnic.programs:
             programs = smartnic.matching_programs(dgram)
             if programs:
-                net = self.net
-                self.state = _W_PROG_NIC
-                if all(p.station is None for p in programs):
-                    self._programs_done(
-                        net._run_programs_inline(programs, dgram, host.name)
-                    )
-                    return
-                self.pgen = net._run_programs(programs, dgram, at=host.name)
-                self._drive_programs(None)
+                self._begin_programs(programs, _W_NIC_PROGRAMS)
                 return
         self._kernel_stage()
 
     def _kernel_stage(self) -> None:
         host = self.host
-        dgram = self.dgram
         if host.kernel_programs:
+            dgram = self.dgram
             programs = [p for p in host.kernel_programs if p.match(dgram)]
             if programs:
-                net = self.net
-                self.state = _W_PROG_KERNEL
-                if all(p.station is None for p in programs):
-                    self._programs_done(
-                        net._run_programs_inline(programs, dgram, host.name)
-                    )
-                    return
-                self.pgen = net._run_programs(programs, dgram, at=host.name)
-                self._drive_programs(None)
+                self._begin_programs(programs, _W_KERNEL_PROGRAMS)
                 return
-        self._transport_stage()
+        self._rx_stack()
 
-    def _transport_stage(self) -> None:
-        dgram = self.dgram
-        transport_cost = dgram.headers.get("rx_stack_cost")
-        if transport_cost is None:
-            transport_cost = self.host.cost.stack_cost(dgram.size)
-        self.state = _W_DELIVER
-        self.env._push(transport_cost, self)
+    def _begin_programs(self, programs: list[PacketProgram], stage: int) -> None:
+        """Run this hop's ``programs`` — matched once, before any of them
+        ran, so a rewrite by one cannot unmatch a later one."""
+        self.programs = programs
+        self.index = 0
+        self.state = stage
+        self._step_programs(None)
 
-    def _drive_programs(self, value) -> None:
-        """Advance the program generator until it blocks on a station."""
-        gen = self.pgen
-        while True:
-            try:
-                target = gen.send(value)
-            except StopIteration as stop:
-                self.pgen = None
-                self._programs_done(stop.value)
-                return
-            if target._processed:
-                value = target._value
-                continue
-            target.add_callback(self._on_event)
-            return
+    def _step_programs(self, completion) -> None:
+        """Run the hop's programs in order from ``self.index``.
 
-    def _programs_done(self, verdict) -> None:
+        Called with ``None`` to start and with a station's completion event
+        to resume.  A program whose turn has come and that has a station
+        (read now, not at match time) first queues the datagram there: the
+        walk registers on the completion and returns; called back, it runs
+        that program without queueing again and carries on down the chain.
+        Clones start walks of their own from this node.
+        """
         net = self.net
         dgram = self.dgram
-        state = self.state
-        if verdict is PacketAction.DROP:
-            return
-        if state == _W_PROG_SWITCH:
+        programs = self.programs
+        index = self.index
+        verdict = PacketAction.PASS
+        while index < len(programs):
+            program = programs[index]
+            if completion is None and program.station is not None:
+                self.index = index
+                program.station.submit(dgram).add_callback(self._step_programs)
+                return
+            completion = None
+            index += 1
+            result = program.run(dgram)
+            dgram.visit(f"program:{program.name}@{self.current}")
+            for clone in result.clones:
+                self.env._push(0.0, _Walk(net, clone, self.current))
+            action = result.action
+            if action is PacketAction.CLONE:
+                action = result.action_after
+            if action is PacketAction.DROP:
+                # Dropped mid-chain: later programs' stations never see it.
+                net.dropped_by_program += 1
+                return
+            if action is PacketAction.REDIRECT:
+                verdict = action
+                break
+        if self.state == _W_SWITCH_PROGRAMS:
             # REDIRECT and PASS both fall through: recompute the route
             # toward the (possibly rewritten) destination.
             self.dst_entity = net.entities.get(dgram.dst.host)
             self._depart()
             return
-        host = self.host
-        if verdict is PacketAction.REDIRECT and not net._is_local(dgram, host):
-            # XDP_TX-style bounce back into the network.
-            self._restart_from(host.name)
-            return
-        if state == _W_PROG_NIC:
+        if verdict is PacketAction.REDIRECT:
+            entity = net.entities.get(dgram.dst.host)
+            if entity is None or entity.host is not self.host:
+                # XDP_TX-style bounce back into the network from this
+                # host, skipping its remaining stages.  ``hops`` carries
+                # over, so two hosts redirecting to each other exhaust
+                # ``_MAX_REDIRECTS``.
+                self.crossed = False
+                self.dst_entity = entity
+                self.state = _W_DEPART
+                self.env._push(0.0, self)
+                return
+        if self.state == _W_NIC_PROGRAMS:
             self._kernel_stage()
         else:
-            self._transport_stage()
-
-    def _restart_from(self, node: str) -> None:
-        self.current = node
-        self.crossed = False
-        self.hops = 0
-        self.dst_entity = self.net.entities.get(self.dgram.dst.host)
-        self.state = _W_DEPART
-        self.env._push(0.0, self)
+            self._rx_stack()
 
 
 def _up_weight(u: str, v: str, data: dict) -> Optional[float]:
@@ -830,62 +814,6 @@ class Network:
             raise AddressError(f"cannot transmit into the past (after={after})")
         dgram.sent_at = self.env.now
         self.env._push(after, _Walk(self, dgram, src_entity.host.name))
-
-    def _run_programs(
-        self, programs: Iterable[PacketProgram], dgram: Datagram, at: str
-    ):
-        """Run matching packet programs; returns the final PacketAction.
-
-        A generator driven by :meth:`_Walk._drive_programs`: it yields
-        station-completion events while each program's processing time is
-        charged, and clones it emits start fresh walks of their own.
-        """
-        for program in programs:
-            if program.station is not None:
-                yield program.station.submit(dgram)
-            result = program.run(dgram)
-            dgram.visit(f"program:{program.name}@{at}")
-            for clone in result.clones:
-                self.env._push(0.0, _Walk(self, clone, at))
-            action = result.action
-            if action is PacketAction.CLONE:
-                action = result.action_after
-            if action is PacketAction.DROP:
-                self.dropped_by_program += 1
-                return PacketAction.DROP
-            if action is PacketAction.REDIRECT:
-                return PacketAction.REDIRECT
-        return PacketAction.PASS
-
-    def _run_programs_inline(
-        self, programs: Iterable[PacketProgram], dgram: Datagram, at: str
-    ) -> PacketAction:
-        """Station-less variant of :meth:`_run_programs`, run inline.
-
-        Programs without a queueing station never block, so the generator
-        machinery is pure overhead for them; this plain loop performs the
-        identical sequence of operations (same clone pushes, same visit
-        labels, same counters) and returns the verdict synchronously.
-        Callers must ensure no program in ``programs`` has a station.
-        """
-        for program in programs:
-            result = program.run(dgram)
-            dgram.visit(f"program:{program.name}@{at}")
-            for clone in result.clones:
-                self.env._push(0.0, _Walk(self, clone, at))
-            action = result.action
-            if action is PacketAction.CLONE:
-                action = result.action_after
-            if action is PacketAction.DROP:
-                self.dropped_by_program += 1
-                return PacketAction.DROP
-            if action is PacketAction.REDIRECT:
-                return PacketAction.REDIRECT
-        return PacketAction.PASS
-
-    def _is_local(self, dgram: Datagram, host: Host) -> bool:
-        entity = self.entities.get(dgram.dst.host)
-        return entity is not None and entity.host is host
 
     def run(self, until=None):
         """Convenience passthrough to :meth:`Environment.run`."""

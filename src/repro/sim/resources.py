@@ -81,6 +81,8 @@ class Station:
         self.total_service = 0.0
         self.busy_until = env.now
         self.jobs_in_system = 0
+        #: Completion event of the newest job (what ``submit`` returns).
+        self._completion: Optional[Event] = None
 
     def service_time(self, job: Any = None) -> float:
         """The service time this station would charge ``job``."""
@@ -88,47 +90,22 @@ class Station:
 
     def submit(self, job: Any = None) -> Event:
         """Enqueue ``job``; returns an event firing at service completion."""
-        now = self.env.now
-        if self.servers == 1:
-            slot = 0
-        else:
-            slot = min(range(self.servers), key=self._free_at.__getitem__)
-        start = max(now, self._free_at[slot])
-        duration = self._service_time(job)
-        if duration < 0:
-            raise SimulationError(f"negative service time for {job!r}")
-        done_at = start + duration
-        self._free_at[slot] = done_at
-        self.jobs_served += 1
-        self.total_wait += start - now
-        self.total_service += duration
-        self.busy_until = max(self.busy_until, done_at)
-        self.jobs_in_system += 1
-        # Inlined Event construction + succeed(): the completion is born
-        # triggered with ``_job_done`` as its first waiter — stations sit
-        # on the per-datagram NIC receive path, so this is hot.
-        env = self.env
-        completion = Event.__new__(Event)
-        completion.env = env
-        completion._cb = self._job_done
-        completion._cbs = None
-        completion._value = job
-        completion._ok = True
-        completion._triggered = True
-        completion._processed = False
-        heappush(env._heap, (env._now + (done_at - now), env._sequence, completion))
-        env._sequence += 1
-        return completion
+        self.submit_walk(job)
+        return self._completion
 
     def submit_walk(self, job: Any = None) -> float:
         """``submit`` for the delivery walk: returns the completion *time*.
 
-        Same bookkeeping and the same heap slot as :meth:`submit`, but the
-        caller gets the absolute completion timestamp instead of the Event,
-        so it can schedule its next step directly at ``done + cost`` without
-        waiting on a callback.  The completion event still fires on the heap
-        for ``jobs_in_system`` accounting, keeping ``queue_depth`` readings
-        (load monitors poll them) on their historical schedule.
+        The caller gets the absolute completion timestamp instead of the
+        Event, so it can schedule its next step directly at ``done + cost``
+        without waiting on a callback.  The completion event still fires on
+        the heap for ``jobs_in_system`` accounting, keeping ``queue_depth``
+        readings (load monitors poll them) on schedule.
+
+        This is the one enqueue body — :meth:`submit` calls it and picks the
+        event up from ``_completion`` — because every NIC receive on the
+        delivery walk's fused path comes through here and a shared helper
+        would put another Python frame under each datagram.
         """
         now = self.env.now
         if self.servers == 1:
@@ -146,8 +123,10 @@ class Station:
         self.total_service += duration
         self.busy_until = max(self.busy_until, done_at)
         self.jobs_in_system += 1
+        # Inlined Event construction + succeed(): the completion is born
+        # triggered with ``_job_done`` as its first waiter.
         env = self.env
-        completion = Event.__new__(Event)
+        completion = self._completion = Event.__new__(Event)
         completion.env = env
         completion._cb = self._job_done
         completion._cbs = None

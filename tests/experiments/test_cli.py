@@ -45,6 +45,14 @@ class TestCli:
         for name in ("fig3", "fig4", "fig5", "ablations", "all"):
             assert name in out
 
+    def test_profile_flag_prints_hotspots(self, tmp_path):
+        stats_path = tmp_path / "chaos.pstats"
+        out = run_cli(
+            "chaos", "--smoke", "--profile", "--profile-out", str(stats_path)
+        )
+        assert "cumulative" in out  # cProfile table made it out
+        assert stats_path.exists()
+
 
 class TestReconfigCli:
     def test_reconfig_command(self):
@@ -72,17 +80,3 @@ class TestOffloadCli:
         assert "fan-in" in out
         assert "contention" in out
         assert "VIOLATED" not in out
-
-    def test_bench_offload_target(self):
-        out = run_cli("bench", "offload", "--smoke")
-        assert "Offload" in out
-        assert "VIOLATED" not in out
-
-    def test_bench_rejects_unknown_target(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "repro.experiments", "bench", "nope"],
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode != 0
-        assert "unknown bench target" in result.stderr

@@ -139,14 +139,3 @@ class TestInterruptAmongCoWaiters:
         env.run()
         assert log == ["interrupted", "timer"]
 
-
-class TestDispatchCounter:
-    def test_dispatched_total_accumulates_across_runs(self):
-        before = Environment.dispatched_total
-        env = Environment()
-        for i in range(10):
-            env.call_in(float(i), lambda: None)
-        env.run()
-        fired = Environment.dispatched_total - before
-        assert fired >= 10
-        assert env.dispatched >= 10

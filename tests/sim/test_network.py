@@ -13,6 +13,7 @@ from repro.sim import (
     PacketProgram,
     ProgramResult,
     SmartNic,
+    Station,
     UdpSocket,
 )
 
@@ -279,6 +280,112 @@ class _RewriteProgram(PacketProgram):
         return ProgramResult(action=PacketAction.REDIRECT)
 
 
+
+class _Sink(UdpSocket):
+    """Logs ``(instant, address, payload)`` per delivery instead of queueing."""
+
+    def __init__(self, entity, port, log):
+        super().__init__(entity, port)
+        self.log = log
+
+    def deliver(self, dgram):
+        self.log.append((self.env.now, str(self.address), dgram.payload))
+
+
+class _Step(PacketProgram):
+    """Logs ``(instant, name, payload)`` per run, then returns a preset
+    verdict, first rewriting the destination and/or emitting clones."""
+
+    def __init__(
+        self,
+        name,
+        world,
+        station=None,
+        action=PacketAction.PASS,
+        to=None,
+        clones=(),
+        after=PacketAction.PASS,
+    ):
+        super().__init__(name, station)
+        self.world = world
+        self.action = action
+        self.to = to
+        self.clones = clones
+        self.after = after
+
+    def match(self, dgram):
+        return True
+
+    def handle(self, dgram):
+        self.world.runs.append((self.world.env.now, self.name, dgram.payload))
+        if self.to is not None:
+            dgram.dst = self.to
+        clones = [
+            Datagram(dgram.src, dst, dgram.payload + b"'", dgram.size)
+            for dst in self.clones
+        ]
+        return ProgramResult(self.action, clones, self.after)
+
+
+class _ProgramWorld:
+    """Hosts a, b, c with SmartNICs (one shared cost model, so jittered
+    draws interleave across hosts) behind switch ``sw``; four 64 B datagrams
+    a -> b:7000 due at 0, 0, 0.1 and 3 us: two tie, one queues behind them,
+    one finds the stations idle again."""
+
+    def __init__(self, jitter):
+        self.net = net = Network()
+        self.env = net.env
+        cost = CostModel(jitter=jitter)
+        for name in "abc":
+            net.add_host(
+                name, cost=cost, nic=SmartNic(net.env, name=f"{name}.nic")
+            )
+        net.add_switch("sw")
+        for name in "abc":
+            net.add_link(name, "sw")
+        self.runs = []
+        self.delivered = []
+        for host, port in (("b", 7000), ("b", 7001), ("c", 7001)):
+            _Sink(net.hosts[host], port, self.delivered)
+
+    def step(self, name, **kwargs):
+        return _Step(name, self, **kwargs)
+
+    def run(self):
+        dgrams = [
+            Datagram(Address("a", 6000), Address("b", 7000), payload, 64)
+            for payload in (b"A", b"B", b"C", b"D")
+        ]
+        for dgram, due in zip(dgrams, (0.0, 0.0, 0.1e-6, 3e-6)):
+            self.net.transmit(dgram, after=due)
+        self.env.run()
+        return dgrams
+
+
+def _us(log):
+    """A ``_Sink``/``_Step`` log with instants in microseconds (0.1 ns grid)."""
+    return [(round(when * 1e6, 4), *rest) for when, *rest in log]
+
+
+def _arrivals(address, instants, payloads=(b"A", b"B", b"C", b"D")):
+    return [(when, address, p) for when, p in zip(instants, payloads)]
+
+
+#: Every scenario below runs with exact and with jittered stack costs.  The
+#: expected instants, hop lists and event counts were recorded before packet
+#: programs moved onto the walk, so they pin its schedule, not just its output.
+both_cost_models = pytest.mark.parametrize("jitter", [0, 0.1])
+
+#: Two kernel programs sharing b's one-core XDP station (0.8 us a packet): a
+#: datagram's K2 turn queues behind the next datagram's K1 turn.
+_K1_THEN_K2 = [
+    (11.8024, "K1", b"A"), (12.6024, "K1", b"B"), (13.4024, "K2", b"A"),
+    (14.2024, "K1", b"C"), (15.0024, "K2", b"B"), (15.8024, "K1", b"D"),
+    (16.6024, "K2", b"C"), (17.4024, "K2", b"D"),
+]  # fmt: skip
+
+
 class TestProgramsInPath:
     def test_switch_program_redirects(self):
         net = star(2)
@@ -388,6 +495,180 @@ class TestProgramsInPath:
         sock.send(b"x", Address("hB", 7000), size=1)
         with pytest.raises(AddressError, match="loop"):
             net.env.run(until=1.0)
+
+    def test_host_bounce_loop_detected(self):
+        # Kernel programs on b and c redirect to each other: the hop budget
+        # spans host-level restarts, so the bounce ends like a switch loop.
+        world = _ProgramWorld(jitter=0)
+        hosts = world.net.hosts
+        hosts["b"].install_kernel_program(
+            world.step("to-c", action=PacketAction.REDIRECT, to=Address("c", 7001))
+        )
+        hosts["c"].install_kernel_program(
+            world.step("to-b", action=PacketAction.REDIRECT, to=Address("b", 7000))
+        )
+        world.net.transmit(Datagram(Address("a", 6000), Address("b", 7000), b"x", 64))
+        with pytest.raises(AddressError, match="exceeded 32 redirects"):
+            world.env.run(until=1e-3)
+
+    @both_cost_models
+    def test_switch_chain_station_inline_station(self, jitter):
+        # Each station is FIFO on its own: A and B clear S1 (1 us) and the
+        # station-less S2 before A clears S3 (2 us).
+        world = _ProgramWorld(jitter)
+        s1, s3 = Station(world.env, 1e-6), Station(world.env, 2e-6)
+        for program in (
+            world.step("S1", station=s1),
+            world.step("S2"),
+            world.step("S3", station=s3),
+        ):
+            world.net.switches["sw"].install(program)
+        dgrams = world.run()
+        assert _us(world.runs) == [
+            (6.4512, "S1", b"A"), (6.4512, "S2", b"A"),
+            (7.4512, "S1", b"B"), (7.4512, "S2", b"B"),
+            (8.4512, "S1", b"C"), (8.4512, "S2", b"C"), (8.4512, "S3", b"A"),
+            (9.4512, "S1", b"D"), (9.4512, "S2", b"D"),
+            (10.4512, "S3", b"B"), (12.4512, "S3", b"C"), (14.4512, "S3", b"D"),
+        ]  # fmt: skip
+        assert _us(world.delivered) == _arrivals("b:7000", {
+            0: [21.0237, 23.0237, 25.0237, 27.0237],
+            0.1: [20.5349, 22.5291, 25.324, 26.9412],
+        }[jitter])  # fmt: skip
+        assert all(d.hops == [
+            "switch:sw", "program:S1@sw", "program:S2@sw", "program:S3@sw",
+            "nic:b.nic", "socket:b:7000",
+        ] for d in dgrams)  # fmt: skip
+        assert (s1.jobs_served, s3.jobs_served, world.net.delivered) == (4, 4, 4)
+        assert world.env.dispatched == {0: 28, 0.1: 32}[jitter]
+
+    @both_cost_models
+    def test_kernel_chain_pass_then_nonlocal_redirect(self, jitter):
+        world = _ProgramWorld(jitter)
+        host = world.net.hosts["b"]
+        host.install_kernel_program(world.step("K1"))
+        host.install_kernel_program(
+            world.step("K2", action=PacketAction.REDIRECT, to=Address("c", 7001))
+        )
+        dgrams = world.run()
+        assert _us(world.runs) == _K1_THEN_K2
+        assert _us(world.delivered) == _arrivals("c:7001", {
+            0: [31.4261, 33.0261, 34.6261, 35.4261],
+            0.1: [30.9373, 32.5315, 34.9264, 35.3436],
+        }[jitter])  # fmt: skip
+        assert all(d.hops == [
+            "switch:sw", "nic:b.nic", "program:K1@b", "program:K2@b",
+            "switch:sw", "nic:c.nic", "socket:c:7001",
+        ] for d in dgrams)  # fmt: skip
+        assert (host.xdp_station.jobs_served, world.net.delivered) == (8, 4)
+        assert world.env.dispatched == {0: 44, 0.1: 48}[jitter]
+
+    @both_cost_models
+    def test_smartnic_local_redirect_then_kernel_program(self, jitter):
+        # A REDIRECT that stays on the host ends the NIC chain only: the
+        # kernel stage still runs, then the rewritten port is delivered.
+        world = _ProgramWorld(jitter)
+        host = world.net.hosts["b"]
+        host.smartnic.install(
+            world.step("N", action=PacketAction.REDIRECT, to=Address("b", 7001))
+        )
+        host.install_kernel_program(world.step("K"))
+        dgrams = world.run()
+        assert _us(world.runs) == [
+            (11.3024, "N", b"A"), (11.8024, "N", b"B"), (12.1024, "K", b"A"),
+            (12.3024, "N", b"C"), (12.9024, "K", b"B"), (13.7024, "K", b"C"),
+            (14.3024, "N", b"D"), (15.1024, "K", b"D"),
+        ]  # fmt: skip
+        assert _us(world.delivered) == _arrivals("b:7001", {
+            0: [19.1237, 19.9237, 20.7237, 22.1237],
+            0.1: [18.6349, 19.4291, 21.024, 22.0412],
+        }[jitter])  # fmt: skip
+        assert all(d.hops == [
+            "switch:sw", "nic:b.nic", "program:N@b", "program:K@b", "socket:b:7001",
+        ] for d in dgrams)  # fmt: skip
+        assert host.smartnic.compute.jobs_served == 4
+        assert (host.xdp_station.jobs_served, world.net.delivered) == (4, 4)
+        assert world.env.dispatched == 28
+
+    @both_cost_models
+    def test_mid_chain_drop_never_queues_at_later_station(self, jitter):
+        world = _ProgramWorld(jitter)
+        host = world.net.hosts["b"]
+        later = Station(world.env, 1e-6)
+        host.install_kernel_program(world.step("K1"))
+        host.install_kernel_program(world.step("K2", action=PacketAction.DROP))
+        host.install_kernel_program(world.step("K3", station=later))
+        dgrams = world.run()
+        assert _us(world.runs) == _K1_THEN_K2
+        assert world.delivered == []
+        assert all(d.hops == [
+            "switch:sw", "nic:b.nic", "program:K1@b", "program:K2@b",
+        ] for d in dgrams)  # fmt: skip
+        assert (world.net.dropped_by_program, later.jobs_served) == (4, 0)
+        assert (host.xdp_station.jobs_served, world.net.delivered) == (8, 0)
+        assert world.env.dispatched == 24
+
+    @both_cost_models
+    def test_kernel_clone_then_drop_original(self, jitter):
+        # Clones start fresh walks from b at delay 0: one leaves through the
+        # switch, one is loopback on b; the original is counted as dropped.
+        world = _ProgramWorld(jitter)
+        host = world.net.hosts["b"]
+        host.install_kernel_program(
+            world.step(
+                "K",
+                action=PacketAction.CLONE,
+                clones=(Address("c", 7001), Address("b", 7001)),
+                after=PacketAction.DROP,
+            )
+        )
+        dgrams = world.run()
+        assert _us(world.runs) == [
+            (11.8024, "K", b"A"), (12.6024, "K", b"B"),
+            (13.4024, "K", b"C"), (14.8024, "K", b"D"),
+        ]  # fmt: skip
+        copies = (b"A'", b"B'", b"C'", b"D'")
+        assert _us(world.delivered) == _arrivals("b:7001", {
+            0: [19.3237, 20.1237, 20.9237, 22.3237],
+            0.1: [18.8349, 19.6291, 21.224, 22.2412],
+        }[jitter], copies) + _arrivals("c:7001", {
+            0: [29.8261, 30.6261, 31.4261, 32.8261],
+            0.1: [29.4207, 30.8358, 30.9128, 32.8689],
+        }[jitter], copies)  # fmt: skip
+        assert all(
+            d.hops == ["switch:sw", "nic:b.nic", "program:K@b"] for d in dgrams
+        )
+        assert (world.net.dropped_by_program, world.net.delivered) == (4, 8)
+        assert host.xdp_station.jobs_served == 4
+        assert world.env.dispatched == {0: 48, 0.1: 56}[jitter]
+
+    @both_cost_models
+    def test_nic_nonlocal_redirect_skips_local_kernel_stage(self, jitter):
+        world = _ProgramWorld(jitter)
+        b, c = world.net.hosts["b"], world.net.hosts["c"]
+        b.smartnic.install(
+            world.step("N", action=PacketAction.REDIRECT, to=Address("c", 7001))
+        )
+        b.install_kernel_program(world.step("Kb"))
+        c.install_kernel_program(world.step("Kc"))
+        dgrams = world.run()
+        assert _us(world.runs) == [
+            (11.3024, "N", b"A"), (11.8024, "N", b"B"),
+            (12.3024, "N", b"C"), (14.3024, "N", b"D"),
+            (23.1048, "Kc", b"A"), (23.9048, "Kc", b"B"),
+            (24.7048, "Kc", b"C"), (26.1048, "Kc", b"D"),
+        ]  # fmt: skip
+        assert _us(world.delivered) == _arrivals("c:7001", {
+            0: [30.1261, 30.9261, 31.7261, 33.1261],
+            0.1: [29.6373, 30.4315, 32.0264, 33.0436],
+        }[jitter])  # fmt: skip
+        assert all(d.hops == [
+            "switch:sw", "nic:b.nic", "program:N@b",
+            "switch:sw", "nic:c.nic", "program:Kc@c", "socket:c:7001",
+        ] for d in dgrams)  # fmt: skip
+        assert b.smartnic.compute.jobs_served == 4
+        assert (b.xdp_station.jobs_served, c.xdp_station.jobs_served) == (0, 4)
+        assert world.env.dispatched == 44
 
 
 class TestNameService:
