@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import random
 import zlib
-from typing import Optional
+from typing import Callable, Optional
 
 from ..chunnels.multicast import GAP_HEADER, SEQ_HEADER, OrderedMcast
 from ..chunnels.serialize import Serialize
@@ -172,9 +172,16 @@ class RsmReplica:
 class RsmClient:
     """Submit operations to the whole group; wait for a quorum.
 
+    Any number of :meth:`submit` calls may be in flight on the one group
+    connection: a single receive loop routes each reply by ``request_id``
+    to its submit's collector (replies for requests nobody waits on any
+    more are dropped), and the replicas' sequenced order — not the order
+    of submission or completion — is the order the ops apply in.
+
     Retries ride :func:`repro.core.rpc.call` under ``policy`` (capped
-    exponential backoff, deterministic per-client jitter); retransmit and
-    round-trip counts accumulate on :attr:`stats`.
+    exponential backoff, deterministic per-client jitter), one retransmit
+    schedule per submit; retransmit and round-trip counts accumulate on
+    :attr:`stats`.
     """
 
     def __init__(
@@ -190,6 +197,9 @@ class RsmClient:
         self.endpoint = runtime.new(name, dag)
         self.conn = None
         self._request_ids = itertools.count(1)
+        #: request_id → that submit's reply collector.
+        self._collectors: dict[int, Callable[[dict], None]] = {}
+        self._receiver = None
         self.mismatches = 0
         self.policy = policy or rpc.RetryPolicy(
             timeout=5e-3, retries=3, backoff=2.0, jitter=0.1
@@ -203,7 +213,23 @@ class RsmClient:
         """Generator: negotiate with every group member (Listing 2)."""
         conn = yield from self.endpoint.connect(list(replica_addresses))
         self.conn = conn
+        self._receiver = self.runtime.env.process(
+            self._receive_loop(conn), name=f"rsm:{self.endpoint.name}.recv"
+        )
         return conn
+
+    def _receive_loop(self, conn):
+        """Route every reply on ``conn`` to the submit waiting for it."""
+        while True:
+            try:
+                msg = yield conn.recv()
+            except Interrupt:
+                return
+            reply = msg.payload
+            if isinstance(reply, dict):
+                collect = self._collectors.get(reply.get("request_id"))
+                if collect is not None:
+                    collect(reply)
 
     def submit(
         self,
@@ -221,7 +247,8 @@ class RsmClient:
         """
         if self.conn is None:
             raise QuorumError("connect() first")
-        group_size = len(self.conn.peers)
+        conn = self.conn
+        group_size = len(conn.peers)
         needed = quorum if quorum is not None else group_size // 2 + 1
         request_id = next(self._request_ids)
         env = self.runtime.env
@@ -235,40 +262,23 @@ class RsmClient:
         #: (seq, result) on retransmits, so late first-attempt replies
         #: still count toward the quorum.
         replies: dict[str, dict] = {}
+        settled = env.event()
 
-        def send(attempt: int) -> None:
-            self.conn.send(payload)
+        def collect(reply: dict) -> None:
+            replies[reply["replica"]] = reply
+            agreeing = self._largest_agreement(replies)
+            if len(agreeing) >= needed and not settled.triggered:
+                # Containered: a ``get`` legitimately returns None,
+                # which rpc.call would read as an attempt timeout.
+                settled.succeed({"result": agreeing[0]["result"]})
 
-        def wait(attempt: int, budget: float):
-            deadline = env.now + budget
-            while env.now < deadline:
-                receive = self.conn.recv()
-                timer = env.timeout(max(deadline - env.now, 0.0))
-                yield env.any_of([receive, timer])
-                if not receive.processed:
-                    if not receive.triggered:
-                        receive.succeed(None)  # cancel the mailbox getter
-                    return None
-                reply = receive.value.payload
-                if (
-                    not isinstance(reply, dict)
-                    or reply.get("request_id") != request_id
-                ):
-                    continue  # stale reply from an earlier, timed-out request
-                replies[reply["replica"]] = reply
-                agreeing = self._largest_agreement(replies)
-                if len(agreeing) >= needed:
-                    # Containered: a ``get`` legitimately returns None,
-                    # which rpc.call would read as an attempt timeout.
-                    return {"result": agreeing[0]["result"]}
-            return None
-
+        self._collectors[request_id] = collect
         try:
             outcome = yield from rpc.call(
                 env,
                 policy,
-                send,
-                wait,
+                lambda _attempt: conn.send(payload),
+                rpc.event_waiter(env, settled),
                 stats=self.stats,
                 rng=self._rng,
                 describe=f"rsm:{self.group}",
@@ -278,6 +288,8 @@ class RsmClient:
                 f"no quorum for request {request_id} "
                 f"({len(replies)}/{group_size} replies, need {needed} agreeing)"
             ) from None
+        finally:
+            del self._collectors[request_id]
         return outcome["result"]
 
     def _largest_agreement(self, replies: dict[str, dict]) -> list[dict]:
@@ -295,5 +307,6 @@ class RsmClient:
 
     def close(self) -> None:
         if self.conn is not None:
+            self._receiver.interrupt("rsm client closed")
             self.conn.close()
             self.conn = None

@@ -29,6 +29,7 @@ from ..errors import (
     NoImplementationError,
     ResourceExhaustedError,
 )
+from ..sim.eventloop import Interrupt
 from .chunnel import Offer
 from .dag import ChunnelDag
 from .policy import Policy, PolicyContext
@@ -38,6 +39,7 @@ __all__ = [
     "feasible_offers",
     "decide",
     "decide_with_reservations",
+    "reserve_choice",
 ]
 
 Reserver = Callable[[Offer], bool]
@@ -190,11 +192,50 @@ def decide_with_reservations(
         choice, confirmed, used = yield from _decide_rounds(
             runtime, dag, candidates, ctx, owner, rounds, excluded
         )
-    except BerthaError as error:
+    except (BerthaError, Interrupt) as error:
         trace.finish(span, status="error", error=type(error).__name__)
         raise
     trace.finish(span, rounds=used, reservations=len(confirmed))
     return choice, confirmed
+
+
+def reserve_choice(runtime, dag: ChunnelDag, choice: dict, owner: str):
+    """Generator: confirm every resource-bearing binding of ``choice`` with
+    discovery, in node order.
+
+    Returns ``(confirmed, denied)``: the ``(record_id, owner)`` reservations
+    that stuck, and the first offer discovery refused (``None`` when every
+    one stuck; the walk stops at the first denial).  An :class:`Interrupt`
+    mid-walk — ``Listener.close()`` with this handler between two reserves
+    — releases what was already confirmed before propagating: no connection
+    will ever own those leases, so nobody else would.
+    """
+    confirmed: list[tuple[str, str]] = []
+    try:
+        for node_id, offer in sorted(choice.items()):
+            if offer.record_id is None or offer.meta.resources.is_zero:
+                continue
+            # Group-shared Chunnels (e.g. ordered multicast) reserve under
+            # a group-scoped owner so the shared device program is
+            # accounted once across all members.
+            node_owner = dag.nodes[node_id].reservation_scope() or owner
+            try:
+                ok = yield from runtime.discovery.reserve(
+                    offer.record_id, node_owner
+                )
+            except ConnectionTimeoutError:
+                # Discovery unreachable: an unconfirmable reservation is a
+                # denial, steering the decision toward resource-free
+                # fallbacks rather than failing the whole negotiation.
+                ok = False
+            if not ok:
+                return confirmed, offer
+            confirmed.append((offer.record_id, node_owner))
+    except Interrupt:
+        for record_id, node_owner in confirmed:
+            runtime.spawn_release(record_id, node_owner)
+        raise
+    return confirmed, None
 
 
 def _decide_rounds(
@@ -218,28 +259,9 @@ def _decide_rounds(
             for ctype, offers in candidates.items()
         }
         choice = decide(dag, pool, runtime.policy, ctx, reserve=None)
-        confirmed: list[tuple[str, str]] = []
-        denied: Optional[Offer] = None
-        for node_id, offer in sorted(choice.items()):
-            if offer.record_id is None or offer.meta.resources.is_zero:
-                continue
-            # Group-shared Chunnels (e.g. ordered multicast) reserve under
-            # a group-scoped owner so the shared device program is
-            # accounted once across all members.
-            node_owner = dag.nodes[node_id].reservation_scope() or owner
-            try:
-                ok = yield from runtime.discovery.reserve(
-                    offer.record_id, node_owner
-                )
-            except ConnectionTimeoutError:
-                # Discovery unreachable: an unconfirmable reservation is a
-                # denial, steering the decision toward resource-free
-                # fallbacks rather than failing the whole negotiation.
-                ok = False
-            if not ok:
-                denied = offer
-                break
-            confirmed.append((offer.record_id, node_owner))
+        confirmed, denied = yield from reserve_choice(
+            runtime, dag, choice, owner
+        )
         if denied is None:
             return choice, confirmed, _round + 1
         for record_id, node_owner in confirmed:

@@ -46,7 +46,7 @@ from ..errors import (
     NoImplementationError,
 )
 from ..sim.datagram import Address
-from ..sim.eventloop import Event, Interrupt
+from ..sim.eventloop import Event, Interrupt, Process
 from ..sim.resources import Store
 from ..sim.transport import SimSocket, UdpSocket
 from . import messages as msgs
@@ -56,7 +56,7 @@ from .connection import Connection, next_conn_id
 from .dag import ChunnelDag, wrap
 from .establish import establish_connection
 from .negcache import NegotiationCache
-from .negotiation import decide_with_reservations
+from .negotiation import decide_with_reservations, reserve_choice
 from .policy import DefaultPolicy, Policy, PolicyContext
 from .registry import ChunnelRegistry, ImplCatalog, catalog as default_catalog
 from .wire import WireError, wire_kind
@@ -742,7 +742,17 @@ class Endpoint:
 
 
 class Listener:
-    """Accepts Bertha connections for one endpoint."""
+    """Accepts Bertha connections for one endpoint.
+
+    The serve loop is a dispatcher, not a worker: it decodes each control
+    datagram, answers retransmissions from the reply cache, and spawns one
+    handler process per fresh OFFER/RESUME, so an establishment waiting on
+    a reservation round trip never holds up the ones behind it.  Handlers
+    are tracked in an in-flight table keyed like the reply cache,
+    ``(KIND, conn_id)`` — a retransmit arriving mid-handling is swallowed
+    (the handler's verdict answers it), which keeps it one verdict, one
+    connection and one reservation walk per key (PROTOCOL.md §6.2).
+    """
 
     def __init__(
         self,
@@ -775,8 +785,14 @@ class Listener:
         # (kind, conn_id): retries arrive within a retry window, so old
         # entries are safe to evict.
         self._replies: rpc.ReplyCache = rpc.ReplyCache(1024)
+        #: Handler processes still deciding, under the reply-cache key
+        #: their verdict will take; ``close()`` interrupts them all.
+        self._inflight: dict[tuple[str, str], Process] = {}
         self._network_offers: dict[str, list[Offer]] = {}
         self._network_offers_at: Optional[float] = None
+        #: While an offer refresh is in flight, the events of the handlers
+        #: waiting on it (they share its one discovery query); else None.
+        self._refresh_waiters: Optional[list[Event]] = None
         self._server = self.env.process(
             self._serve(), name=f"{endpoint.name}.listener"
         )
@@ -797,8 +813,8 @@ class Listener:
         self._closed = True
         if self.service_name:
             self.runtime.network.names.unregister(self.service_name, self.address)
-        if self._server.is_alive:
-            self._server.interrupt("listener closed")
+        for process in (self._server, *self._inflight.values()):
+            process.interrupt("listener closed")
         self.ctl.close()
 
     # ------------------------------------------------------------------
@@ -844,32 +860,47 @@ class Listener:
                     dgram.payload, f"unexpected {message.KIND} on a listener"
                 )
                 continue
-            conn_id = message.conn_id
             # Keyed on (kind, conn_id): a rejected RESUME must never be
             # replayed against an OFFER, however the ids line up.  The
             # MISSING sentinel keeps a legitimately-cached falsy verdict
             # distinguishable from a first sighting.
-            cache_key = (message.KIND, conn_id)
-            cached = self._replies.get(cache_key, rpc.MISSING)
+            key = (message.KIND, message.conn_id)
+            cached = self._replies.get(key, rpc.MISSING)
             if cached is not rpc.MISSING:
                 # Client retransmission: repeat the original verdict.
                 self._send_reply(cached, dgram.src)
-                continue
-            try:
-                if isinstance(message, msgs.Resume):
-                    reply = yield from self._handle_resume(message)
-                else:
-                    reply = yield from self._handle_offer(message)
-            except NegotiationError as error:
-                self.negotiations_failed += 1
-                reply = msgs.Error.from_exception(conn_id, error)
-            except Interrupt:
-                # close() interrupts the serve process wherever it is —
-                # including mid-decision inside a handler (reservation
-                # RPCs yield).  The client's retransmit will time out.
-                return
-            self._replies.put(cache_key, reply)
-            self._send_reply(reply, dgram.src)
+            elif key not in self._inflight:
+                self._inflight[key] = self.env.process(
+                    self._handle(key, message, dgram.src),
+                    name=f"{self.endpoint.name}.accept:{message.conn_id}",
+                )
+            # else: a retransmission overtook its own verdict; the handler
+            # already running for this key answers it.
+
+    def _handle(self, key: tuple[str, str], message, src: Address):
+        """One establishment, run as its own process: decide, then cache
+        and send the verdict — only once reservations have resolved, so a
+        retransmission can never observe a half-made decision."""
+        try:
+            if isinstance(message, msgs.Resume):
+                reply = yield from self._handle_resume(message)
+            else:
+                reply = yield from self._handle_offer(message)
+        except NegotiationError as error:
+            self.negotiations_failed += 1
+            reply = msgs.Error.from_exception(message.conn_id, error)
+        except Interrupt:
+            # close() mid-decision (reservation RPCs yield): the walk has
+            # handed back what it held.  The client's retransmit times out.
+            return
+        finally:
+            del self._inflight[key]
+        if self._closed:
+            # close() landed in the instant the decision completed: the
+            # connection stands, but a closed listener sends nothing.
+            return
+        self._replies.put(key, reply)
+        self._send_reply(reply, src)
 
     def _send_reply(self, message: "msgs.ControlMessage", dst: Address) -> None:
         payload, size = msgs.encode_message_sized(message)
@@ -891,6 +922,17 @@ class Listener:
             )
 
     def _refresh_network_offers(self):
+        """Generator: re-query discovery for this endpoint's offer pool.
+
+        Single-flight: a handler that finds a refresh already under way
+        waits for that one (and, like its initiator, carries on with the
+        old pool if it failed) rather than querying again.
+        """
+        if self._refresh_waiters is not None:
+            done = self.env.event()
+            self._refresh_waiters.append(done)
+            yield done
+            return
         types = set(self.endpoint.dag.chunnel_types()) | (
             self.runtime.registry.registered_types()
         )
@@ -898,9 +940,15 @@ class Listener:
             # Merge targets (e.g. tls) may have discovery-registered
             # implementations even though no endpoint names them directly.
             types |= self.runtime.optimizer.traits.merge_targets()
-        result = yield from self.runtime.discovery.query(sorted(types))
-        self._network_offers = result.offers
-        self._network_offers_at = self.env.now
+        self._refresh_waiters = []
+        try:
+            result = yield from self.runtime.discovery.query(sorted(types))
+            self._network_offers = result.offers
+            self._network_offers_at = self.env.now
+        finally:
+            waiters, self._refresh_waiters = self._refresh_waiters, None
+            for done in waiters:
+                done.succeed()
 
     def _offers_stale(self) -> bool:
         if self._network_offers_at is None:
@@ -1132,27 +1180,18 @@ class Listener:
         dag: ChunnelDag = entry["dag"]
         choice = entry["choice"]
         owner = entry["owner"]
-        confirmed: list[tuple[str, str]] = []
-        for node_id, offer in sorted(choice.items()):
-            if offer.record_id is None or offer.meta.resources.is_zero:
-                continue
-            node_owner = dag.nodes[node_id].reservation_scope() or owner
-            try:
-                ok = yield from runtime.discovery.reserve(
-                    offer.record_id, node_owner
-                )
-            except ConnectionTimeoutError:
-                ok = False
-            if not ok:
-                for record_id, held_owner in confirmed:
-                    runtime.spawn_release(record_id, held_owner)
-                runtime.negcache.note_fallback(key)
-                reject_reason = (
-                    f"reservation revalidation failed for {offer.record_id}"
-                )
-                trace.finish(span, status="reject", reason=reject_reason)
-                return msgs.ResumeReject(conn_id=conn_id, reason=reject_reason)
-            confirmed.append((offer.record_id, node_owner))
+        confirmed, denied = yield from reserve_choice(
+            runtime, dag, choice, owner
+        )
+        if denied is not None:
+            for record_id, held_owner in confirmed:
+                runtime.spawn_release(record_id, held_owner)
+            runtime.negcache.note_fallback(key)
+            reject_reason = (
+                f"reservation revalidation failed for {denied.record_id}"
+            )
+            trace.finish(span, status="reject", reason=reject_reason)
+            return msgs.ResumeReject(conn_id=conn_id, reason=reject_reason)
 
         connection = establish_connection(
             runtime,

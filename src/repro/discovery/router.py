@@ -17,8 +17,8 @@ Two halves of the same routing contract:
     routes every *mutation* to the owning shard's primary and every
     *read* to a pinned replica (replicas apply the same replicated
     mutation log, so any of them can answer a query — and spreading
-    reads keeps the primary's serialized serve loop for mutations and
-    probes): queries are partitioned by chunnel type (and service name)
+    reads leaves the primary's NIC and CPU to mutations and probes):
+    queries are partitioned by chunnel type (and service name)
     and issued to the involved shards *concurrently*;
     reserve/release/watch route by the record-id prefix; name mutations
     hash the service name.  All per-shard
@@ -283,11 +283,11 @@ class ShardedDiscoveryClient(DiscoveryClientBase):
         #: shard_id → index into the shard's replica ring for *reads*.
         #: Replicas apply the same replicated mutation log, so any of them
         #: can answer a query; pinning each client to one standby keeps
-        #: read load off the primary (whose serve loop is serialized
-        #: through RSM rounds for every mutation) and spreads it evenly
-        #: across the fleet of clients.  A timed-out read advances the
-        #: pin, so clients walk off dead replicas on their own — the
-        #: router only monitors primaries.
+        #: read load off the primary (which proposes every mutation to
+        #: the RSM log) and spreads it evenly across the fleet of
+        #: clients.  A timed-out read advances the pin, so clients walk
+        #: off dead replicas on their own — the router only monitors
+        #: primaries.
         self._read_pins: dict[int, int] = {}
         self.read_repins = 0
 
@@ -404,10 +404,9 @@ class ShardedDiscoveryClient(DiscoveryClientBase):
 
         The probe chain is the failover optimisation: when the primary
         just died, burning the full retransmit chain against it stalls
-        the caller (and, on a server, every queued establishment behind
-        it) for tens of milliseconds before the refresh even starts.  A
-        couple of attempts are enough to tell "dead or badly backlogged"
-        from datagram loss; the post-refresh full chain then absorbs
+        the caller for tens of milliseconds before the refresh even
+        starts.  A couple of attempts are enough to tell "dead or badly
+        backlogged" from datagram loss; the post-refresh full chain absorbs
         loss, queueing, or the promoted standby's warm-up.  A total
         control-plane outage costs probe + one full chain, still inside
         the degraded-establishment budget, and the runtime's fallback

@@ -102,6 +102,8 @@ class DiscoveryService:
         #: double-allocate.  req_ids are globally unique per client call
         #: (``<entity>-<counter>``), so a plain bounded FIFO suffices.
         self._replies: rpc.ReplyCache = rpc.ReplyCache(2048)
+        #: req_ids whose (detached) handler has not answered yet.
+        self._inflight: set = set()
         self.requests_served = 0
         self.duplicate_requests = 0
         #: Requests that failed schema decoding (dropped or answered with
@@ -370,7 +372,8 @@ class DiscoveryService:
 
         Durable state (records, leases, device accounting) survives — it
         models stable storage — but volatile state does not: queued requests
-        are lost, the request dedup cache is cleared, and (unless the
+        are lost, the request dedup cache and in-flight table are cleared
+        (a handler still running never answers), and (unless the
         service replicates its watch table, see ``durable_watches``) watch
         subscriptions are dropped — which is exactly the window the
         client-side retry, refcount, and watch re-arm semantics must
@@ -383,6 +386,7 @@ class DiscoveryService:
         self.socket.dropping = True
         self.socket.store._items.clear()
         self._replies.clear()
+        self._inflight.clear()
         if not self.durable_watches:
             self._watchers.clear()
 
@@ -452,8 +456,16 @@ class DiscoveryService:
         Requests are deduplicated by ``req_id``: a retransmit of an
         already-handled request replays the cached response (with the
         retransmit's ``attempt`` tag, so the client can spot late replies
-        to earlier attempts) without re-executing the handler.  Mutations
-        are therefore at-most-once per ``req_id``.
+        to earlier attempts) without re-executing the handler, and a
+        retransmit of a request whose handler is still running is dropped
+        — that handler's reply answers it.  Mutations are therefore
+        at-most-once per ``req_id``.
+
+        The loop dispatches; it never waits on a handler.  A request
+        answered from local state is answered at once; one whose handler
+        takes virtual time (see :meth:`_handle_request`) runs as its own
+        process behind the ``req_id`` in-flight table while the loop goes
+        on serving.
 
         A request that fails schema decoding is counted and dropped —
         unless its raw body carries a usable ``req_id``, in which case a
@@ -470,20 +482,48 @@ class DiscoveryService:
                 continue
             req_id = getattr(request, "req_id", None)
             attempt = getattr(request, "attempt", 0)
-            cached = (
-                self._replies.get(req_id, rpc.MISSING)
-                if req_id is not None
-                else rpc.MISSING
-            )
-            if cached is not rpc.MISSING:
-                self.duplicate_requests += 1
-                response = cached
+            if req_id is not None:
+                cached = self._replies.get(req_id, rpc.MISSING)
+                if cached is not rpc.MISSING:
+                    self.duplicate_requests += 1
+                    self._send(cached.stamped(req_id, attempt), dgram.src)
+                    continue
+                if req_id in self._inflight:
+                    self.duplicate_requests += 1
+                    continue
+            self.requests_served += 1
+            outcome = self._handle_request(request)
+            if isinstance(outcome, msgs.ControlMessage):
+                self._reply(outcome, req_id, attempt, dgram.src)
             else:
-                self.requests_served += 1
-                response = yield from self._handle_request(request)
-                if req_id is not None:
-                    self._replies.put(req_id, response)
-            self._send(response.stamped(req_id, attempt), dgram.src)
+                self._inflight.add(req_id)
+                self.env.process(
+                    self._detached(outcome, req_id, attempt, dgram.src),
+                    name=f"{self.address}.handle:{req_id}",
+                )
+
+    def _detached(self, handler, req_id, attempt: int, dst: Address):
+        """Run a handler that takes virtual time; reply when it returns.
+
+        A handler that outlives :meth:`crash` belongs to a dead process:
+        its reply is neither sent nor cached (whatever it replicated is in
+        the log regardless, and the client's retransmit finds the
+        restarted service or the promoted standby).
+        """
+        incarnation = self.crashes
+        response = yield from handler
+        if self.crashes != incarnation:
+            return
+        self._inflight.discard(req_id)
+        self._reply(response, req_id, attempt, dst)
+
+    def _reply(
+        self, response: "msgs.DiscoveryMessage", req_id, attempt: int, dst: Address
+    ) -> None:
+        """Cache a fresh verdict under its ``req_id`` and send it."""
+        if req_id is not None:
+            self._replies.put(req_id, response)
+        self._send(response.stamped(req_id, attempt), dst)
 
     def _send(self, response: "msgs.DiscoveryMessage", dst: Address) -> None:
         payload, size = msgs.encode_message_sized(response)
@@ -512,16 +552,16 @@ class DiscoveryService:
         return msgs.ServiceError(error=str(error), req_id=req_id)
 
     def _handle_request(self, request: "msgs.ControlMessage"):
-        """Generator hook between the serve loop and :meth:`_handle`.
+        """Hook between the serve loop and :meth:`_handle`: returns the
+        response — or, when producing it takes virtual time, a generator
+        that returns it, which the serve loop runs detached.
 
-        The base service answers synchronously; the sharded tier overrides
-        this to submit mutations through its replication group (which takes
-        simulated time) before replying.  Handling stays serialized — one
-        request at a time per service — so overriding handlers need no
-        extra locking.
+        The base service answers everything from local state.  The sharded
+        tier returns a generator for mutations (one replication round
+        each); such handlers overlap, so they must not touch service state
+        themselves — the tier's state changes only where the replicated
+        log is applied, and it is the log that orders them.
         """
-        if False:  # pragma: no cover - makes this a generator
-            yield
         return self._handle(request)
 
     def _handle(self, request: "msgs.ControlMessage") -> "msgs.DiscoveryMessage":

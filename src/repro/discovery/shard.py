@@ -48,6 +48,7 @@ from ..core import messages as msgs
 from ..core.chunnel import ImplMeta
 from ..core.runtime import Runtime
 from ..sim.datagram import Address
+from ..sim.eventloop import Process
 from .records import ImplementationRecord
 from .service import DEFAULT_DISCOVERY_PORT, DiscoveryService
 
@@ -166,8 +167,10 @@ class ShardReplica(DiscoveryService):
     Serves the ordinary discovery protocol on its UDP socket, but routes
     every mutation through the shard's RSM group before answering, so all
     live replicas apply the same mutation log in the same order.  Reads
-    are answered from local state.  Only the current primary pushes
-    revocations and mirrors names into the cluster name service.
+    are answered from local state, at once — also while mutations are in
+    their replication round, since each of those runs detached from the
+    serve loop (:meth:`DiscoveryService._serve`).  Only the current primary
+    pushes revocations and mirrors names into the cluster name service.
     """
 
     def __init__(
@@ -204,6 +207,7 @@ class ShardReplica(DiscoveryService):
         )
         self._rsm_client = RsmClient(runtime, group, name=f"{group}-submit")
         self._rsm_addresses: list[Address] = []
+        self._rsm_connect: Optional[Process] = None
         self.network.obs.bind(
             f"discovery.s{shard_id}.{entity.name}.promotions",
             self,
@@ -217,9 +221,17 @@ class ShardReplica(DiscoveryService):
         self._rsm_addresses = list(addresses)
 
     def _rsm_submit(self, op: dict):
-        """Generator: replicate one mutation; returns the applied result."""
-        if self._rsm_client.conn is None:
-            yield from self._rsm_client.connect(self._rsm_addresses)
+        """Generator: replicate one mutation; returns the applied result.
+
+        The group connection is made on first use, once: mutations that
+        arrive while it is being negotiated wait on the same process.
+        """
+        if self._rsm_connect is None:
+            self._rsm_connect = self.env.process(
+                self._rsm_client.connect(self._rsm_addresses),
+                name=f"{self.group}.connect",
+            )
+        yield self._rsm_connect
         return (yield from self._rsm_client.submit(op))
 
     def _apply_shard_op(self, kind: str, op: dict) -> object:
@@ -306,6 +318,17 @@ class ShardReplica(DiscoveryService):
             return msgs.PromoteReply(ok=ok, version=self.map_version)
         if not isinstance(request, self._MUTATIONS):
             return self._handle(request)  # reads answer from local state
+        return self._replicate(request)
+
+    def _replicate(self, request):
+        """Generator: one mutation through the replicated log → its reply.
+
+        Runs detached from the serve loop, so several are in flight at
+        once; none of them touches shard state.  State changes only in
+        :meth:`_apply_shard_op`, in log order, on every live replica —
+        the order the sequencer assigned, not the order requests arrived
+        or replies return.
+        """
         op = self._op_for(request)
         try:
             result = yield from self._rsm_submit(op)
@@ -411,10 +434,6 @@ class DiscoveryShardTier:
             for replica in replicas:
                 replica.set_rsm_addresses(rsm_addresses)
             self.shards.append(replicas)
-        #: Operator-side RSM clients, one per shard: revocations must not
-        #: share a replica serve loop's client — two submits outstanding on
-        #: one connection would steal each other's replies.
-        self._op_clients: dict[int, RsmClient] = {}
         self.map = ShardMap(
             version=1,
             shards=[
@@ -443,19 +462,6 @@ class DiscoveryShardTier:
                     return replica
         return None
 
-    def _operator_client(self, shard_id: int) -> RsmClient:
-        client = self._op_clients.get(shard_id)
-        if client is None:
-            # Hosted on replica 0's runtime (the host survives a service
-            # crash); submits one operator op at a time.
-            client = RsmClient(
-                self.shards[shard_id][0].runtime,
-                f"disc-s{shard_id}",
-                name=f"disc-s{shard_id}-operator",
-            )
-            self._op_clients[shard_id] = client
-        return client
-
     # -- operator API ----------------------------------------------------------
     def seed_record(self, meta: ImplMeta, location: str) -> ImplementationRecord:
         """Boot-time registration, applied directly on every replica of
@@ -476,15 +482,15 @@ class DiscoveryShardTier:
 
     def revoke(self, record_id: str, reason: str = "operator"):
         """Generator: revoke through the replicated log (every live
-        replica expires the leases; the primary pushes to watchers)."""
+        replica expires the leases; the primary pushes to watchers).
+
+        Submitted over replica 0's group connection, alongside whatever
+        mutations that replica has in flight: the submit needs only the
+        host and a quorum, so it works with replica 0's service crashed.
+        """
         shard_id = self.map.shard_for_record(record_id)
-        client = self._operator_client(shard_id)
-        if client.conn is None:
-            yield from client.connect(
-                [replica.rsm.address for replica in self.shards[shard_id]]
-            )
         return (
-            yield from client.submit(
+            yield from self.shards[shard_id][0]._rsm_submit(
                 {"disc": "revoke", "record_id": record_id, "reason": reason}
             )
         )
@@ -495,8 +501,6 @@ class DiscoveryShardTier:
         return replica
 
     def close(self) -> None:
-        for client in self._op_clients.values():
-            client.close()
         for replicas in self.shards:
             for replica in replicas:
                 replica.rsm.close()

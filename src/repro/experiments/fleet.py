@@ -99,8 +99,9 @@ class FleetConfig:
     #: virtual second) — 10^5 at 10^4/s is a ten-second storm.  The rate
     #: is sized against the TOE shard's mutation throughput: every
     #: ``reliable``-type record hashes to one shard, whose primary
-    #: serializes RSM rounds, and the SmartNIC share of establishments
-    #: carries reserve+release (and resume re-validation) traffic there.
+    #: proposes each mutation to the RSM log, and the SmartNIC share of
+    #: establishments carries reserve+release (and resume re-validation)
+    #: traffic there.
     establishments: int = 100_000
     arrival_rate: float = 10_000.0
     #: Service popularity: scrambled Zipfian over the server list.

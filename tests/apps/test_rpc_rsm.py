@@ -5,8 +5,9 @@ import pytest
 from repro.apps import EchoServer, QuorumError, RsmClient, RsmReplica, ping_session
 from repro.chunnels import McastSequencerFallback, SerializeFallback
 from repro.core import Runtime
+from repro.core.rpc import RetryPolicy
 from repro.discovery import DiscoveryService
-from repro.sim import Address, LossProgram, Network
+from repro.sim import Address, FaultPlan, LossProgram, Network
 
 from ..conftest import run
 
@@ -67,7 +68,7 @@ class TestEchoServer:
         assert run(two_hosts.env, scenario(two_hosts.env)) == "refused"
 
 
-def rsm_world(replicas=3):
+def rsm_world(replicas=3, loss=0.0, seed=7):
     net = Network()
     members = [f"r{i}" for i in range(replicas)]
     for name in members:
@@ -77,6 +78,8 @@ def rsm_world(replicas=3):
     net.add_switch("tor")
     for name in members + ["cli", "dsc"]:
         net.add_link(name, "tor", latency=5e-6)
+    if loss:
+        net.attach_faults_everywhere(FaultPlan(drop_rate=loss, seed=seed))
     discovery = DiscoveryService(dsc)
     replica_objs = []
     for name in members:
@@ -186,3 +189,55 @@ class TestRsm:
 
         with pytest.raises(QuorumError):
             run(net.env, scenario(net.env))
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_concurrent_submits_share_one_connection(self, seed):
+        """Replicas apply one order, one application per request: eight
+        submits in flight on one client under 10 % loss each get their own
+        result, every replica applies the same sequence with every op in
+        it exactly once, and no quorum ever disagreed."""
+        net, replicas, client_rt = rsm_world(loss=0.1, seed=seed)
+        histories = {replica.name: [] for replica in replicas}
+        for replica in replicas:
+            replica.state.update({f"k{i}": i for i in range(8)})
+
+            def logged(op, apply=replica._apply, log=histories[replica.name]):
+                log.append(op["request_id"])
+                return apply(op)
+
+            replica._apply = logged
+        # Six lossy crossings per reply: give every submit eight attempts.
+        client = RsmClient(
+            client_rt, group="G", policy=RetryPolicy(timeout=2e-3, retries=8)
+        )
+
+        def submitter(index):
+            if index % 2:
+                return (yield from client.submit({"op": "get", "key": f"k{index}"}))
+            return (
+                yield from client.submit(
+                    {"op": "cas", "key": f"k{index}", "expect": -1, "value": 0}
+                )
+            )
+
+        def scenario(env):
+            yield env.timeout(1e-3)
+            yield from client.connect([r.address for r in replicas])
+            submits = [env.process(submitter(index)) for index in range(8)]
+            results = yield env.all_of(submits)
+            yield env.timeout(0.1)  # stragglers' retransmits and NACKs drain
+            receiver = client._receiver
+            client.close()
+            yield env.timeout(0)
+            return [results[submit] for submit in submits], receiver.is_alive
+
+        results, receiver_alive = run(net.env, scenario(net.env))
+        assert results == [
+            index if index % 2 else f"conflict:{index}" for index in range(8)
+        ]
+        orders = list(histories.values())
+        assert all(order == orders[0] for order in orders)
+        assert sorted(orders[0]) == list(range(1, 9))
+        assert client.mismatches == 0
+        assert not receiver_alive
+        assert not client._collectors

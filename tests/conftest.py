@@ -15,8 +15,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Runtime
+from repro.core.wire import wire_kind
 from repro.discovery import DiscoveryService
-from repro.sim import CostModel, Environment, Network, SmartNic
+from repro.sim import CostModel, Environment, LossProgram, Network, SmartNic
 
 
 @pytest.fixture
@@ -92,6 +93,25 @@ def one_host_two_containers() -> World:
     host.add_container("ca")
     host.add_container("cb")
     return World(net, DiscoveryService(host))
+
+
+def tap_control(net: Network, drop=None, switch: str = "tor") -> list:
+    """Record every control datagram crossing ``switch`` as ``(time, kind,
+    datagram)`` in the returned list; ``drop(kind, datagram)`` returning
+    True discards that datagram there."""
+    seen: list = []
+
+    def predicate(dgram) -> bool:
+        kind = wire_kind(dgram.payload)
+        if kind is None:
+            return False
+        seen.append((net.env.now, kind, dgram))
+        return drop is not None and drop(kind, dgram)
+
+    net.switches[switch].install(
+        LossProgram("control-tap", predicate=predicate, drop_first=10**9)
+    )
+    return seen
 
 
 def run(env: Environment, generator, until: float = 5.0):

@@ -433,3 +433,114 @@ class TestCrossShardNegcacheInvalidation:
         assert toe.record_id not in {
             o.record_id for o in second.choice.values()
         }
+
+
+class TestPipelinedPrimary:
+    """The shard primary's serve loop dispatches (PROTOCOL.md §8.2): a
+    mutation's replication round runs detached, and the log — not the
+    loop — orders what is applied.  Requests are raw datagrams so the
+    tests own ``req_id``, ``attempt`` and timing."""
+
+    def setup_method(self):
+        self.net, self.tier, _router = shard_world(shards=1)
+        self.net.add_host(
+            "srv", nic=SmartNic(self.net.env, name="srv.nic", offload_slots=4)
+        )
+        self.net.add_link("srv", "tor", latency=5e-6)
+        self.record = self.tier.seed_record(ReliableToe.meta, location="srv")
+        self.primary = self.tier.primary(0)
+        self.socket = UdpSocket(self.net.entity("cli"))
+        self.replies = []
+        self.net.env.process(self._collect(), name="test.replies")
+
+    def _collect(self):
+        while True:
+            dgram = yield self.socket.recv()
+            self.replies.append(msgs.decode_message(dgram.payload))
+
+    def _send(self, request, req_id, attempt=0):
+        payload, size = msgs.encode_message_sized(
+            request.stamped(req_id, attempt)
+        )
+        self.socket.send(payload, self.primary.address, size=size)
+
+    def _warm(self, env):
+        """One mutation end to end, so the group connection exists and
+        the next round is a bare RSM round trip."""
+        watch = msgs.Watch(
+            record_id=self.record.record_id, address=self.socket.address
+        )
+        self._send(watch, "warm")
+        yield env.timeout(20e-3)
+        assert [r.KIND for r in self.replies] == ["disc.watch_reply"]
+        self.replies.clear()
+
+    def _reserve(self):
+        return msgs.Reserve(record_id=self.record.record_id, owner="alice")
+
+    def test_query_is_answered_during_a_replication_round(self):
+        def scenario(env):
+            yield from self._warm(env)
+            self._send(self._reserve(), "t-1")
+            yield env.timeout(5e-6)
+            self._send(msgs.Query(types=["reliable"]), "t-2")
+            yield env.timeout(5e-3)
+
+        run(self.net.env, scenario(self.net.env))
+        assert [(r.KIND, r.req_id) for r in self.replies] == [
+            ("disc.query_reply", "t-2"),
+            ("disc.reserve_reply", "t-1"),
+        ]
+        assert self.replies[1].ok
+
+    def test_reserve_retransmitted_mid_round_applies_once(self):
+        """One application per ``req_id``: the retransmission that lands
+        mid-round is swallowed by the in-flight table, the one after it
+        replays the cached verdict; the lease is taken once everywhere."""
+
+        def scenario(env):
+            yield from self._warm(env)
+            self._send(self._reserve(), "t-1", attempt=0)
+            yield env.timeout(20e-6)
+            self._send(self._reserve(), "t-1", attempt=1)
+            yield env.timeout(5e-3)
+            mid_round = list(self.replies)
+            self._send(self._reserve(), "t-1", attempt=2)
+            yield env.timeout(5e-3)
+            return mid_round
+
+        mid_round = run(self.net.env, scenario(self.net.env))
+        assert [(r.KIND, r.attempt) for r in mid_round] == [
+            ("disc.reserve_reply", 0)
+        ]
+        assert [(r.KIND, r.attempt, r.ok) for r in self.replies] == [
+            ("disc.reserve_reply", 0, True),
+            ("disc.reserve_reply", 2, True),
+        ]
+        assert self.primary.duplicate_requests == 2
+        for replica in self.tier.shards[0]:
+            audit = replica.audit_leases()
+            assert audit["ok"] and audit["leases"] == 1
+            (lease,) = replica._leases.values()
+            assert lease.count == 1
+            assert replica.reservations_granted == 1
+
+    def test_primary_crashed_mid_round_neither_replies_nor_caches(self):
+        """Nothing is sent or cached by a handler that outlives
+        ``crash()`` — though what it submitted is in the log, and the
+        surviving replicas apply it."""
+
+        def scenario(env):
+            yield from self._warm(env)
+            self._send(self._reserve(), "t-1")
+            yield env.timeout(40e-6)  # landed, and mid-round
+            assert self.primary._inflight == {"t-1"}
+            self.primary.crash()
+            yield env.timeout(20e-3)
+
+        run(self.net.env, scenario(self.net.env))
+        assert self.replies == []
+        assert len(self.primary._replies) == 0
+        assert not self.primary._inflight
+        for standby in self.tier.shards[0][1:]:
+            assert standby.audit_leases()["leases"] == 1
