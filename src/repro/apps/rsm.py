@@ -82,6 +82,7 @@ class RsmReplica:
             f"rsm.{group}.{self.name}.gaps_total", self, "gaps_seen",
             replace=True,
         )
+        obs.bind(f"rsm.{group}.{self.name}.applied", self, "applied", replace=True)
         roster = runtime.network.__dict__.setdefault(
             "_rsm_groups", {}
         ).setdefault(group, [])

@@ -620,12 +620,9 @@ class Connection:
             ctx = self._context_for(node_id)
             if ctx is not None:
                 impl.teardown(ctx)
-        released: set[tuple[str, str]] = set()
         for ctx in self._setup_contexts:
-            for record_id, owner in ctx.reservations:
-                if (record_id, owner) not in released:
-                    released.add((record_id, owner))
-                    self.runtime.spawn_release(record_id, owner)
+            for handle in ctx.reservations:
+                self.runtime.spawn_release(handle)
         if self._pump.is_alive:
             self._pump.interrupt("connection closed")
         self.socket.close()

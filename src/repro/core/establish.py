@@ -22,7 +22,7 @@ differences as explicit parameters:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from ..errors import BerthaError, ConnectionClosedError, NegotiationError
 from ..sim.datagram import Address
@@ -36,6 +36,7 @@ from .stack import SetupContext
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.host import NetEntity
+    from .leases import LeaseHandle
     from .runtime import Runtime
 
 __all__ = [
@@ -85,7 +86,7 @@ def build_binding(
     client_entity: str,
     server_entity: str,
     params: Optional[dict] = None,
-    reservations: Sequence[tuple[str, str]] = (),
+    reservations: Optional[Mapping[int, "LeaseHandle"]] = None,
     changed: Optional[Iterable[int]] = None,
     reuse: Optional[Connection] = None,
     fresh_params: bool = False,
@@ -96,7 +97,9 @@ def build_binding(
     implementation and run its setup hook in topological order; unchanged
     nodes carry over ``reuse``'s impl, context, and stage.  On a setup
     failure the nodes built so far are torn down before re-raising, so a
-    half-built binding never leaks device programs.
+    half-built binding never leaks device programs.  ``reservations`` maps
+    node id → the lease reference taken for it; each built node's context
+    carries its own, to be given back when that node's binding goes.
 
     Both live-update paths ride this carry-over: the reconfiguration
     engine rebuilds only the nodes whose choice changed, and the failover
@@ -109,6 +112,7 @@ def build_binding(
     None where the implementation runs elsewhere).
     """
     params = {} if params is None else params
+    reservations = reservations or {}
     order = dag.topological_order()
     changed_set = set(order) if changed is None else set(changed)
     impls: dict[int, ChunnelImpl] = {}
@@ -142,7 +146,9 @@ def build_binding(
                 client_entity=client_entity,
                 server_entity=server_entity,
                 params=dict(params) if fresh_params else params,
-                reservations=list(reservations),
+                reservations=(
+                    [reservations[node_id]] if node_id in reservations else []
+                ),
             )
             impl.setup(ctx)
             impls[node_id] = impl
@@ -176,7 +182,7 @@ def establish_connection(
     peers: Sequence[Address] = (),
     transport: Optional[str] = None,
     params: Optional[dict] = None,
-    reservations: Sequence[tuple[str, str]] = (),
+    reservations: Optional[Mapping[int, "LeaseHandle"]] = None,
     degraded: bool = False,
     negotiation_state: Optional[dict] = None,
     hello: bool = False,

@@ -691,8 +691,8 @@ class FailoverManager:
             octx = old_ctxs.get(node_id)
             if impl is not None and octx is not None:
                 impl.teardown(octx)
-                for record_id, owner in octx.reservations:
-                    runtime.spawn_release(record_id, owner)
+                for handle in octx.reservations:
+                    runtime.spawn_release(handle)
         conn.retire_epoch(old_epoch, grace=reconfig.retire_grace)
         conn.migrations += 1
         conn.parked = False

@@ -63,6 +63,8 @@ __all__ = [
     "QueryReply",
     "Reserve",
     "ReserveReply",
+    "LeaseCheck",
+    "LeaseCheckReply",
     "Release",
     "ReleaseReply",
     "Watch",
@@ -567,8 +569,12 @@ class QueryReply(DiscoveryMessage):
 @control_message
 @dataclass(frozen=True)
 class Reserve(DiscoveryMessage):
-    """Reserve an offload record for ``owner`` (refcounted per owner; §6's
-    contended-offload accounting).
+    """Take one holder's reference on the ``(record_id, owner)`` lease.
+    Creating the lease runs admission and charges the record's resources
+    once (§6's contended-offload accounting); a further reference — another
+    runtime sharing a group-scoped owner — only counts.  A runtime sends
+    this when it holds no reference of its own; while it holds one, its
+    further connections ask ``disc.lease_check`` instead.
 
     Direction: any runtime → discovery service, dedicated socket.
     Retransmit: backoff like ``disc.query``; at-most-once — a retransmitted
@@ -602,11 +608,55 @@ class ReserveReply(DiscoveryMessage):
 
 @control_message
 @dataclass(frozen=True)
+class LeaseCheck(DiscoveryMessage):
+    """Ask whether the ``(record_id, owner)`` lease still stands: a read.
+    A runtime that already holds a reference sends this, instead of
+    another ``disc.reserve``, for each further connection it binds under
+    the lease; nothing at the service changes.
+
+    Direction: any runtime → discovery service (sharded: the record's
+    shard primary), dedicated socket.
+    Retransmit: backoff like ``disc.query``; answered from local state and
+    never logged, so a retransmit is simply answered again (or replayed
+    from the reply cache).
+    """
+
+    KIND: ClassVar[str] = "disc.lease_check"
+
+    record_id: str = ""
+    owner: str = ""
+    req_id: Optional[str] = None
+    attempt: Any = 0
+
+
+@control_message
+@dataclass(frozen=True)
+class LeaseCheckReply(DiscoveryMessage):
+    """Lease-check verdict: ``ok`` iff the record exists and the lease
+    stands (``ok=False``: revoked, preempted or never taken — the holder
+    drops its entry and reserves afresh, which re-runs admission).
+
+    Direction: discovery service → requester (reply to
+    ``disc.lease_check``).
+    Retransmit: replayed from the reply cache on duplicate requests.
+    """
+
+    KIND: ClassVar[str] = "disc.lease_check_reply"
+
+    ok: bool = False
+    req_id: Optional[str] = None
+    attempt: Any = 0
+
+
+@control_message
+@dataclass(frozen=True)
 class Release(DiscoveryMessage):
-    """Release one reservation held by ``owner`` on ``record_id``.
+    """Give back one holder's reference on the ``(record_id, owner)``
+    lease — sent when a runtime's last connection under it goes; the
+    service frees the resources with the last holder's reference.
 
     Direction: any runtime → discovery service, dedicated socket.
-    Retransmit: backoff like ``disc.query``; idempotent at the service
+    Retransmit: backoff like ``disc.query``; at-most-once per ``req_id``
     (releasing an unheld lease is a no-op), fire-and-forget at most callers.
     """
 

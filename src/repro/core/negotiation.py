@@ -25,13 +25,13 @@ from typing import Callable, Optional
 
 from ..errors import (
     BerthaError,
-    ConnectionTimeoutError,
     NoImplementationError,
     ResourceExhaustedError,
 )
 from ..sim.eventloop import Interrupt
 from .chunnel import Offer
 from .dag import ChunnelDag
+from .leases import LeaseHandle
 from .policy import Policy, PolicyContext
 from .scope import Endpoints, Placement
 
@@ -183,8 +183,8 @@ def decide_with_reservations(
     span in the world's trace log (tagged with ``conn_id`` when the
     caller has one).
 
-    Returns ``(choice, confirmed)`` where ``confirmed`` is the list of
-    ``(record_id, owner)`` reservations this decision holds.
+    Returns ``(choice, confirmed)`` where ``confirmed`` maps node id to
+    the :class:`~repro.core.leases.LeaseHandle` this decision holds for it.
     """
     trace = runtime.network.trace
     span = trace.begin("reserve", conn_id, owner=owner)
@@ -200,17 +200,20 @@ def decide_with_reservations(
 
 
 def reserve_choice(runtime, dag: ChunnelDag, choice: dict, owner: str):
-    """Generator: confirm every resource-bearing binding of ``choice`` with
-    discovery, in node order.
+    """Generator: take a lease reference for every resource-bearing binding
+    of ``choice``, in node order, through the runtime's lease table
+    (:class:`repro.core.leases.LeaseTable`) — a ``disc.reserve`` where the
+    runtime holds none on that lease yet, a ``disc.lease_check`` where it
+    does; either way a verdict from discovery, one round trip old at most.
 
-    Returns ``(confirmed, denied)``: the ``(record_id, owner)`` reservations
-    that stuck, and the first offer discovery refused (``None`` when every
-    one stuck; the walk stops at the first denial).  An :class:`Interrupt`
-    mid-walk — ``Listener.close()`` with this handler between two reserves
-    — releases what was already confirmed before propagating: no connection
-    will ever own those leases, so nobody else would.
+    Returns ``(confirmed, denied)``: the handles that stuck, by node id,
+    and the first offer discovery refused (``None`` when every one stuck;
+    the walk stops at the first denial).  An :class:`Interrupt` mid-walk —
+    ``Listener.close()`` with this handler between two acquisitions —
+    gives back what was already confirmed before propagating: no
+    connection will ever own those references, so nobody else would.
     """
-    confirmed: list[tuple[str, str]] = []
+    confirmed: dict[int, LeaseHandle] = {}
     try:
         for node_id, offer in sorted(choice.items()):
             if offer.record_id is None or offer.meta.resources.is_zero:
@@ -219,21 +222,15 @@ def reserve_choice(runtime, dag: ChunnelDag, choice: dict, owner: str):
             # a group-scoped owner so the shared device program is
             # accounted once across all members.
             node_owner = dag.nodes[node_id].reservation_scope() or owner
-            try:
-                ok = yield from runtime.discovery.reserve(
-                    offer.record_id, node_owner
-                )
-            except ConnectionTimeoutError:
-                # Discovery unreachable: an unconfirmable reservation is a
-                # denial, steering the decision toward resource-free
-                # fallbacks rather than failing the whole negotiation.
-                ok = False
-            if not ok:
+            handle = yield from runtime.leases.acquire(
+                offer.record_id, node_owner
+            )
+            if handle is None:
                 return confirmed, offer
-            confirmed.append((offer.record_id, node_owner))
+            confirmed[node_id] = handle
     except Interrupt:
-        for record_id, node_owner in confirmed:
-            runtime.spawn_release(record_id, node_owner)
+        for handle in confirmed.values():
+            runtime.spawn_release(handle)
         raise
     return confirmed, None
 
@@ -264,11 +261,8 @@ def _decide_rounds(
         )
         if denied is None:
             return choice, confirmed, _round + 1
-        for record_id, node_owner in confirmed:
-            try:
-                yield from runtime.discovery.release(record_id, node_owner)
-            except ConnectionTimeoutError:
-                runtime.release_failures += 1
+        for handle in confirmed.values():
+            yield from runtime.leases.release(handle)
         excluded.add((denied.meta.name, denied.record_id))
     raise NoImplementationError(
         f"reservation thrashing: could not confirm a stable implementation "

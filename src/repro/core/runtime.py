@@ -55,6 +55,7 @@ from .chunnel import ChunnelSpec, Offer, Role
 from .connection import Connection, next_conn_id
 from .dag import ChunnelDag, wrap
 from .establish import establish_connection
+from .leases import LeaseHandle, LeaseTable
 from .negcache import NegotiationCache
 from .negotiation import decide_with_reservations, reserve_choice
 from .policy import DefaultPolicy, Policy, PolicyContext
@@ -125,9 +126,13 @@ class Runtime:
         #: with fallback-only stacks because discovery was unreachable.
         self.degraded_establishments = 0
         self.degraded_events: list[dict] = []
-        #: Fire-and-forget discovery releases that timed out (the lease
-        #: stays until the owner retries or the record is revoked).
+        #: ``disc.release`` calls that timed out (the lease table keeps
+        #: the entry as owed and retries with its next last release).
         self.release_failures = 0
+        #: This process's references on discovery leases: one per
+        #: ``(record_id, owner)`` at the service however many connections
+        #: share it (PROTOCOL.md §2).
+        self.leases = LeaseTable(self)
         #: Shared RPC counters for this process's negotiation exchanges
         #: (the offer/accept loop charges the same counter names the
         #: discovery client does — one retransmit dialect).
@@ -207,22 +212,17 @@ class Runtime:
         dag.validate()
         return Endpoint(self, name, dag)
 
-    def spawn_release(self, record_id: str, owner: str) -> None:
-        """Asynchronously release a discovery reservation.
+    def spawn_release(self, handle: LeaseHandle) -> None:
+        """Give back a lease reference without waiting for discovery.
 
-        The release process swallows control-plane errors: nothing waits on
-        it, and an unwaited failure would crash the simulation.  A release
-        lost to a discovery outage leaves the lease held until the record
-        is revoked — counted in :attr:`release_failures`.
+        The reference goes at once; only the runtime's last one on a lease
+        sends anything, and that ``disc.release`` runs as the lease
+        table's own process and tolerates a discovery outage
+        (:attr:`release_failures` counts it; the table then owes the
+        release and retries it when the lease is next used and dropped) —
+        so nothing here can fail unwaited and crash the simulation.
         """
-
-        def _release():
-            try:
-                yield from self.discovery.release(record_id, owner)
-            except BerthaError:
-                self.release_failures += 1
-
-        self.env.process(_release(), name=f"release:{record_id}")
+        self.leases.release_nowait(handle)
 
     def record_degraded(self, conn_id: str, reason: str) -> None:
         """Count (and warn about) a degraded-mode establishment."""
@@ -1056,7 +1056,7 @@ class Listener:
             attempts.insert(0, optimized)
         last_error: Optional[NegotiationError] = None
         choice = None
-        reservations: list[tuple[str, str]] = []
+        reservations: dict[int, LeaseHandle] = {}
         for attempt_dag in attempts:
             candidates = self._assemble_candidates(
                 attempt_dag.chunnel_types(), message
@@ -1184,8 +1184,8 @@ class Listener:
             runtime, dag, choice, owner
         )
         if denied is not None:
-            for record_id, held_owner in confirmed:
-                runtime.spawn_release(record_id, held_owner)
+            for handle in confirmed.values():
+                runtime.spawn_release(handle)
             runtime.negcache.note_fallback(key)
             reject_reason = (
                 f"reservation revalidation failed for {denied.record_id}"

@@ -31,6 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from ..sim.eventloop import Environment
     from ..sim.host import NetEntity
     from ..sim.network import Network
+    from .leases import LeaseHandle
     from .runtime import Runtime
 
 __all__ = [
@@ -55,7 +56,8 @@ class SetupContext:
     client_entity: str
     server_entity: str
     params: dict[str, Any] = field(default_factory=dict)
-    reservations: list[tuple[str, str]] = field(default_factory=list)
+    #: The lease reference this node's binding holds, if it bears resources.
+    reservations: list["LeaseHandle"] = field(default_factory=list)
 
     @property
     def env(self) -> "Environment":

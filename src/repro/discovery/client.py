@@ -62,7 +62,8 @@ class QueryResult:
 class DiscoveryClientBase:
     """Interface shared by all discovery clients (all methods generators).
 
-    ``deadline`` on :meth:`query` / :meth:`reserve` is an *absolute*
+    ``deadline`` on :meth:`query` / :meth:`reserve` / :meth:`lease_check`
+    is an *absolute*
     virtual-time budget (``env.now`` units) the network-backed clients
     thread into :func:`repro.core.rpc.call`; zero-cost clients accept and
     ignore it so callers can pass it unconditionally.
@@ -83,6 +84,14 @@ class DiscoveryClientBase:
         self, record_id: str, owner: str, *, deadline: Optional[float] = None
     ):
         """Generator → bool."""
+        raise NotImplementedError
+        yield  # pragma: no cover
+
+    def lease_check(
+        self, record_id: str, owner: str, *, deadline: Optional[float] = None
+    ):
+        """Generator → bool: does the ``(record_id, owner)`` lease stand?
+        A read — nothing at the service changes."""
         raise NotImplementedError
         yield  # pragma: no cover
 
@@ -250,6 +259,12 @@ class RemoteDiscoveryClient(DiscoveryClientBase):
         )
         return isinstance(reply, msgs.ReserveReply) and reply.ok
 
+    def lease_check(self, record_id, owner, *, deadline=None):
+        reply = yield from self._rpc(
+            msgs.LeaseCheck(record_id=record_id, owner=owner), deadline=deadline
+        )
+        return isinstance(reply, msgs.LeaseCheckReply) and reply.ok
+
     def release(self, record_id, owner):
         yield from self._rpc(msgs.Release(record_id=record_id, owner=owner))
 
@@ -282,6 +297,10 @@ class DirectDiscoveryClient(DiscoveryClientBase):
 
     def reserve(self, record_id, owner, *, deadline=None):
         return self.service.reserve(record_id, owner)
+        yield  # pragma: no cover
+
+    def lease_check(self, record_id, owner, *, deadline=None):
+        return self.service.lease_check(record_id, owner)
         yield  # pragma: no cover
 
     def release(self, record_id, owner):
@@ -323,6 +342,10 @@ class NullDiscoveryClient(DiscoveryClientBase):
         yield  # pragma: no cover
 
     def reserve(self, record_id, owner, *, deadline=None):
+        return True
+        yield  # pragma: no cover
+
+    def lease_check(self, record_id, owner, *, deadline=None):
         return True
         yield  # pragma: no cover
 

@@ -53,7 +53,13 @@ class ImplementationRecord:
 
 @dataclass
 class Lease:
-    """One owner's hold on a record's resources."""
+    """One owner's hold on a record's resources, charged once.
+
+    ``count`` is the number of *holders* — runtimes with at least one
+    connection bound under the lease (several only for a group-scoped
+    owner) — not of connections: those are counted by each holder's
+    :class:`~repro.core.leases.LeaseTable`.
+    """
 
     record_id: str
     owner: str

@@ -398,7 +398,7 @@ class ShardedDiscoveryClient(DiscoveryClientBase):
             self._checkin(address, client, probe)
 
     def _call_shard(self, shard_id: int, method: str, *args, deadline=None):
-        """One mutation against a shard's primary: a short probe chain
+        """One call against a shard's primary: a short probe chain
         against the cached primary, then — on timeout — a map refresh and
         one full chain against whatever the refreshed map names.
 
@@ -548,6 +548,23 @@ class ShardedDiscoveryClient(DiscoveryClientBase):
             yield from self._call_shard(
                 self.map.shard_for_record(record_id),
                 "reserve",
+                record_id,
+                owner,
+                deadline=deadline,
+            )
+        )
+
+    def lease_check(
+        self, record_id: str, owner: str, *, deadline: Optional[float] = None
+    ):
+        # A read, but of the lease table's newest state: it goes to the
+        # primary, which every mutation of the shard passes through, not
+        # to the standby this client pins its queries on.
+        yield from self._ensure_map()
+        return (
+            yield from self._call_shard(
+                self.map.shard_for_record(record_id),
+                "lease_check",
                 record_id,
                 owner,
                 deadline=deadline,

@@ -40,6 +40,7 @@ from ..sim.transport import UdpSocket
 from .records import ImplementationRecord, Lease
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..core.leases import LeaseTable
     from ..core.scheduler import OffloadScheduler
     from ..sim.host import NetEntity
 
@@ -88,6 +89,8 @@ class DiscoveryService:
         self.queries_served = 0
         self.reservations_granted = 0
         self.reservations_denied = 0
+        #: ``disc.lease_check`` reads answered (never logged).
+        self.lease_checks = 0
         #: Watch subscriptions: record_id -> addresses to notify when the
         #: record is revoked or one of its leases is preempted.  This is the
         #: push channel live reconfiguration rides on.
@@ -263,12 +266,16 @@ class DiscoveryService:
 
     # -- reservations -------------------------------------------------------------
     def reserve(self, record_id: str, owner: str) -> bool:
-        """Reserve a record's resources for ``owner``.
+        """Take one holder's reference on the ``(record_id, owner)`` lease.
 
-        Idempotent per owner (refcounted): an application reserving the same
-        record for its tenth connection does not consume tenfold resources.
-        Returns False when the device cannot fit the request (§6's
-        contended-offload case).
+        Creating the lease admits, schedules and charges the record's
+        resources — once: a further reference only counts, so an owner
+        shared by several runtimes (a group-scoped Chunnel) does not
+        consume its resources once per member.  A runtime takes one
+        reference however many connections it binds (its
+        :class:`~repro.core.leases.LeaseTable` counts those and asks
+        :meth:`lease_check` for each).  Returns False when the device
+        cannot fit the request (§6's contended-offload case).
         """
         record = self._records.get(record_id)
         if record is None:
@@ -299,8 +306,16 @@ class DiscoveryService:
         self.reservations_granted += 1
         return True
 
+    def lease_check(self, record_id: str, owner: str) -> bool:
+        """Does the ``(record_id, owner)`` lease stand?  A read: true iff
+        the record exists and the lease has not been released, preempted
+        or expired with its record."""
+        self.lease_checks += 1
+        return record_id in self._records and (record_id, owner) in self._leases
+
     def release(self, record_id: str, owner: str) -> None:
-        """Release one reference to a reservation (no-op if absent)."""
+        """Give back one holder's reference (no-op if absent); the last
+        one frees the lease's resources."""
         lease = self._leases.get((record_id, owner))
         if lease is None:
             return
@@ -398,7 +413,7 @@ class DiscoveryService:
         self.socket.dropping = False
 
     # -- invariant audit ---------------------------------------------------------
-    def audit_leases(self) -> dict:
+    def audit_leases(self, holders: Iterable["LeaseTable"] = ()) -> dict:
         """Cross-check lease bookkeeping against per-device accounting.
 
         Recomputes what :attr:`_in_use` *should* be from the live leases
@@ -407,6 +422,15 @@ class DiscoveryService:
         the incremental accounting matches and that no device is over
         capacity.  The chaos experiment asserts ``ok`` after every run: a
         double-applied `disc.reserve` would show up here as a mismatch.
+
+        Given the ``holders`` — every runtime's lease table — the audit
+        also squares the service's books with theirs: ``unbacked`` lists
+        references held on a lease the service does not have (a connection
+        bound on resources that are free to be given away: what a release
+        freeing the wrong lease leaves behind, and, until the holder's next
+        check or push, what a preemption does), ``miscounted`` the leases
+        whose count is not the number of holders (a leak, when nobody
+        holds them).  Meaningful at quiescence only.
         """
         expected: dict[str, ResourceVector] = {}
         for (record_id, _owner) in self._leases:
@@ -431,11 +455,30 @@ class DiscoveryService:
                 continue
             if not in_use.fits_within(self.device_capacity(location)):
                 over_capacity.append(location)
+        holders = list(holders)
+        holding: dict[tuple[str, str], int] = {}
+        unbacked = []
+        for table in holders:
+            for key, refs in sorted(table.held().items()):
+                holding[key] = holding.get(key, 0) + 1
+                if refs and key not in self._leases:
+                    unbacked.append(key)
+        miscounted = (
+            [
+                {"lease": key, "count": lease.count, "holders": holding.get(key, 0)}
+                for key, lease in sorted(self._leases.items())
+                if lease.count != holding.get(key, 0)
+            ]
+            if holders
+            else []
+        )
         return {
-            "ok": not mismatches and not over_capacity,
+            "ok": not (mismatches or over_capacity or unbacked or miscounted),
             "mismatches": mismatches,
             "over_capacity": over_capacity,
             "leases": len(self._leases),
+            "unbacked": unbacked,
+            "miscounted": miscounted,
         }
 
     # -- names -------------------------------------------------------------------
@@ -581,6 +624,10 @@ class DiscoveryService:
         if isinstance(request, msgs.Reserve):
             return msgs.ReserveReply(
                 ok=self.reserve(request.record_id, request.owner)
+            )
+        if isinstance(request, msgs.LeaseCheck):
+            return msgs.LeaseCheckReply(
+                ok=self.lease_check(request.record_id, request.owner)
             )
         if isinstance(request, msgs.Release):
             self.release(request.record_id, request.owner)

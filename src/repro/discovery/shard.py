@@ -13,9 +13,12 @@ failure and a scalability wall.  This module scales it out on two axes:
   mutation (reserve/release/watch/register_name/unregister_name/revoke/
   unregister) through the repo's own NOPaxos-style replicated state
   machine (:mod:`repro.apps.rsm`) — discovery dogfoods the consensus
-  Chunnel it serves offers for.  Reads (``disc.query``, ``disc.ping``)
-  are served locally by the shard primary; epoch validity is enforced by
-  the versioned promote handshake (a stale promote is refused).
+  Chunnel it serves offers for.  Reads (``disc.query``, ``disc.ping``,
+  and ``disc.lease_check`` — which is how a runtime that already holds a
+  lease revalidates it per connection without a logged mutation) are
+  served from local state by the replica asked; epoch validity is
+  enforced by the versioned promote handshake (a stale promote is
+  refused).
 
 Clients talk to one replica per shard — the **primary** named by the
 shard map (:class:`ShardMap`, served by

@@ -371,8 +371,7 @@ class ReconfigManager:
             if not _same_offer(conn.choice.get(node_id), choice[node_id])
         } | arg_changed
         if dag is conn.dag and not changed:
-            for record_id, node_owner in confirmed:
-                yield from self._safe_release(record_id, node_owner)
+            yield from self._release_all(confirmed.values())
             self.transitions_noop += 1
             self._log(conn, "noop", reason)
             return "noop"
@@ -400,8 +399,7 @@ class ReconfigManager:
         except BerthaError:
             conn.abort_transition(epoch)
             self._teardown_nodes(impls, ctx_map, changed)
-            for record_id, node_owner in confirmed:
-                yield from self._safe_release(record_id, node_owner)
+            yield from self._release_all(confirmed.values())
             raise
 
         started = self.env.now
@@ -414,14 +412,12 @@ class ReconfigManager:
             error = "ack timeout" if reply is None else reply.error
             conn.abort_transition(epoch)
             self._teardown_nodes(impls, ctx_map, changed)
-            for record_id, node_owner in confirmed:
-                yield from self._safe_release(record_id, node_owner)
+            yield from self._release_all(confirmed.values())
             self.transitions_rolled_back += 1
             self._log(conn, "rolled-back", f"epoch {epoch}: {error}")
             return "rolled-back"
 
         # Commit: swap epochs, then settle the books.
-        old_choice = dict(conn.choice)
         old_impls = dict(conn.impls)
         old_ctxs = {n: conn._context_for(n) for n in changed if n in conn.impls}
         contexts = [
@@ -441,14 +437,14 @@ class ReconfigManager:
         self.pause_times.append(pause)
         self.last_pause = pause
 
-        # Unchanged nodes were re-reserved by the re-decision while the
-        # establishment-time lease is still held: drop the extra count.
-        changed_records = {
-            choice[n].record_id for n in changed if choice[n].record_id
-        }
-        for record_id, node_owner in confirmed:
-            if record_id not in changed_records:
-                yield from self._safe_release(record_id, node_owner)
+        # Unchanged nodes keep their context, and with it the reference
+        # they were established under: the one the re-decision took for
+        # them is surplus.
+        yield from self._release_all(
+            handle
+            for node_id, handle in confirmed.items()
+            if node_id not in changed
+        )
 
         # Tear down what the new binding replaced, and release its leases.
         replaced_offload = False
@@ -461,13 +457,7 @@ class ReconfigManager:
             octx = old_ctxs.get(node_id)
             if octx is not None:
                 impl.teardown(octx)
-            old_offer = old_choice.get(node_id)
-            if old_offer is not None and old_offer.record_id:
-                spec = conn.dag.nodes.get(node_id)
-                node_owner = (
-                    spec.reservation_scope() if spec is not None else None
-                ) or owner
-                yield from self._safe_release(old_offer.record_id, node_owner)
+                yield from self._release_all(octx.reservations)
         if replaced_offload:
             # Stragglers stamped with the old epoch may have relied on the
             # now-removed device program; route them to the new stack.
@@ -715,17 +705,14 @@ class ReconfigManager:
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    def _safe_release(self, record_id: str, owner: str):
-        """Generator: release a lease, tolerating a discovery outage.
-
-        A committed (or rolled-back) transition must not be reported as
-        failed just because the bookkeeping release timed out; the lease
-        stays held until the record is revoked or a later release lands.
-        """
-        try:
-            yield from self.runtime.discovery.release(record_id, owner)
-        except ConnectionTimeoutError:
-            self.runtime.release_failures += 1
+    def _release_all(self, handles):
+        """Generator: give back lease references, waiting for discovery
+        where one is the runtime's last on its lease.  The lease table
+        absorbs a discovery outage (it owes the release and retries), so
+        a committed or rolled-back transition is never reported as failed
+        over bookkeeping."""
+        for handle in handles:
+            yield from self.runtime.leases.release(handle)
 
     def _assemble_candidates(self, conn, dag: ChunnelDag, message: "msgs.Offer"):
         """Generator: the re-decision candidate pool — stored client offers,

@@ -247,6 +247,9 @@ class DiscoveryWatcher:
                 continue
             record_id = getattr(message, "record_id", None)
             self.notifications += 1
+            # The lease is gone at the service: the runtime's reference on
+            # it goes first, so nothing a callback starts finds it held.
+            self.runtime.leases.drop(record_id, getattr(message, "owner", None))
             for callback in list(self._callbacks.get(record_id, [])):
                 callback(record_id, message.KIND, message._to_body())
 

@@ -93,6 +93,8 @@ def samples():
         ),
         msgs.Reserve(record_id="rec-1", owner="me", req_id="r2", attempt=0),
         msgs.ReserveReply(ok=True, req_id="r2", attempt=0),
+        msgs.LeaseCheck(record_id="rec-1", owner="me", req_id="r2c", attempt=0),
+        msgs.LeaseCheckReply(ok=True, req_id="r2c", attempt=0),
         msgs.Release(record_id="rec-1", owner="me", req_id="r3", attempt=0),
         msgs.ReleaseReply(req_id="r3", attempt=0),
         msgs.Watch(

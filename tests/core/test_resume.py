@@ -31,6 +31,8 @@ from repro.discovery.client import RemoteDiscoveryClient
 from repro.errors import DegradedEstablishmentWarning
 from repro.sim import FaultPlan, Network, SmartNic
 
+from ..conftest import tap_control
+
 CONNECT = dict(timeout=2e-3, retries=80)
 
 
@@ -349,6 +351,47 @@ class TestReservationRevalidation:
         assert second.degraded
         assert client_rt.negcache.hits == 1
         assert client_rt.negcache.fallbacks == 1
+
+
+    def test_revoked_record_with_every_push_lost_dies_at_the_check(self):
+        """A revoked record is never bound by a new connection even with
+        every push lost: both negotiation caches keep their entry, the
+        RESUME goes out — and the listener's ``disc.lease_check`` says
+        no, the re-reserve is refused, the resume is rejected and the
+        full path binds the fallback."""
+        net, discovery, toe, server, client_rt = build_world()
+        seen = tap_control(
+            net,
+            drop=lambda kind, _dgram: kind
+            in ("disc.revoked", "disc.lease_revoked"),
+        )
+
+        def scenario():
+            first = yield from connect_once(client_rt, server, 0)
+            first.close()
+            yield net.env.timeout(1e-3)  # both watch registrations land
+            discovery.revoke(toe.record_id)
+            yield net.env.timeout(1e-3)
+            del seen[:]
+            second = yield from connect_once(client_rt, server, 1)
+            yield from echo_roundtrip(second)
+            return {o.record_id for o in second.choice.values()}
+
+        second_records = drive(net, scenario())
+        kinds = [kind for _, kind, _ in seen]
+        assert kinds[:6] == [
+            "bertha.resume",
+            "disc.lease_check",
+            "disc.lease_check_reply",
+            "disc.reserve",
+            "disc.reserve_reply",
+            "bertha.resume_reject",
+        ]
+        assert toe.record_id not in second_records
+        assert client_rt.negcache.hits == 1  # the stale entry was tried
+        assert client_rt.negcache.fallbacks == 1
+        assert server.runtime.leases.held() == {}
+        assert discovery.audit_leases([server.runtime.leases])["ok"]
 
 
 class TestNegotiationCacheUnit:

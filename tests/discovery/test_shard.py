@@ -306,6 +306,48 @@ class TestFailover:
         assert 0 < router.failover_durations[0] < 50e-3
 
 
+    def test_primary_crashed_mid_check_standby_answers_from_the_log(self):
+        """A ``disc.lease_check`` is a read of one replica, but the lease
+        it reads came through the log: when the primary dies with the
+        check in flight, the retransmit reaches the promoted standby,
+        which holds the lease and says so — and nothing is logged for it."""
+        net, tier, router = shard_world()
+        net.add_host(
+            "srv", nic=SmartNic(net.env, name="srv.nic", offload_slots=4)
+        )
+        net.add_link("srv", "tor", latency=5e-6)
+        record = tier.seed_record(ReliableToe.meta, location="srv")
+        client = ShardedDiscoveryClient(net.entity("cli"), router.address)
+        old_primary = tier.primary(0)
+
+        def scenario(env):
+            yield env.timeout(1e-3)
+            assert (yield from client.reserve(record.record_id, "srv:echo"))
+            # Fast enough that the standby is promoted before the client's
+            # probe chain against the dead primary gives up and re-reads
+            # the map.
+            router.probe_timeout = 3e-4
+            router.start_monitor(interval=5e-4, miss_threshold=3)
+            yield env.timeout(5e-3)
+            applied = [replica.rsm.applied for replica in tier.shards[0]]
+            check = env.process(client.lease_check(record.record_id, "srv:echo"))
+            yield env.timeout(2e-6)  # the request is on the wire
+            tier.crash_primary(0)
+            stands = yield check
+            stranger = yield from client.lease_check(record.record_id, "nobody")
+            router.stop()
+            return stands, stranger, applied
+
+        stands, stranger, applied = run(net.env, scenario(net.env), until=10.0)
+        assert stands is True and stranger is False
+        new_primary = tier.primary(0)
+        assert new_primary is not old_primary and new_primary.is_primary
+        assert new_primary.lease_checks == 2 and old_primary.lease_checks == 0
+        assert client.map_refreshes >= 1
+        assert [replica.rsm.applied for replica in tier.shards[0]] == applied
+        assert new_primary.audit_leases()["leases"] == 1
+
+
 CONNECT = dict(timeout=2e-3, retries=80)
 
 
@@ -524,6 +566,38 @@ class TestPipelinedPrimary:
             (lease,) = replica._leases.values()
             assert lease.count == 1
             assert replica.reservations_granted == 1
+
+    def test_lease_check_is_answered_at_once_and_never_logged(self):
+        """``disc.lease_check`` is a read: the primary answers it from
+        local state — overtaking a mutation that is mid-round — and no
+        replica applies anything for it."""
+        assert msgs.LeaseCheck not in type(self.primary)._MUTATIONS
+        check = msgs.LeaseCheck(record_id=self.record.record_id, owner="alice")
+
+        def scenario(env):
+            yield from self._warm(env)
+            self._send(check, "c-0")  # before anyone reserved
+            self._send(self._reserve(), "t-1")
+            yield env.timeout(5e-3)
+            applied = [r.rsm.applied for r in self.tier.shards[0]]
+            self._send(self._reserve(), "t-2")
+            yield env.timeout(5e-6)
+            self._send(check, "c-1")
+            yield env.timeout(5e-3)
+            return applied
+
+        applied = run(self.net.env, scenario(self.net.env))
+        assert [(r.KIND, r.req_id, r.ok) for r in self.replies] == [
+            ("disc.lease_check_reply", "c-0", False),
+            ("disc.reserve_reply", "t-1", True),
+            ("disc.lease_check_reply", "c-1", True),
+            ("disc.reserve_reply", "t-2", True),
+        ]
+        assert self.primary.lease_checks == 2
+        # Only t-2's reserve was logged after the snapshot.
+        assert [r.rsm.applied for r in self.tier.shards[0]] == [
+            count + 1 for count in applied
+        ]
 
     def test_primary_crashed_mid_round_neither_replies_nor_caches(self):
         """Nothing is sent or cached by a handler that outlives
