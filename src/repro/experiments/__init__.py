@@ -4,7 +4,14 @@ Each module is deterministic and self-contained (it builds its own
 simulated cluster), returns a result object with ``rows()``/``render()``,
 and is driven three ways: the pytest benchmarks in ``benchmarks/``, the
 shape-check tests in ``tests/experiments/``, and the CLI
-(``python -m repro.experiments <fig3|fig4|fig5|ablations>``).
+(``python -m repro.experiments
+<fig3|fig4|fig5|reconfig|chaos|churn|failover|fleet|multipath|offload|ablations|all>``).
+
+The six invariant-checked experiments (``chaos``, ``churn``,
+``failover``, ``fleet``, ``multipath``, ``offload``) share one result
+contract, :class:`._result.ExperimentResult` — ``ok``, the invariants
+footer, and the ``BENCH_<name>.json`` / ``--metrics-out`` documents — and
+one CLI table, :data:`.__main__.EXPERIMENTS`.
 """
 
 from .ablations import (

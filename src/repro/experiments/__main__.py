@@ -7,14 +7,12 @@ Usage::
     python -m repro.experiments fig4
     python -m repro.experiments fig5 [--full]
     python -m repro.experiments reconfig
-    python -m repro.experiments chaos [--smoke] [--loss 0,0.05,0.1,0.2]
-    python -m repro.experiments churn [--smoke] [--sessions N]
-    python -m repro.experiments failover [--smoke] [--seed N]
-    python -m repro.experiments fleet [--smoke] [--shards N]
-    python -m repro.experiments multipath [--smoke] [--seed N]
-    python -m repro.experiments offload [--smoke] [--seed N]
+    python -m repro.experiments <chaos|churn|failover|fleet> [--smoke] \
+        [--seed N] [--baseline PATH] [--shards N] [--replicas-per-shard R]
+    python -m repro.experiments <multipath|offload> [--smoke] [--seed N] \
+        [--baseline PATH]
     python -m repro.experiments ablations
-    python -m repro.experiments all [--full]
+    python -m repro.experiments all [--full] [--smoke]
 
 Each command prints the rows/series the paper's corresponding figure
 reports (see EXPERIMENTS.md for the mapping and the recorded outputs).
@@ -24,23 +22,28 @@ functions) and ``--profile-out PATH`` (dump the raw pstats file for
 ``snakeviz``/``pstats`` digging).  How fast the simulator itself runs is
 measured by the repository's benchmark, ``python -m bench``.
 
-The ``chaos`` command exits non-zero when any robustness invariant is
-violated, so CI can run it as a smoke check
-(``chaos --smoke --seed 7``); ``--baseline PATH`` writes the
-establishment-latency/extra-round-trip JSON recorded at
-``benchmarks/results/BENCH_chaos.json``.
+The six invariant-checked experiments are rows of one table,
+:data:`EXPERIMENTS`, run by one runner: ``--smoke`` picks the CI tier,
+``--seed`` the seed, ``--baseline PATH`` writes the JSON recorded as
+``benchmarks/results/BENCH_<name>.json``, and the command exits 1 when
+any invariant is violated.
 
 Every command accepts ``--metrics-out PATH``: the run's metrics-registry
 snapshot (``repro.obs``) exported as canonical JSON.  Same seed ⇒
-byte-identical file — CI diffs two same-seed chaos exports as a
+byte-identical file.  Under ``all``, ``--metrics-out`` and ``--baseline``
+name directories that receive one ``<command>.json`` per command — CI
+runs ``all --smoke`` twice and diffs the two directories as a
 determinism gate.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from .ablations import (
     run_caching_ablation,
@@ -104,52 +107,32 @@ def cmd_fig5(args) -> None:
 
 
 def cmd_ablations(args) -> None:
-    result = _timed(
-        "§5 claim: negotiation overhead", lambda: run_negotiation_overhead()
-    )
-    print(result.render())
-    result = _timed(
-        "§6 claim: DAG reorder/merge vs PCIe traffic",
-        lambda: run_optimizer_ablation(),
-    )
-    print(result.render())
-    result = _timed(
-        "§6 claim: multi-resource offload scheduling",
-        lambda: run_scheduler_ablation(),
-    )
-    print(result.render())
-    rows = _timed(
-        "§3.2: serialization implementations",
-        lambda: run_serialization_comparison(),
-    )
     from ..metrics import format_table
 
-    print(format_table(rows, columns=["implementation", "mean_rtt_us", "n"]))
-    rows = _timed(
-        "§3.2: consensus — host vs switch sequencer",
-        lambda: run_consensus_comparison(),
-    )
-    print(
-        format_table(
-            rows, columns=["sequencer", "impl", "mean_us", "p95_us", "n"]
-        )
-    )
-    rows = _timed(
-        "DESIGN §5 ablation: per-connect resolution vs client caching",
-        lambda: run_caching_ablation(),
-    )
-    print(
-        format_table(
-            rows,
-            columns=[
-                "mode",
-                "mean_setup_us",
-                "discovery_rtts",
-                "stale_connections",
-                "n",
-            ],
-        )
-    )
+    for label, run in (
+        ("§5 claim: negotiation overhead", run_negotiation_overhead),
+        ("§6 claim: DAG reorder/merge vs PCIe traffic", run_optimizer_ablation),
+        ("§6 claim: multi-resource offload scheduling", run_scheduler_ablation),
+    ):
+        print(_timed(label, run).render())
+    for label, run, columns in (
+        (
+            "§3.2: serialization implementations",
+            run_serialization_comparison,
+            ["implementation", "mean_rtt_us", "n"],
+        ),
+        (
+            "§3.2: consensus — host vs switch sequencer",
+            run_consensus_comparison,
+            ["sequencer", "impl", "mean_us", "p95_us", "n"],
+        ),
+        (
+            "DESIGN §5 ablation: per-connect resolution vs client caching",
+            run_caching_ablation,
+            ["mode", "mean_setup_us", "discovery_rtts", "stale_connections", "n"],
+        ),
+    ):
+        print(format_table(_timed(label, run), columns=columns))
 
 
 def cmd_reconfig(args) -> None:
@@ -174,214 +157,133 @@ def cmd_reconfig(args) -> None:
     )
 
 
-def _apply_shard_flags(config, args) -> None:
-    """``--shards``/``--replicas-per-shard`` are shared by chaos, churn,
-    and fleet; the single-shard default keeps the chaos/churn baselines
-    byte-identical."""
-    if args.shards is not None:
-        config.shards = args.shards
-    if args.replicas_per_shard is not None:
-        config.replicas_per_shard = args.replicas_per_shard
+@dataclass(frozen=True)
+class Experiment:
+    """One invariant-checked experiment's CLI row.
+
+    ``config`` is the config class (its ``smoke(seed=)`` classmethod is
+    the CI tier, its default constructor the recorded full run), ``run``
+    maps a config to an :class:`~._result.ExperimentResult`, and ``title``
+    renders the run's header from its config.
+    """
+
+    config: type
+    run: Callable[[Any], Any]
+    title: Callable[[Any], str]
+    #: ``--shards``/``--replicas-per-shard`` set the config's discovery
+    #: plane shape.
+    sharded: bool = False
+    #: Run the smoke tier under ``all`` even without ``--smoke`` (the
+    #: full fleet is the one ten-minute experiment; ``all`` is a sweep).
+    smoke_in_all: bool = False
 
 
-def _chaos_config(args) -> ChaosConfig:
-    config = ChaosConfig.smoke(seed=args.seed) if args.smoke else ChaosConfig(
-        seed=args.seed
-    )
-    if args.loss is not None:
-        config.loss_points = tuple(
-            float(part) for part in args.loss.split(",") if part.strip()
-        )
-    if args.disc_timeout is not None:
-        config.discovery_timeout = args.disc_timeout
-    if args.disc_retries is not None:
-        config.discovery_retries = args.disc_retries
-    if args.disc_backoff is not None:
-        config.discovery_backoff = args.disc_backoff
-    _apply_shard_flags(config, args)
-    return config
+EXPERIMENTS = {
+    "chaos": Experiment(
+        ChaosConfig,
+        run_chaos,
+        lambda c: "Chaos: control plane under loss "
+        f"{'/'.join(f'{p * 100:g}%' for p in c.loss_points)} (seed {c.seed})",
+        sharded=True,
+    ),
+    "churn": Experiment(
+        ChurnConfig,
+        run_churn,
+        lambda c: f"Churn: {c.sessions} short-lived connections, cold vs "
+        f"resumed (cache {c.cache_size}, seed {c.seed})",
+        sharded=True,
+    ),
+    "failover": Experiment(
+        FailoverConfig,
+        run_failover,
+        lambda c: f"Failover: {c.connections} connections surviving two host "
+        f"crashes and a total outage (seed {c.seed})",
+        sharded=True,
+    ),
+    "fleet": Experiment(
+        FleetConfig,
+        run_fleet,
+        lambda c: f"Fleet: {c.establishments} establishments across "
+        f"{c.racks * c.clients_per_rack + c.servers} hosts, "
+        f"{c.shards} shards x {c.replicas_per_shard} replicas (seed {c.seed})",
+        sharded=True,
+        smoke_in_all=True,
+    ),
+    "multipath": Experiment(
+        MultipathConfig,
+        run_multipath,
+        lambda c: f"Multipath: split-connection crossover over "
+        f"{len(c.asymmetry)} asymmetry points + live weight rebalance "
+        f"(seed {c.seed})",
+    ),
+    "offload": Experiment(
+        OffloadConfig,
+        run_offload,
+        lambda c: f"Offload: in-switch KV cache over {len(c.skew_points)} skew "
+        f"and {len(c.mix_points)} write-mix points + fan-in aggregation "
+        f"(seed {c.seed})",
+    ),
+}
 
-
-def cmd_chaos(args) -> None:
-    config = _chaos_config(args)
-    label = (
-        "Chaos: control plane under loss "
-        f"{'/'.join(f'{p * 100:g}%' for p in config.loss_points)} "
-        f"(seed {config.seed})"
-    )
-    result = _timed(label, lambda: run_chaos(config))
-    print(result.render())
-    if args.baseline:
-        result.write_baseline(args.baseline)
-        print(f"\nbaseline written to {args.baseline}")
-    if args.metrics_out:
-        # Chaos runs several worlds (one per sweep point + the outage);
-        # export every segment's snapshot, not just the last world's.
-        result.write_metrics(args.metrics_out)
-        print(f"metrics written to {args.metrics_out}")
-        args._metrics_written = True
-    if not result.ok:
-        raise SystemExit(1)
-
-
-def _churn_config(args) -> ChurnConfig:
-    config = ChurnConfig.smoke(seed=args.seed) if args.smoke else ChurnConfig(
-        seed=args.seed
-    )
-    if args.sessions is not None:
-        config.sessions = args.sessions
-    if args.cache_size is not None:
-        config.cache_size = args.cache_size
-    if args.cache_ttl is not None:
-        config.cache_ttl = args.cache_ttl
-    _apply_shard_flags(config, args)
-    return config
-
-
-def cmd_churn(args) -> None:
-    config = _churn_config(args)
-    label = (
-        f"Churn: {config.sessions} short-lived connections, cold vs "
-        f"resumed (cache {config.cache_size}, seed {config.seed})"
-    )
-    result = _timed(label, lambda: run_churn(config))
-    print(result.render())
-    if args.baseline:
-        result.write_baseline(args.baseline)
-        print(f"\nbaseline written to {args.baseline}")
-    if args.metrics_out:
-        # Churn runs two worlds (cold + resumed); export both snapshots.
-        result.write_metrics(args.metrics_out)
-        print(f"metrics written to {args.metrics_out}")
-        args._metrics_written = True
-    if not result.ok:
-        raise SystemExit(1)
-
-
-def _failover_config(args) -> FailoverConfig:
-    config = (
-        FailoverConfig.smoke(seed=args.seed)
-        if args.smoke
-        else FailoverConfig(seed=args.seed)
-    )
-    _apply_shard_flags(config, args)
-    return config
-
-
-def cmd_failover(args) -> None:
-    config = _failover_config(args)
-    label = (
-        f"Failover: {config.connections} connections surviving two host "
-        f"crashes and a total outage (seed {config.seed})"
-    )
-    result = _timed(label, lambda: run_failover(config))
-    print(result.render())
-    if args.baseline:
-        result.write_baseline(args.baseline)
-        print(f"\nbaseline written to {args.baseline}")
-    if args.metrics_out:
-        result.write_metrics(args.metrics_out)
-        print(f"metrics written to {args.metrics_out}")
-        args._metrics_written = True
-    if not result.ok:
-        raise SystemExit(1)
-
-
-def _fleet_config(args) -> FleetConfig:
-    # Under ``all`` the fleet drops to smoke tier: the full run is the
-    # one ten-minute experiment in the suite, and ``all`` is a sweep.
-    smoke = args.smoke or args.experiment == "all"
-    config = FleetConfig.smoke(seed=args.seed) if smoke else FleetConfig(
-        seed=args.seed
-    )
-    if args.establishments is not None:
-        config.establishments = args.establishments
-    _apply_shard_flags(config, args)
-    return config
-
-
-def cmd_fleet(args) -> None:
-    config = _fleet_config(args)
-    hosts = config.racks * config.clients_per_rack + config.servers
-    label = (
-        f"Fleet: {config.establishments} establishments across {hosts} hosts, "
-        f"{config.shards} shards x {config.replicas_per_shard} replicas "
-        f"(seed {config.seed})"
-    )
-    result = _timed(label, lambda: run_fleet(config))
-    print(result.render())
-    if args.baseline:
-        result.write_baseline(args.baseline)
-        print(f"\nbaseline written to {args.baseline}")
-    if args.metrics_out:
-        result.write_metrics(args.metrics_out)
-        print(f"metrics written to {args.metrics_out}")
-        args._metrics_written = True
-    if not result.ok:
-        raise SystemExit(1)
-
-
-def cmd_multipath(args) -> None:
-    config = (
-        MultipathConfig.smoke(seed=args.seed)
-        if args.smoke
-        else MultipathConfig(seed=args.seed)
-    )
-    label = (
-        f"Multipath: split-connection crossover over "
-        f"{len(config.asymmetry)} asymmetry points + live weight "
-        f"rebalance (seed {config.seed})"
-    )
-    result = _timed(label, lambda: run_multipath(config))
-    print(result.render())
-    if args.baseline:
-        result.write_baseline(args.baseline)
-        print(f"\nbaseline written to {args.baseline}")
-    if args.metrics_out:
-        result.write_metrics(args.metrics_out)
-        print(f"metrics written to {args.metrics_out}")
-        args._metrics_written = True
-    if not result.ok:
-        raise SystemExit(1)
-
-
-def cmd_offload(args) -> None:
-    config = (
-        OffloadConfig.smoke(seed=args.seed)
-        if args.smoke
-        else OffloadConfig(seed=args.seed)
-    )
-    label = (
-        f"Offload: in-switch KV cache over {len(config.skew_points)} skew "
-        f"and {len(config.mix_points)} write-mix points + fan-in "
-        f"aggregation (seed {config.seed})"
-    )
-    result = _timed(label, lambda: run_offload(config))
-    print(result.render())
-    if args.baseline:
-        result.write_baseline(args.baseline)
-        print(f"\nbaseline written to {args.baseline}")
-    if args.metrics_out:
-        result.write_metrics(args.metrics_out)
-        print(f"metrics written to {args.metrics_out}")
-        args._metrics_written = True
-    if not result.ok:
-        raise SystemExit(1)
-
-
-COMMANDS = {
+COMMANDS: dict[str, Any] = {
     "fig3": cmd_fig3,
     "fig4": cmd_fig4,
     "fig5": cmd_fig5,
     "reconfig": cmd_reconfig,
-    "chaos": cmd_chaos,
-    "churn": cmd_churn,
-    "failover": cmd_failover,
-    "fleet": cmd_fleet,
-    "multipath": cmd_multipath,
-    "offload": cmd_offload,
+    **EXPERIMENTS,
     "ablations": cmd_ablations,
 }
+
+
+def _output_path(path, name: str, args):
+    """``PATH`` for one command; under ``all`` a directory holding one
+    ``<name>.json`` per command."""
+    if path and args.experiment == "all":
+        os.makedirs(path, exist_ok=True)
+        return os.path.join(path, f"{name}.json")
+    return path
+
+
+def run_experiment(name: str, row: Experiment, args) -> None:
+    """Time one table row's run, print it, write the requested files, and
+    exit 1 if any invariant is violated."""
+    smoke = args.smoke or (row.smoke_in_all and args.experiment == "all")
+    config = row.config.smoke(seed=args.seed) if smoke else row.config(
+        seed=args.seed
+    )
+    if row.sharded and args.shards is not None:
+        config.shards = args.shards
+    if row.sharded and args.replicas_per_shard is not None:
+        config.replicas_per_shard = args.replicas_per_shard
+    result = _timed(row.title(config), lambda: row.run(config))
+    print(result.render())
+    baseline = _output_path(args.baseline, name, args)
+    if baseline:
+        result.write_baseline(baseline)
+        print(f"\nbaseline written to {baseline}")
+    metrics_out = _output_path(args.metrics_out, name, args)
+    if metrics_out:
+        result.write_metrics(metrics_out)
+        print(f"metrics written to {metrics_out}")
+    if not result.ok:
+        raise SystemExit(1)
+
+
+def run_command(name: str, args) -> None:
+    command = COMMANDS[name]
+    if isinstance(command, Experiment):
+        run_experiment(name, command, args)
+        return
+    command(args)
+    metrics_out = _output_path(args.metrics_out, name, args)
+    if metrics_out:
+        # The most recently built world's registry (every experiment
+        # builds its world(s) through Network, which installs the
+        # process-global handle).
+        from ..obs import current_registry
+
+        current_registry().write_json(metrics_out)
+        print(f"metrics written to {metrics_out}")
 
 
 def main(argv=None) -> int:
@@ -410,78 +312,39 @@ def main(argv=None) -> int:
         metavar="PATH",
         help=(
             "write the run's metrics-registry snapshot as canonical JSON "
-            "(same seed => byte-identical; chaos exports every segment)"
+            "(same seed => byte-identical; under all: a directory)"
         ),
     )
-    chaos_group = parser.add_argument_group("chaos options")
-    chaos_group.add_argument(
+    checked = parser.add_argument_group(
+        f"invariant-checked experiments ({', '.join(EXPERIMENTS)})"
+    )
+    checked.add_argument(
         "--smoke",
         action="store_true",
-        help="CI tier: one 5%%-loss point with small counts",
+        help="CI tier: small counts, seconds per experiment",
     )
-    chaos_group.add_argument(
-        "--loss",
-        metavar="R[,R...]",
-        help="comma-separated loss rates to sweep (e.g. 0,0.05,0.1,0.2)",
-    )
-    chaos_group.add_argument(
+    checked.add_argument(
         "--seed", type=int, default=7, help="fault/workload seed (default 7)"
     )
-    chaos_group.add_argument(
-        "--disc-timeout",
-        type=float,
-        metavar="SECONDS",
-        help="discovery client initial RPC timeout",
-    )
-    chaos_group.add_argument(
-        "--disc-retries",
-        type=int,
-        metavar="N",
-        help="discovery client retransmission budget per RPC",
-    )
-    chaos_group.add_argument(
-        "--disc-backoff",
-        type=float,
-        metavar="FACTOR",
-        help="discovery client exponential backoff factor",
-    )
-    chaos_group.add_argument(
+    checked.add_argument(
         "--baseline",
         metavar="PATH",
         help=(
-            "write the experiment's baseline JSON here "
-            "(chaos: BENCH_chaos.json; churn: BENCH_churn.json)"
+            "write the experiment's baseline JSON here (the shape of "
+            "benchmarks/results/BENCH_<name>.json; under all: a directory)"
         ),
     )
-    churn_group = parser.add_argument_group("churn options")
-    churn_group.add_argument(
-        "--sessions",
-        type=int,
-        metavar="N",
-        help="short-lived connections per mode (cold and resumed)",
-    )
-    churn_group.add_argument(
-        "--cache-size",
-        type=int,
-        metavar="N",
-        help="negotiation-cache capacity for the resumed mode",
-    )
-    churn_group.add_argument(
-        "--cache-ttl",
-        type=float,
-        metavar="SECONDS",
-        help="negotiation-cache entry TTL (virtual seconds; default none)",
-    )
+    sharded = ", ".join(name for name, row in EXPERIMENTS.items() if row.sharded)
     shard_group = parser.add_argument_group(
-        "discovery tier options (chaos, churn, fleet)"
+        f"discovery tier options ({sharded})"
     )
     shard_group.add_argument(
         "--shards",
         type=int,
         metavar="N",
         help=(
-            "discovery shard count (chaos/churn default 1 = the single "
-            "service; >1 builds the replicated shard tier)"
+            "discovery shard count (default: chaos/churn 1 = the single "
+            "service, failover 2, fleet 4; >1 builds the replicated tier)"
         ),
     )
     shard_group.add_argument(
@@ -490,21 +353,12 @@ def main(argv=None) -> int:
         metavar="N",
         help="RSM replicas per discovery shard (default 3)",
     )
-    fleet_group = parser.add_argument_group("fleet options")
-    fleet_group.add_argument(
-        "--establishments",
-        type=int,
-        metavar="N",
-        help="fleet establishment count (default 100000; smoke 300)",
-    )
     args = parser.parse_args(argv)
 
     def dispatch() -> None:
-        if args.experiment == "all":
-            for command in COMMANDS.values():
-                command(args)
-        else:
-            COMMANDS[args.experiment](args)
+        names = list(COMMANDS) if args.experiment == "all" else [args.experiment]
+        for name in names:
+            run_command(name, args)
 
     if args.profile:
         import cProfile
@@ -523,14 +377,6 @@ def main(argv=None) -> int:
                 print(f"profile data written to {args.profile_out}")
     else:
         dispatch()
-    if args.metrics_out and not getattr(args, "_metrics_written", False):
-        # Shared exporter: the most recently built world's registry (every
-        # experiment builds its world(s) through Network, which installs
-        # the process-global handle).
-        from ..obs import current_registry
-
-        current_registry().write_json(args.metrics_out)
-        print(f"metrics written to {args.metrics_out}")
     return 0
 
 

@@ -23,13 +23,13 @@ stack's, not one layer's:
 
 The invariants are exposed as :attr:`ChaosResult.invariants` booleans (and
 asserted by ``tests/experiments/test_chaos.py``); the CLI exits non-zero
-when any fails, which is what the CI chaos-smoke step checks.  Everything
-is seeded: the same config produces the identical result object.
+when any fails, which is what CI's seed-1..8 chaos loop checks.
+Everything is seeded: the same config produces the identical result
+object.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -48,6 +48,7 @@ from ..errors import DegradedEstablishmentWarning, NegotiationError
 from ..metrics import format_table, percentile
 from ..sim import FaultPlan, Network, SmartNic
 from ._plane import DiscoveryPlane, audits_ok
+from ._result import ExperimentResult
 
 __all__ = ["ChaosConfig", "ChaosPoint", "ChaosResult", "run_chaos"]
 
@@ -80,7 +81,7 @@ class ChaosConfig:
     #: retransmits, but only once the server-side reservation resolved.
     negotiation_timeout: float = 2e-3
     negotiation_retries: int = 80
-    #: Discovery client tuning — CLI-exposed (``--disc-timeout`` etc.).
+    #: Discovery client tuning (recorded in ``BENCH_chaos.json``).
     discovery_timeout: float = 2e-3
     discovery_retries: int = 8
     discovery_backoff: float = 2.0
@@ -144,8 +145,10 @@ class ChaosPoint:
 
 
 @dataclass
-class ChaosResult:
+class ChaosResult(ExperimentResult):
     """The sweep rows, the outage segment, and the invariant verdicts."""
+
+    NAME = "chaos"
 
     points: list[ChaosPoint]
     outage: Optional[dict]
@@ -176,10 +179,6 @@ class ChaosResult:
             )
         return verdicts
 
-    @property
-    def ok(self) -> bool:
-        return all(self.invariants.values())
-
     def rows(self) -> list[dict]:
         return [
             {
@@ -197,7 +196,7 @@ class ChaosResult:
             for p in self.points
         ]
 
-    def render(self) -> str:
+    def render_body(self) -> list[str]:
         lines = [
             format_table(
                 self.rows(),
@@ -227,21 +226,10 @@ class ChaosResult:
                 f"{'full-fidelity' if o['recovered_full'] else 'STILL DEGRADED'}, "
                 f"warnings={o['warnings']}"
             )
-        lines.append("")
-        lines.append(
-            "invariants: "
-            + ", ".join(
-                f"{name}={'ok' if held else 'VIOLATED'}"
-                for name, held in self.invariants.items()
-            )
-        )
-        return "\n".join(lines)
+        return lines
 
-    def to_baseline(self) -> dict:
-        """The ``benchmarks/results/BENCH_chaos.json`` payload."""
+    def baseline_body(self) -> dict:
         return {
-            "experiment": "chaos",
-            "seed": self.config.seed,
             "discovery": {
                 "timeout_s": self.config.discovery_timeout,
                 "retries": self.config.discovery_retries,
@@ -260,44 +248,22 @@ class ChaosResult:
                 }
                 for p in self.points
             ],
-            "invariants": self.invariants,
         }
 
-    def write_baseline(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_baseline(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    def metrics_payload(self) -> dict:
-        """Every segment's raw registry snapshot (the ``--metrics-out``
-        document).  Same seed ⇒ byte-identical canonical JSON — the CI
-        determinism gate diffs two of these."""
-        payload: dict = {
-            "experiment": "chaos",
-            "seed": self.config.seed,
+    def metrics_body(self) -> dict:
+        """Every segment's raw registry snapshot: one per sweep point plus
+        the outage world."""
+        body: dict = {
             "points": [
                 {"loss": p.loss, "metrics": p.metrics} for p in self.points
             ],
-            "invariants": self.invariants,
         }
         if self.outage is not None:
-            payload["outage"] = {
+            body["outage"] = {
                 "loss": self.outage["loss"],
                 "metrics": self.outage.get("metrics", {}),
             }
-        return payload
-
-    def write_metrics(self, path: str) -> None:
-        """Write :meth:`metrics_payload` as canonical JSON."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(
-                    self.metrics_payload(),
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-            handle.write("\n")
+        return body
 
 
 # --------------------------------------------------------------------------

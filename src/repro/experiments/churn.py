@@ -25,13 +25,12 @@ fewer control round trips (≈1 vs 2) and a lower median virtual-time
 latency than cold, with zero fallbacks on a fault-free fabric.
 
 Everything is seeded and virtual-time; two same-seed runs produce
-byte-identical ``--metrics-out`` documents (the CI churn step diffs
-them).
+byte-identical ``--metrics-out`` documents (CI diffs two
+``all --smoke`` passes).
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -50,6 +49,7 @@ from ..errors import DegradedEstablishmentWarning
 from ..metrics import format_table, percentile
 from ..sim import FaultPlan, Network, SmartNic
 from ._plane import DiscoveryPlane
+from ._result import ExperimentResult
 
 __all__ = ["ChurnConfig", "ChurnSide", "ChurnResult", "run_churn"]
 
@@ -117,8 +117,10 @@ class ChurnSide:
 
 
 @dataclass
-class ChurnResult:
+class ChurnResult(ExperimentResult):
     """Both modes plus the invariant verdicts."""
+
+    NAME = "churn"
 
     cold: ChurnSide
     resumed: ChurnSide
@@ -156,10 +158,6 @@ class ChurnResult:
             ),
         }
 
-    @property
-    def ok(self) -> bool:
-        return all(self.invariants.values())
-
     def rows(self) -> list[dict]:
         return [
             {
@@ -175,8 +173,8 @@ class ChurnResult:
             for s in (self.cold, self.resumed)
         ]
 
-    def render(self) -> str:
-        lines = [
+    def render_body(self) -> list[str]:
+        return [
             format_table(
                 self.rows(),
                 columns=[
@@ -200,18 +198,9 @@ class ChurnResult:
                 f"{self.cold.ctl_rtts_per_connect:.2f} -> "
                 f"{self.resumed.ctl_rtts_per_connect:.2f}"
             ),
-            "",
-            "invariants: "
-            + ", ".join(
-                f"{name}={'ok' if held else 'VIOLATED'}"
-                for name, held in self.invariants.items()
-            ),
         ]
-        return "\n".join(lines)
 
-    def to_baseline(self) -> dict:
-        """The ``benchmarks/results/BENCH_churn.json`` payload."""
-
+    def baseline_body(self) -> dict:
         def side(s: ChurnSide) -> dict:
             return {
                 "setup_p50_us": round(s.setup_p50_us, 3),
@@ -224,8 +213,6 @@ class ChurnResult:
             }
 
         return {
-            "experiment": "churn",
-            "seed": self.config.seed,
             "sessions": self.config.sessions,
             "cache": {
                 "size": self.config.cache_size,
@@ -236,36 +223,11 @@ class ChurnResult:
             "speedup_p50": round(
                 self.cold.setup_p50_us / self.resumed.setup_p50_us, 3
             ),
-            "invariants": self.invariants,
         }
 
-    def write_baseline(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_baseline(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    def metrics_payload(self) -> dict:
-        """Both modes' raw registry snapshots (the ``--metrics-out``
-        document).  Same seed ⇒ byte-identical canonical JSON — the CI
-        churn step diffs two of these."""
-        return {
-            "experiment": "churn",
-            "seed": self.config.seed,
-            "cold": self.cold.metrics,
-            "resumed": self.resumed.metrics,
-            "invariants": self.invariants,
-        }
-
-    def write_metrics(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(
-                    self.metrics_payload(),
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-            handle.write("\n")
+    def metrics_body(self) -> dict:
+        """Both modes' raw registry snapshots."""
+        return {"cold": self.cold.metrics, "resumed": self.resumed.metrics}
 
 
 # --------------------------------------------------------------------------

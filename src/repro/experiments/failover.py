@@ -33,13 +33,12 @@ recorded per connection and reported as p50/p99/max; the recorded
 expectation lives in ``BENCH_failover.json``.
 
 Everything is seeded and virtual-time; two same-seed runs produce
-byte-identical ``--metrics-out`` documents (the CI failover step diffs
-them and asserts ``app_loss == 0`` and ``migrations_total > 0``).
+byte-identical ``--metrics-out`` documents (CI diffs two
+``all --smoke`` passes).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -52,6 +51,7 @@ from ..sim import ChaosController, Network
 from ..sim.eventloop import Interrupt
 from ..workloads import make_chooser
 from ._plane import DiscoveryPlane
+from ._result import ExperimentResult
 
 __all__ = ["FailoverConfig", "FailoverResult", "run_failover"]
 
@@ -127,8 +127,10 @@ class FailoverConfig:
 
 
 @dataclass
-class FailoverResult:
+class FailoverResult(ExperimentResult):
     """One world's crash/migrate/park/resume measurements."""
+
+    NAME = "failover"
 
     offered: int
     delivered: int
@@ -176,10 +178,6 @@ class FailoverResult:
             ),
         }
 
-    @property
-    def ok(self) -> bool:
-        return all(self.invariants.values())
-
     def rows(self) -> list[dict]:
         return [
             {
@@ -195,8 +193,8 @@ class FailoverResult:
             }
         ]
 
-    def render(self) -> str:
-        lines = [
+    def render_body(self) -> list[str]:
+        return [
             format_table(
                 self.rows(),
                 columns=[
@@ -219,20 +217,10 @@ class FailoverResult:
                 f"{self.suspicions} suspicions; "
                 f"steady-state rtt p50 {self.rtt_p50_us:.1f} us"
             ),
-            "",
-            "invariants: "
-            + ", ".join(
-                f"{name}={'ok' if held else 'VIOLATED'}"
-                for name, held in self.invariants.items()
-            ),
         ]
-        return "\n".join(lines)
 
-    def to_baseline(self) -> dict:
-        """The ``benchmarks/results/BENCH_failover.json`` payload."""
+    def baseline_body(self) -> dict:
         return {
-            "experiment": "failover",
-            "seed": self.config.seed,
             "connections": self.config.connections,
             "offered": self.offered,
             "delivered": self.delivered,
@@ -248,38 +236,16 @@ class FailoverResult:
             "rtt_p50_us": round(self.rtt_p50_us, 3),
             "rtt_p99_us": round(self.rtt_p99_us, 3),
             "recovery_rtt_max_ms": round(self.recovery_rtt_max_ms, 3),
-            "invariants": self.invariants,
         }
 
-    def write_baseline(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_baseline(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    def metrics_payload(self) -> dict:
-        """The raw registry snapshot plus derived loss accounting (the
-        ``--metrics-out`` document; same seed ⇒ byte-identical canonical
-        JSON — the CI failover step diffs two of these)."""
+    def metrics_body(self) -> dict:
+        """The raw registry snapshot plus derived loss accounting."""
         return {
-            "experiment": "failover",
-            "seed": self.config.seed,
             "app_loss": self.app_loss,
             "duplicates": self.duplicates,
             "migrations_total": self.migrations,
             "world": self.metrics,
-            "invariants": self.invariants,
         }
-
-    def write_metrics(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(
-                    self.metrics_payload(),
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-            handle.write("\n")
 
 
 # --------------------------------------------------------------------------

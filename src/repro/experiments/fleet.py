@@ -46,12 +46,11 @@ load (``queries_served`` per shard — name hashing spreads every shard),
 failover recovery time, degraded establishments, and RSM gap-recovery
 NACKs.  ``BENCH_fleet.json`` pins the seed-7 numbers; everything is
 seeded and virtual-time, so two same-seed runs produce byte-identical
-``--metrics-out`` documents (the CI fleet step diffs them).
+``--metrics-out`` documents (CI diffs two ``all --smoke`` passes).
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -73,6 +72,7 @@ from ..metrics import format_table, percentile
 from ..sim import Network, SmartNic
 from ..workloads.arrivals import PoissonArrivals
 from ..workloads.zipf import ScrambledZipfianChooser
+from ._result import ExperimentResult
 
 __all__ = ["FleetConfig", "FleetResult", "run_fleet"]
 
@@ -175,8 +175,10 @@ class FleetConfig:
 
 
 @dataclass
-class FleetResult:
+class FleetResult(ExperimentResult):
     """One fleet run's measurements plus the invariant verdicts."""
+
+    NAME = "fleet"
 
     config: FleetConfig = field(repr=False)
     establishments: int = 0
@@ -232,10 +234,6 @@ class FleetResult:
             "final_wave_clean": self.final_established == self.final_wave,
         }
 
-    @property
-    def ok(self) -> bool:
-        return all(self.invariants.values())
-
     def rows(self) -> list:
         return [
             {
@@ -248,8 +246,8 @@ class FleetResult:
             for shard_id, queries in enumerate(self.per_shard_queries)
         ]
 
-    def render(self) -> str:
-        lines = [
+    def render_body(self) -> list[str]:
+        return [
             (
                 f"established {self.established}/{self.establishments} "
                 f"({self.degraded} degraded, {self.failures} failed), "
@@ -277,20 +275,10 @@ class FleetResult:
             format_table(
                 self.rows(), columns=["shard", "queries_served", "share_pct"]
             ),
-            "",
-            "invariants: "
-            + ", ".join(
-                f"{name}={'ok' if held else 'VIOLATED'}"
-                for name, held in self.invariants.items()
-            ),
         ]
-        return "\n".join(lines)
 
-    def to_baseline(self) -> dict:
-        """The ``benchmarks/results/BENCH_fleet.json`` payload."""
+    def baseline_body(self) -> dict:
         return {
-            "experiment": "fleet",
-            "seed": self.config.seed,
             "scale": {
                 "shards": self.config.shards,
                 "replicas_per_shard": self.config.replicas_per_shard,
@@ -308,35 +296,11 @@ class FleetResult:
             "failover_recovery_ms": round(self.failover_recovery_ms, 3),
             "revocations": self.revoked,
             "lost_revocations": self.lost_revocations,
-            "invariants": self.invariants,
         }
 
-    def write_baseline(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_baseline(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    def metrics_payload(self) -> dict:
-        """The raw registry snapshot (the ``--metrics-out`` document).
-        Same seed ⇒ byte-identical canonical JSON — the CI fleet step
-        diffs two of these."""
-        return {
-            "experiment": "fleet",
-            "seed": self.config.seed,
-            "fleet": self.metrics,
-            "invariants": self.invariants,
-        }
-
-    def write_metrics(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(
-                    self.metrics_payload(),
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-            handle.write("\n")
+    def metrics_body(self) -> dict:
+        """The raw registry snapshot."""
+        return {"fleet": self.metrics}
 
 
 # --------------------------------------------------------------------------

@@ -25,12 +25,11 @@ traffic share shifting off the degraded link with zero application loss.
 
 ``BENCH_multipath.json`` records the crossover sweep and the rebalance
 shares; two same-seed runs export byte-identical ``--metrics-out``
-documents (the CI multipath step diffs them).
+documents (CI diffs two ``all --smoke`` passes).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -50,6 +49,7 @@ from ..metrics import format_table
 from ..reconfig import PathQualityMonitor
 from ..sim import Address, FaultPlan, Network
 from ..sim.eventloop import Interrupt
+from ._result import ExperimentResult
 
 __all__ = ["MultipathConfig", "MultipathResult", "run_multipath"]
 
@@ -100,8 +100,10 @@ class MultipathConfig:
 
 
 @dataclass
-class MultipathResult:
+class MultipathResult(ExperimentResult):
     """The crossover sweep plus the rebalance episode's accounting."""
+
+    NAME = "multipath"
 
     #: Per sweep point: drop rate, per-mode mean RTTs and completions.
     sweep: list
@@ -150,10 +152,6 @@ class MultipathResult:
             "rebalance_zero_duplicates": self.reb_duplicates == 0,
         }
 
-    @property
-    def ok(self) -> bool:
-        return all(self.invariants.values())
-
     def rows(self) -> list[dict]:
         return [
             {
@@ -169,8 +167,8 @@ class MultipathResult:
             for row in self.sweep
         ]
 
-    def render(self) -> str:
-        lines = [
+    def render_body(self) -> list[str]:
+        return [
             format_table(
                 self.rows(),
                 columns=["loss", "direct_rtt_us", "split_rtt_us", "winner"],
@@ -184,20 +182,10 @@ class MultipathResult:
                 f"{self.reb_committed} committed transitions, "
                 f"app loss {self.reb_app_loss}/{self.reb_offered}"
             ),
-            "",
-            "invariants: "
-            + ", ".join(
-                f"{name}={'ok' if held else 'VIOLATED'}"
-                for name, held in self.invariants.items()
-            ),
         ]
-        return "\n".join(lines)
 
-    def to_baseline(self) -> dict:
-        """The ``benchmarks/results/BENCH_multipath.json`` payload."""
+    def baseline_body(self) -> dict:
         return {
-            "experiment": "multipath",
-            "seed": self.config.seed,
             "sweep": [
                 {
                     "loss": row["drop"],
@@ -218,21 +206,11 @@ class MultipathResult:
                 "pre_sent": list(self.pre_sent),
                 "post_sent": list(self.post_sent),
             },
-            "invariants": self.invariants,
         }
 
-    def write_baseline(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_baseline(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    def metrics_payload(self) -> dict:
-        """The ``--metrics-out`` document: the rebalance world's registry
-        snapshot plus the sweep (same seed ⇒ byte-identical canonical
-        JSON — the CI multipath step diffs two of these)."""
+    def metrics_body(self) -> dict:
+        """The rebalance world's registry snapshot plus the sweep."""
         return {
-            "experiment": "multipath",
-            "seed": self.config.seed,
             "sweep": [
                 {
                     "loss": row["drop"],
@@ -251,19 +229,7 @@ class MultipathResult:
                 "post_share": round(self.post_share, 6),
             },
             "world": self.metrics,
-            "invariants": self.invariants,
         }
-
-    def write_metrics(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(
-                    self.metrics_payload(),
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-            handle.write("\n")
 
 
 # --------------------------------------------------------------------------

@@ -44,14 +44,13 @@ plans the same batch offline — its denied list must come back in arrival
 order (the bit-identical CI discipline).
 
 ``BENCH_offload.json`` records all six; two same-seed runs export
-byte-identical ``--metrics-out`` documents (the CI offload step diffs
-them) and the command exits non-zero if any invariant is violated.
+byte-identical ``--metrics-out`` documents (CI diffs two ``all --smoke``
+passes) and the command exits non-zero if any invariant is violated.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 import struct
 from dataclasses import dataclass, field
@@ -86,6 +85,7 @@ from ..discovery import DiscoveryService
 from ..metrics import format_table
 from ..sim import Address, Network
 from ..workloads import PoissonArrivals, ScrambledZipfianChooser, UniformChooser
+from ._result import ExperimentResult
 
 __all__ = ["OffloadConfig", "OffloadResult", "run_offload"]
 
@@ -142,8 +142,10 @@ class OffloadConfig:
 
 
 @dataclass
-class OffloadResult:
+class OffloadResult(ExperimentResult):
     """Both sweeps plus the correctness phases' accounting."""
+
+    NAME = "offload"
 
     #: Per skew point: cached vs host mean latency and the cache hit rate.
     skew_sweep: list
@@ -207,10 +209,6 @@ class OffloadResult:
             "drf_denied_in_arrival_order": self.contention["drf_denied_ok"],
         }
 
-    @property
-    def ok(self) -> bool:
-        return all(self.invariants.values())
-
     def rows(self) -> list[dict]:
         out = []
         for row in self.skew_sweep:
@@ -241,8 +239,8 @@ class OffloadResult:
             )
         return out
 
-    def render(self) -> str:
-        lines = [
+    def render_body(self) -> list[str]:
+        return [
             format_table(
                 self.rows(),
                 columns=[
@@ -274,20 +272,10 @@ class OffloadResult:
                 f"{self.contention['drf_granted']}, denied "
                 f"{self.contention['drf_denied']}"
             ),
-            "",
-            "invariants: "
-            + ", ".join(
-                f"{name}={'ok' if held else 'VIOLATED'}"
-                for name, held in self.invariants.items()
-            ),
         ]
-        return "\n".join(lines)
 
-    def to_baseline(self) -> dict:
-        """The ``benchmarks/results/BENCH_offload.json`` payload."""
+    def baseline_body(self) -> dict:
         return {
-            "experiment": "offload",
-            "seed": self.config.seed,
             "skew_sweep": [
                 {
                     "skew": row["skew"],
@@ -310,19 +298,12 @@ class OffloadResult:
             "fanin": self.fanin,
             "failover": self.failover,
             "contention": self.contention,
-            "invariants": self.invariants,
         }
 
-    def write_baseline(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_baseline(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    def metrics_payload(self) -> dict:
-        """The ``--metrics-out`` document (same seed ⇒ byte-identical)."""
+    def metrics_body(self) -> dict:
+        """Both sweeps at full precision, the correctness phases, and the
+        switch-failure world's registry snapshot."""
         return {
-            "experiment": "offload",
-            "seed": self.config.seed,
             "skew_sweep": [
                 {
                     "skew": row["skew"],
@@ -350,19 +331,7 @@ class OffloadResult:
             "failover": self.failover,
             "contention": self.contention,
             "world": self.metrics,
-            "invariants": self.invariants,
         }
-
-    def write_metrics(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(
-                    self.metrics_payload(),
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-            handle.write("\n")
 
 
 # --------------------------------------------------------------------------

@@ -26,15 +26,12 @@ PRE_UNIFICATION_POINTS = {
 
 
 @pytest.fixture(scope="module")
-def smoke_result() -> ChaosResult:
-    """One shared smoke run (the CI tier: a single 5%-loss point)."""
-    return run_chaos(ChaosConfig.smoke(seed=7))
+def smoke_result(smoke_run) -> ChaosResult:
+    """The shared smoke run (the CI tier: a single 5%-loss point)."""
+    return smoke_run("chaos")
 
 
 class TestInvariants:
-    def test_overall_ok(self, smoke_result):
-        assert smoke_result.ok
-
     def test_each_invariant_holds(self, smoke_result):
         invariants = smoke_result.invariants
         assert invariants["all_established"]
@@ -72,31 +69,14 @@ class TestInvariants:
 
 
 class TestDeterminism:
-    def test_same_seed_same_baseline(self, smoke_result):
-        again = run_chaos(ChaosConfig.smoke(seed=7))
-        assert json.dumps(again.to_baseline(), sort_keys=True) == json.dumps(
-            smoke_result.to_baseline(), sort_keys=True
-        )
-
+    # Same seed ⇒ identical documents is the contract test's
+    # (tests/experiments/test_contract.py); this is the converse.
     def test_different_seed_different_trace(self, smoke_result):
         other = run_chaos(ChaosConfig.smoke(seed=8))
         assert (
             other.to_baseline()["points"]
             != smoke_result.to_baseline()["points"]
         )
-
-    def test_same_seed_bit_identical_metrics_snapshots(self, smoke_result):
-        # The CI determinism gate in code form: every registry snapshot —
-        # all sweep points plus the outage segment — must serialize to the
-        # exact same canonical JSON across same-seed runs.
-        again = run_chaos(ChaosConfig.smoke(seed=7))
-        first = json.dumps(
-            smoke_result.metrics_payload(), sort_keys=True, separators=(",", ":")
-        )
-        second = json.dumps(
-            again.metrics_payload(), sort_keys=True, separators=(",", ":")
-        )
-        assert first == second
 
 
 class TestMetricsPayload:
@@ -133,8 +113,6 @@ class TestMetricsPayload:
         path = tmp_path / "metrics.json"
         smoke_result.write_metrics(str(path))
         payload = json.loads(path.read_text())
-        assert payload["experiment"] == "chaos"
-        assert payload["seed"] == 7
         assert [p["loss"] for p in payload["points"]] == [0.05]
         assert payload["points"][0]["metrics"]
         assert payload["outage"]["metrics"]
@@ -159,7 +137,7 @@ class TestBaselineShape:
     def test_rows_render(self, smoke_result):
         rendered = smoke_result.render()
         assert "loss_pct" in rendered
-        assert "invariants:" in rendered
+        assert "discovery outage @ 5% loss" in rendered
 
 
 class TestRecordedBaselineWithinNoise:
@@ -212,21 +190,3 @@ class TestRecordedBaselineWithinNoise:
                 assert 0.1 <= ratio <= 10.0, (
                     f"{metric} at loss {point['loss']} off by {ratio:.1f}x"
                 )
-
-
-class TestSameSeedByteIdentity:
-    """Two same-seed runs must export byte-for-byte identical metrics.
-
-    CI diffs two subprocess exports already; this is the in-process
-    version, so a nondeterminism regression (iteration-order leak, id()
-    in a sort key, wall-clock in a metric) fails the suite directly.
-    """
-
-    def test_two_smoke_runs_export_identical_metrics(self):
-        def canonical():
-            result = run_chaos(ChaosConfig.smoke(seed=7))
-            return json.dumps(
-                result.metrics_payload(), sort_keys=True, separators=(",", ":")
-            )
-
-        assert canonical() == canonical()

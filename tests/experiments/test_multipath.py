@@ -17,15 +17,12 @@ BASELINE_PATH = REPO_ROOT / "benchmarks" / "results" / "BENCH_multipath.json"
 
 
 @pytest.fixture(scope="module")
-def result() -> MultipathResult:
-    """One shared seed-7 run (the CI tier *is* the default timeline)."""
-    return run_multipath(MultipathConfig.smoke(seed=7))
+def result(smoke_run) -> MultipathResult:
+    """The shared seed-7 run (the CI tier *is* the default timeline)."""
+    return smoke_run("multipath")
 
 
 class TestInvariants:
-    def test_overall_ok(self, result):
-        assert result.ok
-
     def test_each_invariant_holds(self, result):
         invariants = result.invariants
         assert invariants["split_wins_asymmetric"]
@@ -65,18 +62,27 @@ class TestInvariants:
         assert not broken.ok
 
 
-class TestDeterminism:
-    def test_same_seed_bit_identical_metrics_payload(self, result):
-        # The CI multipath gate in code form: two same-seed runs serialize
-        # to the exact same canonical JSON.
-        again = run_multipath(MultipathConfig.smoke(seed=7))
-        first = json.dumps(
-            result.metrics_payload(), sort_keys=True, separators=(",", ":")
+class TestRebalanceEpochAgreement:
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "seed 2: the server sends the weight TRANSITION 8 times, hears "
+            "no ACK and rolls back, but the client already adopted the new "
+            "epoch (PROTOCOL.md §5.2); the epoch contract is ROADMAP item 1"
+        ),
+    )
+    def test_both_ends_agree_on_transitions_after_ack_loss(self):
+        snap = run_multipath(MultipathConfig.smoke(seed=2)).metrics
+        client, server = (
+            sum(
+                value
+                for name, value in snap.items()
+                if name.startswith("conn.")
+                and name.endswith(f".{role}.transitions")
+            )
+            for role in ("client", "server")
         )
-        second = json.dumps(
-            again.metrics_payload(), sort_keys=True, separators=(",", ":")
-        )
-        assert first == second
+        assert client == server
 
 
 class TestBaseline:
