@@ -94,9 +94,10 @@ class EchoServer:
                 proc, seen = self._sessions[conn]
                 if conn.closed:
                     del self._sessions[conn]
-                elif conn.messages_received == seen:
+                elif conn.messages_received == seen and not conn.awaiting_verdict:
                     # A full interval without traffic: the client is gone
-                    # (its close never crosses the wire).
+                    # (its close never crosses the wire).  A connection
+                    # holding data for a lease verdict is not idle.
                     del self._sessions[conn]
                     self.idle_closed += 1
                     if proc.is_alive:

@@ -243,6 +243,18 @@ class _ReliableStage(ChunnelStage):
                 max(max(self._unacked) + 1, next_fresh)
             )
 
+    def continue_from(self, predecessor: ChunnelStage) -> None:
+        """Number on past the stage this one replaces in a transition.
+
+        The receiver dedups on ``(sender, seq)``, and its stage for the new
+        epoch may already hold the predecessor's numbers — a server
+        releases data it held back for a lease verdict into its newest
+        stack — so restarting at 1 would swallow new messages as
+        duplicates.
+        """
+        if isinstance(predecessor, _ReliableStage):
+            self._seq = itertools.count(next(predecessor._seq))
+
     def stop(self) -> None:
         self._stopped = True
         for timer in self._timers.values():

@@ -145,6 +145,8 @@ class _Pump:
                     )
             else:
                 conn.runtime.reconfig.handle_ctl(conn, ctl_msg, dgram.src)
+            if conn._unverified:
+                conn._saw_peer()
             return True
         msg = Message(
             payload=dgram.payload,
@@ -152,6 +154,11 @@ class _Pump:
             headers=headers,
             src=dgram.src,
         )
+        if conn._unverified:
+            # A lease verdict is still out: no stage may see this yet.
+            conn._reroute_buffer.append(msg)
+            conn._saw_peer()
+            return True
         stack = conn._stack_for(headers.get(EPOCH_HEADER, 0))
         if stack.broken:
             # Even the newest stack lost its device (the failure was just
@@ -252,6 +259,14 @@ class Connection:
         self._send_paused = False
         self._send_buffer: list[Message] = []
         self._reroute_buffer: list[Message] = []
+        #: Server side, from :meth:`await_verdicts` until every lease
+        #: verdict of the binding is in: the pump parks data in
+        #: ``_reroute_buffer`` and sends stay buffered, so no stage runs on
+        #: a binding discovery has not confirmed.
+        self._unverified = False
+        #: Fires at the next inbound datagram while the verdicts wait for
+        #: a peer address to announce a transition to.
+        self._peer_waiter: Optional[Event] = None
         self._pcie, self._pcie_crossings = self._pcie_profile(
             dag, impls, transport
         )
@@ -318,6 +333,12 @@ class Connection:
     def local_address(self) -> Address:
         """This side's data-socket address."""
         return self.socket.address
+
+    @property
+    def awaiting_verdict(self) -> bool:
+        """True while the data path is held for a lease verdict
+        (:meth:`await_verdicts`): quiet, but not idle."""
+        return self._unverified
 
     # -- data path ---------------------------------------------------------------
     def send(
@@ -386,6 +407,76 @@ class Connection:
             headers={CTL_HEADER: message.KIND},
         )
 
+    # -- lease verdicts (PROTOCOL.md §2) -------------------------------------------
+    def await_verdicts(self, handles: dict) -> None:
+        """Hold the data path until every lease verdict is in.
+
+        ``handles`` maps node id → the lease reference its binding took
+        before discovery answered.  Until every verdict has fired the pump
+        hands no datagram to any stage and sends stay buffered; control
+        traffic still flows.  Verdicts that stand start the data path, a
+        re-reserved handle swapped in where the check said no and
+        admission was granted again.  A verdict without a lease steers the
+        connection off every binding left without one — the transition a
+        ``disc.lease_revoked`` push asks for — and only then releases the
+        held data, into the newest stack; a connection that cannot move
+        off such a binding is closed instead.
+        """
+        bindings = [
+            (node_id, self.choice[node_id], handle)
+            for node_id, handle in handles.items()
+        ]
+        self._unverified = True
+        self._send_paused = True
+        self.runtime.env.process(
+            self._settle_verdicts(bindings), name=f"{self.conn_id}.verdicts"
+        )
+
+    def _settle_verdicts(self, bindings):
+        denied: set = set()
+        for node_id, offer, handle in bindings:
+            stands = yield handle.verdict
+            if stands is None:
+                denied.add((offer.meta.name, offer.record_id))
+            elif stands is not handle:
+                ctx = self._context_for(node_id)
+                if not self.closed and ctx is not None and handle in ctx.reservations:
+                    ctx.reservations[ctx.reservations.index(handle)] = stands
+                else:
+                    self.runtime.spawn_release(stands)
+        if denied and not self.closed:
+            yield from self._steer_off(denied)
+        self._unverified = False
+        if self.closed:
+            return
+        # The stacks the verdicts replaced never ran: whatever still
+        # carries their epoch belongs to the newest one.
+        for stack in self._stacks.values():
+            if stack is not self.stack:
+                stack.broken = True
+        self._flush_reroute()
+        self.resume_sends()
+
+    def _steer_off(self, denied: set):
+        """Generator: transition off the ``(impl, record_id)`` bindings in
+        ``denied``, or close the connection if that does not happen."""
+        while self.peer is None and self.last_src is None:
+            # Nowhere to announce the transition yet: wait for the
+            # client's first datagram (its hello, or data).
+            self._peer_waiter = self.runtime.env.event()
+            yield self._peer_waiter
+        records = ",".join(sorted(record_id for _, record_id in denied))
+        yield self.runtime.reconfig.request_transition(
+            self, reason=f"lease-check:{records}", exclude=denied
+        )
+        if any((o.meta.name, o.record_id) in denied for o in self.choice.values()):
+            self.close()
+
+    def _saw_peer(self) -> None:
+        waiter, self._peer_waiter = self._peer_waiter, None
+        if waiter is not None:
+            waiter.succeed()
+
     # -- live reconfiguration ------------------------------------------------------
     def prepare_transition(self, epoch: int, stages: list) -> ChunnelStack:
         """Build and start the stack for a new epoch (not yet current).
@@ -407,7 +498,10 @@ class Connection:
         self._send_paused = True
 
     def resume_sends(self) -> None:
-        """Flush buffered sends through the (possibly new) current stack."""
+        """Flush buffered sends through the (possibly new) current stack —
+        unless a lease verdict is still out (:meth:`await_verdicts`)."""
+        if self._unverified:
+            return
         self._send_paused = False
         buffered, self._send_buffer = self._send_buffer, []
         for msg in buffered:
@@ -536,7 +630,10 @@ class Connection:
             stage.attach(stack, index)
 
     def _flush_reroute(self) -> None:
-        """Process messages held while every live stack was broken."""
+        """Process messages held while every live stack was broken, or
+        while a lease verdict was out (not before it is in)."""
+        if self._unverified:
+            return
         pending, self._reroute_buffer = self._reroute_buffer, []
         for msg in pending:
             delivered, _charge = self.stack.receive(msg)

@@ -10,6 +10,17 @@ last one goes (1 → 0).  Every acquisition in between asks the service a
 accept and each resume still carries a discovery verdict at most one round
 trip old, without a logged mutation whose only effect would be a counter.
 
+That read is *optimistic*: holding a settled reference on the lease, the
+table hands out the next one at once and runs the check as a process of
+its own.  The handle's :attr:`~LeaseHandle.verdict` fires when the check
+answers — with the handle, with a fresh one when the check said no and a
+re-reserve was granted, or with ``None``.  Whoever binds under the handle
+decides what "not yet" means: the listener answers the client and holds
+the connection's data path until the verdict is in (PROTOCOL.md §2), the
+reconfiguration engine waits.  A reserve, and the check that adopts an
+owed entry, stay synchronous; their handles carry a verdict that has
+already fired.
+
 References are handed out as :class:`LeaseHandle` objects and given back by
 handle, never by ``(record_id, owner)`` key: a handle taken under an entry
 that has since been dropped (the check said no, a revocation push arrived)
@@ -29,7 +40,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from ..errors import BerthaError, ConnectionTimeoutError
-from ..sim.eventloop import Interrupt, Process
+from ..sim.eventloop import Event, Interrupt, Process
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .runtime import Runtime
@@ -37,6 +48,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["LeaseHandle", "LeaseTable"]
 
 LeaseKey = tuple[str, str]
+
+#: The table's counters, exported under ``runtime.<entity>.leases.*`` from
+#: its first check on (a world that never checks a lease has no such name).
+_COUNTERS = ("check_denials", "check_timeouts", "optimistic_acquires", "late_denials")
 
 
 class _Entry:
@@ -59,12 +74,17 @@ class _Entry:
 class LeaseHandle:
     """One reference on a lease, as :meth:`LeaseTable.acquire` returns it."""
 
-    __slots__ = ("record_id", "owner", "_entry")
+    __slots__ = ("record_id", "owner", "_entry", "verdict")
 
     def __init__(self, record_id: str, owner: str, entry: _Entry):
         self.record_id = record_id
         self.owner = owner
         self._entry: Optional[_Entry] = entry
+        #: Fires with the handle that stands for this reference — this one,
+        #: or the one a re-reserve took after the check said no — or with
+        #: None: no lease, and this handle is already given back.  Set by
+        #: the table before the handle is handed out.
+        self.verdict: Optional[Event] = None
 
     @property
     def key(self) -> LeaseKey:
@@ -75,6 +95,15 @@ class LeaseHandle:
         return f"<LeaseHandle {self.record_id} for {self.owner!r} {state}>"
 
 
+def _fired(env, value) -> Event:
+    """An event that has already fired with ``value``: waiting on it
+    resumes at once, and it takes no slot on the heap."""
+    event = Event(env)
+    event._ok = event._triggered = event._processed = True
+    event._value = value
+    return event
+
+
 class LeaseTable:
     """A runtime's references on discovery leases (see the module docs)."""
 
@@ -82,8 +111,14 @@ class LeaseTable:
         self.runtime = runtime
         self.env = runtime.env
         self._entries: dict[LeaseKey, _Entry] = {}
-        #: Checks answered "no" or not at all.
-        self.check_failures = 0
+        self._exported = False
+        #: Checks answered "no", and checks not answered at all.
+        self.check_denials = 0
+        self.check_timeouts = 0
+        #: References handed out before their check had answered, and how
+        #: many of those the verdict then took back (no lease after all).
+        self.optimistic_acquires = 0
+        self.late_denials = 0
 
     # -- introspection (audits, tests) -----------------------------------------
     def held(self) -> dict[LeaseKey, int]:
@@ -104,20 +139,25 @@ class LeaseTable:
         ]
 
     # -- acquire / release -------------------------------------------------------
-    def acquire(self, record_id: str, owner: str):
+    def acquire(self, record_id: str, owner: str, conn_id: str = ""):
         """Generator → a :class:`LeaseHandle`, or None when discovery
         refuses (or cannot be reached: an unconfirmable lease is a denial,
         which steers the decision to the next-ranked offer).
 
+        Holding a settled reference, this takes another at once and
+        returns without waiting: the check runs in the background, traced
+        as a ``lease_check`` span under ``conn_id``, and the handle's
+        verdict fires with its answer.  A "no" drops the entry — the
+        references taken under it are orphaned — and reserves afresh,
+        re-running admission; a check that times out is a denial, not
+        "assume held", and gives back just this reference, since the
+        connections bound under the entry still are.
+
         Holding no reference, this reserves (joining a reserve already in
-        flight for the key).  Holding one, it asks whether the lease still
-        stands; a "no" drops the entry — the references taken under it are
-        orphaned — and reserves afresh, re-running admission.  A check
-        that times out is a denial, not "assume held"; the entry stays,
-        since the connections bound under it still are.
+        flight for the key); an owed entry is adopted after a check.  Those
+        wait for discovery, and their handle's verdict has already fired.
         """
         key = (record_id, owner)
-        discovery = self.runtime.discovery
         while True:
             entry = self._entries.get(key)
             if entry is None:
@@ -136,20 +176,22 @@ class LeaseTable:
                 except Interrupt:
                     self._unref(key, entry)
                     raise
-                return LeaseHandle(record_id, owner, entry) if granted else None
-            try:
-                stands = yield from discovery.lease_check(record_id, owner)
-            except ConnectionTimeoutError:
-                self.check_failures += 1
-                return None
-            current = self._entries.get(key) is entry and entry.pending is None
-            if stands and current:
+                return self._settled(key, entry) if granted else None
+            if entry.refs:
                 entry.refs += 1
-                return LeaseHandle(record_id, owner, entry)
-            if not stands:
-                self.check_failures += 1
-                if current:
-                    del self._entries[key]
+                self.optimistic_acquires += 1
+                handle = LeaseHandle(record_id, owner, entry)
+                handle.verdict = self.env.process(
+                    self._confirm(handle, entry, conn_id),
+                    name=f"lease-check:{record_id}",
+                )
+                return handle
+            stands = yield from self._check(key, entry, conn_id)
+            if stands is None:
+                return None
+            if stands and self._entries.get(key) is entry and entry.pending is None:
+                entry.refs += 1
+                return self._settled(key, entry)
 
     def release_nowait(self, handle: LeaseHandle) -> Optional[Process]:
         """Give back one reference, now.  The runtime's last one on a live
@@ -188,6 +230,62 @@ class LeaseTable:
                 del self._entries[key]
 
     # -- internals ---------------------------------------------------------------
+    def _settled(self, key: LeaseKey, entry: _Entry) -> LeaseHandle:
+        """A handle for a reference discovery has already confirmed."""
+        handle = LeaseHandle(key[0], key[1], entry)
+        handle.verdict = _fired(self.env, handle)
+        return handle
+
+    def _confirm(self, handle: LeaseHandle, entry: _Entry, conn_id: str):
+        """Process behind an optimistic handle: its value is the verdict."""
+        key = handle.key
+        if handle._entry is not entry:
+            return None  # given back before the check went out
+        stands = yield from self._check(key, entry, conn_id)
+        if handle._entry is not entry:
+            return None  # given back while it was out: nobody asks
+        if stands and self._entries.get(key) is entry:
+            return handle
+        if stands is None:
+            self.release_nowait(handle)
+            self.late_denials += 1
+            return None
+        # Orphaned: the check said no, or a push dropped the entry meanwhile.
+        handle._entry = None
+        fresh = yield from self.acquire(*key, conn_id)
+        if fresh is not None:
+            fresh = yield fresh.verdict
+        if fresh is None:
+            self.late_denials += 1
+        return fresh
+
+    def _check(self, key: LeaseKey, entry: _Entry, conn_id: str):
+        """Generator: one ``disc.lease_check`` → True (the lease stands),
+        False (it does not; the entry is dropped if still current) or None
+        (no answer)."""
+        if not self._exported:
+            self._exported = True
+            obs = self.runtime.network.obs
+            prefix = f"runtime.{self.runtime.entity.name}.leases"
+            for counter in _COUNTERS:
+                obs.bind(f"{prefix}.{counter}", self, counter, replace=True)
+        trace = self.runtime.network.trace
+        span = trace.begin("lease_check", conn_id, record_id=key[0], owner=key[1])
+        try:
+            stands = yield from self.runtime.discovery.lease_check(*key)
+        except ConnectionTimeoutError:
+            self.check_timeouts += 1
+            trace.finish(span, status="timeout")
+            return None
+        if stands:
+            trace.finish(span)
+            return True
+        self.check_denials += 1
+        trace.finish(span, status="denied")
+        if self._entries.get(key) is entry and entry.pending is None:
+            del self._entries[key]
+        return False
+
     def _unref(self, key: LeaseKey, entry: _Entry) -> None:
         entry.refs -= 1
         self._settle(key, entry)

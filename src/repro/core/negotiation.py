@@ -170,6 +170,7 @@ def decide_with_reservations(
     rounds: int = 8,
     excluded: Optional[set] = None,
     conn_id: str = "",
+    settle: bool = True,
 ):
     """Generator: run :func:`decide`, confirming reservations with discovery.
 
@@ -178,6 +179,12 @@ def decide_with_reservations(
     implementation instead of failing the connection (§6).  ``excluded``
     seeds the exclusion set with ``(meta.name, record_id)`` pairs — live
     reconfiguration uses it to steer away from failed or revoked offloads.
+
+    With ``settle`` (the default) every lease verdict is waited for, and
+    one that comes back without a lease is a denial like any other.  The
+    listener passes False: it answers before the checks of references
+    taken under leases its runtime already holds have returned, and holds
+    the connection's data path until they do (PROTOCOL.md §2).
 
     The whole decide/reserve/retry loop is recorded as one ``reserve``
     span in the world's trace log (tagged with ``conn_id`` when the
@@ -190,7 +197,7 @@ def decide_with_reservations(
     span = trace.begin("reserve", conn_id, owner=owner)
     try:
         choice, confirmed, used = yield from _decide_rounds(
-            runtime, dag, candidates, ctx, owner, rounds, excluded
+            runtime, dag, candidates, ctx, owner, rounds, excluded, conn_id, settle
         )
     except (BerthaError, Interrupt) as error:
         trace.finish(span, status="error", error=type(error).__name__)
@@ -199,19 +206,23 @@ def decide_with_reservations(
     return choice, confirmed
 
 
-def reserve_choice(runtime, dag: ChunnelDag, choice: dict, owner: str):
+def reserve_choice(
+    runtime, dag: ChunnelDag, choice: dict, owner: str, conn_id: str = ""
+):
     """Generator: take a lease reference for every resource-bearing binding
     of ``choice``, in node order, through the runtime's lease table
     (:class:`repro.core.leases.LeaseTable`) — a ``disc.reserve`` where the
     runtime holds none on that lease yet, a ``disc.lease_check`` where it
     does; either way a verdict from discovery, one round trip old at most.
+    A check does not hold up the walk: each handle's ``verdict`` event
+    passes its answer up to the caller.
 
-    Returns ``(confirmed, denied)``: the handles that stuck, by node id,
-    and the first offer discovery refused (``None`` when every one stuck;
-    the walk stops at the first denial).  An :class:`Interrupt` mid-walk —
+    Returns ``(confirmed, denied)``: the handles taken, by node id, and the
+    first offer discovery refused outright (``None`` when none was; the
+    walk stops at the first refusal).  An :class:`Interrupt` mid-walk —
     ``Listener.close()`` with this handler between two acquisitions —
-    gives back what was already confirmed before propagating: no
-    connection will ever own those references, so nobody else would.
+    gives back what was already taken before propagating: no connection
+    will ever own those references, so nobody else would.
     """
     confirmed: dict[int, LeaseHandle] = {}
     try:
@@ -223,7 +234,7 @@ def reserve_choice(runtime, dag: ChunnelDag, choice: dict, owner: str):
             # accounted once across all members.
             node_owner = dag.nodes[node_id].reservation_scope() or owner
             handle = yield from runtime.leases.acquire(
-                offer.record_id, node_owner
+                offer.record_id, node_owner, conn_id
             )
             if handle is None:
                 return confirmed, offer
@@ -243,6 +254,8 @@ def _decide_rounds(
     owner: str,
     rounds: int,
     excluded: Optional[set],
+    conn_id: str,
+    settle: bool,
 ):
     """The decide/reserve/exclude/retry loop behind
     :func:`decide_with_reservations`; returns ``(choice, confirmed,
@@ -257,8 +270,10 @@ def _decide_rounds(
         }
         choice = decide(dag, pool, runtime.policy, ctx, reserve=None)
         confirmed, denied = yield from reserve_choice(
-            runtime, dag, choice, owner
+            runtime, dag, choice, owner, conn_id
         )
+        if denied is None and settle:
+            confirmed, denied = yield from _verdicts(confirmed, choice)
         if denied is None:
             return choice, confirmed, _round + 1
         for handle in confirmed.values():
@@ -268,3 +283,18 @@ def _decide_rounds(
         f"reservation thrashing: could not confirm a stable implementation "
         f"choice in {rounds} rounds"
     )
+
+
+def _verdicts(confirmed: dict, choice: dict):
+    """Generator: wait for every handle's verdict; returns the handles
+    that stand, by node id, and the first offer left without a lease
+    (``None`` when every one stands)."""
+    stood: dict[int, LeaseHandle] = {}
+    denied = None
+    for node_id, handle in confirmed.items():
+        stands = yield handle.verdict
+        if stands is not None:
+            stood[node_id] = stands
+        elif denied is None:
+            denied = choice[node_id]
+    return stood, denied

@@ -879,8 +879,10 @@ class Listener:
 
     def _handle(self, key: tuple[str, str], message, src: Address):
         """One establishment, run as its own process: decide, then cache
-        and send the verdict — only once reservations have resolved, so a
-        retransmission can never observe a half-made decision."""
+        and send the verdict — only once reserves have resolved, so a
+        retransmission can never observe a half-made decision.  Checks of
+        leases the runtime already holds resolve afterwards, behind the
+        connection's held data path (``_admit``)."""
         try:
             if isinstance(message, msgs.Resume):
                 reply = yield from self._handle_resume(message)
@@ -1062,8 +1064,12 @@ class Listener:
                 attempt_dag.chunnel_types(), message
             )
             try:
-                choice, reservations = yield from self._decide_with_reservations(
-                    attempt_dag, candidates, ctx, owner, conn_id
+                # Answer without waiting for the checks of leases this
+                # runtime already holds: the connection holds its data
+                # path until they are in (``_admit``).
+                choice, reservations = yield from decide_with_reservations(
+                    runtime, attempt_dag, candidates, ctx, owner,
+                    conn_id=conn_id, settle=False,
                 )
                 dag = attempt_dag
                 break
@@ -1088,11 +1094,7 @@ class Listener:
             reservations=reservations,
             negotiation_state={"message": message, "ctx": ctx, "owner": owner},
         )
-        if self.auto_reconfig:
-            runtime.reconfig.watch(connection)
-        connection.listener = self
-        self.connections.append(connection)
-        self.accepted.put(connection)
+        self._admit(connection, reservations)
         if runtime.negcache.enabled:
             # Remember the decision for one-RTT resumption: a later RESUME
             # from this client (same DAG, same policy epoch) skips offer
@@ -1152,8 +1154,11 @@ class Listener:
         rank are pinned by the cache entry, which is exactly what makes the
         fast path one round trip.  Reservation revalidation (not cache
         invalidation, which is best-effort) is the correctness gate: a
-        revoked or exhausted record rejects the resume here even if every
-        invalidation push was lost.
+        record this runtime holds no lease on must be reserved, and a
+        refusal rejects the resume here; under a lease it does hold, the
+        accept leaves at once and a "no" from the check steers the new
+        connection off the record before any stage has seen its data —
+        either way with every invalidation push lost.
         """
         runtime = self.runtime
         conn_id = message.conn_id
@@ -1181,7 +1186,7 @@ class Listener:
         choice = entry["choice"]
         owner = entry["owner"]
         confirmed, denied = yield from reserve_choice(
-            runtime, dag, choice, owner
+            runtime, dag, choice, owner, conn_id
         )
         if denied is not None:
             for handle in confirmed.values():
@@ -1209,11 +1214,7 @@ class Listener:
                 "owner": owner,
             },
         )
-        if self.auto_reconfig:
-            runtime.reconfig.watch(connection)
-        connection.listener = self
-        self.connections.append(connection)
-        self.accepted.put(connection)
+        self._admit(connection, confirmed)
         trace.finish(span, reservations=len(confirmed))
         return msgs.Accept(
             conn_id=conn_id,
@@ -1243,22 +1244,23 @@ class Listener:
             path_switches=path_switches,
         )
 
-    def _decide_with_reservations(
-        self,
-        dag: ChunnelDag,
-        candidates: dict[str, list[Offer]],
-        ctx: PolicyContext,
-        owner: str,
-        conn_id: str = "",
-    ):
-        """Generator: delegate to
-        :func:`repro.core.negotiation.decide_with_reservations` (shared with
-        the live-reconfiguration engine)."""
-        return (
-            yield from decide_with_reservations(
-                self.runtime, dag, candidates, ctx, owner, conn_id=conn_id
-            )
-        )
+    def _admit(
+        self, connection: Connection, reservations: dict[int, LeaseHandle]
+    ) -> None:
+        """Hand an accepted connection to the application, its data path
+        held until the lease verdicts still out are in (PROTOCOL.md §2)."""
+        unverified = {
+            node_id: handle
+            for node_id, handle in reservations.items()
+            if not handle.verdict.processed
+        }
+        if unverified:
+            connection.await_verdicts(unverified)
+        if self.auto_reconfig:
+            self.runtime.reconfig.watch(connection)
+        connection.listener = self
+        self.connections.append(connection)
+        self.accepted.put(connection)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Listener {self.endpoint.name!r} @ {self.address}>"

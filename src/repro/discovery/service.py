@@ -72,6 +72,7 @@ class DiscoveryService:
         #: each shard its own prefix so a record id names its owning shard
         #: and clients can route reserve/release/watch without a lookup.
         self.record_prefix = record_prefix
+        self.metrics_prefix = metrics_prefix
         #: Watch subscriptions are volatile (in-memory) by default; a
         #: replicated shard sets ``durable_watches`` because its watch
         #: table is re-applied from the replication log.
@@ -310,6 +311,15 @@ class DiscoveryService:
         """Does the ``(record_id, owner)`` lease stand?  A read: true iff
         the record exists and the lease has not been released, preempted
         or expired with its record."""
+        if not self.lease_checks:
+            # Exported from the first check on, so a world that never
+            # checks a lease keeps exactly the names it had.
+            self.network.obs.bind(
+                f"{self.metrics_prefix}.lease_checks",
+                self,
+                "lease_checks",
+                replace=True,
+            )
         self.lease_checks += 1
         return record_id in self._records and (record_id, owner) in self._leases
 

@@ -26,6 +26,9 @@ fault injector emit):
 ``resume``            one-RTT resumption attempt (client send / server
                       revalidation; status ``fallback``/``reject`` on miss)
 ``reserve``           resource reservation during a decision
+``lease_check``       one check of a lease the runtime holds, from sending
+                      it to the verdict (status ``ok``/``denied``/
+                      ``timeout``); may end after the accept went out
 ``establish``         instantiate + setup + after-establish pipeline
 ``data``              first application payload delivered (per connection)
 ``reconfig``          one transition attempt (attrs carry epoch/outcome)

@@ -753,8 +753,11 @@ class ReconfigManager:
         nodes are instantiated and set up fresh (each with a private copy
         of the connection's params — a rebuild must not mutate the live
         binding), the rest carry over ``conn``'s impls, contexts, and stage
-        objects."""
-        return build_binding(
+        objects.  A fresh stage that numbers its sends continues past the
+        stage it replaces (``continue_from``): the peer may already have
+        seen those numbers in its own fresh stage — data held back for a
+        lease verdict is released into the newest stack."""
+        impls, contexts, stage_map = build_binding(
             self.runtime,
             role=role,
             conn_id=conn.conn_id,
@@ -768,6 +771,12 @@ class ReconfigManager:
             reuse=conn,
             fresh_params=True,
         )
+        old_map = conn._stage_map or {}
+        for node_id in changed:
+            carry = getattr(stage_map[node_id], "continue_from", None)
+            if carry is not None and old_map.get(node_id) is not None:
+                carry(old_map[node_id])
+        return impls, contexts, stage_map
 
     @staticmethod
     def _teardown_nodes(impls, ctx_map, nodes) -> None:

@@ -12,9 +12,12 @@ Conventions:
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import pytest
 
 from repro.core import Runtime
+from repro.core.stack import ChunnelStack
 from repro.core.wire import wire_kind
 from repro.discovery import DiscoveryService
 from repro.sim import CostModel, Environment, LossProgram, Network, SmartNic
@@ -112,6 +115,53 @@ def tap_control(net: Network, drop=None, switch: str = "tor") -> list:
         LossProgram("control-tap", predicate=predicate, drop_first=10**9)
     )
     return seen
+
+
+class Receive(NamedTuple):
+    """One datagram a Chunnel stack processed (see :func:`stack_receives`)."""
+
+    time: float
+    conn_id: str
+    role: str
+    epoch: int
+    #: Implementation class of every stage in the stack, top down.
+    impls: tuple
+
+
+def stack_receives(monkeypatch) -> list:
+    """Record every datagram a Chunnel stack processes as a
+    :class:`Receive`.  Data a connection holds for a lease verdict shows
+    up only once it is released into a stack."""
+    seen: list = []
+    receive = ChunnelStack.receive
+
+    def recording(stack, msg):
+        conn = stack.connection
+        impls = tuple(type(stage.impl).__name__ for stage in stack.stages)
+        seen.append(
+            Receive(stack.env.now, conn.conn_id, conn.role.value, stack.epoch, impls)
+        )
+        return receive(stack, msg)
+
+    monkeypatch.setattr(ChunnelStack, "receive", recording)
+    return seen
+
+
+def assert_no_stage_ran_before_its_verdict(net: Network, receives: list) -> None:
+    """The hold, asserted: no server stack processed a datagram of a
+    connection before that connection's lease check had answered (the
+    first ``lease_check`` span under its id: later ones are re-decisions)."""
+    verdicts: dict = {}
+    for span in net.trace.select("lease_check"):
+        verdicts.setdefault(span.conn_id, span.end)
+    early = [
+        seen
+        for seen in receives
+        if seen.role == "server"
+        and seen.conn_id in verdicts
+        and (verdicts[seen.conn_id] is None or seen.time < verdicts[seen.conn_id])
+    ]
+    assert early == []
 
 
 def run(env: Environment, generator, until: float = 5.0):

@@ -4,6 +4,7 @@ every further connection, releases by handle.  Each test names the safety
 property it pins."""
 
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import settings
@@ -24,15 +25,31 @@ from repro.chunnels import (
     ShardXdp,
 )
 from repro.core import PriorityScheduler, Runtime
-from repro.core.chunnel import ImplMeta
+from repro.core.chunnel import (
+    ChunnelImpl,
+    ChunnelSpec,
+    ChunnelStage,
+    ImplMeta,
+    Offer,
+    Role,
+)
+from repro.core.dag import wrap
+from repro.core.establish import establish_connection
+from repro.core.registry import ImplCatalog
 from repro.core.resources import SWITCH_STAGES, ResourceVector
 from repro.core.scope import Placement
 from repro.core.wire import wire_kind
 from repro.discovery import DiscoveryService
 from repro.errors import ConnectionTimeoutError
 from repro.sim import Address, LossProgram, Network
+from repro.sim.transport import UdpSocket
 
-from ..conftest import run, tap_control
+from ..conftest import (
+    assert_no_stage_ran_before_its_verdict,
+    run,
+    stack_receives,
+    tap_control,
+)
 from .test_runtime import reserving_server, times_of
 
 NINE_STAGES = ResourceVector({SWITCH_STAGES: 9})
@@ -92,29 +109,51 @@ def kinds(seen, prefix="disc."):
     return [kind for _, kind, _ in seen if kind.startswith(prefix)]
 
 
+def acquired(table, record_id, owner):
+    """Generator: one acquisition as a connection ends up holding it once
+    its verdict is in — the handle that stands, or None."""
+    handle = yield from table.acquire(record_id, owner)
+    if handle is None:
+        return None
+    return (yield handle.verdict)
+
+
 class TestReserveOncePerLease:
     def test_first_acquisition_reserves_later_ones_check(self):
         """Capacity is charged once per ``(record_id, owner)`` and the
         service counts the runtime once, however many references it
-        takes; each one still gets its own verdict from discovery."""
+        takes.  Each later reference is handed out at once, before
+        discovery has answered, and still gets its own verdict from a
+        check of its own."""
         world = LeaseWorld()
         rt = world.runtime("a")
         seen = tap_control(world.net)
 
         def scenario(env):
-            handles = []
-            for _ in range(3):
-                handles.append((yield from rt.leases.acquire(world.low, "a:ep")))
-            return handles
+            first = yield from rt.leases.acquire(world.low, "a:ep")
+            reserved_at = env.now
+            later = []
+            for _ in range(2):
+                later.append((yield from rt.leases.acquire(world.low, "a:ep")))
+            handed_out = (env.now, len(kinds(seen)))
+            verdicts = []
+            for handle in later:
+                verdicts.append((yield handle.verdict))
+            return first, later, verdicts, reserved_at, handed_out
 
-        handles = run(world.env, scenario(world.env))
-        assert all(handles)
+        first, later, verdicts, reserved_at, handed_out = run(
+            world.env, scenario(world.env)
+        )
+        assert first.verdict.processed and first.verdict.value is first
+        # No round trip for the later two: same instant, nothing answered.
+        assert handed_out == (reserved_at, 2)
+        assert verdicts == later  # each stands as taken
         assert kinds(seen) == [
             "disc.reserve",
             "disc.reserve_reply",
             "disc.lease_check",
-            "disc.lease_check_reply",
             "disc.lease_check",
+            "disc.lease_check_reply",
             "disc.lease_check_reply",
         ]
         (lease,) = world.service._leases.values()
@@ -122,6 +161,7 @@ class TestReserveOncePerLease:
         assert world.stages_in_use() == 9
         assert world.service.reservations_granted == 1
         assert world.service.lease_checks == 2
+        assert (rt.leases.optimistic_acquires, rt.leases.late_denials) == (2, 0)
         assert rt.leases.held() == {(world.low, "a:ep"): 3}
         assert world.audit(rt)["ok"]
 
@@ -132,8 +172,8 @@ class TestReserveOncePerLease:
         rt = world.runtime("a")
 
         def scenario(env):
-            first = yield from rt.leases.acquire(world.low, "a:ep")
-            second = yield from rt.leases.acquire(world.low, "a:ep")
+            first = yield from acquired(rt.leases, world.low, "a:ep")
+            second = yield from acquired(rt.leases, world.low, "a:ep")
             seen = tap_control(world.net)
             yield from rt.leases.release(first)
             yield from rt.leases.release(first)  # twice: nothing
@@ -175,6 +215,27 @@ class TestReserveOncePerLease:
         assert kinds(seen).count("disc.release") == 1
         assert world.audit(rt)["leases"] == 0
 
+    def test_reference_given_back_mid_check_is_not_confirmed_later(self):
+        """A reference released while its check is still out is gone: the
+        late answer confirms nothing, and the runtime's last release still
+        frees the lease."""
+        world = LeaseWorld()
+        rt = world.runtime("a")
+
+        def scenario(env):
+            first = yield from rt.leases.acquire(world.low, "a:ep")
+            second = yield from rt.leases.acquire(world.low, "a:ep")
+            yield from rt.leases.release(second)
+            verdict = yield second.verdict
+            yield from rt.leases.release(first)
+            return verdict
+
+        assert run(world.env, scenario(world.env)) is None
+        assert rt.leases.late_denials == 0  # given back, not denied
+        assert rt.leases.held() == {} and world.stages_in_use() == 0
+        audit = world.audit(rt)
+        assert audit["ok"] and audit["leases"] == 0
+
 
 class TestReleaseByHandle:
     def test_release_never_frees_a_lease_it_was_not_taken_under(self):
@@ -188,12 +249,12 @@ class TestReleaseByHandle:
         a, b = world.runtime("a"), world.runtime("b")
 
         def scenario(env):
-            first = yield from a.leases.acquire(world.low, "a:ep")
-            second = yield from a.leases.acquire(world.low, "a:ep")
+            first = yield from acquired(a.leases, world.low, "a:ep")
+            second = yield from acquired(a.leases, world.low, "a:ep")
             high = yield from b.leases.acquire(world.high, "b:ep")
             assert world.service.leases_preempted == 1
             yield from b.leases.release(high)
-            third = yield from a.leases.acquire(world.low, "a:ep")
+            third = yield from acquired(a.leases, world.low, "a:ep")
             assert first and second and third
             yield from a.leases.release(first)
             yield from a.leases.release(second)
@@ -299,7 +360,9 @@ class TestCheckFailures:
     def test_preempted_lease_fails_the_check_and_rereserve_runs_admission(self):
         """A check that answers no is what a denied reserve is: the entry
         goes, a real ``disc.reserve`` re-runs admission — denied while the
-        preemptor holds the switch, granted again once it left."""
+        preemptor holds the switch, granted again once it left.  The
+        reference was handed out before the check answered; its verdict
+        is what says "no lease", and takes the reference back."""
         world = LeaseWorld()
         a, b = world.runtime("a"), world.runtime("b")
 
@@ -307,14 +370,20 @@ class TestCheckFailures:
             first = yield from a.leases.acquire(world.low, "a:ep")
             high = yield from b.leases.acquire(world.high, "b:ep")
             seen = tap_control(world.net)
-            denied = yield from a.leases.acquire(world.low, "a:ep")
+            late = yield from a.leases.acquire(world.low, "a:ep")
+            handed_out = (late is not None, list(kinds(seen)))
+            denied = yield late.verdict
             while_held = (list(kinds(seen)), dict(a.leases.held()))
             yield from b.leases.release(high)
-            granted = yield from a.leases.acquire(world.low, "a:ep")
+            granted = yield from acquired(a.leases, world.low, "a:ep")
             yield from a.leases.release(first)  # orphaned: releases nothing
-            return denied, while_held, granted
+            yield from a.leases.release(late)  # taken back by its verdict
+            return handed_out, denied, while_held, granted
 
-        denied, (seen_kinds, held), granted = run(world.env, scenario(world.env))
+        handed_out, denied, (seen_kinds, held), granted = run(
+            world.env, scenario(world.env)
+        )
+        assert handed_out == (True, [])  # before discovery said anything
         assert denied is None
         assert seen_kinds == [
             "disc.lease_check",
@@ -325,47 +394,76 @@ class TestCheckFailures:
         assert held == {}
         assert granted is not None
         assert a.leases.held() == {(world.low, "a:ep"): 1}
+        assert (a.leases.check_denials, a.leases.late_denials) == (1, 1)
         assert world.stages_in_use() == 9
         assert world.audit(a, b)["ok"]
 
     def test_check_timeout_is_a_denial_not_assume_held(self):
         """No verdict, no binding: with discovery unreachable the second
-        acquisition is denied — while the first connection's reference,
-        which discovery did confirm, stays where it is."""
+        acquisition's verdict is a denial, and its reference goes back —
+        while the first connection's reference, which discovery did
+        confirm, stays where it is."""
         world = LeaseWorld()
         rt = world.runtime("a")
 
         def scenario(env):
             first = yield from rt.leases.acquire(world.low, "a:ep")
             world.service.crash()
-            during = yield from rt.leases.acquire(world.low, "a:ep")
+            during = yield from acquired(rt.leases, world.low, "a:ep")
             held = dict(rt.leases.held())
             world.service.restart()
-            after = yield from rt.leases.acquire(world.low, "a:ep")
+            after = yield from acquired(rt.leases, world.low, "a:ep")
             return first, during, held, after
 
         first, during, held, after = run(world.env, scenario(world.env))
         assert first is not None and during is None and after is not None
         assert held == {(world.low, "a:ep"): 1}
-        assert rt.leases.check_failures == 1
+        assert (rt.leases.check_timeouts, rt.leases.check_denials) == (1, 0)
+        assert rt.leases.late_denials == 1
         assert world.audit(rt)["ok"]
 
     def test_revoked_record_fails_the_check_with_no_push_at_all(self):
         """A revoked record is never bound by a new connection even with
         every push lost: nothing here watches, so the check is all there
-        is."""
+        is — and its verdict takes back the reference handed out before
+        it answered."""
         world = LeaseWorld()
         rt = world.runtime("a")
 
         def scenario(env):
             first = yield from rt.leases.acquire(world.low, "a:ep")
             world.service.revoke(world.low)
-            second = yield from rt.leases.acquire(world.low, "a:ep")
+            second = yield from acquired(rt.leases, world.low, "a:ep")
             return first, second
 
         first, second = run(world.env, scenario(world.env))
         assert first is not None and second is None
         assert rt.leases.held() == {}
+        assert rt.leases.late_denials == 1
+
+    def test_no_then_granted_rereserve_keeps_the_binding_on_a_fresh_handle(self):
+        """Preempted with the push lost, then the preemptor leaves: the
+        next connection is accepted under the stale entry, its check says
+        no, the re-reserve is granted — and the connection keeps its
+        binding on the fresh handle, its held datagram let through only
+        then."""
+        machine = LeaseMachine()
+        machine.acquire(index=0, shared=False)
+        machine.pushes(lost=True)
+        machine.preempt()
+        machine.preemptor_leaves()
+        machine.accept_connection(index=0, shared=False)
+        (entry,) = machine.accepted
+        decided_at, stands = entry["verdict"]
+        (ctx,) = entry["conn"]._setup_contexts
+        assert stands is not None and ctx.reservations == [stands]
+        assert entry["stage"].ran_at == [decided_at]
+        leases = machine.runtimes[0].leases
+        assert (leases.check_denials, leases.late_denials) == (1, 0)
+        # The connection's reference is the fresh entry's only one: the
+        # first acquisition's went with the entry the "no" dropped.
+        assert leases.held() == {(machine.world.low, "a:ep"): 1}
+        machine.books_balance()
 
 
 class TestOwedRelease:
@@ -403,31 +501,37 @@ class TestOwedRelease:
 
 class TestListenerClose:
     def test_close_mid_check_leaves_no_local_reference(self, two_hosts_smartnic):
-        """``Listener.close()`` with a handler waiting on its check: the
-        handler dies, and the table holds what the first connection took
-        and nothing more."""
+        """The second connection is accepted before its check answers;
+        ``Listener.close()`` and that connection's own close both land
+        while the check is out.  The check belongs to the table, not to
+        the listener: it runs to its answer, which confirms nothing for a
+        reference already given back, and the table holds what the first
+        connection took and nothing more."""
         world = two_hosts_smartnic
         listener, client_rt = reserving_server(world, SerializeAccelerated)
         server_rt = world.runtimes["srv"]
         seen = tap_control(world.net)
+        closed = {}
 
         def closer(env):
             while not times_of(seen, "disc.lease_check"):
                 yield env.timeout(1e-6)
             listener.close()
+            listener.connections[-1].close()  # the one whose check is out
+            closed["at"] = env.now
 
         def client(env):
             yield env.timeout(1e-4)
             yield from client_rt.new("c1").connect(Address("srv", 7000))
-            with pytest.raises(ConnectionTimeoutError):
-                yield from client_rt.new("c2").connect(
-                    Address("srv", 7000), timeout=2e-4, retries=3
-                )
+            yield from client_rt.new("c2").connect(Address("srv", 7000))
+            yield env.timeout(1e-3)
 
         world.env.process(closer(world.env))
         run(world.env, client(world.env))
-        assert len(listener.connections) == 1
+        assert len(listener.connections) == 2
+        assert times_of(seen, "disc.lease_check_reply")[0] > closed["at"]
         assert list(server_rt.leases.held().values()) == [1]
+        assert server_rt.leases.late_denials == 0
         assert world.discovery.audit_leases([server_rt.leases])["ok"]
 
     def test_close_mid_reserve_hands_the_lease_straight_back(
@@ -531,15 +635,20 @@ class TestAutoReconfigEndToEnd:
         assert reply["status"] == "ok"
         assert server_rt.reconfig.transitions_committed >= 2
 
-    def test_preempted_check_steers_the_accept_to_the_next_offer(self):
-        """Lease preempted → check fails → re-reserve runs admission →
-        denied → the decision moves to the next-ranked offer, and the
-        connection is established all the same."""
+    def test_preempted_check_steers_the_accept_to_the_next_offer(
+        self, monkeypatch
+    ):
+        """Lease preempted, no push → the next connection is accepted on
+        the switch before its check answers → the check fails → the
+        re-reserve runs admission → denied → the verdict steers the
+        connection to the next-ranked offer.  No server stage runs on the
+        preempted binding, and the connection serves all the same."""
         world, server, server_rt, client_rt = self.build()
         other = world.runtime("b")
         # No watch, no push: the listener learns of the preemption from
         # its check alone.
         server.listener.auto_reconfig = False
+        receives = stack_receives(monkeypatch)
 
         def scenario(env):
             yield env.timeout(1e-4)
@@ -548,35 +657,86 @@ class TestAutoReconfigEndToEnd:
             assert (yield from other.leases.acquire(world.high, "b:ep"))
             second = KvClient(client_rt)
             conn2 = yield from second.connect(Address("a", 7100))
+            accepted_on = shard_impl_name(conn2)
             reply = yield from second.put("k", b"v")
-            return shard_impl_name(conn1), shard_impl_name(conn2), reply
+            yield env.timeout(1e-3)  # the verdict's transition commits
+            names = (shard_impl_name(conn1), accepted_on, shard_impl_name(conn2))
+            return names, reply, conn2.conn_id
 
-        one, two, reply = run(world.env, scenario(world.env))
-        assert (one, two) == ("ShardSwitch", "ShardXdp")
+        names, reply, conn_id = run(world.env, scenario(world.env))
+        assert names == ("ShardSwitch", "ShardSwitch", "ShardXdp")
         assert reply["status"] == "ok"
-        assert server_rt.leases.check_failures == 1
+        assert (server_rt.leases.check_denials, server_rt.leases.late_denials) == (1, 1)
         assert world.service.reservations_denied == 1
+        on_preempted = [
+            seen
+            for seen in receives
+            if (seen.conn_id, seen.role, seen.epoch) == (conn_id, "server", 0)
+        ]
+        assert on_preempted == []
+        assert_no_stage_ran_before_its_verdict(world.net, receives)
 
 
 # --------------------------------------------------------------------------
 # Stateful property: two runtimes, one service, pushes that may be lost
 # --------------------------------------------------------------------------
+class _LeaseTest(ChunnelSpec):
+    type_name = "lease-test"
+
+
+class _ProbeStage(ChunnelStage):
+    """Notes when each datagram reaches it: the machine's view of which
+    server stages ran, and when."""
+
+    def __init__(self, impl, role):
+        super().__init__(impl, role)
+        self.ran_at: list = []
+
+    def on_recv(self, msg):
+        self.ran_at.append(self.env.now)
+        return [msg]
+
+
+class _Probe(ChunnelImpl):
+    """What a ``lease-test`` record binds to on a machine's server side."""
+
+    meta = switch_meta("low", 10)
+
+    def make_stage(self, role):
+        return _ProbeStage(self, role)
+
+
+PROBE_CATALOG = ImplCatalog()
+PROBE_CATALOG.add(_Probe)
+
+
 class LeaseMachine(RuleBasedStateMachine):
     """acquire / release / preempt / revoke / push-lost on two runtimes
-    sharing a group-scoped owner and holding one of their own each.  At
+    sharing a group-scoped owner and holding one of their own each, plus
+    server connections accepted under those leases — some of which lose
+    their lease, or their check, in the instant they are accepted.  At
     every quiescent point the service's books balance, every lease it has
-    is held by some runtime, and ``device_in_use`` is the sum over live
-    leases.  Run twice: with pushes that may be lost, and (``LOSSY`` off)
-    with every push delivered, where the two sides must agree exactly."""
+    is held by some runtime, ``device_in_use`` is the sum over live
+    leases, and no connection's stack has run before its verdict (or at
+    all, when the verdict left it without a lease).  Run twice: with
+    pushes that may be lost, and (``LOSSY`` off) with every push
+    delivered, where the two sides must agree exactly."""
 
     LOSSY = True
 
     def __init__(self):
         super().__init__()
         self.world = LeaseWorld()
-        self.runtimes = [self.world.runtime("a"), self.world.runtime("b")]
+        self.runtimes = [
+            self.world.runtime(host, catalog=PROBE_CATALOG) for host in "ab"
+        ]
         self.preemptor = self.world.runtime("cl")
+        self.client = UdpSocket(self.world.net.hosts["cl"])
         self.handles: list = []
+        #: One entry per accepted connection: its ``conn``, its probe
+        #: ``stage``, and when its ``verdict`` came and what it said.
+        self.accepted: list[dict] = []
+        self.conn_ids = itertools.count()
         self.high = None
         self.pushes_lost = self.ever_lost = False
         self.world.net.switches["tor"].install(push_eater(self))
@@ -600,21 +760,97 @@ class LeaseMachine(RuleBasedStateMachine):
     def owner(self, index, shared):
         return "group:g" if shared else f"{'ab'[index]}:ep"
 
+    def accept(self, index, shared):
+        """Generator: a server connection under ``low``, accepted the way
+        the listener accepts one — before a check has answered — and a
+        datagram from the client already on its way to it."""
+        rt = self.runtimes[index]
+        handle = yield from rt.leases.acquire(self.world.low, self.owner(index, shared))
+        if handle is None:
+            return
+        dag = wrap(_LeaseTest())
+        (node,) = dag.topological_order()
+        offer = Offer(_Probe.meta, "network", "tor", handle.record_id)
+        conn = establish_connection(
+            rt,
+            name="lease-test",
+            conn_id=f"m/{next(self.conn_ids)}",
+            role=Role.SERVER,
+            dag=dag,
+            choice={node: offer},
+            client_entity="cl",
+            server_entity=rt.entity.name,
+            reservations={node: handle},
+        )
+        if not handle.verdict.processed:
+            conn.await_verdicts({node: handle})
+        entry = {"conn": conn, "stage": conn._stage_map[node], "verdict": None}
+        env = self.world.env
+        handle.verdict.add_callback(
+            lambda event: entry.update(verdict=(env.now, event.value))
+        )
+        self.accepted.append(entry)
+        self.client.send(b"x", conn.local_address, size=1)
+
     @rule(index=st.integers(0, 1), shared=st.booleans())
     def acquire(self, index, shared):
         rt = self.runtimes[index]
         handle = self.settle(
-            rt.leases.acquire(self.world.low, self.owner(index, shared))
+            acquired(rt.leases, self.world.low, self.owner(index, shared))
         )
         if handle is not None:
             self.handles.append((rt, handle))
 
-    @precondition(lambda self: self.handles)
+    @rule(index=st.integers(0, 1), shared=st.booleans())
+    def accept_connection(self, index, shared):
+        self.settle(self.accept(index, shared))
+
+    @precondition(lambda self: self.high is None)
+    @rule(index=st.integers(0, 1), shared=st.booleans(), how=st.booleans())
+    def verdict_no_after_accept(self, index, shared, how):
+        """The lease goes in the instant the connection is accepted:
+        preempted (the preemptor's reserve is already on the wire when the
+        check leaves) or revoked, so the check that follows says no."""
+        if how:
+            env = self.world.env
+            preempt = env.process(
+                self.preemptor.leases.acquire(self.world.high, "x:ep")
+            )
+            self.settle(self.accept(index, shared))
+            self.high = preempt.value
+        else:
+            def accept_then_revoke(env):
+                yield from self.accept(index, shared)
+                self.world.service.revoke(self.world.low)
+
+            self.settle(accept_then_revoke(self.world.env))
+            self.reregister_low()
+
+    @rule(index=st.integers(0, 1), shared=st.booleans())
+    def verdict_timeout_after_accept(self, index, shared):
+        """Discovery goes down in the instant the connection is accepted,
+        so the check goes unanswered; it comes back afterwards."""
+
+        def accept_then_crash(env):
+            yield from self.accept(index, shared)
+            self.world.service.crash()
+
+        self.settle(accept_then_crash(self.world.env))
+        self.world.service.restart()
+        for rt in self.runtimes:
+            rt.reconfig.discovery_watcher.rearm()
+        self.settle()
+
+    @precondition(lambda self: self.handles or self.accepted)
     @rule(data=st.data())
     def release(self, data):
-        position = data.draw(st.integers(0, len(self.handles) - 1))
-        rt, handle = self.handles.pop(position)
-        self.settle(rt.leases.release(handle))
+        position = data.draw(st.integers(0, len(self.handles) + len(self.accepted) - 1))
+        if position < len(self.handles):
+            rt, handle = self.handles.pop(position)
+            self.settle(rt.leases.release(handle))
+        else:
+            self.accepted.pop(position - len(self.handles))["conn"].close()
+            self.settle()
 
     @precondition(lambda self: self.high is None)
     @rule()
@@ -635,6 +871,9 @@ class LeaseMachine(RuleBasedStateMachine):
         new record id."""
         self.world.service.revoke(self.world.low)
         self.settle()
+        self.reregister_low()
+
+    def reregister_low(self):
         self.world.low = self.world.service.register(
             switch_meta("low", 10), location="tor"
         ).record_id
@@ -663,6 +902,23 @@ class LeaseMachine(RuleBasedStateMachine):
         # ... and the device charged once per live lease.
         assert self.world.stages_in_use() == 9 * len(service._leases)
         assert self.world.stages_in_use() <= 12
+
+    @invariant()
+    def no_stack_ran_before_its_verdict(self):
+        for entry in self.accepted:
+            ran_at = entry["stage"].ran_at
+            assert entry["verdict"] is not None  # every verdict came in
+            decided_at, stands = entry["verdict"]
+            if stands is None:
+                # No lease: the connection never ran, and is gone.
+                assert ran_at == [] and entry["conn"].closed
+            else:
+                # Its datagram went through, and only after the verdict,
+                # and the connection holds the reference that verdict
+                # stood on (a re-reserved one swapped in).
+                assert len(ran_at) == 1 and ran_at[0] >= decided_at
+                (ctx,) = entry["conn"]._setup_contexts
+                assert ctx.reservations == [stands]
 
 
 def push_eater(machine):
@@ -693,3 +949,17 @@ TestLeaseMachine.settings = settings(
 TestReliablePushLeaseMachine.settings = settings(
     max_examples=200, stateful_step_count=30, deadline=None, derandomize=True
 )
+
+#: The soak (``pytest -m soak``, its own CI step): fresh random examples
+#: on every run, 1 500 of them × 40 steps per machine.
+SOAK = settings(max_examples=1500, stateful_step_count=40, deadline=None)
+
+
+@pytest.mark.soak
+class TestLeaseMachineSoak(LeaseMachine.TestCase):
+    settings = SOAK
+
+
+@pytest.mark.soak
+class TestReliablePushLeaseMachineSoak(ReliablePushLeaseMachine.TestCase):
+    settings = SOAK

@@ -31,7 +31,11 @@ from repro.discovery.client import RemoteDiscoveryClient
 from repro.errors import DegradedEstablishmentWarning
 from repro.sim import FaultPlan, Network, SmartNic
 
-from ..conftest import tap_control
+from ..conftest import (
+    assert_no_stage_ran_before_its_verdict,
+    stack_receives,
+    tap_control,
+)
 
 CONNECT = dict(timeout=2e-3, retries=80)
 
@@ -276,16 +280,37 @@ class TestInvalidation:
         assert client_rt.negcache.fallbacks == 0
 
 
+def server_side(server, conn_id):
+    (conn,) = [c for c in server.listener.connections if c.conn_id == conn_id]
+    return conn
+
+
+def toe_receives(receives, conn_id):
+    """Datagrams the server's stacks processed for ``conn_id`` on a
+    binding that includes the NIC offload."""
+    return [
+        seen
+        for seen in receives
+        if (seen.conn_id, seen.role) == (conn_id, "server")
+        and "ReliableToe" in seen.impls
+    ]
+
+
 class TestInvalidationUnderLoss:
-    """The ISSUE's bar: no stale choice is ever instantiated even when
-    10% loss eats the best-effort revocation pushes — the server's
-    reservation revalidation is the safety net."""
+    """The bar: a revoked record is never *used* by a new
+    connection even when 10% loss eats the best-effort revocation pushes:
+    the server stack processes 0 datagrams on it, and the connection ends
+    on the next-ranked implementation.  The server's lease verdict is the
+    safety net."""
 
     @pytest.mark.parametrize("seed", [7, 11, 23])
-    def test_revocation_between_connects_never_resumes_stale(self, seed):
+    def test_revocation_between_connects_never_resumes_stale(
+        self, seed, monkeypatch
+    ):
         net, discovery, toe, server, client_rt = build_world(
             loss=0.10, seed=seed
         )
+        receives = stack_receives(monkeypatch)
 
         def scenario():
             first = yield from connect_once(client_rt, server, 0)
@@ -302,17 +327,23 @@ class TestInvalidationUnderLoss:
                 o.record_id for o in second.choice.values() if o.record_id
             }
             second.close()
-            return first_records, second_records
+            return first_records, second_records, second.conn_id
 
-        first_records, second_records = drive(net, scenario(), until=60.0)
-        # The first negotiation used the offload; the second must not,
-        # whether the eviction push survived the loss or the resume was
-        # rejected at reservation revalidation.
+        first_records, second_records, conn_id = drive(
+            net, scenario(), until=60.0
+        )
+        # The first negotiation used the offload; the second ends without
+        # it on both sides — whether the eviction push survived the loss
+        # (full renegotiation) or the resume was accepted under the lease
+        # the server still held and its check steered it off.
         assert toe.record_id in first_records
         assert toe.record_id not in second_records
-        # However it played out, nothing resumed onto the stale binding:
-        # a hit either became a fallback or never happened.
-        assert client_rt.negcache.hits == client_rt.negcache.fallbacks
+        assert toe.record_id not in {
+            o.record_id for o in server_side(server, conn_id).choice.values()
+        }
+        # However it played out, no server stage ran on the stale binding.
+        assert toe_receives(receives, conn_id) == []
+        assert_no_stage_ran_before_its_verdict(net, receives)
         assert discovery.audit_leases()["ok"]
 
     def test_epoch_bump_between_connects_under_loss(self):
@@ -332,39 +363,52 @@ class TestInvalidationUnderLoss:
 
 
 class TestReservationRevalidation:
-    def test_discovery_outage_fails_resume_then_degrades(self):
-        # With discovery down, the server cannot revalidate the
-        # reservation: the resume is refused (or times out) and the
-        # fallback path establishes degraded — same contract as a cold
-        # connect during an outage (PROTOCOL.md §6.3).
-        net, discovery, _toe, server, client_rt = build_world()
+    def test_discovery_outage_fails_resume_then_degrades(self, monkeypatch):
+        """With discovery down, the server cannot confirm the lease it
+        still holds: the resume is accepted, its check times out — a
+        denial, never "assume held" — and the verdict degrades the
+        connection to the fallback before any server stage has run on
+        the offload.  Same contract as a cold connect during an outage
+        (PROTOCOL.md §6.3): served, on what needs no discovery."""
+        net, discovery, toe, server, client_rt = build_world()
+        receives = stack_receives(monkeypatch)
 
         def scenario():
             first = yield from connect_once(client_rt, server, 0)
             first.close()
             discovery.crash()
             second = yield from connect_once(client_rt, server, 1)
-            yield from echo_roundtrip(second)
-            return second
+            reply = yield from echo_roundtrip(second)
+            return second, reply
 
-        second = drive(net, scenario(), until=60.0)
-        assert second.degraded
+        second, reply = drive(net, scenario(), until=60.0)
+        assert reply.payload == b"ping"
         assert client_rt.negcache.hits == 1
-        assert client_rt.negcache.fallbacks == 1
+        assert client_rt.negcache.fallbacks == 0  # accepted, then steered
+        leases = server.runtime.leases
+        assert (leases.check_timeouts, leases.late_denials) == (1, 1)
+        for side in (second, server_side(server, second.conn_id)):
+            assert toe.record_id not in {o.record_id for o in side.choice.values()}
+        assert toe_receives(receives, second.conn_id) == []
+        assert_no_stage_ran_before_its_verdict(net, receives)
 
-
-    def test_revoked_record_with_every_push_lost_dies_at_the_check(self):
-        """A revoked record is never bound by a new connection even with
+    def test_revoked_record_with_every_push_lost_dies_at_the_check(
+        self, monkeypatch
+    ):
+        """A revoked record is never *used* by a new connection even with
         every push lost: both negotiation caches keep their entry, the
-        RESUME goes out — and the listener's ``disc.lease_check`` says
-        no, the re-reserve is refused, the resume is rejected and the
-        full path binds the fallback."""
+        RESUME goes out and is accepted at once under the lease the
+        listener still holds — and its ``disc.lease_check`` says no, the
+        re-reserve is refused, and the verdict moves the connection to the
+        fallback.  The server stack processes 0 datagrams on the revoked
+        binding; the client's data waits for the verdict, then flows."""
         net, discovery, toe, server, client_rt = build_world()
         seen = tap_control(
             net,
             drop=lambda kind, _dgram: kind
             in ("disc.revoked", "disc.lease_revoked"),
         )
+        receives = stack_receives(monkeypatch)
 
         def scenario():
             first = yield from connect_once(client_rt, server, 0)
@@ -374,22 +418,33 @@ class TestReservationRevalidation:
             yield net.env.timeout(1e-3)
             del seen[:]
             second = yield from connect_once(client_rt, server, 1)
+            accepted = {o.record_id for o in second.choice.values()}
             yield from echo_roundtrip(second)
-            return {o.record_id for o in second.choice.values()}
+            return second, accepted
 
-        second_records = drive(net, scenario())
-        kinds = [kind for _, kind, _ in seen]
-        assert kinds[:6] == [
+        second, accepted = drive(net, scenario())
+        assert [kind for _, kind, _ in seen] == [
             "bertha.resume",
             "disc.lease_check",
+            "bertha.accept",
             "disc.lease_check_reply",
-            "disc.reserve",
+            "bertha.hello",
+            "disc.reserve",  # re-reserve after "no": refused
             "disc.reserve_reply",
-            "bertha.resume_reject",
+            "disc.query",  # the re-decision's fresh offers
+            "disc.query_reply",
+            "bertha.transition",
+            "bertha.transition_ack",
         ]
-        assert toe.record_id not in second_records
+        assert toe.record_id in accepted  # the resume was taken as cached
+        for side in (second, server_side(server, second.conn_id)):
+            assert toe.record_id not in {o.record_id for o in side.choice.values()}
+            assert side.transitions == 1
+        assert toe_receives(receives, second.conn_id) == []
+        assert_no_stage_ran_before_its_verdict(net, receives)
         assert client_rt.negcache.hits == 1  # the stale entry was tried
-        assert client_rt.negcache.fallbacks == 1
+        assert client_rt.negcache.fallbacks == 0
+        assert server.runtime.leases.late_denials == 1
         assert server.runtime.leases.held() == {}
         assert discovery.audit_leases([server.runtime.leases])["ok"]
 

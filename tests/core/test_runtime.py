@@ -482,11 +482,15 @@ class TestConcurrentAccept:
         """One verdict per ``(KIND, conn_id)`` — per kind: an OFFER whose
         conn_id collides with a RESUME still being revalidated is neither
         swallowed as its duplicate nor answered with its verdict, in
-        flight or from the reply cache."""
+        flight or from the reply cache.  The server holds no lease when
+        the two land (its connections closed, the release went out), so
+        the RESUME's revalidation is a first reserve, which the OFFER's
+        decision joins: both are mid-decision at once."""
         world = two_hosts_smartnic
         listener, client_rt = reserving_server(
             world, SerializeAccelerated, negotiation_cache_size=8
         )
+        server_rt = world.runtimes["srv"]
         seen = tap_control(world.net)
         replies = {}
         overlap = []
@@ -508,6 +512,10 @@ class TestConcurrentAccept:
                 )
                 conn.close()
                 yield env.timeout(1e-3)
+            for conn in listener.connections:
+                conn.close()
+            yield env.timeout(1e-3)  # the runtime's last release lands
+            assert server_rt.leases.held() == {}
             sockets = {
                 kind: UdpSocket(world.net.entity("cl"))
                 for kind in ("bertha.resume", "bertha.offer")
