@@ -17,27 +17,21 @@ Chunnel types provided (paper section in parentheses):
 ``encrypt``          symmetric payload encryption (§6 example)
 ``http2``            content-agnostic framing (§6 example)
 ``tls``              fused encrypt+tcp (§6 merge target)
-``compress``         zlib payload compression
 ``shard``            key-affine request steering (Listing 4, Figure 5)
 ``ordered_mcast``    sequencer-ordered group delivery (Listing 2)
 ``anycast``          best-instance selection (§3.2)
-``loadbalance``      backend spreading, client or proxy side (§3.2)
 ``multipath``        weighted per-packet spreading over disjoint tunnels
 ``kvcache``          in-switch KV read cache with write-through (§6 offload)
 ``fanin``            scatter/gather RPC with in-switch reply aggregation
-``batch``            send coalescing
 ``ratelimit``        token-bucket send pacing (PicNIC-class shaping)
 =================  =====================================================
 """
 
 from ..core.optimizer import default_traits
 from .anycast import Anycast, AnycastDns, AnycastIp, nearest_instance
-from .batching import Batch, BatchFallback
-from .compress import Compress, CompressFallback
 from .encrypt import Encrypt, EncryptFallback, EncryptSmartNic, keystream_cipher
 from .http2 import FRAME_HEADER_SIZE, Http2, Http2Fallback
 from .local_fastpath import LocalOrRemote, LocalOrRemoteFallback
-from .loadbalance import LoadBalance, LoadBalanceClient, LoadBalanceProxy
 from .multicast import (
     GAP_HEADER,
     GROUP_HEADER,
@@ -68,7 +62,7 @@ from .offload import (
     split_combined_value,
 )
 from .ordering import Ordered, OrderedFallback
-from .ratelimit import RateLimit, RateLimitFallback, RateLimitNicPacer
+from .ratelimit import RateLimit, RateLimitFallback
 from .reliability import Reliable, ReliableFallback, ReliableToe
 from .serialize import (
     BincodeCodec,
@@ -83,7 +77,6 @@ from .serialize import (
 from .sharding import (
     REPLY_TO_HEADER,
     HashBytes,
-    HashKeyField,
     Shard,
     ShardClientFallback,
     ShardFunction,
@@ -99,12 +92,8 @@ __all__ = [
     "Anycast",
     "AnycastDns",
     "AnycastIp",
-    "Batch",
-    "BatchFallback",
     "BincodeCodec",
     "Codec",
-    "Compress",
-    "CompressFallback",
     "Encrypt",
     "EncryptFallback",
     "EncryptSmartNic",
@@ -116,16 +105,12 @@ __all__ = [
     "GROUP_HEADER",
     "GroupSequencer",
     "HashBytes",
-    "HashKeyField",
     "Http2",
     "Http2Fallback",
     "JsonCodec",
     "KvCache",
     "KvCacheHostPath",
     "KvCacheSwitch",
-    "LoadBalance",
-    "LoadBalanceClient",
-    "LoadBalanceProxy",
     "LocalOrRemote",
     "LocalOrRemoteFallback",
     "MULTIPATH_TUNNEL_HEADER",
@@ -138,7 +123,6 @@ __all__ = [
     "REPLY_TO_HEADER",
     "RateLimit",
     "RateLimitFallback",
-    "RateLimitNicPacer",
     "Reliable",
     "ReliableFallback",
     "ReliableToe",
@@ -178,7 +162,6 @@ def _register_traits() -> None:
     """Teach the optimizer the Chunnel algebra (§6's transformations)."""
     # Framing is content-agnostic: it commutes with payload transforms.
     default_traits.register_commutes("encrypt", "http2")
-    default_traits.register_commutes("batch", "http2")
     # Redundant-duplicate elimination targets.
     default_traits.register_idempotent("ordered")
     default_traits.register_idempotent("reliable")

@@ -414,11 +414,6 @@ class KvCacheSwitch(ChunnelImpl):
     def make_stage(self, role: Role) -> Optional[ChunnelStage]:
         return None  # the switch programs are the implementation
 
-    @property
-    def cache_state(self) -> Optional[_CacheState]:
-        entry = getattr(self, "_entry", None)
-        return entry[0] if entry is not None else None
-
 
 @catalog.add
 class KvCacheHostPath(ChunnelImpl):

@@ -7,8 +7,7 @@ its §6 sharing discussion).  Meets the Chunnel criteria of §2: application
 -relevant (the app opts in, and only its connection is affected — never a
 host-wide policy), host-fallback-able, minimal, composable.
 
-Implementations: software token bucket, and a SmartNIC pacer that charges
-(almost) no host CPU.
+Implementation: a software token bucket in the client library.
 """
 
 from __future__ import annotations
@@ -26,12 +25,11 @@ from ..core.chunnel import (
     register_spec,
 )
 from ..core.registry import catalog
-from ..core.resources import NIC_SLOTS, ResourceVector
 from ..core.scope import Endpoints, Placement, Scope
 from ..errors import ChunnelArgumentError
 from ..sim.eventloop import Interrupt
 
-__all__ = ["RateLimit", "RateLimitFallback", "RateLimitNicPacer"]
+__all__ = ["RateLimit", "RateLimitFallback"]
 
 
 @register_spec
@@ -68,11 +66,10 @@ class _TokenBucketStage(ChunnelStage):
     opted-in traffic.
     """
 
-    def __init__(self, impl: ChunnelImpl, role: Role, per_message_cost: float):
+    def __init__(self, impl: ChunnelImpl, role: Role):
         super().__init__(impl, role)
         self.rate = impl.spec.args["bytes_per_second"]
         self.burst = impl.spec.args["burst_bytes"]
-        self.per_message_cost = per_message_cost
         self._tokens = float(self.burst)
         self._last_refill: Optional[float] = None
         self._queue: deque[Message] = deque()
@@ -93,7 +90,7 @@ class _TokenBucketStage(ChunnelStage):
         self._last_refill = now
 
     def on_send(self, msg: Message) -> Iterable[Message]:
-        self.charge(self.per_message_cost)
+        self.charge(RateLimitFallback.PER_MESSAGE_COST)
         self._refill()
         cost = max(msg.size, 1)
         if not self._queue and self._tokens >= cost:
@@ -144,33 +141,5 @@ class RateLimitFallback(ChunnelImpl):
     PER_MESSAGE_COST = 0.15e-6
 
     def make_stage(self, role: Role) -> Optional[ChunnelStage]:
-        return (
-            _TokenBucketStage(self, role, self.PER_MESSAGE_COST)
-            if role is Role.CLIENT
-            else None
-        )
+        return _TokenBucketStage(self, role) if role is Role.CLIENT else None
 
-
-@catalog.add
-class RateLimitNicPacer(ChunnelImpl):
-    """SmartNIC pacing engine (PicNIC-class) — no host CPU per packet."""
-
-    meta = ImplMeta(
-        chunnel_type="ratelimit",
-        name="nic-pacer",
-        priority=70,
-        scope=Scope.HOST,
-        endpoints=Endpoints.CLIENT,
-        placement=Placement.SMARTNIC,
-        resources=ResourceVector({NIC_SLOTS: 1}),
-        description="NIC-resident token bucket",
-    )
-
-    PER_MESSAGE_COST = 0.01e-6
-
-    def make_stage(self, role: Role) -> Optional[ChunnelStage]:
-        return (
-            _TokenBucketStage(self, role, self.PER_MESSAGE_COST)
-            if role is Role.CLIENT
-            else None
-        )

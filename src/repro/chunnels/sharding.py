@@ -21,9 +21,10 @@ exactly what Bertha negotiates per connection:
   switch stages/SRAM (and therefore subject to §6 scheduling).
 
 Shard functions are *data*, not code: they must travel in the DAG exchange,
-so they are declarative objects (:class:`HashBytes`, :class:`HashKeyField`)
-registered with the wire codec.  An arbitrary Python callable would be
-rejected at negotiation time — by design.
+so they are declarative objects (:class:`HashBytes`, the paper's byte-range
+hash, which every placement can evaluate) registered with the wire codec.
+An arbitrary Python callable would be rejected at negotiation time — by
+design.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from ..sim.switch import SwitchProgramFootprint
 __all__ = [
     "ShardFunction",
     "HashBytes",
-    "HashKeyField",
     "Shard",
     "ShardClientFallback",
     "ShardServerFallback",
@@ -121,48 +121,11 @@ class HashBytes(ShardFunction):
         return f"HashBytes(offset={self.offset}, length={self.length})"
 
 
-class HashKeyField(ShardFunction):
-    """Hash one field of a dict payload (object-level sharding).
-
-    Only usable at placements that see objects (client library, server
-    process) — a packet program cannot evaluate it, which negotiation
-    surfaces naturally: register the XDP implementation only for byte-level
-    shard functions.
-    """
-
-    def __init__(self, field: str = "key"):
-        if not field:
-            raise ChunnelArgumentError("field must be non-empty")
-        self.field = field
-
-    def bucket(self, payload: Any, headers: dict, n: int) -> int:
-        if not isinstance(payload, dict) or self.field not in payload:
-            raise ChunnelArgumentError(
-                f"HashKeyField({self.field!r}) needs dict payloads with "
-                f"that field; got {type(payload).__name__}"
-            )
-        value = payload[self.field]
-        raw = value if isinstance(value, bytes) else str(value).encode()
-        return self._hash(raw) % n
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, HashKeyField) and self.field == other.field
-
-    def __repr__(self) -> str:
-        return f"HashKeyField({self.field!r})"
-
-
 register_wire_type(
     "shard_fn.hash_bytes",
     HashBytes,
     lambda f: {"offset": f.offset, "length": f.length},
     lambda d: HashBytes(d["offset"], d["length"]),
-)
-register_wire_type(
-    "shard_fn.hash_key_field",
-    HashKeyField,
-    lambda f: {"field": f.field},
-    lambda d: HashKeyField(d["field"]),
 )
 
 

@@ -19,7 +19,6 @@ from .chunnel import (
     ImplMeta,
     Message,
     Offer,
-    PassthroughStage,
     Role,
     register_spec,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "OffloadScheduler",
     "OptimizationResult",
     "OptimizationStep",
-    "PassthroughStage",
     "Placement",
     "Policy",
     "PolicyContext",

@@ -49,7 +49,6 @@ __all__ = [
     "ChunnelSpec",
     "ChunnelImpl",
     "ChunnelStage",
-    "PassthroughStage",
     "ImplMeta",
     "Offer",
     "register_spec",
@@ -420,11 +419,6 @@ class ChunnelStage:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} role={self.role.value}>"
-
-
-class PassthroughStage(ChunnelStage):
-    """A stage that does nothing; used when the work happens elsewhere
-    (offloaded to a device, or performed by the peer)."""
 
 
 def _register_spec_wire_adapter() -> None:

@@ -221,13 +221,6 @@ class FailoverManager:
         )
         return state
 
-    def unwatch(self, conn: "Connection") -> None:
-        """Detach the watcher (idempotent)."""
-        state = self._states.pop(conn.conn_id, None)
-        if state is not None and state.process is not None:
-            if state.process.is_alive:
-                state.process.interrupt("unwatched")
-
     # ------------------------------------------------------------------
     # In-band control handling (called from the pump via ReconfigManager)
     # ------------------------------------------------------------------
@@ -276,47 +269,54 @@ class FailoverManager:
     # ------------------------------------------------------------------
     def _watch_loop(self, state: _WatchState):
         conn = state.conn
+        key = conn.conn_id
         config = self.config
-        while not conn.closed:
-            try:
-                yield self.env.timeout(config.heartbeat_interval)
-            except Interrupt:
-                return
-            if conn.closed:
-                return
-            if conn.parked:
-                continue  # the park loop owns probing until resume
-            now = self.env.now
-            last = conn.last_inbound_at
-            if last is not None and now - last < config.heartbeat_interval:
-                # Inbound traffic within the window is liveness enough.
+        try:
+            while not conn.closed:
+                try:
+                    yield self.env.timeout(config.heartbeat_interval)
+                except Interrupt:
+                    return
+                if conn.closed:
+                    return
+                if conn.parked:
+                    continue  # the park loop owns probing until resume
+                now = self.env.now
+                last = conn.last_inbound_at
+                if last is not None and now - last < config.heartbeat_interval:
+                    # Inbound traffic within the window is liveness enough.
+                    state.misses = 0
+                    continue
+                dst = conn.peer or conn.last_src
+                if dst is None:
+                    continue
+                probe_at = now
+                if not self._probe(state, dst):
+                    continue
+                try:
+                    yield self.env.timeout(
+                        state.rtt.rto(config.min_rto, config.max_rto)
+                    )
+                except Interrupt:
+                    return
+                if conn.closed:
+                    return
+                if (
+                    conn.last_inbound_at is not None
+                    and conn.last_inbound_at >= probe_at
+                ):
+                    state.misses = 0
+                    continue
+                state.misses += 1
+                if state.misses < config.miss_threshold:
+                    continue
                 state.misses = 0
-                continue
-            dst = conn.peer or conn.last_src
-            if dst is None:
-                continue
-            probe_at = now
-            if not self._probe(state, dst):
-                continue
-            try:
-                yield self.env.timeout(
-                    state.rtt.rto(config.min_rto, config.max_rto)
-                )
-            except Interrupt:
-                return
-            if conn.closed:
-                return
-            if (
-                conn.last_inbound_at is not None
-                and conn.last_inbound_at >= probe_at
-            ):
-                state.misses = 0
-                continue
-            state.misses += 1
-            if state.misses < config.miss_threshold:
-                continue
-            state.misses = 0
-            yield from self._failover(state, dst)
+                yield from self._failover(state, dst)
+        finally:
+            # A closed connection's state (and the connection, endpoint and
+            # probes it holds) must not outlive its watcher.
+            if self._states.get(key) is state:
+                del self._states[key]
 
     def _probe(self, state: _WatchState, dst: Address) -> bool:
         conn = state.conn

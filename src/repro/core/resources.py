@@ -12,7 +12,7 @@ built-in devices are exposed as constants.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 __all__ = [
     "ResourceVector",
@@ -109,14 +109,6 @@ class ResourceVector(Mapping[str, float]):
     def from_wire(cls, data: Mapping[str, float] | None) -> "ResourceVector":
         """Inverse of :meth:`to_wire`."""
         return cls(data or {})
-
-    @classmethod
-    def union_names(cls, vectors: Iterable["ResourceVector"]) -> set[str]:
-        """All resource names mentioned by any vector."""
-        names: set[str] = set()
-        for vector in vectors:
-            names.update(vector)
-        return names
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResourceVector):

@@ -22,9 +22,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..errors import NegotiationError
-from .chunnel import ChunnelImpl, ChunnelSpec, ChunnelStage, Message, Offer, Role
+from .chunnel import ChunnelSpec, ChunnelStage, Message, Offer, Role
 from .dag import ChunnelDag
-from .registry import ImplCatalog
 from .wire import EPOCH_HEADER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -34,13 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from .leases import LeaseHandle
     from .runtime import Runtime
 
-__all__ = [
-    "SetupContext",
-    "ChunnelStack",
-    "instantiate_impls",
-    "build_stages",
-    "build_stage_map",
-]
+__all__ = ["SetupContext", "ChunnelStack"]
 
 
 @dataclass
@@ -90,49 +83,6 @@ class SetupContext:
                 "only the server side selects the connection transport"
             )
         self.params["transport"] = transport
-
-
-def instantiate_impls(
-    dag: ChunnelDag, choice: dict[int, Offer], catalog: ImplCatalog
-) -> dict[int, ChunnelImpl]:
-    """Create one implementation instance per DAG node from the catalog."""
-    impls: dict[int, ChunnelImpl] = {}
-    for node_id in dag.topological_order():
-        offer = choice.get(node_id)
-        if offer is None:
-            raise NegotiationError(f"negotiation chose nothing for node {node_id}")
-        spec = dag.nodes[node_id]
-        impls[node_id] = catalog.instantiate(
-            offer.meta.chunnel_type, offer.meta.name, spec, location=offer.location
-        )
-    return impls
-
-
-def build_stages(
-    dag: ChunnelDag, impls: dict[int, ChunnelImpl], role: Role
-) -> list[ChunnelStage]:
-    """The in-process stages for ``role``, application side first."""
-    stages: list[ChunnelStage] = []
-    for node_id in dag.topological_order():
-        stage = impls[node_id].make_stage(role)
-        if stage is not None:
-            stages.append(stage)
-    return stages
-
-
-def build_stage_map(
-    dag: ChunnelDag, impls: dict[int, ChunnelImpl], role: Role
-) -> dict[int, Optional[ChunnelStage]]:
-    """Per-node stages for ``role`` (None where the impl runs elsewhere).
-
-    Live reconfiguration needs the node→stage association so an unchanged
-    node's stage object — and its in-flight state — carries over into the
-    next epoch's stack instead of being rebuilt.
-    """
-    return {
-        node_id: impls[node_id].make_stage(role)
-        for node_id in dag.topological_order()
-    }
 
 
 class ChunnelStack:

@@ -458,13 +458,6 @@ class DiscoveryShardTier:
                 return replica
         raise LookupError(f"shard {shard_id}: primary {address} not found")
 
-    def replica_at(self, address: Address) -> Optional[ShardReplica]:
-        for replicas in self.shards:
-            for replica in replicas:
-                if replica.address == address:
-                    return replica
-        return None
-
     # -- operator API ----------------------------------------------------------
     def seed_record(self, meta: ImplMeta, location: str) -> ImplementationRecord:
         """Boot-time registration, applied directly on every replica of

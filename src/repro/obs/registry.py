@@ -244,13 +244,6 @@ class MetricsRegistry:
         """
         self._sources.pop(name, None)
 
-    def unregister_prefix(self, prefix: str) -> int:
-        """Drop every source under ``prefix``; returns how many."""
-        doomed = [name for name in self._sources if name.startswith(prefix)]
-        for name in doomed:
-            del self._sources[name]
-        return len(doomed)
-
     def bind_stats(self, prefix: str, stats: Any, replace: bool = False) -> None:
         """Register every ``RpcStats`` field of ``stats`` under
         ``<prefix>.<field>`` (round_trips, retransmits_total, late_replies,

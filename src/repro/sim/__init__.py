@@ -37,7 +37,6 @@ from .pcie import PcieBus
 from .programs import LossProgram, PacketAction, PacketProgram, ProgramResult
 from .resources import Station, Store, TokenResource
 from .switch import ProgrammableSwitch, SwitchProgramFootprint
-from .trace import PathSummary, TapProgram, TapRecord, summarize_paths
 from .transport import PipeSocket, SimSocket, TcpLoopbackSocket, UdpSocket
 
 __all__ = [
@@ -66,7 +65,6 @@ __all__ = [
     "Nic",
     "PacketAction",
     "PacketProgram",
-    "PathSummary",
     "PcieBus",
     "PipeSocket",
     "Process",
@@ -79,13 +77,10 @@ __all__ = [
     "SmartNic",
     "Station",
     "Store",
-    "TapProgram",
-    "TapRecord",
     "SwitchProgramFootprint",
     "TcpLoopbackSocket",
     "Timeout",
     "TokenResource",
     "UdpSocket",
-    "summarize_paths",
     "US",
 ]

@@ -59,7 +59,7 @@ class Datagram:
         Bytes or an application object.
     size:
         Wire size in bytes.  Chunnels that change representation (serialize,
-        compress, encrypt framing) must update it.
+        encrypt, http2 framing) must update it.
     headers:
         Chunnel metadata travelling with the datagram.
     """

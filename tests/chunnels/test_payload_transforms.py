@@ -1,12 +1,8 @@
-"""Tests for encrypt, compress, http2 framing, tcp, tls, and batching."""
+"""Tests for encrypt, http2 framing, tcp, and tls."""
 
 import pytest
 
 from repro.chunnels import (
-    Batch,
-    BatchFallback,
-    Compress,
-    CompressFallback,
     Encrypt,
     EncryptFallback,
     Http2,
@@ -122,57 +118,6 @@ class TestEncryptChunnel:
         assert request.payload == {"nested": [1, 2, 3]}
 
 
-class TestCompressChunnel:
-    def test_compressible_payload_shrinks_on_wire(self):
-        pair = build_pair(
-            wrap(Compress()),
-            client_impls=[CompressFallback],
-            server_impls=[CompressFallback],
-        )
-
-        def scenario(env):
-            yield from connect(pair)
-            payload = b"A" * 10_000
-            pair.client_conn.send(payload, size=len(payload))
-            msg = yield pair.server_conn.recv()
-            stage = pair.client_conn.stack.stages[0]
-            return msg.payload, stage.bytes_in, stage.bytes_out
-
-        payload, bytes_in, bytes_out = run(pair.env, scenario(pair.env))
-        assert payload == b"A" * 10_000
-        assert bytes_out < bytes_in / 10
-
-    def test_incompressible_payload_sent_raw(self):
-        import os
-
-        random_blob = bytes(os.urandom(0) or b"")  # placeholder, replaced below
-        import hashlib
-
-        random_blob = b"".join(
-            hashlib.sha256(bytes([i])).digest() for i in range(32)
-        )
-        pair = build_pair(
-            wrap(Compress()),
-            client_impls=[CompressFallback],
-            server_impls=[CompressFallback],
-        )
-
-        def scenario(env):
-            yield from connect(pair)
-            pair.client_conn.send(random_blob, size=len(random_blob))
-            msg = yield pair.server_conn.recv()
-            stage = pair.client_conn.stack.stages[0]
-            return msg.payload, stage.incompressible
-
-        payload, incompressible = run(pair.env, scenario(pair.env))
-        assert payload == random_blob
-        assert incompressible == 1
-
-    def test_level_validation(self):
-        with pytest.raises(ChunnelArgumentError):
-            Compress(level=0)
-
-
 class TestHttp2Framing:
     def test_frame_roundtrip(self):
         _pair, request, _reply = echo_once(
@@ -285,105 +230,6 @@ class TestTlsChunnel:
         ]
         assert wire_payloads
         assert b"secret-1" not in wire_payloads
-
-
-class TestBatchChunnel:
-    def make(self, max_messages=3, max_delay=1e-3):
-        return build_pair(
-            wrap(Batch(max_messages=max_messages, max_delay=max_delay)),
-            client_impls=[BatchFallback],
-            server_impls=[BatchFallback],
-        )
-
-    def test_full_batch_flushes_immediately(self):
-        pair = self.make(max_messages=3)
-
-        def scenario(env):
-            yield from connect(pair)
-            for index in range(3):
-                pair.client_conn.send(b"m%d" % index, size=2)
-            got = []
-            for _ in range(3):
-                msg = yield pair.server_conn.recv()
-                got.append(bytes(msg.payload))
-            stage = pair.client_conn.stack.stages[0]
-            return got, stage.batches_sent
-
-        got, batches = run(pair.env, scenario(pair.env))
-        assert got == [b"m0", b"m1", b"m2"]
-        assert batches == 1
-
-    def test_timer_flushes_partial_batch(self):
-        pair = self.make(max_messages=100, max_delay=2e-4)
-
-        def scenario(env):
-            yield from connect(pair)
-            start = env.now
-            pair.client_conn.send(b"solo", size=4)
-            msg = yield pair.server_conn.recv()
-            return bytes(msg.payload), env.now - start
-
-        payload, elapsed = run(pair.env, scenario(pair.env))
-        assert payload == b"solo"
-        assert elapsed >= 2e-4
-
-    def test_one_wire_datagram_per_batch(self):
-        pair = self.make(max_messages=4)
-        wire_count = [0]
-        original_transmit = pair.net.transmit
-
-        def spy(dgram, after=0.0):
-            if dgram.headers.get("batch"):
-                wire_count[0] += 1
-            original_transmit(dgram, after)
-
-        pair.net.transmit = spy
-
-        def scenario(env):
-            yield from connect(pair)
-            for index in range(4):
-                pair.client_conn.send(b"%d" % index, size=1)
-            for _ in range(4):
-                yield pair.server_conn.recv()
-            return wire_count[0]
-
-        assert run(pair.env, scenario(pair.env)) == 1
-
-    def test_batches_keyed_by_destination(self):
-        """Messages to different destinations must not share a batch."""
-        from repro.core import Message
-        from repro.core.chunnel import Role
-        from repro.chunnels.batching import _BatchStage
-
-        from repro.sim import Environment
-
-        class FakeStack:
-            def __init__(self):
-                self.env = Environment()
-                self.sent = []
-                self.connection = None
-
-            def charge(self, seconds):
-                pass
-
-        stage = _BatchStage(BatchFallback(Batch(max_messages=2)), Role.CLIENT)
-        stack = FakeStack()
-        stage._stack = stack
-        stage._index = 0
-        from repro.sim import Address
-
-        a, b = Address("x", 1), Address("y", 1)
-        assert list(stage.on_send(Message(payload=b"1", dst=a))) == []
-        assert list(stage.on_send(Message(payload=b"2", dst=b))) == []
-        flushed = list(stage.on_send(Message(payload=b"3", dst=a)))
-        assert len(flushed) == 1
-        assert flushed[0].dst == a
-
-    def test_spec_validation(self):
-        with pytest.raises(ChunnelArgumentError):
-            Batch(max_messages=0)
-        with pytest.raises(ChunnelArgumentError):
-            Batch(max_delay=0)
 
 
 class TestTcpWindow:

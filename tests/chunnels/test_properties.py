@@ -3,8 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chunnels import HashBytes, HashKeyField, keystream_cipher
-from repro.chunnels.batching import Batch, BatchFallback, _BatchStage
+from repro.chunnels import HashBytes, keystream_cipher
 from repro.chunnels.ordering import Ordered, OrderedFallback, _OrderedStage
 from repro.core import ChunnelDag, Message, wrap
 from repro.core.chunnel import Role
@@ -46,10 +45,6 @@ class TestShardFunctionProperties:
     def test_hash_bytes_deterministic(self, payload):
         fn = HashBytes(2, 8)
         assert fn.bucket(payload, {}, 7) == fn.bucket(payload, {}, 7)
-
-    @given(st.text(min_size=1, max_size=32), st.integers(min_value=1, max_value=9))
-    def test_hash_key_field_in_range(self, key, n):
-        assert 0 <= HashKeyField("k").bucket({"k": key}, {}, n) < n
 
 
 class TestCipherProperties:
@@ -106,31 +101,6 @@ class TestOrderingProperty:
             )
         assert len(released) == len(set(released))
         assert released == sorted(released)
-
-
-class TestBatchingProperty:
-    @given(
-        st.lists(st.binary(min_size=1, max_size=32), min_size=1, max_size=8)
-    )
-    @settings(max_examples=40)
-    def test_batch_then_unbatch_is_identity(self, payloads):
-        sender = _BatchStage(
-            BatchFallback(Batch(max_messages=len(payloads))), Role.CLIENT
-        )
-        attach(sender)
-        receiver = _BatchStage(BatchFallback(Batch()), Role.SERVER)
-        attach(receiver)
-        dst = Address("x", 1)
-        merged = []
-        for payload in payloads:
-            merged.extend(
-                sender.on_send(Message(payload=payload, dst=dst))
-            )
-        assert len(merged) == 1  # exactly one wire datagram
-        out = []
-        for wire_msg in merged:
-            out.extend(receiver.on_recv(wire_msg))
-        assert [bytes(m.payload) for m in out] == payloads
 
 
 class TestDagProperties:

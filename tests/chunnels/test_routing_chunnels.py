@@ -1,13 +1,9 @@
-"""Tests for sharding, load balancing, local fast path, and anycast."""
+"""Tests for sharding, local fast path, and anycast instance selection."""
 
 import pytest
 
 from repro.chunnels import (
     HashBytes,
-    HashKeyField,
-    LoadBalance,
-    LoadBalanceClient,
-    LoadBalanceProxy,
     LocalOrRemote,
     Shard,
     ShardClientFallback,
@@ -22,7 +18,6 @@ from repro.errors import ChunnelArgumentError
 from repro.sim import Address, Network, UdpSocket
 
 from ..conftest import run
-from .helpers import build_pair, connect
 
 
 class TestShardFunctions:
@@ -43,12 +38,6 @@ class TestShardFunctions:
         with pytest.raises(ChunnelArgumentError):
             HashBytes().bucket({"key": "x"}, {}, 3)
 
-    def test_hash_key_field(self):
-        fn = HashKeyField("key")
-        assert fn.bucket({"key": "abc"}, {}, 5) == fn.bucket({"key": "abc"}, {}, 5)
-        with pytest.raises(ChunnelArgumentError):
-            fn.bucket(b"bytes", {}, 5)
-
     def test_buckets_cover_range(self):
         fn = HashBytes(0, 4)
         buckets = {fn.bucket(b"%04d" % i, {}, 3) for i in range(200)}
@@ -58,7 +47,7 @@ class TestShardFunctions:
         with pytest.raises(ChunnelArgumentError):
             HashBytes(offset=-1)
         with pytest.raises(ChunnelArgumentError):
-            HashKeyField("")
+            HashBytes(length=0)
         with pytest.raises(ChunnelArgumentError):
             Shard(choices=[])
 
@@ -191,116 +180,6 @@ class TestShardingPlacements:
         count, ports = run(net.env, scenario(net.env))
         assert count == 1  # one program, two watched ports
         assert len(ports) == 2
-
-
-class TestLoadBalance:
-    def make(self, strategy="round_robin", client_side=True):
-        backends = [Address("srv", 7201), Address("srv", 7202)]
-        impls = [LoadBalanceClient] if client_side else []
-        pair = build_pair(
-            wrap(LoadBalance(backends=backends, strategy=strategy)),
-            client_impls=impls,
-            server_impls=[LoadBalanceProxy],
-        )
-        served = []
-
-        def backend_loop(env, sock):
-            while True:
-                dgram = yield sock.recv()
-                served.append(sock.port)
-                reply_to = dgram.headers.get("shard_reply_to")
-                dst = (
-                    Address(reply_to[0], reply_to[1]) if reply_to else dgram.src
-                )
-                sock.send(b"done", dst, size=4)
-
-        for port in (7201, 7202):
-            sock = UdpSocket(pair.net.hosts["srv"], port)
-            pair.env.process(backend_loop(pair.env, sock))
-        return pair, served
-
-    def request_n(self, pair, n):
-        def scenario(env):
-            yield from connect(pair)
-            node = pair.client_conn.dag.find("loadbalance")[0]
-            impl = type(pair.client_conn.impls[node]).__name__
-            for index in range(n):
-                pair.client_conn.send(b"req%d" % index, size=8)
-                yield pair.client_conn.recv()
-            return impl
-
-        return run(pair.env, scenario(pair.env))
-
-    def test_client_side_round_robin(self):
-        pair, served = self.make()
-        impl = self.request_n(pair, 6)
-        assert impl == "LoadBalanceClient"
-        assert served.count(7201) == 3
-        assert served.count(7202) == 3
-
-    def test_proxy_side_when_client_lacks_impl(self):
-        pair, served = self.make(client_side=False)
-        impl = self.request_n(pair, 4)
-        assert impl == "LoadBalanceProxy"
-        assert len(served) == 4
-
-    def test_validation(self):
-        with pytest.raises(ChunnelArgumentError):
-            LoadBalance(backends=[])
-        with pytest.raises(ChunnelArgumentError):
-            LoadBalance(backends=[Address("x", 1)], strategy="magic")
-
-    def test_client_side_hash_source_pins_one_backend(self):
-        from repro.chunnels.loadbalance import _ClientBalanceStage
-
-        pair, served = self.make(strategy="hash_source")
-        impl = self.request_n(pair, 6)
-        assert impl == "LoadBalanceClient"
-        # Source affinity: every request from this connection lands on the
-        # same backend (regression: the hash used to degenerate to
-        # round-robin because the source was read before the socket bound).
-        assert len(set(served)) == 1
-        assert len(served) == 6
-        stage = next(
-            s
-            for s in pair.client_conn.stack.stages
-            if isinstance(s, _ClientBalanceStage)
-        )
-        assert stage.affinity_picks == 6
-        assert stage.requests_balanced == 6
-
-    def test_proxy_side_hash_source_pins_one_backend(self):
-        from repro.chunnels.loadbalance import _ProxyBalanceStage
-
-        pair, served = self.make(strategy="hash_source", client_side=False)
-        impl = self.request_n(pair, 6)
-        assert impl == "LoadBalanceProxy"
-        assert len(set(served)) == 1
-        assert len(served) == 6
-        stage = next(
-            s
-            for s in pair.server_conn.stack.stages
-            if isinstance(s, _ProxyBalanceStage)
-        )
-        # Every proxied request carried a source, so no dead reply paths.
-        assert stage.proxied_without_source == 0
-        assert stage.requests_proxied == 6
-
-    def test_hash_source_without_source_falls_back_to_round_robin(self):
-        from repro.chunnels.loadbalance import _BalanceState
-
-        backends = [Address("srv", 7201), Address("srv", 7202)]
-        state = _BalanceState(
-            LoadBalance(backends=backends, strategy="hash_source")
-        )
-        first, affine_first = state.pick(None)
-        second, affine_second = state.pick(None)
-        assert not affine_first and not affine_second
-        assert {first, second} == set(backends)
-        # A known source flips it back to affine picks.
-        pinned, affine = state.pick(Address("cl", 9000))
-        assert affine
-        assert state.pick(Address("cl", 9000)) == (pinned, True)
 
 
 class TestInstanceSelection:

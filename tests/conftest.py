@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 import pytest
 
-from repro.core import Runtime
+import repro.chunnels  # noqa: F401 - populates the catalog
+from repro.core import Runtime, catalog
 from repro.core.stack import ChunnelStack
 from repro.core.wire import wire_kind
 from repro.discovery import DiscoveryService
@@ -162,6 +163,16 @@ def assert_no_stage_ran_before_its_verdict(net: Network, receives: list) -> None
         and (verdicts[seen.conn_id] is None or seen.time < verdicts[seen.conn_id])
     ]
     assert early == []
+
+
+def builtin_catalog() -> dict:
+    """The catalog's ``(type, impl) → class`` entries from the library
+    itself (tests may add app-private implementations to it)."""
+    return {
+        key: cls
+        for key, cls in catalog._classes.items()
+        if cls.__module__.startswith("repro.")
+    }
 
 
 def run(env: Environment, generator, until: float = 5.0):

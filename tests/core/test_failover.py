@@ -246,6 +246,33 @@ class TestParking:
         assert conn.blackout > 0
 
 
+class TestWatcherLifetime:
+    def test_closed_connections_leave_no_watch_state(self):
+        net, recorders, client_rt = build_world(servers=1)
+        env = net.env
+
+        def scenario():
+            yield env.timeout(1e-3)
+            endpoint = client_rt.new("short", dag())
+            closed = []
+            for index in range(5):
+                conn = yield from endpoint.connect("flow", deadline=10e-3)
+                conn.send(f"short-{index}".encode(), size=64)
+                yield env.timeout(500e-6)
+                conn.close()
+                closed.append(conn.conn_id)
+            live = yield from endpoint.connect("flow", deadline=10e-3)
+            # Every closed connection's watcher wakes within one heartbeat
+            # interval and returns.
+            yield env.timeout(4 * LIVENESS.heartbeat_interval)
+            return closed, live
+
+        closed, live = drive(net, scenario(), until=60e-3)
+        states = client_rt.failover._states
+        assert not set(closed) & set(states)
+        assert list(states) == [live.conn_id]
+
+
 class TestFalsePositives:
     def test_no_suspicion_at_twenty_percent_loss_without_crashes(self):
         # The library-default liveness tuning is the one that carries the

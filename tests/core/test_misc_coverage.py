@@ -143,29 +143,6 @@ class TestServerDiscoveryTtl:
         assert impl == "SerializeAccelerated"
 
 
-class TestLoadBalanceHashSource:
-    def test_source_affinity(self):
-        from repro.chunnels.loadbalance import LoadBalance, _BalanceState
-
-        backends = [Address("srv", 1), Address("srv", 2), Address("srv", 3)]
-        state = _BalanceState(LoadBalance(backends=backends, strategy="hash_source"))
-        a = Address("client-a", 40000)
-        b = Address("client-b", 40000)
-        assert state.pick(a) == state.pick(a)  # sticky per source
-        assert state.pick(a)[1] is True  # the hash actually applied
-        assert state.pick(None)[1] is False  # unknown source: round-robin
-        picks = {state.pick(addr)[0].port for addr in (a, b)}
-        assert picks  # well-defined; may or may not collide
-
-    def test_round_robin_cycles(self):
-        from repro.chunnels.loadbalance import LoadBalance, _BalanceState
-
-        backends = [Address("srv", 1), Address("srv", 2)]
-        state = _BalanceState(LoadBalance(backends=backends))
-        ports = [state.pick(None)[0].port for _ in range(4)]
-        assert ports == [1, 2, 1, 2]
-
-
 class TestCodecImplInterop:
     def test_sw_and_fpga_share_the_wire_format(self):
         """Negotiation may bind different serializer implementations at the

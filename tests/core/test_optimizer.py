@@ -122,21 +122,21 @@ class TestReorder:
         assert encrypt_spec.args["key_id"] == "k9"
 
     def test_oversized_chain_rejected(self):
-        from repro.chunnels import Anycast, Batch, Compress, LocalOrRemote, Tls
+        from repro.chunnels import Anycast, LocalOrRemote, Ordered, RateLimit, Tls
 
         specs = [
             Serialize(),
-            Compress(),
+            Ordered(),
             Encrypt(),
             Http2(),
             Tcp(),
             Tls(),
-            Batch(),
+            RateLimit(bytes_per_second=1e6),
             LocalOrRemote(),
             Anycast(),
         ]
         dag = wrap(*specs)
-        with pytest.raises(DagError):
+        with pytest.raises(DagError, match="9-stage chain"):
             DagOptimizer().optimize(dag, offloadable={"encrypt"})
 
 

@@ -95,10 +95,9 @@ class TestChunnelSpecOnWire:
         assert decoded.choices == [Address("w", 1)]
 
     def test_shard_functions_roundtrip(self):
-        from repro.chunnels import HashBytes, HashKeyField
+        from repro.chunnels import HashBytes
 
         assert decode(encode(HashBytes(3, 8))) == HashBytes(3, 8)
-        assert decode(encode(HashKeyField("k"))) == HashKeyField("k")
 
     def test_lambda_shard_function_rejected(self):
         """Negotiation payloads are data; arbitrary code cannot travel."""

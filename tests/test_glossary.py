@@ -20,6 +20,8 @@ from repro.core import (
 )
 from repro.sim import ProgrammableSwitch, SmartNic
 
+from .conftest import builtin_catalog
+
 
 class TestGlossaryTerms:
     def test_chunnel_is_spec_plus_impl(self):
@@ -38,24 +40,8 @@ class TestGlossaryTerms:
     def test_fallback_implementations_for_every_builtin_type(self):
         """Host fallback (§2's requirement): every built-in Chunnel type has
         at least one HOST_SOFTWARE implementation in the catalog."""
-        import repro.chunnels  # noqa: F401 - populates the catalog
-
-        types = {
-            "serialize",
-            "reliable",
-            "ordered",
-            "encrypt",
-            "compress",
-            "http2",
-            "tcp",
-            "tls",
-            "shard",
-            "ordered_mcast",
-            "local_or_remote",
-            "loadbalance",
-            "batch",
-            "ratelimit",
-        }
+        types = {chunnel_type for chunnel_type, _name in builtin_catalog()}
+        assert len(types) == 15
         for chunnel_type in types:
             impls = catalog.implementations_of(chunnel_type)
             assert impls, f"no implementations of {chunnel_type!r}"

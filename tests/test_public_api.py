@@ -1,5 +1,5 @@
-"""Public-API hygiene: exports resolve, errors form one hierarchy, and the
-advertised entry points behave."""
+"""Public-API hygiene: the surface record, exports resolve, errors form one
+hierarchy, and the advertised entry points behave."""
 
 import importlib
 
@@ -8,20 +8,303 @@ import pytest
 import repro
 from repro import errors
 
+from .conftest import builtin_catalog
+
+#: The sorted ``__all__`` of every library package: the public surface.
+#: A change here is a change to what users can import; record it in
+#: CHANGES.md.
+PUBLIC_SURFACE = {
+    "repro.core": [
+        "Allocation",
+        "ChunnelDag",
+        "ChunnelImpl",
+        "ChunnelRegistry",
+        "ChunnelSpec",
+        "ChunnelStack",
+        "ChunnelStage",
+        "ChunnelTraits",
+        "Connection",
+        "DagOptimizer",
+        "DefaultPolicy",
+        "DrfScheduler",
+        "Endpoint",
+        "Endpoints",
+        "FirstFitScheduler",
+        "ImplCatalog",
+        "ImplMeta",
+        "Listener",
+        "Message",
+        "NIC_SLOTS",
+        "Offer",
+        "OffloadRequest",
+        "OffloadScheduler",
+        "OptimizationResult",
+        "OptimizationStep",
+        "Placement",
+        "Policy",
+        "PolicyContext",
+        "PreferPlacementPolicy",
+        "PreferServerPolicy",
+        "PriorityFirstPolicy",
+        "PriorityScheduler",
+        "ResourceVector",
+        "Role",
+        "Runtime",
+        "SWITCH_SRAM_KB",
+        "SWITCH_STAGES",
+        "Scope",
+        "SetupContext",
+        "SplitProxy",
+        "XDP_SHARE",
+        "catalog",
+        "count_device_crossings",
+        "decide",
+        "decode",
+        "default_traits",
+        "encode",
+        "feasible_offers",
+        "register_spec",
+        "register_wire_type",
+        "wrap",
+    ],
+    "repro.chunnels": [
+        "Anycast",
+        "AnycastDns",
+        "AnycastIp",
+        "BincodeCodec",
+        "Codec",
+        "Encrypt",
+        "EncryptFallback",
+        "EncryptSmartNic",
+        "FRAME_HEADER_SIZE",
+        "FanIn",
+        "FanInHost",
+        "FanInSwitch",
+        "GAP_HEADER",
+        "GROUP_HEADER",
+        "GroupSequencer",
+        "HashBytes",
+        "Http2",
+        "Http2Fallback",
+        "JsonCodec",
+        "KvCache",
+        "KvCacheHostPath",
+        "KvCacheSwitch",
+        "LocalOrRemote",
+        "LocalOrRemoteFallback",
+        "MULTIPATH_TUNNEL_HEADER",
+        "McastSequencerFallback",
+        "McastSwitchSequencer",
+        "MultipathWeighted",
+        "Ordered",
+        "OrderedFallback",
+        "OrderedMcast",
+        "REPLY_TO_HEADER",
+        "RateLimit",
+        "RateLimitFallback",
+        "Reliable",
+        "ReliableFallback",
+        "ReliableToe",
+        "SEQ_HEADER",
+        "SequencerProgram",
+        "Serialize",
+        "SerializeAccelerated",
+        "SerializeFallback",
+        "Shard",
+        "ShardClientFallback",
+        "ShardFunction",
+        "ShardServerFallback",
+        "ShardSwitch",
+        "ShardXdp",
+        "SwitchFanInProgram",
+        "SwitchKvCacheReader",
+        "SwitchKvCacheWriter",
+        "Tcp",
+        "TcpFallback",
+        "TcpToe",
+        "Tls",
+        "TlsFallback",
+        "TlsSmartNic",
+        "WeightedMultipath",
+        "XdpShardProgram",
+        "combine_replies",
+        "get_codec",
+        "keystream_cipher",
+        "nearest_instance",
+        "register_codec",
+        "sequencer_service_name",
+        "split_combined_value",
+    ],
+    "repro.sim": [
+        "Address",
+        "AllOf",
+        "AnyOf",
+        "ChaosController",
+        "ChaosEvent",
+        "Container",
+        "CostModel",
+        "Datagram",
+        "Environment",
+        "Event",
+        "FaultDecision",
+        "FaultPlan",
+        "GBPS",
+        "Host",
+        "Interrupt",
+        "Link",
+        "LossProgram",
+        "MBPS",
+        "MS",
+        "NameService",
+        "NetEntity",
+        "Network",
+        "Nic",
+        "PacketAction",
+        "PacketProgram",
+        "PcieBus",
+        "PipeSocket",
+        "Process",
+        "ProgramResult",
+        "ProgrammableSwitch",
+        "SRCROUTE_HEADER",
+        "ServiceRecord",
+        "SimSocket",
+        "SimulationError",
+        "SmartNic",
+        "Station",
+        "Store",
+        "SwitchProgramFootprint",
+        "TcpLoopbackSocket",
+        "Timeout",
+        "TokenResource",
+        "US",
+        "UdpSocket",
+    ],
+    "repro.apps": [
+        "EchoServer",
+        "KV_SHARD_FN",
+        "KvClient",
+        "KvCodec",
+        "KvServer",
+        "PingResult",
+        "QuorumError",
+        "RsmClient",
+        "RsmReplica",
+        "ShardWorker",
+        "kv_request",
+        "kv_response",
+        "ping_connection",
+        "ping_session",
+    ],
+    "repro.discovery": [
+        "DEFAULT_DISCOVERY_PORT",
+        "DEFAULT_ROUTER_PORT",
+        "DEFAULT_RSM_PORT",
+        "DirectDiscoveryClient",
+        "DiscoveryClientBase",
+        "DiscoveryService",
+        "DiscoveryShardTier",
+        "ImplementationRecord",
+        "Lease",
+        "NullDiscoveryClient",
+        "QueryResult",
+        "RemoteDiscoveryClient",
+        "ShardInfo",
+        "ShardMap",
+        "ShardReplica",
+        "ShardRouter",
+        "ShardedDiscoveryClient",
+    ],
+    "repro.workloads": [
+        "ArrivalProcess",
+        "DeterministicArrivals",
+        "KeyChooser",
+        "LatestChooser",
+        "PoissonArrivals",
+        "ScrambledZipfianChooser",
+        "UniformChooser",
+        "WORKLOAD_MIXES",
+        "WorkloadSpec",
+        "YcsbWorkload",
+        "ZipfianChooser",
+        "closed_loop_gaps",
+        "make_chooser",
+        "zipf_pmf",
+    ],
+    "repro.baselines": [
+        "pipe_echo_server",
+        "pipe_ping_session",
+        "tcp_echo_server",
+        "tcp_ping_session",
+        "udp_echo_server",
+        "udp_ping_session",
+    ],
+    "repro.obs": [
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "MetricsSnapshot",
+        "Span",
+        "TraceLog",
+        "current_registry",
+        "set_current_registry",
+    ],
+    "repro.reconfig": [
+        "DeviceFailureDetector",
+        "DiscoveryWatcher",
+        "LoadMonitor",
+        "PathQualityMonitor",
+        "ReconfigManager",
+        "TransitionRecord",
+    ],
+}
+
+#: Every ``(chunnel type, impl name)`` the built-in library catalogues.
+CATALOG = [
+    ("anycast", "dns"),
+    ("anycast", "ip"),
+    ("encrypt", "nic-crypto"),
+    ("encrypt", "sw"),
+    ("fanin", "host-gather"),
+    ("fanin", "switch-agg"),
+    ("http2", "sw"),
+    ("kvcache", "host-path"),
+    ("kvcache", "switch"),
+    ("local_or_remote", "sw"),
+    ("multipath", "weighted"),
+    ("ordered", "sw"),
+    ("ordered_mcast", "host-sequencer"),
+    ("ordered_mcast", "switch-sequencer"),
+    ("ratelimit", "sw"),
+    ("reliable", "sw"),
+    ("reliable", "toe"),
+    ("serialize", "fpga"),
+    ("serialize", "sw"),
+    ("shard", "client-push"),
+    ("shard", "p4"),
+    ("shard", "server-fallback"),
+    ("shard", "xdp"),
+    ("tcp", "sw"),
+    ("tcp", "toe"),
+    ("tls", "nic-tls"),
+    ("tls", "sw"),
+]
+
+
+class TestSurfaceRecord:
+    @pytest.mark.parametrize("module_name", sorted(PUBLIC_SURFACE))
+    def test_exports_match_the_record(self, module_name):
+        module = importlib.import_module(module_name)
+        assert sorted(module.__all__) == PUBLIC_SURFACE[module_name]
+
+    def test_catalog_matches_the_record(self):
+        assert sorted(builtin_catalog()) == CATALOG
+
 
 class TestExports:
     @pytest.mark.parametrize(
-        "module_name",
-        [
-            "repro.core",
-            "repro.chunnels",
-            "repro.discovery",
-            "repro.sim",
-            "repro.apps",
-            "repro.workloads",
-            "repro.baselines",
-            "repro.experiments",
-        ],
+        "module_name", sorted([*PUBLIC_SURFACE, "repro.experiments"])
     )
     def test_all_names_resolve(self, module_name):
         module = importlib.import_module(module_name)
