@@ -101,11 +101,12 @@ def build_binding(
     node id → the lease reference taken for it; each built node's context
     carries its own, to be given back when that node's binding goes.
 
-    Both live-update paths ride this carry-over: the reconfiguration
-    engine rebuilds only the nodes whose choice changed, and the failover
-    engine (:mod:`repro.core.failover`) rebuilds against a *standby's*
-    accept while unchanged stages — including the reliability stage whose
-    unacked window must survive the migration — carry straight over.
+    Every epoch change rides this carry-over: the reconfiguration engine
+    rebuilds only the nodes whose choice changed, whether a transition
+    re-decided them or a migration (:mod:`repro.core.failover`) took a
+    *standby's* accept, while unchanged stages — including the reliability
+    stage whose unacked window must survive the migration — carry straight
+    over.
 
     Returns ``(impls, contexts, stage_map)`` where ``contexts`` maps node
     id → :class:`SetupContext` and ``stage_map`` maps node id → stage (or

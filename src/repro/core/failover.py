@@ -18,13 +18,17 @@ The per-probe wait adapts to the observed probe RTT (the shared
 retransmit timers (the unacked window is the connection's transport
 state; draining retry budgets against a dead peer would abandon messages
 a standby could still take), tag-evicts the suspected instance's cached
-negotiation results, re-resolves the service, renegotiates with a standby
-(one-RTT resume when the cache names a live instance — a herd of
-connections migrating off one dead host pays full negotiation once —
-falling back to a full offer/accept), rebinds the data socket under a
-fresh migration epoch, confirms with a ``bertha.migrate`` /
-``bertha.migrate_ack`` handshake, replays the frozen unacked window, and
-commits.  The replay delivers exactly once: the standby's receive-side
+negotiation results, and asks the connection's endpoint for a standby's
+binding (``Endpoint._renegotiate``: one-RTT resume when the cache names a
+live instance — a herd of connections migrating off one dead host pays
+full negotiation once — falling back to re-resolution and a full
+offer/accept).  The switch itself is the reconfiguration engine's one
+epoch change (:meth:`repro.reconfig.engine.ReconfigManager.migrate`,
+PROTOCOL.md §5.2): this module supplies only its handshake — rebind the
+data socket, confirm with ``bertha.migrate`` / ``bertha.migrate_ack``,
+replay the frozen unacked window before the commit — and, when that
+fails, points the connection back at the old peer and re-freezes the
+window.  The replay delivers exactly once: the standby's receive-side
 dedup table has never seen this sender's sequence numbers.  The whole
 attempt chain — discovery, negotiation, handshake — shares one
 elapsed-time budget (``migration_deadline``), threaded down as an
@@ -51,21 +55,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from ..errors import (
-    BerthaError,
-    ConnectionClosedError,
-    ConnectionTimeoutError,
-    TransportError,
-)
+from ..errors import BerthaError, ConnectionClosedError, TransportError
 from ..obs.registry import Histogram
-from ..reconfig.engine import _same_offer
-from ..sim.eventloop import Event, Interrupt
-from ..sim.transport import UdpSocket
+from ..sim.eventloop import Interrupt
 from ..sim.datagram import Address
 from . import messages as msgs
 from . import rpc
-from .establish import build_binding, make_data_socket, teardown_nodes
-from .wire import WireError
+from .establish import make_data_socket
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .connection import Connection
@@ -158,8 +154,6 @@ class FailoverManager:
         self.env = runtime.env
         self.config = config if config is not None else FailoverConfig()
         self._states: dict[str, _WatchState] = {}
-        #: (conn_id, epoch) → Event the pump fulfils with the MigrateAck.
-        self._migrate_waiters: dict[tuple, Event] = {}
         self.heartbeats_sent = 0
         self.heartbeat_acks = 0
         self.suspicions_total = 0
@@ -240,13 +234,6 @@ class FailoverManager:
             # processes intact (restart_host semantics), so the
             # connection resumes in place — no renegotiation needed.
             self._unpark(state, src)
-
-    def handle_migrate_ack(
-        self, conn: "Connection", message: "msgs.MigrateAck", src: Address
-    ) -> None:
-        waiter = self._migrate_waiters.get((conn.conn_id, message.epoch))
-        if waiter is not None and not waiter.triggered:
-            waiter.succeed(message)
 
     def _unpark(self, state: _WatchState, src: Address) -> None:
         conn = state.conn
@@ -358,18 +345,11 @@ class FailoverManager:
         frozen = self._freeze(conn)
         deadline = suspect_at + config.migration_deadline
         while not conn.closed and self.env.now < deadline:
-            try:
-                accept, ctl_addr, resumed = yield from self._renegotiate(
-                    state, deadline
-                )
-            except ConnectionTimeoutError:
+            found = yield from self._find_standby(state, deadline)
+            if found is None:
                 break
-            if accept is None:
-                break
-            ok = yield from self._adopt(
-                state, accept, ctl_addr, resumed, deadline, suspect_at
-            )
-            if ok:
+            if (yield from self._migrate(state, *found, deadline, suspect_at)):
+                accept, _ctl_addr, resumed = found
                 runtime.network.trace.finish(
                     span,
                     standby=accept.data_addr.host,
@@ -403,283 +383,85 @@ class FailoverManager:
             self._probe(state, dst)
             # And keep looking for a standby that registered since.
             deadline = self.env.now + config.migration_deadline
-            try:
-                accept, ctl_addr, resumed = yield from self._renegotiate(
-                    state, deadline
-                )
-            except ConnectionTimeoutError:
+            found = yield from self._find_standby(state, deadline)
+            if found is None or conn.closed or not conn.parked:
                 continue
-            if conn.closed or not conn.parked or accept is None:
-                continue
-            suspect_at = state.park_suspect_at
-            ok = yield from self._adopt(
-                state,
-                accept,
-                ctl_addr,
-                resumed,
-                deadline,
-                suspect_at if suspect_at is not None else self.env.now,
-            )
-            if ok:
+            since = state.park_suspect_at
+            if (yield from self._migrate(
+                state, *found, deadline, self.env.now if since is None else since
+            )):
                 conn.parked = False
                 state.park_suspect_at = None
         state.misses = 0
 
-    def _renegotiate(self, state: _WatchState, deadline: float):
-        """Generator → ``(accept, ctl_addr, resumed)`` or ``(None, ..)``.
-
-        One renegotiation attempt under a fresh migration conn id: the
-        cached-entry resume fast path first (one control RTT), then a
-        full re-resolution + offer/accept.
-        """
-        conn = state.conn
-        runtime = self.runtime
-        endpoint = state.endpoint
-        if endpoint is None:
-            return None, None, False
-        state.mig_seq += 1
-        mig_id = f"{conn.conn_id}:m{state.mig_seq}"
-        resumable = runtime.negcache.enabled and isinstance(
-            state.target, (str, Address)
-        )
-        if resumable:
-            key = endpoint._resume_key(state.target)
-            entry = runtime.negcache.lookup(key)
-            if entry is not None and entry["ctl_addr"].host not in state.suspected:
-                accept = yield from self._resume_once(
-                    state, mig_id, entry, deadline
-                )
-                if accept is not None:
-                    return accept, entry["ctl_addr"], True
-                runtime.negcache.note_fallback(key)
-        if not isinstance(state.target, str):
-            # An address target names one instance; with it dead there is
-            # nothing to re-resolve.
-            return None, None, False
-        query_types = set(endpoint.dag.chunnel_types()) | (
-            runtime.registry.registered_types()
-        )
-        disc = yield from runtime.discovery.query(
-            sorted(query_types),
-            service_name=state.target,
-            deadline=deadline,
-        )
-        candidates = [
-            addr for addr in disc.instances if addr.host not in state.suspected
-        ]
-        if not candidates:
-            return None, None, False
-        target_addr = endpoint._select_instance(candidates)
-        offer_msg = msgs.Offer(
-            conn_id=mig_id,
-            dag=endpoint.dag,
-            offers=runtime.registry.offers_for(
-                sorted(query_types), origin="client"
-            ),
-            client_entity=runtime.entity.name,
-            network_offers=disc.offers,
-        )
-        ctl = UdpSocket(runtime.entity)
-        try:
-            accept = yield from endpoint._negotiate_once(
-                ctl,
-                target_addr,
-                offer_msg,
-                self.config.connect_timeout,
-                self.config.connect_retries,
-                deadline=deadline,
-            )
-        except ConnectionTimeoutError:
-            raise
-        except BerthaError:
-            return None, None, False
-        finally:
-            ctl.close()
-        return accept, target_addr, False
-
-    def _resume_once(self, state: _WatchState, mig_id: str, entry, deadline):
-        """Generator: one RESUME round trip against a cached binding.
-
-        Like :meth:`Endpoint._try_resume` but stops at the accept — the
-        binding is applied to the existing connection, not a new one.
-        Returns the :class:`~repro.core.messages.Accept` or None.
-        """
-        runtime = self.runtime
-        endpoint = state.endpoint
-        ctl_addr = entry["ctl_addr"]
-        resume_msg = msgs.Resume(
-            conn_id=mig_id,
-            dag=endpoint.dag,
-            choice=entry["choice"],
-            client_entity=runtime.entity.name,
-            policy_epoch=entry["server_epoch"],
-        )
-        payload, size = msgs.encode_message_sized(resume_msg)
-        ctl = UdpSocket(runtime.entity)
-
-        def send(_attempt: int) -> None:
-            ctl.send(payload, ctl_addr, size=size)
-
-        def match(dgram, _attempt: int):
-            try:
-                reply = msgs.decode_message(dgram.payload)
-            except WireError:
-                return None
-            if getattr(reply, "conn_id", None) != mig_id:
-                return None
-            if isinstance(reply, (msgs.Accept, msgs.ResumeReject, msgs.Error)):
-                return reply
+    def _find_standby(self, state: _WatchState, deadline: float):
+        """Generator → ``(accept, ctl_addr, resumed)`` from a live instance
+        of the connection's target, or None; renegotiates under a fresh
+        migration conn id (and never without the connection's endpoint)."""
+        if state.endpoint is None:
             return None
+        state.mig_seq += 1
+        return (yield from state.endpoint._renegotiate(
+            f"{state.conn.conn_id}:m{state.mig_seq}", state.target,
+            state.suspected, self.config.connect_timeout,
+            self.config.connect_retries, deadline, stats=self.rpc_stats,
+        ))
 
-        try:
-            reply = yield from rpc.call(
-                runtime.env,
-                rpc.RetryPolicy(
-                    timeout=self.config.connect_timeout,
-                    retries=self.config.connect_retries,
-                ),
-                send,
-                rpc.socket_waiter(runtime.env, ctl, match),
-                stats=self.rpc_stats,
-                describe=f"migration resume with {ctl_addr}",
-                trace=runtime.network.trace,
-                conn_id=state.conn.conn_id,
-                deadline=deadline,
-            )
-        except ConnectionTimeoutError:
-            reply = None
-        finally:
-            ctl.close()
-        return reply if isinstance(reply, msgs.Accept) else None
-
-    def _adopt(
-        self,
-        state: _WatchState,
-        accept: "msgs.Accept",
-        ctl_addr,
-        resumed: bool,
-        deadline: float,
-        suspect_at: float,
+    def _migrate(
+        self, state: _WatchState, accept: "msgs.Accept", ctl_addr: Address,
+        resumed: bool, deadline: float, suspect_at: float,
     ):
-        """Generator → bool: apply a standby's accepted binding to the
-        live connection under a fresh migration epoch."""
+        """Generator → bool: move the connection onto a standby's accepted
+        binding through the reconfiguration engine's epoch change; this
+        side supplies the handshake and puts things back if it fails."""
         conn = state.conn
         runtime = self.runtime
-        reconfig = runtime.reconfig
-        # Same shape ⇒ keep our DAG object so node identities (and the
-        # setup contexts keyed on them) survive, like a transition.
-        same_shape = (
-            accept.dag.canonical_shape() == conn.dag.canonical_shape()
-        )
-        dag = conn.dag if same_shape else accept.dag
-        choice = accept.choice
-        changed = {
-            node_id
-            for node_id in dag.topological_order()
-            if not _same_offer(conn.choice.get(node_id), choice.get(node_id))
-        }
-        if not same_shape:
-            changed = set(dag.topological_order())
-        rstate = reconfig._state(conn)
-        epoch = rstate.next_epoch
-        rstate.next_epoch += 1
-        try:
-            impls, ctx_map, stage_map = build_binding(
-                runtime,
-                role=conn.role,
-                conn_id=conn.conn_id,
-                dag=dag,
-                choice=choice,
-                client_entity=conn.client_entity,
-                server_entity=accept.data_addr.host,
-                params=conn.params,
-                changed=changed,
-                reuse=conn,
-                fresh_params=True,
-            )
-        except BerthaError:
-            self.migration_failures += 1
-            return False
-        # A replaced reliability binding cannot carry its stage object
-        # over; hand the frozen unacked window to the replacement so the
-        # replay still covers it.
-        old_map = conn._stage_map or {}
-        for node_id in sorted(changed):
-            old_stage = old_map.get(node_id)
-            new_stage = stage_map.get(node_id)
-            if (
-                old_stage is not None
-                and new_stage is not None
-                and hasattr(new_stage, "adopt_window")
-                and getattr(old_stage, "_unacked", None)
-            ):
-                new_stage.adopt_window(old_stage._unacked)
-        try:
-            stages = [
-                stage_map[node_id]
-                for node_id in dag.topological_order()
-                if stage_map[node_id] is not None
-            ]
-            new_stack = conn.prepare_transition(epoch, stages)
-            for node_id in sorted(changed):
-                impls[node_id].after_establish(ctx_map[node_id], conn)
-        except BerthaError:
-            conn.abort_transition(epoch)
-            teardown_nodes(impls, ctx_map, changed)
-            # abort resumed sends toward the dead peer; re-freeze (the
-            # flushed messages stay recoverable in the unacked window).
-            conn.pause_sends()
-            self._freeze(conn)
-            self.migration_failures += 1
-            return False
         old_peers = list(conn.peers)
         old_transport = conn.transport
-        conn.rebind_socket(make_data_socket(runtime.entity, accept.transport))
-        conn.transport = accept.transport
-        conn.peers = [accept.data_addr]
-        conn.last_src = None
-        ack = yield from self._exchange_migrate(
-            conn, mig_id_epoch=epoch, dst=accept.data_addr, deadline=deadline
-        )
-        if ack is None or not ack.ok:
-            conn.abort_transition(epoch)
-            teardown_nodes(impls, ctx_map, changed)
+        replayed = 0
+
+        def handshake(epoch, stack):
+            nonlocal replayed
+            conn.rebind_socket(make_data_socket(runtime.entity, accept.transport))
+            conn.transport = accept.transport
+            conn.peers = [accept.data_addr]
+            conn.last_src = None
+            ack = yield from runtime.reconfig.announce(
+                conn,
+                msgs.Migrate(
+                    conn_id=conn.conn_id,
+                    epoch=epoch,
+                    client_entity=runtime.entity.name,
+                ),
+                accept.data_addr,
+                self.config.migrate_timeout,
+                self.config.migrate_retries,
+                self.rpc_stats,
+                deadline,
+            )
+            if ack is None or not ack.ok:
+                return False
+            # Replay the frozen window *before* the commit flushes the send
+            # buffer: replayed messages carry the older sequence numbers,
+            # so this keeps delivery in order on the standby.
+            replayed = self._replay(conn, stack)
+            return True
+
+        try:
+            old_epoch = yield from runtime.reconfig.migrate(conn, accept, handshake)
+        except BerthaError:
+            old_epoch = None
+        if old_epoch is None:
+            # The abort resumed sends (toward the standby, if the socket
+            # was already rebound): point the connection back at the old
+            # peer and re-freeze — the flushed messages stay recoverable
+            # in the unacked window.
             conn.peers = old_peers
             conn.transport = old_transport
             conn.pause_sends()
             self._freeze(conn)
             self.migration_failures += 1
             return False
-        # Commit.  Replay the frozen window *before* the commit flushes
-        # the send buffer: replayed messages carry the older sequence
-        # numbers, so this keeps delivery in order on the standby.
-        old_choice = dict(conn.choice)
-        old_impls = dict(conn.impls)
-        old_ctxs = {
-            n: conn._context_for(n) for n in changed if n in conn.impls
-        }
-        replayed = self._replay(conn, new_stack)
-        contexts = [
-            ctx_map[node_id]
-            for node_id in dag.topological_order()
-            if ctx_map[node_id] is not None
-        ]
-        old_epoch = conn.commit_transition(
-            epoch,
-            dag=dag,
-            impls=impls,
-            choice=choice,
-            contexts=contexts,
-            stage_map=stage_map,
-        )
-        for node_id in sorted(changed):
-            impl = old_impls.get(node_id)
-            octx = old_ctxs.get(node_id)
-            if impl is not None and octx is not None:
-                impl.teardown(octx)
-                for handle in octx.reservations:
-                    runtime.spawn_release(handle)
-        conn.retire_epoch(old_epoch, grace=reconfig.retire_grace)
         conn.migrations += 1
         conn.parked = False
         self.migrations_total += 1
@@ -687,71 +469,18 @@ class FailoverManager:
         conn.blackout += blackout
         self.blackouts.observe(blackout)
         state.misses = 0
-        reconfig._log(
+        runtime.reconfig._log(
             conn,
             "migrated",
-            f"epoch {epoch} -> {accept.data_addr.host} "
+            f"epoch {conn.epoch} -> {accept.data_addr.host} "
             f"({'resume' if resumed else 'offer'}, replayed {replayed})",
         )
         # Refresh the cache so sibling connections of this endpoint
         # fast-path their own migration to the same standby in one RTT.
-        if (
-            state.endpoint is not None
-            and runtime.negcache.enabled
-            and isinstance(state.target, (str, Address))
-        ):
-            record_ids = {
-                o.record_id for o in choice.values() if o.record_id
-            }
-            runtime.negcache.store(
-                state.endpoint._resume_key(state.target),
-                {
-                    "ctl_addr": ctl_addr,
-                    "choice": choice,
-                    "server_epoch": accept.policy_epoch,
-                },
-                tags=record_ids
-                | {
-                    state.endpoint.dag.canonical_shape(),
-                    dag.canonical_shape(),
-                    runtime.negcache.instance_tag(accept.data_addr.host),
-                },
-            )
-            runtime.negcache_watch_records(record_ids)
+        key = state.endpoint._resume_key(state.target)
+        if key is not None:
+            state.endpoint._remember(key, ctl_addr, accept)
         return True
-
-    def _exchange_migrate(self, conn, mig_id_epoch: int, dst, deadline):
-        """Generator: MIGRATE with retries → the MigrateAck, or None."""
-        epoch = mig_id_epoch
-        announcement = msgs.Migrate(
-            conn_id=conn.conn_id,
-            epoch=epoch,
-            client_entity=self.runtime.entity.name,
-        )
-        ack_event = Event(self.env)
-        self._migrate_waiters[(conn.conn_id, epoch)] = ack_event
-        policy = rpc.RetryPolicy(
-            timeout=self.config.migrate_timeout,
-            retries=self.config.migrate_retries,
-        )
-        try:
-            return (
-                yield from rpc.call(
-                    self.env,
-                    policy,
-                    lambda attempt: conn.send_ctl(announcement, dst=dst),
-                    rpc.event_waiter(self.env, ack_event),
-                    stats=self.rpc_stats,
-                    describe=f"{conn.conn_id}: migrate epoch {epoch}",
-                    trace=self.runtime.network.trace,
-                    conn_id=conn.conn_id,
-                    deadline=deadline,
-                )
-            )
-        except ConnectionTimeoutError:
-            return None
-        finally:
-            self._migrate_waiters.pop((conn.conn_id, epoch), None)
 
     # ------------------------------------------------------------------
     # Window freeze/replay plumbing

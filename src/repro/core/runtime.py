@@ -367,11 +367,8 @@ class Endpoint:
         # RESUME the cached choice in one control round trip — no discovery
         # query, no offer gathering, no policy walk.  Any failure falls
         # back to the full path below under a fresh conn_id.
-        resumable = runtime.negcache.enabled and isinstance(
-            target, (str, Address)
-        )
-        resume_key = self._resume_key(target) if resumable else None
-        if resumable:
+        resume_key = self._resume_key(target)
+        if resume_key is not None:
             entry = runtime.negcache.lookup(resume_key)
             if entry is not None:
                 connection = yield from self._try_resume(
@@ -445,16 +442,7 @@ class Endpoint:
             if not targets:
                 raise NegotiationError("connect() needs at least one target")
 
-        client_offers = runtime.registry.offers_for(
-            sorted(query_types), origin="client"
-        )
-        offer_msg = msgs.Offer(
-            conn_id=conn_id,
-            dag=self.dag,
-            offers=client_offers,
-            client_entity=runtime.entity.name,
-            network_offers=network_offers,
-        )
+        offer_msg = self._offer(conn_id, query_types, network_offers)
 
         # Round trip 2: offer/accept with each target endpoint.
         ctl = UdpSocket(runtime.entity)
@@ -484,29 +472,10 @@ class Endpoint:
             span, peers=len(peers), degraded=degraded, transport=first.transport
         )
 
-        if resumable and not degraded and len(accepts) == 1:
-            # Remember the negotiated binding for one-RTT resumption.
+        if resume_key is not None and not degraded and len(accepts) == 1:
             # Degraded results are deliberately not cached: they encode a
             # discovery outage, not a negotiation outcome.
-            record_ids = {o.record_id for o in choice.values() if o.record_id}
-            runtime.negcache.store(
-                resume_key,
-                {
-                    "ctl_addr": targets[0],
-                    "choice": choice,
-                    "server_epoch": first.policy_epoch,
-                },
-                tags=record_ids
-                | {
-                    self.dag.canonical_shape(),
-                    dag.canonical_shape(),
-                    # Suspicion (PROTOCOL.md §9) tag-evicts by serving
-                    # host, so a dead instance's cached binding never
-                    # burns a resume timeout inside a migration budget.
-                    runtime.negcache.instance_tag(peers[0].host),
-                },
-            )
-            runtime.negcache_watch_records(record_ids)
+            self._remember(resume_key, targets[0], first)
 
         return establish_connection(
             runtime,
@@ -581,6 +550,19 @@ class Endpoint:
             transport="udp",
         )
 
+    def _offer(self, conn_id: str, query_types, network_offers) -> "msgs.Offer":
+        """The OFFER for ``conn_id``: our DAG, our registry's offers for
+        ``query_types`` and discovery's ``network_offers``."""
+        return msgs.Offer(
+            conn_id=conn_id,
+            dag=self.dag,
+            offers=self.runtime.registry.offers_for(
+                sorted(query_types), origin="client"
+            ),
+            client_entity=self.runtime.entity.name,
+            network_offers=network_offers,
+        )
+
     def _select_instance(self, instances: list[Address]) -> Address:
         """Pick which service instance to negotiate with.
 
@@ -600,8 +582,13 @@ class Endpoint:
 
     def _resume_key(self, target: ConnectTarget):
         """The client-side resumption key: (peer, DAG fingerprint, policy
-        epoch).  Name targets key on the name — resolution happens per
-        connect, so a resumed instance is whichever one last accepted."""
+        epoch), or None when the cache is off or ``target`` is a group.
+        Name targets key on the name — resolution happens per connect, so
+        a resumed instance is whichever one last accepted."""
+        if not self.runtime.negcache.enabled or not isinstance(
+            target, (str, Address)
+        ):
+            return None
         if isinstance(target, str):
             peer = ("name", target)
         else:
@@ -621,49 +608,15 @@ class Endpoint:
         """
         runtime = self.runtime
         trace = runtime.network.trace
-        ctl_addr = entry["ctl_addr"]
-        rspan = trace.begin("resume", conn_id, target=str(ctl_addr))
-        resume_msg = msgs.Resume(
-            conn_id=conn_id,
-            dag=self.dag,
-            choice=entry["choice"],
-            client_entity=runtime.entity.name,
-            policy_epoch=entry["server_epoch"],
+        rspan = trace.begin("resume", conn_id, target=str(entry["ctl_addr"]))
+        reply = yield from self._resume_once(
+            conn_id,
+            entry,
+            timeout,
+            retries,
+            stats=runtime.negotiation_stats,
+            deadline=deadline,
         )
-        payload, size = msgs.encode_message_sized(resume_msg)
-        ctl = UdpSocket(runtime.entity)
-
-        def send(_attempt: int) -> None:
-            ctl.send(payload, ctl_addr, size=size)
-
-        def match(dgram, _attempt: int):
-            try:
-                reply = msgs.decode_message(dgram.payload)
-            except WireError:
-                return None
-            if getattr(reply, "conn_id", None) != conn_id:
-                return None
-            if isinstance(reply, (msgs.Accept, msgs.ResumeReject, msgs.Error)):
-                return reply
-            return None
-
-        try:
-            reply = yield from rpc.call(
-                runtime.env,
-                rpc.RetryPolicy(timeout=timeout, retries=retries),
-                send,
-                rpc.socket_waiter(runtime.env, ctl, match),
-                stats=runtime.negotiation_stats,
-                describe=f"resume with {ctl_addr}",
-                trace=trace,
-                conn_id=conn_id,
-                deadline=deadline,
-            )
-        except ConnectionTimeoutError:
-            reply = None
-        finally:
-            ctl.close()
-
         if not isinstance(reply, msgs.Accept):
             if reply is None:
                 reason = "timeout"
@@ -694,6 +647,137 @@ class Endpoint:
             params=dict(reply.params),
             hello=True,
         )
+
+    def _resume_once(
+        self, conn_id: str, entry: dict, timeout, retries, *, stats,
+        deadline=None,
+    ):
+        """Generator: one RESUME round trip replaying ``entry``'s cached
+        binding → the Accept, ResumeReject or Error reply, or None on
+        timeout."""
+        runtime = self.runtime
+        ctl_addr = entry["ctl_addr"]
+        resume_msg = msgs.Resume(
+            conn_id=conn_id,
+            dag=self.dag,
+            choice=entry["choice"],
+            client_entity=runtime.entity.name,
+            policy_epoch=entry["server_epoch"],
+        )
+        payload, size = msgs.encode_message_sized(resume_msg)
+        ctl = UdpSocket(runtime.entity)
+
+        def send(_attempt: int) -> None:
+            ctl.send(payload, ctl_addr, size=size)
+
+        def match(dgram, _attempt: int):
+            try:
+                reply = msgs.decode_message(dgram.payload)
+            except WireError:
+                return None
+            if getattr(reply, "conn_id", None) != conn_id:
+                return None
+            if isinstance(reply, (msgs.Accept, msgs.ResumeReject, msgs.Error)):
+                return reply
+            return None
+
+        try:
+            return (
+                yield from rpc.call(
+                    runtime.env,
+                    rpc.RetryPolicy(timeout=timeout, retries=retries),
+                    send,
+                    rpc.socket_waiter(runtime.env, ctl, match),
+                    stats=stats,
+                    describe=f"resume with {ctl_addr}",
+                    trace=runtime.network.trace,
+                    conn_id=conn_id,
+                    deadline=deadline,
+                )
+            )
+        except ConnectionTimeoutError:
+            return None
+        finally:
+            ctl.close()
+
+    def _renegotiate(
+        self, conn_id: str, target: ConnectTarget, avoid: set, timeout,
+        retries, deadline: float, *, stats,
+    ):
+        """Generator → ``(accept, ctl_addr, resumed)`` from a live instance
+        of ``target``, or None, for an established connection whose server
+        is gone (PROTOCOL.md §9.3); ``stats`` counts the resume RPC.
+
+        The cached entry's one-RTT resume first, unless it names a host in
+        ``avoid``; then, for a service name, re-resolution without those
+        hosts and a full offer/accept.  No degraded mode: a discovery
+        timeout, a refusal or no live instance returns None.
+        """
+        runtime = self.runtime
+        key = self._resume_key(target)
+        if key is not None:
+            entry = runtime.negcache.lookup(key)
+            if entry is not None and entry["ctl_addr"].host not in avoid:
+                reply = yield from self._resume_once(
+                    conn_id, entry, timeout, retries, stats=stats,
+                    deadline=deadline,
+                )
+                if isinstance(reply, msgs.Accept):
+                    return reply, entry["ctl_addr"], True
+                runtime.negcache.note_fallback(key)
+        if not isinstance(target, str):
+            # An address target names one instance; with it dead there is
+            # nothing to re-resolve.
+            return None
+        query_types = set(self.dag.chunnel_types()) | (
+            runtime.registry.registered_types()
+        )
+        try:
+            disc = yield from runtime.discovery.query(
+                sorted(query_types), service_name=target, deadline=deadline
+            )
+        except ConnectionTimeoutError:
+            return None
+        candidates = [addr for addr in disc.instances if addr.host not in avoid]
+        if not candidates:
+            return None
+        ctl_addr = self._select_instance(candidates)
+        offer_msg = self._offer(conn_id, query_types, disc.offers)
+        ctl = UdpSocket(runtime.entity)
+        try:
+            accept = yield from self._negotiate_once(
+                ctl, ctl_addr, offer_msg, timeout, retries, deadline=deadline
+            )
+        except BerthaError:
+            return None
+        finally:
+            ctl.close()
+        return accept, ctl_addr, False
+
+    def _remember(self, key, ctl_addr: Address, accept: "msgs.Accept") -> None:
+        """Cache ``accept``'s binding under ``key`` for one-RTT resumption,
+        evictable by any record it uses, either DAG shape, and the serving
+        host."""
+        runtime = self.runtime
+        record_ids = {o.record_id for o in accept.choice.values() if o.record_id}
+        runtime.negcache.store(
+            key,
+            {
+                "ctl_addr": ctl_addr,
+                "choice": accept.choice,
+                "server_epoch": accept.policy_epoch,
+            },
+            tags=record_ids
+            | {
+                self.dag.canonical_shape(),
+                accept.dag.canonical_shape(),
+                # Suspicion (PROTOCOL.md §9) tag-evicts by serving host, so
+                # a dead instance's cached binding never burns a resume
+                # timeout inside a migration budget.
+                runtime.negcache.instance_tag(accept.data_addr.host),
+            },
+        )
+        runtime.negcache_watch_records(record_ids)
 
     def _negotiate_once(
         self,

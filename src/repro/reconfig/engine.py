@@ -1,4 +1,4 @@
-"""The live-transition engine: renegotiate an established connection.
+"""The live-transition engine: every epoch change of a connection.
 
 The decision side reuses negotiation's machinery
 (:func:`repro.core.negotiation.decide_with_reservations` against a fresh
@@ -6,19 +6,29 @@ discovery query), so a transition is "establishment, minus the offer/accept
 round trip": the server already holds the client's offers from the original
 exchange and re-decides locally.
 
-The swap is a two-phase epoch handover (PROTOCOL.md §"Live reconfiguration"):
+A connection changes epoch when the server commits a transition it
+decided, when the peer adopts one (synchronously, in its pump) and when a
+failed-over client moves onto a standby's binding
+(:meth:`ReconfigManager.migrate`, driven by :mod:`repro.core.failover`).
+All three run one sequence, :meth:`ReconfigManager._change_epoch`
+(PROTOCOL.md §5.2):
 
 1. **Prepare** — instantiate implementations for the nodes whose binding
    changed (unchanged nodes carry their live stage objects — and therefore
-   their state — into the new stack), run their setup *and* after-establish
-   hooks.  Device programs are thus installed while the old stack still
-   serves: an upgrade redirects packets before they can miss the new stack.
-2. **Commit** — send ``TRANSITION`` in-band over the data socket, pause
-   application sends, and wait for the ``TRANSITION_ACK``.  On ok, swap the
-   current epoch, release the old binding's reservations, tear down replaced
-   implementations, and retire the old stack after a grace period.  On
-   refusal or timeout, tear the *new* implementations down and resume the
-   old stack untouched (rollback).
+   their state — into the new stack), hand each replaced stage to its
+   successor, and run setup *and* after-establish hooks.  Device programs
+   are thus installed while the old stack still serves: an upgrade
+   redirects packets before they can miss the new stack.
+2. **Announce** — an initiator sends ``TRANSITION`` or ``MIGRATE`` in-band
+   and waits for the ack (:meth:`ReconfigManager.announce`).
+3. **Commit** — swap the current epoch, release leases, tear down replaced
+   implementations, and retire the old stack after a grace period.  On a
+   refusal, a timeout or a failed prepare, tear the *new* implementations
+   down and resume the old stack untouched (rollback).
+
+The callers differ only in data: the epoch's source, the hand-off
+(``continue_from`` or ``adopt_window``), the server entity, and how leases
+go back (the server waits, a migration spawns, the peer holds none).
 
 Messages in flight during the handover carry their stack's epoch in a
 header; the receiving connection routes each message to the stack of its
@@ -53,6 +63,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["ReconfigManager", "TransitionRecord"]
 
+#: The ack kind that answers each epoch announcement: the waiter table's
+#: key is ``(ack kind, epoch)``.
+_ACK_KIND = {
+    msgs.Transition: msgs.TransitionAck.KIND,
+    msgs.Migrate: msgs.MigrateAck.KIND,
+}
+
 
 def _same_offer(a: Optional[Offer], b: Optional[Offer]) -> bool:
     return (
@@ -62,6 +79,49 @@ def _same_offer(a: Optional[Offer], b: Optional[Offer]) -> bool:
         and a.record_id == b.record_id
         and a.location == b.location
     )
+
+
+def _resolve_dag(conn: "Connection", incoming: ChunnelDag):
+    """``(dag, forced)``: the DAG an epoch change builds, and the nodes it
+    rebuilds whatever the choice.  A same-structure ``incoming`` whose
+    specs differ only in args (a multipath weight update, a retuned
+    timeout) merges into the live DAG: unchanged nodes keep their spec
+    objects — and so their contexts and stages.  A same-shape DAG that
+    won't merge (relabeled node ids) keeps ours wholesale; a different
+    shape rebuilds every node."""
+    merge = ChunnelDag.merge_arg_updates(conn.dag, incoming)
+    if merge is not None:
+        return merge
+    if incoming.canonical_shape() == conn.dag.canonical_shape():
+        return conn.dag, set()
+    return incoming, set(incoming.topological_order())
+
+
+def _changed_nodes(conn: "Connection", dag: ChunnelDag, choice, forced) -> set:
+    """Nodes whose binding changes: a different offer, or ``forced``."""
+    return forced | {
+        node_id
+        for node_id in dag.topological_order()
+        if not _same_offer(conn.choice.get(node_id), choice.get(node_id))
+    }
+
+
+def _continue_from(old_stage, new_stage) -> None:
+    """Transition hand-off.  A fresh stage that numbers its sends continues
+    past the stage it replaces: the peer may already have seen those
+    numbers in its own fresh stage — data held back for a lease verdict is
+    released into the newest stack."""
+    carry = getattr(new_stage, "continue_from", None)
+    if carry is not None:
+        carry(old_stage)
+
+
+def _adopt_window(old_stage, new_stage) -> None:
+    """Migration hand-off.  A replaced reliability binding cannot carry its
+    stage object over; the replacement adopts the frozen unacked window so
+    the replay still covers it."""
+    if hasattr(new_stage, "adopt_window") and getattr(old_stage, "_unacked", None):
+        new_stage.adopt_window(old_stage._unacked)
 
 
 @dataclass
@@ -86,7 +146,7 @@ class _ConnState:
     #: Bounded — retransmits arrive within the sender's retry window, so
     #: only the most recent epochs' verdicts are ever needed.
     acks: rpc.ReplyCache = field(default_factory=lambda: rpc.ReplyCache(64))
-    #: Server side: in-flight ack waiter per epoch.
+    #: Announcing side: in-flight ack waiter per ``(ack kind, epoch)``.
     ack_waiters: dict = field(default_factory=dict)
     #: Client side: done-events for requests sent to the server.
     pending_requests: list = field(default_factory=list)
@@ -96,9 +156,6 @@ class _ConnState:
     device_exclusions: dict = field(default_factory=dict)
     watched_records: set = field(default_factory=set)
     watched_devices: set = field(default_factory=set)
-
-    def cache_ack(self, epoch: int, ack: "msgs.TransitionAck") -> None:
-        self.acks.put(epoch, ack)
 
 
 class ReconfigManager:
@@ -335,20 +392,9 @@ class ReconfigManager:
             )
         message, ctx, owner = ns["message"], ns["ctx"], ns["owner"]
         old_shape = conn.dag.canonical_shape()
-        dag = target_dag if target_dag is not None else conn.dag
-        arg_changed: set[int] = set()
-        merged_args = False
-        if dag is not conn.dag:
-            # A same-structure target whose specs differ only in args (a
-            # multipath weight update, a retuned timeout) merges into the
-            # live DAG: unchanged nodes keep their spec objects — and so
-            # their contexts and stages — and only arg-changed nodes
-            # rebuild.  ``None`` means a genuinely different structure:
-            # fall through to the historical full rebuild.
-            merge = ChunnelDag.merge_arg_updates(conn.dag, dag)
-            if merge is not None:
-                dag, arg_changed = merge
-                merged_args = True
+        dag, forced = _resolve_dag(
+            conn, conn.dag if target_dag is None else target_dag
+        )
 
         # Re-decide against fresh offers: the client's stored offers, our
         # registry, and a *new* discovery query (the client's establishment-
@@ -365,112 +411,65 @@ class ReconfigManager:
             conn_id=conn.conn_id,
         )
 
-        changed = {
-            node_id
-            for node_id in dag.topological_order()
-            if not _same_offer(conn.choice.get(node_id), choice[node_id])
-        } | arg_changed
+        changed = _changed_nodes(conn, dag, choice, forced)
         if dag is conn.dag and not changed:
             yield from self._release_all(confirmed.values())
             self.transitions_noop += 1
             self._log(conn, "noop", reason)
             return "noop"
 
-        epoch = state.next_epoch
-        state.next_epoch += 1
+        epoch = self._next_epoch(conn)
         self._log(conn, "prepare", f"epoch {epoch}: {reason}")
-
-        if dag is not conn.dag and not merged_args:
-            changed = set(dag.topological_order())
-        impls, ctx_map, stage_map = self._build_side(
-            conn, dag, choice, changed, confirmed, conn.role
+        # Stragglers stamped with the old epoch may rely on a device
+        # program the new binding removes: once committed, they route to
+        # the new stack.
+        replaced_offload = any(
+            conn.impls[node_id].meta.placement.is_offload
+            for node_id in changed
+            if node_id in conn.impls
         )
-        try:
-            stages = [
-                stage_map[node_id]
-                for node_id in dag.topological_order()
-                if stage_map[node_id] is not None
-            ]
-            conn.prepare_transition(epoch, stages)
-            # Device programs go live *now*, while the old stack still
-            # serves — an upgrade loses nothing during the handover.
-            for node_id in sorted(changed):
-                impls[node_id].after_establish(ctx_map[node_id], conn)
-        except BerthaError:
-            conn.abort_transition(epoch)
-            self._teardown_nodes(impls, ctx_map, changed)
-            yield from self._release_all(confirmed.values())
-            raise
+        reply = None
 
-        started = self.env.now
-        conn.pause_sends()
-        reply = yield from self._exchange_transition(
-            state, conn, epoch, dag, choice, reason
+        def handshake(epoch, _stack):
+            nonlocal reply
+            started = self.env.now
+            conn.pause_sends()
+            # A connection whose peer address is unknown (no traffic seen,
+            # no hello) commits unilaterally.
+            target = conn.peer or conn.last_src
+            if target is not None:
+                reply = yield from self.announce(
+                    conn,
+                    msgs.Transition(
+                        conn_id=conn.conn_id,
+                        epoch=epoch,
+                        dag=dag,
+                        choice=choice,
+                        reason=reason,
+                    ),
+                    target,
+                    self.ack_timeout,
+                    self.ack_retries,
+                    self.rpc_stats,
+                )
+                if reply is None or not reply.ok:
+                    return False
+            self.last_pause = self.env.now - started
+            self.pause_times.append(self.last_pause)
+            return True
+
+        old_epoch = yield from self._change_epoch(
+            conn, dag, choice, changed, epoch, reservations=confirmed,
+            release=self._release_all, announce=handshake,
         )
-
-        if reply is None or not reply.ok:
+        if old_epoch is None:
             error = "ack timeout" if reply is None else reply.error
-            conn.abort_transition(epoch)
-            self._teardown_nodes(impls, ctx_map, changed)
-            yield from self._release_all(confirmed.values())
             self.transitions_rolled_back += 1
             self._log(conn, "rolled-back", f"epoch {epoch}: {error}")
             return "rolled-back"
-
-        # Commit: swap epochs, then settle the books.
-        old_impls = dict(conn.impls)
-        old_ctxs = {n: conn._context_for(n) for n in changed if n in conn.impls}
-        contexts = [
-            ctx_map[node_id]
-            for node_id in dag.topological_order()
-            if ctx_map[node_id] is not None
-        ]
-        old_epoch = conn.commit_transition(
-            epoch,
-            dag=dag,
-            impls=impls,
-            choice=choice,
-            contexts=contexts,
-            stage_map=stage_map,
-        )
-        pause = self.env.now - started
-        self.pause_times.append(pause)
-        self.last_pause = pause
-
-        # Unchanged nodes keep their context, and with it the reference
-        # they were established under: the one the re-decision took for
-        # them is surplus.
-        yield from self._release_all(
-            handle
-            for node_id, handle in confirmed.items()
-            if node_id not in changed
-        )
-
-        # Tear down what the new binding replaced, and release its leases.
-        replaced_offload = False
-        for node_id in sorted(changed):
-            impl = old_impls.get(node_id)
-            if impl is None:
-                continue
-            if impl.meta.placement.is_offload:
-                replaced_offload = True
-            octx = old_ctxs.get(node_id)
-            if octx is not None:
-                impl.teardown(octx)
-                yield from self._release_all(octx.reservations)
         if replaced_offload:
-            # Stragglers stamped with the old epoch may have relied on the
-            # now-removed device program; route them to the new stack.
             conn.mark_broken(old_epoch)
-        conn.retire_epoch(old_epoch, grace=self.retire_grace)
-
-        # The committed binding supersedes whatever negotiation results
-        # were cached for this DAG shape: evict them so a later resume
-        # renegotiates instead of replaying the pre-transition choice.
-        runtime.negcache.invalidate_tag(old_shape)
-        if dag.canonical_shape() != old_shape:
-            runtime.negcache.invalidate_tag(dag.canonical_shape())
-
+        self._evict_cached(old_shape, dag)
         self.transitions_committed += 1
         self._log(
             conn,
@@ -485,45 +484,162 @@ class ReconfigManager:
             self._watch_choice(state)
         return "committed"
 
-    def _exchange_transition(self, state, conn, epoch, dag, choice, reason):
-        """Generator: send TRANSITION, wait for the ACK (with retries).
+    def migrate(self, conn: "Connection", accept: "msgs.Accept", handshake):
+        """Generator → the replaced epoch, or None when the standby never
+        acked: move a failed-over client onto a standby's accepted binding
+        (PROTOCOL.md §9.3).  ``handshake(epoch, stack)`` is the failover
+        side's announce step (rebind, ``MIGRATE``, replay)."""
+        dag, forced = _resolve_dag(conn, accept.dag)
+        changed = _changed_nodes(conn, dag, accept.choice, forced)
+        return (yield from self._change_epoch(
+            conn, dag, accept.choice, changed, self._next_epoch(conn),
+            server_entity=accept.data_addr.host, handoff=_adopt_window,
+            release=self._release_later, announce=handshake,
+        ))
 
-        Returns the :class:`~repro.core.messages.TransitionAck`, or None on
-        timeout.  A connection whose peer address is unknown (no traffic
-        seen, no hello) commits unilaterally: returns an implicit ok.
+    # ------------------------------------------------------------------
+    # The one epoch change
+    # ------------------------------------------------------------------
+    def _change_epoch(
+        self, conn: "Connection", dag: ChunnelDag, choice: dict, changed: set,
+        epoch: int, *, server_entity=None, reservations=None,
+        handoff=_continue_from, release=None, announce=None,
+    ):
+        """Generator → the replaced epoch once ``epoch`` is current, or
+        None when ``announce(epoch, stack)``, a generator returning whether
+        the peer acked, returned False and the epoch rolled back.  A failed
+        build raises with nothing prepared; a failed prepare rolls back,
+        then raises.
+
+        ``reservations`` maps node id → the lease reference a re-decision
+        took for it; ``release`` is a generator function giving references
+        back (None: the caller holds none); ``handoff(old_stage,
+        new_stage)`` runs for each replaced stage.
         """
-        target = conn.peer or conn.last_src
-        if target is None:
-            return msgs.TransitionAck(conn_id=conn.conn_id, epoch=epoch, ok=True)
-        announcement = msgs.Transition(
+        reservations = reservations or {}
+        # Changed nodes are set up fresh, each with a private copy of the
+        # connection's params: a rebuild must not mutate the live binding.
+        impls, ctx_map, stage_map = build_binding(
+            self.runtime,
+            role=conn.role,
             conn_id=conn.conn_id,
-            epoch=epoch,
             dag=dag,
             choice=choice,
-            reason=reason,
+            client_entity=conn.client_entity,
+            server_entity=server_entity or conn.server_entity,
+            params=conn.params,
+            reservations=reservations,
+            changed=changed,
+            reuse=conn,
+            fresh_params=True,
         )
+        old_map = conn._stage_map or {}
+        for node_id in sorted(changed):
+            if old_map.get(node_id) is not None and stage_map[node_id] is not None:
+                handoff(old_map[node_id], stage_map[node_id])
+        stages = [
+            stage_map[node_id]
+            for node_id in dag.topological_order()
+            if stage_map[node_id] is not None
+        ]
+        failure = None
+        try:
+            stack = conn.prepare_transition(epoch, stages)
+            # Device programs go live *now*, while the old stack still
+            # serves — an upgrade loses nothing during the handover.
+            for node_id in sorted(changed):
+                impls[node_id].after_establish(ctx_map[node_id], conn)
+        except BerthaError as error:
+            failure = error
+        if failure is not None or (
+            announce is not None and not (yield from announce(epoch, stack))
+        ):
+            conn.abort_transition(epoch)
+            teardown_nodes(impls, ctx_map, changed)
+            if release is not None:
+                yield from release(reservations.values())
+            if failure is not None:
+                raise failure
+            return None
+
+        replaced = [
+            (conn.impls[node_id], conn._context_for(node_id))
+            for node_id in sorted(changed)
+            if node_id in conn.impls
+        ]
+        contexts = [
+            ctx_map[node_id]
+            for node_id in dag.topological_order()
+            if ctx_map[node_id] is not None
+        ]
+        old_epoch = conn.commit_transition(
+            epoch,
+            dag=dag,
+            impls=impls,
+            choice=choice,
+            contexts=contexts,
+            stage_map=stage_map,
+        )
+        if release is not None:
+            # Unchanged nodes keep their context, and with it the reference
+            # they were established under: the one the re-decision took for
+            # them is surplus.
+            yield from release(
+                handle
+                for node_id, handle in reservations.items()
+                if node_id not in changed
+            )
+        # Tear down what the new binding replaced, and release its leases.
+        for impl, octx in replaced:
+            if octx is not None:
+                impl.teardown(octx)
+                if release is not None:
+                    yield from release(octx.reservations)
+        conn.retire_epoch(old_epoch, grace=self.retire_grace)
+        return old_epoch
+
+    def announce(
+        self,
+        conn: "Connection",
+        message: "msgs.ControlMessage",
+        dst,
+        timeout: float,
+        retries: int,
+        stats: rpc.RpcStats,
+        deadline: Optional[float] = None,
+    ):
+        """Generator: send an epoch announcement (``Transition`` or
+        ``Migrate``) in-band, ``retries`` times ``timeout`` apart at most →
+        its ack, or None on timeout.
+
+        The ack comes back through the connection's pump
+        (:meth:`handle_ctl`) into a waiter keyed by ``(ack kind, epoch)``.
+        """
+        key = (_ACK_KIND[type(message)], message.epoch)
         ack_event = Event(self.env)
-        state.ack_waiters[epoch] = ack_event
-        policy = rpc.RetryPolicy(
-            timeout=self.ack_timeout, retries=self.ack_retries
-        )
+        waiters = self._state(conn).ack_waiters
+        waiters[key] = ack_event
         try:
             return (
                 yield from rpc.call(
                     self.env,
-                    policy,
-                    lambda attempt: conn.send_ctl(announcement, dst=target),
+                    rpc.RetryPolicy(timeout=timeout, retries=retries),
+                    lambda attempt: conn.send_ctl(message, dst=dst),
                     rpc.event_waiter(self.env, ack_event),
-                    stats=self.rpc_stats,
-                    describe=f"{conn.conn_id}: transition epoch {epoch}",
+                    stats=stats,
+                    describe=(
+                        f"{conn.conn_id}: {message.KIND.split('.')[-1]} "
+                        f"epoch {message.epoch}"
+                    ),
                     trace=self.runtime.network.trace,
                     conn_id=conn.conn_id,
+                    deadline=deadline,
                 )
             )
         except ConnectionTimeoutError:
             return None
         finally:
-            state.ack_waiters.pop(epoch, None)
+            waiters.pop(key, None)
 
     # ------------------------------------------------------------------
     # In-band control handling (both roles; called from the pump)
@@ -533,11 +649,11 @@ class ReconfigManager:
     ) -> None:
         if isinstance(message, msgs.Transition):
             self._handle_transition(conn, message, src)
-        elif isinstance(message, msgs.TransitionAck):
+        elif isinstance(message, (msgs.TransitionAck, msgs.MigrateAck)):
             state = self._states.get(conn.conn_id)
             if state is None:
                 return
-            waiter = state.ack_waiters.get(message.epoch)
+            waiter = state.ack_waiters.get((message.KIND, message.epoch))
             if waiter is not None and not waiter.triggered:
                 waiter.succeed(message)
         elif isinstance(message, msgs.TransitionRequest):
@@ -551,13 +667,10 @@ class ReconfigManager:
             )
         elif isinstance(message, msgs.Migrate):
             self._handle_migrate(conn, message, src)
-        elif isinstance(message, (msgs.HeartbeatAck, msgs.MigrateAck)):
+        elif isinstance(message, msgs.HeartbeatAck):
             manager = self.runtime.failover
             if manager is not None:
-                if isinstance(message, msgs.HeartbeatAck):
-                    manager.handle_heartbeat_ack(conn, message, src)
-                else:
-                    manager.handle_migrate_ack(conn, message, src)
+                manager.handle_heartbeat_ack(conn, message, src)
         # anything else (Hello, ...) only updates conn.last_src, which the
         # pump already did.
 
@@ -606,79 +719,23 @@ class ReconfigManager:
             return
         if epoch <= conn.epoch:
             ack = msgs.TransitionAck(conn_id=conn.conn_id, epoch=epoch, ok=True)
-            state.cache_ack(epoch, ack)
+            state.acks.put(epoch, ack)
             conn.send_ctl(ack, dst=src)
             return
         try:
-            # Same structure ⇒ keep our spec objects for unchanged nodes so
-            # node identities (and the setup contexts keyed on them)
-            # survive the transition, adopting the announced args only
-            # where they differ (e.g. a multipath weight update).  A
-            # same-shape DAG that won't merge (relabeled node ids) keeps
-            # our DAG wholesale, as before; a different shape is a full
-            # rebuild from the announcement.
             old_shape = conn.dag.canonical_shape()
-            merge = ChunnelDag.merge_arg_updates(conn.dag, message.dag)
-            arg_changed: set[int] = set()
-            if merge is not None:
-                dag, arg_changed = merge
-            elif message.dag.canonical_shape() == old_shape:
-                dag = conn.dag
-            else:
-                dag = message.dag
-            choice = message.choice
-            changed = {
-                node_id
-                for node_id in dag.topological_order()
-                if not _same_offer(conn.choice.get(node_id), choice.get(node_id))
-            } | arg_changed
-            if dag is not conn.dag and merge is None:
-                changed = set(dag.topological_order())
-            impls, ctx_map, stage_map = self._build_side(
-                conn, dag, choice, changed, [], conn.role
-            )
-            try:
-                stages = [
-                    stage_map[node_id]
-                    for node_id in dag.topological_order()
-                    if stage_map[node_id] is not None
-                ]
-                conn.prepare_transition(epoch, stages)
-                for node_id in sorted(changed):
-                    impls[node_id].after_establish(ctx_map[node_id], conn)
-            except BerthaError:
-                conn.abort_transition(epoch)
-                self._teardown_nodes(impls, ctx_map, changed)
-                raise
-            old_impls = dict(conn.impls)
-            old_ctxs = {
-                n: conn._context_for(n) for n in changed if n in conn.impls
-            }
-            contexts = [
-                ctx_map[node_id]
-                for node_id in dag.topological_order()
-                if ctx_map[node_id] is not None
-            ]
-            old_epoch = conn.commit_transition(
-                epoch,
-                dag=dag,
-                impls=impls,
-                choice=choice,
-                contexts=contexts,
-                stage_map=stage_map,
-            )
-            for node_id in sorted(changed):
-                impl = old_impls.get(node_id)
-                octx = old_ctxs.get(node_id)
-                if impl is not None and octx is not None:
-                    impl.teardown(octx)
-            conn.retire_epoch(old_epoch, grace=self.retire_grace)
+            dag, forced = _resolve_dag(conn, message.dag)
+            changed = _changed_nodes(conn, dag, message.choice, forced)
+            # Nothing to announce and no lease to give back: the epoch
+            # change never waits, so it runs to its end right here.
+            for _wait in self._change_epoch(
+                conn, dag, message.choice, changed, epoch
+            ):
+                raise RuntimeError("the adopting peer's epoch change waited")
             # Adopted a new binding: the client's cached negotiation
             # results for this DAG shape no longer match what the server
-            # would accept — evict so the next connect renegotiates.
-            self.runtime.negcache.invalidate_tag(old_shape)
-            if dag.canonical_shape() != old_shape:
-                self.runtime.negcache.invalidate_tag(dag.canonical_shape())
+            # would accept.
+            self._evict_cached(old_shape, dag)
             ack = msgs.TransitionAck(conn_id=conn.conn_id, epoch=epoch, ok=True)
             self._log(conn, "adopted", f"epoch {epoch}")
             for done in state.pending_requests:
@@ -693,7 +750,7 @@ class ReconfigManager:
                 error=f"{type(error).__name__}: {error}",
             )
             self._log(conn, "refused", f"epoch {epoch}: {error}")
-        state.cache_ack(epoch, ack)
+        state.acks.put(epoch, ack)
         self.runtime.network.trace.event(
             "reconfig",
             conn.conn_id,
@@ -748,39 +805,28 @@ class ReconfigManager:
                 candidates.setdefault(ctype, []).append(offer)
         return candidates
 
-    def _build_side(self, conn, dag, choice, changed, reservations, role):
-        """Partial rebuild via the shared establishment pipeline: changed
-        nodes are instantiated and set up fresh (each with a private copy
-        of the connection's params — a rebuild must not mutate the live
-        binding), the rest carry over ``conn``'s impls, contexts, and stage
-        objects.  A fresh stage that numbers its sends continues past the
-        stage it replaces (``continue_from``): the peer may already have
-        seen those numbers in its own fresh stage — data held back for a
-        lease verdict is released into the newest stack."""
-        impls, contexts, stage_map = build_binding(
-            self.runtime,
-            role=role,
-            conn_id=conn.conn_id,
-            dag=dag,
-            choice=choice,
-            client_entity=conn.client_entity,
-            server_entity=conn.server_entity,
-            params=conn.params,
-            reservations=reservations,
-            changed=changed,
-            reuse=conn,
-            fresh_params=True,
-        )
-        old_map = conn._stage_map or {}
-        for node_id in changed:
-            carry = getattr(stage_map[node_id], "continue_from", None)
-            if carry is not None and old_map.get(node_id) is not None:
-                carry(old_map[node_id])
-        return impls, contexts, stage_map
+    def _release_later(self, handles):
+        """Generator that never waits: hand each lease reference to the
+        lease table's own release process."""
+        for handle in handles:
+            self.runtime.spawn_release(handle)
+        yield from ()
 
-    @staticmethod
-    def _teardown_nodes(impls, ctx_map, nodes) -> None:
-        teardown_nodes(impls, ctx_map, nodes)
+    def _evict_cached(self, old_shape: tuple, dag: ChunnelDag) -> None:
+        """The committed binding supersedes whatever negotiation results
+        were cached for this DAG shape: evict them so a later resume
+        renegotiates instead of replaying the pre-transition choice."""
+        negcache = self.runtime.negcache
+        negcache.invalidate_tag(old_shape)
+        if dag.canonical_shape() != old_shape:
+            negcache.invalidate_tag(dag.canonical_shape())
+
+    def _next_epoch(self, conn: "Connection") -> int:
+        """Allocate ``conn``'s next epoch number (never reused)."""
+        state = self._state(conn)
+        epoch = state.next_epoch
+        state.next_epoch += 1
+        return epoch
 
     def _state(self, conn: "Connection") -> _ConnState:
         state = self._states.get(conn.conn_id)

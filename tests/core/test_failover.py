@@ -14,7 +14,10 @@ These tests pin the tentpole's correctness bar end to end on small worlds:
 * the unacked-window adoption that a changed reliability node performs
   during migration advances the sequence counter past the inherited
   window (a reused sequence number would be swallowed by the receiver's
-  dedup).
+  dedup) — unit-tested, and end to end off a NIC-offloaded primary;
+* a migration whose acks are lost rolls its epoch back completely (old
+  stack only, prepared impls torn down, old peer and transport back,
+  window re-frozen) and a later attempt still loses nothing.
 """
 
 import itertools
@@ -22,19 +25,29 @@ import warnings
 
 import pytest
 
-from repro.chunnels import Reliable, ReliableFallback, Serialize, SerializeFallback
-from repro.chunnels.reliability import _ReliableStage
+from repro.chunnels import (
+    Reliable,
+    ReliableFallback,
+    ReliableToe,
+    Serialize,
+    SerializeFallback,
+)
+from repro.chunnels.reliability import _SEQ, _ReliableStage
 from repro.core import Runtime
+from repro.core.chunnel import Role
 from repro.core.dag import wrap
-from repro.core.failover import FailoverConfig
+from repro.core.failover import FailoverConfig, FailoverManager
 from repro.core.negcache import NegotiationCache
+from repro.core.policy import PriorityFirstPolicy
 from repro.errors import (
     ConnectionTimeoutError,
     DeadlineExceeded,
     DegradedEstablishmentWarning,
 )
 from repro.experiments._plane import DiscoveryPlane
-from repro.sim import ChaosController, FaultPlan, Network
+from repro.sim import ChaosController, FaultPlan, Network, SmartNic
+
+from ..conftest import tap_control
 
 #: Liveness tuning sized to the test worlds' ~20us RTT: single-digit-ms
 #: crash detection, parked probes every millisecond.
@@ -89,12 +102,20 @@ class RecordingServer:
             conn.send(msg.payload, size=msg.size, dst=msg.src)
 
 
-def build_world(servers=2, loss=0.0, seed=7, liveness=LIVENESS):
+def build_world(servers=2, loss=0.0, seed=7, liveness=LIVENESS, toe_primary=False):
     """``servers`` recording echo servers named "flow" plus one failover-
-    enabled client runtime; returns (net, [servers], client_rt)."""
+    enabled client runtime; returns (net, [servers], client_rt).
+
+    ``toe_primary`` gives srv0 a SmartNIC running ``ReliableToe`` and a
+    policy that ranks it first, while every other server can only take the
+    client's ``ReliableFallback``: a migration off srv0 then replaces the
+    reliability binding instead of carrying its stage over."""
     net = Network()
     for index in range(servers):
-        net.add_host(f"srv{index}")
+        nic = None
+        if toe_primary and index == 0:
+            nic = SmartNic(net.env, name="srv0.nic", offload_slots=4)
+        net.add_host(f"srv{index}", nic=nic)
     net.add_host("cl")
     plane = DiscoveryPlane(1, 1)
     plane.add_hosts(net)
@@ -106,6 +127,8 @@ def build_world(servers=2, loss=0.0, seed=7, liveness=LIVENESS):
     if loss:
         net.attach_faults_everywhere(FaultPlan(drop_rate=loss, seed=seed))
     plane.build(net)
+    if toe_primary:
+        plane.register(ReliableToe.meta, location="srv0")
 
     def _runtime(host, **kwargs):
         runtime = Runtime(
@@ -119,7 +142,16 @@ def build_world(servers=2, loss=0.0, seed=7, liveness=LIVENESS):
         return runtime
 
     recorders = [
-        RecordingServer(_runtime(net.hosts[f"srv{index}"]))
+        RecordingServer(
+            _runtime(
+                net.hosts[f"srv{index}"],
+                **(
+                    {"policy": PriorityFirstPolicy()}
+                    if toe_primary and index == 0
+                    else {}
+                ),
+            )
+        )
         for index in range(servers)
     ]
     client_rt = _runtime(net.hosts["cl"], failover=liveness)
@@ -204,6 +236,156 @@ class TestMigration:
         assert "a" not in cache and "b" not in cache
         assert "c" in cache
         assert cache.suspect_instance("srv0") == 0
+
+
+def reliable_impl(conn):
+    (node_id,) = conn.dag.find("reliable")
+    return type(conn.impls[node_id]).__name__
+
+
+def crash_primary_while_sending(net, client_rt, tag, count=120):
+    """Connect to "flow", send ``count`` ids 200 us apart and crash srv0
+    at 5 ms; returns (conn, sent ids, reliable impl at connect)."""
+    env = net.env
+    sent: list[bytes] = []
+    connected = {}
+
+    def driver():
+        yield env.timeout(1e-3)
+        conn = yield from client_rt.new(tag, dag()).connect("flow", deadline=10e-3)
+        connected["impl"] = reliable_impl(conn)
+        for index in range(count):
+            payload = f"{tag}-{index:04d}".encode()
+            sent.append(payload)
+            conn.send(payload, size=64)
+            yield env.timeout(200e-6)
+        return conn
+
+    ChaosController(net, seed=7).crash_host("srv0", at=5e-3)
+    conn = drive(net, driver(), until=80e-3)
+    return conn, sent, connected["impl"]
+
+
+def assert_delivered_once_in_order(recorders, sent):
+    union, duplicates = union_counts(recorders)
+    assert union == set(sent)
+    assert duplicates == 0
+    for recorder in recorders:
+        arrived = [p for p in recorder.arrived if p in set(sent)]
+        assert arrived == sorted(arrived)
+
+
+class TestReliabilityHandOff:
+    def test_replaced_reliability_stage_adopts_the_frozen_window(
+        self, monkeypatch
+    ):
+        # The primary runs reliability on its NIC and the standby offers
+        # only the software fallback, so the migration rebuilds the
+        # reliability node: the fresh stage must take over the frozen
+        # window, and number its own sends above it.
+        adopted = []
+        numbered: dict = {}
+        adopt_window = _ReliableStage.adopt_window
+        on_send = _ReliableStage.on_send
+
+        def recording_adopt(stage, frozen):
+            adopted.append((stage, sorted(frozen)))
+            adopt_window(stage, frozen)
+
+        def recording_send(stage, msg):
+            out = on_send(stage, msg)
+            numbered.setdefault(id(stage), []).append(msg.headers[_SEQ])
+            return out
+
+        monkeypatch.setattr(_ReliableStage, "adopt_window", recording_adopt)
+        monkeypatch.setattr(_ReliableStage, "on_send", recording_send)
+        net, recorders, client_rt = build_world(servers=2, toe_primary=True)
+        conn, sent, impl_before = crash_primary_while_sending(
+            net, client_rt, "handoff"
+        )
+
+        assert impl_before == "ReliableToe"
+        assert reliable_impl(conn) == "ReliableFallback"
+        assert conn.migrations == 1 and not conn.parked
+        assert_delivered_once_in_order(recorders, sent)
+        ((stage, window),) = adopted
+        assert window  # the crash left messages unacked
+        assert min(numbered[id(stage)]) > max(window)
+
+
+class TestMigrationAbort:
+    def test_lost_migrate_acks_roll_back_then_migrate(self, monkeypatch):
+        # Every MIGRATE_ACK is lost for a while — all the first handshake
+        # can draw — so that attempt's epoch must roll back completely
+        # before a later one succeeds.
+        net, recorders, client_rt = build_world(servers=2, toe_primary=True)
+        dropped = []
+
+        def drop(kind, _dgram):
+            if kind != "bertha.migrate_ack":
+                return False
+            if len(dropped) == LIVENESS.migrate_retries:
+                return False
+            dropped.append(net.env.now)
+            return True
+
+        tap_control(net, drop=drop)
+        prepared, torn_down, after_freeze = [], [], []
+        setup, teardown = ReliableFallback.setup, ReliableFallback.teardown
+        freeze = FailoverManager._freeze
+
+        def recording_setup(impl, ctx):
+            if ctx.role is Role.CLIENT:
+                prepared.append(impl)
+            setup(impl, ctx)
+
+        def recording_teardown(impl, ctx):
+            torn_down.append(impl)
+            teardown(impl, ctx)
+
+        def recording_freeze(manager, conn):
+            frozen = freeze(manager, conn)
+            stages = manager._stages_of(conn)
+            after_freeze.append(
+                {
+                    "epochs": sorted(conn._stacks),
+                    "epoch": conn.epoch,
+                    "peers": [str(p) for p in conn.peers],
+                    "transport": conn.transport,
+                    "timers": sum(len(getattr(s, "_timers", ())) for s in stages),
+                    "paused": conn._send_paused,
+                    "unacked": frozen,
+                }
+            )
+            return frozen
+
+        monkeypatch.setattr(ReliableFallback, "setup", recording_setup)
+        monkeypatch.setattr(ReliableFallback, "teardown", recording_teardown)
+        monkeypatch.setattr(FailoverManager, "_freeze", recording_freeze)
+        conn, sent, _impl = crash_primary_while_sending(net, client_rt, "abort")
+
+        at_suspicion, *after_aborts = after_freeze
+        assert len(dropped) == LIVENESS.migrate_retries
+        assert after_aborts
+        for snapshot in after_aborts:
+            assert snapshot["epochs"] == [snapshot["epoch"]] == [0]
+            assert snapshot["peers"] == at_suspicion["peers"]
+            assert snapshot["transport"] == at_suspicion["transport"]
+            assert snapshot["timers"] == 0 and snapshot["paused"]
+        manager = client_rt.failover
+        assert manager.migration_failures == len(after_aborts)
+        # Every prepared-then-aborted fallback impl was torn down; the one
+        # that committed was not.
+        assert torn_down == prepared[:-1]
+        assert reliable_impl(conn) == "ReliableFallback"
+        assert conn.migrations + manager.resumed_total == 1
+        assert not conn.parked
+        # Zero loss, and nothing delivered twice.  Not in order: the abort
+        # flushes the buffered sends to the standby before the old peer is
+        # put back (ROADMAP item 1).
+        union, duplicates = union_counts(recorders)
+        assert union == set(sent)
+        assert duplicates == 0
 
 
 class TestParking:

@@ -20,7 +20,7 @@ from repro.core.dag import wrap
 from repro.core.registry import ImplCatalog
 from repro.sim import Address
 
-from ..conftest import run
+from ..conftest import run, tap_control
 
 
 def reconfig_world(world, offload=ShardXdp, location="srv", client_catalog=None):
@@ -169,15 +169,22 @@ class TestDeviceFailure:
 
 
 class TestRollback:
-    def test_client_refusal_rolls_back(self, two_hosts):
+    @pytest.mark.parametrize("acks", ["delivered", "lost"])
+    def test_client_refusal_rolls_back(self, two_hosts, acks):
         # A client whose catalog lacks the fallback cannot adopt the new
         # epoch: it NACKs, and the server keeps the old stack untouched.
+        # With every ack lost the server rolls back on the ack timeout.
         catalog = ImplCatalog()
         catalog.add(SerializeFallback)
         catalog.add(ShardXdp)
         server, server_rt, client_rt, record = reconfig_world(
             two_hosts, client_catalog=catalog
         )
+        if acks == "lost":
+            tap_control(
+                two_hosts.net,
+                drop=lambda kind, _d: kind == "bertha.transition_ack",
+            )
 
         def scenario(env):
             yield env.timeout(1e-4)
@@ -201,6 +208,8 @@ class TestRollback:
         manager = server_rt.reconfig
         assert manager.transitions_rolled_back == 1
         assert manager.transitions_committed == 0
+        (rollback,) = [r for r in manager.log if r.event == "rolled-back"]
+        assert ("ack timeout" in rollback.detail) == (acks == "lost")
         # Nothing moved: old epoch, old impls, program still installed.
         for side in (conn, server_conn):
             assert side.epoch == 0
