@@ -11,7 +11,11 @@ server; the connection fails in the absence of the implementations").
 
 Two implementations: the software fallback and a SmartNIC "TOE-lite" that
 runs the same protocol with near-zero host CPU cost (standing in for the
-TCP-offload-engine class of hardware the paper discusses in §2).
+TCP-offload-engine class of hardware the paper discusses in §2).  Either
+can replace the other mid-connection — the NIC fails, a migration lands on
+another host's NIC — because the replacement stage adopts the old one's
+state (:meth:`_ReliableStage.adopt_state`): numbering, frozen window, RTT
+estimate and dedup table, so delivery stays exactly-once across the swap.
 """
 
 from __future__ import annotations
@@ -245,12 +249,14 @@ class _ReliableStage(ChunnelStage):
 
         Called after the migration handshake commits: the stage object
         itself survived the transition (an unchanged DAG node is carried
-        over by ``build_binding(reuse=...)``), so ``_unacked`` still holds
-        every message the old peer never acked.  The standby's receive
-        side has never seen this sender's sequence numbers, so each replay
-        delivers exactly once.  Returns the number of messages replayed.
-        Replays are marked resent (no samples); a standby slower than the
-        old peer's estimate backs the stage off until its acks re-measure.
+        over by ``build_binding(reuse=...)``) or its successor took the
+        frozen entries over (:meth:`adopt_state`), so ``_unacked`` still
+        holds every message the old peer never acked.  The standby's
+        receive side has never seen this sender's sequence numbers, so each
+        replay delivers exactly once.  Returns the number of messages
+        replayed.  Replays are marked resent (no samples); a standby slower
+        than the old peer's estimate backs the stage off until its acks
+        re-measure.
         """
         replayed = 0
         for seq in sorted(self._unacked):
@@ -261,38 +267,30 @@ class _ReliableStage(ChunnelStage):
         self.replays += replayed
         return replayed
 
-    def adopt_window(self, frozen: dict) -> None:
-        """Inherit a predecessor stage's frozen unacked window.
+    def adopt_state(self, predecessor: ChunnelStage) -> None:
+        """Continue the reliability stage this one replaces, so delivery
+        stays exactly-once across the swap (PROTOCOL.md §5.2):
 
-        A migration that *changes* the reliability binding cannot carry
-        the stage object over, so the replacement adopts the window
-        instead.  Sequence numbering must then continue past the adopted
-        seqs: the receiver dedups on ``(sender, seq)``, so a fresh stage
-        restarting at 1 would eventually collide with a replayed seq and
-        silently swallow a brand-new message.  New peer, new estimate.
+        * number on past its next sequence number: the receiver dedups on
+          ``(sender, seq)``, so restarting at 1 would swallow new messages
+          as duplicates of the predecessor's;
+        * share its RTT estimator and back-off;
+        * take over its frozen entries (unacked, no timer: a migration
+          froze them), so the replay still covers them; a live predecessor
+          keeps retransmitting its own frames until it is retired;
+        * share its dedup table, so a straggler routed to either stage —
+          a broken offload's stack is bypassed, an old-epoch retransmit
+          arrives after a migration — is suppressed by both.
         """
-        for seq, message in frozen.items():
-            self._unacked.setdefault(seq, message.copy())
-        if self._unacked:
-            next_fresh = next(self._seq)
-            self._seq = itertools.count(
-                max(max(self._unacked) + 1, next_fresh)
-            )
-
-    def continue_from(self, predecessor: ChunnelStage) -> None:
-        """Number on past the stage this one replaces in a transition, and
-        keep its RTT estimate (a transition keeps the peer, so the path).
-
-        The receiver dedups on ``(sender, seq)``, and its stage for the new
-        epoch may already hold the predecessor's numbers — a server
-        releases data it held back for a lease verdict into its newest
-        stack — so restarting at 1 would swallow new messages as
-        duplicates.
-        """
-        if isinstance(predecessor, _ReliableStage):
-            self._seq = itertools.count(next(predecessor._seq))
-            self.rtt = predecessor.rtt
-            self.backoff = predecessor.backoff
+        if not isinstance(predecessor, _ReliableStage):
+            return
+        self._seq = itertools.count(next(predecessor._seq))
+        self.rtt = predecessor.rtt
+        self.backoff = predecessor.backoff
+        for seq, message in predecessor._unacked.items():
+            if seq not in predecessor._timers:
+                self._unacked[seq] = message.copy()
+        self._delivered = predecessor._delivered
 
     def stop(self) -> None:
         self._stopped = True

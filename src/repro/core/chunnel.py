@@ -390,6 +390,11 @@ class ChunnelStage:
     def stop(self) -> None:
         """Connection closing; cancel timers, flush state."""
 
+    def adopt_state(self, predecessor: "ChunnelStage") -> None:
+        """Take over what ``predecessor``, the stage this one replaces in
+        an epoch change, must not lose (PROTOCOL.md §5.2).  Called once,
+        before this stage starts; stateless stages inherit nothing."""
+
     # -- data path ----------------------------------------------------------------
     def on_send(self, msg: Message) -> Iterable[Message]:
         """Transform an application-bound-for-wire message."""

@@ -440,6 +440,12 @@ class FailoverManager:
                 deadline,
             )
             if ack is None or not ack.ok:
+                # Point back at the old peer before the abort flushes the
+                # send buffer: the flush lands in its window, which is
+                # re-frozen below and replayed in order by the next attempt.
+                # Nothing reaches this standby's server connection.
+                conn.peers = old_peers
+                conn.transport = old_transport
                 return False
             # Replay the frozen window *before* the commit flushes the send
             # buffer: replayed messages carry the older sequence numbers,
@@ -452,10 +458,9 @@ class FailoverManager:
         except BerthaError:
             old_epoch = None
         if old_epoch is None:
-            # The abort resumed sends (toward the standby, if the socket
-            # was already rebound): point the connection back at the old
-            # peer and re-freeze — the flushed messages stay recoverable
-            # in the unacked window.
+            # The abort resumed sends toward the old peer (restored here
+            # too, for a handshake that raised): pause and re-freeze — the
+            # flushed messages stay recoverable in the unacked window.
             conn.peers = old_peers
             conn.transport = old_transport
             conn.pause_sends()

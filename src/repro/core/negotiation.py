@@ -36,6 +36,7 @@ from .policy import Policy, PolicyContext
 from .scope import Endpoints, Placement
 
 __all__ = [
+    "candidate_pool",
     "feasible_offers",
     "decide",
     "decide_with_reservations",
@@ -69,6 +70,34 @@ def _location_feasible(offer: Offer, ctx: PolicyContext) -> bool:
         # A single device cannot be at both ends unless they share a host.
         return ctx.same_host and offer.location in endpoint_hosts
     return offer.location in endpoint_hosts
+
+
+def candidate_pool(
+    registry, chunnel_types, message, *network_pools
+) -> dict[str, list[Offer]]:
+    """The server's candidate pool for ``chunnel_types``: the client's
+    offers (from its OFFER ``message``), ``registry``'s server offers, then
+    each ``network_pools`` entry in turn, deduplicated by record id."""
+    wanted = set(chunnel_types)
+    candidates: dict[str, list[Offer]] = {}
+    for ctype, offers in message.offers.items():
+        if ctype in wanted:
+            candidates.setdefault(ctype, []).extend(offers)
+    server = registry.offers_for(sorted(wanted), origin="server")
+    for ctype, offers in server.items():
+        candidates.setdefault(ctype, []).extend(offers)
+    seen_records: set[str] = set()
+    for pool in network_pools:
+        for ctype, offers in pool.items():
+            if ctype not in wanted:
+                continue
+            for offer in offers:
+                if offer.record_id and offer.record_id in seen_records:
+                    continue
+                if offer.record_id:
+                    seen_records.add(offer.record_id)
+                candidates.setdefault(ctype, []).append(offer)
+    return candidates
 
 
 def feasible_offers(

@@ -57,7 +57,11 @@ from .dag import ChunnelDag, wrap
 from .establish import establish_connection
 from .leases import LeaseHandle, LeaseTable
 from .negcache import NegotiationCache
-from .negotiation import decide_with_reservations, reserve_choice
+from .negotiation import (
+    candidate_pool,
+    decide_with_reservations,
+    reserve_choice,
+)
 from .policy import DefaultPolicy, Policy, PolicyContext
 from .registry import ChunnelRegistry, ImplCatalog, catalog as default_catalog
 from .wire import WireError, wire_kind
@@ -1049,36 +1053,6 @@ class Listener:
             return False
         return (self.env.now - self._network_offers_at) > ttl
 
-    def _assemble_candidates(
-        self, chunnel_types: list[str], message: "msgs.Offer"
-    ) -> dict[str, list[Offer]]:
-        """The candidate pool for the given types: client offers (from the
-        message), server offers (this process's registry), and network
-        offers (the client's discovery view plus our own cache, deduplicated
-        by record id)."""
-        runtime = self.runtime
-        candidates: dict[str, list[Offer]] = {}
-        wanted = set(chunnel_types)
-        for ctype, offers in message.offers.items():
-            if ctype in wanted:
-                candidates.setdefault(ctype, []).extend(offers)
-        for ctype, offers in runtime.registry.offers_for(
-            sorted(wanted), origin="server"
-        ).items():
-            candidates.setdefault(ctype, []).extend(offers)
-        seen_records: set[str] = set()
-        for pool in (message.network_offers, self._network_offers):
-            for ctype, offers in pool.items():
-                if ctype not in wanted:
-                    continue
-                for offer in offers:
-                    if offer.record_id and offer.record_id in seen_records:
-                        continue
-                    if offer.record_id:
-                        seen_records.add(offer.record_id)
-                    candidates.setdefault(ctype, []).append(offer)
-        return candidates
-
     def _optimized_dag(
         self, dag: ChunnelDag, message: "msgs.Offer", ctx: PolicyContext
     ) -> Optional[ChunnelDag]:
@@ -1089,7 +1063,10 @@ class Listener:
         from .negotiation import _location_feasible
 
         probe_types = set(dag.chunnel_types()) | optimizer.traits.merge_targets()
-        probe = self._assemble_candidates(sorted(probe_types), message)
+        probe = candidate_pool(
+            self.runtime.registry, probe_types, message,
+            message.network_offers, self._network_offers,
+        )
         offloadable = {
             ctype
             for ctype, offers in probe.items()
@@ -1144,8 +1121,10 @@ class Listener:
         choice = None
         reservations: dict[int, LeaseHandle] = {}
         for attempt_dag in attempts:
-            candidates = self._assemble_candidates(
-                attempt_dag.chunnel_types(), message
+            # Network offers: the client's discovery view, then our cache.
+            candidates = candidate_pool(
+                runtime.registry, attempt_dag.chunnel_types(), message,
+                message.network_offers, self._network_offers,
             )
             try:
                 # Answer without waiting for the checks of leases this

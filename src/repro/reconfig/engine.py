@@ -15,10 +15,12 @@ All three run one sequence, :meth:`ReconfigManager._change_epoch`
 
 1. **Prepare** — instantiate implementations for the nodes whose binding
    changed (unchanged nodes carry their live stage objects — and therefore
-   their state — into the new stack), hand each replaced stage to its
-   successor, and run setup *and* after-establish hooks.  Device programs
-   are thus installed while the old stack still serves: an upgrade
-   redirects packets before they can miss the new stack.
+   their state — into the new stack), let each successor adopt the state
+   of the stage it replaces (``adopt_state``: a reliability stage's
+   numbering, frozen window, RTT estimate and dedup table), and run setup
+   *and* after-establish hooks.  Device programs are thus installed while
+   the old stack still serves: an upgrade redirects packets before they
+   can miss the new stack.
 2. **Announce** — an initiator sends ``TRANSITION`` or ``MIGRATE`` in-band
    and waits for the ack (:meth:`ReconfigManager.announce`).
 3. **Commit** — swap the current epoch, release leases, tear down replaced
@@ -26,9 +28,9 @@ All three run one sequence, :meth:`ReconfigManager._change_epoch`
    refusal, a timeout or a failed prepare, tear the *new* implementations
    down and resume the old stack untouched (rollback).
 
-The callers differ only in data: the epoch's source, the hand-off
-(``continue_from`` or ``adopt_window``), the server entity, and how leases
-go back (the server waits, a migration spawns, the peer holds none).
+The callers differ only in data: the epoch's source, the server entity,
+and how leases go back (the server waits, a migration spawns, the peer
+holds none).
 
 Messages in flight during the handover carry their stack's epoch in a
 header; the receiving connection routes each message to the stack of its
@@ -51,7 +53,7 @@ from ..core import rpc
 from ..core.chunnel import Offer, Role
 from ..core.dag import ChunnelDag
 from ..core.establish import build_binding, teardown_nodes
-from ..core.negotiation import decide_with_reservations
+from ..core.negotiation import candidate_pool, decide_with_reservations
 from ..core.scope import Placement
 from ..errors import BerthaError, ConnectionTimeoutError, ReconfigurationError
 from ..sim.eventloop import Event, Interrupt
@@ -104,24 +106,6 @@ def _changed_nodes(conn: "Connection", dag: ChunnelDag, choice, forced) -> set:
         for node_id in dag.topological_order()
         if not _same_offer(conn.choice.get(node_id), choice.get(node_id))
     }
-
-
-def _continue_from(old_stage, new_stage) -> None:
-    """Transition hand-off.  A fresh stage that numbers its sends continues
-    past the stage it replaces: the peer may already have seen those
-    numbers in its own fresh stage — data held back for a lease verdict is
-    released into the newest stack."""
-    carry = getattr(new_stage, "continue_from", None)
-    if carry is not None:
-        carry(old_stage)
-
-
-def _adopt_window(old_stage, new_stage) -> None:
-    """Migration hand-off.  A replaced reliability binding cannot carry its
-    stage object over; the replacement adopts the frozen unacked window so
-    the replay still covers it."""
-    if hasattr(new_stage, "adopt_window") and getattr(old_stage, "_unacked", None):
-        new_stage.adopt_window(old_stage._unacked)
 
 
 @dataclass
@@ -493,7 +477,7 @@ class ReconfigManager:
         changed = _changed_nodes(conn, dag, accept.choice, forced)
         return (yield from self._change_epoch(
             conn, dag, accept.choice, changed, self._next_epoch(conn),
-            server_entity=accept.data_addr.host, handoff=_adopt_window,
+            server_entity=accept.data_addr.host,
             release=self._release_later, announce=handshake,
         ))
 
@@ -503,7 +487,7 @@ class ReconfigManager:
     def _change_epoch(
         self, conn: "Connection", dag: ChunnelDag, choice: dict, changed: set,
         epoch: int, *, server_entity=None, reservations=None,
-        handoff=_continue_from, release=None, announce=None,
+        release=None, announce=None,
     ):
         """Generator → the replaced epoch once ``epoch`` is current, or
         None when ``announce(epoch, stack)``, a generator returning whether
@@ -513,8 +497,8 @@ class ReconfigManager:
 
         ``reservations`` maps node id → the lease reference a re-decision
         took for it; ``release`` is a generator function giving references
-        back (None: the caller holds none); ``handoff(old_stage,
-        new_stage)`` runs for each replaced stage.
+        back (None: the caller holds none).  Each replaced stage hands its
+        state to its successor (:meth:`ChunnelStage.adopt_state`).
         """
         reservations = reservations or {}
         # Changed nodes are set up fresh, each with a private copy of the
@@ -536,7 +520,7 @@ class ReconfigManager:
         old_map = conn._stage_map or {}
         for node_id in sorted(changed):
             if old_map.get(node_id) is not None and stage_map[node_id] is not None:
-                handoff(old_map[node_id], stage_map[node_id])
+                stage_map[node_id].adopt_state(old_map[node_id])
         stages = [
             stage_map[node_id]
             for node_id in dag.topological_order()
@@ -773,37 +757,19 @@ class ReconfigManager:
 
     def _assemble_candidates(self, conn, dag: ChunnelDag, message: "msgs.Offer"):
         """Generator: the re-decision candidate pool — stored client offers,
-        our registry, and a fresh discovery query (dedup by record id)."""
-        runtime = self.runtime
-        wanted = set(dag.chunnel_types())
-        candidates: dict[str, list[Offer]] = {}
-        for ctype, offers in message.offers.items():
-            if ctype in wanted:
-                candidates.setdefault(ctype, []).extend(offers)
-        for ctype, offers in runtime.registry.offers_for(
-            sorted(wanted), origin="server"
-        ).items():
-            candidates.setdefault(ctype, []).extend(offers)
+        our registry, and a fresh discovery query."""
+        types = dag.chunnel_types()
+        registry = self.runtime.registry
         try:
-            fresh = yield from runtime.discovery.query(sorted(wanted))
+            fresh = yield from self.runtime.discovery.query(sorted(set(types)))
         except ConnectionTimeoutError:
             # Discovery outage mid-transition: re-decide from the stored
             # client offers and our registry alone.  A device-failure
             # trigger still degrades to a fallback; upgrades wait until
             # discovery is reachable again.
             self._log(conn, "degraded", "re-decision without discovery")
-            return candidates
-        seen: set[str] = set()
-        for ctype, offers in fresh.offers.items():
-            if ctype not in wanted:
-                continue
-            for offer in offers:
-                if offer.record_id and offer.record_id in seen:
-                    continue
-                if offer.record_id:
-                    seen.add(offer.record_id)
-                candidates.setdefault(ctype, []).append(offer)
-        return candidates
+            return candidate_pool(registry, types, message)
+        return candidate_pool(registry, types, message, fresh.offers)
 
     def _release_later(self, handles):
         """Generator that never waits: hand each lease reference to the

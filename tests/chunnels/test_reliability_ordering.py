@@ -414,8 +414,8 @@ class TestAdaptiveRetransmit:
 
 
 class TestRttHandOff:
-    """A transition keeps the peer and so the estimate; a migration's
-    replacement stage starts again from ``timeout``."""
+    """One hand-off rule: a replacement stage keeps its predecessor's
+    estimate, whether a transition or a migration replaced it."""
 
     @staticmethod
     def hand_off(carry):
@@ -440,21 +440,20 @@ class TestRttHandOff:
 
     def test_transition_replacement_keeps_srtt_and_rttvar(self):
         old, new, old_rto, new_rto = self.hand_off(
-            lambda old, new: new.continue_from(old)
+            lambda old, new: new.adopt_state(old)
         )
         assert old.rtt.srtt is not None
         assert (new.rtt.srtt, new.rtt.rttvar) == (old.rtt.srtt, old.rtt.rttvar)
         assert new_rto == old_rto < new.timeout / 2
 
-    def test_migration_replacement_starts_from_timeout(self):
+    def test_migration_replacement_keeps_the_estimate_too(self):
         def migrate(old, new):
             old.freeze_retransmits()
-            new.adopt_window(old._unacked)
+            new.adopt_state(old)
 
         old, new, old_rto, new_rto = self.hand_off(migrate)
-        assert new.rtt.srtt is None
-        assert old_rto < new.timeout / 2
-        assert new_rto == new.timeout
+        assert new.rtt is old.rtt
+        assert new_rto == old_rto < new.timeout / 2
 
 
 class _Delayer(LossProgram):

@@ -11,13 +11,14 @@ These tests pin the tentpole's correctness bar end to end on small worlds:
 * at 20% link loss with *no* crashes the suspicion logic never fires —
   steady inbound traffic and the Jacobson-style retransmission timeout
   keep false positives at zero;
-* the unacked-window adoption that a changed reliability node performs
-  during migration advances the sequence counter past the inherited
-  window (a reused sequence number would be swallowed by the receiver's
-  dedup) — unit-tested, and end to end off a NIC-offloaded primary;
+* a changed reliability node's successor adopts the frozen window, the
+  estimate and the dedup table, and numbers past the inherited window (a
+  reused sequence number would be swallowed by the receiver's dedup) —
+  unit-tested, and end to end off a NIC-offloaded primary;
 * a migration whose acks are lost rolls its epoch back completely (old
   stack only, prepared impls torn down, old peer and transport back,
-  window re-frozen) and a later attempt still loses nothing.
+  window re-frozen, nothing sent to the standby) and a later attempt
+  still loses nothing and delivers in order.
 """
 
 import itertools
@@ -34,11 +35,12 @@ from repro.chunnels import (
 )
 from repro.chunnels.reliability import _SEQ, _ReliableStage
 from repro.core import Runtime
-from repro.core.chunnel import Role
+from repro.core.chunnel import ChunnelStage, Role
 from repro.core.dag import wrap
 from repro.core.failover import FailoverConfig, FailoverManager
 from repro.core.negcache import NegotiationCache
 from repro.core.policy import PriorityFirstPolicy
+from repro.core.rpc import RttEstimator
 from repro.errors import (
     ConnectionTimeoutError,
     DeadlineExceeded,
@@ -285,19 +287,20 @@ class TestReliabilityHandOff:
         # window, and number its own sends above it.
         adopted = []
         numbered: dict = {}
-        adopt_window = _ReliableStage.adopt_window
+        adopt_state = _ReliableStage.adopt_state
         on_send = _ReliableStage.on_send
 
-        def recording_adopt(stage, frozen):
+        def recording_adopt(stage, predecessor):
+            frozen = set(predecessor._unacked) - set(predecessor._timers)
             adopted.append((stage, sorted(frozen)))
-            adopt_window(stage, frozen)
+            adopt_state(stage, predecessor)
 
         def recording_send(stage, msg):
             out = on_send(stage, msg)
             numbered.setdefault(id(stage), []).append(msg.headers[_SEQ])
             return out
 
-        monkeypatch.setattr(_ReliableStage, "adopt_window", recording_adopt)
+        monkeypatch.setattr(_ReliableStage, "adopt_state", recording_adopt)
         monkeypatch.setattr(_ReliableStage, "on_send", recording_send)
         net, recorders, client_rt = build_world(servers=2, toe_primary=True)
         conn, sent, impl_before = crash_primary_while_sending(
@@ -380,12 +383,11 @@ class TestMigrationAbort:
         assert reliable_impl(conn) == "ReliableFallback"
         assert conn.migrations + manager.resumed_total == 1
         assert not conn.parked
-        # Zero loss, and nothing delivered twice.  Not in order: the abort
-        # flushes the buffered sends to the standby before the old peer is
-        # put back (ROADMAP item 1).
-        union, duplicates = union_counts(recorders)
-        assert union == set(sent)
-        assert duplicates == 0
+        # Zero loss, nothing delivered twice, and in order everywhere: the
+        # abort flushes the buffered sends into the old peer's window,
+        # never to the standby's first-attempt server connection, and the
+        # attempt that succeeds replays that window in sequence order.
+        assert_delivered_once_in_order(recorders, sent)
 
 
 class TestParking:
@@ -493,35 +495,55 @@ class TestWindowAdoption:
         def copy(self):
             return TestWindowAdoption._Msg(self.tag)
 
-    def _bare_stage(self, seq_start=1):
+    def _bare_stage(self, seq_start=1, frozen=(), live=()):
+        """A stage with unacked ``frozen`` seqs (no timer) and ``live``
+        seqs (a timer each), numbering from ``seq_start``."""
         stage = object.__new__(_ReliableStage)
-        stage._unacked = {}
+        stage._unacked = {seq: self._Msg(seq) for seq in (*frozen, *live)}
+        stage._timers = {seq: object() for seq in live}
         stage._seq = itertools.count(seq_start)
+        stage._delivered = set()
+        stage.rtt = RttEstimator()
+        stage.backoff = 0.0
         return stage
 
     def test_adopts_frozen_window_and_advances_sequence(self):
-        stage = self._bare_stage()
-        frozen = {5: self._Msg("a"), 9: self._Msg("b")}
-        stage.adopt_window(frozen)
-        assert sorted(stage._unacked) == [5, 9]
+        old = self._bare_stage(seq_start=12, frozen=(5, 9), live=(11,))
+        new = self._bare_stage()
+        new.adopt_state(old)
+        # Only the frozen entries move: the live one is still the
+        # predecessor's to retransmit until it is retired.
+        assert sorted(new._unacked) == [5, 9]
+        assert new._unacked[5] is not old._unacked[5]
         # The next fresh sequence number must clear the inherited window:
-        # reusing 1..9 would collide with replayed numbers in the
+        # reusing 1..11 would collide with replayed numbers in the
         # receiver's dedup set and silently swallow a new message.
-        assert next(stage._seq) == 10
-
-    def test_existing_entries_win_and_sequence_never_regresses(self):
-        stage = self._bare_stage(seq_start=20)
-        own = self._Msg("mine")
-        stage._unacked[3] = own
-        stage.adopt_window({3: self._Msg("theirs"), 4: self._Msg("x")})
-        assert stage._unacked[3] is own
-        assert next(stage._seq) == 20
+        assert next(new._seq) == 12
 
     def test_empty_frozen_window_is_a_no_op(self):
-        stage = self._bare_stage(seq_start=4)
-        stage.adopt_window({})
-        assert stage._unacked == {}
-        assert next(stage._seq) == 4
+        old = self._bare_stage(seq_start=4)
+        new = self._bare_stage()
+        new.adopt_state(old)
+        assert new._unacked == {}
+        assert next(new._seq) == 4
+
+    def test_shares_the_estimate_and_the_dedup_table(self):
+        old = self._bare_stage()
+        old.backoff = 3e-4
+        old._delivered.add(("srv0", 1))
+        new = self._bare_stage()
+        new.adopt_state(old)
+        assert new.rtt is old.rtt and new.backoff == old.backoff
+        # Shared, not copied: a straggler either stage admits later is a
+        # duplicate to the other.
+        new._delivered.add(("srv0", 2))
+        assert new._delivered is old._delivered
+        assert ("srv0", 2) in old._delivered
+
+    def test_a_different_stage_type_hands_over_nothing(self):
+        new = self._bare_stage(seq_start=7)
+        new.adopt_state(object.__new__(ChunnelStage))
+        assert next(new._seq) == 7 and new._delivered == set()
 
 
 class TestConnectDeadline:

@@ -4,8 +4,9 @@ A server transition, a peer adopting one and a failed-over client migrating
 all run one prepare / commit / abort sequence,
 ``ReconfigManager._change_epoch`` in ``reconfig/engine.py`` (PROTOCOL.md
 §5.2).  This test parses every module under ``src/repro`` and fails if a
-connection's epoch methods are called from any other function, so a second
-copy of the sequence cannot grow back unnoticed.
+connection's epoch methods, or the stage hand-off ``adopt_state``, are
+called from any other function, so a second copy of the sequence (or a
+second hand-off rule) cannot grow back unnoticed.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ EPOCH_METHODS = {
     "commit_transition",
     "abort_transition",
     "retire_epoch",
+    "adopt_state",
 }
 
 #: ``(module, function)`` of the one epoch change.
