@@ -122,10 +122,7 @@ class HashBytes(ShardFunction):
 
 
 register_wire_type(
-    "shard_fn.hash_bytes",
-    HashBytes,
-    lambda f: {"offset": f.offset, "length": f.length},
-    lambda d: HashBytes(d["offset"], d["length"]),
+    "shard_fn.hash_bytes", HashBytes, fields=[("offset", int), ("length", int)]
 )
 
 

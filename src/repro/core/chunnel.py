@@ -37,7 +37,7 @@ from ..errors import ChunnelArgumentError
 from ..sim.datagram import Address
 from .resources import ResourceVector
 from .scope import Endpoints, Placement, Scope
-from .wire import WireError, decode, encode
+from .wire import WireError, register_wire_type
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from .dag import ChunnelDag
@@ -52,7 +52,6 @@ __all__ = [
     "ImplMeta",
     "Offer",
     "register_spec",
-    "spec_from_wire",
 ]
 
 
@@ -113,23 +112,14 @@ def register_spec(cls: type["ChunnelSpec"]) -> type["ChunnelSpec"]:
     return cls
 
 
-def _build_spec(type_name: str, args: dict, scope_value: int) -> "ChunnelSpec":
+def _build_spec(type_name: str, args: dict, scope: Scope) -> "ChunnelSpec":
     cls = _spec_registry.get(type_name)
     if cls is None:
         raise WireError(f"unknown chunnel type on the wire: {type_name!r}")
     spec = cls.__new__(cls)
     ChunnelSpec.__init__(spec, **args)
-    spec.scope_requirement = Scope(scope_value)
+    spec.scope_requirement = scope
     return spec
-
-
-def spec_from_wire(data: dict) -> "ChunnelSpec":
-    """Decode one spec from its wire dict form (inverse of ``to_wire``)."""
-    return _build_spec(
-        data.get("type"),
-        decode(data.get("args", {})),
-        data.get("scope", Scope.GLOBAL.value),
-    )
 
 
 class ChunnelSpec:
@@ -193,15 +183,7 @@ class ChunnelSpec:
             walk(value)
         return found
 
-    # -- serialization & comparison ---------------------------------------------
-    def to_wire(self) -> dict:
-        """Wire dict form (type + encoded args + scope)."""
-        return {
-            "type": self.type_name,
-            "args": encode(self.args),
-            "scope": self.scope_requirement.value,
-        }
-
+    # -- comparison ---------------------------------------------------------------
     def compat_key(self) -> tuple:
         """Key for DAG compatibility: type identity only.
 
@@ -232,33 +214,6 @@ class ImplMeta:
     resources: ResourceVector = field(default_factory=ResourceVector)
     description: str = ""
 
-    def to_wire(self) -> dict:
-        return {
-            "chunnel_type": self.chunnel_type,
-            "name": self.name,
-            "priority": self.priority,
-            "scope": self.scope.value,
-            "endpoints": self.endpoints.value,
-            "placement": self.placement.value,
-            "resources": self.resources.to_wire(),
-            "description": self.description,
-        }
-
-    @classmethod
-    def from_wire(cls, data: dict) -> "ImplMeta":
-        return cls(
-            chunnel_type=data["chunnel_type"],
-            name=data["name"],
-            priority=int(data.get("priority", 0)),
-            scope=Scope(data.get("scope", Scope.GLOBAL.value)),
-            endpoints=Endpoints(data.get("endpoints", Endpoints.BOTH.value)),
-            placement=Placement(
-                data.get("placement", Placement.HOST_SOFTWARE.value)
-            ),
-            resources=ResourceVector.from_wire(data.get("resources")),
-            description=data.get("description", ""),
-        )
-
 
 @dataclass(frozen=True)
 class Offer:
@@ -275,22 +230,16 @@ class Offer:
     location: Optional[str] = None
     record_id: Optional[str] = None
 
-    def to_wire(self) -> dict:
-        return {
-            "meta": self.meta.to_wire(),
-            "origin": self.origin,
-            "location": self.location,
-            "record_id": self.record_id,
-        }
 
-    @classmethod
-    def from_wire(cls, data: dict) -> "Offer":
-        return cls(
-            meta=ImplMeta.from_wire(data["meta"]),
-            origin=data["origin"],
-            location=data.get("location"),
-            record_id=data.get("record_id"),
-        )
+register_wire_type(
+    "chunnel_spec",
+    ChunnelSpec,
+    fields=[("type", str), ("args", dict[str, Any]), ("scope", Scope)],
+    get=lambda spec: (spec.type_name, spec.args, spec.scope_requirement),
+    build=_build_spec,
+)
+register_wire_type("impl_meta", ImplMeta)
+register_wire_type("chunnel_offer", Offer)
 
 
 # --------------------------------------------------------------------------
@@ -424,23 +373,3 @@ class ChunnelStage:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} role={self.role.value}>"
-
-
-def _register_spec_wire_adapter() -> None:
-    from .wire import register_wire_type
-
-    register_wire_type(
-        "chunnel_spec",
-        ChunnelSpec,
-        lambda spec: {
-            "type": spec.type_name,
-            "args": spec.args,
-            "scope": spec.scope_requirement.value,
-        },
-        lambda body: _build_spec(
-            body["type"], body.get("args", {}), body.get("scope", Scope.GLOBAL.value)
-        ),
-    )
-
-
-_register_spec_wire_adapter()

@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Union
 
 from ..errors import DagError, IncompatibleDagError
 from .chunnel import ChunnelSpec
-from .wire import decode, encode
+from .wire import WireError, encode, register_wire_type
 
 __all__ = ["ChunnelDag", "wrap"]
 
@@ -240,32 +240,6 @@ class ChunnelDag:
             merged.nodes[node_id] = incoming.nodes[node_id]
         return merged, changed
 
-    # -- serialization ------------------------------------------------------------
-    def to_wire(self) -> dict:
-        """Wire form: nodes (id + spec) and edges."""
-        return {
-            "nodes": [
-                {"id": node_id, "spec": encode(spec)}
-                for node_id, spec in sorted(self.nodes.items())
-            ],
-            "edges": sorted([list(edge) for edge in self.edges]),
-        }
-
-    @classmethod
-    def from_wire(cls, data: dict) -> "ChunnelDag":
-        """Inverse of :meth:`to_wire`; validates the result."""
-        dag = cls()
-        for node in data.get("nodes", []):
-            spec = decode(node["spec"])
-            if not isinstance(spec, ChunnelSpec):
-                raise DagError(f"wire node did not decode to a spec: {node!r}")
-            dag.nodes[int(node["id"])] = spec
-            dag._next_id = max(dag._next_id, int(node["id"]) + 1)
-        for a, b in data.get("edges", []):
-            dag.edges.add((int(a), int(b)))
-        dag.validate()
-        return dag
-
     def copy(self) -> "ChunnelDag":
         """A structural copy sharing the (immutable-by-convention) specs."""
         dup = ChunnelDag()
@@ -282,6 +256,31 @@ class ChunnelDag:
             return "<ChunnelDag empty>"
         chain = " -> ".join(s.type_name for s in self.specs_in_order())
         return f"<ChunnelDag {chain}>"
+
+
+def _dag_from_wire(
+    nodes: list[tuple[int, ChunnelSpec]], edges: list[tuple[int, int]]
+) -> ChunnelDag:
+    """Rebuild a DAG from its wire fields: nodes ascending by id, edges
+    sorted and unique (the only order the encoder writes), then validated."""
+    ids = [node_id for node_id, _spec in nodes]
+    if ids != sorted(set(ids)) or edges != sorted(set(edges)):
+        raise WireError("DAG nodes and edges must be sorted and unique")
+    dag = ChunnelDag()
+    dag.nodes = dict(nodes)
+    dag.edges = set(edges)
+    dag._next_id = ids[-1] + 1 if ids else 0
+    dag.validate()
+    return dag
+
+
+register_wire_type(
+    "chunnel_dag",
+    ChunnelDag,
+    fields=[("nodes", list[tuple[int, ChunnelSpec]]), ("edges", list[tuple[int, int]])],
+    get=lambda dag: (sorted(dag.nodes.items()), sorted(dag.edges)),
+    build=_dag_from_wire,
+)
 
 
 def wrap(*items: Wrappable) -> ChunnelDag:

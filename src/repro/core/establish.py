@@ -32,6 +32,7 @@ from . import messages as msgs
 from .chunnel import ChunnelImpl, Offer, Role
 from .connection import Connection
 from .dag import ChunnelDag
+from .wire import decode, encode
 from .stack import SetupContext
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -284,7 +285,7 @@ class SplitProxy:
         self.upstream_dag = (
             upstream_dag
             if upstream_dag is not None
-            else ChunnelDag.from_wire(downstream_dag.to_wire())
+            else decode(encode(downstream_dag))
         )
         self.listener = runtime.new(name, downstream_dag).listen(port=port)
         self.bridges: list[tuple[Connection, Connection]] = []
@@ -348,7 +349,7 @@ class SplitProxy:
         """Originate the upstream segment, then pump both directions."""
         endpoint = self.runtime.new(
             f"{self.name}-up{self.splits}",
-            ChunnelDag.from_wire(self.upstream_dag.to_wire()),
+            decode(encode(self.upstream_dag)),
         )
         try:
             up = yield from endpoint.connect(self.target)

@@ -3,22 +3,16 @@
 Every control message Bertha exchanges — negotiation OFFER/ACCEPT/ERROR
 (§4.3), the live-reconfiguration TRANSITION handshake, and the discovery
 query/reserve/release/watch RPCs (§4.2) — is a frozen dataclass defined
-here and registered on the :mod:`repro.core.wire` tagged-encoding registry.
-Senders construct instances and :func:`repro.core.wire.encode` them;
-receivers :func:`decode_message` the payload and dispatch on the type.
-
-Three properties this buys over the previous hand-built ``{"kind": ...}``
-dicts:
-
-* **strictness** — a payload that is not a registered message, carries an
-  unknown field, or misses a required one raises :class:`WireError` at the
-  receiver, where callers count it (``malformed_total`` /
-  ``ctl_malformed_total``) instead of silently dropping it;
-* **versioning** — every encoded message carries ``v``; a receiver rejects
-  versions newer than it speaks, so a future schema change degrades loudly;
-* **self-description** — PROTOCOL.md's message catalogue is generated from
-  these docstrings (:func:`protocol_appendix`), so code and spec cannot
-  drift.
+here and registered in the :mod:`repro.core.wire` codec table, which
+gives it a frame kind id.  Senders :func:`encode_message_sized` instances
+into frames; receivers :func:`decode_message` the payload and dispatch on
+the type.  A frame that is not a registered message, or whose fields (at
+any depth) have the wrong arity or type, raises :class:`WireError` at the
+receiver, where callers count it (``malformed_total`` /
+``ctl_malformed_total``); a version newer than the receiver speaks is
+rejected the same way.  PROTOCOL.md's message catalogue is generated from
+these docstrings and the codec table (:func:`protocol_appendix`), so code
+and spec cannot drift.
 
 Docstring convention: the first paragraph describes the message; a
 ``Direction:`` line names sender → receiver and channel; a ``Retransmit:``
@@ -30,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Optional, Type
 
 from ..errors import (
@@ -40,9 +34,18 @@ from ..errors import (
     ResourceExhaustedError,
 )
 from ..sim.datagram import Address
-from .chunnel import Offer as ImplOffer
+from .chunnel import ChunnelSpec, ImplMeta, Offer as ImplOffer
 from .dag import ChunnelDag
-from .wire import WireError, decode, encode, encode_sized, register_wire_type
+from .resources import ResourceVector
+from .wire import (
+    WireError,
+    codec_of,
+    decode_frame,
+    encode_sized,
+    frame_fields,
+    register_frame_type,
+    register_wire_type,
+)
 
 __all__ = [
     "ControlMessage",
@@ -85,6 +88,7 @@ __all__ = [
     "decode_message",
     "encode_message",
     "encode_message_sized",
+    "request_id",
     "protocol_appendix",
 ]
 
@@ -106,81 +110,31 @@ class ControlMessage:
     KIND: ClassVar[str] = ""
     VERSION: ClassVar[int] = 1
 
-    def _to_body(self) -> dict:
-        """The wire body (field name → still-undecoded value)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "ControlMessage":
-        """Inverse of :meth:`_to_body` (body values already decoded)."""
-        return cls(**body)
-
-
-def _encode_body(message: ControlMessage) -> dict:
-    return {"v": type(message).VERSION, **message._to_body()}
-
-
-def _decode_body(cls: Type[ControlMessage], body: dict) -> ControlMessage:
-    version = body.pop("v", None)
-    if not isinstance(version, int) or version < 1:
-        raise WireError(f"{cls.KIND}: missing or invalid protocol version")
-    if version > cls.VERSION:
-        raise WireError(
-            f"{cls.KIND}: version {version} is newer than spoken "
-            f"version {cls.VERSION}"
-        )
-    try:
-        return cls._from_body(body)
-    except (TypeError, ValueError, KeyError) as error:
-        raise WireError(f"malformed {cls.KIND} message: {error}") from None
-
 
 def control_message(cls: Type[ControlMessage]) -> Type[ControlMessage]:
-    """Class decorator: register ``cls`` on the wire registry by its KIND."""
+    """Class decorator: add ``cls`` to the codec table by its KIND and give
+    it the next frame kind id (declaration order)."""
     if not cls.KIND:
         raise WireError(f"{cls.__name__} has no KIND")
-    register_wire_type(
-        cls.KIND,
-        cls,
-        _encode_body,
-        lambda body, cls=cls: _decode_body(cls, body),
-    )
+    register_wire_type(cls.KIND, cls)
+    register_frame_type(cls, cls.VERSION)
     BY_KIND[cls.KIND] = cls
     return cls
 
 
-def decode_message(payload: Any) -> ControlMessage:
-    """Decode a received control payload, strictly.
-
-    Raises :class:`WireError` when the payload is not the encoding of a
-    registered control message (callers count these instead of silently
-    dropping, per the control-plane hardening contract).
-    """
-    message = decode(payload)
-    if not isinstance(message, ControlMessage):
-        raise WireError(
-            f"payload is not a control message: {type(message).__name__}"
-        )
-    return message
+#: Decode a received control frame, strictly: raises :class:`WireError`
+#: when the payload is not the frame of a registered control message
+#: (callers count these instead of silently dropping, per the control-plane
+#: hardening contract).
+decode_message = decode_frame
 
 
-def encode_message(message: ControlMessage) -> dict:
-    """Encode a control message for the wire (thin alias of ``encode``)."""
-    if not isinstance(message, ControlMessage):
-        raise WireError(f"not a control message: {message!r}")
-    return encode(message)
+def encode_message_sized(message: ControlMessage) -> tuple[bytes, int]:
+    """A control message's frame and wire size, memoized per instance.
 
-
-def encode_message_sized(message: ControlMessage) -> tuple[dict, int]:
-    """Encode a control message and its wire size in one pass, memoized.
-
-    Control messages are frozen dataclasses, so an instance's wire form
-    never changes; retransmit loops and reply-cache replays re-send the
-    same instance, and the per-instance memo makes every send after the
-    first free.  The encoded dict is *shared* between those sends — the
-    zero-copy wire path — so receivers must treat decoded-from payloads as
-    immutable (they already do: :func:`decode_message` builds fresh
-    objects).
+    Control messages are frozen dataclasses, so an instance's frame never
+    changes; retransmit loops and reply-cache replays re-send the same
+    instance, and the memo makes every send after the first free.
     """
     if not isinstance(message, ControlMessage):
         raise WireError(f"not a control message: {message!r}")
@@ -191,12 +145,22 @@ def encode_message_sized(message: ControlMessage) -> tuple[dict, int]:
     return cached
 
 
-def _choice_to_body(choice: Dict[int, ImplOffer]) -> dict:
-    return {str(node): offer for node, offer in choice.items()}
+def encode_message(message: ControlMessage) -> bytes:
+    """A control message's frame (see :func:`encode_message_sized`)."""
+    return encode_message_sized(message)[0]
 
 
-def _choice_from_body(wire_choice: dict) -> Dict[int, ImplOffer]:
-    return {int(node): offer for node, offer in wire_choice.items()}
+def request_id(payload: Any) -> Optional[str]:
+    """The ``req_id`` of a discovery request frame that failed to decode.
+
+    Every discovery message carries ``req_id`` as its first field, so a
+    well-framed request of an unknown kind, or with a malformed later
+    field, can still be answered with ``disc.error``.
+    """
+    items = frame_fields(payload)
+    if items and type(items[0]) is str:
+        return items[0]
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -240,26 +204,10 @@ class Accept(ControlMessage):
     choice: Dict[int, ImplOffer]
     data_addr: Address
     transport: str
-    params: dict = field(default_factory=dict)
+    params: Dict[str, Any] = field(default_factory=dict)
     #: The deciding side's policy epoch at decision time; clients key
-    #: negotiation-cache entries on it (PROTOCOL.md §7).  Omitted from the
-    #: wire while 0 — like ``EPOCH_HEADER``, epoch 0 is implicit, so
-    #: deployments that never bump the policy see an unchanged wire format
-    #: (and unchanged message sizes/timings).
+    #: negotiation-cache entries on it (PROTOCOL.md §7).
     policy_epoch: int = 0
-
-    def _to_body(self) -> dict:
-        body = super()._to_body()
-        body["choice"] = _choice_to_body(self.choice)
-        if not self.policy_epoch:
-            body.pop("policy_epoch")
-        return body
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "Accept":
-        body = dict(body)
-        body["choice"] = _choice_from_body(body.get("choice", {}))
-        return cls(**body)
 
 
 @control_message
@@ -283,17 +231,6 @@ class Resume(ControlMessage):
     choice: Dict[int, ImplOffer]
     client_entity: str
     policy_epoch: int = 0
-
-    def _to_body(self) -> dict:
-        body = super()._to_body()
-        body["choice"] = _choice_to_body(self.choice)
-        return body
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "Resume":
-        body = dict(body)
-        body["choice"] = _choice_from_body(body.get("choice", {}))
-        return cls(**body)
 
 
 @control_message
@@ -387,17 +324,6 @@ class Transition(ControlMessage):
     dag: ChunnelDag
     choice: Dict[int, ImplOffer]
     reason: str = ""
-
-    def _to_body(self) -> dict:
-        body = super()._to_body()
-        body["choice"] = _choice_to_body(self.choice)
-        return body
-
-    @classmethod
-    def _from_body(cls, body: dict) -> "Transition":
-        body = dict(body)
-        body["choice"] = _choice_from_body(body.get("choice", {}))
-        return cls(**body)
 
 
 @control_message
@@ -522,7 +448,10 @@ class MigrateAck(ControlMessage):
 class DiscoveryMessage(ControlMessage):
     """Base for discovery requests/replies: all carry a requester-unique
     ``req_id`` (reply matching and at-most-once dedup) and an ``attempt``
-    tag (late-reply detection)."""
+    tag (late-reply detection), as their first two fields."""
+
+    req_id: Optional[str] = None
+    attempt: Any = 0
 
     def stamped(self, req_id: Optional[str], attempt: Any) -> "DiscoveryMessage":
         """A copy carrying the given request id and attempt tag."""
@@ -544,8 +473,6 @@ class Query(DiscoveryMessage):
 
     types: List[str] = field(default_factory=list)
     service_name: Optional[str] = None
-    req_id: Optional[str] = None
-    attempt: Any = 0
 
 
 @control_message
@@ -562,8 +489,6 @@ class QueryReply(DiscoveryMessage):
 
     offers: Dict[str, List[ImplOffer]] = field(default_factory=dict)
     instances: List[Address] = field(default_factory=list)
-    req_id: Optional[str] = None
-    attempt: Any = 0
 
 
 @control_message
@@ -585,8 +510,6 @@ class Reserve(DiscoveryMessage):
 
     record_id: str = ""
     owner: str = ""
-    req_id: Optional[str] = None
-    attempt: Any = 0
 
 
 @control_message
@@ -602,8 +525,6 @@ class ReserveReply(DiscoveryMessage):
     KIND: ClassVar[str] = "disc.reserve_reply"
 
     ok: bool = False
-    req_id: Optional[str] = None
-    attempt: Any = 0
 
 
 @control_message
@@ -625,8 +546,6 @@ class LeaseCheck(DiscoveryMessage):
 
     record_id: str = ""
     owner: str = ""
-    req_id: Optional[str] = None
-    attempt: Any = 0
 
 
 @control_message
@@ -644,8 +563,6 @@ class LeaseCheckReply(DiscoveryMessage):
     KIND: ClassVar[str] = "disc.lease_check_reply"
 
     ok: bool = False
-    req_id: Optional[str] = None
-    attempt: Any = 0
 
 
 @control_message
@@ -664,8 +581,6 @@ class Release(DiscoveryMessage):
 
     record_id: str = ""
     owner: str = ""
-    req_id: Optional[str] = None
-    attempt: Any = 0
 
 
 @control_message
@@ -680,8 +595,6 @@ class ReleaseReply(DiscoveryMessage):
     KIND: ClassVar[str] = "disc.release_reply"
 
     ok: bool = True
-    req_id: Optional[str] = None
-    attempt: Any = 0
 
 
 @control_message
@@ -697,8 +610,6 @@ class Watch(DiscoveryMessage):
 
     record_id: str = ""
     address: Optional[Address] = None
-    req_id: Optional[str] = None
-    attempt: Any = 0
 
 
 @control_message
@@ -713,8 +624,6 @@ class WatchReply(DiscoveryMessage):
     KIND: ClassVar[str] = "disc.watch_reply"
 
     ok: bool = True
-    req_id: Optional[str] = None
-    attempt: Any = 0
 
 
 @control_message
@@ -730,8 +639,6 @@ class RegisterName(DiscoveryMessage):
 
     name: str = ""
     address: Optional[Address] = None
-    req_id: Optional[str] = None
-    attempt: Any = 0
 
 
 @control_message
@@ -747,8 +654,6 @@ class RegisterNameReply(DiscoveryMessage):
     KIND: ClassVar[str] = "disc.register_name_reply"
 
     ok: bool = True
-    req_id: Optional[str] = None
-    attempt: Any = 0
 
 
 @control_message
@@ -764,8 +669,6 @@ class UnregisterName(DiscoveryMessage):
 
     name: str = ""
     address: Optional[Address] = None
-    req_id: Optional[str] = None
-    attempt: Any = 0
 
 
 @control_message
@@ -781,8 +684,6 @@ class UnregisterNameReply(DiscoveryMessage):
     KIND: ClassVar[str] = "disc.unregister_name_reply"
 
     ok: bool = True
-    req_id: Optional[str] = None
-    attempt: Any = 0
 
 
 @control_message
@@ -798,8 +699,6 @@ class ServiceError(DiscoveryMessage):
     KIND: ClassVar[str] = "disc.error"
 
     error: str = ""
-    req_id: Optional[str] = None
-    attempt: Any = 0
 
 
 # --------------------------------------------------------------------------
@@ -818,8 +717,6 @@ class GetShardMap(DiscoveryMessage):
 
     KIND: ClassVar[str] = "disc.shard_map"
 
-    req_id: Optional[str] = None
-    attempt: Any = 0
 
 
 @control_message
@@ -837,9 +734,7 @@ class ShardMapReply(DiscoveryMessage):
     KIND: ClassVar[str] = "disc.shard_map_reply"
 
     version: int = 0
-    shards: List[dict] = field(default_factory=list)
-    req_id: Optional[str] = None
-    attempt: Any = 0
+    shards: List[Any] = field(default_factory=list)
 
 
 @control_message
@@ -854,8 +749,6 @@ class Ping(DiscoveryMessage):
 
     KIND: ClassVar[str] = "disc.ping"
 
-    req_id: Optional[str] = None
-    attempt: Any = 0
 
 
 @control_message
@@ -870,8 +763,6 @@ class Pong(DiscoveryMessage):
     KIND: ClassVar[str] = "disc.pong"
 
     ok: bool = True
-    req_id: Optional[str] = None
-    attempt: Any = 0
 
 
 @control_message
@@ -891,8 +782,6 @@ class Promote(DiscoveryMessage):
 
     shard_id: int = 0
     version: int = 0
-    req_id: Optional[str] = None
-    attempt: Any = 0
 
 
 @control_message
@@ -909,8 +798,6 @@ class PromoteReply(DiscoveryMessage):
 
     ok: bool = True
     version: int = 0
-    req_id: Optional[str] = None
-    attempt: Any = 0
 
 
 # --------------------------------------------------------------------------
@@ -949,44 +836,6 @@ class LeaseRevoked(ControlMessage):
 
 
 # --------------------------------------------------------------------------
-# Wire adapters for the rich payload types messages carry
-# --------------------------------------------------------------------------
-def _encode_dag(dag: ChunnelDag) -> dict:
-    return {
-        "nodes": [
-            {"id": node_id, "spec": spec}
-            for node_id, spec in sorted(dag.nodes.items())
-        ],
-        "edges": sorted([list(edge) for edge in dag.edges]),
-    }
-
-
-def _decode_dag(body: dict) -> ChunnelDag:
-    from .chunnel import ChunnelSpec
-
-    dag = ChunnelDag()
-    for node in body.get("nodes", []):
-        spec = node["spec"]
-        if not isinstance(spec, ChunnelSpec):
-            raise WireError(f"DAG node did not decode to a spec: {node!r}")
-        dag.nodes[int(node["id"])] = spec
-        dag._next_id = max(dag._next_id, int(node["id"]) + 1)
-    for a, b in body.get("edges", []):
-        dag.edges.add((int(a), int(b)))
-    dag.validate()
-    return dag
-
-
-register_wire_type("chunnel_dag", ChunnelDag, _encode_dag, _decode_dag)
-register_wire_type(
-    "chunnel_offer",
-    ImplOffer,
-    lambda offer: offer.to_wire(),
-    lambda body: ImplOffer.from_wire(body),
-)
-
-
-# --------------------------------------------------------------------------
 # PROTOCOL.md appendix generation
 # --------------------------------------------------------------------------
 def _docstring_parts(cls: Type[ControlMessage]) -> tuple[str, str, str]:
@@ -1015,31 +864,53 @@ def _docstring_parts(cls: Type[ControlMessage]) -> tuple[str, str, str]:
     return " ".join(summary), direction, retransmit
 
 
+def _field_list(cls: type) -> str:
+    codec = codec_of(cls)
+    return ", ".join(
+        f"`{name}`: {tp}" for name, tp in zip(codec.names, codec.types)
+    )
+
+
 def protocol_appendix() -> str:
     """The PROTOCOL.md control-message catalogue, generated from this
-    module's docstrings.  ``tests/core/test_protocol_doc.py`` keeps the
-    committed document in sync with this output."""
+    module's docstrings and the codec table.
+    ``tests/core/test_protocol_doc.py`` keeps the committed document in
+    sync with this output."""
     lines = [
         "## Appendix A — control-message catalogue",
         "",
-        "Generated from the `repro.core.messages` schema "
+        "Generated from the `repro.core.messages` schema and the "
+        "`repro.core.wire` codec table "
         "(`python -c 'from repro.core import messages; "
         "print(messages.protocol_appendix())'`). Every message is a frozen "
-        "dataclass registered on the tagged wire encoding; payloads carry a "
-        "`v` version field and receivers reject versions newer than they "
-        "speak. Do not edit this appendix by hand.",
+        "dataclass sent as a frame: the magic bytes `be a7`, the kind id, "
+        "the version, then its fields in the order listed, as one compact "
+        "JSON array. Receivers reject versions newer than they speak. Do "
+        "not edit this appendix by hand.",
+        "",
+        "Nested values travel as arrays of their fields in this order:",
+        "",
+    ]
+    for cls in (Address, ResourceVector, ImplMeta, ImplOffer, ChunnelSpec, ChunnelDag):
+        lines.append(f"- `{codec_of(cls).tag}`: {_field_list(cls)}")
+    lines += [
+        "",
+        "`dict[int, X]` travels as a list of `[key, value]` pairs. An `any` "
+        "field holds JSON scalars, lists and string-keyed objects as "
+        "themselves, and `bytes` or any other wire type as "
+        '`{"@": [tag, *fields]}`.',
         "",
     ]
     for kind in sorted(BY_KIND):
         cls = BY_KIND[kind]
         summary, direction, retransmit = _docstring_parts(cls)
-        field_names = ", ".join(f"`{f.name}`" for f in fields(cls))
         lines += [
-            f"### `{kind}` (v{cls.VERSION}) — {cls.__name__}",
+            f"### `{kind}` (id {codec_of(cls).kind_id}, v{cls.VERSION}) — "
+            f"{cls.__name__}",
             "",
             summary,
             "",
-            f"- **Fields:** {field_names}",
+            f"- **Fields:** {_field_list(cls)}",
             f"- **Direction:** {direction}",
             f"- **Retransmit:** {retransmit}",
             "",

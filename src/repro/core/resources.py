@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from .wire import WireError, register_wire_type
+
 __all__ = [
     "ResourceVector",
     "SWITCH_STAGES",
@@ -100,16 +102,6 @@ class ResourceVector(Mapping[str, float]):
         """True for the empty vector (no resource needs)."""
         return not self._amounts
 
-    # -- serialization ------------------------------------------------------
-    def to_wire(self) -> dict[str, float]:
-        """Plain-dict form for negotiation messages."""
-        return dict(self._amounts)
-
-    @classmethod
-    def from_wire(cls, data: Mapping[str, float] | None) -> "ResourceVector":
-        """Inverse of :meth:`to_wire`."""
-        return cls(data or {})
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ResourceVector):
             return NotImplemented
@@ -121,3 +113,19 @@ class ResourceVector(Mapping[str, float]):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(f"{k}={v:g}" for k, v in sorted(self._amounts.items()))
         return f"ResourceVector({inner})"
+
+
+def _vector_from_wire(amounts: dict[str, float]) -> ResourceVector:
+    vector = ResourceVector(amounts)
+    if len(vector) != len(amounts):
+        raise WireError("zero resource amounts are never on the wire")
+    return vector
+
+
+register_wire_type(
+    "resources",
+    ResourceVector,
+    fields=[("amounts", dict[str, float])],
+    get=lambda vector: (vector._amounts,),
+    build=_vector_from_wire,
+)

@@ -44,7 +44,7 @@ from ..sim.datagram import Address
 from ..sim.eventloop import Interrupt
 from ..sim.transport import UdpSocket
 from .client import DiscoveryClientBase, QueryResult, RemoteDiscoveryClient
-from .shard import ShardMap, _stable_hash
+from .shard import ShardInfo, ShardMap, _stable_hash
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.host import NetEntity
@@ -125,7 +125,7 @@ class ShardRouter:
             else:
                 self.maps_served += 1
                 response = msgs.ShardMapReply(
-                    version=self.map.version, shards=self.map.to_wire()
+                    version=self.map.version, shards=list(self.map.shards)
                 )
                 if req_id is not None:
                     self._replies.put(req_id, response)
@@ -319,13 +319,15 @@ class ShardedDiscoveryClient(DiscoveryClientBase):
             reply = yield from client._rpc(msgs.GetShardMap())
         finally:
             self._checkin(self.router_address, client)
-        if not isinstance(reply, msgs.ShardMapReply):
+        if not isinstance(reply, msgs.ShardMapReply) or not reply.shards or not all(
+            isinstance(shard, ShardInfo) for shard in reply.shards
+        ):
             raise ConnectionTimeoutError(
                 f"shard router at {self.router_address} answered "
                 f"{getattr(reply, 'KIND', type(reply).__name__)!r}"
             )
         old = self.map
-        self.map = ShardMap.from_wire(reply.version, reply.shards)
+        self.map = ShardMap(reply.version, list(reply.shards))
         if old is not None and self.map.version != old.version:
             self.map_refreshes += 1
             self._resubscribe_moved(old)

@@ -521,7 +521,7 @@ class DiscoveryService:
         on serving.
 
         A request that fails schema decoding is counted and dropped —
-        unless its raw body carries a usable ``req_id``, in which case a
+        unless its frame still yields a ``req_id``, in which case a
         ``disc.error`` reply tells the sender to stop retransmitting.
         """
         while True:
@@ -589,9 +589,7 @@ class DiscoveryService:
         ``req_id`` string to address the error to."""
         self.malformed_total += 1
         kind = wire_kind(payload)
-        if kind is None and isinstance(payload, dict):
-            kind = payload.get("kind")
-        log_key = kind if isinstance(kind, str) else type(payload).__name__
+        log_key = kind if kind is not None else type(payload).__name__
         if log_key not in self._malformed_logged:
             self._malformed_logged.add(log_key)
             _log.warning(
@@ -599,8 +597,8 @@ class DiscoveryService:
                 log_key,
                 error,
             )
-        req_id = payload.get("req_id") if isinstance(payload, dict) else None
-        if not isinstance(req_id, str):
+        req_id = msgs.request_id(payload)
+        if req_id is None:
             return None
         return msgs.ServiceError(error=str(error), req_id=req_id)
 

@@ -50,6 +50,7 @@ from ..chunnels.serialize import SerializeFallback
 from ..core import messages as msgs
 from ..core.chunnel import ImplMeta
 from ..core.runtime import Runtime
+from ..core.wire import register_wire_type
 from ..sim.datagram import Address
 from ..sim.eventloop import Process
 from .records import ImplementationRecord
@@ -84,20 +85,8 @@ class ShardInfo:
     primary: Address
     replicas: list[Address] = field(default_factory=list)
 
-    def to_wire(self) -> dict:
-        return {
-            "shard_id": self.shard_id,
-            "primary": self.primary,
-            "replicas": list(self.replicas),
-        }
 
-    @classmethod
-    def from_wire(cls, body: dict) -> "ShardInfo":
-        return cls(
-            shard_id=int(body["shard_id"]),
-            primary=body["primary"],
-            replicas=list(body.get("replicas", [])),
-        )
+register_wire_type("shard_info", ShardInfo)
 
 
 class ShardMap:
@@ -137,13 +126,6 @@ class ShardMap:
 
     def replicas_of(self, shard_id: int) -> list[Address]:
         return list(self.shards[shard_id].replicas)
-
-    def to_wire(self) -> list[dict]:
-        return [shard.to_wire() for shard in self.shards]
-
-    @classmethod
-    def from_wire(cls, version: int, shards: list[dict]) -> "ShardMap":
-        return cls(version, [ShardInfo.from_wire(s) for s in shards])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ShardMap v{self.version} shards={len(self.shards)}>"

@@ -209,8 +209,8 @@ class ReconfigManager:
                 state.watched_records.add(record_id)
                 self.discovery_watcher.watch_record(
                     record_id,
-                    lambda rid, kind, body, c=conn: self._on_record_event(
-                        c, rid, kind, body
+                    lambda rid, kind, push, c=conn: self._on_record_event(
+                        c, rid, kind, push
                     ),
                 )
             location = offer.location
@@ -250,7 +250,7 @@ class ReconfigManager:
     # Triggers
     # ------------------------------------------------------------------
     def _on_record_event(
-        self, conn: "Connection", record_id: str, kind: str, body: dict
+        self, conn: "Connection", record_id: str, kind: str, push
     ) -> None:
         if conn.closed:
             return

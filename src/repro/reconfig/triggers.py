@@ -27,7 +27,7 @@ Three independent signal sources feed the transition engine:
 from __future__ import annotations
 
 import logging
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..core import messages as msgs
 from ..core.wire import WireError
@@ -173,10 +173,11 @@ class DiscoveryWatcher:
             )
 
     def watch_record(
-        self, record_id: str, callback: Callable[[str, str, dict], None]
+        self, record_id: str, callback: Callable[[str, str, Any], None]
     ) -> None:
-        """Subscribe ``callback(record_id, kind, body)`` to pushes for one
-        record; registers the watch with the discovery service on first use.
+        """Subscribe ``callback(record_id, kind, push)`` to pushes for one
+        record (``push`` is the decoded message); registers the watch with
+        the discovery service on first use.
         """
         self._ensure()
         first = record_id not in self._callbacks
@@ -251,7 +252,7 @@ class DiscoveryWatcher:
             # it goes first, so nothing a callback starts finds it held.
             self.runtime.leases.drop(record_id, getattr(message, "owner", None))
             for callback in list(self._callbacks.get(record_id, [])):
-                callback(record_id, message.KIND, message._to_body())
+                callback(record_id, message.KIND, message)
 
     def stop(self) -> None:
         if self._proc is not None and self._proc.is_alive:

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from repro.chunnels import HashBytes, keystream_cipher
 from repro.chunnels.ordering import Ordered, OrderedFallback, _OrderedStage
-from repro.core import ChunnelDag, Message, wrap
+from repro.core import Message, wrap
 from repro.core.chunnel import Role
+from repro.core.wire import decode, encode
 from repro.sim import Address, Environment
 
 
@@ -137,7 +138,7 @@ class TestDagProperties:
     @settings(max_examples=50)
     def test_wire_roundtrip_preserves_shape(self, types):
         dag = self.build(types)
-        decoded = ChunnelDag.from_wire(dag.to_wire())
+        decoded = decode(encode(dag))
         assert decoded.canonical_shape() == dag.canonical_shape()
 
     @given(chain_strategy)

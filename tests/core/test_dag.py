@@ -13,6 +13,7 @@ from repro.chunnels import (
     Tcp,
 )
 from repro.core import ChunnelDag, ChunnelSpec, Scope, register_spec, wrap
+from repro.core.wire import WireError, decode, encode
 from repro.errors import DagError, IncompatibleDagError
 from repro.sim import Address
 
@@ -48,9 +49,7 @@ class TestSpec:
 
     def test_wire_roundtrip_preserves_scope(self):
         spec = Reliable().scoped(Scope.HOST)
-        from repro.core.chunnel import spec_from_wire
-
-        decoded = spec_from_wire(spec.to_wire())
+        decoded = decode(encode(spec))
         assert decoded.scope_requirement is Scope.HOST
         assert decoded.args == spec.args
 
@@ -116,10 +115,10 @@ class TestDagConstruction:
 
     def test_cycle_detected_via_wire(self):
         dag = Serialize() >> Reliable()
-        wire = dag.to_wire()
-        wire["edges"].append([1, 0])  # back edge
-        with pytest.raises(DagError):
-            ChunnelDag.from_wire(wire)
+        wire = encode(dag)
+        wire["@"][2].append([1, 0])  # back edge
+        with pytest.raises(WireError, match="cycle"):
+            decode(wire)
 
     def test_dangling_edge_detected(self):
         dag = wrap(Serialize())
@@ -147,17 +146,17 @@ class TestDagConstruction:
 class TestWireRoundtrip:
     def test_chain_roundtrip(self):
         dag = wrap(Serialize() >> Reliable() >> Ordered())
-        decoded = ChunnelDag.from_wire(dag.to_wire())
+        decoded = decode(encode(dag))
         assert decoded.canonical_shape() == dag.canonical_shape()
 
     def test_args_survive(self):
         dag = wrap(Shard(choices=[Address("w", 1), Address("w", 2)]))
-        decoded = ChunnelDag.from_wire(dag.to_wire())
+        decoded = decode(encode(dag))
         spec = decoded.specs_in_order()[0]
         assert spec.choices == [Address("w", 1), Address("w", 2)]
 
     def test_empty_roundtrip(self):
-        decoded = ChunnelDag.from_wire(ChunnelDag.empty().to_wire())
+        decoded = decode(encode(ChunnelDag.empty()))
         assert decoded.is_empty
 
 
@@ -219,7 +218,7 @@ class TestMergeArgUpdates:
     def test_wire_roundtrip_is_arg_identical(self):
         a = wrap(Serialize() >> Reliable(max_retries=4))
         merged, changed = ChunnelDag.merge_arg_updates(
-            a, ChunnelDag.from_wire(a.to_wire())
+            a, decode(encode(a))
         )
         assert merged is a
         assert changed == set()

@@ -10,6 +10,9 @@ sends the check alongside, so the datagrams are the same ones as when the
 accept waited for the check, in a different order, and a resume costs the
 client one control round trip of time, not two.  A change that adds a
 leg to establishment fails this test, not a benchmark three PRs later.
+The bytes are pinned too: every control datagram is sized by its frame's
+length (floored at 64 B), and each kind's size in these worlds is exact,
+so a change that re-bloats the wire fails here as well.
 """
 
 from repro.apps.rpc import EchoServer
@@ -24,7 +27,7 @@ from repro.core import Runtime
 from repro.core import messages as msgs
 from repro.core.dag import wrap
 from repro.core.policy import PriorityFirstPolicy
-from repro.core.wire import wire_kind
+from repro.core.wire import MIN_MESSAGE_SIZE, wire_kind
 from repro.discovery import ShardedDiscoveryClient
 from repro.sim import LossProgram, SmartNic
 from repro.sim.transport import UdpSocket
@@ -49,6 +52,10 @@ RESUMED = [
     "disc.lease_check_reply",
     "bertha.hello",
 ]
+#: ``dgram.size`` of each control datagram, in ``COLD`` order.  The two
+#: queries (and their replies) differ in the chunnel type asked about.
+COLD_SIZES = [64, 64, 64, 152, 504, 64, 376, 64, 64]
+RESUMED_SIZES = [358, 64, 376, 64, 64]
 
 
 class BudgetWorld:
@@ -115,6 +122,11 @@ class BudgetWorld:
         assert conn.choice[conn.dag.find("reliable")[0]].meta.name == "toe"
         kinds = [kind for _, kind, _ in crossed if kind is not None]
         other = [dgram for _, kind, dgram in crossed if kind is None]
+        self.sizes = [
+            (kind, dgram.size) for _, kind, dgram in crossed if kind is not None
+        ]
+        for kind, dgram in ((k, d) for _, k, d in crossed if k is not None):
+            assert dgram.size == max(MIN_MESSAGE_SIZE, len(dgram.payload)), kind
         return kinds, other, rounds, conn
 
     def control_rtt(self, request):
@@ -158,6 +170,7 @@ def test_second_cold_establishment_is_nine_datagrams_and_no_consensus():
     assert kinds.index("bertha.offer") == 4
     assert other == []  # no RSM group traffic, no data: nothing else at all
     assert rounds == [0] * 6
+    assert sorted(world.sizes) == sorted(zip(COLD, COLD_SIZES))
     (lease,) = world.tier.primary(0)._leases.values()
     assert lease.count == 1
     assert world.server_rt.leases.held() == {lease.key(): 2}
@@ -177,6 +190,7 @@ def test_resumed_establishment_is_five_datagrams_and_no_consensus():
     (resume,) = [d for _, k, d in world.crossed[start:] if k == "bertha.resume"]
     assert sorted(kinds) == sorted(RESUMED)
     assert kinds == RESUMED
+    assert world.sizes == list(zip(RESUMED, RESUMED_SIZES))
     assert other == []
     assert rounds == [0] * 6
     assert world.client_rt.negcache.hits == 1

@@ -2,23 +2,28 @@
 
 Per-protocol behaviour lives with each subsystem's tests; this file checks
 the properties that hold for *every* registered message kind: round-trip
-fidelity through the tagged wire encoding, JSON-serialisability, strict
-version and field validation, content-derived sizing — and the repo rule
-that no production module builds raw ``{"kind": ...}`` control dicts
-outside the schema module.
+fidelity through the frame codec, strict version, arity and type
+validation at every depth, canonical decoding under mutation (fuzzed),
+sizing by payload length — and the repo rules that no production module
+builds raw ``{"kind": ...}`` control dicts, keeps a hand-written
+``to_wire``/``from_wire`` pair, or builds or parses a control frame
+outside the codec modules.
 """
 
+import dataclasses
 import json
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.chunnels import Reliable, Serialize
 from repro.core import ImplMeta, Offer as ImplOffer, ResourceVector, Scope, wrap
 from repro.core import messages as msgs
 from repro.core.scope import Endpoints, Placement
-from repro.core.wire import WireError, message_size, wire_kind
+from repro.core.wire import MAGIC, MIN_MESSAGE_SIZE, WireError, encode_sized, wire_kind
+from repro.discovery import ShardInfo
 from repro.sim import Address
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -115,11 +120,11 @@ def samples():
         msgs.ShardMapReply(
             version=2,
             shards=[
-                {
-                    "shard_id": 0,
-                    "primary": Address("s0a", 7400),
-                    "replicas": [Address("s0a", 7400), Address("s0b", 7400)],
-                }
+                ShardInfo(
+                    shard_id=0,
+                    primary=Address("s0a", 7400),
+                    replicas=[Address("s0a", 7400), Address("s0b", 7400)],
+                )
             ],
             req_id="r8",
             attempt=1,
@@ -135,6 +140,16 @@ def samples():
 
 
 ALL_KINDS = sorted(msgs.BY_KIND)
+
+
+def header_and_body(frame: bytes):
+    """``(header bytes, parsed JSON field list)`` of a frame."""
+    return frame[:4], json.loads(frame[4:])
+
+
+def reframe(frame: bytes, body) -> bytes:
+    """``frame``'s header over a replacement (canonical) JSON body."""
+    return frame[:4] + json.dumps(body, separators=(",", ":")).encode()
 
 
 class TestRoundTrip:
@@ -154,10 +169,16 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_encoded_form_is_json_tagged_and_versioned(self, kind):
+        """A frame is magic, kind id, version, then one JSON array holding
+        the fields by position — no field names on the wire."""
         encoded = msgs.encode_message(samples()[kind])
-        json.dumps(encoded)  # raises if any rich object leaked
+        header, body = header_and_body(encoded)
+        cls = msgs.BY_KIND[kind]
         assert wire_kind(encoded) == kind
-        assert encoded["v"] == msgs.BY_KIND[kind].VERSION
+        assert header[:2] == MAGIC
+        assert header[3] == cls.VERSION
+        assert len(body) == len(dataclasses.fields(cls))
+        assert b'"conn_id"' not in encoded and b'"req_id"' not in encoded
 
 
 class TestStrictDecode:
@@ -166,41 +187,96 @@ class TestStrictDecode:
 
     def test_missing_version_rejected(self):
         encoded = self.encoded_hello()
-        del encoded["v"]
         with pytest.raises(WireError, match="protocol version"):
-            msgs.decode_message(encoded)
+            msgs.decode_message(encoded[:3] + b"\x00" + encoded[4:])
 
     def test_newer_version_rejected(self):
         encoded = self.encoded_hello()
-        encoded["v"] = msgs.Hello.VERSION + 1
+        newer = bytes([msgs.Hello.VERSION + 1])
         with pytest.raises(WireError, match="newer than"):
-            msgs.decode_message(encoded)
+            msgs.decode_message(encoded[:3] + newer + encoded[4:])
 
     def test_unknown_field_rejected(self):
         encoded = self.encoded_hello()
-        encoded["surprise"] = True
         with pytest.raises(WireError, match="malformed bertha.hello"):
-            msgs.decode_message(encoded)
+            msgs.decode_message(reframe(encoded, ["c1", True]))
 
     def test_unknown_kind_rejected(self):
         encoded = self.encoded_hello()
-        tag_key = next(k for k, v in encoded.items() if v == "bertha.hello")
-        encoded[tag_key] = "bertha.no_such_message"
         with pytest.raises(WireError, match="unknown wire tag"):
-            msgs.decode_message(encoded)
+            msgs.decode_message(encoded[:2] + b"\xfa" + encoded[3:])
 
     def test_untagged_payloads_rejected(self):
         with pytest.raises(WireError):
             msgs.decode_message({"conn_id": "c1"})
         with pytest.raises(WireError):
             msgs.decode_message("hello")
+        with pytest.raises(WireError):
+            msgs.decode_message(b'["c1"]')
+
+    def test_trailing_and_non_canonical_bytes_rejected(self):
+        encoded = self.encoded_hello()
+        for bad in (encoded + b" ", encoded + b"[]", encoded[:4] + b'[ "c1"]',
+                    encoded[:4] + b'["\\u0063\x31"]'):
+            with pytest.raises(WireError):
+                msgs.decode_message(bad)
+
+
+class TestNestedFieldsAreStrict:
+    """Every nested value is checked while it is decoded: arity, type and
+    enum range at every depth surface as :class:`WireError`, never as a
+    ``ValueError``/``KeyError``/``DagError`` from a constructor, and no
+    missing field is filled in with a default."""
+
+    def offer_body(self):
+        frame = msgs.encode_message(samples()["bertha.offer"])
+        return frame, header_and_body(frame)[1]
+
+    def nested_meta(self, body):
+        return body[2]["reliable"][0][0]  # offers -> first offer -> meta
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(3, 99), (2, 1.5), (2, True), (4, "sideways"), (5, None)],
+        ids=["scope-99", "priority-1.5", "priority-bool", "endpoints", "placement"],
+    )
+    def test_bad_nested_meta_field(self, field, value):
+        frame, body = self.offer_body()
+        self.nested_meta(body)[field] = value
+        with pytest.raises(WireError, match="malformed bertha.offer"):
+            msgs.decode_message(reframe(frame, body))
+
+    def test_missing_nested_field_is_not_defaulted(self):
+        frame, body = self.offer_body()
+        del self.nested_meta(body)[5]  # placement
+        with pytest.raises(WireError, match="expected 8 fields"):
+            msgs.decode_message(reframe(frame, body))
+
+    def test_address_without_port(self):
+        frame = msgs.encode_message(samples()["bertha.accept"])
+        body = header_and_body(frame)[1]
+        body[3] = ["srv"]
+        with pytest.raises(WireError, match="malformed address"):
+            msgs.decode_message(reframe(frame, body))
+
+    def test_dag_edge_to_unknown_node(self):
+        frame, body = self.offer_body()
+        body[1][1].append([1, 99])
+        with pytest.raises(WireError, match="missing node"):
+            msgs.decode_message(reframe(frame, body))
+
+    def test_negative_and_zero_resources(self):
+        for amount in (-1.0, 0.0):
+            frame, body = self.offer_body()
+            self.nested_meta(body)[6] = [{"nic_slots": amount}]
+            with pytest.raises(WireError, match="malformed resources"):
+                msgs.decode_message(reframe(frame, body))
 
 
 class TestEpochZeroIsImplicit:
-    def test_accept_epoch_zero_omitted_from_the_wire(self):
-        """``policy_epoch`` 0 (the never-bumped default) must not appear in
-        the encoded form: message sizes are content-derived, so a stamped
-        zero would change every establishment timing."""
+    def test_accept_epoch_zero_is_an_ordinary_field(self):
+        """``policy_epoch`` travels by position like every field, 0
+        included: the frame has no optional fields to leave out."""
         accept = samples()["bertha.accept"]
         plain = msgs.Accept(
             conn_id=accept.conn_id,
@@ -211,29 +287,90 @@ class TestEpochZeroIsImplicit:
             params=accept.params,
         )
         encoded = msgs.encode_message(plain)
-        assert "policy_epoch" not in encoded
+        assert header_and_body(encoded)[1][-1] == 0
         decoded = msgs.decode_message(encoded)
         assert decoded.policy_epoch == 0
 
     def test_accept_nonzero_epoch_round_trips(self):
         encoded = msgs.encode_message(samples()["bertha.accept"])
-        assert encoded["policy_epoch"] == 3
+        assert header_and_body(encoded)[1][-1] == 3
         assert msgs.decode_message(encoded).policy_epoch == 3
 
 
 class TestMessageSize:
     def test_small_messages_hit_the_framing_floor(self):
-        assert message_size(msgs.encode_message(msgs.Hello(conn_id="c"))) == 64
+        payload, size = encode_sized(msgs.Hello(conn_id="c"))
+        assert len(payload) < size == MIN_MESSAGE_SIZE == 64
 
     def test_size_is_content_derived(self):
-        small = msgs.encode_message(msgs.Query(types=["x" * 64]))
-        large = msgs.encode_message(msgs.Query(types=["x" * 512]))
-        assert message_size(large) > message_size(small) > 64
+        _, small = encode_sized(msgs.Query(types=["x" * 64]))
+        _, large = encode_sized(msgs.Query(types=["x" * 512]))
+        assert large > small > 64
 
     def test_same_message_same_size(self):
-        one = msgs.encode_message(samples()["bertha.offer"])
-        two = msgs.encode_message(samples()["bertha.offer"])
-        assert message_size(one) == message_size(two)
+        one = encode_sized(samples()["bertha.offer"])
+        two = encode_sized(samples()["bertha.offer"])
+        assert one == two
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_size_is_the_payload_length(self, kind):
+        payload, size = msgs.encode_message_sized(samples()[kind])
+        assert size == max(MIN_MESSAGE_SIZE, len(payload))
+
+
+def mutate(frame: bytes, other: bytes, choice: int, at: int, data: bytes) -> bytes:
+    """One structure-blind mutation of ``frame``."""
+    at %= len(frame) + 1
+    if choice == 0:  # truncate
+        return frame[:at]
+    if choice == 1:  # flip one byte
+        at %= len(frame)
+        return frame[:at] + bytes([frame[at] ^ (data[0] or 1)]) + frame[at + 1:]
+    if choice == 2:  # append
+        return frame + data
+    return frame[:at] + other[at % (len(other) + 1):]  # splice two frames
+
+
+def check_decode_is_canonical(payload: bytes) -> None:
+    """The fuzz property: a payload is rejected with :class:`WireError`,
+    or it decodes to a message that re-encodes to exactly its bytes."""
+    try:
+        message = msgs.decode_message(payload)
+    except WireError:
+        return
+    assert encode_sized(message)[0] == payload
+
+
+FRAMES = {kind: msgs.encode_message(message) for kind, message in samples().items()}
+MUTATIONS = dict(
+    choice=st.integers(0, 3),
+    at=st.integers(0, 4096),
+    data=st.binary(min_size=1, max_size=16),
+    other=st.sampled_from(ALL_KINDS),
+)
+
+
+class TestDecoderFuzz:
+    """Truncation, byte flips, appended bytes and spliced frames over one
+    instance of every kind.  Tier-1 runs a small derandomized slice; the
+    soak step draws 5 000 fresh examples per kind."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @settings(max_examples=40, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(**MUTATIONS)
+    def test_mutated_frames_decode_canonically_or_raise(self, kind, choice, at, data, other):
+        check_decode_is_canonical(mutate(FRAMES[kind], FRAMES[other], choice, at, data))
+
+
+@pytest.mark.soak
+class TestDecoderFuzzSoak:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @settings(max_examples=5000, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(**MUTATIONS)
+    def test_mutated_frames_decode_canonically_or_raise(self, kind, choice, at, data, other):
+        check_decode_is_canonical(mutate(FRAMES[kind], FRAMES[other], choice, at, data))
 
 
 class TestNoRawKindLiterals:
@@ -277,4 +414,37 @@ class TestNoRawKindLiterals:
         assert offenders == [], (
             "raw message-kind string literals outside core/messages.py: "
             + ", ".join(offenders)
+        )
+
+    def test_no_hand_written_wire_pairs(self):
+        """Every wire class is an entry in the codec table: no class keeps
+        its own ``to_wire``/``from_wire`` pair."""
+        pattern = re.compile(r"def (to_wire|from_wire)\b")
+        offenders = []
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+            for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+                if pattern.search(line):
+                    offenders.append(f"{path.relative_to(REPO_ROOT)}:{lineno}")
+        assert offenders == [], "hand-written wire pairs: " + ", ".join(offenders)
+
+    def test_control_frames_built_and_parsed_only_by_the_codec(self):
+        """Outside ``core/wire.py`` and ``core/messages.py`` a control
+        payload is built only by ``msgs.encode_message_sized`` and parsed
+        only by ``msgs.decode_message``: no module touches the frame
+        layout, the JSON body or the frame-level codec entry points."""
+        pattern = re.compile(
+            r"\b(MAGIC|_frames|encode_sized|decode_frame|frame_fields|"
+            r"register_frame_type|json\.(loads|dumps)\([^)]*payload)"
+        )
+        src = REPO_ROOT / "src" / "repro"
+        allowed = {src / "core" / "wire.py", src / "core" / "messages.py"}
+        offenders = []
+        for path in sorted(src.rglob("*.py")):
+            if path in allowed:
+                continue
+            for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+                if pattern.search(line):
+                    offenders.append(f"{path.relative_to(REPO_ROOT)}:{lineno}")
+        assert offenders == [], "control frames handled outside the codec: " + ", ".join(
+            offenders
         )

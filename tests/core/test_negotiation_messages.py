@@ -49,8 +49,9 @@ class TestOfferMessage:
         assert decoded.dag.canonical_shape() == dag.canonical_shape()
 
     def test_message_is_json_like(self):
-        """Encoded control messages must contain only wire-encodable
-        structures."""
+        """An encoded control message is a frame whose body after the
+        four-byte header is plain JSON: nothing but data leaks onto the
+        wire."""
         dag = wrap(Reliable())
         message = msgs.Offer(
             conn_id="c",
@@ -58,7 +59,8 @@ class TestOfferMessage:
             offers={"reliable": [sample_offer()]},
             client_entity="e",
         )
-        json.dumps(msgs.encode_message(message))  # raises if anything leaked
+        body = json.loads(msgs.encode_message(message)[4:])
+        assert body[0] == "c" and body[3] == "e"
 
 
 class TestAcceptMessage:

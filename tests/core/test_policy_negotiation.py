@@ -26,6 +26,7 @@ from repro.core import (
     wrap,
 )
 from repro.core.scope import Endpoints, Placement
+from repro.core.wire import decode, encode
 from repro.errors import (
     NoImplementationError,
     RegistrationError,
@@ -332,7 +333,7 @@ class TestOfferWire:
             location="srv",
             record_id="rec-9",
         )
-        decoded = Offer.from_wire(offer.to_wire())
+        decoded = decode(encode(offer))
         assert decoded == offer
 
     def test_meta_roundtrip(self):
@@ -344,4 +345,4 @@ class TestOfferWire:
             placement=Placement.SWITCH,
             resources=ResourceVector(switch_stages=2),
         )
-        assert ImplMeta.from_wire(original.to_wire()) == original
+        assert decode(encode(original)) == original

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import Endpoints, Placement, ResourceVector, Scope
+from repro.core.wire import decode, encode
 
 
 class TestScope:
@@ -101,7 +102,7 @@ class TestResourceVector:
 
     def test_wire_roundtrip(self):
         vector = ResourceVector(a=1.5, b=2)
-        assert ResourceVector.from_wire(vector.to_wire()) == vector
+        assert decode(encode(vector)) == vector
 
     def test_hashable(self):
         assert hash(ResourceVector(a=1)) == hash(ResourceVector({"a": 1}))

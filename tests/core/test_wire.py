@@ -1,4 +1,6 @@
-"""Tests for the wire encoding used by negotiation payloads."""
+"""Tests for the self-describing wire encoding of ``Any`` fields."""
+
+from typing import Any
 
 import pytest
 
@@ -31,7 +33,7 @@ class TestPrimitives:
 
     def test_reserved_key_rejected(self):
         with pytest.raises(WireError):
-            encode({"__kind__": "spoof"})
+            encode({"@": "spoof"})
 
     def test_unencodable_type_rejected(self):
         with pytest.raises(WireError):
@@ -39,7 +41,17 @@ class TestPrimitives:
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(WireError):
-            decode({"__kind__": "does-not-exist"})
+            decode({"@": ["does-not-exist"]})
+
+    def test_tag_key_must_stand_alone(self):
+        with pytest.raises(WireError):
+            decode({"@": ["address", "h", 1], "extra": 1})
+
+    def test_bytes_must_be_canonical_hex(self):
+        assert decode({"@": ["bytes", "00ff"]}) == b"\x00\xff"
+        for bad in ("00FF", "0", "zz"):
+            with pytest.raises(WireError):
+                decode({"@": ["bytes", bad]})
 
 
 class TestRegisteredTypes:
@@ -56,9 +68,7 @@ class TestRegisteredTypes:
             pass
 
         with pytest.raises(WireError):
-            register_wire_type(
-                "address", Custom, lambda v: {}, lambda d: Custom()
-            )
+            register_wire_type("address", Custom, fields=[])
 
     def test_custom_type_registration(self):
         class Pair:
@@ -68,12 +78,8 @@ class TestRegisteredTypes:
             def __eq__(self, other):
                 return (self.a, self.b) == (other.a, other.b)
 
-        register_wire_type(
-            "test.pair",
-            Pair,
-            lambda p: {"a": p.a, "b": p.b},
-            lambda d: Pair(d["a"], d["b"]),
-        )
+        register_wire_type("test.pair", Pair, fields=[("a", Any), ("b", Any)])
+        assert encode(Pair(1, "x")) == {"@": ["test.pair", 1, "x"]}
         assert decode(encode(Pair(1, "x"))) == Pair(1, "x")
 
 

@@ -1,7 +1,8 @@
-"""Wire fast-path contracts: adapter memoization and single-pass sizing."""
+"""Wire fast-path contracts: codec-table memoization and single-pass sizing."""
 
 import pytest
 
+from repro.core import messages as msgs
 from repro.core import wire
 from repro.core.wire import (
     MIN_MESSAGE_SIZE,
@@ -9,7 +10,6 @@ from repro.core.wire import (
     decode,
     encode,
     encode_sized,
-    message_size,
     register_wire_type,
 )
 from repro.sim import Address
@@ -31,16 +31,11 @@ class _AfterBase:
     pass
 
 
-register_wire_type(
-    "test.memo_base",
-    _MemoBase,
-    lambda v: {"x": v.x},
-    lambda d: _MemoBase(d["x"]),
-)
+register_wire_type("test.memo_base", _MemoBase, fields=[("x", int)])
 # Registered *after* the base on purpose: the registry scan for _MemoSub
 # then matches mid-iteration rather than on the final entry, which is the
 # case that would blow up if the memoizing write kept iterating.
-register_wire_type("test.after_base", _AfterBase, lambda v: {}, lambda d: _AfterBase())
+register_wire_type("test.after_base", _AfterBase, fields=[])
 
 
 class TestAdapterMemoization:
@@ -48,19 +43,19 @@ class TestAdapterMemoization:
         assert decode(encode(_MemoSub(3))) == _MemoBase(3)
 
     def test_subclass_hit_is_memoized_under_the_concrete_type(self):
-        wire._encoders.pop(_MemoSub, None)
+        wire._codecs.pop(_MemoSub, None)
         encode(_MemoSub(1))
         # Second encode is a plain dict hit: the concrete type now maps to
-        # the very same (tag, encoder) pair as the registered base.
-        assert wire._encoders[_MemoSub] is wire._encoders[_MemoBase]
+        # the very same codec as the registered base.
+        assert wire._codecs[_MemoSub] is wire._codecs[_MemoBase]
 
     def test_memoizing_during_the_registry_scan_is_safe(self):
         # Regression: the memo write happens *inside* the scan over
-        # ``_encoders``.  If the loop kept iterating after the write, the
+        # ``_codecs``.  If the loop kept iterating after the write, the
         # first subclass encode would die with "dictionary changed size
         # during iteration".  _AfterBase sits after _MemoBase in insertion
         # order, so this encode exercises exactly that mid-scan write.
-        wire._encoders.pop(_MemoSub, None)
+        wire._codecs.pop(_MemoSub, None)
         encoded = encode([_MemoSub(i) for i in range(3)])
         assert [decode(item).x for item in encoded] == [0, 1, 2]
 
@@ -76,9 +71,16 @@ class TestAdapterMemoization:
             encode(Stranger())
 
 
+def carrying(value):
+    """A control message whose self-describing ``attempt`` field holds
+    ``value``."""
+    return msgs.Query(types=["reliable"], req_id="r1", attempt=value)
+
+
 class TestEncodeSizedEquivalence:
-    """``encode_sized`` must equal the two-pass ``encode`` + ``message_size``
-    — same encoded form, same byte count — for every shape that travels."""
+    """``encode_sized`` returns the frame and ``max(64, len(frame))`` in one
+    pass, for every shape a self-describing field carries, and the frame
+    decodes back to an equal value."""
 
     @pytest.mark.parametrize(
         "value",
@@ -106,10 +108,11 @@ class TestEncodeSizedEquivalence:
         ],
     )
     def test_matches_two_pass_encoding(self, value):
-        reference = encode(value)
-        encoded, size = encode_sized(value)
-        assert encoded == reference
-        assert size == message_size(reference)
+        payload, size = encode_sized(carrying(value))
+        assert size == max(MIN_MESSAGE_SIZE, len(payload))
+        decoded = msgs.decode_message(payload)
+        assert decoded.attempt == decode(encode(value))
+        assert encode_sized(decoded) == (payload, size)
 
     def test_primitive_subclasses_take_the_isinstance_fallback(self):
         class MyInt(int):
@@ -118,17 +121,20 @@ class TestEncodeSizedEquivalence:
         class MyStr(str):
             pass
 
-        for value in (MyInt(42), MyStr("abc"), [MyInt(1), MyStr("s")], (MyInt(3),)):
-            encoded, size = encode_sized(value)
-            assert encoded == encode(value)
-            assert size == message_size(encode(value))
+        for value, plain in (
+            (MyInt(42), 42),
+            (MyStr("abc"), "abc"),
+            ([MyInt(1), MyStr("s")], [1, "s"]),
+            ((MyInt(3),), [3]),
+        ):
+            assert encode_sized(carrying(value)) == encode_sized(carrying(plain))
 
     def test_floor_applies_to_tiny_payloads(self):
-        encoded, size = encode_sized(None)
-        assert size == MIN_MESSAGE_SIZE == message_size(encoded)
+        payload, size = encode_sized(msgs.Ping())
+        assert len(payload) < MIN_MESSAGE_SIZE == size
 
     def test_reserved_and_non_string_keys_still_rejected(self):
         with pytest.raises(WireError):
-            encode_sized({"__kind__": 1})
+            encode_sized(carrying({"@": 1}))
         with pytest.raises(WireError):
-            encode_sized({1: "x"})
+            encode_sized(carrying({1: "x"}))

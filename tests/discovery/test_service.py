@@ -217,14 +217,11 @@ class TestRemoteProtocol:
 
         def scenario(env):
             sock = UdpSocket(net.hosts["cl"])
-            # A raw dict that never went through the schema: the service
-            # must reject it, but still answer (it carries a req_id) so the
-            # sender stops retransmitting.
-            sock.send(
-                {"kind": "disc.shenanigans", "req_id": "r1"},
-                service.address,
-                size=32,
-            )
+            # A well-formed frame of a kind id no schema defines: the
+            # service must reject it, but still answer (its first field is
+            # a req_id) so the sender stops retransmitting.
+            frame = msgs.encode_message(msgs.Ping(req_id="r1"))
+            sock.send(frame[:2] + b"\xfa" + frame[3:], service.address, size=64)
             reply = yield sock.recv()
             return reply.payload
 
