@@ -39,9 +39,36 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.transport import SimSocket
     from .runtime import Runtime
 
-__all__ = ["Connection"]
+__all__ = ["Connection", "LIFECYCLE", "lifecycle_table"]
 
 _log = logging.getLogger("repro.ctl")
+
+#: The holds on a connection's data path (``Connection.holds``).  They
+#: overlap, so the state is a set of them; ``BROKEN`` is not a hold.
+VERDICT, EPOCH, FAILOVER = "verdict", "epoch", "failover"
+BROKEN, HELD = "newest stack broken", "buffered"
+
+#: The connection lifecycle (PROTOCOL.md §5.4 is generated from it): for
+#: each hold, and for a broken newest stack, what happens to an
+#: application send, an inbound data datagram and an in-band control
+#: message, and what releases it.  ``HELD`` buffers that traffic and keeps
+#: its buffer from draining; an epoch change keeps the inbound buffer too.
+LIFECYCLE = {
+    VERDICT: (HELD, HELD, "to the engine", "the last verdict"),
+    EPOCH: (HELD, "its epoch's stack", "to the engine", "commit or abort"),
+    FAILOVER: (HELD, "its epoch's stack", "to the engine", "the window's replay"),
+    BROKEN: ("the current stack", HELD, "to the engine", "the next drain"),
+}
+_DATA_HELD = frozenset(h for h, row in LIFECYCLE.items() if row[1] == HELD) - {BROKEN}
+_SENDS_HELD = frozenset(h for h, row in LIFECYCLE.items() if row[0] == HELD) - {BROKEN}
+_INBOUND_BLOCKERS = _DATA_HELD | {EPOCH}
+
+
+def lifecycle_table() -> str:
+    """PROTOCOL.md's connection-state table, rendered from :data:`LIFECYCLE`."""
+    head = "State | Application send | Inbound data | In-band control | Released by"
+    rows = [f"`{state}` | " + " | ".join(row) for state, row in LIFECYCLE.items()]
+    return "".join(f"| {line} |\n" for line in [head, "---|---|---|---|---", *rows])
 
 
 def next_conn_id(entity) -> str:
@@ -145,7 +172,7 @@ class _Pump:
                     )
             else:
                 conn.runtime.reconfig.handle_ctl(conn, ctl_msg, dgram.src)
-            if conn._unverified:
+            if conn.holds:
                 conn._saw_peer()
             return True
         msg = Message(
@@ -154,9 +181,9 @@ class _Pump:
             headers=headers,
             src=dgram.src,
         )
-        if conn._unverified:
+        if conn.holds and not conn.holds.isdisjoint(_DATA_HELD):
             # A lease verdict is still out: no stage may see this yet.
-            conn._reroute_buffer.append(msg)
+            conn._inbound_buffer.append(msg)
             conn._saw_peer()
             return True
         stack = conn._stack_for(headers.get(EPOCH_HEADER, 0))
@@ -164,7 +191,7 @@ class _Pump:
             # Even the newest stack lost its device (the failure was just
             # detected): hold the message until the replacement stack
             # commits — zero loss, bounded delay.
-            conn._reroute_buffer.append(msg)
+            conn._inbound_buffer.append(msg)
             return True
         delivered, charge = stack.receive(msg)
         if charge > 0:
@@ -252,18 +279,14 @@ class Connection:
         #: attributes — no timing or wire impact unless a failover watcher
         #: is attached to the connection.
         self.migrations = 0
-        self.parked = False
         self.blackout = 0.0
         self.last_inbound_at: Optional[float] = None
         self.last_src: Optional[Address] = None
-        self._send_paused = False
+        #: The holds on the data path (rows of :data:`LIFECYCLE`); only
+        #: :meth:`hold` and :meth:`release` change it.
+        self.holds: set[str] = set()
         self._send_buffer: list[Message] = []
-        self._reroute_buffer: list[Message] = []
-        #: Server side, from :meth:`await_verdicts` until every lease
-        #: verdict of the binding is in: the pump parks data in
-        #: ``_reroute_buffer`` and sends stay buffered, so no stage runs on
-        #: a binding discovery has not confirmed.
-        self._unverified = False
+        self._inbound_buffer: list[Message] = []
         #: Fires at the next inbound datagram while the verdicts wait for
         #: a peer address to announce a transition to.
         self._peer_waiter: Optional[Event] = None
@@ -287,8 +310,7 @@ class Connection:
         )
         self.stack.connection = self
         self._stacks: dict[int, ChunnelStack] = {0: self.stack}
-        self._started_stages: set[int] = set()
-        self._start_new_stages(self.stack)
+        self.stack.start()
         self._first_delivery_seen = False
         #: Set by the accepting Listener (server side) so an ephemeral
         #: close can drop out of its connection list.
@@ -309,12 +331,7 @@ class Connection:
         obs.replace(
             f"{prefix}.stack_retransmissions",
             lambda: sum(
-                getattr(stage, "retransmissions", 0)
-                for stage in {
-                    id(stage): stage
-                    for stack in self._stacks.values()
-                    for stage in stack.stages
-                }.values()
+                getattr(stage, "retransmissions", 0) for stage in self.live_stages()
             ),
         )
         self._pump = _Pump(self, socket)
@@ -338,7 +355,13 @@ class Connection:
     def awaiting_verdict(self) -> bool:
         """True while the data path is held for a lease verdict
         (:meth:`await_verdicts`): quiet, but not idle."""
-        return self._unverified
+        return VERDICT in self.holds
+
+    @property
+    def parked(self) -> bool:
+        """True while failover holds the data path: the peer is suspected
+        and the connection is migrating off it or parked (PROTOCOL.md §9)."""
+        return FAILOVER in self.holds
 
     # -- data path ---------------------------------------------------------------
     def send(
@@ -363,9 +386,10 @@ class Connection:
             dst=dst,
         )
         self.messages_sent += 1
-        if self._send_paused:
-            # A transition is committing: hold the message until the new
-            # stack is live so it is processed by exactly one epoch.
+        if self.holds and not self.holds.isdisjoint(_SENDS_HELD):
+            # Held (a verdict, an epoch change, a failover): the message
+            # leaves when the last hold goes, through the stack current
+            # then, so it is processed by exactly one epoch.
             self._send_buffer.append(msg)
             return
         self.stack.send(msg)
@@ -409,25 +433,22 @@ class Connection:
 
     # -- lease verdicts (PROTOCOL.md §2) -------------------------------------------
     def await_verdicts(self, handles: dict) -> None:
-        """Hold the data path until every lease verdict is in.
+        """Take the ``VERDICT`` hold until every lease verdict is in.
 
         ``handles`` maps node id → the lease reference its binding took
-        before discovery answered.  Until every verdict has fired the pump
-        hands no datagram to any stage and sends stay buffered; control
-        traffic still flows.  Verdicts that stand start the data path, a
-        re-reserved handle swapped in where the check said no and
-        admission was granted again.  A verdict without a lease steers the
-        connection off every binding left without one — the transition a
-        ``disc.lease_revoked`` push asks for — and only then releases the
-        held data, into the newest stack; a connection that cannot move
+        before discovery answered.  Verdicts that stand release the hold,
+        a re-reserved handle swapped in where the check said no and
+        admission was granted again.  A verdict without a lease first
+        steers the connection off every binding left without one — the
+        transition a ``disc.lease_revoked`` push asks for — so the held
+        data drains into the newest stack; a connection that cannot move
         off such a binding is closed instead.
         """
         bindings = [
             (node_id, self.choice[node_id], handle)
             for node_id, handle in handles.items()
         ]
-        self._unverified = True
-        self._send_paused = True
+        self.hold(VERDICT)
         self.runtime.env.process(
             self._settle_verdicts(bindings), name=f"{self.conn_id}.verdicts"
         )
@@ -446,16 +467,12 @@ class Connection:
                     self.runtime.spawn_release(stands)
         if denied and not self.closed:
             yield from self._steer_off(denied)
-        self._unverified = False
-        if self.closed:
-            return
         # The stacks the verdicts replaced never ran: whatever still
         # carries their epoch belongs to the newest one.
         for stack in self._stacks.values():
             if stack is not self.stack:
                 stack.broken = True
-        self._flush_reroute()
-        self.resume_sends()
+        self.release(VERDICT)
 
     def _steer_off(self, denied: set):
         """Generator: transition off the ``(impl, record_id)`` bindings in
@@ -477,6 +494,30 @@ class Connection:
         if waiter is not None:
             waiter.succeed()
 
+    # -- the lifecycle (LIFECYCLE; PROTOCOL.md §5.4) ---------------------------------
+    def hold(self, hold: str) -> None:
+        """Put the data path under ``hold`` (a row of :data:`LIFECYCLE`)."""
+        self.holds.add(hold)
+
+    def release(self, hold: str) -> None:
+        """Drop ``hold`` (held or not) and drain, in this order, the inbound
+        buffer into the current stack and then the send buffer through it —
+        each only when no remaining hold blocks it.  A closed connection
+        drains nothing."""
+        self.holds.discard(hold)
+        if self.closed:
+            return
+        if self.holds.isdisjoint(_INBOUND_BLOCKERS):
+            pending, self._inbound_buffer = self._inbound_buffer, []
+            for msg in pending:
+                delivered, _charge = self.stack.receive(msg)
+                for out in delivered:
+                    self._deliver(out)
+        if self.holds.isdisjoint(_SENDS_HELD):
+            buffered, self._send_buffer = self._send_buffer, []
+            for msg in buffered:
+                self.stack.send(msg)
+
     # -- live reconfiguration ------------------------------------------------------
     def prepare_transition(self, epoch: int, stages: list) -> ChunnelStack:
         """Build and start the stack for a new epoch (not yet current).
@@ -484,28 +525,17 @@ class Connection:
         Stage objects carried over from the current stack re-home to the
         new one (state continuity); only genuinely new stages are started.
         """
+        live = {id(stage) for stage in self.live_stages()}
         stack = ChunnelStack(
             self.env, stages, transmit=self._transmit, deliver=self._deliver
         )
         stack.connection = self
         stack.epoch = epoch
         self._stacks[epoch] = stack
-        self._start_new_stages(stack)
+        for stage in stack.stages:
+            if id(stage) not in live:
+                stage.start()
         return stack
-
-    def pause_sends(self) -> None:
-        """Buffer application sends while a transition is in flight."""
-        self._send_paused = True
-
-    def resume_sends(self) -> None:
-        """Flush buffered sends through the (possibly new) current stack —
-        unless a lease verdict is still out (:meth:`await_verdicts`)."""
-        if self._unverified:
-            return
-        self._send_paused = False
-        buffered, self._send_buffer = self._send_buffer, []
-        for msg in buffered:
-            self.stack.send(msg)
 
     def commit_transition(
         self,
@@ -536,8 +566,7 @@ class Connection:
             dag, impls, self.transport
         )
         self.transitions += 1
-        self._flush_reroute()
-        self.resume_sends()
+        self.release(EPOCH)
         return old_epoch
 
     def abort_transition(self, epoch: int) -> None:
@@ -547,9 +576,9 @@ class Connection:
             self._dispose_stack(stack)
             # Carried-over stages re-homed to the aborted stack; point them
             # back at the stack that remains current.
-            self._reattach(self.stack)
-        self._flush_reroute()
-        self.resume_sends()
+            for index, stage in enumerate(self.stack.stages):
+                stage.attach(self.stack, index)
+        self.release(EPOCH)
 
     def mark_broken(self, epoch: Optional[int] = None) -> None:
         """Route messages stamped with ``epoch`` (default: current) to the
@@ -606,39 +635,22 @@ class Connection:
             return self._stacks[max(self._stacks)]
         return stack
 
-    def _start_new_stages(self, stack: ChunnelStack) -> None:
-        for stage in stack.stages:
-            if id(stage) not in self._started_stages:
-                self._started_stages.add(id(stage))
-                stage.start()
+    def live_stages(self) -> list[ChunnelStage]:
+        """Every stage of every epoch's stack, once: oldest epoch first, a
+        stage carried across epochs at its place in the newest stack."""
+        stages: dict[int, ChunnelStage] = {}
+        for epoch in sorted(self._stacks):
+            for stage in self._stacks[epoch].stages:
+                stages.pop(id(stage), None)
+                stages[id(stage)] = stage
+        return list(stages.values())
 
     def _dispose_stack(self, stack: ChunnelStack) -> None:
         """Stop the stages of a dropped stack that no other stack shares."""
-        live = {
-            id(stage)
-            for other in self._stacks.values()
-            for stage in other.stages
-        }
+        live = {id(stage) for stage in self.live_stages()}
         for stage in reversed(stack.stages):
-            if id(stage) not in live and id(stage) in self._started_stages:
-                self._started_stages.discard(id(stage))
+            if id(stage) not in live:
                 stage.stop()
-
-    @staticmethod
-    def _reattach(stack: ChunnelStack) -> None:
-        for index, stage in enumerate(stack.stages):
-            stage.attach(stack, index)
-
-    def _flush_reroute(self) -> None:
-        """Process messages held while every live stack was broken, or
-        while a lease verdict was out (not before it is in)."""
-        if self._unverified:
-            return
-        pending, self._reroute_buffer = self._reroute_buffer, []
-        for msg in pending:
-            delivered, _charge = self.stack.receive(msg)
-            for out in delivered:
-                self._deliver(out)
 
     # -- plumbing ------------------------------------------------------------------
     def _pcie_profile(self, dag: ChunnelDag, impls, transport: str):
@@ -706,13 +718,8 @@ class Connection:
             sent=self.messages_sent,
             received=self.messages_received,
         )
-        stopped: set[int] = set()
-        for epoch in sorted(self._stacks, reverse=True):
-            for stage in reversed(self._stacks[epoch].stages):
-                if id(stage) in stopped:
-                    continue
-                stopped.add(id(stage))
-                stage.stop()
+        for stage in reversed(self.live_stages()):
+            stage.stop()
         for node_id, impl in self.impls.items():
             ctx = self._context_for(node_id)
             if ctx is not None:

@@ -27,17 +27,19 @@ epoch change (:meth:`repro.reconfig.engine.ReconfigManager.migrate`,
 PROTOCOL.md §5.2): this module supplies only its handshake — rebind the
 data socket, confirm with ``bertha.migrate`` / ``bertha.migrate_ack``,
 replay the frozen unacked window before the commit — and, when that
-fails, points the connection back at the old peer and re-freezes the
-window.  The replay delivers exactly once: the standby's receive-side
-dedup table has never seen this sender's sequence numbers.  The whole
-attempt chain — discovery, negotiation, handshake — shares one
-elapsed-time budget (``migration_deadline``), threaded down as an
-absolute :func:`repro.core.rpc.call` deadline.
+fails, points the connection back at the old peer.  Sends stay buffered
+from suspicion until the window is replayed, behind the connection's
+``FAILOVER`` hold (PROTOCOL.md §5.4), which no epoch change releases.
+The replay delivers exactly once: the standby's receive-side dedup table
+has never seen this sender's sequence numbers.  The whole attempt chain
+— discovery, negotiation, handshake — shares one elapsed-time budget
+(``migration_deadline``), threaded down as an absolute
+:func:`repro.core.rpc.call` deadline.
 
 **Parking** — when no standby exists (or the budget runs out) the
-connection parks: sends stay buffered, the watcher keeps probing the old
-peer, and a probe answered after the host restarts resumes the
-connection in place — replaying the unacked window to the revived peer.
+connection parks: the watcher keeps probing the old peer, and a probe
+answered after the host restarts resumes the connection in place —
+replaying the unacked window to the revived peer.
 
 Renegotiation uses a *fresh* connection id (``<conn_id>:m<n>``) toward
 the standby: reusing the original id would hit the standby listener's
@@ -61,6 +63,7 @@ from ..sim.eventloop import Interrupt
 from ..sim.datagram import Address
 from . import messages as msgs
 from . import rpc
+from .connection import FAILOVER
 from .establish import make_data_socket
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -140,6 +143,10 @@ class _WatchState:
     #: Set while parked: when the blackout started.
     park_suspect_at: Optional[float] = None
     process: object = None
+
+    @property
+    def parked(self) -> bool:
+        return self.park_suspect_at is not None
 
     def next_seq(self) -> int:
         self.seq += 1
@@ -229,7 +236,7 @@ class FailoverManager:
         if sent_at is not None:
             state.rtt.observe(self.env.now - sent_at)
         state.misses = 0
-        if conn.parked:
+        if state.parked:
             # The old peer answered: its host restarted with sockets and
             # processes intact (restart_host semantics), so the
             # connection resumes in place — no renegotiation needed.
@@ -237,16 +244,14 @@ class FailoverManager:
 
     def _unpark(self, state: _WatchState, src: Address) -> None:
         conn = state.conn
-        conn.parked = False
         state.suspected.discard(src.host)
         self.resumed_total += 1
-        if state.park_suspect_at is not None:
-            blackout = self.env.now - state.park_suspect_at
-            conn.blackout += blackout
-            self.blackouts.observe(blackout)
-            state.park_suspect_at = None
+        blackout = self.env.now - state.park_suspect_at
+        conn.blackout += blackout
+        self.blackouts.observe(blackout)
+        state.park_suspect_at = None
         replayed = self._replay(conn)
-        conn.resume_sends()
+        conn.release(FAILOVER)
         self.runtime.network.trace.event(
             "park", conn.conn_id, resumed=True, replayed=replayed
         )
@@ -266,7 +271,7 @@ class FailoverManager:
                     return
                 if conn.closed:
                     return
-                if conn.parked:
+                if state.parked:
                     continue  # the park loop owns probing until resume
                 now = self.env.now
                 last = conn.last_inbound_at
@@ -341,7 +346,7 @@ class FailoverManager:
         span = runtime.network.trace.begin(
             "migrate", conn.conn_id, suspect=dst.host
         )
-        conn.pause_sends()
+        conn.hold(FAILOVER)
         frozen = self._freeze(conn)
         deadline = suspect_at + config.migration_deadline
         while not conn.closed and self.env.now < deadline:
@@ -362,7 +367,6 @@ class FailoverManager:
         # buffered; the unacked window stays frozen; probes continue to
         # the old peer so a restarted host resumes the connection.
         self.parked_total += 1
-        conn.parked = True
         state.park_suspect_at = suspect_at
         runtime.network.trace.finish(span, status="parked", frozen=frozen)
         runtime.network.trace.event("park", conn.conn_id, suspect=dst.host)
@@ -371,12 +375,12 @@ class FailoverManager:
     def _park_loop(self, state: _WatchState, dst: Address):
         conn = state.conn
         config = self.config
-        while not conn.closed and conn.parked:
+        while not conn.closed and state.parked:
             try:
                 yield self.env.timeout(config.park_retry_interval)
             except Interrupt:
                 return
-            if conn.closed or not conn.parked:
+            if conn.closed or not state.parked:
                 break
             # Probe the old peer: restart_host revives its sockets and
             # processes, so an answered probe unparks (via the pump).
@@ -384,13 +388,11 @@ class FailoverManager:
             # And keep looking for a standby that registered since.
             deadline = self.env.now + config.migration_deadline
             found = yield from self._find_standby(state, deadline)
-            if found is None or conn.closed or not conn.parked:
+            if found is None or conn.closed or not state.parked:
                 continue
-            since = state.park_suspect_at
             if (yield from self._migrate(
-                state, *found, deadline, self.env.now if since is None else since
+                state, *found, deadline, state.park_suspect_at
             )):
-                conn.parked = False
                 state.park_suspect_at = None
         state.misses = 0
 
@@ -413,7 +415,9 @@ class FailoverManager:
     ):
         """Generator → bool: move the connection onto a standby's accepted
         binding through the reconfiguration engine's epoch change; this
-        side supplies the handshake and puts things back if it fails."""
+        side supplies the handshake and points the connection back at the
+        old peer if it fails.  Sends stay held by ``FAILOVER`` until the
+        window is replayed, so an abort sends nothing anywhere."""
         conn = state.conn
         runtime = self.runtime
         old_peers = list(conn.peers)
@@ -440,17 +444,12 @@ class FailoverManager:
                 deadline,
             )
             if ack is None or not ack.ok:
-                # Point back at the old peer before the abort flushes the
-                # send buffer: the flush lands in its window, which is
-                # re-frozen below and replayed in order by the next attempt.
-                # Nothing reaches this standby's server connection.
-                conn.peers = old_peers
-                conn.transport = old_transport
                 return False
-            # Replay the frozen window *before* the commit flushes the send
+            # Replay the frozen window *before* the commit drains the send
             # buffer: replayed messages carry the older sequence numbers,
             # so this keeps delivery in order on the standby.
             replayed = self._replay(conn, stack)
+            conn.release(FAILOVER)
             return True
 
         try:
@@ -458,17 +457,11 @@ class FailoverManager:
         except BerthaError:
             old_epoch = None
         if old_epoch is None:
-            # The abort resumed sends toward the old peer (restored here
-            # too, for a handshake that raised): pause and re-freeze — the
-            # flushed messages stay recoverable in the unacked window.
             conn.peers = old_peers
             conn.transport = old_transport
-            conn.pause_sends()
-            self._freeze(conn)
             self.migration_failures += 1
             return False
         conn.migrations += 1
-        conn.parked = False
         self.migrations_total += 1
         blackout = self.env.now - suspect_at
         conn.blackout += blackout
@@ -490,38 +483,24 @@ class FailoverManager:
     # ------------------------------------------------------------------
     # Window freeze/replay plumbing
     # ------------------------------------------------------------------
-    @staticmethod
-    def _stages_of(conn: "Connection"):
-        seen: dict[int, object] = {}
-        for stack in conn._stacks.values():
-            for stage in stack.stages:
-                seen[id(stage)] = stage
-        return list(seen.values())
-
     def _freeze(self, conn: "Connection") -> int:
         """Stop every reliability stage's retransmit timers; returns how
         many unacked messages are frozen."""
-        frozen = 0
-        for stage in self._stages_of(conn):
-            freeze = getattr(stage, "freeze_retransmits", None)
-            if freeze is not None:
-                frozen += freeze()
-        return frozen
+        return sum(
+            stage.freeze_retransmits()
+            for stage in conn.live_stages()
+            if hasattr(stage, "freeze_retransmits")
+        )
 
     def _replay(self, conn: "Connection", stack=None) -> int:
         """Replay every frozen unacked window (toward the current peer);
         returns how many messages were re-sent."""
-        stages = stack.stages if stack is not None else self._stages_of(conn)
-        replayed = 0
-        seen: set[int] = set()
-        for stage in stages:
-            if id(stage) in seen:
-                continue
-            seen.add(id(stage))
-            replay = getattr(stage, "replay_unacked", None)
-            if replay is not None:
-                replayed += replay()
-        return replayed
+        stages = stack.stages if stack is not None else conn.live_stages()
+        return sum(
+            stage.replay_unacked()
+            for stage in stages
+            if hasattr(stage, "replay_unacked")
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -21,12 +21,14 @@ All three run one sequence, :meth:`ReconfigManager._change_epoch`
    *and* after-establish hooks.  Device programs are thus installed while
    the old stack still serves: an upgrade redirects packets before they
    can miss the new stack.
-2. **Announce** — an initiator sends ``TRANSITION`` or ``MIGRATE`` in-band
-   and waits for the ack (:meth:`ReconfigManager.announce`).
-3. **Commit** — swap the current epoch, release leases, tear down replaced
-   implementations, and retire the old stack after a grace period.  On a
-   refusal, a timeout or a failed prepare, tear the *new* implementations
-   down and resume the old stack untouched (rollback).
+2. **Announce** — an initiator holds sends (the connection's ``EPOCH``
+   hold), sends ``TRANSITION`` or ``MIGRATE`` in-band and waits for the
+   ack (:meth:`ReconfigManager.announce`).
+3. **Commit** — swap the current epoch (releasing ``EPOCH``), release
+   leases, tear down replaced implementations, and retire the old stack
+   after a grace period.  On a refusal, a timeout or a failed prepare,
+   tear the *new* implementations down and keep the old stack (rollback;
+   the abort releases ``EPOCH`` too).
 
 The callers differ only in data: the epoch's source, the server entity,
 and how leases go back (the server waits, a migration spawns, the peer
@@ -51,6 +53,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 from ..core import messages as msgs
 from ..core import rpc
 from ..core.chunnel import Offer, Role
+from ..core.connection import EPOCH
 from ..core.dag import ChunnelDag
 from ..core.establish import build_binding, teardown_nodes
 from ..core.negotiation import candidate_pool, decide_with_reservations
@@ -354,9 +357,6 @@ class ReconfigManager:
             self._log(conn, "failed", f"{type(error).__name__}: {error}")
         finally:
             trace.finish(span, status=outcome)
-            # Never leave the connection with sends paused.
-            if conn._send_paused:
-                conn.resume_sends()
             state.busy = False
             if not done.triggered:
                 done.succeed(outcome)
@@ -417,7 +417,6 @@ class ReconfigManager:
         def handshake(epoch, _stack):
             nonlocal reply
             started = self.env.now
-            conn.pause_sends()
             # A connection whose peer address is unknown (no traffic seen,
             # no hello) commits unilaterally.
             target = conn.peer or conn.last_src
@@ -491,9 +490,10 @@ class ReconfigManager:
     ):
         """Generator → the replaced epoch once ``epoch`` is current, or
         None when ``announce(epoch, stack)``, a generator returning whether
-        the peer acked, returned False and the epoch rolled back.  A failed
-        build raises with nothing prepared; a failed prepare rolls back,
-        then raises.
+        the peer acked, returned False and the epoch rolled back.  An
+        initiator holds ``EPOCH`` while it announces; the commit or the
+        abort releases it.  A failed build raises with nothing prepared; a
+        failed prepare or announce rolls back, then raises.
 
         ``reservations`` maps node id → the lease reference a re-decision
         took for it; ``release`` is a generator function giving references
@@ -526,18 +526,21 @@ class ReconfigManager:
             for node_id in dag.topological_order()
             if stage_map[node_id] is not None
         ]
-        failure = None
+        failure = acked = None
         try:
             stack = conn.prepare_transition(epoch, stages)
             # Device programs go live *now*, while the old stack still
             # serves — an upgrade loses nothing during the handover.
             for node_id in sorted(changed):
                 impls[node_id].after_establish(ctx_map[node_id], conn)
+            if announce is not None:
+                # Sends wait for the commit or the abort, which release
+                # the hold: each is processed by exactly one epoch.
+                conn.hold(EPOCH)
+            acked = announce is None or (yield from announce(epoch, stack))
         except BerthaError as error:
             failure = error
-        if failure is not None or (
-            announce is not None and not (yield from announce(epoch, stack))
-        ):
+        if not acked:
             conn.abort_transition(epoch)
             teardown_nodes(impls, ctx_map, changed)
             if release is not None:

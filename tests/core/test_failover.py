@@ -7,7 +7,9 @@ These tests pin the tentpole's correctness bar end to end on small worlds:
   a standby with the reliability chunnel's unacked window replayed —
   every in-flight and buffered message delivered exactly once, in order;
 * with no standby the connection parks degraded and resumes in place
-  when the host comes back, again without loss or duplication;
+  when the host comes back, again without loss or duplication — also
+  when it adopts the server's transition while parked, which must not
+  release the sends held behind the failover;
 * at 20% link loss with *no* crashes the suspicion logic never fires —
   steady inbound traffic and the Jacobson-style retransmission timeout
   keep false positives at zero;
@@ -17,7 +19,7 @@ These tests pin the tentpole's correctness bar end to end on small worlds:
   unit-tested, and end to end off a NIC-offloaded primary;
 * a migration whose acks are lost rolls its epoch back completely (old
   stack only, prepared impls torn down, old peer and transport back,
-  window re-frozen, nothing sent to the standby) and a later attempt
+  sends still held, nothing sent to the standby) and a later attempt
   still loses nothing and delivers in order.
 """
 
@@ -333,9 +335,9 @@ class TestMigrationAbort:
             return True
 
         tap_control(net, drop=drop)
-        prepared, torn_down, after_freeze = [], [], []
+        prepared, torn_down, snapshots = [], [], []
         setup, teardown = ReliableFallback.setup, ReliableFallback.teardown
-        freeze = FailoverManager._freeze
+        freeze, migrate = FailoverManager._freeze, FailoverManager._migrate
 
         def recording_setup(impl, ctx):
             if ctx.role is Role.CLIENT:
@@ -346,35 +348,52 @@ class TestMigrationAbort:
             torn_down.append(impl)
             teardown(impl, ctx)
 
-        def recording_freeze(manager, conn):
-            frozen = freeze(manager, conn)
-            stages = manager._stages_of(conn)
-            after_freeze.append(
+        def snapshot(conn, frozen):
+            stages = conn.live_stages()
+            snapshots.append(
                 {
                     "epochs": sorted(conn._stacks),
                     "epoch": conn.epoch,
                     "peers": [str(p) for p in conn.peers],
                     "transport": conn.transport,
                     "timers": sum(len(getattr(s, "_timers", ())) for s in stages),
-                    "paused": conn._send_paused,
+                    "held": conn.parked,
+                    "buffered": len(conn._send_buffer),
                     "unacked": frozen,
                 }
             )
+
+        def recording_freeze(manager, conn):
+            frozen = freeze(manager, conn)
+            snapshot(conn, frozen)
             return frozen
+
+        def recording_migrate(manager, state, *args):
+            migrated = yield from migrate(manager, state, *args)
+            if not migrated:
+                snapshot(state.conn, None)
+            return migrated
 
         monkeypatch.setattr(ReliableFallback, "setup", recording_setup)
         monkeypatch.setattr(ReliableFallback, "teardown", recording_teardown)
         monkeypatch.setattr(FailoverManager, "_freeze", recording_freeze)
+        monkeypatch.setattr(FailoverManager, "_migrate", recording_migrate)
         conn, sent, _impl = crash_primary_while_sending(net, client_rt, "abort")
 
-        at_suspicion, *after_aborts = after_freeze
+        # The window is frozen once, at suspicion; each snapshot after it
+        # is taken as a migration attempt gives up.
+        at_suspicion, *after_aborts = snapshots
+        assert at_suspicion["unacked"] > 0
         assert len(dropped) == LIVENESS.migrate_retries
         assert after_aborts
-        for snapshot in after_aborts:
-            assert snapshot["epochs"] == [snapshot["epoch"]] == [0]
-            assert snapshot["peers"] == at_suspicion["peers"]
-            assert snapshot["transport"] == at_suspicion["transport"]
-            assert snapshot["timers"] == 0 and snapshot["paused"]
+        for snapshot_ in after_aborts:
+            assert snapshot_["epochs"] == [snapshot_["epoch"]] == [0]
+            assert snapshot_["peers"] == at_suspicion["peers"]
+            assert snapshot_["transport"] == at_suspicion["transport"]
+            # Sends stay held behind the failover: none was flushed into
+            # the old peer's window, whose timers stay frozen.
+            assert snapshot_["timers"] == 0 and snapshot_["held"]
+            assert snapshot_["buffered"] >= at_suspicion["buffered"]
         manager = client_rt.failover
         assert manager.migration_failures == len(after_aborts)
         # Every prepared-then-aborted fallback impl was torn down; the one
@@ -383,10 +402,10 @@ class TestMigrationAbort:
         assert reliable_impl(conn) == "ReliableFallback"
         assert conn.migrations + manager.resumed_total == 1
         assert not conn.parked
-        # Zero loss, nothing delivered twice, and in order everywhere: the
-        # abort flushes the buffered sends into the old peer's window,
-        # never to the standby's first-attempt server connection, and the
-        # attempt that succeeds replays that window in sequence order.
+        # Zero loss, nothing delivered twice, and in order everywhere: an
+        # abort sends nothing (the buffered sends stay held), so nothing
+        # reaches the standby's first-attempt server connection, and the
+        # attempt that succeeds replays the window, then drains the sends.
         assert_delivered_once_in_order(recorders, sent)
 
 
@@ -428,6 +447,53 @@ class TestParking:
         assert client_rt.failover.parked_total == 1
         assert client_rt.failover.resumed_total == 1
         assert conn.blackout > 0
+
+    def test_parked_client_adopting_a_transition_keeps_sends_held(self):
+        # The server comes back and moves the connection off its NIC
+        # offload at once, so the parked client adopts that TRANSITION
+        # before any heartbeat ack unparks it.  The adoption's commit must
+        # not drain the sends parked behind the failover: they would reach
+        # the server ahead of the frozen window, out of order.
+        net, recorders, client_rt = build_world(servers=1, toe_primary=True)
+        env = net.env
+        server_rt = recorders[0].runtime
+        sent: list[bytes] = []
+        observed = {}
+
+        def driver():
+            yield env.timeout(1e-3)
+            endpoint = client_rt.new("adopt", dag())
+            conn = yield from endpoint.connect("flow", deadline=10e-3)
+            for index in range(150):
+                payload = f"adopt-{index:04d}".encode()
+                sent.append(payload)
+                conn.send(payload, size=64)
+                yield env.timeout(200e-6)
+            return conn
+
+        def transition():
+            yield env.timeout(20e-3 + 1e-6)
+            (server_conn,) = recorders[0].listener.connections
+            (client_conn,) = (s.conn for s in client_rt.failover._states.values())
+            observed["buffered"] = len(client_conn._send_buffer)
+            yield server_rt.reconfig.request_transition(
+                server_conn, exclude={("toe", "rec-1")}
+            )
+            observed["epoch"] = client_conn.epoch
+            observed["parked"] = client_conn.parked
+            observed["still_buffered"] = len(client_conn._send_buffer)
+
+        ChaosController(net, seed=7).host_outage("srv0", at=5e-3, duration=15e-3)
+        env.process(transition(), name="test.transition")
+        conn = drive(net, driver(), until=100e-3)
+
+        assert observed["buffered"] > 0
+        assert observed["epoch"] == 1 and observed["parked"]
+        assert observed["still_buffered"] >= observed["buffered"]
+        assert reliable_impl(conn) == "ReliableFallback"
+        assert client_rt.failover.resumed_total == 1
+        assert not conn.parked
+        assert_delivered_once_in_order(recorders, sent)
 
 
 class TestWatcherLifetime:

@@ -83,3 +83,114 @@ def test_scanner_sees_the_one_epoch_change():
         if (module, function) == THE_ONE
     }
     assert called == EPOCH_METHODS
+
+
+# ---------------------------------------------------------------------------
+# The connection lifecycle: one writer of the hold set
+# ---------------------------------------------------------------------------
+#: ``(module, function)`` allowed to change ``Connection.holds``:
+#: ``__init__`` creates the set, ``hold`` and ``release`` are the only
+#: writers after that (PROTOCOL.md §5.4).
+HOLD_WRITERS = {
+    ("core/connection.py", "__init__"),
+    ("core/connection.py", "hold"),
+    ("core/connection.py", "release"),
+}
+SET_MUTATORS = {
+    "add",
+    "discard",
+    "remove",
+    "pop",
+    "clear",
+    "update",
+    "difference_update",
+    "intersection_update",
+    "symmetric_difference_update",
+}
+#: The per-hold flags and routines the hold set replaced; none may return.
+RETIRED = {
+    "pause_sends",
+    "resume_sends",
+    "_flush_reroute",
+    "_send_paused",
+    "_unverified",
+    "_reroute_buffer",
+    "_stages_of",
+}
+
+
+def _is_holds(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "holds"
+
+
+class _HoldWrites(_EpochCalls):
+    """Collect ``(function, what, line)`` for every write to a ``holds``
+    attribute (assignment, augmented assignment, mutating call) and every
+    use of a retired name."""
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and func.attr in SET_MUTATORS
+            and _is_holds(func.value)
+        ):
+            self.calls.append((self.scope[-1], f"holds.{func.attr}()", node.lineno))
+        self.generic_visit(node)
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        for target in node.targets:
+            if _is_holds(target):
+                self.calls.append((self.scope[-1], "holds =", node.lineno))
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        if _is_holds(node.target):
+            self.calls.append((self.scope[-1], "holds =", node.lineno))
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        if _is_holds(node.target):
+            self.calls.append((self.scope[-1], "holds op=", node.lineno))
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr in RETIRED:
+            self.calls.append((self.scope[-1], f"retired {node.attr}", node.lineno))
+        self.generic_visit(node)
+
+    def visit_FunctionDef(self, node) -> None:
+        if node.name in RETIRED:
+            self.calls.append((node.name, f"retired {node.name}", node.lineno))
+        super().visit_FunctionDef(node)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+
+def hold_writes() -> list[tuple[str, str, str, int]]:
+    """``(module, function, what, line)`` for every hold-set write and
+    retired name under src/repro."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        visitor = _HoldWrites()
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        module = path.relative_to(SRC).as_posix()
+        found += [(module, *write) for write in visitor.calls]
+    return found
+
+
+def test_only_hold_and_release_write_the_hold_set():
+    stray = [
+        f"src/repro/{module}:{line}: {what} in {function}"
+        for module, function, what, line in hold_writes()
+        if what.startswith("retired") or (module, function) not in HOLD_WRITERS
+    ]
+    assert not stray, (
+        "the hold set changes only through Connection.hold / release; "
+        "found:\n" + "\n".join(stray)
+    )
+
+
+def test_scanner_sees_the_hold_writers():
+    writers = {(module, function) for module, function, _what, _line in hold_writes()}
+    assert writers == HOLD_WRITERS
