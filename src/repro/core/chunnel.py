@@ -231,6 +231,18 @@ class Offer:
     record_id: Optional[str] = None
 
 
+def same_binding(a: Optional[Offer], b: Optional[Offer]) -> bool:
+    """Whether two offers bind the same implementation: same name,
+    discovery record and location (a missing offer binds nothing)."""
+    return (
+        a is not None
+        and b is not None
+        and a.meta.name == b.meta.name
+        and a.record_id == b.record_id
+        and a.location == b.location
+    )
+
+
 register_wire_type(
     "chunnel_spec",
     ChunnelSpec,

@@ -18,11 +18,11 @@ The per-probe wait adapts to the observed probe RTT (the shared
 retransmit timers (the unacked window is the connection's transport
 state; draining retry budgets against a dead peer would abandon messages
 a standby could still take), tag-evicts the suspected instance's cached
-negotiation results, and asks the connection's endpoint for a standby's
-binding (``Endpoint._renegotiate``: one-RTT resume when the cache names a
-live instance — a herd of connections migrating off one dead host pays
-full negotiation once — falling back to re-resolution and a full
-offer/accept).  The switch itself is the reconfiguration engine's one
+negotiation results, and looks for a standby's binding through the
+connection's endpoint — its resume step when the cache names a live
+instance (a herd of connections migrating off one dead host pays full
+negotiation once), else re-resolution and its offer step: the two steps
+``connect`` takes.  The switch itself is the reconfiguration engine's one
 epoch change (:meth:`repro.reconfig.engine.ReconfigManager.migrate`,
 PROTOCOL.md §5.2): this module supplies only its handshake — rebind the
 data socket, confirm with ``bertha.migrate`` / ``bertha.migrate_ack``,
@@ -57,7 +57,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from ..errors import BerthaError, ConnectionClosedError, TransportError
+from ..errors import (
+    BerthaError,
+    ConnectionClosedError,
+    ConnectionTimeoutError,
+    TransportError,
+)
 from ..obs.registry import Histogram
 from ..sim.eventloop import Interrupt
 from ..sim.datagram import Address
@@ -398,16 +403,45 @@ class FailoverManager:
 
     def _find_standby(self, state: _WatchState, deadline: float):
         """Generator → ``(accept, ctl_addr, resumed)`` from a live instance
-        of the connection's target, or None; renegotiates under a fresh
-        migration conn id (and never without the connection's endpoint)."""
-        if state.endpoint is None:
+        of the connection's target, or None (PROTOCOL.md §9.3).
+
+        The endpoint's own resume and offer steps under a fresh migration
+        conn id, skipping suspected hosts; the resume is this manager's
+        RPC.  No degraded mode and no query cache: a discovery timeout, a
+        refusal or no live instance returns None — and so does a
+        connection without an endpoint.  An address target gets the
+        resume only.
+        """
+        endpoint, target, avoid = state.endpoint, state.target, state.suspected
+        if endpoint is None:
             return None
         state.mig_seq += 1
-        return (yield from state.endpoint._renegotiate(
-            f"{state.conn.conn_id}:m{state.mig_seq}", state.target,
-            state.suspected, self.config.connect_timeout,
-            self.config.connect_retries, deadline, stats=self.rpc_stats,
-        ))
+        conn_id = f"{state.conn.conn_id}:m{state.mig_seq}"
+        config = self.config
+        timing = (config.connect_timeout, config.connect_retries, deadline)
+        resumed = yield from endpoint._resume(
+            conn_id, endpoint._resume_key(target), avoid, self.rpc_stats, *timing
+        )
+        if resumed:
+            return (*resumed, True)
+        if not isinstance(target, str):
+            # An address target names one instance; with it dead there is
+            # nothing to re-resolve.
+            return None
+        query_types = sorted(endpoint._query_types())
+        try:
+            disc = yield from self.runtime.discovery.query(
+                query_types, service_name=target, deadline=deadline
+            )
+        except ConnectionTimeoutError:
+            return None
+        try:
+            targets, accepts = yield from endpoint._offer(
+                conn_id, target, query_types, disc, avoid, *timing
+            )
+        except BerthaError:
+            return None
+        return accepts[0], targets[0], False
 
     def _migrate(
         self, state: _WatchState, accept: "msgs.Accept", ctl_addr: Address,

@@ -1,10 +1,11 @@
 """The control plane's one reliable-RPC primitive.
 
-Negotiation (``runtime._negotiate_once``), the discovery client, and the
-reconfiguration TRANSITION/ACK exchange all follow the same loop —
-attempt-tagged send, bounded wait, retry with (optionally backed-off,
-jittered) timeouts, match the reply, give up after N attempts — and each
-used to hand-roll it.  This module is that loop, written once:
+Establishment (``Endpoint._exchange``, which carries every OFFER and
+RESUME), the discovery client, and the reconfiguration TRANSITION/ACK
+exchange all follow the same loop — attempt-tagged send, bounded wait,
+retry with (optionally backed-off, jittered) timeouts, match the reply,
+give up after N attempts — and each used to hand-roll it.  This module
+is that loop, written once:
 
 * :class:`RetryPolicy` — the timing contract (base timeout, retry count,
   exponential backoff factor, cap, deterministic jitter);

@@ -51,7 +51,7 @@ from ..sim.resources import Store
 from ..sim.transport import SimSocket, UdpSocket
 from . import messages as msgs
 from . import rpc
-from .chunnel import ChunnelSpec, Offer, Role
+from .chunnel import ChunnelSpec, Offer, Role, same_binding
 from .connection import Connection, next_conn_id
 from .dag import ChunnelDag, wrap
 from .establish import establish_connection
@@ -369,125 +369,79 @@ class Endpoint:
         # Round trip 0 (the fast path): with the negotiation cache enabled
         # and a fresh entry for (target, DAG fingerprint, policy epoch),
         # RESUME the cached choice in one control round trip — no discovery
-        # query, no offer gathering, no policy walk.  Any failure falls
-        # back to the full path below under a fresh conn_id.
-        resume_key = self._resume_key(target)
-        if resume_key is not None:
-            entry = runtime.negcache.lookup(resume_key)
-            if entry is not None:
-                connection = yield from self._try_resume(
-                    conn_id, span, resume_key, entry, timeout, retries,
-                    deadline=deadline,
-                )
-                if connection is not None:
-                    return connection
-                # The resume may have half-landed (e.g. the accept was
-                # lost after the server established): a fresh conn_id
-                # keeps the fallback offer unambiguous.
-                conn_id = next_conn_id(runtime.entity)
-        # Round trip 1: discovery (implementation offers + name resolution).
-        # With client-side caching enabled (non-default), a fresh cache
-        # entry skips this round trip — at the cost of stale placement.
-        service_name = target if isinstance(target, str) else None
-        query_types = set(self.dag.chunnel_types()) | (
-            runtime.registry.registered_types()
+        # query, no offer gathering, no policy walk.
+        key = self._resume_key(target)
+        resumed = yield from self._resume(
+            conn_id, key, (), runtime.negotiation_stats, timeout, retries,
+            deadline, trace=runtime.network.trace,
         )
-        cache_key = (tuple(sorted(query_types)), service_name)
-        ttl = runtime.client_discovery_ttl
-        disc = None
-        if ttl is not None:
-            cached = runtime._query_cache.get(cache_key)
+        degraded = False
+        if resumed:
+            accepts = [resumed[0]]
+        else:
+            if resumed is False:
+                # The resume may have half-landed (e.g. the accept was lost
+                # after the server established): a fresh conn_id keeps the
+                # fallback offer unambiguous, and the negotiate span names
+                # the connection it produces.
+                conn_id = span.conn_id = next_conn_id(runtime.entity)
+            # Round trip 1: discovery (implementation offers + name
+            # resolution).  With client-side caching enabled (non-default),
+            # a fresh cache entry skips this round trip — at the cost of
+            # stale placement.
+            service_name = target if isinstance(target, str) else None
+            query_types = sorted(self._query_types())
+            cache_key = (tuple(query_types), service_name)
+            ttl = runtime.client_discovery_ttl
+            cached = None if ttl is None else runtime._query_cache.get(cache_key)
             if cached is not None and (env.now - cached[0]) <= ttl:
                 disc = cached[1]
-        degraded = False
-        if disc is None:
-            try:
-                disc = yield from runtime.discovery.query(
-                    sorted(query_types),
-                    service_name=service_name,
-                    deadline=deadline,
-                )
-            except ConnectionTimeoutError:
-                # Degraded mode: discovery is unreachable.  Proceed with
-                # NullDiscoveryClient semantics — no network offers (so the
-                # negotiated stack is fallback-only) and name resolution
-                # straight from the cluster name service — and surface a
-                # warning metric instead of failing the connection.
-                from ..discovery.client import QueryResult
-
-                degraded = True
-                runtime.record_degraded(conn_id, "discovery query timed out")
-                instances = (
-                    [
-                        r.address
-                        for r in runtime.network.names.resolve(service_name)
-                    ]
-                    if service_name
-                    else []
-                )
-                disc = QueryResult(
-                    {t: [] for t in sorted(query_types)}, instances
-                )
             else:
-                if ttl is not None:
-                    runtime._query_cache[cache_key] = (env.now, disc)
-        network_offers = disc.offers
+                try:
+                    disc = yield from runtime.discovery.query(
+                        query_types, service_name=service_name, deadline=deadline
+                    )
+                except ConnectionTimeoutError:
+                    # Degraded mode: discovery is unreachable.  Proceed as
+                    # the null client — no network offers (so the
+                    # negotiated stack is fallback-only), names straight
+                    # from the cluster name service — and surface a warning
+                    # metric instead of failing the connection.
+                    from ..discovery.client import NullDiscoveryClient
 
-        if isinstance(target, str):
-            if not disc.instances:
-                raise NegotiationError(
-                    f"service {target!r} has no registered instances"
-                )
-            targets = [self._select_instance(disc.instances)]
-        elif isinstance(target, Address):
-            targets = [target]
-        else:
-            targets = list(target)
-            if not targets:
-                raise NegotiationError("connect() needs at least one target")
-
-        offer_msg = self._offer(conn_id, query_types, network_offers)
-
-        # Round trip 2: offer/accept with each target endpoint.
-        ctl = UdpSocket(runtime.entity)
-        try:
-            accepts: list[msgs.Accept] = []
-            for addr in targets:
-                accept = yield from self._negotiate_once(
-                    ctl, addr, offer_msg, timeout, retries, deadline=deadline
-                )
-                accepts.append(accept)
-        finally:
-            ctl.close()
+                    degraded = True
+                    runtime.record_degraded(conn_id, "discovery query timed out")
+                    disc = yield from NullDiscoveryClient(runtime.entity).query(
+                        query_types, service_name=service_name
+                    )
+                else:
+                    if ttl is not None:
+                        runtime._query_cache[cache_key] = (env.now, disc)
+            # Round trip 2: offer/accept with each target endpoint.
+            targets, accepts = yield from self._offer(
+                conn_id, target, query_types, disc, (), timeout, retries, deadline
+            )
+            if key is not None and not degraded and len(accepts) == 1:
+                # Degraded results are deliberately not cached: they encode
+                # a discovery outage, not a negotiation outcome.
+                self._remember(key, targets[0], accepts[0])
 
         first = accepts[0]
-        dag = first.dag
-        choice = first.choice
-        shapes = {a.dag.canonical_shape() for a in accepts}
-        if len(shapes) != 1:
-            raise NegotiationError(
-                f"{conn_id}: group endpoints negotiated different DAGs"
-            )
         params = dict(first.params)
         if len(accepts) > 1:
             params["per_peer"] = [dict(a.params) for a in accepts]
         peers = [a.data_addr for a in accepts]
         runtime.network.trace.finish(
-            span, peers=len(peers), degraded=degraded, transport=first.transport
+            span, peers=len(peers), degraded=degraded, transport=first.transport,
+            **({"resumed": True} if resumed else {}),
         )
-
-        if resume_key is not None and not degraded and len(accepts) == 1:
-            # Degraded results are deliberately not cached: they encode a
-            # discovery outage, not a negotiation outcome.
-            self._remember(resume_key, targets[0], first)
-
         return establish_connection(
             runtime,
             name=self.name,
             conn_id=conn_id,
             role=Role.CLIENT,
-            dag=dag,
-            choice=choice,
+            dag=first.dag,
+            choice=first.choice,
             client_entity=runtime.entity.name,
             server_entity=peers[0].host,
             peers=peers,
@@ -554,18 +508,10 @@ class Endpoint:
             transport="udp",
         )
 
-    def _offer(self, conn_id: str, query_types, network_offers) -> "msgs.Offer":
-        """The OFFER for ``conn_id``: our DAG, our registry's offers for
-        ``query_types`` and discovery's ``network_offers``."""
-        return msgs.Offer(
-            conn_id=conn_id,
-            dag=self.dag,
-            offers=self.runtime.registry.offers_for(
-                sorted(query_types), origin="client"
-            ),
-            client_entity=self.runtime.entity.name,
-            network_offers=network_offers,
-        )
+    def _query_types(self) -> set:
+        """The Chunnel types a discovery query asks about: our DAG's, and
+        every type our registry implements."""
+        return set(self.dag.chunnel_types()) | self.runtime.registry.registered_types()
 
     def _select_instance(self, instances: list[Address]) -> Address:
         """Pick which service instance to negotiate with.
@@ -599,80 +545,127 @@ class Endpoint:
             peer = ("addr", target.host, target.port)
         return ("peer", peer, self.dag.canonical_shape(), self.runtime.policy_epoch)
 
-    def _try_resume(
-        self, conn_id: str, span, key, entry: dict, timeout, retries,
-        *, deadline=None,
+    def _resume(
+        self, conn_id: str, key, avoid, stats, timeout, retries, deadline,
+        trace=None,
     ):
-        """Generator: one RESUME round trip against the cached binding.
+        """Generator: one RESUME round trip replaying the binding cached
+        under ``key``, charged to ``stats`` → ``(accept, ctl_addr)``; False
+        when it fell back; None when there is nothing to resume (no key, a
+        miss, or an entry naming a host in ``avoid``).
 
-        Returns the established Connection, or None to fall back to the
-        full path — a rejection, a remote error, and a timeout all fall
-        back rather than fail: resumption is an optimization, never a new
-        way for connect() to break.
+        A rejection, a remote error and a timeout all fall back rather than
+        fail — resumption is an optimization, never a new way for an
+        establishment to break — and evict the entry.  ``trace``, when
+        given, records the attempt as a ``resume`` span.
         """
-        runtime = self.runtime
-        trace = runtime.network.trace
-        rspan = trace.begin("resume", conn_id, target=str(entry["ctl_addr"]))
-        reply = yield from self._resume_once(
-            conn_id,
-            entry,
-            timeout,
-            retries,
-            stats=runtime.negotiation_stats,
-            deadline=deadline,
-        )
-        if not isinstance(reply, msgs.Accept):
-            if reply is None:
-                reason = "timeout"
-            elif isinstance(reply, msgs.ResumeReject):
-                reason = reply.reason or "rejected"
-            else:
-                reason = f"remote error: {reply.error}"
-            runtime.negcache.note_fallback(key)
-            trace.finish(rspan, status="fallback", reason=reason)
+        if key is None:
             return None
-
-        peers = [reply.data_addr]
-        trace.finish(rspan)
-        trace.finish(
-            span, peers=1, degraded=False, transport=reply.transport, resumed=True
-        )
-        return establish_connection(
-            runtime,
-            name=self.name,
-            conn_id=conn_id,
-            role=Role.CLIENT,
-            dag=reply.dag,
-            choice=reply.choice,
-            client_entity=runtime.entity.name,
-            server_entity=peers[0].host,
-            peers=peers,
-            transport=reply.transport,
-            params=dict(reply.params),
-            hello=True,
-        )
-
-    def _resume_once(
-        self, conn_id: str, entry: dict, timeout, retries, *, stats,
-        deadline=None,
-    ):
-        """Generator: one RESUME round trip replaying ``entry``'s cached
-        binding → the Accept, ResumeReject or Error reply, or None on
-        timeout."""
         runtime = self.runtime
+        entry = runtime.negcache.lookup(key)
+        if entry is None or entry["ctl_addr"].host in avoid:
+            return None
         ctl_addr = entry["ctl_addr"]
-        resume_msg = msgs.Resume(
+        if trace is not None:
+            span = trace.begin("resume", conn_id, target=str(ctl_addr))
+        message = msgs.Resume(
             conn_id=conn_id,
             dag=self.dag,
             choice=entry["choice"],
             client_entity=runtime.entity.name,
             policy_epoch=entry["server_epoch"],
         )
-        payload, size = msgs.encode_message_sized(resume_msg)
         ctl = UdpSocket(runtime.entity)
+        try:
+            reply = yield from self._exchange(
+                ctl, ctl_addr, message, (msgs.Accept, msgs.ResumeReject, msgs.Error),
+                stats, timeout, retries, deadline, "resume",
+            )
+        except ConnectionTimeoutError:
+            reply = None
+        finally:
+            ctl.close()
+        if isinstance(reply, msgs.Accept):
+            if trace is not None:
+                trace.finish(span)
+            return reply, ctl_addr
+        runtime.negcache.note_fallback(key)
+        if trace is not None:
+            if reply is None:
+                reason = "timeout"
+            elif isinstance(reply, msgs.ResumeReject):
+                reason = reply.reason or "rejected"
+            else:
+                reason = f"remote error: {reply.error}"
+            trace.finish(span, status="fallback", reason=reason)
+        return False
+
+    def _offer(
+        self, conn_id: str, target: ConnectTarget, query_types: list, disc,
+        avoid, timeout, retries, deadline,
+    ):
+        """Generator → ``(targets, accepts)``: OFFER ``conn_id`` — our DAG,
+        our registry's offers for ``query_types`` and ``disc``'s network
+        offers — to each of ``target``'s endpoints over one control socket;
+        a service name's is the instance :meth:`_select_instance` picks
+        from ``disc`` outside the hosts in ``avoid``.
+
+        Raises :class:`NegotiationError` when there is no endpoint or a
+        group's endpoints negotiate different DAGs, and a remote
+        ``bertha.error`` as its own type.
+        """
+        runtime = self.runtime
+        if isinstance(target, str):
+            instances = [addr for addr in disc.instances if addr.host not in avoid]
+            if not instances:
+                raise NegotiationError(
+                    f"service {target!r} has no registered instances"
+                )
+            targets = [self._select_instance(instances)]
+        elif isinstance(target, Address):
+            targets = [target]
+        else:
+            targets = list(target)
+            if not targets:
+                raise NegotiationError("connect() needs at least one target")
+        message = msgs.Offer(
+            conn_id=conn_id,
+            dag=self.dag,
+            offers=runtime.registry.offers_for(query_types, origin="client"),
+            client_entity=runtime.entity.name,
+            network_offers=disc.offers,
+        )
+        ctl = UdpSocket(runtime.entity)
+        try:
+            accepts = []
+            for addr in targets:
+                accepts.append((yield from self._exchange(
+                    ctl, addr, message, (msgs.Accept,), runtime.negotiation_stats,
+                    timeout, retries, deadline, "negotiation",
+                )))
+        finally:
+            ctl.close()
+        if len({a.dag.canonical_shape() for a in accepts}) != 1:
+            raise NegotiationError(
+                f"{conn_id}: group endpoints negotiated different DAGs"
+            )
+        return targets, accepts
+
+    def _exchange(
+        self, ctl: SimSocket, dst: Address, message, ends: tuple, stats,
+        timeout: float, retries: int, deadline: Optional[float], describe: str,
+    ):
+        """Generator: send ``message`` to ``dst`` over ``ctl`` until a reply
+        for its conn_id whose kind is in ``ends`` comes back, and return it
+        (the shared reliable-RPC core; fixed timeout, no backoff —
+        establishment's latency budget is the paper's two round trips).  A
+        ``bertha.error`` outside ``ends`` raises the remote error."""
+        runtime = self.runtime
+        conn_id = message.conn_id
+        payload, size = msgs.encode_message_sized(message)
 
         def send(_attempt: int) -> None:
-            ctl.send(payload, ctl_addr, size=size)
+            ctl.send(payload, dst, size=size)
 
         def match(dgram, _attempt: int):
             try:
@@ -681,82 +674,25 @@ class Endpoint:
                 return None
             if getattr(reply, "conn_id", None) != conn_id:
                 return None
-            if isinstance(reply, (msgs.Accept, msgs.ResumeReject, msgs.Error)):
+            if isinstance(reply, ends):
                 return reply
+            if isinstance(reply, msgs.Error):
+                reply.raise_remote()
             return None
 
-        try:
-            return (
-                yield from rpc.call(
-                    runtime.env,
-                    rpc.RetryPolicy(timeout=timeout, retries=retries),
-                    send,
-                    rpc.socket_waiter(runtime.env, ctl, match),
-                    stats=stats,
-                    describe=f"resume with {ctl_addr}",
-                    trace=runtime.network.trace,
-                    conn_id=conn_id,
-                    deadline=deadline,
-                )
+        return (
+            yield from rpc.call(
+                runtime.env,
+                rpc.RetryPolicy(timeout=timeout, retries=retries),
+                send,
+                rpc.socket_waiter(runtime.env, ctl, match),
+                stats=stats,
+                describe=f"{describe} with {dst}",
+                trace=runtime.network.trace,
+                conn_id=conn_id,
+                deadline=deadline,
             )
-        except ConnectionTimeoutError:
-            return None
-        finally:
-            ctl.close()
-
-    def _renegotiate(
-        self, conn_id: str, target: ConnectTarget, avoid: set, timeout,
-        retries, deadline: float, *, stats,
-    ):
-        """Generator → ``(accept, ctl_addr, resumed)`` from a live instance
-        of ``target``, or None, for an established connection whose server
-        is gone (PROTOCOL.md §9.3); ``stats`` counts the resume RPC.
-
-        The cached entry's one-RTT resume first, unless it names a host in
-        ``avoid``; then, for a service name, re-resolution without those
-        hosts and a full offer/accept.  No degraded mode: a discovery
-        timeout, a refusal or no live instance returns None.
-        """
-        runtime = self.runtime
-        key = self._resume_key(target)
-        if key is not None:
-            entry = runtime.negcache.lookup(key)
-            if entry is not None and entry["ctl_addr"].host not in avoid:
-                reply = yield from self._resume_once(
-                    conn_id, entry, timeout, retries, stats=stats,
-                    deadline=deadline,
-                )
-                if isinstance(reply, msgs.Accept):
-                    return reply, entry["ctl_addr"], True
-                runtime.negcache.note_fallback(key)
-        if not isinstance(target, str):
-            # An address target names one instance; with it dead there is
-            # nothing to re-resolve.
-            return None
-        query_types = set(self.dag.chunnel_types()) | (
-            runtime.registry.registered_types()
         )
-        try:
-            disc = yield from runtime.discovery.query(
-                sorted(query_types), service_name=target, deadline=deadline
-            )
-        except ConnectionTimeoutError:
-            return None
-        candidates = [addr for addr in disc.instances if addr.host not in avoid]
-        if not candidates:
-            return None
-        ctl_addr = self._select_instance(candidates)
-        offer_msg = self._offer(conn_id, query_types, disc.offers)
-        ctl = UdpSocket(runtime.entity)
-        try:
-            accept = yield from self._negotiate_once(
-                ctl, ctl_addr, offer_msg, timeout, retries, deadline=deadline
-            )
-        except BerthaError:
-            return None
-        finally:
-            ctl.close()
-        return accept, ctl_addr, False
 
     def _remember(self, key, ctl_addr: Address, accept: "msgs.Accept") -> None:
         """Cache ``accept``'s binding under ``key`` for one-RTT resumption,
@@ -782,51 +718,6 @@ class Endpoint:
             },
         )
         runtime.negcache_watch_records(record_ids)
-
-    def _negotiate_once(
-        self,
-        ctl: SimSocket,
-        server_addr: Address,
-        offer_msg: "msgs.Offer",
-        timeout: float,
-        retries: int,
-        deadline: Optional[float] = None,
-    ):
-        """One offer/accept exchange, with retransmission (the shared
-        reliable-RPC core; fixed timeout, no backoff — establishment's
-        latency budget is the paper's two round trips)."""
-        runtime = self.runtime
-        payload, size = msgs.encode_message_sized(offer_msg)
-
-        def send(_attempt: int) -> None:
-            ctl.send(payload, server_addr, size=size)
-
-        def match(dgram, _attempt: int):
-            try:
-                reply = msgs.decode_message(dgram.payload)
-            except WireError:
-                return None
-            if getattr(reply, "conn_id", None) != offer_msg.conn_id:
-                return None
-            if isinstance(reply, msgs.Accept):
-                return reply
-            if isinstance(reply, msgs.Error):
-                reply.raise_remote()
-            return None
-
-        return (
-            yield from rpc.call(
-                runtime.env,
-                rpc.RetryPolicy(timeout=timeout, retries=retries),
-                send,
-                rpc.socket_waiter(runtime.env, ctl, match),
-                stats=runtime.negotiation_stats,
-                describe=f"negotiation with {server_addr}",
-                trace=runtime.network.trace,
-                conn_id=offer_msg.conn_id,
-                deadline=deadline,
-            )
-        )
 
 
 class Listener:
@@ -915,10 +806,12 @@ class Listener:
                     self.service_name, self.address
                 )
             except ConnectionTimeoutError:
-                # Discovery outage at startup: register directly with the
-                # cluster name service (NullDiscoveryClient semantics) so
-                # clients can still find us, and note the degradation.
-                self.runtime.network.names.register(
+                # Discovery outage at startup: register as the null client
+                # does, straight with the cluster name service, so clients
+                # can still find us, and note the degradation.
+                from ..discovery.client import NullDiscoveryClient
+
+                yield from NullDiscoveryClient(self.runtime.entity).register_name(
                     self.service_name, self.address
                 )
                 self.runtime.record_degraded(
@@ -1023,9 +916,7 @@ class Listener:
             self._refresh_waiters.append(done)
             yield done
             return
-        types = set(self.endpoint.dag.chunnel_types()) | (
-            self.runtime.registry.registered_types()
-        )
+        types = self.endpoint._query_types()
         if self.runtime.optimizer is not None:
             # Merge targets (e.g. tls) may have discovery-registered
             # implementations even though no endpoint names them directly.
@@ -1143,21 +1034,8 @@ class Listener:
                 "negotiation produced no choice"
             )
 
-        # The shared pipeline: instantiate, run server-side setup hooks
-        # (transport negotiation happens there), socket, stack, connection.
-        connection = establish_connection(
-            runtime,
-            name=self.endpoint.name,
-            conn_id=conn_id,
-            role=Role.SERVER,
-            dag=dag,
-            choice=choice,
-            client_entity=client_entity,
-            server_entity=runtime.entity.name,
-            reservations=reservations,
-            negotiation_state={"message": message, "ctx": ctx, "owner": owner},
-        )
-        self._admit(connection, reservations)
+        state = {"message": message, "ctx": ctx, "owner": owner}
+        accept = self._admit(message, dag, choice, reservations, state)
         if runtime.negcache.enabled:
             # Remember the decision for one-RTT resumption: a later RESUME
             # from this client (same DAG, same policy epoch) skips offer
@@ -1165,26 +1043,12 @@ class Listener:
             record_ids = {o.record_id for o in choice.values() if o.record_id}
             runtime.negcache.store(
                 self._resume_key(client_entity, message.dag),
-                {
-                    "dag": dag,
-                    "choice": choice,
-                    "message": message,
-                    "ctx": ctx,
-                    "owner": owner,
-                },
+                {"dag": dag, "choice": choice, "state": state},
                 tags=record_ids
                 | {message.dag.canonical_shape(), dag.canonical_shape()},
             )
             runtime.negcache_watch_records(record_ids)
-        return msgs.Accept(
-            conn_id=conn_id,
-            dag=dag,
-            choice=choice,
-            data_addr=connection.local_address,
-            transport=connection.transport,
-            params=dict(connection.params),
-            policy_epoch=runtime.policy_epoch,
-        )
+        return accept
 
     def _resume_key(self, client_entity: str, client_dag: ChunnelDag):
         """The server-side resumption key (PROTOCOL.md §7): who is asking,
@@ -1194,19 +1058,6 @@ class Listener:
             client_entity,
             client_dag.canonical_shape(),
             self.runtime.policy_epoch,
-        )
-
-    @staticmethod
-    def _same_choice(claimed: dict, cached: dict) -> bool:
-        """Whether the client's carried choice still names the cached
-        bindings (implementation name, discovery record, location)."""
-        if set(claimed) != set(cached):
-            return False
-        return all(
-            offer.meta.name == cached[node_id].meta.name
-            and offer.record_id == cached[node_id].record_id
-            and offer.location == cached[node_id].location
-            for node_id, offer in claimed.items()
         )
 
     def _handle_resume(self, message: "msgs.Resume"):
@@ -1237,7 +1088,10 @@ class Listener:
                 f"policy epoch {message.policy_epoch} != "
                 f"{runtime.policy_epoch}"
             )
-        elif not self._same_choice(message.choice, entry["choice"]):
+        elif not all(
+            same_binding(message.choice.get(node_id), entry["choice"].get(node_id))
+            for node_id in message.choice.keys() | entry["choice"].keys()
+        ):
             reason = "cached choice diverged"
         if reason is not None:
             if entry is not None:
@@ -1247,9 +1101,8 @@ class Listener:
 
         dag: ChunnelDag = entry["dag"]
         choice = entry["choice"]
-        owner = entry["owner"]
         confirmed, denied = yield from reserve_choice(
-            runtime, dag, choice, owner, conn_id
+            runtime, dag, choice, entry["state"]["owner"], conn_id
         )
         if denied is not None:
             for handle in confirmed.values():
@@ -1261,33 +1114,9 @@ class Listener:
             trace.finish(span, status="reject", reason=reject_reason)
             return msgs.ResumeReject(conn_id=conn_id, reason=reject_reason)
 
-        connection = establish_connection(
-            runtime,
-            name=self.endpoint.name,
-            conn_id=conn_id,
-            role=Role.SERVER,
-            dag=dag,
-            choice=choice,
-            client_entity=message.client_entity,
-            server_entity=runtime.entity.name,
-            reservations=confirmed,
-            negotiation_state={
-                "message": entry["message"],
-                "ctx": entry["ctx"],
-                "owner": owner,
-            },
-        )
-        self._admit(connection, confirmed)
+        accept = self._admit(message, dag, choice, confirmed, entry["state"])
         trace.finish(span, reservations=len(confirmed))
-        return msgs.Accept(
-            conn_id=conn_id,
-            dag=dag,
-            choice=choice,
-            data_addr=connection.local_address,
-            transport=connection.transport,
-            params=dict(connection.params),
-            policy_epoch=runtime.policy_epoch,
-        )
+        return accept
 
     def _policy_context(self, client_entity: str) -> PolicyContext:
         network = self.runtime.network
@@ -1308,10 +1137,28 @@ class Listener:
         )
 
     def _admit(
-        self, connection: Connection, reservations: dict[int, LeaseHandle]
-    ) -> None:
-        """Hand an accepted connection to the application, its data path
-        held until the lease verdicts still out are in (PROTOCOL.md §2)."""
+        self, message, dag: ChunnelDag, choice: dict,
+        reservations: dict[int, LeaseHandle], state: dict,
+    ) -> "msgs.Accept":
+        """The one accept tail of an OFFER or a RESUME: establish the
+        server side of ``message``'s connection on ``dag``/``choice``
+        (instantiate, server-side setup hooks — transport negotiation
+        happens there — socket, stack), hand it to the application with
+        its data path held until the lease verdicts still out are in
+        (PROTOCOL.md §2), and answer with its binding."""
+        runtime = self.runtime
+        connection = establish_connection(
+            runtime,
+            name=self.endpoint.name,
+            conn_id=message.conn_id,
+            role=Role.SERVER,
+            dag=dag,
+            choice=choice,
+            client_entity=message.client_entity,
+            server_entity=runtime.entity.name,
+            reservations=reservations,
+            negotiation_state=state,
+        )
         unverified = {
             node_id: handle
             for node_id, handle in reservations.items()
@@ -1324,6 +1171,15 @@ class Listener:
         connection.listener = self
         self.connections.append(connection)
         self.accepted.put(connection)
+        return msgs.Accept(
+            conn_id=message.conn_id,
+            dag=dag,
+            choice=choice,
+            data_addr=connection.local_address,
+            transport=connection.transport,
+            params=dict(connection.params),
+            policy_epoch=runtime.policy_epoch,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Listener {self.endpoint.name!r} @ {self.address}>"

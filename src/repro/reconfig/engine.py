@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..core import messages as msgs
 from ..core import rpc
-from ..core.chunnel import Offer, Role
+from ..core.chunnel import Role, same_binding
 from ..core.connection import EPOCH
 from ..core.dag import ChunnelDag
 from ..core.establish import build_binding, teardown_nodes
@@ -76,16 +76,6 @@ _ACK_KIND = {
 }
 
 
-def _same_offer(a: Optional[Offer], b: Optional[Offer]) -> bool:
-    return (
-        a is not None
-        and b is not None
-        and a.meta.name == b.meta.name
-        and a.record_id == b.record_id
-        and a.location == b.location
-    )
-
-
 def _resolve_dag(conn: "Connection", incoming: ChunnelDag):
     """``(dag, forced)``: the DAG an epoch change builds, and the nodes it
     rebuilds whatever the choice.  A same-structure ``incoming`` whose
@@ -107,7 +97,7 @@ def _changed_nodes(conn: "Connection", dag: ChunnelDag, choice, forced) -> set:
     return forced | {
         node_id
         for node_id in dag.topological_order()
-        if not _same_offer(conn.choice.get(node_id), choice.get(node_id))
+        if not same_binding(conn.choice.get(node_id), choice.get(node_id))
     }
 
 

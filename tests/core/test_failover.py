@@ -224,6 +224,38 @@ class TestMigration:
         # The crash evicted the primary's cached negotiation entries.
         assert "srv0" in client_rt.failover._states[conn.conn_id].suspected
 
+    def test_standby_resume_charges_failover_rpc_stats(self):
+        # The standby search's RESUME is the failover manager's RPC; its
+        # full offer/accept stays on the runtime's negotiation counters.
+        net, _recorders, client_rt = build_world(servers=2)
+        env = net.env
+        manager = client_rt.failover
+
+        def driver():
+            yield env.timeout(1e-3)
+            conn = yield from client_rt.new("mig", dag()).connect("flow")
+            state = manager._states[conn.conn_id]
+            found = []
+            for suspected in (set(), {"srv0"}):
+                state.suspected = suspected
+                negotiation = client_rt.negotiation_stats.round_trips
+                failover = manager.rpc_stats.round_trips
+                accept, _ctl_addr, resumed = yield from manager._find_standby(
+                    state, env.now + 10e-3
+                )
+                found.append((
+                    resumed,
+                    accept.data_addr.host,
+                    client_rt.negotiation_stats.round_trips - negotiation,
+                    manager.rpc_stats.round_trips - failover,
+                ))
+            return found
+
+        assert drive(net, driver(), until=40e-3) == [
+            (True, "srv0", 0, 1),
+            (False, "srv1", 1, 0),
+        ]
+
     def test_suspicion_evicts_negcache_by_instance_tag(self):
         cache = NegotiationCache(8)
         cache.store(

@@ -28,7 +28,7 @@ from repro.core.negcache import NegotiationCache
 from repro.core.policy import PriorityFirstPolicy
 from repro.discovery import DiscoveryService
 from repro.discovery.client import RemoteDiscoveryClient
-from repro.errors import DegradedEstablishmentWarning
+from repro.errors import DegradedEstablishmentWarning, NegotiationError
 from repro.sim import FaultPlan, Network, SmartNic
 
 from ..conftest import (
@@ -182,6 +182,32 @@ class TestResumeFastPath:
         assert client_rt.negcache.hits == 1
         assert client_rt.negcache.fallbacks == 1
 
+    def test_resume_answered_with_error_falls_back(self):
+        # A server whose revalidation raises answers bertha.error: the
+        # client counts that round trip, evicts and renegotiates in full.
+        net, _disc, _toe, server, client_rt = build_world()
+
+        def broken(message):
+            raise NegotiationError("revalidation broke")
+            yield  # pragma: no cover
+
+        server.listener._handle_resume = broken
+
+        def scenario():
+            first = yield from connect_once(client_rt, server, 0)
+            first.close()
+            second = yield from connect_once(client_rt, server, 1)
+            yield from echo_roundtrip(second)
+            second.close()
+
+        drive(net, scenario())
+        assert client_rt.negcache.hits == 1
+        assert client_rt.negcache.fallbacks == 1
+        (fallback,) = [s for s in net.trace.spans if s.status == "fallback"]
+        assert fallback.attrs["reason"] == "remote error: revalidation broke"
+        # Offer, resume (its error reply counts), offer.
+        assert client_rt.negotiation_stats.round_trips == 3
+
 
 class TestInvalidation:
     def test_revocation_push_evicts_and_renegotiates(self):
@@ -242,6 +268,32 @@ class TestInvalidation:
         ]
         assert len(rejected) == 1
         assert "no cached negotiation result" in rejected[0].attrs["reason"]
+
+    def test_fallback_negotiate_span_names_the_connection_it_produced(self):
+        # A rejected resume retries the full path under a fresh conn id;
+        # the one negotiate span follows it to the connection returned.
+        net, _disc, _toe, server, client_rt = build_world()
+
+        def scenario():
+            first = yield from connect_once(client_rt, server, 0)
+            yield from echo_roundtrip(first)
+            first.close()
+            server.runtime.negcache.invalidate_all()
+            second = yield from connect_once(client_rt, server, 1)
+            second.close()
+            return second
+
+        second = drive(net, scenario())
+        assert client_rt.negcache.fallbacks == 1
+        negotiate = [s for s in net.trace.spans if s.phase == "negotiate"]
+        assert len(negotiate) == 2
+        assert negotiate[1].conn_id == second.conn_id
+        # The resume keeps the id it went out under.
+        (fallback,) = [
+            s for s in net.trace.spans
+            if s.phase == "resume" and s.status == "fallback"
+        ]
+        assert fallback.conn_id != second.conn_id
 
     def test_client_epoch_bump_clears_local_cache(self):
         net, _disc, _toe, server, client_rt = build_world()

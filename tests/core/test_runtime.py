@@ -147,6 +147,8 @@ class TestDagNegotiation:
 
         with pytest.raises(IncompatibleDagError):
             run(two_hosts.env, client(two_hosts.env))
+        # The bertha.error ends the exchange without counting a round trip.
+        assert client_rt.negotiation_stats.round_trips == 0
 
     def test_no_implementation_fails(self, two_hosts):
         """§4.3: the connection fails absent compatible implementations."""
@@ -163,6 +165,7 @@ class TestDagNegotiation:
 
         with pytest.raises(NoImplementationError):
             run(two_hosts.env, client(two_hosts.env))
+        assert client_rt.negotiation_stats.round_trips == 0
 
     def test_matching_dags_connect(self, two_hosts):
         server_rt = two_hosts.runtime("srv")

@@ -6,7 +6,9 @@ all run one prepare / commit / abort sequence,
 §5.2).  This test parses every module under ``src/repro`` and fails if a
 connection's epoch methods, or the stage hand-off ``adopt_state``, are
 called from any other function, so a second copy of the sequence (or a
-second hand-off rule) cannot grow back unnoticed.
+second hand-off rule) cannot grow back unnoticed.  The same scanner keeps
+the hold set to one writer and establishment to one exchange and one
+bind per side.
 """
 
 from __future__ import annotations
@@ -194,3 +196,73 @@ def test_only_hold_and_release_write_the_hold_set():
 def test_scanner_sees_the_hold_writers():
     writers = {(module, function) for module, function, _what, _line in hold_writes()}
     assert writers == HOLD_WRITERS
+
+
+# ---------------------------------------------------------------------------
+# Establishment: one exchange and one bind per side
+# ---------------------------------------------------------------------------
+#: ``(module, function)`` allowed to call ``rpc.call`` in core/runtime.py:
+#: every OFFER and RESUME a client sends goes through this one exchange.
+EXCHANGE = ("core/runtime.py", "_exchange")
+#: ``(module, function)`` allowed to call ``establish_connection``: the
+#: client bind, the listener's accept tail, and raw interop.
+ESTABLISHERS = {
+    ("core/runtime.py", "_connect"),
+    ("core/runtime.py", "_admit"),
+    ("core/runtime.py", "connect_raw"),
+}
+
+
+class _NamedCalls(_EpochCalls):
+    """Collect ``(function, callee, line)`` for every call to ``rpc.call``
+    or ``establish_connection``."""
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "establish_connection":
+            self.calls.append((self.scope[-1], func.id, node.lineno))
+        elif (
+            isinstance(func, ast.Attribute)
+            and func.attr == "call"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "rpc"
+        ):
+            self.calls.append((self.scope[-1], "rpc.call", node.lineno))
+        self.generic_visit(node)
+
+
+def establishment_calls() -> list[tuple[str, str, str, int]]:
+    """``(module, function, callee, line)`` for every ``rpc.call`` in
+    core/runtime.py and every ``establish_connection`` under src/repro."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        visitor = _NamedCalls()
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        module = path.relative_to(SRC).as_posix()
+        found += [
+            (module, *call)
+            for call in visitor.calls
+            if call[1] == "establish_connection" or module == EXCHANGE[0]
+        ]
+    return found
+
+
+def test_establishment_has_one_exchange_and_one_bind_per_side():
+    stray = [
+        f"src/repro/{module}:{line}: {callee}() in {function}"
+        for module, function, callee, line in establishment_calls()
+        if (module, function)
+        not in ({EXCHANGE} if callee == "rpc.call" else ESTABLISHERS)
+    ]
+    assert not stray, (
+        "OFFER and RESUME go on the wire through Endpoint._exchange, and a "
+        "connection is established by the client bind, Listener._admit or "
+        "connect_raw; found:\n" + "\n".join(stray)
+    )
+
+
+def test_scanner_sees_the_exchange_and_the_binds():
+    callers: dict[str, set] = {}
+    for module, function, callee, _line in establishment_calls():
+        callers.setdefault(callee, set()).add((module, function))
+    assert callers == {"rpc.call": {EXCHANGE}, "establish_connection": ESTABLISHERS}
