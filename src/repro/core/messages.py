@@ -38,6 +38,7 @@ from .chunnel import ChunnelSpec, ImplMeta, Offer as ImplOffer
 from .dag import ChunnelDag
 from .resources import ResourceVector
 from .wire import (
+    Digest,
     WireError,
     codec_of,
     decode_frame,
@@ -52,6 +53,7 @@ __all__ = [
     "Offer",
     "Accept",
     "Resume",
+    "ResumeAccept",
     "ResumeReject",
     "Error",
     "Hello",
@@ -213,10 +215,13 @@ class Accept(ControlMessage):
 @control_message
 @dataclass(frozen=True)
 class Resume(ControlMessage):
-    """One-RTT resumption request: re-establish with a previously
-    negotiated per-node choice, skipping offer gathering and the policy
-    walk.  The server revalidates reservations only and answers with
-    ``bertha.accept`` or ``bertha.resume_reject`` (PROTOCOL.md §7).
+    """One-RTT resumption request: re-establish the binding both ends
+    cached at the last full negotiation, named rather than carried — the
+    digest of the client DAG's shape (the server's lookup key) and the
+    binding digest of the accepted ``(dag, choice)``.  The server skips
+    offer gathering and the policy walk, revalidates reservations only,
+    and answers ``bertha.resume_accept`` or ``bertha.resume_reject``
+    (PROTOCOL.md §7).
 
     Direction: client → server, control socket.
     Retransmit: client resends on a fixed timeout; the server replays its
@@ -225,20 +230,22 @@ class Resume(ControlMessage):
     """
 
     KIND: ClassVar[str] = "bertha.resume"
+    VERSION: ClassVar[int] = 2
 
     conn_id: str
-    dag: ChunnelDag
-    choice: Dict[int, ImplOffer]
     client_entity: str
-    policy_epoch: int = 0
+    policy_epoch: int
+    shape_digest: Digest
+    binding_digest: Digest
 
 
 @control_message
 @dataclass(frozen=True)
 class ResumeReject(ControlMessage):
-    """Resumption refusal: the cached choice is no longer valid (policy
-    epoch moved, a reservation was denied, or the server holds no matching
-    negotiation state).  The client evicts its cache entry and falls back
+    """Resumption refusal: the cached binding is no longer valid (the
+    server holds no entry for the shape digest, the policy epoch moved,
+    the binding digest differs from the server's, or a reservation was
+    denied).  The client evicts its cache entry and falls back
     to a full ``bertha.offer`` negotiation.
 
     Direction: server → client, control socket (reply to ``bertha.resume``).
@@ -836,6 +843,43 @@ class LeaseRevoked(ControlMessage):
 
 
 # --------------------------------------------------------------------------
+# Later kinds: declared last, so every earlier kind keeps its id
+# --------------------------------------------------------------------------
+@control_message
+@dataclass(frozen=True)
+class ResumeAccept(ControlMessage):
+    """Resumption success: only what the resume made new — the data-path
+    address, transport, negotiated parameters and the server's policy
+    epoch.  The client already holds the binding the RESUME named and
+    rebuilds the ``bertha.accept`` from its cache entry.
+
+    Direction: server → client, control socket (reply to ``bertha.resume``).
+    Retransmit: never sent unsolicited; replayed from the server's reply
+    cache when the resume is retransmitted.
+    """
+
+    KIND: ClassVar[str] = "bertha.resume_accept"
+
+    conn_id: str
+    data_addr: Address
+    transport: str
+    params: Dict[str, Any] = field(default_factory=dict)
+    policy_epoch: int = 0
+
+    def with_binding(self, dag: ChunnelDag, choice: Dict[int, ImplOffer]) -> Accept:
+        """The ``bertha.accept`` for this connection on ``dag``/``choice``."""
+        return Accept(
+            conn_id=self.conn_id,
+            dag=dag,
+            choice=choice,
+            data_addr=self.data_addr,
+            transport=self.transport,
+            params=self.params,
+            policy_epoch=self.policy_epoch,
+        )
+
+
+# --------------------------------------------------------------------------
 # PROTOCOL.md appendix generation
 # --------------------------------------------------------------------------
 def _docstring_parts(cls: Type[ControlMessage]) -> tuple[str, str, str]:
@@ -895,7 +939,8 @@ def protocol_appendix() -> str:
         lines.append(f"- `{codec_of(cls).tag}`: {_field_list(cls)}")
     lines += [
         "",
-        "`dict[int, X]` travels as a list of `[key, value]` pairs. An `any` "
+        "`dict[int, X]` travels as a list of `[key, value]` pairs. A "
+        "`digest` is 16 bytes as a string of 32 lowercase hex digits. An `any` "
         "field holds JSON scalars, lists and string-keyed objects as "
         "themselves, and `bytes` or any other wire type as "
         '`{"@": [tag, *fields]}`.',

@@ -27,15 +27,48 @@ Invalidation exists to keep the hit rate honest:
 Counters (``hits``/``misses``/``invalidations``/``fallbacks``) are plain
 attributes the owning :class:`~repro.core.runtime.Runtime` binds into the
 world's metrics registry under ``negcache.<entity>.*``.
+
+A RESUME names what both ends cached instead of carrying it: the
+:func:`binding_digest` of the accepted ``(dag, choice)`` and the
+:func:`shape_digest` of the client's DAG, each computed once, when an
+entry is stored.
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Optional
 
-__all__ = ["CacheEntry", "NegotiationCache"]
+from .chunnel import Offer
+from .dag import ChunnelDag
+from .wire import Digest, canonical_encoder
+
+__all__ = ["CacheEntry", "NegotiationCache", "binding_digest", "shape_digest"]
+
+_binding_bytes = canonical_encoder(tuple[ChunnelDag, dict[int, Offer]])
+_shape_bytes = canonical_encoder(Any)
+
+
+def _digest(data: bytes) -> Digest:
+    """The first 16 bytes of ``data``'s SHA-256, as hex."""
+    return Digest(hashlib.sha256(data).hexdigest()[: Digest.HEX_DIGITS])
+
+
+def binding_digest(dag: ChunnelDag, choice: dict[int, Offer]) -> Digest:
+    """The digest of a negotiated binding: over the canonical wire encoding
+    of ``(dag, choice)``, which is the same bytes at the deciding server
+    and at the client that decoded them from the ACCEPT (PROTOCOL.md §7.1).
+    Any difference in an argument, a record id or an offer's resources
+    changes it."""
+    return _digest(_binding_bytes((dag, choice)))
+
+
+def shape_digest(dag: ChunnelDag) -> Digest:
+    """The digest of ``dag.canonical_shape()``: the server's resume key
+    names the client DAG by it."""
+    return _digest(_shape_bytes(dag.canonical_shape()))
 
 
 @dataclass

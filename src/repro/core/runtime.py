@@ -26,9 +26,10 @@ implementation declares resource needs.
 With the negotiation cache enabled (``Runtime(negotiation_cache_size=N)``,
 off by default), a repeat connect to the same peer under an unchanged DAG
 and policy epoch takes the one-round-trip RESUME fast path instead
-(PROTOCOL.md §7): the client replays its cached per-node choice, the
-server revalidates reservations only, and any mismatch falls back to the
-full exchange transparently.
+(PROTOCOL.md §7): the client names the binding both ends cached by its
+digest, the server revalidates reservations only and answers with the new
+data path alone, and any mismatch falls back to the full exchange
+transparently.
 """
 
 from __future__ import annotations
@@ -51,12 +52,12 @@ from ..sim.resources import Store
 from ..sim.transport import SimSocket, UdpSocket
 from . import messages as msgs
 from . import rpc
-from .chunnel import ChunnelSpec, Offer, Role, same_binding
+from .chunnel import ChunnelSpec, Offer, Role
 from .connection import Connection, next_conn_id
 from .dag import ChunnelDag, wrap
 from .establish import establish_connection
 from .leases import LeaseHandle, LeaseTable
-from .negcache import NegotiationCache
+from .negcache import NegotiationCache, binding_digest, shape_digest
 from .negotiation import (
     candidate_pool,
     decide_with_reservations,
@@ -143,7 +144,8 @@ class Runtime:
         self.negotiation_stats = rpc.RpcStats()
         #: Operator-policy generation.  Bumping it (``bump_policy_epoch``)
         #: invalidates every cached negotiation result: resumption keys and
-        #: the ``bertha.resume``/``bertha.accept`` epoch check both carry it.
+        #: the ``bertha.resume``/``bertha.resume_accept`` epoch check both
+        #: carry it.
         self.policy_epoch = 0
         #: Negotiation-result cache for one-RTT resumption (PROTOCOL.md
         #: §7).  Disabled by default (size 0): with the cache off, not a
@@ -368,8 +370,9 @@ class Endpoint:
         env = runtime.env
         # Round trip 0 (the fast path): with the negotiation cache enabled
         # and a fresh entry for (target, DAG fingerprint, policy epoch),
-        # RESUME the cached choice in one control round trip — no discovery
-        # query, no offer gathering, no policy walk.
+        # RESUME the cached binding, named by its digest, in one control
+        # round trip — no discovery query, no offer gathering, no policy
+        # walk.
         key = self._resume_key(target)
         resumed = yield from self._resume(
             conn_id, key, (), runtime.negotiation_stats, timeout, retries,
@@ -549,10 +552,11 @@ class Endpoint:
         self, conn_id: str, key, avoid, stats, timeout, retries, deadline,
         trace=None,
     ):
-        """Generator: one RESUME round trip replaying the binding cached
-        under ``key``, charged to ``stats`` → ``(accept, ctl_addr)``; False
-        when it fell back; None when there is nothing to resume (no key, a
-        miss, or an entry naming a host in ``avoid``).
+        """Generator: one RESUME round trip naming the binding cached under
+        ``key`` by its digests, charged to ``stats`` → ``(accept,
+        ctl_addr)`` with the accept rebuilt from the entry; False when it
+        fell back; None when there is nothing to resume (no key, a miss,
+        or an entry naming a host in ``avoid``).
 
         A rejection, a remote error and a timeout all fall back rather than
         fail — resumption is an optimization, never a new way for an
@@ -570,25 +574,26 @@ class Endpoint:
             span = trace.begin("resume", conn_id, target=str(ctl_addr))
         message = msgs.Resume(
             conn_id=conn_id,
-            dag=self.dag,
-            choice=entry["choice"],
             client_entity=runtime.entity.name,
             policy_epoch=entry["server_epoch"],
+            shape_digest=entry["shape"],
+            binding_digest=entry["binding"],
         )
         ctl = UdpSocket(runtime.entity)
         try:
             reply = yield from self._exchange(
-                ctl, ctl_addr, message, (msgs.Accept, msgs.ResumeReject, msgs.Error),
+                ctl, ctl_addr, message,
+                (msgs.ResumeAccept, msgs.ResumeReject, msgs.Error),
                 stats, timeout, retries, deadline, "resume",
             )
         except ConnectionTimeoutError:
             reply = None
         finally:
             ctl.close()
-        if isinstance(reply, msgs.Accept):
+        if isinstance(reply, msgs.ResumeAccept):
             if trace is not None:
                 trace.finish(span)
-            return reply, ctl_addr
+            return reply.with_binding(entry["dag"], entry["choice"]), ctl_addr
         runtime.negcache.note_fallback(key)
         if trace is not None:
             if reply is None:
@@ -696,16 +701,19 @@ class Endpoint:
 
     def _remember(self, key, ctl_addr: Address, accept: "msgs.Accept") -> None:
         """Cache ``accept``'s binding under ``key`` for one-RTT resumption,
-        evictable by any record it uses, either DAG shape, and the serving
-        host."""
+        with the two digests a RESUME names it by, evictable by any record
+        it uses, either DAG shape, and the serving host."""
         runtime = self.runtime
         record_ids = {o.record_id for o in accept.choice.values() if o.record_id}
         runtime.negcache.store(
             key,
             {
                 "ctl_addr": ctl_addr,
+                "dag": accept.dag,
                 "choice": accept.choice,
                 "server_epoch": accept.policy_epoch,
+                "shape": shape_digest(self.dag),
+                "binding": binding_digest(accept.dag, accept.choice),
             },
             tags=record_ids
             | {
@@ -1035,36 +1043,43 @@ class Listener:
             )
 
         state = {"message": message, "ctx": ctx, "owner": owner}
-        accept = self._admit(message, dag, choice, reservations, state)
+        accept = self._admit(message, dag, choice, reservations, state).with_binding(
+            dag, choice
+        )
         if runtime.negcache.enabled:
             # Remember the decision for one-RTT resumption: a later RESUME
-            # from this client (same DAG, same policy epoch) skips offer
-            # gathering and the policy walk, revalidating reservations only.
+            # from this client (same DAG, same policy epoch) naming this
+            # binding skips offer gathering and the policy walk,
+            # revalidating reservations only.
             record_ids = {o.record_id for o in choice.values() if o.record_id}
             runtime.negcache.store(
-                self._resume_key(client_entity, message.dag),
-                {"dag": dag, "choice": choice, "state": state},
+                self._resume_key(client_entity, shape_digest(message.dag)),
+                {
+                    "dag": dag,
+                    "choice": choice,
+                    "state": state,
+                    "binding": binding_digest(dag, choice),
+                },
                 tags=record_ids
                 | {message.dag.canonical_shape(), dag.canonical_shape()},
             )
             runtime.negcache_watch_records(record_ids)
         return accept
 
-    def _resume_key(self, client_entity: str, client_dag: ChunnelDag):
+    def _resume_key(self, client_entity: str, shape: str):
         """The server-side resumption key (PROTOCOL.md §7): who is asking,
-        for which client DAG shape, under which policy generation."""
-        return (
-            "client",
-            client_entity,
-            client_dag.canonical_shape(),
-            self.runtime.policy_epoch,
-        )
+        for which client DAG shape digest, under which policy generation."""
+        return ("client", client_entity, shape, self.runtime.policy_epoch)
 
     def _handle_resume(self, message: "msgs.Resume"):
-        """Generator: revalidate a cached negotiation result; returns the
-        Accept, or a ResumeReject steering the client to the full path.
+        """Generator: revalidate a cached negotiation result; returns a
+        ResumeAccept, or a ResumeReject steering the client to the full
+        path.
 
-        Only the reservation walk re-runs — offer gathering and the policy
+        The RESUME names the binding by digest: the entry under its shape
+        digest must hold a binding with the same digest, or the client's
+        cached choice diverged from this side's.  Only the reservation walk
+        re-runs — offer gathering and the policy
         rank are pinned by the cache entry, which is exactly what makes the
         fast path one round trip.  Reservation revalidation (not cache
         invalidation, which is best-effort) is the correctness gate: a
@@ -1078,7 +1093,7 @@ class Listener:
         conn_id = message.conn_id
         trace = runtime.network.trace
         span = trace.begin("resume", conn_id, client=message.client_entity)
-        key = self._resume_key(message.client_entity, message.dag)
+        key = self._resume_key(message.client_entity, message.shape_digest)
         entry = runtime.negcache.lookup(key)
         reason: Optional[str] = None
         if entry is None:
@@ -1088,10 +1103,7 @@ class Listener:
                 f"policy epoch {message.policy_epoch} != "
                 f"{runtime.policy_epoch}"
             )
-        elif not all(
-            same_binding(message.choice.get(node_id), entry["choice"].get(node_id))
-            for node_id in message.choice.keys() | entry["choice"].keys()
-        ):
+        elif message.binding_digest != entry["binding"]:
             reason = "cached choice diverged"
         if reason is not None:
             if entry is not None:
@@ -1114,9 +1126,9 @@ class Listener:
             trace.finish(span, status="reject", reason=reject_reason)
             return msgs.ResumeReject(conn_id=conn_id, reason=reject_reason)
 
-        accept = self._admit(message, dag, choice, confirmed, entry["state"])
+        reply = self._admit(message, dag, choice, confirmed, entry["state"])
         trace.finish(span, reservations=len(confirmed))
-        return accept
+        return reply
 
     def _policy_context(self, client_entity: str) -> PolicyContext:
         network = self.runtime.network
@@ -1139,13 +1151,15 @@ class Listener:
     def _admit(
         self, message, dag: ChunnelDag, choice: dict,
         reservations: dict[int, LeaseHandle], state: dict,
-    ) -> "msgs.Accept":
+    ) -> "msgs.ResumeAccept":
         """The one accept tail of an OFFER or a RESUME: establish the
         server side of ``message``'s connection on ``dag``/``choice``
         (instantiate, server-side setup hooks — transport negotiation
         happens there — socket, stack), hand it to the application with
         its data path held until the lease verdicts still out are in
-        (PROTOCOL.md §2), and answer with its binding."""
+        (PROTOCOL.md §2), and answer with what is new: its data path.  An
+        OFFER's reply adds the binding (``with_binding``); a RESUME's
+        peer already holds it."""
         runtime = self.runtime
         connection = establish_connection(
             runtime,
@@ -1171,10 +1185,8 @@ class Listener:
         connection.listener = self
         self.connections.append(connection)
         self.accepted.put(connection)
-        return msgs.Accept(
+        return msgs.ResumeAccept(
             conn_id=message.conn_id,
-            dag=dag,
-            choice=choice,
             data_addr=connection.local_address,
             transport=connection.transport,
             params=dict(connection.params),

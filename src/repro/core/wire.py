@@ -7,9 +7,9 @@ its size is the frame's length, floored at :data:`MIN_MESSAGE_SIZE`.
 
 The codec table (:func:`register_wire_type`) holds each wire class's field
 order and field types (``str``, ``int``, ``float``, ``bool``, enums,
-``Optional``, ``List``, fixed ``Tuple``, ``Dict[str, X]``, ``Dict[int, X]``
-as ``[key, value]`` pairs, other wire classes, ``Any``), compiled once at
-import.  ``Any`` is the one self-describing encoding (:func:`encode` /
+:class:`Digest`, ``Optional``, ``List``, fixed ``Tuple``, ``Dict[str, X]``,
+``Dict[int, X]`` as ``[key, value]`` pairs, other wire classes, ``Any``),
+compiled once at import.  ``Any`` is the one self-describing encoding (:func:`encode` /
 :func:`decode`): JSON scalars, lists and string-keyed dicts as themselves,
 ``bytes`` and wire-class instances as ``{"@": [tag, *fields]}``.
 
@@ -36,6 +36,8 @@ __all__ = [
     "register_wire_type",
     "register_frame_type",
     "wire_kind",
+    "canonical_encoder",
+    "Digest",
     "WireError",
     "MIN_MESSAGE_SIZE",
     "EPOCH_HEADER",
@@ -78,6 +80,27 @@ def _dumps(value: Any) -> str:
 
 class WireError(BerthaError):
     """A value cannot be encoded, or a wire message is malformed."""
+
+
+class Digest(str):
+    """A field type: a 16-byte digest, as 32 lowercase hex digits.
+
+    Travels as a JSON string; decoding rejects any other length or digit.
+    """
+
+    HEX_DIGITS = 32
+
+
+def _decode_digest(value: Any) -> str:
+    if (
+        value.__class__ is not str
+        or len(value) != Digest.HEX_DIGITS
+        or value.strip("0123456789abcdef")
+    ):
+        raise WireError(
+            f"expected {Digest.HEX_DIGITS} lowercase hex digits, got {value!r:.48}"
+        )
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -260,6 +283,8 @@ def _compile(tp) -> tuple[Optional[Callable], Callable]:
         return encode, decode
     if tp in (str, int, float, bool):
         return None, lambda value: _expect(value, tp, tp.__name__)
+    if tp is Digest:
+        return None, _decode_digest
     if isinstance(tp, type) and issubclass(tp, enum.Enum):
         return _compile_enum(tp)
     if tp in _codecs:
@@ -323,6 +348,8 @@ def _describe(tp) -> str:
     """A short, stable spelling of a field type for PROTOCOL.md."""
     if tp is Any:
         return "any"
+    if tp is Digest:
+        return "digest"
     if isinstance(tp, type):
         codec = _codecs.get(tp)
         return codec.tag if codec is not None else tp.__name__
@@ -421,6 +448,14 @@ def encode_sized(message: Any) -> tuple[bytes, int]:
     payload = codec.header + body.encode("ascii")
     size = len(payload)
     return payload, size if size > MIN_MESSAGE_SIZE else MIN_MESSAGE_SIZE
+
+
+def canonical_encoder(tp: Any) -> Callable[[Any], bytes]:
+    """``value -> bytes``: the canonical encoding of a value of field type
+    ``tp``, exactly as it sits in a frame body.  Strict decoding is
+    canonical, so a value and its decoded copy at the peer encode alike."""
+    enc = _compile(tp)[0] or (lambda value: value)
+    return lambda value: _dumps(enc(value)).encode("ascii")
 
 
 def _frame_codec(payload: Any) -> Optional[_Codec]:

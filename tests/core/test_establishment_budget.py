@@ -12,7 +12,10 @@ client one control round trip of time, not two.  A change that adds a
 leg to establishment fails this test, not a benchmark three PRs later.
 The bytes are pinned too: every control datagram is sized by its frame's
 length (floored at 64 B), and each kind's size in these worlds is exact,
-so a change that re-bloats the wire fails here as well.
+so a change that re-bloats the wire fails here as well.  A resume names
+the binding both ends cached by two digests (94 B) and its answer carries
+only the new data path (the 64 B floor); the cold path's OFFER and ACCEPT
+carry the DAG and the choice in full.
 """
 
 from repro.apps.rpc import EchoServer
@@ -47,15 +50,18 @@ COLD = [
 ]
 RESUMED = [
     "bertha.resume",
+    "bertha.resume_accept",
     "disc.lease_check",
-    "bertha.accept",
     "disc.lease_check_reply",
     "bertha.hello",
 ]
 #: ``dgram.size`` of each control datagram, in ``COLD`` order.  The two
 #: queries (and their replies) differ in the chunnel type asked about.
 COLD_SIZES = [64, 64, 64, 152, 504, 64, 376, 64, 64]
-RESUMED_SIZES = [358, 64, 376, 64, 64]
+#: Was ``[358, 64, 376, 64, 64]`` (in the order resume, lease_check,
+#: accept, ...) while RESUME carried the client DAG and choice and its
+#: answer the unified DAG and choice.
+RESUMED_SIZES = [94, 64, 64, 64, 64]
 
 
 class BudgetWorld:
@@ -141,7 +147,7 @@ class BudgetWorld:
             sent = env.now
             socket.send(request.payload, self.server.address, size=request.size)
             reply = yield socket.recv()
-            assert isinstance(msgs.decode_message(reply.payload), msgs.Accept)
+            assert isinstance(msgs.decode_message(reply.payload), msgs.ResumeAccept)
             return env.now - sent
 
         proc = env.process(scenario(env))
@@ -179,10 +185,19 @@ def test_second_cold_establishment_is_nine_datagrams_and_no_consensus():
 
 def test_resumed_establishment_is_five_datagrams_and_no_consensus():
     """The resume's budget: the same five datagrams as when the accept
-    waited for the check, and the ACCEPT reaches the client within one
+    waited for the check, and the answer reaches the client within one
     client↔server control round trip (+ 2 µs) of the RESUME leaving it —
-    the check rides alongside, its answer reaching the server before the
-    client's first datagram on the new connection does."""
+    the check rides alongside.
+
+    The order is a race the smaller frames narrowed: the answer and the
+    check leave the server together and cross the ToR in the same
+    instant, as do the check's reply and the client's HELLO; the check's
+    reply still reaches the server first, 0.50 µs ahead of the HELLO (it
+    was 0.71 µs with the 358 B RESUME and 376 B ACCEPT).  Should the
+    HELLO ever win, nothing changes: under the ``verdict`` hold an
+    in-band control message goes to the engine at once (the server
+    learns the client's address), and data waits in the inbound buffer
+    until the verdict releases it (PROTOCOL.md §7.1)."""
     world = BudgetWorld(cache_size=8)
     world.establish("first")
     start = len(world.crossed)

@@ -21,8 +21,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.chunnels import Reliable, Serialize
 from repro.core import ImplMeta, Offer as ImplOffer, ResourceVector, Scope, wrap
 from repro.core import messages as msgs
+from repro.core.negcache import binding_digest, shape_digest
 from repro.core.scope import Endpoints, Placement
-from repro.core.wire import MAGIC, MIN_MESSAGE_SIZE, WireError, encode_sized, wire_kind
+from repro.core.wire import (
+    MAGIC,
+    MIN_MESSAGE_SIZE,
+    WireError,
+    codec_of,
+    encode_sized,
+    wire_kind,
+)
 from repro.discovery import ShardInfo
 from repro.sim import Address
 
@@ -71,10 +79,10 @@ def samples():
         ),
         msgs.Resume(
             conn_id="c1",
-            dag=dag,
-            choice={node: impl_offer()},
             client_entity="cl",
             policy_epoch=3,
+            shape_digest=shape_digest(dag),
+            binding_digest=binding_digest(dag, {node: impl_offer()}),
         ),
         msgs.ResumeReject(conn_id="c1", reason="policy epoch 3 != 4"),
         msgs.Error(conn_id="c1", error_type="NegotiationError", error="boom"),
@@ -135,6 +143,13 @@ def samples():
         msgs.PromoteReply(ok=False, version=3, req_id="r10", attempt=0),
         msgs.Revoked(record_id="rec-1"),
         msgs.LeaseRevoked(record_id="rec-1", owner="me"),
+        msgs.ResumeAccept(
+            conn_id="c1",
+            data_addr=Address("srv", 40001),
+            transport="udp",
+            params={"window": 4},
+            policy_epoch=3,
+        ),
     ]
     return {type(m).KIND: m for m in messages}
 
@@ -179,6 +194,33 @@ class TestRoundTrip:
         assert header[3] == cls.VERSION
         assert len(body) == len(dataclasses.fields(cls))
         assert b'"conn_id"' not in encoded and b'"req_id"' not in encoded
+
+
+#: Every kind's frame id.  Ids are given in declaration order and a kind
+#: added later is declared last, so no existing kind's id ever moves.
+KIND_IDS = {
+    "bertha.offer": 1, "bertha.accept": 2, "bertha.resume": 3,
+    "bertha.resume_reject": 4, "bertha.error": 5, "bertha.hello": 6,
+    "bertha.transition": 7, "bertha.transition_ack": 8,
+    "bertha.transition_request": 9, "bertha.heartbeat": 10,
+    "bertha.heartbeat_ack": 11, "bertha.migrate": 12, "bertha.migrate_ack": 13,
+    "disc.query": 14, "disc.query_reply": 15, "disc.reserve": 16,
+    "disc.reserve_reply": 17, "disc.lease_check": 18,
+    "disc.lease_check_reply": 19, "disc.release": 20, "disc.release_reply": 21,
+    "disc.watch": 22, "disc.watch_reply": 23, "disc.register_name": 24,
+    "disc.register_name_reply": 25, "disc.unregister_name": 26,
+    "disc.unregister_name_reply": 27, "disc.error": 28, "disc.shard_map": 29,
+    "disc.shard_map_reply": 30, "disc.ping": 31, "disc.pong": 32,
+    "disc.promote": 33, "disc.promote_reply": 34, "disc.revoked": 35,
+    "disc.lease_revoked": 36, "bertha.resume_accept": 37,
+}
+
+
+class TestKindIds:
+    def test_kind_ids_are_pinned(self):
+        assert {
+            kind: codec_of(cls).kind_id for kind, cls in msgs.BY_KIND.items()
+        } == KIND_IDS
 
 
 class TestStrictDecode:
@@ -271,6 +313,57 @@ class TestNestedFieldsAreStrict:
             self.nested_meta(body)[6] = [{"nic_slots": amount}]
             with pytest.raises(WireError, match="malformed resources"):
                 msgs.decode_message(reframe(frame, body))
+
+
+class TestResumeDigests:
+    """RESUME names the cached binding by two 16-byte digests, each 32
+    lowercase hex digits on the wire; anything else is malformed."""
+
+    def resume_body(self):
+        frame = msgs.encode_message(samples()["bertha.resume"])
+        return frame, header_and_body(frame)[1]
+
+    def test_resume_carries_no_dag_and_no_choice(self):
+        _frame, body = self.resume_body()
+        assert body[:3] == ["c1", "cl", 3]
+        assert [len(digest) for digest in body[3:]] == [32, 32]
+
+    @pytest.mark.parametrize(
+        "value",
+        ["ab" * 15, "ab" * 17, "AB" * 16, "zz" * 16, " " + "a" * 31, 7, None],
+        ids=["short", "long", "upper", "not-hex", "space", "int", "null"],
+    )
+    @pytest.mark.parametrize("field", [3, 4], ids=["shape", "binding"])
+    def test_bad_digest_rejected(self, field, value):
+        frame, body = self.resume_body()
+        body[field] = value
+        with pytest.raises(WireError, match="malformed bertha.resume"):
+            msgs.decode_message(reframe(frame, body))
+
+    def test_version_one_layout_rejected(self):
+        """The v1 layout (DAG and choice inline) is gone: a v1 frame with
+        the old fields does not decode."""
+        frame, body = self.resume_body()
+        dag = json.loads(msgs.encode_message(samples()["bertha.offer"])[4:])[1]
+        old = ["c1", dag, [], "cl", 3]
+        with pytest.raises(WireError, match="malformed bertha.resume"):
+            msgs.decode_message(frame[:3] + b"\x01" + reframe(frame, old)[4:])
+
+    def test_binding_digest_covers_arguments_and_resources(self):
+        dag = wrap(Serialize() >> Reliable())
+        node = dag.topological_order()[0]
+        base = binding_digest(dag, {node: impl_offer()})
+        other_args = wrap(Serialize(codec="json") >> Reliable())
+        assert shape_digest(other_args) == shape_digest(dag)
+        assert binding_digest(other_args, {node: impl_offer()}) != base
+        richer = dataclasses.replace(
+            impl_offer(),
+            meta=dataclasses.replace(
+                impl_offer().meta, resources=ResourceVector(nic_slots=1.0)
+            ),
+        )
+        assert binding_digest(dag, {node: richer}) != base
+        assert binding_digest(dag, {node: impl_offer()}) == base
 
 
 class TestEpochZeroIsImplicit:

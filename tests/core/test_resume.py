@@ -10,6 +10,7 @@ instantiated — including when 10% loss eats the best-effort pushes and
 only the server's reservation revalidation stands in the way.
 """
 
+import dataclasses
 import warnings
 
 import pytest
@@ -22,14 +23,17 @@ from repro.chunnels import (
     Serialize,
     SerializeFallback,
 )
-from repro.core import Runtime
+from repro.core import ChunnelDag, Offer, ResourceVector, Runtime
+from repro.core import messages as msgs
 from repro.core.dag import wrap
 from repro.core.negcache import NegotiationCache
 from repro.core.policy import PriorityFirstPolicy
+from repro.core.wire import canonical_encoder
 from repro.discovery import DiscoveryService
 from repro.discovery.client import RemoteDiscoveryClient
 from repro.errors import DegradedEstablishmentWarning, NegotiationError
 from repro.sim import FaultPlan, Network, SmartNic
+from repro.sim.transport import UdpSocket
 
 from ..conftest import (
     assert_no_stage_ran_before_its_verdict,
@@ -40,7 +44,7 @@ from ..conftest import (
 CONNECT = dict(timeout=2e-3, retries=80)
 
 
-def build_world(cache_size=8, cache_ttl=None, loss=0.0, seed=7):
+def build_world(cache_size=8, cache_ttl=None, loss=0.0, seed=7, service_name=None):
     """Echo server + client + remote discovery, negotiation cache on both
     runtimes; returns (net, discovery, toe_record, server, client_rt)."""
     net = Network()
@@ -71,7 +75,7 @@ def build_world(cache_size=8, cache_ttl=None, loss=0.0, seed=7):
 
     server_rt = _runtime(server_host, policy=PriorityFirstPolicy())
     client_rt = _runtime(client_host)
-    server = EchoServer(server_rt, port=7400, dag=dag())
+    server = EchoServer(server_rt, port=7400, dag=dag(), service_name=service_name)
     return net, discovery, toe_record, server, client_rt
 
 
@@ -106,6 +110,21 @@ def echo_roundtrip(conn):
     return reply
 
 
+_binding_bytes = canonical_encoder(tuple[ChunnelDag, dict[int, Offer]])
+
+
+def assert_same_binding(server, *conns):
+    """Each client connection's ``(dag, choice)`` encodes byte-for-byte
+    like its server connection's: a resume rebuilt the accept from the
+    client's cache entry, so nothing else checks that the two still
+    agree."""
+    for conn in conns:
+        peer = server_side(server, conn.conn_id)
+        assert _binding_bytes((conn.dag, conn.choice)) == _binding_bytes(
+            (peer.dag, peer.choice)
+        )
+
+
 class TestResumeFastPath:
     def test_second_connect_resumes_in_one_control_round_trip(self):
         net, _disc, toe, server, client_rt = build_world()
@@ -122,6 +141,7 @@ class TestResumeFastPath:
             return first, second, disc_before, nego_before
 
         first, second, disc_before, nego_before = drive(net, scenario())
+        assert_same_binding(server, first, second)
         # One control round trip total: no discovery query, one resume.
         assert client_rt.discovery.stats.round_trips == disc_before
         assert client_rt.negotiation_stats.round_trips == nego_before + 1
@@ -255,8 +275,9 @@ class TestInvalidation:
             third = yield from connect_once(client_rt, server, 2)
             yield from echo_roundtrip(third)
             third.close()
+            return second, third
 
-        drive(net, scenario())
+        assert_same_binding(server, *drive(net, scenario()))
         assert client_rt.negcache.hits == 2  # attempts 2 and 3
         assert client_rt.negcache.fallbacks == 1  # only attempt 2
         # The bump evicted the server's entry (and the server key embeds
@@ -414,6 +435,104 @@ class TestInvalidationUnderLoss:
         assert client_rt.negcache.hits == client_rt.negcache.fallbacks
 
 
+class TestBindingDigest:
+    """A RESUME names its binding by digest, so the server refuses one
+    whose binding differs from its own entry in anything the wire carries
+    — a DAG argument, an offer's resources — not only in which
+    implementation each node binds.  The client resumes by service name
+    while a connect by address (another client entry, the same server
+    entry) makes the server re-decide in between."""
+
+    def diverge(self, change):
+        net, _disc, toe, server, client_rt = build_world(service_name="echo")
+
+        def connect(target, session):
+            endpoint = client_rt.new(f"resume-{session}", dag())
+            conn = yield from endpoint.connect(target, **CONNECT)
+            yield from echo_roundtrip(conn)
+            conn.close()
+            return conn
+
+        def scenario():
+            first = yield from connect("echo", 0)
+            change(server, toe)
+            redecided = yield from connect(server.address, 1)
+            resumed = yield from connect("echo", 2)
+            return first, redecided, resumed
+
+        first, redecided, resumed = drive(net, scenario())
+        assert [
+            s.attrs["reason"]
+            for s in net.trace.spans
+            if s.phase == "resume" and s.status == "reject"
+        ] == ["cached choice diverged"]
+        assert client_rt.negcache.hits == 1  # the stale name entry was tried
+        assert client_rt.negcache.fallbacks == 1
+        # The same implementations throughout: the old per-node check
+        # would have resumed.
+        names = lambda conn: [o.meta.name for o in conn.choice.values()]
+        assert names(first) == names(redecided) == names(resumed)
+        # The fallback ends on the binding the server decided last.
+        assert _binding_bytes((resumed.dag, resumed.choice)) == _binding_bytes(
+            (redecided.dag, redecided.choice)
+        )
+        assert_same_binding(server, first, redecided, resumed)
+        return first, resumed
+
+    def test_changed_dag_argument_diverges(self):
+        def change(server, _toe):
+            server.endpoint.dag = wrap(Serialize() >> Reliable(max_retries=9))
+
+        first, resumed = self.diverge(change)
+        retries = lambda conn: conn.dag.nodes[
+            conn.dag.find("reliable")[0]
+        ].args["max_retries"]
+        assert (retries(first), retries(resumed)) == (5, 9)
+
+    def test_reregistered_record_with_other_resources_diverges(self):
+        def change(_server, toe):
+            toe.meta = dataclasses.replace(
+                toe.meta, resources=toe.meta.resources + ResourceVector(nic_slots=1)
+            )
+
+        first, resumed = self.diverge(change)
+        toe_meta = lambda conn: next(
+            o.meta for o in conn.choice.values() if o.record_id
+        )
+        assert toe_meta(resumed).resources != toe_meta(first).resources
+
+    @pytest.mark.parametrize(
+        "digest", ["ab" * 15, "zz" * 16], ids=["wrong-length", "not-hex"]
+    )
+    def test_malformed_digest_is_counted_once_and_the_next_resume_answered(
+        self, digest
+    ):
+        net, _disc, _toe, server, client_rt = build_world()
+        listener = server.listener
+
+        def scenario():
+            first = yield from connect_once(client_rt, server, 0)
+            first.close()
+            bad = msgs.Resume(
+                conn_id="forged", client_entity=client_rt.entity.name,
+                policy_epoch=0, shape_digest=digest, binding_digest=digest,
+            )
+            payload, size = msgs.encode_message_sized(bad)
+            forger = UdpSocket(client_rt.entity)
+            forger.send(payload, server.address, size=size)
+            yield net.env.timeout(1e-3)
+            forger.close()
+            malformed = listener.ctl_malformed_total
+            second = yield from connect_once(client_rt, server, 1)
+            yield from echo_roundtrip(second)
+            return malformed, second
+
+        malformed, second = drive(net, scenario())
+        assert malformed == 1 == listener.ctl_malformed_total
+        assert client_rt.negcache.hits == 1 and client_rt.negcache.fallbacks == 0
+        assert_same_binding(server, second)
+
+
 class TestReservationRevalidation:
     def test_discovery_outage_fails_resume_then_degrades(self, monkeypatch):
         """With discovery down, the server cannot confirm the lease it
@@ -435,6 +554,7 @@ class TestReservationRevalidation:
 
         second, reply = drive(net, scenario(), until=60.0)
         assert reply.payload == b"ping"
+        assert_same_binding(server, second)
         assert client_rt.negcache.hits == 1
         assert client_rt.negcache.fallbacks == 0  # accepted, then steered
         leases = server.runtime.leases
@@ -477,8 +597,8 @@ class TestReservationRevalidation:
         second, accepted = drive(net, scenario())
         assert [kind for _, kind, _ in seen] == [
             "bertha.resume",
+            "bertha.resume_accept",  # leaves with the check, crosses first
             "disc.lease_check",
-            "bertha.accept",
             "disc.lease_check_reply",
             "bertha.hello",
             "disc.reserve",  # re-reserve after "no": refused
@@ -489,6 +609,7 @@ class TestReservationRevalidation:
             "bertha.transition_ack",
         ]
         assert toe.record_id in accepted  # the resume was taken as cached
+        assert_same_binding(server, second)
         for side in (second, server_side(server, second.conn_id)):
             assert toe.record_id not in {o.record_id for o in side.choice.values()}
             assert side.transitions == 1

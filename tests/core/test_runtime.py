@@ -542,9 +542,11 @@ class TestConcurrentAccept:
         # Both were mid-decision at once; the retransmissions hit the cache.
         assert overlap == [[("bertha.offer", "X"), ("bertha.resume", "X")], []]
         assert len(listener.connections) == 4  # X established once per kind
-        for kind in ("bertha.resume", "bertha.offer"):
+        for kind, answer in (
+            ("bertha.resume", msgs.ResumeAccept), ("bertha.offer", msgs.Accept)
+        ):
             fresh, replayed = replies[kind]
-            assert isinstance(fresh, msgs.Accept) and fresh.conn_id == "X"
+            assert isinstance(fresh, answer) and fresh.conn_id == "X"
             assert replayed.data_addr == fresh.data_addr
         assert (
             replies["bertha.resume"][0].data_addr

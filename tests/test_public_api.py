@@ -313,6 +313,16 @@ class TestExports:
                 f"{module_name}.{name} is exported but missing"
             )
 
+    def test_every_control_message_is_exported(self):
+        """Each registered message kind's class is in the schema module's
+        ``__all__`` — ``ResumeAccept`` (``bertha.resume_accept``) too."""
+        from repro.core import messages
+
+        exported = set(messages.__all__)
+        assert "ResumeAccept" in exported
+        for cls in messages.BY_KIND.values():
+            assert cls.__name__ in exported, cls.KIND
+
     def test_top_level_exposes_subpackages(self):
         for name in repro.__all__:
             assert getattr(repro, name, None) is not None

@@ -1,7 +1,8 @@
 """Tooling gates that mirror the CI lint job locally.
 
 The CI workflow type-checks the control-plane core (wire encoding, typed
-message schema, RPC loop) with mypy.  When mypy is installed locally this
+message schema, RPC loop, the negotiation cache and its digests) with
+mypy.  When mypy is installed locally this
 test runs the same check; in environments without it, it skips rather
 than fails — the contract is enforced in CI either way.
 """
@@ -18,6 +19,7 @@ TYPED_MODULES = [
     "src/repro/core/wire.py",
     "src/repro/core/messages.py",
     "src/repro/core/rpc.py",
+    "src/repro/core/negcache.py",
 ]
 
 
