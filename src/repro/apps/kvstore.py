@@ -275,10 +275,6 @@ class ShardWorker:
         self.errors += 1
         return kv_response("error")
 
-    def stop(self) -> None:
-        if self._proc.is_alive:
-            self._proc.interrupt("worker stopped")
-        self.socket.close()
 
 
 class KvServer:
@@ -321,21 +317,9 @@ class KvServer:
         )
 
     @property
-    def address(self) -> Address:
-        return self.listener.address
-
-    @property
     def requests_served(self) -> int:
         return sum(worker.requests_served for worker in self.workers)
 
-    def total_keys(self) -> int:
-        """Keys stored across all shards."""
-        return sum(len(worker.store) for worker in self.workers)
-
-    def close(self) -> None:
-        self.listener.close()
-        for worker in self.workers:
-            worker.stop()
 
 
 class KvClient:

@@ -19,7 +19,6 @@ Chunnel types provided (paper section in parentheses):
 ``tls``              fused encrypt+tcp (§6 merge target)
 ``shard``            key-affine request steering (Listing 4, Figure 5)
 ``ordered_mcast``    sequencer-ordered group delivery (Listing 2)
-``anycast``          best-instance selection (§3.2)
 ``multipath``        weighted per-packet spreading over disjoint tunnels
 ``kvcache``          in-switch KV read cache with write-through (§6 offload)
 ``fanin``            scatter/gather RPC with in-switch reply aggregation
@@ -28,7 +27,6 @@ Chunnel types provided (paper section in parentheses):
 """
 
 from ..core.optimizer import default_traits
-from .anycast import Anycast, AnycastDns, AnycastIp, nearest_instance
 from .encrypt import Encrypt, EncryptFallback, EncryptSmartNic, keystream_cipher
 from .http2 import FRAME_HEADER_SIZE, Http2, Http2Fallback
 from .local_fastpath import LocalOrRemote, LocalOrRemoteFallback
@@ -89,9 +87,6 @@ from .tcp import Tcp, TcpFallback, TcpToe
 from .tls import Tls, TlsFallback, TlsSmartNic
 
 __all__ = [
-    "Anycast",
-    "AnycastDns",
-    "AnycastIp",
     "BincodeCodec",
     "Codec",
     "Encrypt",
@@ -151,7 +146,6 @@ __all__ = [
     "combine_replies",
     "get_codec",
     "keystream_cipher",
-    "nearest_instance",
     "register_codec",
     "sequencer_service_name",
     "split_combined_value",

@@ -195,11 +195,6 @@ class GroupSequencer:
             self.retransmits_served += 1
             self.socket.send(payload, target, size=size, headers=dict(template))
 
-    def stop(self) -> None:
-        if self._proc.is_alive:
-            self._proc.interrupt("sequencer stopped")
-        self.socket.close()
-
 
 # --------------------------------------------------------------------------
 # Switch sequencer program

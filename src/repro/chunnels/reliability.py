@@ -71,13 +71,13 @@ class _RetxTimer:
         self.remaining = stage.max_retries
         self.dead = False
         self.sent_at = stage.env.now
-        if self.remaining == 0:
-            # max_retries == 0: the historical loop body never ran and the
-            # message was abandoned at bootstrap time (send time + 0).
-            stage.env.call_in(0.0, self._abandon_now)
-        else:
+        if self.remaining:
             self.wait = stage.rto()
             stage.env.call_in(self.wait, self._check)
+        else:
+            # max_retries == 0: abandoned at send time (+0), unless the
+            # ack arrives first or the stage has stopped.
+            stage.env.call_in(0.0, self._check)
 
     @property
     def is_alive(self) -> bool:
@@ -87,13 +87,6 @@ class _RetxTimer:
         """Stop the timer (ack / migration freeze / stack stop)."""
         self.dead = True
 
-    def _abandon_now(self) -> None:
-        stage = self.stage
-        self.dead = True
-        if stage._unacked.pop(self.seq, None) is not None:
-            stage.abandoned += 1
-        stage._timers.pop(self.seq, None)
-
     def _check(self) -> None:
         if self.dead:
             return
@@ -102,19 +95,20 @@ class _RetxTimer:
         if pending is None or stage._stopped:
             self.dead = True
             return
-        if stage.backoff > self.wait:
-            stage.env.call_in(stage.backoff - self.wait, self._check)
-            self.wait = stage.backoff
-            return
-        stage.retransmissions += 1
-        pending.headers[_RESENT] = True
-        stage.send_below(pending.copy())
-        self.remaining -= 1
-        self.wait = min(2.0 * self.wait, stage.timeout)
-        stage.backoff = max(stage.backoff, self.wait)
         if self.remaining:
-            stage.env.call_in(self.wait, self._check)
-            return
+            if stage.backoff > self.wait:
+                stage.env.call_in(stage.backoff - self.wait, self._check)
+                self.wait = stage.backoff
+                return
+            stage.retransmissions += 1
+            pending.headers[_RESENT] = True
+            stage.send_below(pending.copy())
+            self.remaining -= 1
+            self.wait = min(2.0 * self.wait, stage.timeout)
+            stage.backoff = max(stage.backoff, self.wait)
+            if self.remaining:
+                stage.env.call_in(self.wait, self._check)
+                return
         self.dead = True
         if stage._unacked.pop(self.seq, None) is not None:
             stage.abandoned += 1

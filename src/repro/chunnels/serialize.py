@@ -23,7 +23,6 @@ self-describing binary encoding of Python primitives in the spirit of the
 
 from __future__ import annotations
 
-import abc
 import json
 import struct
 from typing import Any, Iterable
@@ -57,18 +56,11 @@ __all__ = [
 # --------------------------------------------------------------------------
 # Codecs
 # --------------------------------------------------------------------------
-class Codec(abc.ABC):
-    """An object ↔ bytes encoding."""
+class Codec:
+    """An object ↔ bytes encoding: ``encode(obj) -> bytes`` (deterministic)
+    and its inverse ``decode(data)``."""
 
     name: str = ""
-
-    @abc.abstractmethod
-    def encode(self, obj: Any) -> bytes:
-        """Serialize ``obj``; must be deterministic."""
-
-    @abc.abstractmethod
-    def decode(self, data: bytes) -> Any:
-        """Inverse of :meth:`encode`."""
 
 
 _codecs: dict[str, Codec] = {}

@@ -29,7 +29,6 @@ design.
 
 from __future__ import annotations
 
-import abc
 import zlib
 from typing import Any, Iterable, Optional
 
@@ -74,12 +73,9 @@ REPLY_TO_HEADER = "shard_reply_to"
 # --------------------------------------------------------------------------
 # Shard functions (declarative, wire-encodable)
 # --------------------------------------------------------------------------
-class ShardFunction(abc.ABC):
-    """Maps a request to a shard index in ``[0, n)``."""
-
-    @abc.abstractmethod
-    def bucket(self, payload: Any, headers: dict, n: int) -> int:
-        """The shard index for one request."""
+class ShardFunction:
+    """Maps a request to a shard index in ``[0, n)``:
+    ``bucket(payload, headers, n)``."""
 
     @staticmethod
     def _hash(data: bytes) -> int:
@@ -116,9 +112,6 @@ class HashBytes(ShardFunction):
             isinstance(other, HashBytes)
             and (self.offset, self.length) == (other.offset, other.length)
         )
-
-    def __repr__(self) -> str:
-        return f"HashBytes(offset={self.offset}, length={self.length})"
 
 
 register_wire_type(

@@ -61,10 +61,6 @@ class Role(enum.Enum):
     CLIENT = "client"
     SERVER = "server"
 
-    @property
-    def opposite(self) -> "Role":
-        return Role.SERVER if self is Role.CLIENT else Role.CLIENT
-
 
 @dataclass(slots=True)
 class Message:
@@ -73,7 +69,7 @@ class Message:
     ``payload`` is whatever the layer above produced (an object above a
     serialization Chunnel, bytes below it); ``size`` is the current wire
     size; ``headers`` carries Chunnel metadata; ``dst`` overrides the
-    connection's default peer when a routing Chunnel (shard, anycast,
+    connection's default peer when a routing Chunnel (shard,
     multicast) picks a destination.
     """
 
@@ -295,11 +291,6 @@ class ChunnelImpl(abc.ABC):
 
     def teardown(self, ctx: "SetupContext") -> None:
         """Undo :meth:`setup` when the connection closes (default no-op)."""
-
-    @classmethod
-    def chunnel_type(cls) -> str:
-        """The Chunnel type this class implements."""
-        return cls.meta.chunnel_type
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} impl of {self.meta.chunnel_type!r}>"

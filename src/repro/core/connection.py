@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.transport import SimSocket
     from .runtime import Runtime
 
-__all__ = ["Connection", "LIFECYCLE", "lifecycle_table"]
+__all__ = ["Connection", "LIFECYCLE"]
 
 _log = logging.getLogger("repro.ctl")
 
@@ -62,13 +62,6 @@ LIFECYCLE = {
 _DATA_HELD = frozenset(h for h, row in LIFECYCLE.items() if row[1] == HELD) - {BROKEN}
 _SENDS_HELD = frozenset(h for h, row in LIFECYCLE.items() if row[0] == HELD) - {BROKEN}
 _INBOUND_BLOCKERS = _DATA_HELD | {EPOCH}
-
-
-def lifecycle_table() -> str:
-    """PROTOCOL.md's connection-state table, rendered from :data:`LIFECYCLE`."""
-    head = "State | Application send | Inbound data | In-band control | Released by"
-    rows = [f"`{state}` | " + " | ".join(row) for state, row in LIFECYCLE.items()]
-    return "".join(f"| {line} |\n" for line in [head, "---|---|---|---|---", *rows])
 
 
 def next_conn_id(entity) -> str:
@@ -356,12 +349,6 @@ class Connection:
         """True while the data path is held for a lease verdict
         (:meth:`await_verdicts`): quiet, but not idle."""
         return VERDICT in self.holds
-
-    @property
-    def parked(self) -> bool:
-        """True while failover holds the data path: the peer is suspected
-        and the connection is migrating off it or parked (PROTOCOL.md §9)."""
-        return FAILOVER in self.holds
 
     # -- data path ---------------------------------------------------------------
     def send(

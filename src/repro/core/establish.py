@@ -324,15 +324,7 @@ class SplitProxy:
             "relay_no_destination",
             replace=True,
         )
-        self._relays: list = []
-        self._acceptor = self.env.process(
-            self._serve(), name=f"{name}.split-proxy"
-        )
-
-    @property
-    def address(self) -> Address:
-        """The control address downstream clients connect to."""
-        return self.listener.address
+        self.env.process(self._serve(), name=f"{name}.split-proxy")
 
     def _serve(self):
         while True:
@@ -368,17 +360,13 @@ class SplitProxy:
             action="stitched",
             upstream=up.conn_id,
         )
-        self._relays.append(
-            self.env.process(
-                self._relay(down, up, "relayed_upstream"),
-                name=f"{down.conn_id}.relay-up",
-            )
+        self.env.process(
+            self._relay(down, up, "relayed_upstream"),
+            name=f"{down.conn_id}.relay-up",
         )
-        self._relays.append(
-            self.env.process(
-                self._relay(up, down, "relayed_downstream"),
-                name=f"{up.conn_id}.relay-down",
-            )
+        self.env.process(
+            self._relay(up, down, "relayed_downstream"),
+            name=f"{up.conn_id}.relay-down",
         )
 
     def _relay(self, source: Connection, sink: Connection, counter: str):
@@ -406,15 +394,3 @@ class SplitProxy:
             except ConnectionClosedError:
                 return
             setattr(self, counter, getattr(self, counter) + 1)
-
-    def stop(self) -> None:
-        """Stop accepting and tear down every stitched pair."""
-        self.listener.close()
-        if self._acceptor.is_alive:
-            self._acceptor.interrupt("split proxy stopped")
-        for relay in self._relays:
-            if relay.is_alive:
-                relay.interrupt("split proxy stopped")
-        for down, up in self.bridges:
-            down.close()
-            up.close()

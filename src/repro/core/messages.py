@@ -11,19 +11,19 @@ any depth) have the wrong arity or type, raises :class:`WireError` at the
 receiver, where callers count it (``malformed_total`` /
 ``ctl_malformed_total``); a version newer than the receiver speaks is
 rejected the same way.  PROTOCOL.md's message catalogue is generated from
-these docstrings and the codec table (:func:`protocol_appendix`), so code
-and spec cannot drift.
+these docstrings and the codec table (``tests/core/test_protocol_doc.py``
+renders it and fails when the committed document differs), so code and
+spec cannot drift.
 
 Docstring convention: the first paragraph describes the message; a
 ``Direction:`` line names sender → receiver and channel; a ``Retransmit:``
-line states the reliability contract.  :func:`protocol_appendix` parses
+line states the reliability contract.  The catalogue generator parses
 exactly these.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import inspect
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Optional, Type
 
@@ -34,18 +34,17 @@ from ..errors import (
     ResourceExhaustedError,
 )
 from ..sim.datagram import Address
-from .chunnel import ChunnelSpec, ImplMeta, Offer as ImplOffer
+from .chunnel import Offer as ImplOffer
 from .dag import ChunnelDag
-from .resources import ResourceVector
 from .wire import (
     Digest,
     WireError,
-    codec_of,
     decode_frame,
     encode_sized,
     frame_fields,
     register_frame_type,
     register_wire_type,
+    retire_frame_ids,
 )
 
 __all__ = [
@@ -76,8 +75,6 @@ __all__ = [
     "WatchReply",
     "RegisterName",
     "RegisterNameReply",
-    "UnregisterName",
-    "UnregisterNameReply",
     "Revoked",
     "LeaseRevoked",
     "ServiceError",
@@ -88,10 +85,8 @@ __all__ = [
     "Promote",
     "PromoteReply",
     "decode_message",
-    "encode_message",
     "encode_message_sized",
     "request_id",
-    "protocol_appendix",
 ]
 
 #: Registry of message classes by wire kind (for the PROTOCOL.md generator
@@ -145,11 +140,6 @@ def encode_message_sized(message: ControlMessage) -> tuple[bytes, int]:
         cached = encode_sized(message)
         object.__setattr__(message, "_wire_sized", cached)
     return cached
-
-
-def encode_message(message: ControlMessage) -> bytes:
-    """A control message's frame (see :func:`encode_message_sized`)."""
-    return encode_message_sized(message)[0]
 
 
 def request_id(payload: Any) -> Optional[str]:
@@ -663,34 +653,9 @@ class RegisterNameReply(DiscoveryMessage):
     ok: bool = True
 
 
-@control_message
-@dataclass(frozen=True)
-class UnregisterName(DiscoveryMessage):
-    """Remove a service instance from the cluster name service.
-
-    Direction: listener → discovery service, dedicated socket.
-    Retransmit: backoff like ``disc.query``; idempotent.
-    """
-
-    KIND: ClassVar[str] = "disc.unregister_name"
-
-    name: str = ""
-    address: Optional[Address] = None
-
-
-@control_message
-@dataclass(frozen=True)
-class UnregisterNameReply(DiscoveryMessage):
-    """Name-removal confirmation.
-
-    Direction: discovery service → requester (reply to
-    ``disc.unregister_name``).
-    Retransmit: replayed from the reply cache on duplicate requests.
-    """
-
-    KIND: ClassVar[str] = "disc.unregister_name_reply"
-
-    ok: bool = True
+# Kind ids 26 and 27 were disc.unregister_name and its reply, which no
+# client sent; ids are positional, so the slots stay taken.
+retire_frame_ids(2)
 
 
 @control_message
@@ -877,87 +842,3 @@ class ResumeAccept(ControlMessage):
             params=self.params,
             policy_epoch=self.policy_epoch,
         )
-
-
-# --------------------------------------------------------------------------
-# PROTOCOL.md appendix generation
-# --------------------------------------------------------------------------
-def _docstring_parts(cls: Type[ControlMessage]) -> tuple[str, str, str]:
-    """(summary paragraph, direction, retransmit) from the docstring."""
-    doc = inspect.cleandoc(cls.__doc__ or "")
-    summary: List[str] = []
-    direction = retransmit = "—"
-    collecting = "summary"
-    for line in doc.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("Direction:"):
-            collecting = "direction"
-            direction = stripped[len("Direction:"):].strip()
-        elif stripped.startswith("Retransmit:"):
-            collecting = "retransmit"
-            retransmit = stripped[len("Retransmit:"):].strip()
-        elif not stripped:
-            if collecting == "summary" and summary:
-                collecting = "done"
-        elif collecting == "summary":
-            summary.append(stripped)
-        elif collecting == "direction":
-            direction += " " + stripped
-        elif collecting == "retransmit":
-            retransmit += " " + stripped
-    return " ".join(summary), direction, retransmit
-
-
-def _field_list(cls: type) -> str:
-    codec = codec_of(cls)
-    return ", ".join(
-        f"`{name}`: {tp}" for name, tp in zip(codec.names, codec.types)
-    )
-
-
-def protocol_appendix() -> str:
-    """The PROTOCOL.md control-message catalogue, generated from this
-    module's docstrings and the codec table.
-    ``tests/core/test_protocol_doc.py`` keeps the committed document in
-    sync with this output."""
-    lines = [
-        "## Appendix A — control-message catalogue",
-        "",
-        "Generated from the `repro.core.messages` schema and the "
-        "`repro.core.wire` codec table "
-        "(`python -c 'from repro.core import messages; "
-        "print(messages.protocol_appendix())'`). Every message is a frozen "
-        "dataclass sent as a frame: the magic bytes `be a7`, the kind id, "
-        "the version, then its fields in the order listed, as one compact "
-        "JSON array. Receivers reject versions newer than they speak. Do "
-        "not edit this appendix by hand.",
-        "",
-        "Nested values travel as arrays of their fields in this order:",
-        "",
-    ]
-    for cls in (Address, ResourceVector, ImplMeta, ImplOffer, ChunnelSpec, ChunnelDag):
-        lines.append(f"- `{codec_of(cls).tag}`: {_field_list(cls)}")
-    lines += [
-        "",
-        "`dict[int, X]` travels as a list of `[key, value]` pairs. A "
-        "`digest` is 16 bytes as a string of 32 lowercase hex digits. An `any` "
-        "field holds JSON scalars, lists and string-keyed objects as "
-        "themselves, and `bytes` or any other wire type as "
-        '`{"@": [tag, *fields]}`.',
-        "",
-    ]
-    for kind in sorted(BY_KIND):
-        cls = BY_KIND[kind]
-        summary, direction, retransmit = _docstring_parts(cls)
-        lines += [
-            f"### `{kind}` (id {codec_of(cls).kind_id}, v{cls.VERSION}) — "
-            f"{cls.__name__}",
-            "",
-            summary,
-            "",
-            f"- **Fields:** {_field_list(cls)}",
-            f"- **Direction:** {direction}",
-            f"- **Retransmit:** {retransmit}",
-            "",
-        ]
-    return "\n".join(lines)

@@ -15,7 +15,6 @@ ranked list until a reservation sticks.
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,14 +43,9 @@ class PolicyContext:
     extras: dict = field(default_factory=dict)
 
 
-class Policy(abc.ABC):
-    """Ranks feasible offers, best first."""
-
-    @abc.abstractmethod
-    def rank(
-        self, spec: ChunnelSpec, offers: list[Offer], ctx: PolicyContext
-    ) -> list[Offer]:
-        """Return ``offers`` ordered from most to least preferred."""
+class Policy:
+    """Ranks feasible offers: ``rank(spec, offers, ctx)`` returns ``offers``
+    ordered from most to least preferred."""
 
     @staticmethod
     def _stable_tiebreak(offer: Offer) -> tuple:

@@ -70,16 +70,6 @@ class ImplCatalog:
         """Create an implementation instance bound to ``spec``."""
         return self.lookup(chunnel_type, impl_name)(spec, location=location)
 
-    def implementations_of(self, chunnel_type: str) -> list[Type[ChunnelImpl]]:
-        """All catalogued classes for one Chunnel type."""
-        return [
-            cls
-            for (ctype, _name), cls in sorted(
-                self._classes.items(), key=lambda kv: kv[0]
-            )
-            if ctype == chunnel_type
-        ]
-
     def __contains__(self, key: tuple[str, str]) -> bool:
         return key in self._classes
 
@@ -143,9 +133,6 @@ class ChunnelRegistry:
             if ctype in wanted:
                 offers[ctype].append(Offer(meta=impl_cls.meta, origin=origin))
         return offers
-
-    def __len__(self) -> int:
-        return len(self._registered)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ChunnelRegistry {sorted(self._registered)}>"

@@ -520,7 +520,7 @@ class Endpoint:
         """Pick which service instance to negotiate with.
 
         Chunnel specs may provide a ``select_instance(instances, entity,
-        network)`` hook (the local-fast-path and anycast Chunnels do);
+        network)`` hook (the local-fast-path Chunnel does);
         otherwise the first registered instance wins.
         """
         for spec in self.dag.specs_in_order():

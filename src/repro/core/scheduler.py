@@ -20,7 +20,6 @@ ablation benchmark exercises.
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -70,14 +69,10 @@ class Allocation:
         return {request.tenant for request in self.granted}
 
 
-class OffloadScheduler(abc.ABC):
-    """Arbitrates offload placement on a contended device."""
-
-    @abc.abstractmethod
-    def plan(
-        self, requests: list[OffloadRequest], capacity: ResourceVector
-    ) -> Allocation:
-        """Decide a whole batch at once (offline planning)."""
+class OffloadScheduler:
+    """Arbitrates offload placement on a contended device.  Subclasses
+    implement ``plan(requests, capacity) -> Allocation``, deciding a whole
+    batch at once (offline planning)."""
 
     def admit(
         self,

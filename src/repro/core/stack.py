@@ -128,11 +128,6 @@ class ChunnelStack:
         for stage in self.stages:
             stage.start()
 
-    def stop(self) -> None:
-        """Stop every stage, wire side first."""
-        for stage in reversed(self.stages):
-            stage.stop()
-
     # -- accounting ---------------------------------------------------------------
     def charge(self, seconds: float) -> None:
         """Accumulate stage CPU time for the in-flight operation."""

@@ -246,9 +246,9 @@ def register_frame_type(cls: type, version: int) -> None:
     _frames.append(codec)
 
 
-def codec_of(cls: type) -> _Codec:
-    """The table entry for ``cls`` (field names and type descriptions)."""
-    return _codecs[cls]
+def retire_frame_ids(count: int) -> None:
+    """Keep the next ``count`` kind ids unused: those of removed frame types."""
+    _frames.extend([None] * count)
 
 
 def _codec_for(cls: type) -> Optional[_Codec]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..core import messages as msgs
 from ..core import rpc
@@ -60,61 +60,22 @@ class QueryResult:
 
 
 class DiscoveryClientBase:
-    """Interface shared by all discovery clients (all methods generators).
+    """Interface shared by all discovery clients.
 
-    ``deadline`` on :meth:`query` / :meth:`reserve` / :meth:`lease_check`
-    is an *absolute*
-    virtual-time budget (``env.now`` units) the network-backed clients
-    thread into :func:`repro.core.rpc.call`; zero-cost clients accept and
-    ignore it so callers can pass it unconditionally.
+    Every client implements the same generator methods, driven with
+    ``yield from``: ``query(types, service_name=None, *, deadline=None)``
+    → :class:`QueryResult`; ``reserve(record_id, owner, *, deadline=None)``
+    and ``lease_check(record_id, owner, *, deadline=None)`` → bool (a
+    lease check is a read — nothing at the service changes);
+    ``release(record_id, owner)``, ``register_name(name, address)`` and
+    ``watch(record_id, address)`` → None (a watch subscribes ``address``
+    to ``disc.revoked`` / ``disc.lease_revoked`` pushes for the record).
+
+    ``deadline`` is an *absolute* virtual-time budget (``env.now`` units)
+    the network-backed clients thread into :func:`repro.core.rpc.call`;
+    zero-cost clients accept and ignore it so callers can pass it
+    unconditionally.
     """
-
-    def query(
-        self,
-        types: Iterable[str],
-        service_name: Optional[str] = None,
-        *,
-        deadline: Optional[float] = None,
-    ):
-        """Generator → :class:`QueryResult`."""
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def reserve(
-        self, record_id: str, owner: str, *, deadline: Optional[float] = None
-    ):
-        """Generator → bool."""
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def lease_check(
-        self, record_id: str, owner: str, *, deadline: Optional[float] = None
-    ):
-        """Generator → bool: does the ``(record_id, owner)`` lease stand?
-        A read — nothing at the service changes."""
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def release(self, record_id: str, owner: str):
-        """Generator → None."""
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def register_name(self, name: str, address: Address):
-        """Generator → None."""
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def unregister_name(self, name: str, address: Address):
-        """Generator → None."""
-        raise NotImplementedError
-        yield  # pragma: no cover
-
-    def watch(self, record_id: str, address: Address):
-        """Generator → None.  Subscribe ``address`` to revocation pushes
-        (``disc.revoked`` / ``disc.lease_revoked``) for ``record_id``."""
-        raise NotImplementedError
-        yield  # pragma: no cover
 
 
 class RemoteDiscoveryClient(DiscoveryClientBase):
@@ -177,26 +138,10 @@ class RemoteDiscoveryClient(DiscoveryClientBase):
         # its children to one shared counter set.
         self.stats = stats if stats is not None else rpc.RpcStats()
 
-    # Counter views over the shared RPC stats (the chaos experiment and
-    # the robustness tests read these names).
+    # The ablations read discovery round trips straight off the client.
     @property
     def round_trips(self) -> int:
         return self.stats.round_trips
-
-    @property
-    def retransmits_total(self) -> int:
-        return self.stats.retransmits_total
-
-    @property
-    def late_replies(self) -> int:
-        return self.stats.late_replies
-
-    @property
-    def failures_total(self) -> int:
-        return self.stats.failures_total
-
-    def _attempt_timeout(self, attempt: int) -> float:
-        return self.policy.attempt_timeout(attempt, self._rng)
 
     def _rpc(
         self,
@@ -271,9 +216,6 @@ class RemoteDiscoveryClient(DiscoveryClientBase):
     def register_name(self, name, address):
         yield from self._rpc(msgs.RegisterName(name=name, address=address))
 
-    def unregister_name(self, name, address):
-        yield from self._rpc(msgs.UnregisterName(name=name, address=address))
-
     def watch(self, record_id, address):
         yield from self._rpc(msgs.Watch(record_id=record_id, address=address))
 
@@ -310,11 +252,6 @@ class DirectDiscoveryClient(DiscoveryClientBase):
 
     def register_name(self, name, address):
         self.service.register_name(name, address)
-        return None
-        yield  # pragma: no cover
-
-    def unregister_name(self, name, address):
-        self.service.unregister_name(name, address)
         return None
         yield  # pragma: no cover
 
@@ -355,11 +292,6 @@ class NullDiscoveryClient(DiscoveryClientBase):
 
     def register_name(self, name, address):
         self.entity.network.names.register(name, address)
-        return None
-        yield  # pragma: no cover
-
-    def unregister_name(self, name, address):
-        self.entity.network.names.unregister(name, address)
         return None
         yield  # pragma: no cover
 

@@ -291,23 +291,6 @@ class ShardedDiscoveryClient(DiscoveryClientBase):
         self._read_pins: dict[int, int] = {}
         self.read_repins = 0
 
-    # Counter views matching RemoteDiscoveryClient (experiments read these).
-    @property
-    def round_trips(self) -> int:
-        return self.stats.round_trips
-
-    @property
-    def retransmits_total(self) -> int:
-        return self.stats.retransmits_total
-
-    @property
-    def late_replies(self) -> int:
-        return self.stats.late_replies
-
-    @property
-    def failures_total(self) -> int:
-        return self.stats.failures_total
-
     # -- map handling --------------------------------------------------------
     def _ensure_map(self):
         if self.map is None:
@@ -583,12 +566,6 @@ class ShardedDiscoveryClient(DiscoveryClientBase):
         yield from self._ensure_map()
         yield from self._call_shard(
             self.map.shard_for_name(name), "register_name", name, address
-        )
-
-    def unregister_name(self, name: str, address: Address):
-        yield from self._ensure_map()
-        yield from self._call_shard(
-            self.map.shard_for_name(name), "unregister_name", name, address
         )
 
     def watch(self, record_id: str, address: Address):

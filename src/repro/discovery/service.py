@@ -496,10 +496,6 @@ class DiscoveryService:
         """Register a service instance (fronts the cluster name service)."""
         self.network.names.register(name, address)
 
-    def unregister_name(self, name: str, address: Address) -> None:
-        """Remove a service instance."""
-        self.network.names.unregister(name, address)
-
     # ------------------------------------------------------------------
     # Network protocol
     # ------------------------------------------------------------------
@@ -646,9 +642,6 @@ class DiscoveryService:
         if isinstance(request, msgs.RegisterName):
             self.register_name(request.name, request.address)
             return msgs.RegisterNameReply()
-        if isinstance(request, msgs.UnregisterName):
-            self.unregister_name(request.name, request.address)
-            return msgs.UnregisterNameReply()
         return msgs.ServiceError(
             error=f"unsupported request kind {request.KIND!r}"
         )

@@ -10,7 +10,7 @@ failure and a scalability wall.  This module scales it out on two axes:
   lookup.
 * **replication** — each shard is R replicas of the *same*
   ``DiscoveryService`` state, kept consistent by submitting every registry
-  mutation (reserve/release/watch/register_name/unregister_name/revoke/
+  mutation (reserve/release/watch/register_name/revoke/
   unregister) through the repo's own NOPaxos-style replicated state
   machine (:mod:`repro.apps.rsm`) — discovery dogfoods the consensus
   Chunnel it serves offers for.  Reads (``disc.query``, ``disc.ping``,
@@ -103,9 +103,6 @@ class ShardMap:
             raise ValueError("a shard map needs at least one shard")
         self.version = version
         self.shards = shards
-
-    def __len__(self) -> int:
-        return len(self.shards)
 
     def shard_for_type(self, chunnel_type: str) -> int:
         return _stable_hash(f"type:{chunnel_type}") % len(self.shards)
@@ -235,10 +232,6 @@ class ShardReplica(DiscoveryService):
             host, port = op["address"]
             self.register_name(op["name"], Address(host, port))
             return True
-        if kind == "unregister_name":
-            host, port = op["address"]
-            self.unregister_name(op["name"], Address(host, port))
-            return True
         if kind == "revoke":
             self.revoke(op["record_id"], reason=op.get("reason", "operator"))
             return True
@@ -260,13 +253,6 @@ class ShardReplica(DiscoveryService):
             bucket.append(address)
         if self.is_primary:
             self._mirror_name(name, address)
-
-    def unregister_name(self, name: str, address: Address) -> None:
-        bucket = self._names.get(name, [])
-        if address in bucket:
-            bucket.remove(address)
-        if self.is_primary:
-            self.network.names.unregister(name, address)
 
     def _mirror_name(self, name: str, address: Address) -> None:
         # NameService.register appends; a re-mirroring new primary must
@@ -294,7 +280,6 @@ class ShardReplica(DiscoveryService):
         msgs.Release,
         msgs.Watch,
         msgs.RegisterName,
-        msgs.UnregisterName,
     )
 
     def _handle_request(self, request):
@@ -325,9 +310,7 @@ class ShardReplica(DiscoveryService):
             return msgs.ReleaseReply()
         if isinstance(request, msgs.Watch):
             return msgs.WatchReply()
-        if isinstance(request, msgs.RegisterName):
-            return msgs.RegisterNameReply()
-        return msgs.UnregisterNameReply()
+        return msgs.RegisterNameReply()
 
     def _op_for(self, request) -> dict:
         if isinstance(request, msgs.Reserve):
@@ -348,14 +331,8 @@ class ShardReplica(DiscoveryService):
                 "record_id": request.record_id,
                 "address": [request.address.host, request.address.port],
             }
-        if isinstance(request, msgs.RegisterName):
-            return {
-                "disc": "register_name",
-                "name": request.name,
-                "address": [request.address.host, request.address.port],
-            }
         return {
-            "disc": "unregister_name",
+            "disc": "register_name",
             "name": request.name,
             "address": [request.address.host, request.address.port],
         }

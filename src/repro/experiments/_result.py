@@ -23,28 +23,19 @@ __all__ = ["ExperimentResult"]
 
 
 class ExperimentResult:
-    """``ok``, the invariants footer, and the two JSON documents."""
+    """``ok``, the invariants footer, and the two JSON documents.
+
+    Each experiment's result supplies ``invariants`` (name → held) and the
+    three bodies the shared framing wraps: ``render_body()`` (table lines),
+    ``baseline_body()`` and ``metrics_body()`` (JSON dicts).
+    """
 
     NAME: ClassVar[str]
-
-    @property
-    def invariants(self) -> dict[str, bool]:
-        raise NotImplementedError
 
     @property
     def ok(self) -> bool:
         """Every invariant held — the CLI exits non-zero otherwise."""
         return all(self.invariants.values())
-
-    # -- per-experiment bodies -------------------------------------------
-    def render_body(self) -> list[str]:
-        raise NotImplementedError
-
-    def baseline_body(self) -> dict:
-        raise NotImplementedError
-
-    def metrics_body(self) -> dict:
-        raise NotImplementedError
 
     # -- the shared framing ----------------------------------------------
     def render(self) -> str:

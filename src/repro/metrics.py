@@ -9,7 +9,7 @@ exactly those reductions so experiment harnesses stay declarative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -54,21 +54,6 @@ class BoxplotSummary:
         )
         return cls(p5, p25, p50, p75, p95, float(arr.mean()), int(arr.size))
 
-    def scaled(self, factor: float) -> "BoxplotSummary":
-        """A copy with every statistic multiplied by ``factor``.
-
-        Used to convert units (e.g. seconds → microseconds) for display.
-        """
-        return BoxplotSummary(
-            self.p5 * factor,
-            self.p25 * factor,
-            self.p50 * factor,
-            self.p75 * factor,
-            self.p95 * factor,
-            self.mean * factor,
-            self.count,
-        )
-
     def as_row(self, unit: str = "us") -> dict[str, float | int | str]:
         """Dict form used by the experiment harness printers."""
         return {
@@ -93,22 +78,6 @@ class LatencyRecorder:
         """Add one sample under ``label``."""
         self._samples.setdefault(label, []).append(value)
 
-    def extend(self, label: str, values: Iterable[float]) -> None:
-        """Add many samples under ``label``."""
-        self._samples.setdefault(label, []).extend(values)
-
-    def labels(self) -> list[str]:
-        """All labels with at least one sample, in insertion order."""
-        return list(self._samples)
-
-    def values(self, label: str) -> list[float]:
-        """The raw samples recorded under ``label``."""
-        return list(self._samples.get(label, []))
-
-    def count(self, label: str) -> int:
-        """Number of samples under ``label``."""
-        return len(self._samples.get(label, []))
-
     def _samples_for(self, label: str) -> list[float]:
         """The sample list under ``label``; unknown labels are a
         :class:`KeyError` naming the label and what exists — not the
@@ -127,14 +96,6 @@ class LatencyRecorder:
         """Boxplot summary of one label's samples."""
         return BoxplotSummary.from_values(self._samples_for(label))
 
-    def percentile(self, label: str, p: float) -> float:
-        """One percentile of one label's samples."""
-        return percentile(self._samples_for(label), p)
-
-    def summaries(self) -> dict[str, BoxplotSummary]:
-        """Summaries for every label."""
-        return {label: self.summary(label) for label in self._samples}
-
 
 class TimeSeries:
     """(time, value) samples with binning — what Figure 4 plots."""
@@ -147,9 +108,6 @@ class TimeSeries:
         """Add one timestamped sample."""
         self.times.append(time)
         self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.times)
 
     def bins(
         self, width: float, start: Optional[float] = None, end: Optional[float] = None

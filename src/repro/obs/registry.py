@@ -93,9 +93,6 @@ class Gauge:
         self.name = name
         self.value = value
 
-    def set(self, value: Number) -> None:
-        self.value = value
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Gauge {self.name}={self.value}>"
 
@@ -126,9 +123,6 @@ class Histogram:
             "min": min(self.values),
             "max": max(self.values),
         }
-
-    def __len__(self) -> int:
-        return len(self.values)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Histogram {self.name} n={len(self.values)}>"
@@ -173,21 +167,6 @@ class MetricsSnapshot(Mapping[str, Number]):
     def as_dict(self) -> dict[str, Number]:
         """A sorted plain-dict copy (what the JSON exporter writes)."""
         return {name: self._values[name] for name in sorted(self._values)}
-
-    def diff(self, earlier: "MetricsSnapshot") -> dict[str, Number]:
-        """Per-metric change since ``earlier``.
-
-        Metrics absent from ``earlier`` count from zero; metrics absent
-        from *this* snapshot are reported only when they had a nonzero
-        value before (as a negative delta), so a diff over a quiet window
-        is empty.
-        """
-        delta: dict[str, Number] = {}
-        for name in sorted(set(self._values) | set(earlier._values)):
-            change = self._values.get(name, 0) - earlier._values.get(name, 0)
-            if change:
-                delta[name] = change
-        return delta
 
     def to_json(self) -> str:
         """Canonical JSON: sorted keys, no whitespace variation."""
@@ -283,13 +262,6 @@ class MetricsRegistry:
         return instrument
 
     # -- introspection ------------------------------------------------------
-    def names(self, prefix: str = "") -> list[str]:
-        """Registered metric names (sorted), optionally under a prefix."""
-        return sorted(n for n in self._sources if n.startswith(prefix))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._sources
-
     def __len__(self) -> int:
         return len(self._sources)
 

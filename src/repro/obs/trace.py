@@ -4,9 +4,8 @@ A :class:`TraceLog` records structured spans stamped with the simulation
 clock: the phases a connection moves through (``negotiate`` → ``reserve``
 → ``establish`` → ``data`` → ``reconfig`` epoch N → ``teardown``), the
 RPC exchanges the control plane rides on, and the chaos controller's
-fault actions.  Because all times are virtual and attribute dicts export
-with sorted keys, two same-seed runs produce byte-identical trace
-exports — tracing, like the metrics registry, never perturbs
+fault actions.  All times are virtual, so two same-seed runs record
+identical spans — tracing, like the metrics registry, never perturbs
 determinism.
 
 Spans come in two flavours:
@@ -45,7 +44,6 @@ fault injector emit):
 
 from __future__ import annotations
 
-import json
 from typing import Any, Optional
 
 __all__ = ["Span", "TraceLog"]
@@ -77,17 +75,6 @@ class Span:
         """Seconds of virtual time covered, or None while still open."""
         return None if self.end is None else self.end - self.start
 
-    def as_dict(self) -> dict:
-        """JSON-able form with deterministically ordered attrs."""
-        return {
-            "phase": self.phase,
-            "conn_id": self.conn_id,
-            "start": self.start,
-            "end": self.end,
-            "status": self.status,
-            "attrs": {key: self.attrs[key] for key in sorted(self.attrs)},
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         window = (
             f"[{self.start:.6f}..{'' if self.end is None else f'{self.end:.6f}'}]"
@@ -113,12 +100,6 @@ class TraceLog:
         #: order is seeded, so two same-seed runs drop identically).
         self.limit = limit
         self.dropped = 0
-
-    def _record(self, span: Span) -> None:
-        if self.limit is not None and len(self.spans) >= self.limit:
-            self.dropped += 1
-            return
-        self.spans.append(span)
 
     # -- recording ----------------------------------------------------------
     def begin(self, phase: str, conn_id: str = "", **attrs: Any) -> Span:
@@ -165,18 +146,6 @@ class TraceLog:
     def lifecycle(self, conn_id: str) -> list[str]:
         """The phase sequence one connection moved through."""
         return [span.phase for span in self.select(conn_id=conn_id)]
-
-    def __len__(self) -> int:
-        return len(self.spans)
-
-    # -- export -------------------------------------------------------------
-    def as_dicts(self) -> list[dict]:
-        return [span.as_dict() for span in self.spans]
-
-    def to_json(self) -> str:
-        """Canonical JSON array (sorted attr keys, no whitespace
-        variation) — byte-identical across same-seed runs."""
-        return json.dumps(self.as_dicts(), sort_keys=True, separators=(",", ":"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<TraceLog {len(self.spans)} spans>"

@@ -23,7 +23,6 @@ from .engine import ReconfigManager, TransitionRecord
 from .triggers import (
     DeviceFailureDetector,
     DiscoveryWatcher,
-    LoadMonitor,
     PathQualityMonitor,
 )
 
@@ -32,6 +31,5 @@ __all__ = [
     "TransitionRecord",
     "DeviceFailureDetector",
     "DiscoveryWatcher",
-    "LoadMonitor",
     "PathQualityMonitor",
 ]

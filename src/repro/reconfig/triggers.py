@@ -12,11 +12,6 @@ Three independent signal sources feed the transition engine:
     ``fail()``/``recover()`` fault injection; the detector fans their
     synchronous state-change callbacks out to per-location subscribers.
 
-``LoadMonitor``
-    Performance degradation.  Polls simulated service-station queue depths
-    and fires a callback when a threshold is crossed (with hysteresis:
-    re-arms only after the queue drains below half the threshold).
-
 ``PathQualityMonitor``
     Path degradation.  Polls the fault-plan loss counters of the links
     along a pinned path and fires when the windowed loss rate crosses a
@@ -32,7 +27,6 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 from ..core import messages as msgs
 from ..core.wire import WireError
 from ..errors import ConnectionClosedError, ConnectionTimeoutError
-from ..sim.datagram import Address
 from ..sim.eventloop import Interrupt
 from ..sim.transport import UdpSocket
 
@@ -43,7 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "DeviceFailureDetector",
     "DiscoveryWatcher",
-    "LoadMonitor",
     "PathQualityMonitor",
 ]
 
@@ -154,11 +147,6 @@ class DiscoveryWatcher:
         obs.bind(f"{prefix}.watch_retries", self, "watch_retries", replace=True)
         obs.bind(f"{prefix}.rearms", self, "rearms", replace=True)
 
-    @property
-    def address(self) -> Address:
-        self._ensure()
-        return self._socket.address
-
     def _ensure(self) -> None:
         if self._socket is None:
             self._socket = UdpSocket(self.runtime.entity)
@@ -254,76 +242,6 @@ class DiscoveryWatcher:
             for callback in list(self._callbacks.get(record_id, [])):
                 callback(record_id, message.KIND, message)
 
-    def stop(self) -> None:
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("discovery watcher stopped")
-        if self._refresher is not None and self._refresher.is_alive:
-            self._refresher.interrupt("discovery watcher stopped")
-        if self._socket is not None:
-            self._socket.close()
-
-
-class LoadMonitor:
-    """Threshold alarms over simulated service-station queue depths.
-
-    ``watch_station`` arms a callback that fires when the station's queue
-    depth reaches ``threshold``; it re-arms once the depth falls back to
-    half the threshold (hysteresis), so a persistently overloaded station
-    fires once per overload episode, not once per poll.
-    """
-
-    def __init__(self, env, interval: float = 1e-3):
-        self.env = env
-        self.interval = interval
-        self._watches: list[dict] = []
-        self._proc = None
-        self._stopped = False
-        self.samples = 0
-        self.alarms = 0
-
-    def watch_station(
-        self,
-        name: str,
-        station,
-        threshold: int,
-        callback: Callable[[str, object, int], None],
-    ) -> None:
-        """``callback(name, station, depth)`` when depth >= threshold."""
-        self._watches.append(
-            {
-                "name": name,
-                "station": station,
-                "threshold": threshold,
-                "callback": callback,
-                "armed": True,
-            }
-        )
-        if self._proc is None:
-            self._proc = self.env.process(self._run(), name="load-monitor")
-
-    def _run(self):
-        while not self._stopped:
-            try:
-                yield self.env.timeout(self.interval)
-            except Interrupt:
-                return
-            self.samples += 1
-            for watch in self._watches:
-                depth = watch["station"].queue_depth
-                if watch["armed"] and depth >= watch["threshold"]:
-                    watch["armed"] = False
-                    self.alarms += 1
-                    watch["callback"](watch["name"], watch["station"], depth)
-                elif not watch["armed"] and depth <= watch["threshold"] / 2:
-                    watch["armed"] = True
-
-    def stop(self) -> None:
-        """Stop polling (required: the poll loop otherwise keeps the
-        simulation's event heap non-empty forever)."""
-        self._stopped = True
-        if self._proc is not None and self._proc.is_alive:
-            self._proc.interrupt("load monitor stopped")
-
 
 class PathQualityMonitor:
     """Threshold alarms over the loss rate of a pinned network path.
@@ -336,7 +254,7 @@ class PathQualityMonitor:
     that is administratively down reads as rate 1.0 regardless of
     counters.  The callback fires when the windowed rate reaches
     ``threshold`` and re-arms once it falls back to half the threshold
-    (hysteresis), matching :class:`LoadMonitor`.
+    (hysteresis), so a persistently lossy path fires once per episode.
 
     Windows with fewer than ``min_samples`` evaluated crossings are
     skipped: an idle path has no quality signal, and a one-packet window

@@ -83,10 +83,6 @@ class Datagram:
         """Record that the datagram passed through ``element``."""
         self.hops.append(element)
 
-    def reply_to(self) -> Address:
-        """Address a response to this datagram should be sent to."""
-        return self.headers.get("reply_to", self.src)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Datagram #{self.uid} {self.src}->{self.dst} "

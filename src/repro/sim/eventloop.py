@@ -139,15 +139,6 @@ class Event:
         """The event's value (or the exception it failed with)."""
         return self._value
 
-    @property
-    def callbacks(self) -> list[Callable[["Event"], None]]:
-        """Snapshot of the pending callbacks (read-only; for introspection)."""
-        cb = self._cb
-        if cb is None:
-            return []
-        cbs = self._cbs
-        return [cb] if cbs is None else [cb, *cbs]
-
     # -- triggering -------------------------------------------------------
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         """Trigger the event successfully with ``value`` after ``delay``."""
@@ -391,9 +382,6 @@ class _Condition(Event):
 
     def _collect(self) -> dict[Event, Any]:
         return {e: e.value for e in self.events if e.processed and e.ok}
-
-    def _check(self, event: Event) -> None:
-        raise NotImplementedError
 
 
 class AllOf(_Condition):

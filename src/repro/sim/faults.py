@@ -250,19 +250,6 @@ class ChaosController:
             raise AddressError(f"unknown host {name!r}")
         return host
 
-    # -- discovery service crash/restart ---------------------------------------
-    def crash_discovery(self, service, at: Optional[float] = None):
-        """Kill the discovery service process: requests go unanswered and
-        queued requests are lost.  Records and leases survive (stable
-        storage); the request dedup cache does not."""
-        return self._do(at, service.crash, str(service.address), "crash_discovery")
-
-    def restart_discovery(self, service, at: Optional[float] = None):
-        """Restart a crashed discovery service on the same address."""
-        return self._do(
-            at, service.restart, str(service.address), "restart_discovery"
-        )
-
     # -- link flaps ------------------------------------------------------------
     def set_link(self, a: str, b: str, up: bool, at: Optional[float] = None):
         """Force one link up or down."""

@@ -109,11 +109,6 @@ class NetEntity:
         self.ports: dict[int, "SimSocket"] = {}
         self._next_ephemeral = _EPHEMERAL_BASE
 
-    @property
-    def host(self) -> "Host":
-        """The physical machine this entity runs on."""
-        raise NotImplementedError
-
     def bind(self, socket: "SimSocket", port: Optional[int] = None) -> int:
         """Bind ``socket`` to ``port`` (or an ephemeral one); returns it."""
         if port is None:

@@ -67,14 +67,6 @@ class Link:
         if self.bandwidth is not None and self.bandwidth <= 0:
             raise ValueError("link bandwidth must be positive")
 
-    def other_end(self, node: str) -> str:
-        """The endpoint opposite ``node``."""
-        if node == self.a:
-            return self.b
-        if node == self.b:
-            return self.a
-        raise ValueError(f"{node!r} is not an endpoint of {self!r}")
-
     def delay_for(self, size: int) -> float:
         """Total one-way delay for a datagram of ``size`` bytes."""
         serialization = 0.0 if self.bandwidth is None else size / self.bandwidth

@@ -459,7 +459,7 @@ class NameService:
     """Service-name → instance-address directory.
 
     Resolution order is registration order; callers that care about
-    placement (e.g. the ``local_or_remote`` Chunnel, the anycast Chunnel)
+    placement (e.g. the ``local_or_remote`` Chunnel)
     inspect all instances and choose.
     """
 
@@ -814,10 +814,6 @@ class Network:
             raise AddressError(f"cannot transmit into the past (after={after})")
         dgram.sent_at = self.env.now
         self.env._push(after, _Walk(self, dgram, src_entity.host.name))
-
-    def run(self, until=None):
-        """Convenience passthrough to :meth:`Environment.run`."""
-        return self.env.run(until)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

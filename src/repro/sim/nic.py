@@ -83,13 +83,8 @@ class Nic:
         for callback in list(self._state_watchers):
             callback(self, False, reason)
 
-    @property
-    def packets_received(self) -> int:
-        """Datagrams that completed NIC receive processing."""
-        return self.rx_station.jobs_served
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Nic {self.name!r} rx={self.packets_received}>"
+        return f"<Nic {self.name!r} rx={self.rx_station.jobs_served}>"
 
 
 class SmartNic(Nic):

@@ -17,7 +17,6 @@ A program's ``handle`` returns a :class:`ProgramResult`:
 
 from __future__ import annotations
 
-import abc
 import enum
 import random
 from dataclasses import dataclass, field
@@ -50,7 +49,7 @@ class ProgramResult:
     action_after: PacketAction = PacketAction.PASS
 
 
-class PacketProgram(abc.ABC):
+class PacketProgram:
     """In-path logic installable on a switch, SmartNIC, or host fast path.
 
     Subclasses implement ``match`` (does this program apply to this
@@ -65,14 +64,6 @@ class PacketProgram(abc.ABC):
         self.station = station
         self.matched = 0
         self.dropped = 0
-
-    @abc.abstractmethod
-    def match(self, dgram: Datagram) -> bool:
-        """True if this program should process ``dgram``."""
-
-    @abc.abstractmethod
-    def handle(self, dgram: Datagram) -> ProgramResult:
-        """Process ``dgram`` (may mutate it); returns the routing decision."""
 
     def run(self, dgram: Datagram) -> ProgramResult:
         """Bookkeeping wrapper used by devices; calls :meth:`handle`."""

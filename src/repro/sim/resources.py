@@ -84,10 +84,6 @@ class Station:
         #: Completion event of the newest job (what ``submit`` returns).
         self._completion: Optional[Event] = None
 
-    def service_time(self, job: Any = None) -> float:
-        """The service time this station would charge ``job``."""
-        return self._service_time(job)
-
     def submit(self, job: Any = None) -> Event:
         """Enqueue ``job``; returns an event firing at service completion."""
         self.submit_walk(job)
@@ -99,8 +95,7 @@ class Station:
         The caller gets the absolute completion timestamp instead of the
         Event, so it can schedule its next step directly at ``done + cost``
         without waiting on a callback.  The completion event still fires on
-        the heap for ``jobs_in_system`` accounting, keeping ``queue_depth``
-        readings (load monitors poll them) on schedule.
+        the heap for ``jobs_in_system`` accounting.
 
         This is the one enqueue body — :meth:`submit` calls it and picks the
         event up from ``_completion`` — because every NIC receive on the
@@ -143,24 +138,6 @@ class Station:
         self.jobs_in_system -= 1
 
     @property
-    def queue_depth(self) -> int:
-        """Jobs waiting for a server right now (excludes those in service).
-
-        Load monitors (``repro.reconfig.triggers.LoadMonitor``) poll this to
-        detect a saturating station before latency collapses.
-        """
-        return max(0, self.jobs_in_system - self.servers)
-
-    def delay_for(self, job: Any = None) -> float:
-        """Queueing + service delay ``job`` would see if submitted now.
-
-        Does not actually enqueue the job.
-        """
-        now = self.env.now
-        start = max(now, min(self._free_at))
-        return (start - now) + self._service_time(job)
-
-    @property
     def mean_wait(self) -> float:
         """Average queueing delay over all jobs served so far."""
         return self.total_wait / self.jobs_served if self.jobs_served else 0.0
@@ -170,12 +147,9 @@ class Station:
 
 
 class TokenResource:
-    """A counted resource with FIFO request granting.
-
-    ``request(n)`` returns an event that fires once ``n`` units have been
-    set aside for the caller; ``release(n)`` returns units and wakes queued
-    requests in order.
-    """
+    """A counted resource: ``try_request(n)`` takes ``n`` units if they are
+    free right now, ``release(n)`` gives them back.  Nothing queues; a
+    caller that finds the pool short decides for itself what to do."""
 
     def __init__(self, env: Environment, capacity: int, name: str = "resource"):
         if capacity < 0:
@@ -184,33 +158,18 @@ class TokenResource:
         self.name = name
         self.capacity = capacity
         self.available = capacity
-        self._waiting: deque[tuple[int, Event]] = deque()
-
-    def request(self, amount: int = 1) -> Event:
-        """Acquire ``amount`` units; event fires when granted."""
-        if amount < 0:
-            raise ValueError("cannot request a negative amount")
-        if amount > self.capacity:
-            raise ValueError(
-                f"request of {amount} exceeds total capacity {self.capacity} "
-                f"of {self.name!r}"
-            )
-        grant = Event(self.env)
-        self._waiting.append((amount, grant))
-        self._drain()
-        return grant
 
     def try_request(self, amount: int = 1) -> bool:
-        """Non-blocking acquire; True and takes units only if free right now."""
+        """Take ``amount`` units: True if they were free, else take none."""
         if amount < 0:
             raise ValueError("cannot request a negative amount")
-        if self._waiting or amount > self.available:
+        if amount > self.available:
             return False
         self.available -= amount
         return True
 
     def release(self, amount: int = 1) -> None:
-        """Return ``amount`` units and wake queued requesters FIFO."""
+        """Return ``amount`` units."""
         if amount < 0:
             raise ValueError("cannot release a negative amount")
         self.available += amount
@@ -218,24 +177,9 @@ class TokenResource:
             raise SimulationError(
                 f"{self.name!r} over-released: {self.available}/{self.capacity}"
             )
-        self._drain()
-
-    def _drain(self) -> None:
-        while self._waiting and self._waiting[0][0] <= self.available:
-            amount, grant = self._waiting.popleft()
-            self.available -= amount
-            grant.succeed(amount)
-
-    @property
-    def queued(self) -> int:
-        """Number of requests currently waiting."""
-        return len(self._waiting)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<TokenResource {self.name!r} {self.available}/{self.capacity} "
-            f"queued={len(self._waiting)}>"
-        )
+        return f"<TokenResource {self.name!r} {self.available}/{self.capacity}>"
 
 
 class Store:

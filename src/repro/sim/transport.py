@@ -71,16 +71,6 @@ class SimSocket:
         """Non-blocking receive: ``(True, dgram)`` or ``(False, None)``."""
         return self.store.try_get()
 
-    def send(
-        self,
-        payload: Any,
-        dst: Address,
-        size: Optional[int] = None,
-        headers: Optional[dict] = None,
-        extra_delay: float = 0.0,
-    ) -> Datagram:
-        raise NotImplementedError
-
     def close(self) -> None:
         """Release the port; further sends/recvs raise."""
         if not self.closed:

@@ -1,11 +1,6 @@
 """Workload generation: YCSB core workloads, key distributions, arrivals."""
 
-from .arrivals import (
-    ArrivalProcess,
-    DeterministicArrivals,
-    PoissonArrivals,
-    closed_loop_gaps,
-)
+from .arrivals import PoissonArrivals
 from .ycsb import WORKLOAD_MIXES, WorkloadSpec, YcsbWorkload
 from .zipf import (
     KeyChooser,
@@ -14,12 +9,9 @@ from .zipf import (
     UniformChooser,
     ZipfianChooser,
     make_chooser,
-    zipf_pmf,
 )
 
 __all__ = [
-    "ArrivalProcess",
-    "DeterministicArrivals",
     "KeyChooser",
     "LatestChooser",
     "PoissonArrivals",
@@ -29,7 +21,5 @@ __all__ = [
     "WorkloadSpec",
     "YcsbWorkload",
     "ZipfianChooser",
-    "closed_loop_gaps",
     "make_chooser",
-    "zipf_pmf",
 ]

@@ -1,26 +1,19 @@
-"""Arrival processes for open- and closed-loop load generation.
+"""Open-loop arrivals for load generation.
 
-Figure 5 sweeps offered load; these processes generate the request
-timestamps.  All are deterministic given a seed, so experiment runs are
+Figure 5 sweeps offered load; this process generates the request
+timestamps.  It is deterministic given a seed, so experiment runs are
 exactly reproducible.
 """
 
 from __future__ import annotations
 
-import abc
 import random
-from typing import Iterator
 
-__all__ = [
-    "ArrivalProcess",
-    "PoissonArrivals",
-    "DeterministicArrivals",
-    "closed_loop_gaps",
-]
+__all__ = ["PoissonArrivals"]
 
 
-class ArrivalProcess(abc.ABC):
-    """Generates inter-arrival gaps (seconds)."""
+class PoissonArrivals:
+    """Memoryless arrivals at ``rate`` per second (open loop)."""
 
     def __init__(self, rate: float, seed: int = 0):
         if rate <= 0:
@@ -28,55 +21,6 @@ class ArrivalProcess(abc.ABC):
         self.rate = rate
         self.rng = random.Random(seed)
 
-    @abc.abstractmethod
     def next_gap(self) -> float:
         """Seconds until the next arrival."""
-
-    def gaps(self, count: int) -> Iterator[float]:
-        """``count`` inter-arrival gaps."""
-        for _ in range(count):
-            yield self.next_gap()
-
-    def arrival_times(self, count: int, start: float = 0.0) -> Iterator[float]:
-        """``count`` absolute arrival timestamps."""
-        now = start
-        for gap in self.gaps(count):
-            now += gap
-            yield now
-
-
-class PoissonArrivals(ArrivalProcess):
-    """Memoryless arrivals at ``rate`` per second (open loop)."""
-
-    def next_gap(self) -> float:
         return self.rng.expovariate(self.rate)
-
-
-class DeterministicArrivals(ArrivalProcess):
-    """Evenly spaced arrivals, optionally jittered.
-
-    ``jitter`` is the fraction of the period to perturb uniformly (0 =
-    perfectly periodic — beware phase-locking with service times).
-    """
-
-    def __init__(self, rate: float, jitter: float = 0.1, seed: int = 0):
-        if not 0 <= jitter < 1:
-            raise ValueError("jitter must be in [0, 1)")
-        super().__init__(rate, seed)
-        self.jitter = jitter
-
-    def next_gap(self) -> float:
-        period = 1.0 / self.rate
-        if self.jitter == 0:
-            return period
-        lo = period * (1 - self.jitter)
-        hi = period * (1 + self.jitter)
-        return self.rng.uniform(lo, hi)
-
-
-def closed_loop_gaps(think_time: float) -> Iterator[float]:
-    """Constant think time between a response and the next request."""
-    if think_time < 0:
-        raise ValueError("think time must be non-negative")
-    while True:
-        yield think_time

@@ -11,9 +11,7 @@ All choosers are deterministic given a seed.
 
 from __future__ import annotations
 
-import abc
 import hashlib
-import math
 import random
 
 __all__ = [
@@ -26,18 +24,14 @@ __all__ = [
 ]
 
 
-class KeyChooser(abc.ABC):
-    """Picks key indices in ``[0, item_count)``."""
+class KeyChooser:
+    """Picks key indices in ``[0, item_count)``: ``next_index()``."""
 
     def __init__(self, item_count: int, seed: int = 0):
         if item_count <= 0:
             raise ValueError("item_count must be positive")
         self.item_count = item_count
         self.rng = random.Random(seed)
-
-    @abc.abstractmethod
-    def next_index(self) -> int:
-        """The next key index."""
 
     def grow(self, new_count: int) -> None:
         """Extend the key space (after inserts)."""
@@ -138,10 +132,3 @@ def make_chooser(name: str, item_count: int, seed: int = 0) -> KeyChooser:
     if name == "latest":
         return LatestChooser(item_count, seed=seed)
     raise ValueError(f"unknown distribution {name!r}")
-
-
-def zipf_pmf(item_count: int, theta: float = 0.99) -> list[float]:
-    """The exact Zipfian probability mass function (for tests/analysis)."""
-    weights = [1.0 / ((i + 1) ** theta) for i in range(item_count)]
-    total = math.fsum(weights)
-    return [w / total for w in weights]

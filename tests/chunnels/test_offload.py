@@ -286,6 +286,36 @@ class TestFanIn:
         assert program.aggregated == 1
         assert program.absorbed == 2  # N-1 replies absorbed at the ToR
 
+    def test_shared_switch_program_released_by_the_last_close(self, two_hosts):
+        """Two connections share one refcounted aggregation program: the
+        first close leaves it installed, the second uninstalls it and
+        gives the switch its stages and SRAM back."""
+        fanin_world(two_hosts, register_switch=True, preload=PRELOAD)
+        switch = two_hosts.net.switches["tor"]
+        client_rt = two_hosts.runtimes["cl"]
+        free_before = (switch.stage_pool.available, switch.sram_pool.available)
+
+        def scenario(env):
+            yield env.timeout(1e-4)
+            conns = []
+            for name in ("gather-a", "gather-b"):
+                conn = yield from client_rt.new(name).connect(Address("srv", 7100))
+                conns.append(conn)
+            return conns
+
+        first, second = run(two_hosts.env, scenario(two_hosts.env))
+        assert [type(c.impls[c.dag.find("fanin")[0]]).__name__ for c in (first, second)] == [
+            "FanInSwitch",
+            "FanInSwitch",
+        ]
+        assert len(switch.programs) == 1
+        program = switch.programs[0]
+        first.close()
+        assert switch.programs == [program]
+        second.close()
+        assert switch.programs == []
+        assert (switch.stage_pool.available, switch.sram_pool.available) == free_before
+
     def test_switch_and_host_gather_equivalent(self):
         """Same world, same traffic: byte-identical combined payloads."""
         from repro.discovery import DiscoveryService

@@ -271,6 +271,20 @@ class TestTcpWindow:
         assert stalls == 8  # everything beyond the first window queued
         assert in_flight_high_water[0] <= 2
 
+    def test_close_drops_sends_queued_behind_the_window(self):
+        pair = self.make(window=1)
+
+        def scenario(env):
+            yield from connect(pair)
+            for index in range(4):
+                pair.client_conn.send(b"%d" % index, size=1)
+            stage = pair.client_conn.stack.stages[0]
+            queued = len(stage._send_queue)
+            pair.client_conn.close()
+            return queued, len(stage._send_queue)
+
+        assert run(pair.env, scenario(pair.env)) == (3, 0)
+
     def test_acks_reopen_the_window(self):
         pair = self.make(window=1)
 

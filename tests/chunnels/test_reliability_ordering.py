@@ -542,6 +542,31 @@ class TestOrderedDelivery:
         assert flushes == 1
         assert when >= 3e-4  # only after the flush timer
 
+    def test_close_cancels_an_armed_gap_flush(self):
+        pair = self.make(flush_after=3e-4)
+        pair.net.switches["tor"].install(
+            LossProgram(
+                "drop-seq-1",
+                predicate=lambda d: d.headers.get("ord_seq") == 1,
+                drop_first=1,
+            )
+        )
+
+        def scenario(env):
+            yield from connect(pair)
+            pair.client_conn.send(b"lost", size=4)
+            pair.client_conn.send(b"held", size=4)
+            yield env.timeout(1e-4)  # "held" buffered, its flush armed
+            server_stage = pair.server_conn.stack.stages[0]
+            armed = list(server_stage._flush_timers.values())
+            pair.server_conn.close()
+            yield env.timeout(1e-3)  # well past the flush deadline
+            return armed, server_stage.forced_flushes
+
+        armed, flushes = run(pair.env, scenario(pair.env))
+        assert len(armed) == 1 and not armed[0].is_alive
+        assert flushes == 0
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             Ordered(flush_after=0)

@@ -10,7 +10,6 @@ from repro.chunnels import (
     ShardServerFallback,
     ShardSwitch,
     ShardXdp,
-    nearest_instance,
 )
 from repro.core import Runtime, wrap
 from repro.discovery import DiscoveryService
@@ -207,23 +206,3 @@ class TestInstanceSelection:
             instances, net.hosts["ha"], net
         )
         assert chosen.host == "hb"
-
-    def test_nearest_instance_uses_path_latency(self):
-        net = Network()
-        for name in ("origin", "near", "far"):
-            net.add_host(name)
-        net.add_switch("s1")
-        net.add_switch("s2")
-        net.add_link("origin", "s1", latency=1e-6)
-        net.add_link("near", "s1", latency=1e-6)
-        net.add_link("s1", "s2", latency=100e-6)
-        net.add_link("far", "s2", latency=1e-6)
-        chosen = nearest_instance(
-            [Address("far", 1), Address("near", 1)], net.hosts["origin"], net
-        )
-        assert chosen.host == "near"
-
-    def test_nearest_with_no_instances(self):
-        net = Network()
-        net.add_host("h")
-        assert nearest_instance([], net.hosts["h"], net) is None

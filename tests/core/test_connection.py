@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chunnels import Serialize, SerializeFallback
+from repro.chunnels import Reliable, ReliableFallback, Serialize, SerializeFallback
 from repro.core import Runtime, wrap
 from repro.errors import ConnectionClosedError, TransportError
 from repro.sim import Address
@@ -124,6 +124,28 @@ class TestConnectionBasics:
             return True
 
         assert run(two_hosts.env, scenario(two_hosts.env))
+
+    def test_close_stops_every_stage_wire_side_first(self, two_hosts):
+        server_rt = two_hosts.runtime("srv")
+        client_rt = two_hosts.runtime("cl")
+        for rt in (server_rt, client_rt):
+            rt.register_chunnel(SerializeFallback)
+            rt.register_chunnel(ReliableFallback)
+        listener_with_accept_log(
+            two_hosts, server_rt, dag=wrap(Serialize() >> Reliable())
+        )
+
+        def scenario(env):
+            yield env.timeout(1e-4)
+            return (yield from client_rt.new("c").connect(Address("srv", 7000)))
+
+        conn = run(two_hosts.env, scenario(two_hosts.env))
+        stages = conn.live_stages()
+        stopped = []
+        for stage in stages:
+            stage.stop = lambda stage=stage: stopped.append(stage)
+        conn.close()
+        assert len(stages) == 2 and stopped == stages[::-1]
 
     def test_headers_travel_with_messages(self, two_hosts):
         server_rt = two_hosts.runtime("srv")

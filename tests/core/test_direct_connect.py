@@ -6,16 +6,14 @@ Two establishment entry points the negotiation tests skip:
   the client negotiates with *every* target and the pipeline must produce
   one connection spanning all peers;
 * ``connect("name")`` — by-name resolution routed through the first DAG
-  spec that implements ``select_instance`` (anycast nearest/rotate, the
-  local fast-path's same-host preference), falling back to the first
-  registered instance.
+  spec that implements ``select_instance`` (the local fast-path's
+  same-host preference), falling back to the first registered instance.
 """
 
 import pytest
 
 from repro.apps import EchoServer, ping_session
 from repro.chunnels import (
-    Anycast,
     LocalOrRemote,
     LocalOrRemoteFallback,
     Serialize,
@@ -111,7 +109,7 @@ class TestListTargetConnect:
 
 
 def geo_world():
-    """Near (1 µs) and far (200 µs) instances, as in the anycast tests."""
+    """Near (1 µs) and far (200 µs) instances."""
     net = Network()
     net.add_host("client-host")
     net.add_host("near-host")
@@ -146,36 +144,23 @@ class TestSelectInstanceHook:
         endpoint = runtime.new("c", wrap(Serialize()))
         assert endpoint._select_instance(self.INSTANCES) == self.INSTANCES[0]
 
-    def test_anycast_hook_picks_nearest(self):
-        net, discovery = geo_world()
-        runtime = Runtime(
-            net.hosts["client-host"], discovery=discovery.address
-        )
-        endpoint = runtime.new("c", wrap(Anycast()))
-        assert endpoint._select_instance(self.INSTANCES).host == "near-host"
-
-    def test_rotate_hook_cycles_across_connects(self):
-        net, discovery = geo_world()
-        runtime = Runtime(
-            net.hosts["client-host"], discovery=discovery.address
-        )
-        endpoint = runtime.new("c", wrap(Anycast(strategy="rotate")))
-        picks = {
-            endpoint._select_instance(self.INSTANCES).host for _ in range(6)
-        }
-        assert picks == {"far-host", "near-host"}
-
     def test_first_spec_with_hook_wins(self):
         # Serialize has no select_instance; the walk must keep going and
-        # use anycast's verdict rather than falling back to first.
-        net, discovery = geo_world()
-        runtime = Runtime(
-            net.hosts["client-host"], discovery=discovery.address
-        )
-        endpoint = runtime.new("c", wrap(Serialize() >> Anycast()))
-        assert endpoint._select_instance(self.INSTANCES).host == "near-host"
+        # use local_or_remote's verdict rather than falling back to first.
+        net, runtime = self.containers_world()
+        endpoint = runtime.new("c", wrap(Serialize() >> LocalOrRemote()))
+        instances = [Address("remote", 1), Address("cb", 1)]
+        assert endpoint._select_instance(instances).host == "cb"
 
     def test_local_fastpath_hook_prefers_same_host(self):
+        net, runtime = self.containers_world()
+        endpoint = runtime.new("c", wrap(LocalOrRemote()))
+        instances = [Address("remote", 1), Address("cb", 1)]
+        assert endpoint._select_instance(instances).host == "cb"
+
+    @staticmethod
+    def containers_world():
+        """Two containers on one box, a remote host and discovery."""
         net = Network()
         box = net.add_host("box")
         box.add_container("ca")
@@ -186,10 +171,7 @@ class TestSelectInstanceHook:
         for name in ("box", "remote", "dsc"):
             net.add_link(name, "tor", latency=5e-6)
         discovery = DiscoveryService(dsc)
-        runtime = Runtime(net.entity("ca"), discovery=discovery.address)
-        endpoint = runtime.new("c", wrap(LocalOrRemote()))
-        instances = [Address("remote", 1), Address("cb", 1)]
-        assert endpoint._select_instance(instances).host == "cb"
+        return net, Runtime(net.entity("ca"), discovery=discovery.address)
 
 
 class TestLocalFastpathByName:

@@ -39,6 +39,7 @@ from repro.chunnels.reliability import _SEQ, _ReliableStage
 from repro.core import Runtime
 from repro.core.chunnel import ChunnelStage, Role
 from repro.core.dag import wrap
+from repro.core.connection import FAILOVER
 from repro.core.failover import FailoverConfig, FailoverManager
 from repro.core.negcache import NegotiationCache
 from repro.core.policy import PriorityFirstPolicy
@@ -215,7 +216,7 @@ class TestMigration:
         assert conn.migrations == 1
         assert client_rt.failover.migrations_total == 1
         assert client_rt.failover.suspicions_total >= 1
-        assert not conn.parked
+        assert FAILOVER not in conn.holds
         assert conn.blackout > 0
         # The standby saw the client's ids in send order: replayed window
         # first, then the sends buffered while the migration was paused.
@@ -343,7 +344,7 @@ class TestReliabilityHandOff:
 
         assert impl_before == "ReliableToe"
         assert reliable_impl(conn) == "ReliableFallback"
-        assert conn.migrations == 1 and not conn.parked
+        assert conn.migrations == 1 and FAILOVER not in conn.holds
         assert_delivered_once_in_order(recorders, sent)
         ((stage, window),) = adopted
         assert window  # the crash left messages unacked
@@ -389,7 +390,7 @@ class TestMigrationAbort:
                     "peers": [str(p) for p in conn.peers],
                     "transport": conn.transport,
                     "timers": sum(len(getattr(s, "_timers", ())) for s in stages),
-                    "held": conn.parked,
+                    "held": FAILOVER in conn.holds,
                     "buffered": len(conn._send_buffer),
                     "unacked": frozen,
                 }
@@ -433,7 +434,7 @@ class TestMigrationAbort:
         assert torn_down == prepared[:-1]
         assert reliable_impl(conn) == "ReliableFallback"
         assert conn.migrations + manager.resumed_total == 1
-        assert not conn.parked
+        assert FAILOVER not in conn.holds
         # Zero loss, nothing delivered twice, and in order everywhere: an
         # abort sends nothing (the buffered sends stay held), so nothing
         # reaches the standby's first-attempt server connection, and the
@@ -460,7 +461,7 @@ class TestParking:
                 if index == 80:
                     # Mid-outage: the connection must be parked degraded,
                     # buffering sends rather than failing them.
-                    observed["parked_mid_outage"] = conn.parked
+                    observed["parked_mid_outage"] = FAILOVER in conn.holds
                 yield env.timeout(200e-6)
             return conn
 
@@ -474,7 +475,7 @@ class TestParking:
         assert union == set(sent)
         assert duplicates == 0
         assert observed["parked_mid_outage"]
-        assert not conn.parked
+        assert FAILOVER not in conn.holds
         assert conn.migrations == 0
         assert client_rt.failover.parked_total == 1
         assert client_rt.failover.resumed_total == 1
@@ -512,7 +513,7 @@ class TestParking:
                 server_conn, exclude={("toe", "rec-1")}
             )
             observed["epoch"] = client_conn.epoch
-            observed["parked"] = client_conn.parked
+            observed["parked"] = FAILOVER in client_conn.holds
             observed["still_buffered"] = len(client_conn._send_buffer)
 
         ChaosController(net, seed=7).host_outage("srv0", at=5e-3, duration=15e-3)
@@ -524,7 +525,7 @@ class TestParking:
         assert observed["still_buffered"] >= observed["buffered"]
         assert reliable_impl(conn) == "ReliableFallback"
         assert client_rt.failover.resumed_total == 1
-        assert not conn.parked
+        assert FAILOVER not in conn.holds
         assert_delivered_once_in_order(recorders, sent)
 
 
@@ -582,7 +583,7 @@ class TestFalsePositives:
         assert manager.suspicions_total == 0
         assert manager.migrations_total == 0
         assert manager.parked_total == 0
-        assert conn.migrations == 0 and not conn.parked
+        assert conn.migrations == 0 and FAILOVER not in conn.holds
 
 
 class TestWindowAdoption:

@@ -34,7 +34,7 @@ def offer_frame(mutation=None) -> bytes:
         offers={"reliable": [ImplOffer(ImplMeta("reliable", "sw"), "client")]},
         client_entity="cl",
     )
-    frame = msgs.encode_message(offer)
+    frame = msgs.encode_message_sized(offer)[0]
     if mutation is None:
         return frame
     body = json.loads(frame[4:])
@@ -108,7 +108,7 @@ def test_any_nesting_depth_decodes_or_raises_wire_error(depth):
 def test_discovery_counts_a_bad_nested_request_and_serves_on(two_hosts):
     service = two_hosts.discovery
     good = msgs.Watch(record_id="rec-1", address=None).stamped("r2", 0)
-    bad_frame = msgs.encode_message(good.stamped("r1", 0))
+    bad_frame = msgs.encode_message_sized(good.stamped("r1", 0))[0]
     body = json.loads(bad_frame[4:])
     body[3] = ["cl"]  # an address without its port
 
@@ -116,7 +116,7 @@ def test_discovery_counts_a_bad_nested_request_and_serves_on(two_hosts):
         sock = UdpSocket(two_hosts.net.entity("cl"))
         sock.send(reframe(bad_frame, body), service.address, size=64)
         first = yield sock.recv()
-        sock.send(msgs.encode_message(good), service.address, size=64)
+        sock.send(msgs.encode_message_sized(good)[0], service.address, size=64)
         second = yield sock.recv()
         return msgs.decode_message(first.payload), msgs.decode_message(second.payload)
 

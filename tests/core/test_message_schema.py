@@ -21,13 +21,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.chunnels import Reliable, Serialize
 from repro.core import ImplMeta, Offer as ImplOffer, ResourceVector, Scope, wrap
 from repro.core import messages as msgs
+from repro.core import wire
 from repro.core.negcache import binding_digest, shape_digest
 from repro.core.scope import Endpoints, Placement
 from repro.core.wire import (
     MAGIC,
     MIN_MESSAGE_SIZE,
     WireError,
-    codec_of,
     encode_sized,
     wire_kind,
 )
@@ -119,10 +119,6 @@ def samples():
             name="svc", address=Address("srv", 7000), req_id="r5", attempt=0
         ),
         msgs.RegisterNameReply(req_id="r5", attempt=0),
-        msgs.UnregisterName(
-            name="svc", address=Address("srv", 7000), req_id="r6", attempt=0
-        ),
-        msgs.UnregisterNameReply(req_id="r6", attempt=0),
         msgs.ServiceError(error="unsupported", req_id="r7", attempt=0),
         msgs.GetShardMap(req_id="r8", attempt=1),
         msgs.ShardMapReply(
@@ -174,19 +170,19 @@ class TestRoundTrip:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_encode_decode_encode_is_identity(self, kind):
         message = samples()[kind]
-        encoded = msgs.encode_message(message)
+        encoded = msgs.encode_message_sized(message)[0]
         decoded = msgs.decode_message(encoded)
         assert type(decoded) is msgs.BY_KIND[kind]
         # ChunnelDag has no __eq__, so compare re-encodings instead of
         # the dataclasses themselves: a lossless decode re-encodes to the
         # byte-identical wire form.
-        assert msgs.encode_message(decoded) == encoded
+        assert msgs.encode_message_sized(decoded)[0] == encoded
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_encoded_form_is_json_tagged_and_versioned(self, kind):
         """A frame is magic, kind id, version, then one JSON array holding
         the fields by position — no field names on the wire."""
-        encoded = msgs.encode_message(samples()[kind])
+        encoded = msgs.encode_message_sized(samples()[kind])[0]
         header, body = header_and_body(encoded)
         cls = msgs.BY_KIND[kind]
         assert wire_kind(encoded) == kind
@@ -197,7 +193,9 @@ class TestRoundTrip:
 
 
 #: Every kind's frame id.  Ids are given in declaration order and a kind
-#: added later is declared last, so no existing kind's id ever moves.
+#: added later is declared last, so no existing kind's id ever moves; 26
+#: and 27 belonged to the removed ``disc.unregister_name`` pair and stay
+#: retired.
 KIND_IDS = {
     "bertha.offer": 1, "bertha.accept": 2, "bertha.resume": 3,
     "bertha.resume_reject": 4, "bertha.error": 5, "bertha.hello": 6,
@@ -208,8 +206,7 @@ KIND_IDS = {
     "disc.reserve_reply": 17, "disc.lease_check": 18,
     "disc.lease_check_reply": 19, "disc.release": 20, "disc.release_reply": 21,
     "disc.watch": 22, "disc.watch_reply": 23, "disc.register_name": 24,
-    "disc.register_name_reply": 25, "disc.unregister_name": 26,
-    "disc.unregister_name_reply": 27, "disc.error": 28, "disc.shard_map": 29,
+    "disc.register_name_reply": 25, "disc.error": 28, "disc.shard_map": 29,
     "disc.shard_map_reply": 30, "disc.ping": 31, "disc.pong": 32,
     "disc.promote": 33, "disc.promote_reply": 34, "disc.revoked": 35,
     "disc.lease_revoked": 36, "bertha.resume_accept": 37,
@@ -219,13 +216,20 @@ KIND_IDS = {
 class TestKindIds:
     def test_kind_ids_are_pinned(self):
         assert {
-            kind: codec_of(cls).kind_id for kind, cls in msgs.BY_KIND.items()
+            kind: wire._codecs[cls].kind_id for kind, cls in msgs.BY_KIND.items()
         } == KIND_IDS
+
+    def test_retired_ids_name_no_kind(self):
+        frame = msgs.encode_message_sized(msgs.Ping(req_id="r1"))[0]
+        for retired in (26, 27):
+            assert wire_kind(frame[:2] + bytes([retired]) + frame[3:]) is None
+            with pytest.raises(WireError):
+                msgs.decode_message(frame[:2] + bytes([retired]) + frame[3:])
 
 
 class TestStrictDecode:
     def encoded_hello(self):
-        return msgs.encode_message(msgs.Hello(conn_id="c1"))
+        return msgs.encode_message_sized(msgs.Hello(conn_id="c1"))[0]
 
     def test_missing_version_rejected(self):
         encoded = self.encoded_hello()
@@ -271,7 +275,7 @@ class TestNestedFieldsAreStrict:
     missing field is filled in with a default."""
 
     def offer_body(self):
-        frame = msgs.encode_message(samples()["bertha.offer"])
+        frame = msgs.encode_message_sized(samples()["bertha.offer"])[0]
         return frame, header_and_body(frame)[1]
 
     def nested_meta(self, body):
@@ -295,7 +299,7 @@ class TestNestedFieldsAreStrict:
             msgs.decode_message(reframe(frame, body))
 
     def test_address_without_port(self):
-        frame = msgs.encode_message(samples()["bertha.accept"])
+        frame = msgs.encode_message_sized(samples()["bertha.accept"])[0]
         body = header_and_body(frame)[1]
         body[3] = ["srv"]
         with pytest.raises(WireError, match="malformed address"):
@@ -320,7 +324,7 @@ class TestResumeDigests:
     lowercase hex digits on the wire; anything else is malformed."""
 
     def resume_body(self):
-        frame = msgs.encode_message(samples()["bertha.resume"])
+        frame = msgs.encode_message_sized(samples()["bertha.resume"])[0]
         return frame, header_and_body(frame)[1]
 
     def test_resume_carries_no_dag_and_no_choice(self):
@@ -344,7 +348,7 @@ class TestResumeDigests:
         """The v1 layout (DAG and choice inline) is gone: a v1 frame with
         the old fields does not decode."""
         frame, body = self.resume_body()
-        dag = json.loads(msgs.encode_message(samples()["bertha.offer"])[4:])[1]
+        dag = json.loads(msgs.encode_message_sized(samples()["bertha.offer"])[0][4:])[1]
         old = ["c1", dag, [], "cl", 3]
         with pytest.raises(WireError, match="malformed bertha.resume"):
             msgs.decode_message(frame[:3] + b"\x01" + reframe(frame, old)[4:])
@@ -379,13 +383,13 @@ class TestEpochZeroIsImplicit:
             transport=accept.transport,
             params=accept.params,
         )
-        encoded = msgs.encode_message(plain)
+        encoded = msgs.encode_message_sized(plain)[0]
         assert header_and_body(encoded)[1][-1] == 0
         decoded = msgs.decode_message(encoded)
         assert decoded.policy_epoch == 0
 
     def test_accept_nonzero_epoch_round_trips(self):
-        encoded = msgs.encode_message(samples()["bertha.accept"])
+        encoded = msgs.encode_message_sized(samples()["bertha.accept"])[0]
         assert header_and_body(encoded)[1][-1] == 3
         assert msgs.decode_message(encoded).policy_epoch == 3
 
@@ -434,7 +438,7 @@ def check_decode_is_canonical(payload: bytes) -> None:
     assert encode_sized(message)[0] == payload
 
 
-FRAMES = {kind: msgs.encode_message(message) for kind, message in samples().items()}
+FRAMES = {kind: msgs.encode_message_sized(message)[0] for kind, message in samples().items()}
 MUTATIONS = dict(
     choice=st.integers(0, 3),
     at=st.integers(0, 4096),

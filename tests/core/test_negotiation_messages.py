@@ -41,7 +41,7 @@ class TestOfferMessage:
             offers={"reliable": [sample_offer()]},
             client_entity="client-entity",
         )
-        decoded = msgs.decode_message(msgs.encode_message(message))
+        decoded = msgs.decode_message(msgs.encode_message_sized(message)[0])
         assert isinstance(decoded, msgs.Offer)
         assert decoded.conn_id == "conn-1"
         assert decoded.client_entity == "client-entity"
@@ -59,7 +59,7 @@ class TestOfferMessage:
             offers={"reliable": [sample_offer()]},
             client_entity="e",
         )
-        body = json.loads(msgs.encode_message(message)[4:])
+        body = json.loads(msgs.encode_message_sized(message)[0][4:])
         assert body[0] == "c" and body[3] == "e"
 
 
@@ -77,7 +77,7 @@ class TestAcceptMessage:
             transport="pipe",
             params={"k": 1},
         )
-        decoded = msgs.decode_message(msgs.encode_message(message))
+        decoded = msgs.decode_message(msgs.encode_message_sized(message)[0])
         assert isinstance(decoded, msgs.Accept)
         # Choice keys are node ids (ints) — they must survive the str-keyed
         # wire encoding.
@@ -96,7 +96,7 @@ class TestAcceptMessage:
             data_addr=Address("s", 1),
             transport="udp",
         )
-        decoded = msgs.decode_message(msgs.encode_message(message))
+        decoded = msgs.decode_message(msgs.encode_message_sized(message)[0])
         assert decoded.params == {}
 
 
@@ -108,7 +108,7 @@ class TestErrorMessage:
             ResourceExhaustedError,
         ):
             message = msgs.Error.from_exception("c", error_cls("boom"))
-            decoded = msgs.decode_message(msgs.encode_message(message))
+            decoded = msgs.decode_message(msgs.encode_message_sized(message)[0])
             with pytest.raises(error_cls):
                 decoded.raise_remote()
 

@@ -122,7 +122,7 @@ class TestReorder:
         assert encrypt_spec.args["key_id"] == "k9"
 
     def test_oversized_chain_rejected(self):
-        from repro.chunnels import Anycast, LocalOrRemote, Ordered, RateLimit, Tls
+        from repro.chunnels import LocalOrRemote, Ordered, RateLimit, Tls
 
         specs = [
             Serialize(),
@@ -133,7 +133,7 @@ class TestReorder:
             Tls(),
             RateLimit(bytes_per_second=1e6),
             LocalOrRemote(),
-            Anycast(),
+            Reliable(),
         ]
         dag = wrap(*specs)
         with pytest.raises(DagError, match="9-stage chain"):

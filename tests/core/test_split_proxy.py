@@ -91,7 +91,7 @@ class TestSplitProxy:
 
     def test_address_reports_the_listen_port(self):
         net, _cl_rt, _listener, proxy = build_world()
-        assert proxy.address == Address("px", 7600)
+        assert proxy.listener.address == Address("px", 7600)
 
     def test_segments_negotiate_their_own_timers(self):
         # The proxy's listener DAG dictates the downstream Reliable timer

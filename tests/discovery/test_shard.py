@@ -106,7 +106,7 @@ class TestShardMap:
 
     def test_wire_round_trip(self):
         reply = msgs.ShardMapReply(version=self.map.version, shards=self.map.shards)
-        back = msgs.decode_message(msgs.encode_message(reply))
+        back = msgs.decode_message(msgs.encode_message_sized(reply)[0])
         assert back.version == self.map.version
         assert back.shards == self.map.shards
 
@@ -217,6 +217,31 @@ class TestShardedRegistry:
         assert [r.address for r in net.names.resolve("svc-1")] == [
             Address("cli", 4200)
         ]
+
+    def test_whole_shard_restart_brings_its_log_back(self):
+        """A total outage crashes each replica's discovery front and its
+        RSM participant; restart must bring both back, or the shard can
+        answer reads but never log another mutation."""
+        net, tier, router = shard_world()
+        record = tier.seed_record(soft_meta("reliable"), "cli")
+        client = ShardedDiscoveryClient(net.entity("cli"), router.address)
+        replicas = tier.shards[0]
+
+        def scenario(env):
+            yield env.timeout(1e-3)
+            for replica in replicas:
+                replica.crash()
+            yield env.timeout(1e-3)
+            for replica in replicas:
+                replica.restart()
+            ok = yield from client.reserve(record.record_id, "alice")
+            yield env.timeout(2e-3)  # let the slowest replica apply
+            return ok
+
+        assert run(net.env, scenario(net.env))
+        for replica in replicas:
+            assert not replica.rsm.down
+            assert replica._leases[(record.record_id, "alice")].count == 1
 
     def test_revocation_pushes_once_from_the_primary(self):
         net, tier, router = shard_world()

@@ -92,7 +92,7 @@ class TestFig4Shapes:
         """Every connection used the same endpoint code; only resolution
         changed.  (Encoded here as: the series is continuous — a connection
         attempt exists in every interval.)"""
-        assert len(result.series) >= 14
+        assert len(result.series.times) >= 14
 
 
 class TestFig5Shapes:

@@ -25,12 +25,6 @@ class TestInstruments:
         with pytest.raises(ValueError):
             counter.inc(-1)
 
-    def test_gauge_set(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("depth")
-        gauge.set(7)
-        assert registry.snapshot()["depth"] == 7
-
     def test_gauge_computed_on_pull(self):
         registry = MetricsRegistry()
         box = {"value": 1}
@@ -112,7 +106,7 @@ class TestRegistration:
         stats.round_trips = 5
         registry = MetricsRegistry()
         registry.bind_stats("rpc.negotiation.cl", stats)
-        assert registry.names("rpc.negotiation.cl.") == [
+        assert sorted(registry.snapshot().as_dict()) == [
             "rpc.negotiation.cl.failures_total",
             "rpc.negotiation.cl.late_replies",
             "rpc.negotiation.cl.retransmits_total",
@@ -120,15 +114,11 @@ class TestRegistration:
         ]
         assert registry.snapshot()["rpc.negotiation.cl.round_trips"] == 5
 
-    def test_names_contains_len(self):
+    def test_len_counts_sources(self):
         registry = MetricsRegistry()
         registry.register("b", lambda: 0)
         registry.register("a.x", lambda: 0)
         registry.register("a.y", lambda: 0)
-        assert registry.names() == ["a.x", "a.y", "b"]
-        assert registry.names("a.") == ["a.x", "a.y"]
-        assert "b" in registry
-        assert "c" not in registry
         assert len(registry) == 3
 
 
@@ -170,15 +160,7 @@ class TestSnapshot:
         snap = MetricsSnapshot({"b": 1, "a": 2})
         assert list(snap.as_dict()) == ["a", "b"]
         assert list(iter(snap)) == ["a", "b"]
-
-    def test_diff_counts_from_zero_and_reports_drops(self):
-        earlier = MetricsSnapshot({"kept": 1, "gone": 4, "quiet": 7})
-        later = MetricsSnapshot({"kept": 3, "new": 2, "quiet": 7})
-        assert later.diff(earlier) == {"kept": 2, "new": 2, "gone": -4}
-
-    def test_diff_over_quiet_window_is_empty(self):
-        snap = MetricsSnapshot({"a": 1})
-        assert snap.diff(MetricsSnapshot({"a": 1})) == {}
+        assert len(snap) == 2 and dict(snap) == {"a": 2, "b": 1}
 
     def test_to_json_canonical(self):
         one = MetricsSnapshot({"b": 1, "a": 2}).to_json()

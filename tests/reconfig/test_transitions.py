@@ -65,7 +65,7 @@ class TestRevocationDegrade:
         assert len(responses) == 40
         assert all(r["status"] == "ok" for r in responses)
         assert server.requests_served == 40
-        assert server.total_keys() == 40
+        assert sum(len(w.store) for w in server.workers) == 40
 
         # Both sides swapped to the fallback in a new epoch.
         (server_conn,) = server.listener.connections

@@ -4,7 +4,6 @@ from repro.chunnels import SerializeFallback, ShardXdp
 from repro.reconfig import (
     DeviceFailureDetector,
     DiscoveryWatcher,
-    LoadMonitor,
     PathQualityMonitor,
 )
 from repro.sim import FaultPlan, Network
@@ -81,7 +80,6 @@ class TestDiscoveryWatcher:
         got = run(two_hosts.env, scenario(two_hosts.env))
         assert got == [(record.record_id, "disc.revoked")]
         assert watcher.notifications == 1
-        watcher.stop()
 
     def test_watch_survives_service_crash_restart(self, two_hosts):
         """Regression: a crash() wipes the service's watch table, so pushes
@@ -108,7 +106,6 @@ class TestDiscoveryWatcher:
         assert got == ["disc.revoked"]
         assert watcher.rearms >= 1
         assert two_hosts.discovery._watchers.get(record.record_id)
-        watcher.stop()
 
     def test_explicit_rearm_restores_watches(self, two_hosts):
         runtime = two_hosts.runtime("cl")
@@ -133,7 +130,6 @@ class TestDiscoveryWatcher:
         got = run(two_hosts.env, scenario(two_hosts.env))
         assert got == ["disc.revoked"]
         assert watcher.rearms == 1
-        watcher.stop()
 
     def test_unwatched_records_do_not_notify(self, two_hosts):
         runtime = two_hosts.runtime("cl")
@@ -154,56 +150,6 @@ class TestDiscoveryWatcher:
             return list(events)
 
         assert run(two_hosts.env, scenario(two_hosts.env)) == []
-        watcher.stop()
-
-
-class _FakeStation:
-    def __init__(self, depth=0):
-        self.queue_depth = depth
-
-
-class TestLoadMonitor:
-    def test_threshold_alarm_with_hysteresis(self):
-        net = Network()
-        env = net.env
-        station = _FakeStation()
-        monitor = LoadMonitor(env, interval=1e-3)
-        alarms = []
-        monitor.watch_station(
-            "st", station, threshold=4, callback=lambda *a: alarms.append(a[2])
-        )
-
-        def scenario(env):
-            station.queue_depth = 5
-            yield env.timeout(2e-3)  # poll fires once
-            first = len(alarms)
-            yield env.timeout(5e-3)  # still overloaded: no re-fire
-            held = len(alarms)
-            station.queue_depth = 2  # <= threshold/2: re-arms
-            yield env.timeout(2e-3)
-            station.queue_depth = 6
-            yield env.timeout(2e-3)
-            monitor.stop()
-            return first, held, len(alarms)
-
-        first, held, final = run(env, scenario(env))
-        assert (first, held, final) == (1, 1, 2)
-        assert alarms == [5, 6]
-        assert monitor.alarms == 2
-        assert monitor.samples >= 10
-
-    def test_stop_drains_the_poll_loop(self):
-        net = Network()
-        monitor = LoadMonitor(net.env, interval=1e-3)
-        monitor.watch_station("st", _FakeStation(), 1, lambda *a: None)
-
-        def scenario(env):
-            yield env.timeout(5e-3)
-            monitor.stop()
-
-        run(net.env, scenario(net.env))
-        net.env.run()  # heap must drain — would spin forever otherwise
-        assert not monitor._proc.is_alive
 
 
 class TestPathQualityMonitor:

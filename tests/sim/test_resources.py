@@ -66,13 +66,6 @@ class TestStation:
         assert station.total_service == pytest.approx(4.0)
         assert station.mean_wait == pytest.approx(1.0)  # (0 + 2) / 2
 
-    def test_delay_for_does_not_enqueue(self):
-        env = Environment()
-        station = Station(env, service_time=1.0)
-        station.submit()
-        assert station.delay_for() == pytest.approx(2.0)
-        assert station.jobs_served == 1  # unchanged by delay_for
-
     def test_zero_servers_rejected(self):
         env = Environment()
         with pytest.raises(ValueError):
@@ -107,33 +100,8 @@ class TestTokenResource:
     def test_grant_within_capacity_is_immediate(self):
         env = Environment()
         resource = TokenResource(env, capacity=3)
-        grant = resource.request(2)
-        assert grant.triggered
+        assert resource.try_request(2)
         assert resource.available == 1
-
-    def test_fifo_granting(self):
-        env = Environment()
-        resource = TokenResource(env, capacity=2)
-        order = []
-        resource.request(2).add_callback(lambda e: order.append("first"))
-        resource.request(1).add_callback(lambda e: order.append("second"))
-        resource.request(1).add_callback(lambda e: order.append("third"))
-        env.run()
-        assert order == ["first"]
-        resource.release(2)
-        env.run()
-        assert order == ["first", "second", "third"]
-
-    def test_small_request_waits_behind_large_head(self):
-        """Strict FIFO: a fitting request does not jump a blocked one."""
-        env = Environment()
-        resource = TokenResource(env, capacity=2)
-        resource.request(1)
-        blocked = resource.request(2)
-        small = resource.request(1)
-        env.run()
-        assert not blocked.triggered
-        assert not small.triggered  # would fit, but FIFO holds it back
 
     def test_try_request(self):
         env = Environment()
@@ -146,8 +114,10 @@ class TestTokenResource:
     def test_over_capacity_request_rejected(self):
         env = Environment()
         resource = TokenResource(env, capacity=2)
+        assert not resource.try_request(3)
+        assert resource.available == 2
         with pytest.raises(ValueError):
-            resource.request(3)
+            resource.try_request(-1)
 
     def test_over_release_detected(self):
         env = Environment()
@@ -156,13 +126,6 @@ class TestTokenResource:
 
         with pytest.raises(SimulationError):
             resource.release(1)
-
-    def test_queued_count(self):
-        env = Environment()
-        resource = TokenResource(env, capacity=1)
-        resource.request(1)
-        resource.request(1)
-        assert resource.queued == 1
 
 
 class TestStore:

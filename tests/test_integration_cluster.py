@@ -133,7 +133,7 @@ def cluster_results():
         net.env.process(workload(net.env))
     net.env.run(until=2.0)
     results["replica_states"] = [r.state for r in replicas]
-    results["kv_total_keys"] = kv_server.total_keys()
+    results["kv_total_keys"] = sum(len(w.store) for w in kv_server.workers)
     results["switch_programs"] = [
         p.name for p in net.switches["tor"].programs
     ]

@@ -68,9 +68,6 @@ PUBLIC_SURFACE = {
         "wrap",
     ],
     "repro.chunnels": [
-        "Anycast",
-        "AnycastDns",
-        "AnycastIp",
         "BincodeCodec",
         "Codec",
         "Encrypt",
@@ -130,7 +127,6 @@ PUBLIC_SURFACE = {
         "combine_replies",
         "get_codec",
         "keystream_cipher",
-        "nearest_instance",
         "register_codec",
         "sequencer_service_name",
         "split_combined_value",
@@ -216,8 +212,6 @@ PUBLIC_SURFACE = {
         "ShardedDiscoveryClient",
     ],
     "repro.workloads": [
-        "ArrivalProcess",
-        "DeterministicArrivals",
         "KeyChooser",
         "LatestChooser",
         "PoissonArrivals",
@@ -227,9 +221,7 @@ PUBLIC_SURFACE = {
         "WorkloadSpec",
         "YcsbWorkload",
         "ZipfianChooser",
-        "closed_loop_gaps",
         "make_chooser",
-        "zipf_pmf",
     ],
     "repro.baselines": [
         "pipe_echo_server",
@@ -253,7 +245,6 @@ PUBLIC_SURFACE = {
     "repro.reconfig": [
         "DeviceFailureDetector",
         "DiscoveryWatcher",
-        "LoadMonitor",
         "PathQualityMonitor",
         "ReconfigManager",
         "TransitionRecord",
@@ -262,8 +253,6 @@ PUBLIC_SURFACE = {
 
 #: Every ``(chunnel type, impl name)`` the built-in library catalogues.
 CATALOG = [
-    ("anycast", "dns"),
-    ("anycast", "ip"),
     ("encrypt", "nic-crypto"),
     ("encrypt", "sw"),
     ("fanin", "host-gather"),

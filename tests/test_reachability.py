@@ -1,0 +1,169 @@
+"""The reachability tool (``tests/reachability.py``) on a toy package."""
+
+import sys
+import textwrap
+
+import pytest
+
+from tests import reachability as reach
+
+TOY = '''
+import functools
+
+
+def called():
+    return [x for x in range(3)] + list(y for y in range(2))
+
+
+def uncalled():
+    return (lambda: 1)()
+
+
+@functools.lru_cache(maxsize=None)
+def decorated_uncalled():
+    return 2
+
+
+def outer():
+    def inner():
+        return 3
+
+    return inner
+
+
+class Shape:
+    def area(self):
+        return 0
+
+    def __repr__(self):  # pragma: no cover - debugging aid
+        return "<Shape>"
+
+    class Nested:
+        def method(self):
+            return 1
+'''
+
+
+@pytest.fixture
+def toy(tmp_path, monkeypatch):
+    package = tmp_path / "src" / "toy"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(textwrap.dedent(TOY))
+    monkeypatch.syspath_prepend(str(tmp_path / "src"))
+    yield tmp_path, package
+    for name in [n for n in sys.modules if n == "toy" or n.startswith("toy.")]:
+        del sys.modules[name]
+
+
+def keys(functions):
+    return sorted(f.key for f in functions)
+
+
+class TestEnumeration:
+    def test_functions_keyed_by_path_and_qualname(self, toy):
+        root, package = toy
+        functions = reach.enumerate_functions(root, package)
+        assert keys(functions.values()) == [
+            "src/toy/mod.py::Shape.Nested.method",
+            "src/toy/mod.py::Shape.__repr__",
+            "src/toy/mod.py::Shape.area",
+            "src/toy/mod.py::called",
+            "src/toy/mod.py::decorated_uncalled",
+            "src/toy/mod.py::outer",
+            "src/toy/mod.py::outer.<locals>.inner",
+            "src/toy/mod.py::uncalled",
+        ]  # no lambdas, comprehensions, genexprs, class or module bodies
+
+    def test_debugging_aid_is_exempt(self, toy):
+        root, package = toy
+        functions = reach.enumerate_functions(root, package)
+        exempt = [f.key for f in functions.values() if f.exempt]
+        assert exempt == ["src/toy/mod.py::Shape.__repr__"]
+
+
+class TestTracing:
+    def test_called_is_reached_and_uncalled_is_not(self, toy):
+        root, package = toy
+        functions = reach.enumerate_functions(root, package)
+        with reach.CallTracer() as tracer:
+            from toy import mod
+
+            def world():
+                mod.called(), mod.Shape().area(), mod.outer()()
+
+            tracer.run("toy world", world)
+        missing = keys(reach.unreached(functions, tracer.reached()))
+        assert missing == [
+            "src/toy/mod.py::Shape.Nested.method",
+            "src/toy/mod.py::decorated_uncalled",
+            "src/toy/mod.py::uncalled",
+        ]
+
+    def test_a_world_that_drops_the_hook_fails_loudly(self):
+        with reach.CallTracer() as tracer:
+            with pytest.raises(SystemExit, match="trace hook was lost during rogue"):
+                tracer.run("rogue", lambda: sys.settrace(None))
+
+    def test_a_failing_world_fails_the_run(self):
+        with reach.CallTracer() as tracer:
+            with pytest.raises(SystemExit, match="broken exited 3"):
+                tracer.run("broken", lambda: 3)
+
+
+def missing_of(*names):
+    return [reach.Function(key=name, lines=1, exempt=False) for name in names]
+
+
+class TestCheck:
+    def test_unallowlisted_function_and_stale_entry_reported(self, tmp_path):
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_x.py").write_text("")
+        entries, problems = reach.parse_allowlist(
+            "src/toy/mod.py::uncalled (iii) forced by tests/test_x.py\n"
+            "src/toy/mod.py::Shape (iii) forced by tests/test_x.py\n",
+            tmp_path,
+        )
+        assert problems == []
+        report = reach.check(
+            missing_of("src/toy/mod.py::uncalled", "src/toy/mod.py::outer"), entries
+        )
+        assert report == [
+            "unreached and not allowlisted: src/toy/mod.py::outer",
+            "stale allowlist entry (reached, or gone): src/toy/mod.py::Shape",
+        ]
+
+    def test_class_and_module_entries_cover_their_functions(self):
+        entries = {"src/toy/mod.py::Shape": "", "src/toy/other.py": ""}
+        report = reach.check(
+            missing_of("src/toy/mod.py::Shape.Nested.method", "src/toy/other.py::f"),
+            entries,
+        )
+        assert report == []
+
+    @pytest.mark.parametrize(
+        "reason, problem",
+        [
+            ("", "must start with (i), (ii) or (iii)"),
+            ("(iii) tested", '"tested" is not a reason'),
+            ("(ii) Tested.", '"tested" is not a reason'),
+            ("(i) the anycast world", "must cite the paper section"),
+            ("(ii) the quickstart", "must name an examples/*.py file"),
+            ("(iii) a unit test", "must name a tests/*.py file"),
+            ("(iii) tests/nowhere.py forces it", "names a missing file: tests/nowhere.py"),
+        ],
+    )
+    def test_bad_reasons_rejected(self, tmp_path, reason, problem):
+        _entries, problems = reach.parse_allowlist(f"src/toy/mod.py::f {reason}\n", tmp_path)
+        assert len(problems) == 1 and problem in problems[0]
+
+    def test_listed_twice_rejected(self, tmp_path):
+        line = "src/toy/mod.py::f (i) §3 claim, world fig3\n"
+        _entries, problems = reach.parse_allowlist(line + line, tmp_path)
+        assert problems == ["allowlist line 2 (src/toy/mod.py::f): listed twice"]
+
+    def test_checked_in_allowlist_is_well_formed(self):
+        _entries, problems = reach.parse_allowlist(
+            reach.ALLOWLIST.read_text(encoding="utf-8"), reach.ROOT
+        )
+        assert problems == []

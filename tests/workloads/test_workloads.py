@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.workloads import (
-    DeterministicArrivals,
     LatestChooser,
     PoissonArrivals,
     ScrambledZipfianChooser,
@@ -16,11 +15,17 @@ from repro.workloads import (
     WorkloadSpec,
     YcsbWorkload,
     ZipfianChooser,
-    closed_loop_gaps,
     make_chooser,
-    zipf_pmf,
 )
 
+
+
+def zipf_pmf(item_count: int, theta: float = 0.99) -> list[float]:
+    """The exact Zipfian probability mass function: the oracle the
+    sampled choosers are checked against."""
+    weights = [1.0 / ((i + 1) ** theta) for i in range(item_count)]
+    total = math.fsum(weights)
+    return [w / total for w in weights]
 
 class TestChoosers:
     def test_uniform_covers_space(self):
@@ -163,41 +168,21 @@ class TestYcsbWorkload:
 class TestArrivals:
     def test_poisson_mean_rate(self):
         arrivals = PoissonArrivals(rate=1000, seed=5)
-        gaps = list(arrivals.gaps(5000))
+        gaps = [arrivals.next_gap() for _ in range(5000)]
         assert abs(sum(gaps) / len(gaps) - 1e-3) < 1e-4
 
     def test_poisson_determinism(self):
-        assert list(PoissonArrivals(100, seed=1).gaps(20)) == list(
-            PoissonArrivals(100, seed=1).gaps(20)
-        )
-
-    def test_deterministic_arrivals_are_bounded(self):
-        arrivals = DeterministicArrivals(rate=100, jitter=0.2, seed=2)
-        for gap in arrivals.gaps(200):
-            assert 0.8 / 100 <= gap <= 1.2 / 100
-
-    def test_zero_jitter_is_periodic(self):
-        arrivals = DeterministicArrivals(rate=50, jitter=0.0)
-        assert set(arrivals.gaps(10)) == {1 / 50}
-
-    def test_arrival_times_are_monotonic(self):
-        times = list(PoissonArrivals(100, seed=3).arrival_times(100))
-        assert all(b > a for a, b in zip(times, times[1:]))
-
-    def test_closed_loop_gaps(self):
-        gaps = closed_loop_gaps(0.5)
-        assert [next(gaps) for _ in range(3)] == [0.5, 0.5, 0.5]
+        first, second = PoissonArrivals(100, seed=1), PoissonArrivals(100, seed=1)
+        assert [first.next_gap() for _ in range(20)] == [
+            second.next_gap() for _ in range(20)
+        ]
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             PoissonArrivals(rate=0)
-        with pytest.raises(ValueError):
-            DeterministicArrivals(rate=10, jitter=1.0)
-        with pytest.raises(ValueError):
-            next(closed_loop_gaps(-1))
 
     @given(st.integers(min_value=1, max_value=10_000))
     @settings(max_examples=20)
     def test_poisson_gaps_positive(self, rate):
         arrivals = PoissonArrivals(rate=rate, seed=0)
-        assert all(gap > 0 for gap in arrivals.gaps(50))
+        assert all(arrivals.next_gap() > 0 for _ in range(50))
