@@ -288,7 +288,6 @@ class KvServer:
         worker_service_time: float = 1.5e-6,
         worker_base_port: int = 7101,
         service_name: Optional[str] = None,
-        shard_server_cost: float = 8.0e-6,
         extra_dag: Optional[ChunnelDag] = None,
         auto_reconfig: bool = False,
     ):
@@ -304,7 +303,6 @@ class KvServer:
         shard_spec = Shard(
             choices=[worker.address for worker in self.workers],
             shard_fn=KV_SHARD_FN,
-            server_cost=shard_server_cost,
         )
         from ..chunnels.serialize import Serialize
 

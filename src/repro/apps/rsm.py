@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import random
 import zlib
-from typing import Callable, Optional
+from typing import Callable
 
 from ..chunnels.multicast import GAP_HEADER, SEQ_HEADER, OrderedMcast
 from ..chunnels.serialize import Serialize
@@ -37,6 +37,12 @@ from ..sim.datagram import Address
 from ..sim.eventloop import Interrupt
 
 __all__ = ["RsmReplica", "RsmClient", "QuorumError"]
+
+#: A replica's service time to apply one operation.
+APPLY_COST = 1.0e-6
+#: Every submit's retransmission schedule: capped exponential backoff with
+#: deterministic per-client jitter.
+SUBMIT_POLICY = rpc.RetryPolicy(timeout=5e-3, retries=3, backoff=2.0, jitter=0.1)
 
 
 class QuorumError(BerthaError):
@@ -52,12 +58,10 @@ class RsmReplica:
         port: int,
         group: str,
         members: list[str],
-        apply_cost: float = 1.0e-6,
     ):
         self.runtime = runtime
         self.group = group
         self.name = runtime.entity.name
-        self.apply_cost = apply_cost
         self.state: dict[str, object] = {}
         self.applied = 0
         self.gaps_seen = 0
@@ -127,7 +131,7 @@ class RsmReplica:
             if cached is not rpc.MISSING:
                 seq, result = cached
             else:
-                yield env.timeout(self.apply_cost)
+                yield env.timeout(APPLY_COST)
                 seq = msg.headers.get(SEQ_HEADER)
                 result = self._apply(payload)
                 self.applied += 1
@@ -179,19 +183,12 @@ class RsmClient:
     more are dropped), and the replicas' sequenced order — not the order
     of submission or completion — is the order the ops apply in.
 
-    Retries ride :func:`repro.core.rpc.call` under ``policy`` (capped
-    exponential backoff, deterministic per-client jitter), one retransmit
-    schedule per submit; retransmit and round-trip counts accumulate on
-    :attr:`stats`.
+    Retries ride :func:`repro.core.rpc.call` under :data:`SUBMIT_POLICY`,
+    one retransmit schedule per submit; retransmit and round-trip counts
+    accumulate on :attr:`stats`.
     """
 
-    def __init__(
-        self,
-        runtime: Runtime,
-        group: str,
-        name: str = "rsm-client",
-        policy: Optional[rpc.RetryPolicy] = None,
-    ):
+    def __init__(self, runtime: Runtime, group: str, name: str = "rsm-client"):
         self.runtime = runtime
         self.group = group
         dag = wrap(Serialize() >> OrderedMcast(group=group))
@@ -202,9 +199,6 @@ class RsmClient:
         self._collectors: dict[int, Callable[[dict], None]] = {}
         self._receiver = None
         self.mismatches = 0
-        self.policy = policy or rpc.RetryPolicy(
-            timeout=5e-3, retries=3, backoff=2.0, jitter=0.1
-        )
         self.stats = rpc.RpcStats()
         self._rng = random.Random(
             zlib.crc32(f"{runtime.entity.name}:{group}:{name}".encode())
@@ -232,17 +226,10 @@ class RsmClient:
                 if collect is not None:
                     collect(reply)
 
-    def submit(
-        self,
-        op: dict,
-        quorum: Optional[int] = None,
-        timeout: Optional[float] = None,
-    ):
-        """Generator → result once ``quorum`` replicas agree on the order.
+    def submit(self, op: dict):
+        """Generator → result once a majority of the replicas agree on the
+        order.
 
-        ``timeout`` (when given) bounds a single attempt with no
-        retransmits — the pre-retry-policy contract some callers still
-        want; otherwise :attr:`policy` drives backed-off retransmissions.
         Raises :class:`QuorumError` on exhaustion or ordering disagreement
         (the trigger for a real protocol's recovery path).
         """
@@ -250,14 +237,9 @@ class RsmClient:
             raise QuorumError("connect() first")
         conn = self.conn
         group_size = len(conn.peers)
-        needed = quorum if quorum is not None else group_size // 2 + 1
+        needed = group_size // 2 + 1
         request_id = next(self._request_ids)
         env = self.runtime.env
-        policy = (
-            rpc.RetryPolicy(timeout=timeout, retries=1)
-            if timeout is not None
-            else self.policy
-        )
         payload = {**op, "request_id": request_id}
         #: Accumulated across attempts: replicas replay their original
         #: (seq, result) on retransmits, so late first-attempt replies
@@ -277,7 +259,7 @@ class RsmClient:
         try:
             outcome = yield from rpc.call(
                 env,
-                policy,
+                SUBMIT_POLICY,
                 lambda _attempt: conn.send(payload),
                 rpc.event_waiter(env, settled),
                 stats=self.stats,

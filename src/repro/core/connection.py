@@ -43,6 +43,9 @@ __all__ = ["Connection", "LIFECYCLE"]
 
 _log = logging.getLogger("repro.ctl")
 
+#: How long a superseded epoch's stack stays around for stragglers.
+RETIRE_GRACE = 5e-3
+
 #: The holds on a connection's data path (``Connection.holds``).  They
 #: overlap, so the state is a set of them; ``BROKEN`` is not a hold.
 VERDICT, EPOCH, FAILOVER = "verdict", "epoch", "failover"
@@ -574,24 +577,19 @@ class Connection:
         if stack is not None:
             stack.broken = True
 
-    def retire_epoch(self, epoch: int, grace: float = 0.0) -> None:
-        """Drop an old epoch's stack once stragglers have drained."""
-        if grace <= 0:
-            self._retire_now(epoch)
-            return
+    def retire_epoch(self, epoch: int) -> None:
+        """Drop an old epoch's stack once stragglers have drained: after
+        :data:`RETIRE_GRACE`."""
 
         def _wait():
-            yield self.env.timeout(grace)
-            self._retire_now(epoch)
+            yield self.env.timeout(RETIRE_GRACE)
+            if epoch == self.epoch or self.closed:
+                return
+            stack = self._stacks.pop(epoch, None)
+            if stack is not None:
+                self._dispose_stack(stack)
 
         self.env.process(_wait(), name=f"{self.conn_id}.retire-{epoch}")
-
-    def _retire_now(self, epoch: int) -> None:
-        if epoch == self.epoch or self.closed:
-            return
-        stack = self._stacks.pop(epoch, None)
-        if stack is not None:
-            self._dispose_stack(stack)
 
     def rebind_socket(self, socket: "SimSocket") -> None:
         """Swap the data socket under the connection (migration rebind).

@@ -248,9 +248,6 @@ class ChunnelDag:
         dup._next_id = self._next_id
         return dup
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.is_empty:
             return "<ChunnelDag empty>"

@@ -263,9 +263,9 @@ class SplitProxy:
     local to the bad segment), and loses on clean paths (two stack
     traversals and a store-and-forward hop for nothing).
 
-    ``upstream_dag`` defaults to a structural clone of ``downstream_dag``
-    (fresh spec objects via the wire codec), so the two segments never
-    share negotiation state even when their shapes match.
+    The upstream DAG is a structural clone of ``downstream_dag`` (fresh
+    spec objects via the wire codec), so the two segments never share
+    negotiation state.
     """
 
     def __init__(
@@ -276,17 +276,12 @@ class SplitProxy:
         downstream_dag: ChunnelDag,
         *,
         port: Optional[int] = None,
-        upstream_dag: Optional[ChunnelDag] = None,
     ):
         self.runtime = runtime
         self.env = runtime.env
         self.name = name
         self.target = target
-        self.upstream_dag = (
-            upstream_dag
-            if upstream_dag is not None
-            else decode(encode(downstream_dag))
-        )
+        self.upstream_dag = decode(encode(downstream_dag))
         self.listener = runtime.new(name, downstream_dag).listen(port=port)
         self.bridges: list[tuple[Connection, Connection]] = []
         self.splits = 0

@@ -78,6 +78,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["FailoverConfig", "FailoverManager"]
 
 
+#: Copies of each liveness probe sent per window.  Probes are tiny and only
+#: flow when the connection is idle, so redundancy is nearly free — and it
+#: is what keeps the consecutive-miss math honest on lossy multi-hop paths:
+#: at 20% per-link loss over two hops a single probe/ack pair fails ~59% of
+#: the time, a burst of three ~21%.
+PROBE_BURST = 3
+
+
 @dataclass
 class FailoverConfig:
     """Tuning for the liveness watcher and the migration path."""
@@ -87,12 +95,6 @@ class FailoverConfig:
     heartbeat_interval: float = 500e-6
     #: Consecutive unanswered probe windows before the peer is suspected.
     miss_threshold: int = 8
-    #: Copies of each probe sent per window.  Probes are tiny and only
-    #: flow when the connection is idle, so redundancy is nearly free —
-    #: and it is what keeps the consecutive-miss math honest on lossy
-    #: multi-hop paths: at 20% per-link loss over two hops a single
-    #: probe/ack pair fails ~59% of the time, a burst of three ~21%.
-    probe_burst: int = 3
     #: Bounds on the adaptive per-probe wait (the probe RTT estimate's
     #: RTO clamped into ``[min_rto, max_rto]``; ``max_rto`` alone until the
     #: first probe RTT sample).
@@ -115,8 +117,6 @@ class FailoverConfig:
             raise ValueError("heartbeat_interval must be positive")
         if self.miss_threshold < 1:
             raise ValueError("miss_threshold must be >= 1")
-        if self.probe_burst < 1:
-            raise ValueError("probe_burst must be >= 1")
         if self.min_rto <= 0 or self.max_rto < self.min_rto:
             raise ValueError("need 0 < min_rto <= max_rto")
         if self.migration_deadline < self.connect_timeout:
@@ -136,18 +136,18 @@ class _WatchState:
     #: connection watched without them can only park, never migrate.
     endpoint: Optional["Endpoint"] = None
     target: object = None
-    seq: int = 0
-    mig_seq: int = 0
+    seq: int = field(default=0, init=False)
+    mig_seq: int = field(default=0, init=False)
     #: probe seq → send time, for RTT sampling.
     pending: dict = field(default_factory=dict)
     rtt: rpc.RttEstimator = field(default_factory=rpc.RttEstimator)
-    misses: int = 0
+    misses: int = field(default=0, init=False)
     #: Hosts this connection has declared dead; re-resolution filters
     #: them out so a migration never lands back on the corpse.
     suspected: set = field(default_factory=set)
     #: Set while parked: when the blackout started.
-    park_suspect_at: Optional[float] = None
-    process: object = None
+    park_suspect_at: Optional[float] = field(default=None, init=False)
+    process: object = field(default=None, init=False)
 
     @property
     def parked(self) -> bool:
@@ -188,7 +188,7 @@ class FailoverManager:
             "resumed_total",
         ):
             obs.bind(f"failover.{entity}.{counter}", self, counter, replace=True)
-        obs.bind_stats(f"rpc.failover.{entity}", self.rpc_stats, replace=True)
+        obs.bind_stats(f"rpc.failover.{entity}", self.rpc_stats)
         # Hand-registered so a rebuilt runtime (simulated process restart)
         # can take the names over, like every other replace=True binding.
         self.blackouts = Histogram(f"failover.{entity}.blackout_seconds")
@@ -322,7 +322,7 @@ class FailoverManager:
         # A burst of identical probes per window (acks are idempotent;
         # the first one consumes the RTT sample, the rest just reset the
         # miss counter) so one lossy hop cannot fake a silent window.
-        for _copy in range(self.config.probe_burst):
+        for _copy in range(PROBE_BURST):
             try:
                 conn.send_ctl(
                     msgs.Heartbeat(conn_id=conn.conn_id, seq=seq), dst=dst

@@ -21,13 +21,9 @@ on the shared RPC core (:mod:`repro.core.rpc`).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
-from ..errors import (
-    BerthaError,
-    NoImplementationError,
-    ResourceExhaustedError,
-)
+from ..errors import BerthaError, NoImplementationError
 from ..sim.eventloop import Interrupt
 from .chunnel import Offer
 from .dag import ChunnelDag
@@ -43,7 +39,8 @@ __all__ = [
     "reserve_choice",
 ]
 
-Reserver = Callable[[Offer], bool]
+#: Decide/reserve rounds before a contended decision gives up.
+DECIDE_ROUNDS = 8
 
 
 # --------------------------------------------------------------------------
@@ -148,21 +145,19 @@ def decide(
     candidates: dict[str, list[Offer]],
     policy: Policy,
     ctx: PolicyContext,
-    reserve: Optional[Reserver] = None,
 ) -> dict[int, Offer]:
-    """Choose one implementation per DAG node.
+    """Choose one implementation per DAG node: the policy's top-ranked
+    feasible offer.
 
     ``candidates`` maps Chunnel type → all offers (client + server +
-    network).  ``reserve`` is called on each would-be winner whose metadata
-    declares resource needs; returning False moves on to the next ranked
-    offer (§6's contended-offload case).
+    network).  Reserving the winners, and moving on to the next-ranked
+    offer when a reservation is denied (§6's contended-offload case), is
+    :func:`decide_with_reservations`'s job.
 
     Raises
     ------
     NoImplementationError
         A node has no feasible offer at all.
-    ResourceExhaustedError
-        Feasible offers exist but every reservation failed.
     """
     choice: dict[int, Offer] = {}
     for node_id in dag.topological_order():
@@ -175,18 +170,7 @@ def decide(
                 f"(offers considered: {len(pool)}, scope requirement: "
                 f"{spec.scope_requirement.name})"
             )
-        ranked = policy.rank(spec, feasible, ctx)
-        chosen: Optional[Offer] = None
-        for offer in ranked:
-            if reserve is None or offer.meta.resources.is_zero or reserve(offer):
-                chosen = offer
-                break
-        if chosen is None:
-            raise ResourceExhaustedError(
-                f"all {len(ranked)} feasible implementations of "
-                f"{spec.type_name!r} failed resource reservation"
-            )
-        choice[node_id] = chosen
+        choice[node_id] = policy.rank(spec, feasible, ctx)[0]
     return choice
 
 
@@ -196,7 +180,6 @@ def decide_with_reservations(
     candidates: dict[str, list[Offer]],
     ctx: PolicyContext,
     owner: str,
-    rounds: int = 8,
     excluded: Optional[set] = None,
     conn_id: str = "",
     settle: bool = True,
@@ -226,7 +209,7 @@ def decide_with_reservations(
     span = trace.begin("reserve", conn_id, owner=owner)
     try:
         choice, confirmed, used = yield from _decide_rounds(
-            runtime, dag, candidates, ctx, owner, rounds, excluded, conn_id, settle
+            runtime, dag, candidates, ctx, owner, excluded, conn_id, settle
         )
     except (BerthaError, Interrupt) as error:
         trace.finish(span, status="error", error=type(error).__name__)
@@ -281,7 +264,6 @@ def _decide_rounds(
     candidates: dict[str, list[Offer]],
     ctx: PolicyContext,
     owner: str,
-    rounds: int,
     excluded: Optional[set],
     conn_id: str,
     settle: bool,
@@ -290,14 +272,14 @@ def _decide_rounds(
     :func:`decide_with_reservations`; returns ``(choice, confirmed,
     rounds_used)``."""
     excluded = set(excluded or ())
-    for _round in range(rounds):
+    for _round in range(DECIDE_ROUNDS):
         pool = {
             ctype: [
                 o for o in offers if (o.meta.name, o.record_id) not in excluded
             ]
             for ctype, offers in candidates.items()
         }
-        choice = decide(dag, pool, runtime.policy, ctx, reserve=None)
+        choice = decide(dag, pool, runtime.policy, ctx)
         confirmed, denied = yield from reserve_choice(
             runtime, dag, choice, owner, conn_id
         )
@@ -310,7 +292,7 @@ def _decide_rounds(
         excluded.add((denied.meta.name, denied.record_id))
     raise NoImplementationError(
         f"reservation thrashing: could not confirm a stable implementation "
-        f"choice in {rounds} rounds"
+        f"choice in {DECIDE_ROUNDS} rounds"
     )
 
 

@@ -113,20 +113,14 @@ class OptimizationResult:
     crossings_before: int = 0
     crossings_after: int = 0
 
-    @property
-    def changed(self) -> bool:
-        return bool(self.steps)
 
-
-def count_device_crossings(
-    chain: Sequence[str], offloadable: set[str], tail_on_device: bool = True
-) -> int:
+def count_device_crossings(chain: Sequence[str], offloadable: set[str]) -> int:
     """Host↔device boundary crossings for a pipeline.
 
     ``chain`` lists Chunnel types application-side first.  Data starts at
     the host CPU, passes each stage at its placement (device if the type is
     in ``offloadable``), and finally leaves through the device (the NIC is
-    the exit — ``tail_on_device``).  Each placement change is one bus
+    the exit).  Each placement change is one bus
     crossing; the result is proportional to PCIe traffic for a fixed
     message stream.
     """
@@ -135,8 +129,7 @@ def count_device_crossings(
     placements = [
         "device" if ctype in offloadable else "host" for ctype in chain
     ]
-    if tail_on_device:
-        placements.append("device")
+    placements.append("device")
     for placement in placements:
         if placement != location:
             crossings += 1
@@ -147,8 +140,9 @@ def count_device_crossings(
 class DagOptimizer:
     """Applies eliminate / reorder / merge to linear Chunnel chains."""
 
-    def __init__(self, traits: Optional[ChunnelTraits] = None):
-        self.traits = traits or default_traits
+    def __init__(self):
+        #: The algebra the chunnel library registers (reorder, merge, ...).
+        self.traits = default_traits
 
     # ------------------------------------------------------------------
     def optimize(

@@ -58,13 +58,7 @@ class RetryPolicy:
     ``timeout * backoff**attempt`` capped at ``max_timeout``, scaled by a
     deterministic ±``jitter`` fraction when the caller supplies an RNG
     (retransmit desynchronization without breaking reproducibility).
-
-    ``deadline`` is an optional end-to-end budget: the maximum *total*
-    elapsed time one :func:`call` may spend across every attempt.  Without
-    it, ``timeout * backoff**attempt`` summed over ``retries`` attempts can
-    blow far past any caller budget; with it, the final attempt's wait is
-    clamped to whatever budget remains and a call that would start an
-    attempt past the budget raises :class:`DeadlineExceeded` instead.
+    An end-to-end budget is the caller's: :func:`call`'s ``deadline``.
     """
 
     def __init__(
@@ -74,7 +68,6 @@ class RetryPolicy:
         backoff: float = 1.0,
         max_timeout: Optional[float] = None,
         jitter: float = 0.0,
-        deadline: Optional[float] = None,
     ):
         if timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout!r}")
@@ -84,17 +77,11 @@ class RetryPolicy:
             raise ValueError(f"backoff must be >= 1, got {backoff!r}")
         if not 0.0 <= jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {jitter!r}")
-        if deadline is not None and deadline < timeout:
-            raise ValueError(
-                f"deadline must cover at least one attempt "
-                f"(deadline={deadline!r} < timeout={timeout!r})"
-            )
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
         self.max_timeout = max_timeout
         self.jitter = jitter
-        self.deadline = deadline
 
     def attempt_timeout(
         self, attempt: int, rng: Optional[random.Random] = None
@@ -231,9 +218,8 @@ def call(
     :class:`ConnectionTimeoutError` (counted as a failure).  ``wait`` may
     raise to abort early — e.g. a peer-reported negotiation error.
 
-    ``deadline`` is an *absolute* virtual-time budget (``env.now`` units),
-    merged with the policy's relative :attr:`RetryPolicy.deadline` into one
-    effective limit.  Attempt waits are clamped to the remaining budget;
+    ``deadline`` is an *absolute* virtual-time budget (``env.now`` units).
+    Attempt waits are clamped to the remaining budget;
     once it is spent the call raises :class:`DeadlineExceeded` (counted as
     a failure) carrying elapsed/attempt context.  Nested control-plane
     loops pass the same absolute deadline down so discovery, negotiation,
@@ -245,11 +231,7 @@ def call(
     """
     stats = stats if stats is not None else RpcStats()
     start = env.now
-    limit: Optional[float] = None
-    if policy.deadline is not None:
-        limit = start + policy.deadline
-    if deadline is not None:
-        limit = deadline if limit is None else min(limit, deadline)
+    limit = deadline
     span = (
         trace.begin("rpc", conn_id, call=describe) if trace is not None else None
     )

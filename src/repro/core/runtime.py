@@ -86,11 +86,9 @@ class Runtime:
         discovery=None,
         policy: Optional[Policy] = None,
         catalog: Optional[ImplCatalog] = None,
-        discovery_ttl: Optional[float] = None,
         client_discovery_ttl: Optional[float] = None,
         optimizer=None,
         negotiation_cache_size: int = 0,
-        negotiation_cache_ttl: Optional[float] = None,
         ephemeral_connections: bool = False,
         failover=None,
     ):
@@ -109,7 +107,6 @@ class Runtime:
         self.registry = ChunnelRegistry(self.catalog)
         self.policy = policy or DefaultPolicy()
         self.shared: dict = {}
-        self.discovery_ttl = discovery_ttl
         #: Client-side discovery caching: None (the default, and the
         #: paper's behaviour) queries discovery on every connect — which is
         #: what makes Figure 4's dynamic switchover work.  A number enables
@@ -153,7 +150,6 @@ class Runtime:
         #: connect target; servers on the resuming client entity.
         self.negcache = NegotiationCache(
             size=negotiation_cache_size,
-            ttl=negotiation_cache_ttl,
             clock=lambda: self.env.now,
         )
         #: Record ids the cache holds entries for and has already
@@ -174,7 +170,7 @@ class Runtime:
         # simulated process restart — takes over its predecessor's names).
         obs = self.network.obs
         name = entity.name
-        obs.bind_stats(f"rpc.negotiation.{name}", self.negotiation_stats, replace=True)
+        obs.bind_stats(f"rpc.negotiation.{name}", self.negotiation_stats)
         obs.bind(
             f"runtime.{name}.degraded_establishments",
             self,
@@ -186,7 +182,7 @@ class Runtime:
         )
         stats = getattr(self.discovery, "stats", None)
         if stats is not None:
-            obs.bind_stats(f"rpc.discovery.{name}", stats, replace=True)
+            obs.bind_stats(f"rpc.discovery.{name}", stats)
         for counter in ("hits", "misses", "invalidations", "fallbacks"):
             obs.bind(
                 f"negcache.{name}.{counter}", self.negcache, counter, replace=True
@@ -940,17 +936,13 @@ class Listener:
                 done.succeed()
 
     def _offers_stale(self) -> bool:
-        if self._network_offers_at is None:
-            # The initial refresh failed (discovery outage at startup).
-            # Retry on every accept regardless of TTL policy, so the offer
-            # pool heals as soon as discovery comes back — otherwise a
-            # listener started during an outage would serve fallback-only
-            # stacks forever.
-            return True
-        ttl = self.runtime.discovery_ttl
-        if ttl is None:
-            return False
-        return (self.env.now - self._network_offers_at) > ttl
+        # Only when the initial refresh failed (discovery outage at
+        # startup): retry on every accept, so the offer pool heals as soon
+        # as discovery comes back — otherwise a listener started during an
+        # outage would serve fallback-only stacks forever.  A pool that was
+        # fetched once is kept: the client's per-connect query carries the
+        # fresh network offers.
+        return self._network_offers_at is None
 
     def _optimized_dag(
         self, dag: ChunnelDag, message: "msgs.Offer", ctx: PolicyContext
@@ -987,7 +979,7 @@ class Listener:
             available_types=available,
             reliable_transport=reliable_transport,
         )
-        if not result.changed:
+        if not result.steps:
             return None
         self.optimizations.append(result)
         return result.dag

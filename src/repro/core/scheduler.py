@@ -21,7 +21,7 @@ ablation benchmark exercises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .resources import ResourceVector
 
@@ -174,12 +174,6 @@ class DrfScheduler(OffloadScheduler):
     adapted to indivisible program placements.
     """
 
-    def __init__(self, fairness_cap: Optional[float] = None):
-        #: Optional hard cap on any tenant's dominant share (e.g. 0.5 keeps
-        #: half the device available for late-arriving tenants); None
-        #: disables the cap.
-        self.fairness_cap = fairness_cap
-
     def plan(
         self, requests: list[OffloadRequest], capacity: ResourceVector
     ) -> Allocation:
@@ -208,14 +202,7 @@ class DrfScheduler(OffloadScheduler):
                 key=lambda t: (shares[t].dominant_share(capacity), t),
             )
             request = pending[tenant][0][1]
-            fits = (allocation.in_use + request.need).fits_within(capacity)
-            within_cap = True
-            if self.fairness_cap is not None:
-                prospective = shares[tenant] + request.need
-                within_cap = (
-                    prospective.dominant_share(capacity) <= self.fairness_cap + 1e-12
-                )
-            if fits and within_cap:
+            if (allocation.in_use + request.need).fits_within(capacity):
                 pending[tenant].pop(0)
                 allocation.granted.append(request)
                 allocation.in_use = allocation.in_use + request.need
@@ -230,9 +217,4 @@ class DrfScheduler(OffloadScheduler):
         return allocation
 
     def admit(self, record, owner, need, capacity, in_use) -> bool:
-        if not (in_use + need).fits_within(capacity):
-            return False
-        if self.fairness_cap is not None:
-            if need.dominant_share(capacity) > self.fairness_cap + 1e-12:
-                return False
-        return True
+        return (in_use + need).fits_within(capacity)

@@ -44,6 +44,12 @@ __all__ = [
     "NullDiscoveryClient",
 ]
 
+#: :class:`RemoteDiscoveryClient`'s default first wait and backoff factor.
+RETRY_TIMEOUT = 2e-3
+RETRY_BACKOFF = 2.0
+#: The ± fraction every wait is scaled by (desynchronizes retransmits).
+RETRY_JITTER = 0.2
+
 
 class QueryResult:
     """What one discovery query returns."""
@@ -64,17 +70,17 @@ class DiscoveryClientBase:
 
     Every client implements the same generator methods, driven with
     ``yield from``: ``query(types, service_name=None, *, deadline=None)``
-    → :class:`QueryResult`; ``reserve(record_id, owner, *, deadline=None)``
-    and ``lease_check(record_id, owner, *, deadline=None)`` → bool (a
-    lease check is a read — nothing at the service changes);
+    → :class:`QueryResult`; ``reserve(record_id, owner)`` and
+    ``lease_check(record_id, owner)`` → bool (a lease check is a read —
+    nothing at the service changes);
     ``release(record_id, owner)``, ``register_name(name, address)`` and
     ``watch(record_id, address)`` → None (a watch subscribes ``address``
     to ``disc.revoked`` / ``disc.lease_revoked`` pushes for the record).
 
-    ``deadline`` is an *absolute* virtual-time budget (``env.now`` units)
-    the network-backed clients thread into :func:`repro.core.rpc.call`;
-    zero-cost clients accept and ignore it so callers can pass it
-    unconditionally.
+    A query's ``deadline`` is an *absolute* virtual-time budget
+    (``env.now`` units) the network-backed clients thread into
+    :func:`repro.core.rpc.call`; zero-cost clients accept and ignore it so
+    callers can pass it unconditionally.
     """
 
 
@@ -83,7 +89,7 @@ class RemoteDiscoveryClient(DiscoveryClientBase):
 
     Retransmission uses capped exponential backoff with jitter: attempt
     ``n`` waits ``timeout * backoff**n`` (clamped to ``max_timeout``),
-    scaled by a uniform ±``jitter`` fraction drawn from a per-client
+    scaled by a uniform ±:data:`RETRY_JITTER` fraction drawn from a per-client
     seeded RNG (seeded from the entity name, so runs are deterministic
     but clients don't retransmit in lockstep).
 
@@ -98,11 +104,10 @@ class RemoteDiscoveryClient(DiscoveryClientBase):
         self,
         entity: "NetEntity",
         service_address: Address,
-        timeout: float = 2e-3,
+        timeout: float = RETRY_TIMEOUT,
         retries: int = 5,
-        backoff: float = 2.0,
+        backoff: float = RETRY_BACKOFF,
         max_timeout: float = 20e-3,
-        jitter: float = 0.2,
         stats: Optional[rpc.RpcStats] = None,
         req_tag: Optional[str] = None,
     ):
@@ -111,16 +116,11 @@ class RemoteDiscoveryClient(DiscoveryClientBase):
             retries=retries,
             backoff=backoff,
             max_timeout=max_timeout,
-            jitter=jitter,
+            jitter=RETRY_JITTER,
         )
         self.entity = entity
         self.env = entity.env
         self.service_address = service_address
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.max_timeout = max_timeout
-        self.jitter = jitter
         # crc32, not hash(): hash() is salted per process and would make
         # the retransmit schedule nondeterministic across runs.
         self._rng = random.Random(zlib.crc32(entity.name.encode()))
@@ -198,16 +198,12 @@ class RemoteDiscoveryClient(DiscoveryClientBase):
             return QueryResult({}, [])
         return QueryResult(dict(reply.offers), list(reply.instances))
 
-    def reserve(self, record_id, owner, *, deadline=None):
-        reply = yield from self._rpc(
-            msgs.Reserve(record_id=record_id, owner=owner), deadline=deadline
-        )
+    def reserve(self, record_id, owner):
+        reply = yield from self._rpc(msgs.Reserve(record_id=record_id, owner=owner))
         return isinstance(reply, msgs.ReserveReply) and reply.ok
 
-    def lease_check(self, record_id, owner, *, deadline=None):
-        reply = yield from self._rpc(
-            msgs.LeaseCheck(record_id=record_id, owner=owner), deadline=deadline
-        )
+    def lease_check(self, record_id, owner):
+        reply = yield from self._rpc(msgs.LeaseCheck(record_id=record_id, owner=owner))
         return isinstance(reply, msgs.LeaseCheckReply) and reply.ok
 
     def release(self, record_id, owner):
@@ -237,11 +233,11 @@ class DirectDiscoveryClient(DiscoveryClientBase):
         return QueryResult(offers, instances)
         yield  # pragma: no cover - generator form, never reached
 
-    def reserve(self, record_id, owner, *, deadline=None):
+    def reserve(self, record_id, owner):
         return self.service.reserve(record_id, owner)
         yield  # pragma: no cover
 
-    def lease_check(self, record_id, owner, *, deadline=None):
+    def lease_check(self, record_id, owner):
         return self.service.lease_check(record_id, owner)
         yield  # pragma: no cover
 
@@ -278,11 +274,11 @@ class NullDiscoveryClient(DiscoveryClientBase):
         return QueryResult({t: [] for t in types}, instances)
         yield  # pragma: no cover
 
-    def reserve(self, record_id, owner, *, deadline=None):
+    def reserve(self, record_id, owner):
         return True
         yield  # pragma: no cover
 
-    def lease_check(self, record_id, owner, *, deadline=None):
+    def lease_check(self, record_id, owner):
         return True
         yield  # pragma: no cover
 

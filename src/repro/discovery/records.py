@@ -14,15 +14,12 @@ XDP sharder serving many connections of one application) is reserved once.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..core.chunnel import ImplMeta, Offer
 
 __all__ = ["ImplementationRecord", "Lease"]
-
-_record_ids = itertools.count(1)
 
 
 @dataclass
@@ -31,9 +28,7 @@ class ImplementationRecord:
 
     meta: ImplMeta
     location: str
-    record_id: str = field(default_factory=lambda: f"rec-{next(_record_ids)}")
-    registered_by: str = "operator"
-    enabled: bool = True
+    record_id: str
 
     def to_offer(self) -> Offer:
         """The negotiation offer this record generates."""

@@ -52,6 +52,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["ShardRouter", "ShardedDiscoveryClient", "DEFAULT_ROUTER_PORT"]
 
 DEFAULT_ROUTER_PORT = 53531
+#: Consecutive missed probes after which the monitor fails a primary over.
+MISS_THRESHOLD = 3
 
 
 class ShardRouter:
@@ -135,14 +137,12 @@ class ShardRouter:
             self.socket.send(payload, dgram.src, size=size)
 
     # -- failure detection / failover ---------------------------------------
-    def start_monitor(
-        self, interval: float = 5e-3, miss_threshold: int = 3
-    ) -> None:
-        """Start probing primaries (opt-in: the loop keeps the event heap
-        non-empty, so callers must :meth:`stop` when done)."""
+    def start_monitor(self, interval: float = 5e-3) -> None:
+        """Start probing primaries every ``interval`` (opt-in: the loop keeps
+        the event heap non-empty, so callers must :meth:`stop` when done)."""
         if self._monitor is None:
             self._monitor = self.env.process(
-                self._monitor_loop(interval, miss_threshold),
+                self._monitor_loop(interval),
                 name="shard-router.monitor",
             )
 
@@ -168,7 +168,7 @@ class ShardRouter:
             self._promote_clients[address] = client
         return client
 
-    def _monitor_loop(self, interval: float, miss_threshold: int):
+    def _monitor_loop(self, interval: float):
         misses = {shard.shard_id: 0 for shard in self.map.shards}
         first_miss: dict[int, float] = {}
         while True:
@@ -193,7 +193,7 @@ class ShardRouter:
                 self.probes_missed += 1
                 misses[shard.shard_id] += 1
                 first_miss.setdefault(shard.shard_id, sent_at)
-                if misses[shard.shard_id] >= miss_threshold:
+                if misses[shard.shard_id] >= MISS_THRESHOLD:
                     misses[shard.shard_id] = 0
                     detected_at = first_miss.pop(shard.shard_id)
                     yield from self._failover(shard, detected_at)
@@ -241,12 +241,8 @@ class ShardedDiscoveryClient(DiscoveryClientBase):
         self,
         entity: "NetEntity",
         router_address: Address,
-        stats: Optional[rpc.RpcStats] = None,
         timeout: float = 2e-3,
         retries: int = 5,
-        backoff: float = 2.0,
-        max_timeout: float = 20e-3,
-        jitter: float = 0.2,
     ):
         self.entity = entity
         self.env = entity.env
@@ -254,16 +250,10 @@ class ShardedDiscoveryClient(DiscoveryClientBase):
         #: One stat set shared by the router leg and every per-shard leg,
         #: so the runtime's ``rpc.discovery.<entity>`` binding aggregates
         #: the whole fan-out.
-        self.stats = stats if stats is not None else rpc.RpcStats()
+        self.stats = rpc.RpcStats()
         #: Retry tuning applied to the router leg and every per-shard leg
-        #: (same knobs as :class:`RemoteDiscoveryClient`).
-        self._rpc_tuning = dict(
-            timeout=timeout,
-            retries=retries,
-            backoff=backoff,
-            max_timeout=max_timeout,
-            jitter=jitter,
-        )
+        #: (the rest of :class:`RemoteDiscoveryClient`'s policy is fixed).
+        self._rpc_tuning = dict(timeout=timeout, retries=retries)
         self.map: Optional[ShardMap] = None
         self.map_refreshes = 0
         self.resubscriptions = 0
@@ -382,7 +372,7 @@ class ShardedDiscoveryClient(DiscoveryClientBase):
         finally:
             self._checkin(address, client, probe)
 
-    def _call_shard(self, shard_id: int, method: str, *args, deadline=None):
+    def _call_shard(self, shard_id: int, method: str, *args):
         """One call against a shard's primary: a short probe chain
         against the cached primary, then — on timeout — a map refresh and
         one full chain against whatever the refreshed map names.
@@ -404,18 +394,12 @@ class ShardedDiscoveryClient(DiscoveryClientBase):
                     method,
                     args,
                     probe=True,
-                    deadline=deadline,
                 )
             )
         except ConnectionTimeoutError:
             yield from self._refresh_map()
             return (
-                yield from self._call_once(
-                    self.map.primary_of(shard_id),
-                    method,
-                    args,
-                    deadline=deadline,
-                )
+                yield from self._call_once(self.map.primary_of(shard_id), method, args)
             )
 
     def _read_replica(self, shard_id: int) -> Address:
@@ -525,9 +509,7 @@ class ShardedDiscoveryClient(DiscoveryClientBase):
                 instances = list(result.instances)
         return QueryResult(offers, instances)
 
-    def reserve(
-        self, record_id: str, owner: str, *, deadline: Optional[float] = None
-    ):
+    def reserve(self, record_id: str, owner: str):
         yield from self._ensure_map()
         return (
             yield from self._call_shard(
@@ -535,13 +517,10 @@ class ShardedDiscoveryClient(DiscoveryClientBase):
                 "reserve",
                 record_id,
                 owner,
-                deadline=deadline,
             )
         )
 
-    def lease_check(
-        self, record_id: str, owner: str, *, deadline: Optional[float] = None
-    ):
+    def lease_check(self, record_id: str, owner: str):
         # A read, but of the lease table's newest state: it goes to the
         # primary, which every mutation of the shard passes through, not
         # to the standby this client pins its queries on.
@@ -552,7 +531,6 @@ class ShardedDiscoveryClient(DiscoveryClientBase):
                 "lease_check",
                 record_id,
                 owner,
-                deadline=deadline,
             )
         )
 

@@ -59,27 +59,30 @@ class DiscoveryService:
         entity: "NetEntity",
         port: int = DEFAULT_DISCOVERY_PORT,
         scheduler: Optional["OffloadScheduler"] = None,
-        record_prefix: str = "rec",
-        metrics_prefix: str = "discovery",
-        durable_watches: bool = False,
+        shard_id: Optional[int] = None,
     ):
         self.entity = entity
         self.env = entity.env
         self.network = entity.network
         self.socket = UdpSocket(entity, port)
         self.address = self.socket.address
-        #: Record-id namespace (``<prefix>-<n>``).  The sharded tier gives
-        #: each shard its own prefix so a record id names its owning shard
-        #: and clients can route reserve/release/watch without a lookup.
-        self.record_prefix = record_prefix
+        #: Set when this service is one replica of discovery shard
+        #: ``shard_id`` (:class:`repro.discovery.shard.ShardReplica`).
+        self.shard_id = shard_id
+        sharded = shard_id is not None
+        #: Record-id namespace (``<prefix>-<n>``).  Each shard has its own
+        #: prefix, so a record id names its owning shard and clients can
+        #: route reserve/release/watch without a lookup.
+        self.record_prefix = f"s{shard_id}" if sharded else "rec"
+        metrics_prefix = f"discovery.s{shard_id}.{entity.name}" if sharded else "discovery"
         self.metrics_prefix = metrics_prefix
-        #: Watch subscriptions are volatile (in-memory) by default; a
-        #: replicated shard sets ``durable_watches`` because its watch
-        #: table is re-applied from the replication log.
-        self.durable_watches = durable_watches
+        #: Watch subscriptions are volatile (in-memory) for the single
+        #: service; a shard replica's are durable, because its watch table
+        #: is re-applied from the replication log.
+        self.durable_watches = sharded
         self._records: dict[str, ImplementationRecord] = {}
-        #: Per-service record ids (not the module-global fallback counter):
-        #: record ids ride inside sized negotiation messages, so a
+        #: Per-service record ids (not a module-global counter): record
+        #: ids ride inside sized negotiation messages, so a
         #: process-global counter would make repeated simulations in one
         #: process diverge by a wire byte once the count gains a digit.
         self._record_ids = itertools.count(1)
@@ -120,8 +123,8 @@ class DiscoveryService:
         # One discovery service per deployment owns the flat ``discovery.*``
         # namespace (replace: a test that builds a second service — e.g. to
         # model a migration — hands the names to the newest one).  Shard
-        # replicas pass a per-shard ``metrics_prefix`` instead, so every
-        # replica's counters coexist in one snapshot.
+        # replicas bind under a per-replica ``metrics_prefix`` instead, so
+        # every replica's counters coexist in one snapshot.
         obs = self.network.obs
         for counter in (
             "queries_served",
@@ -148,9 +151,7 @@ class DiscoveryService:
     # ------------------------------------------------------------------
     # Direct (operator/test) API
     # ------------------------------------------------------------------
-    def register(
-        self, meta: ImplMeta, location: str, registered_by: str = "operator"
-    ) -> ImplementationRecord:
+    def register(self, meta: ImplMeta, location: str) -> ImplementationRecord:
         """Register one implementation at one location."""
         if location not in self.network.entities and (
             location not in self.network.switches
@@ -161,7 +162,6 @@ class DiscoveryService:
         record = ImplementationRecord(
             meta=meta,
             location=location,
-            registered_by=registered_by,
             record_id=f"{self.record_prefix}-{next(self._record_ids)}",
         )
         self._records[record.record_id] = record
@@ -214,12 +214,12 @@ class DiscoveryService:
             self.socket.send(payload, address, size=size)
 
     def records_for(self, chunnel_types: Iterable[str]) -> list[ImplementationRecord]:
-        """Enabled records matching any of ``chunnel_types``."""
+        """Records matching any of ``chunnel_types``."""
         wanted = set(chunnel_types)
         return [
             record
             for record in sorted(self._records.values(), key=lambda r: r.record_id)
-            if record.enabled and record.meta.chunnel_type in wanted
+            if record.meta.chunnel_type in wanted
         ]
 
     def offers_for(self, chunnel_types: Iterable[str]) -> dict[str, list[Offer]]:

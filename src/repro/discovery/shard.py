@@ -166,15 +166,8 @@ class ShardReplica(DiscoveryService):
         is_primary: bool = False,
     ):
         entity = runtime.entity
-        super().__init__(
-            entity,
-            port=port,
-            record_prefix=f"s{shard_id}",
-            metrics_prefix=f"discovery.s{shard_id}.{entity.name}",
-            durable_watches=True,
-        )
+        super().__init__(entity, port=port, shard_id=shard_id)
         self.runtime = runtime
-        self.shard_id = shard_id
         self.group = group
         self.is_primary = is_primary
         #: The promote-handshake epoch: a replica refuses a promote older

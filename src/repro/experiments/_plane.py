@@ -64,9 +64,7 @@ class DiscoveryPlane:
         shards: int = 1,
         replicas_per_shard: int = 3,
         *,
-        timeout: float = 2e-3,
         retries: int = 5,
-        backoff: float = 2.0,
     ):
         if shards < 1:
             raise ValueError("shards must be >= 1")
@@ -74,7 +72,7 @@ class DiscoveryPlane:
             raise ValueError("replicas_per_shard must be >= 1")
         self.shards = shards
         self.replicas_per_shard = replicas_per_shard
-        self._tuning = dict(timeout=timeout, retries=retries, backoff=backoff)
+        self.retries = retries
         self.service: Optional[DiscoveryService] = None
         self.tier: Optional[DiscoveryShardTier] = None
         self.router: Optional[ShardRouter] = None
@@ -128,13 +126,13 @@ class DiscoveryPlane:
         return self.service.register(meta, location=location)
 
     def client(self, entity):
-        """A discovery client for one runtime, with the plane's tuning."""
+        """A discovery client for one runtime, with the plane's retries."""
         if self.sharded:
             return ShardedDiscoveryClient(
-                entity, self.router.address, **self._tuning
+                entity, self.router.address, retries=self.retries
             )
         return RemoteDiscoveryClient(
-            entity, self.service.address, **self._tuning
+            entity, self.service.address, retries=self.retries
         )
 
     def crash(self) -> None:

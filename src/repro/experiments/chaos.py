@@ -44,6 +44,7 @@ from ..chunnels import (
 from ..core import Runtime
 from ..core.dag import wrap
 from ..core.policy import PriorityFirstPolicy
+from ..discovery.client import RETRY_BACKOFF, RETRY_TIMEOUT
 from ..errors import DegradedEstablishmentWarning, NegotiationError
 from ..metrics import format_table, percentile
 from ..sim import FaultPlan, Network, SmartNic
@@ -81,10 +82,9 @@ class ChaosConfig:
     #: retransmits, but only once the server-side reservation resolved.
     negotiation_timeout: float = 2e-3
     negotiation_retries: int = 80
-    #: Discovery client tuning (recorded in ``BENCH_chaos.json``).
-    discovery_timeout: float = 2e-3
+    #: Discovery client retries (recorded in ``BENCH_chaos.json`` beside
+    #: the client's fixed first wait and backoff).
     discovery_retries: int = 8
-    discovery_backoff: float = 2.0
     #: Invariant bound on the slowest establishment (virtual seconds).
     setup_bound: float = 0.5
     #: Discovery-plane shape (CLI ``--shards``/``--replicas-per-shard``).
@@ -231,9 +231,9 @@ class ChaosResult(ExperimentResult):
     def baseline_body(self) -> dict:
         return {
             "discovery": {
-                "timeout_s": self.config.discovery_timeout,
+                "timeout_s": RETRY_TIMEOUT,
                 "retries": self.config.discovery_retries,
-                "backoff": self.config.discovery_backoff,
+                "backoff": RETRY_BACKOFF,
             },
             "points": [
                 {
@@ -289,11 +289,7 @@ def _build_world(config: ChaosConfig, loss: float, seed: int):
     )
     client_host = net.add_host("cl")
     plane = DiscoveryPlane(
-        config.shards,
-        config.replicas_per_shard,
-        timeout=config.discovery_timeout,
-        retries=config.discovery_retries,
-        backoff=config.discovery_backoff,
+        config.shards, config.replicas_per_shard, retries=config.discovery_retries
     )
     plane.add_hosts(net)
     net.add_switch("tor")

@@ -66,10 +66,10 @@ class ChurnConfig:
     requests_per_session: int = 1
     payload_size: int = 64
     seed: int = 7
-    #: Negotiation-cache knobs for the *resumed* mode (the cold mode runs
-    #: with the cache disabled — the default runtime configuration).
+    #: Negotiation-cache size for the *resumed* mode (the cold mode runs
+    #: with the cache disabled — the default runtime configuration).  A
+    #: runtime's cache entries never expire.
     cache_size: int = 64
-    cache_ttl: Optional[float] = None
     #: Optional per-link loss (0 keeps the fabric perfect; establishment
     #: retransmission still rides the shared rpc core when set).
     loss: float = 0.0
@@ -216,7 +216,7 @@ class ChurnResult(ExperimentResult):
             "sessions": self.config.sessions,
             "cache": {
                 "size": self.config.cache_size,
-                "ttl": self.config.cache_ttl,
+                "ttl": None,
             },
             "cold": side(self.cold),
             "resumed": side(self.resumed),
@@ -270,7 +270,6 @@ def _build_world(config: ChurnConfig, cache_size: int):
             host,
             discovery=plane.client(host),
             negotiation_cache_size=cache_size,
-            negotiation_cache_ttl=config.cache_ttl,
             **kwargs,
         )
         runtime.register_chunnel(SerializeFallback)

@@ -75,7 +75,6 @@ class Fig5Config:
     shards: int = 3
     worker_service_time: float = 4.0e-6
     xdp_per_packet: float = 2.0e-6
-    sharder_cost: float = 8.0e-6
     drain_timeout: float = 0.05
     seed: int = 7
 
@@ -161,7 +160,6 @@ def _build_world(scenario: str, config: Fig5Config):
         port=7100,
         shards=config.shards,
         worker_service_time=config.worker_service_time,
-        shard_server_cost=config.sharder_cost,
     )
     return net, server, client_rts
 

@@ -124,7 +124,6 @@ class FleetConfig:
     #: TOE shard read as dozens of spurious failovers per run.
     monitor_interval: float = 2e-3
     probe_timeout: float = 4e-3
-    miss_threshold: int = 3
     #: Crash the TOE shard's primary this far into the arrival schedule.
     crash_at_fraction: float = 0.4
     #: TOE records revoked through the promoted primary after failover.
@@ -535,9 +534,7 @@ def run_fleet(config: Optional[FleetConfig] = None) -> FleetResult:
                 yield env.timeout(1e-3)
 
     def _driver():
-        router.start_monitor(
-            config.monitor_interval, config.miss_threshold
-        )
+        router.start_monitor(config.monitor_interval)
         yield from _discovery_converged()
         env.process(_spawner(), name="fleet.spawner")
         revoker = env.process(_revoker(), name="fleet.revoker")

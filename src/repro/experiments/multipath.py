@@ -88,9 +88,7 @@ class MultipathConfig:
     shifted_weights: tuple = (0.1, 0.9)
     degrade_at: float = 6e-3
     degrade_drop: float = 0.5
-    monitor_interval: float = 5e-4
     monitor_threshold: float = 0.2
-    monitor_min_samples: int = 4
     reb_deadline: float = 60e-3
 
     @classmethod
@@ -391,13 +389,12 @@ def _run_rebalance(config: MultipathConfig) -> dict:
             conn, reason=f"path-quality:{name}", target_dag=target_dag
         )
 
-    monitor = PathQualityMonitor(net, interval=config.monitor_interval)
+    monitor = PathQualityMonitor(net)
     monitor.watch_path(
         "tunnel0",
         paths[0],
         threshold=config.monitor_threshold,
         callback=on_alarm,
-        min_samples=config.monitor_min_samples,
     )
 
     def degrade():

@@ -51,11 +51,9 @@ class ReconfigConfig:
     bucket: float = 0.5
     #: Exclusion margin around each transition when computing phase p95s.
     phase_margin: float = 0.5
-    poll_interval: float = 0.25
     shards: int = 3
     worker_service_time: float = 4.0e-6
     xdp_per_packet: float = 2.0e-6
-    sharder_cost: float = 8.0e-6
     value_size: int = 100
     key_count: int = 300
     drain_timeout: float = 0.05
@@ -129,7 +127,6 @@ def _build_world(config: ReconfigConfig):
         port=7100,
         shards=config.shards,
         worker_service_time=config.worker_service_time,
-        shard_server_cost=config.sharder_cost,
         auto_reconfig=True,
     )
     return net, discovery, server, server_rt, client_rt
@@ -204,9 +201,7 @@ def run_reconfig(config: Optional[ReconfigConfig] = None) -> ReconfigResult:
         # Arm the upgrade poll on the server-side connection once it exists.
         while not server.listener.connections:
             yield env.timeout(1e-3)
-        server_rt.reconfig.enable_upgrade_polling(
-            server.listener.connections[0], interval=config.poll_interval
-        )
+        server_rt.reconfig.enable_upgrade_polling(server.listener.connections[0])
 
     client = env.process(client_proc(env), name="reconfig-client")
     env.process(operator_proc(env), name="reconfig-operator")

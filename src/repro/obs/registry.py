@@ -89,9 +89,9 @@ class Gauge:
 
     __slots__ = ("name", "value")
 
-    def __init__(self, name: str, value: Number = 0):
+    def __init__(self, name: str):
         self.name = name
-        self.value = value
+        self.value: Number = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Gauge {self.name}={self.value}>"
@@ -223,17 +223,19 @@ class MetricsRegistry:
         """
         self._sources.pop(name, None)
 
-    def bind_stats(self, prefix: str, stats: Any, replace: bool = False) -> None:
+    def bind_stats(self, prefix: str, stats: Any) -> None:
         """Register every ``RpcStats`` field of ``stats`` under
         ``<prefix>.<field>`` (round_trips, retransmits_total, late_replies,
-        failures_total)."""
+        failures_total), replacing any earlier owner: stats belong to a
+        runtime or manager that a rebuilt one on the same entity takes
+        over."""
         for field in (
             "round_trips",
             "retransmits_total",
             "late_replies",
             "failures_total",
         ):
-            self.bind(f"{prefix}.{field}", stats, field, replace=replace)
+            self.bind(f"{prefix}.{field}", stats, field, replace=True)
 
     def counter(self, name: str) -> Counter:
         """Create and register a registry-owned counter."""

@@ -91,14 +91,14 @@ _DROPPED_SPAN = Span("", "", 0.0, end=0.0, status="dropped")
 class TraceLog:
     """Append-only log of lifecycle spans for one simulated world."""
 
-    def __init__(self, env, limit: Optional[int] = None):
+    def __init__(self, env):
         self.env = env
         self.spans: list[Span] = []
         #: Optional cap on recorded spans.  Fleet-scale worlds set this so
         #: tracing stays O(limit): the first ``limit`` spans are kept,
         #: later ones are counted in ``dropped`` (deterministic — event
         #: order is seeded, so two same-seed runs drop identically).
-        self.limit = limit
+        self.limit: Optional[int] = None
         self.dropped = 0
 
     # -- recording ----------------------------------------------------------

@@ -68,6 +68,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["ReconfigManager", "TransitionRecord"]
 
+#: How often :meth:`ReconfigManager.enable_upgrade_polling` re-decides.
+UPGRADE_POLL_INTERVAL = 0.25
+
 #: The ack kind that answers each epoch announcement: the waiter table's
 #: key is ``(ack kind, epoch)``.
 _ACK_KIND = {
@@ -116,9 +119,9 @@ class _ConnState:
     """Per-connection engine state."""
 
     conn: "Connection"
-    busy: bool = False
+    busy: bool = field(default=False, init=False)
     queue: deque = field(default_factory=deque)
-    next_epoch: int = 1
+    next_epoch: int = field(default=1, init=False)
     #: Client side: cached acks per epoch, replayed on duplicate TRANSITION.
     #: Bounded — retransmits arrive within the sender's retry window, so
     #: only the most recent epochs' verdicts are ever needed.
@@ -138,19 +141,12 @@ class _ConnState:
 class ReconfigManager:
     """Per-runtime transition engine (``runtime.reconfig``)."""
 
-    def __init__(
-        self,
-        runtime: "Runtime",
-        ack_timeout: float = 2e-3,
-        ack_retries: int = 8,
-        retire_grace: float = 5e-3,
-    ):
+    def __init__(self, runtime: "Runtime"):
         self.runtime = runtime
         self.env = runtime.env
-        self.ack_timeout = ack_timeout
-        self.ack_retries = ack_retries
-        #: How long a superseded epoch's stack stays around for stragglers.
-        self.retire_grace = retire_grace
+        #: TRANSITION/ACK retransmission: the first wait and the attempts.
+        self.ack_timeout = 2e-3
+        self.ack_retries = 8
         self.failure_detector = DeviceFailureDetector(runtime.network)
         self._discovery_watcher: Optional[DiscoveryWatcher] = None
         self._states: dict[str, _ConnState] = {}
@@ -177,7 +173,7 @@ class ReconfigManager:
             "transitions_noop",
         ):
             obs.bind(f"reconfig.{entity}.{counter}", self, counter, replace=True)
-        obs.bind_stats(f"rpc.reconfig.{entity}", self.rpc_stats, replace=True)
+        obs.bind_stats(f"rpc.reconfig.{entity}", self.rpc_stats)
 
     # ------------------------------------------------------------------
     # Subscription
@@ -221,16 +217,17 @@ class ReconfigManager:
                 ):
                     state.watched_devices.add(location)
 
-    def enable_upgrade_polling(self, conn: "Connection", interval: float = 0.25):
-        """Periodically re-decide, so a newly (re)registered better
-        implementation is adopted without an external trigger.  Returns the
-        polling process (interrupt it, or close the connection, to stop)."""
+    def enable_upgrade_polling(self, conn: "Connection"):
+        """Re-decide every :data:`UPGRADE_POLL_INTERVAL`, so a newly
+        (re)registered better implementation is adopted without an external
+        trigger.  Returns the polling process (interrupt it, or close the
+        connection, to stop)."""
         self._state(conn)
 
         def _poll():
             while not conn.closed:
                 try:
-                    yield self.env.timeout(interval)
+                    yield self.env.timeout(UPGRADE_POLL_INTERVAL)
                 except Interrupt:
                     return
                 if conn.closed:
@@ -572,7 +569,7 @@ class ReconfigManager:
                 impl.teardown(octx)
                 if release is not None:
                     yield from release(octx.reservations)
-        conn.retire_epoch(old_epoch, grace=self.retire_grace)
+        conn.retire_epoch(old_epoch)
         return old_epoch
 
     def announce(

@@ -243,6 +243,12 @@ class DiscoveryWatcher:
                 callback(record_id, message.KIND, message)
 
 
+#: :class:`PathQualityMonitor`'s poll period, and the fewest crossings a
+#: poll window needs to count.
+PATH_POLL_INTERVAL = 5e-4
+PATH_MIN_SAMPLES = 4
+
+
 class PathQualityMonitor:
     """Threshold alarms over the loss rate of a pinned network path.
 
@@ -256,9 +262,10 @@ class PathQualityMonitor:
     ``threshold`` and re-arms once it falls back to half the threshold
     (hysteresis), so a persistently lossy path fires once per episode.
 
-    Windows with fewer than ``min_samples`` evaluated crossings are
-    skipped: an idle path has no quality signal, and a one-packet window
-    would read as rate 0.0 or 1.0 with nothing in between.
+    The poll runs every :data:`PATH_POLL_INTERVAL`.  Windows with fewer
+    than :data:`PATH_MIN_SAMPLES` evaluated crossings are skipped: an idle
+    path has no quality signal, and a one-packet window would read as rate
+    0.0 or 1.0 with nothing in between.
 
     This is the trigger that feeds multipath weight rebalancing: wire the
     callback to ``request_transition`` with a reweighted
@@ -266,10 +273,9 @@ class PathQualityMonitor:
     mid-connection (PROTOCOL.md §10).
     """
 
-    def __init__(self, network: "Network", interval: float = 5e-3):
+    def __init__(self, network: "Network"):
         self.network = network
         self.env = network.env
-        self.interval = interval
         self._watches: list[dict] = []
         self._proc = None
         self._stopped = False
@@ -300,7 +306,6 @@ class PathQualityMonitor:
         path: list[str],
         threshold: float,
         callback: Callable[[str, list[str], float], None],
-        min_samples: int = 8,
     ) -> None:
         """``callback(name, path, rate)`` when a poll window's loss rate
         reaches ``threshold``.  ``path`` is a node-name sequence as
@@ -315,7 +320,6 @@ class PathQualityMonitor:
                 "links": links,
                 "threshold": threshold,
                 "callback": callback,
-                "min_samples": min_samples,
                 "evaluated": evaluated,
                 "lost": lost,
                 "armed": True,
@@ -327,7 +331,7 @@ class PathQualityMonitor:
     def _run(self):
         while not self._stopped:
             try:
-                yield self.env.timeout(self.interval)
+                yield self.env.timeout(PATH_POLL_INTERVAL)
             except Interrupt:
                 return
             self.samples += 1
@@ -339,7 +343,7 @@ class PathQualityMonitor:
                 watch["lost"] = lost
                 if any(not link.up for link in watch["links"]):
                     rate = 1.0
-                elif window < watch["min_samples"]:
+                elif window < PATH_MIN_SAMPLES:
                     continue
                 else:
                     rate = lost_in_window / window

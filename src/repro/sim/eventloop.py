@@ -150,8 +150,8 @@ class Event:
         self.env._schedule(self, delay)
         return self
 
-    def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
-        """Trigger the event with an exception after ``delay``."""
+    def fail(self, exception: BaseException) -> "Event":
+        """Trigger the event with an exception, now."""
         if self._triggered:
             raise SimulationError(f"{self!r} has already been triggered")
         if not isinstance(exception, BaseException):
@@ -159,7 +159,7 @@ class Event:
         self._ok = False
         self._value = exception
         self._triggered = True
-        self.env._schedule(self, delay)
+        self.env._schedule(self)
         return self
 
     # -- callback plumbing ------------------------------------------------
@@ -424,8 +424,8 @@ class Environment:
     reads it to report events per operation.
     """
 
-    def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+    def __init__(self):
+        self._now = 0.0
         self._heap: list[tuple[float, int, Any]] = []
         self._sequence = 0
         self._active_process: Optional[Process] = None

@@ -57,6 +57,10 @@ class FaultDecision:
 _NO_FAULTS = FaultDecision()
 
 
+#: The bound on a reordered datagram's extra delay.
+REORDER_MAX_DELAY = 200e-6
+
+
 @dataclass
 class FaultPlan:
     """Probabilistic per-link fault injection (seeded, deterministic).
@@ -69,7 +73,7 @@ class FaultPlan:
         Probability the link delivers a second, independent copy.
     reorder_rate:
         Probability a datagram is held back by an extra delay drawn
-        uniformly from ``(0, reorder_max_delay]`` — enough to overtake
+        uniformly from ``(0, REORDER_MAX_DELAY]`` — enough to overtake
         later traffic, bounded so nothing is delayed forever.
     corrupt_rate:
         Probability the payload is garbled in flight.  The destination
@@ -83,7 +87,6 @@ class FaultPlan:
     drop_rate: float = 0.0
     duplicate_rate: float = 0.0
     reorder_rate: float = 0.0
-    reorder_max_delay: float = 200e-6
     corrupt_rate: float = 0.0
     seed: int = 0
     # Counters (per plan, i.e. per link when attached one-to-one).
@@ -98,8 +101,6 @@ class FaultPlan:
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        if self.reorder_max_delay < 0:
-            raise ValueError("reorder_max_delay must be non-negative")
         self._rng = random.Random(self.seed)
         # Rates never change after construction (mutating a live plan would
         # desync its RNG stream from its counters), so benignity is computed
@@ -122,7 +123,6 @@ class FaultPlan:
             drop_rate=self.drop_rate,
             duplicate_rate=self.duplicate_rate,
             reorder_rate=self.reorder_rate,
-            reorder_max_delay=self.reorder_max_delay,
             corrupt_rate=self.corrupt_rate,
             seed=seed,
         )
@@ -151,8 +151,8 @@ class FaultPlan:
             self.reordered += 1
             if decision is None:
                 decision = FaultDecision()
-            decision.extra_delay = rng.uniform(0.0, self.reorder_max_delay) or (
-                self.reorder_max_delay / 2
+            decision.extra_delay = rng.uniform(0.0, REORDER_MAX_DELAY) or (
+                REORDER_MAX_DELAY / 2
             )
         # Most crossings fault nothing: hand every one of those the same
         # read-only decision instead of a fresh dataclass.

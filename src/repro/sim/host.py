@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, ClassVar, Optional
 
 from ..errors import AddressError, TransportError
 from .datagram import Datagram
@@ -38,6 +38,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["CostModel", "NetEntity", "Host", "Container"]
 
+#: Kernel fast-path (XDP) cores per host: the station's servers.
+XDP_CORES = 1
+
 _EPHEMERAL_BASE = 40000
 _EPHEMERAL_MAX = 65536
 
@@ -51,16 +54,17 @@ class CostModel:
     the additional per-message cost of loopback TCP over UDP (socket locking,
     reliability machinery) used by the Figure 3 baseline.  ``ipc_*`` cover a
     pipe/UNIX-socket message.  ``xdp_per_packet`` is the kernel fast-path
-    service time for one datagram.
+    service time for one datagram.  The class constants are the same on
+    every host.
     """
+
+    tcp_loopback_extra_per_msg: ClassVar[float] = 3.0e-6
+    ipc_per_msg: ClassVar[float] = 6.0e-6
+    ipc_per_byte: ClassVar[float] = 1 / 6.0e9
+    loopback_latency: ClassVar[float] = 0.5e-6
 
     udp_per_msg: float = 7.0e-6
     udp_per_byte: float = 1 / 3.0e9
-    tcp_loopback_extra_per_msg: float = 3.0e-6
-    tcp_handshake_rtts: int = 1
-    ipc_per_msg: float = 6.0e-6
-    ipc_per_byte: float = 1 / 6.0e9
-    loopback_latency: float = 0.5e-6
     xdp_per_packet: float = 0.8e-6
     #: Multiplicative cost jitter fraction (0 = exact costs).  Jitter is
     #: drawn from a seeded per-model RNG, so runs stay reproducible; turn
@@ -153,7 +157,6 @@ class Host(NetEntity):
         name: str,
         cost: Optional[CostModel] = None,
         nic: Optional[Nic] = None,
-        xdp_cores: int = 1,
     ):
         super().__init__(env, network, name)
         self.cost = cost or CostModel()
@@ -167,7 +170,7 @@ class Host(NetEntity):
         self.xdp_station = Station(
             env,
             service_time=self.cost.xdp_per_packet,
-            servers=xdp_cores,
+            servers=XDP_CORES,
             name=f"{name}.xdp",
         )
 
@@ -203,10 +206,6 @@ class Host(NetEntity):
             raise TransportError(
                 f"{self.name}: program {program.name!r} is not installed"
             ) from None
-
-    def entities_on_host(self) -> list[NetEntity]:
-        """This host plus all of its containers."""
-        return [self, *self.containers.values()]
 
 
 class Container(NetEntity):

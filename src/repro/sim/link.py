@@ -24,6 +24,9 @@ MS = 1e-3
 GBPS = 125_000_000.0  # 1 Gbit/s in bytes/second
 MBPS = 125_000.0  # 1 Mbit/s in bytes/second
 
+#: Every link's capacity, for serialization delay: 10 Gbit/s.
+LINK_BANDWIDTH = 10 * GBPS
+
 
 @dataclass
 class Link:
@@ -35,23 +38,19 @@ class Link:
         Names of the endpoints (hosts or switches).
     latency:
         One-way propagation delay in seconds.
-    bandwidth:
-        Capacity in bytes/second; ``None`` means infinite (no serialization
-        delay).
-    fault_plan:
-        Optional :class:`~repro.sim.faults.FaultPlan` evaluated on every
-        crossing (see ``Network.attach_faults``).
-    up:
-        Administrative state; a down link drops every datagram (used by
-        the chaos controller's link flaps).
+
+    Every link carries :data:`LINK_BANDWIDTH`.  ``fault_plan`` is an
+    optional :class:`~repro.sim.faults.FaultPlan` evaluated on every
+    crossing (``Network.attach_faults`` sets it); ``up`` is the
+    administrative state: a down link drops every datagram (the chaos
+    controller's link flaps).
     """
 
     a: str
     b: str
     latency: float = 5 * US
-    bandwidth: float | None = 10 * GBPS
-    fault_plan: Optional["FaultPlan"] = None
-    up: bool = True
+    fault_plan: Optional["FaultPlan"] = field(default=None, init=False)
+    up: bool = field(default=True, init=False)
     bytes_carried: int = field(default=0, init=False)
     datagrams_carried: int = field(default=0, init=False)
     #: Invoked with the link after every administrative state *change*
@@ -64,13 +63,11 @@ class Link:
     def __post_init__(self) -> None:
         if self.latency < 0:
             raise ValueError("link latency must be non-negative")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValueError("link bandwidth must be positive")
+        self.up = True  # through the property below; the hook does not fire
 
     def delay_for(self, size: int) -> float:
         """Total one-way delay for a datagram of ``size`` bytes."""
-        serialization = 0.0 if self.bandwidth is None else size / self.bandwidth
-        return self.latency + serialization
+        return self.latency + size / LINK_BANDWIDTH
 
     def record(self, size: int) -> None:
         """Account a datagram of ``size`` bytes crossing the link."""

@@ -482,21 +482,12 @@ class NameService:
         """All live instances of ``name`` (may be empty)."""
         return list(self._records.get(name, []))
 
-    def resolve_local(self, name: str, from_entity: str) -> Optional[ServiceRecord]:
-        """An instance of ``name`` on the same host as ``from_entity``."""
-        local_host = self._network.entity(from_entity).host
-        for record in self._records.get(name, []):
-            entity = self._network.entities.get(record.address.host)
-            if entity is not None and entity.host is local_host:
-                return record
-        return None
-
 
 class Network:
     """The simulated cluster: topology, entities, and datagram delivery."""
 
-    def __init__(self, env: Optional[Environment] = None):
-        self.env = env or Environment()
+    def __init__(self):
+        self.env = Environment()
         self.graph = nx.Graph()
         self.entities: dict[str, NetEntity] = {}
         self.hosts: dict[str, Host] = {}
@@ -558,11 +549,10 @@ class Network:
         name: str,
         cost: Optional[CostModel] = None,
         nic: Optional[Nic] = None,
-        xdp_cores: int = 1,
     ) -> Host:
         """Create a host vertex."""
         self._check_fresh_name(name)
-        host = Host(self.env, self, name, cost=cost, nic=nic, xdp_cores=xdp_cores)
+        host = Host(self.env, self, name, cost=cost, nic=nic)
         self.hosts[name] = host
         self.entities[name] = host
         self.graph.add_node(name, kind="host")
@@ -580,18 +570,12 @@ class Network:
         self.graph.add_node(name, kind="switch")
         return switch
 
-    def add_link(
-        self,
-        a: str,
-        b: str,
-        latency: float = 5e-6,
-        bandwidth: Optional[float] = 10 * 125_000_000.0,
-    ) -> Link:
+    def add_link(self, a: str, b: str, latency: float = 5e-6) -> Link:
         """Connect two vertices with a full-duplex link."""
         for node in (a, b):
             if node not in self.graph:
                 raise AddressError(f"unknown node {node!r}")
-        link = Link(a, b, latency=latency, bandwidth=bandwidth)
+        link = Link(a, b, latency=latency)
         link.on_state_change = self._on_link_state_change
         self.graph.add_edge(a, b, link=link, weight=latency)
         self._route_cache.clear()

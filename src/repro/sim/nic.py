@@ -19,8 +19,6 @@ A :class:`SmartNic` adds what offload implementations need:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .datagram import Datagram
 from .eventloop import Environment
 from .pcie import PcieBus
@@ -29,30 +27,24 @@ from .resources import Station, TokenResource
 
 __all__ = ["Nic", "SmartNic"]
 
+#: NIC receive service time per datagram (one receive queue).
+RX_PER_PACKET = 0.5e-6
+#: SmartNIC compute: service time per datagram an offloaded Chunnel
+#: handles, and the parallel compute units serving them.
+COMPUTE_PER_PACKET = 0.3e-6
+COMPUTE_UNITS = 2
+
 
 class Nic:
     """Receive-path NIC: a FIFO station every inbound datagram crosses."""
 
-    def __init__(
-        self,
-        env: Environment,
-        name: str,
-        rx_per_packet: float = 0.5e-6,
-        rx_per_byte: float = 0.0,
-        queues: int = 1,
-    ):
+    def __init__(self, env: Environment, name: str):
         self.env = env
         self.name = name
         #: Precomputed ``Datagram.visit`` label — built per delivery before,
         #: which showed up in profiles at fleet scale.
         self.rx_visit_label = f"nic:{name}"
-        self.rx_station = Station(
-            env,
-            service_time=lambda dgram: rx_per_packet
-            + rx_per_byte * getattr(dgram, "size", 0),
-            servers=queues,
-            name=f"{name}.rx",
-        )
+        self.rx_station = Station(env, service_time=RX_PER_PACKET, name=f"{name}.rx")
         #: Fault-injection state: a failed device stops running its
         #: installed programs (the programmable fast path dies) but keeps
         #: forwarding/receiving — a dead port would make live
@@ -90,38 +82,20 @@ class Nic:
 class SmartNic(Nic):
     """A NIC with programmable compute, offload slots, and a PCIe bus.
 
-    Parameters
-    ----------
-    offload_slots:
-        How many Chunnel offload programs the device can host at once.
-    compute_per_packet:
-        Service time of the NIC compute units per datagram handed to an
-        offloaded Chunnel.
-    compute_units:
-        Parallel compute units (station servers).
+    ``offload_slots`` is how many Chunnel offload programs the device can
+    host at once.
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        name: str,
-        rx_per_packet: float = 0.5e-6,
-        rx_per_byte: float = 0.0,
-        queues: int = 1,
-        offload_slots: int = 4,
-        compute_per_packet: float = 0.3e-6,
-        compute_units: int = 2,
-        pcie: Optional[PcieBus] = None,
-    ):
-        super().__init__(env, name, rx_per_packet, rx_per_byte, queues)
+    def __init__(self, env: Environment, name: str, offload_slots: int = 4):
+        super().__init__(env, name)
         self.slots = TokenResource(env, offload_slots, name=f"{name}.slots")
         self.compute = Station(
             env,
-            service_time=compute_per_packet,
-            servers=compute_units,
+            service_time=COMPUTE_PER_PACKET,
+            servers=COMPUTE_UNITS,
             name=f"{name}.compute",
         )
-        self.pcie = pcie or PcieBus(env, name=f"{name}.pcie")
+        self.pcie = PcieBus(env, name=f"{name}.pcie")
         self.programs: list[PacketProgram] = []
 
     def install(self, program: PacketProgram, slots: int = 1) -> None:

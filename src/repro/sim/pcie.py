@@ -17,35 +17,20 @@ from .eventloop import Environment
 
 __all__ = ["PcieBus"]
 
+#: Fixed latency per crossing (DMA setup + completion), seconds.
+CROSSING_LATENCY = 0.9e-6
+#: Bus bandwidth in bytes/second: ~PCIe 3.0 x8 effective.
+BANDWIDTH = 12_000_000_000.0
+
 
 class PcieBus:
-    """A host↔device bus with per-crossing latency and byte accounting.
+    """A host↔device bus with per-crossing latency and byte accounting:
+    each crossing costs :data:`CROSSING_LATENCY` plus its bytes at
+    :data:`BANDWIDTH`."""
 
-    Parameters
-    ----------
-    env:
-        Simulation environment (used only for timestamps in accounting).
-    crossing_latency:
-        Fixed latency per crossing (DMA setup + completion), seconds.
-    bandwidth:
-        Bus bandwidth in bytes/second.
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        crossing_latency: float = 0.9e-6,
-        bandwidth: float = 12_000_000_000.0,  # ~PCIe 3.0 x8 effective
-        name: str = "pcie",
-    ):
-        if crossing_latency < 0:
-            raise ValueError("crossing latency must be non-negative")
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+    def __init__(self, env: Environment, name: str = "pcie"):
         self.env = env
         self.name = name
-        self.crossing_latency = crossing_latency
-        self.bandwidth = bandwidth
         self.crossings = 0
         self.bytes_moved = 0
 
@@ -55,16 +40,11 @@ class PcieBus:
             raise ValueError("transfer size must be non-negative")
         self.crossings += 1
         self.bytes_moved += size
-        return self.crossing_latency + size / self.bandwidth
+        return self.delay_for(size)
 
     def delay_for(self, size: int) -> float:
         """Delay one crossing of ``size`` bytes would take (no accounting)."""
-        return self.crossing_latency + size / self.bandwidth
-
-    def reset_counters(self) -> None:
-        """Zero the crossing/byte counters (used between experiment runs)."""
-        self.crossings = 0
-        self.bytes_moved = 0
+        return CROSSING_LATENCY + size / BANDWIDTH
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

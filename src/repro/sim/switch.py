@@ -37,11 +37,14 @@ class SwitchProgramFootprint:
 class ProgrammableSwitch:
     """A switch with match-action stages, SRAM, and installable programs.
 
-    Datagrams crossing the switch incur ``forward_latency``.  Installed
+    Datagrams crossing the switch incur :attr:`forward_latency`.  Installed
     programs are consulted in install order for every transiting datagram;
     programs run "at line rate" (no queueing station) unless one is attached
     explicitly.
     """
+
+    #: Per-crossing forwarding delay of the fixed-function pipeline.
+    forward_latency = 0.4e-6
 
     def __init__(
         self,
@@ -49,11 +52,9 @@ class ProgrammableSwitch:
         name: str,
         stages: int = 12,
         sram_kb: int = 4096,
-        forward_latency: float = 0.4e-6,
     ):
         self.env = env
         self.name = name
-        self.forward_latency = forward_latency
         self.stage_pool = TokenResource(env, stages, name=f"{name}.stages")
         self.sram_pool = TokenResource(env, sram_kb, name=f"{name}.sram")
         self.programs: list[PacketProgram] = []

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.apps import EchoServer, QuorumError, RsmClient, RsmReplica, ping_session
+from repro.apps import rsm as rsm_mod
 from repro.chunnels import McastSequencerFallback, SerializeFallback
 from repro.core import Runtime
 from repro.core.rpc import RetryPolicy
@@ -149,9 +150,8 @@ class TestRsm:
             yield env.timeout(1e-3)
             client = RsmClient(client_rt, group="G")
             yield from client.connect([r.address for r in replicas])
-            result = yield from client.submit(
-                {"op": "put", "key": "q", "value": "v"}, quorum=2
-            )
+            # A majority of three: the two prompt replicas.
+            result = yield from client.submit({"op": "put", "key": "q", "value": "v"})
             return result
 
         assert run(net.env, scenario(net.env)) == "ok"
@@ -172,9 +172,7 @@ class TestRsm:
             yield env.timeout(1e-3)
             client = RsmClient(client_rt, group="G")
             yield from client.connect([r.address for r in replicas])
-            yield from client.submit(
-                {"op": "put", "key": "x", "value": 1}, timeout=2e-3
-            )
+            yield from client.submit({"op": "put", "key": "x", "value": 1})
 
         with pytest.raises(QuorumError):
             run(net.env, scenario(net.env))
@@ -191,7 +189,7 @@ class TestRsm:
             run(net.env, scenario(net.env))
 
     @pytest.mark.parametrize("seed", [7, 11])
-    def test_concurrent_submits_share_one_connection(self, seed):
+    def test_concurrent_submits_share_one_connection(self, seed, monkeypatch):
         """Replicas apply one order, one application per request: eight
         submits in flight on one client under 10 % loss each get their own
         result, every replica applies the same sequence with every op in
@@ -207,9 +205,8 @@ class TestRsm:
 
             replica._apply = logged
         # Six lossy crossings per reply: give every submit eight attempts.
-        client = RsmClient(
-            client_rt, group="G", policy=RetryPolicy(timeout=2e-3, retries=8)
-        )
+        monkeypatch.setattr(rsm_mod, "SUBMIT_POLICY", RetryPolicy(timeout=2e-3, retries=8))
+        client = RsmClient(client_rt, group="G")
 
         def submitter(index):
             if index % 2:

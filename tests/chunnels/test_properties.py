@@ -165,4 +165,4 @@ class TestDagProperties:
         )
         result.dag.validate()
         # Optimization never grows the pipeline.
-        assert len(result.dag) <= len(dag)
+        assert len(result.dag.nodes) <= len(dag.nodes)

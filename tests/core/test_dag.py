@@ -65,7 +65,7 @@ class TestDagConstruction:
     def test_empty_dag(self):
         dag = wrap()
         assert dag.is_empty
-        assert len(dag) == 0
+        assert len(dag.nodes) == 0
 
     def test_single_spec(self):
         dag = wrap(Serialize())

@@ -16,6 +16,7 @@ import pytest
 from repro.apps import KvClient, KvServer
 from repro.chunnels import SerializeFallback, ShardServerFallback, ShardXdp
 from repro.errors import DegradedEstablishmentWarning
+from repro.reconfig import engine as reconfig_engine
 from repro.sim import Address
 
 from ..conftest import run
@@ -99,7 +100,8 @@ class TestDegradedEstablishment:
         assert len(degraded_warnings) == 1
         assert two_hosts.discovery.audit_leases()["ok"]
 
-    def test_degraded_connection_upgrades_after_restart(self, two_hosts):
+    def test_degraded_connection_upgrades_after_restart(self, two_hosts, monkeypatch):
+        monkeypatch.setattr(reconfig_engine, "UPGRADE_POLL_INTERVAL", 5e-3)
         server_rt, client_rt = kv_world(two_hosts)
         two_hosts.discovery.crash()
         server = KvServer(server_rt, port=7100, auto_reconfig=True)
@@ -112,9 +114,7 @@ class TestDegradedEstablishment:
             server_conn = server.listener.connections[0]
             before = shard_impl(server_conn)
             two_hosts.discovery.restart()
-            server_rt.reconfig.enable_upgrade_polling(
-                server_conn, interval=5e-3
-            )
+            server_rt.reconfig.enable_upgrade_polling(server_conn)
             for _ in range(400):
                 yield env.timeout(5e-3)
                 if shard_impl(server_conn) == "ShardXdp":

@@ -89,10 +89,10 @@ class TestPreferPlacementPolicy:
 
 
 class TestServerDiscoveryTtl:
-    """The listener's network-offer cache and its refresh knob."""
+    """The listener's network-offer cache, which never expires."""
 
-    def setup_world(self, world, ttl):
-        server_rt = world.runtime("srv", discovery_ttl=ttl)
+    def setup_world(self, world):
+        server_rt = world.runtime("srv")
         client_rt = world.runtime("cl")
         for rt in (server_rt, client_rt):
             rt.register_chunnel(SerializeFallback)
@@ -119,7 +119,7 @@ class TestServerDiscoveryTtl:
 
     def test_stale_cache_misses_new_registration(self, two_hosts_smartnic):
         world = two_hosts_smartnic
-        client_rt = self.setup_world(world, ttl=None)  # never refresh
+        client_rt = self.setup_world(world)  # never refresh
         world.env.run(until=1e-3)  # listener performs its initial query
         world.discovery.register(SerializeAccelerated.meta, location="srv")
         # Client also has no registration of the accelerated impl; the
@@ -130,16 +130,6 @@ class TestServerDiscoveryTtl:
         # The client's per-connect query surfaces the record anyway — the
         # server merges client-provided network offers.  So the new
         # registration is picked up through the *client's* freshness.
-        assert impl == "SerializeAccelerated"
-
-    def test_ttl_refresh_discovers_new_registration_server_side(
-        self, two_hosts_smartnic
-    ):
-        world = two_hosts_smartnic
-        client_rt = self.setup_world(world, ttl=0.1)
-        world.env.run(until=1e-3)
-        world.discovery.register(SerializeAccelerated.meta, location="srv")
-        impl = self.impl_chosen(world, client_rt, delay=0.5)
         assert impl == "SerializeAccelerated"
 
 

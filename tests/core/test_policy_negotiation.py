@@ -1,5 +1,7 @@
 """Tests for registries, policies, and the negotiation decision logic."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.chunnels import (
@@ -25,13 +27,11 @@ from repro.core import (
     feasible_offers,
     wrap,
 )
+from repro.core.negotiation import decide_with_reservations
 from repro.core.scope import Endpoints, Placement
 from repro.core.wire import decode, encode
-from repro.errors import (
-    NoImplementationError,
-    RegistrationError,
-    ResourceExhaustedError,
-)
+from repro.errors import NoImplementationError, RegistrationError
+from repro.obs import TraceLog
 
 
 def meta(
@@ -234,6 +234,35 @@ class TestFeasibility:
         assert feasible_offers(spec, offers, ctx()) == []
 
 
+class _FakeLeases:
+    """A runtime's lease table that grants every record outside ``denied``."""
+
+    def __init__(self, denied=()):
+        self.denied, self.asked = set(denied), []
+
+    def acquire(self, record_id, owner, conn_id):
+        self.asked.append(record_id)
+        return None if record_id in self.denied else record_id
+        yield  # pragma: no cover - generator form
+
+    def release(self, handle):
+        return None
+        yield  # pragma: no cover - generator form
+
+
+def decide_reserving(dag, candidates, policy, leases):
+    """:func:`decide_with_reservations` against ``leases``, verdicts unawaited."""
+    runtime = SimpleNamespace(
+        policy=policy,
+        leases=leases,
+        network=SimpleNamespace(trace=TraceLog(SimpleNamespace(now=0.0))),
+    )
+    rounds = decide_with_reservations(runtime, dag, candidates, ctx(), "app", settle=False)
+    with pytest.raises(StopIteration) as done:
+        next(rounds)  # the fake table never waits
+    return done.value.value[0]
+
+
 class TestDecide:
     def candidates(self):
         return {
@@ -278,14 +307,11 @@ class TestDecide:
                 ),
                 origin="network",
                 location="srv",
+                record_id="rec-toe",
             )
         ]
-        chosen = decide(
-            dag,
-            {"reliable": offers},
-            PriorityFirstPolicy(),
-            ctx(),
-            reserve=lambda offer: offer.meta.name != "toe",
+        chosen = decide_reserving(
+            dag, {"reliable": offers}, PriorityFirstPolicy(), _FakeLeases({"rec-toe"})
         )
         assert list(chosen.values())[0].meta.name == "sw"
 
@@ -301,28 +327,25 @@ class TestDecide:
                 ),
                 origin="network",
                 location="srv",
+                record_id="rec-toe",
             )
         ]
-        with pytest.raises(ResourceExhaustedError):
-            decide(
-                dag,
-                {"reliable": offers},
-                DefaultPolicy(),
-                ctx(),
-                reserve=lambda offer: False,
-            )
+        leases = _FakeLeases({"rec-toe"})
+        with pytest.raises(NoImplementationError):
+            decide_reserving(dag, {"reliable": offers}, DefaultPolicy(), leases)
+        assert leases.asked == ["rec-toe"]  # denied, excluded, nothing left
 
     def test_zero_resource_offers_skip_reservation(self):
         dag = wrap(Reliable())
-        calls = []
-        decide(
-            dag,
-            self.candidates(),
-            DefaultPolicy(),
-            ctx(),
-            reserve=lambda offer: calls.append(offer) or True,
-        )
-        assert calls == []
+        offers = {
+            "reliable": [
+                Offer(meta=meta("sw", endpoints=Endpoints.ANY), origin="server", record_id="rec-sw")
+            ]
+        }
+        leases = _FakeLeases()
+        chosen = decide_reserving(dag, offers, DefaultPolicy(), leases)
+        assert list(chosen.values())[0].meta.name == "sw"
+        assert leases.asked == []
 
 
 class TestOfferWire:

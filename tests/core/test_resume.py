@@ -66,9 +66,9 @@ def build_world(cache_size=8, cache_ttl=None, loss=0.0, seed=7, service_name=Non
             host,
             discovery=RemoteDiscoveryClient(host, discovery.address),
             negotiation_cache_size=cache_size,
-            negotiation_cache_ttl=cache_ttl,
             **kwargs,
         )
+        runtime.negcache.ttl = cache_ttl
         runtime.register_chunnel(SerializeFallback)
         runtime.register_chunnel(ReliableFallback)
         return runtime

@@ -264,9 +264,8 @@ class TestEventWaiter:
 
 
 class TestDeadline:
-    """End-to-end deadline budgets (PROTOCOL.md §9): the policy's
-    relative budget and the caller's absolute one merge into a single
-    elapsed-time limit across every retry."""
+    """End-to-end deadline budgets (PROTOCOL.md §9): the caller's absolute
+    deadline is one elapsed-time limit across every retry."""
 
     def setup_method(self):
         self.env = Network().env
@@ -276,19 +275,15 @@ class TestDeadline:
         yield self.env.timeout(timeout)
         return None
 
-    def test_policy_deadline_must_cover_one_attempt(self):
-        with pytest.raises(ValueError, match="deadline must cover"):
-            rpc.RetryPolicy(timeout=1e-3, retries=3, deadline=5e-4)
-        rpc.RetryPolicy(timeout=1e-3, retries=3, deadline=1e-3)
-
     def test_relative_policy_deadline_stops_retries_early(self):
-        # Ten 1ms attempts would take 10ms; a 2.5ms budget allows three.
-        policy = rpc.RetryPolicy(timeout=1e-3, retries=10, deadline=2.5e-3)
+        # Ten 1ms attempts would take 10ms; a budget of 2.5ms from the
+        # call's start allows three.
+        policy = rpc.RetryPolicy(timeout=1e-3, retries=10)
 
         def scenario(env):
             yield from rpc.call(
                 env, policy, lambda attempt: None, self.never,
-                stats=self.stats, describe="budgeted",
+                stats=self.stats, describe="budgeted", deadline=env.now + 2.5e-3,
             )
 
         with pytest.raises(DeadlineExceeded) as excinfo:
@@ -315,21 +310,8 @@ class TestDeadline:
         assert excinfo.value.attempts == 2
         assert self.env.now == pytest.approx(2.5e-3)
 
-    def test_tighter_of_policy_and_call_deadline_wins(self):
-        policy = rpc.RetryPolicy(timeout=1e-3, retries=10, deadline=8e-3)
-
-        def scenario(env):
-            yield from rpc.call(
-                env, policy, lambda attempt: None, self.never,
-                stats=self.stats, deadline=2e-3,
-            )
-
-        with pytest.raises(DeadlineExceeded):
-            run(self.env, scenario(self.env))
-        assert self.env.now == pytest.approx(2e-3)
-
     def test_reply_inside_the_budget_is_unaffected(self):
-        policy = rpc.RetryPolicy(timeout=1e-3, retries=10, deadline=5e-3)
+        policy = rpc.RetryPolicy(timeout=1e-3, retries=10)
 
         def answered(attempt, timeout):
             yield self.env.timeout(min(timeout, 1e-5))

@@ -95,13 +95,6 @@ class TestDrf:
         allocation = DrfScheduler().plan(requests, CAPACITY)
         assert len(allocation.granted) == 3  # 12 stages / 4 each
 
-    def test_fairness_cap_reserves_headroom(self):
-        scheduler = DrfScheduler(fairness_cap=0.5)
-        requests = [req("A", f"a{i}", 4) for i in range(3)]
-        allocation = scheduler.plan(requests, CAPACITY)
-        share = allocation.tenant_share("A", CAPACITY)
-        assert share <= 0.5 + 1e-9
-
     def test_requests_within_tenant_granted_in_order(self):
         requests = [req("A", "a1", 2), req("A", "a2", 2), req("A", "a3", 2)]
         allocation = DrfScheduler().plan(requests, CAPACITY)
@@ -118,12 +111,6 @@ class TestDrf:
             ResourceVector(stages=4),
             CAPACITY,
             ResourceVector(stages=10),
-        )
-
-    def test_admit_fairness_cap(self):
-        scheduler = DrfScheduler(fairness_cap=0.25)
-        assert not scheduler.admit(
-            None, "A", ResourceVector(stages=6), CAPACITY, ResourceVector()
         )
 
 

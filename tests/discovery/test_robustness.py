@@ -12,6 +12,7 @@ import pytest
 from repro.chunnels import ReliableToe
 from repro.core.resources import NIC_SLOTS, ResourceVector
 from repro.discovery import DiscoveryService
+from repro.discovery import client as discovery_client
 from repro.discovery.client import (
     DirectDiscoveryClient,
     NullDiscoveryClient,
@@ -40,25 +41,26 @@ def world(fault_plan=None):
 
 
 class TestBackoff:
-    def test_timeouts_grow_exponentially_and_cap(self):
+    def test_timeouts_grow_exponentially_and_cap(self, monkeypatch):
+        monkeypatch.setattr(discovery_client, "RETRY_JITTER", 0.0)
         net, service = world()
         client = RemoteDiscoveryClient(
             net.hosts["cl"], service.address,
-            timeout=1e-3, backoff=2.0, max_timeout=8e-3, jitter=0.0,
+            timeout=1e-3, backoff=2.0, max_timeout=8e-3,
         )
         timeouts = [client.policy.attempt_timeout(n, client._rng) for n in range(6)]
         assert timeouts == [1e-3, 2e-3, 4e-3, 8e-3, 8e-3, 8e-3]
 
-    def test_jitter_stays_within_fraction(self):
+    def test_jitter_stays_within_fraction(self, monkeypatch):
+        monkeypatch.setattr(discovery_client, "RETRY_JITTER", 0.25)
         net, service = world()
-        client = RemoteDiscoveryClient(
-            net.hosts["cl"], service.address, timeout=1e-3, jitter=0.25
-        )
+        client = RemoteDiscoveryClient(net.hosts["cl"], service.address, timeout=1e-3)
+        policy = client.policy
         for attempt in range(20):
-            base = min(client.timeout * client.backoff**attempt, client.max_timeout)
+            base = min(policy.timeout * policy.backoff**attempt, policy.max_timeout)
             assert 0.75 * base <= client.policy.attempt_timeout(attempt, client._rng) <= 1.25 * base
 
-    def test_parameters_validated(self):
+    def test_parameters_validated(self, monkeypatch):
         net, service = world()
         host = net.hosts["cl"]
         with pytest.raises(ValueError):
@@ -67,8 +69,9 @@ class TestBackoff:
             RemoteDiscoveryClient(host, service.address, retries=0)
         with pytest.raises(ValueError):
             RemoteDiscoveryClient(host, service.address, backoff=0.5)
+        monkeypatch.setattr(discovery_client, "RETRY_JITTER", 1.5)
         with pytest.raises(ValueError):
-            RemoteDiscoveryClient(host, service.address, jitter=1.5)
+            RemoteDiscoveryClient(host, service.address)
 
 
 class TestRetransmissionAndDedup:
@@ -130,14 +133,14 @@ class TestRetransmissionAndDedup:
         # The echoed attempt tag follows the retransmission, not the cache.
         assert (first.attempt, second.attempt) == (0, 1)
 
-    def test_late_reply_accepted_and_counted(self):
+    def test_late_reply_accepted_and_counted(self, monkeypatch):
         # RPC timeout shorter than the round trip: the reply to attempt 0
         # arrives while attempt 1 is in flight.  It must be accepted (same
         # req_id) and recorded as a late reply.
+        monkeypatch.setattr(discovery_client, "RETRY_JITTER", 0.0)
         net, service = world()
         client = RemoteDiscoveryClient(
-            net.hosts["cl"], service.address,
-            timeout=1e-5, retries=8, jitter=0.0,
+            net.hosts["cl"], service.address, timeout=1e-5, retries=8
         )
 
         def scenario(env):

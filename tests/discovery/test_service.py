@@ -142,10 +142,13 @@ class TestReservations:
     def test_scheduler_hook_vetoes(self):
         from repro.core import DrfScheduler
 
+        class Veto(DrfScheduler):
+            def admit(self, record, owner, need, capacity, in_use):
+                return False
+
         _net, service = world()
-        service.scheduler = DrfScheduler(fairness_cap=0.25)
+        service.scheduler = Veto()
         record = service.register(ShardSwitch.meta, location="tor")
-        # 2 of 4 stages = 0.5 dominant share > 0.25 cap.
         assert not service.reserve(record.record_id, "appA")
 
 

@@ -184,21 +184,27 @@ class TestAblationShapes:
         assert by_impl["fpga"] < by_impl["sw"]
 
 
+#: The upgrade poll the short reconfiguration world runs with.
+POLL_INTERVAL = 0.1
+
+
 @pytest.fixture(scope="module")
 def reconfig_result():
     from repro.experiments import ReconfigConfig, run_reconfig
+    from repro.reconfig import engine
 
-    return run_reconfig(
-        ReconfigConfig(
-            duration=3.0,
-            revoke_at=1.0,
-            restore_at=2.0,
-            offered_load=1000,
-            bucket=0.25,
-            phase_margin=0.3,
-            poll_interval=0.1,
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "UPGRADE_POLL_INTERVAL", POLL_INTERVAL)
+        return run_reconfig(
+            ReconfigConfig(
+                duration=3.0,
+                revoke_at=1.0,
+                restore_at=2.0,
+                offered_load=1000,
+                bucket=0.25,
+                phase_margin=0.3,
+            )
         )
-    )
 
 
 class TestReconfigShapes:
@@ -223,7 +229,7 @@ class TestReconfigShapes:
         assert (
             config.restore_at
             <= upgrade
-            <= config.restore_at + 2 * config.poll_interval
+            <= config.restore_at + 2 * POLL_INTERVAL
         )
 
     def test_impl_timeline_round_trips_to_xdp(self, reconfig_result):

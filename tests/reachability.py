@@ -2,8 +2,9 @@
 
 Usage (from the repository root)::
 
-    PYTHONPATH=src python -m tests.reachability          # print the unreached set
-    PYTHONPATH=src python -m tests.reachability --check  # compare it to the allowlist
+    PYTHONPATH=src python -m tests.reachability            # print the unreached set
+    PYTHONPATH=src python -m tests.reachability --check    # compare it to the allowlist
+    PYTHONPATH=src python -m tests.reachability --options  # the option census
 
 *Which functions exist.*  Every ``src/repro/**/*.py`` is compiled and its
 nested code objects walked.  Lambdas, comprehensions, generator expressions,
@@ -12,16 +13,32 @@ class bodies and module bodies are skipped.  A function is keyed
 line number, so unrelated edits do not churn the allowlist.  A function whose
 ``def`` line carries ``# pragma: no cover - debugging aid`` is exempt.
 
-*Which functions run.*  The recorded worlds run in this one process under a
-call-only ``sys.settrace`` function: ``repro.experiments all --smoke`` with
+*Which functions run.*  Each recorded world runs in its own worker process
+(``os.cpu_count()`` at a time) under a call-only ``sys.settrace`` function,
+and the reached sets are united: ``repro.experiments all --smoke`` with
 both ``--metrics-out`` and ``--baseline`` (so every ``baseline_body`` runs),
+one command a world,
 ``pytest benchmarks`` (which rewrites ``benchmarks/results``, byte-identically
 while modelled behaviour holds), bench's selftest and every
 ``examples/*.py``.  A settrace hook, not a setprofile one: bench's traced
 mode runs cProfile, which replaces the profile hook.  A world can still
 drop the trace hook (CPython removes one that raises, for instance at the
 recursion limit), so after each one the tool asserts the hook is its own
-and fails loudly otherwise.
+and fails loudly otherwise; a world that exits non-zero fails the run too.
+
+*The option census* (``--options``) runs the same worlds under a different
+hook.  At the call of every reached library function (``src/repro`` outside
+``experiments/``) that has defaulted parameters -- a dataclass's defaulted
+fields count as its ``__init__``'s -- it records the distinct values each
+such parameter took: None, bool, int, float, str and short tuples of them by
+``repr``, anything else as ``<object>`` (its identity varies, so it never
+counts as one value).  It prints one line a reached parameter,
+``path::qualname(param) default=... seen=...``, sorted, then the counts --
+defaulted, reached, and single-valued primitive (the options that no two
+callers set differently, each a candidate to fold into a constant) -- in
+all, and for function parameters and dataclass fields apart.  It reads
+only what callers pass: an attribute written after construction is a second
+caller it cannot see.
 
 *The allowlist* (``tests/reachability_allowlist.txt``) has one entry a line:
 a key -- a function, a class (``path::Class``, covering its methods) or a
@@ -41,16 +58,21 @@ when an entry's reason is malformed.
 from __future__ import annotations
 
 import argparse
+import ast
+import collections
 import contextlib
 import dataclasses
+import dis
 import inspect
 import io
+import multiprocessing
 import os
 import pathlib
 import re
 import runpy
 import sys
 import tempfile
+import time
 from typing import Callable, Iterable
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -58,6 +80,9 @@ ALLOWLIST = pathlib.Path(__file__).resolve().parent / "reachability_allowlist.tx
 DEBUGGING_AID = "# pragma: no cover - debugging aid"
 _SKIPPED_NAMES = {"<lambda>", "<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
 _TAG = re.compile(r"^\((i|ii|iii)\)\s+(.*)$")
+OBJECT = "<object>"  # a census value that is not a primitive
+_PRIMITIVES = (type(None), bool, int, float, str)
+_RESUMABLE = inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,19 +135,20 @@ def enumerate_functions(root: pathlib.Path, package: pathlib.Path) -> dict:
     return found
 
 
-class CallTracer:
-    """A call-only ``sys.settrace`` hook that records every code object entered."""
+class _Hook:
+    """A call-only ``sys.settrace`` hook; a subclass records what each call shows.
 
-    def __init__(self) -> None:
-        self.codes: set = set()
+    ``_trace_function`` builds the function installed: it runs on every
+    Python call of a world, so it is a closure, not a bound method.
+    """
 
-    def __call__(self, frame, event, arg):
-        self.codes.add(frame.f_code)
-        return None  # no line events inside the frame
+    def _trace_function(self) -> Callable:
+        raise NotImplementedError
 
-    def __enter__(self) -> "CallTracer":
+    def __enter__(self):
         self._previous = sys.gettrace()
-        sys.settrace(self)
+        self._function = self._trace_function()
+        sys.settrace(self._function)
         return self
 
     def __exit__(self, *exc) -> None:
@@ -131,23 +157,195 @@ class CallTracer:
     def run(self, name: str, world: Callable[[], object]) -> None:
         """Run one world; it must exit 0 and leave this hook installed."""
         captured = io.StringIO()
+        start = time.perf_counter()
         with contextlib.redirect_stdout(captured):
             try:
                 status = world()
             except SystemExit as stop:
                 status = stop.code
-        if sys.gettrace() is not self:
+        if sys.gettrace() is not self._function:
             raise SystemExit(f"reachability: the trace hook was lost during {name}")
         if status not in (0, None):
             sys.stderr.write(captured.getvalue()[-4000:])
             raise SystemExit(f"reachability: {name} exited {status!r}")
-        print(f"reachability: ran {name}", file=sys.stderr)
+        print(f"reachability: ran {name} ({time.perf_counter() - start:.1f} s)", file=sys.stderr)
+
+
+class CallTracer(_Hook):
+    """Records every code object entered."""
+
+    def __init__(self) -> None:
+        self.codes: set = set()
+
+    def _trace_function(self) -> Callable:
+        add = self.codes.add
+
+        def trace(frame, event, arg):
+            add(frame.f_code)  # and no line events inside the frame
+
+        return trace
 
     def reached(self) -> set:
         return {
             (os.path.realpath(code.co_filename), code.co_firstlineno, code.co_name)
             for code in self.codes
         }
+
+    result = reached
+
+
+@dataclasses.dataclass(frozen=True)
+class Option:
+    key: str  # path::qualname(param)
+    param: str
+    default: str  # the default's source text
+    field: bool = False  # a dataclass field, not a function parameter
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(re.search(r"(^|\.)dataclass\b", ast.unparse(d)) for d in node.decorator_list)
+
+
+def _options_in(node, prefix: str, path: str, real: str, out: dict) -> None:
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            qualname = prefix + child.name
+            if _is_dataclass(child):
+                fields = [
+                    Option(f"{path}::{qualname}.__init__({field.target.id})", field.target.id,
+                           ast.unparse(field.value), field=True)
+                    for field in child.body
+                    if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+                    and field.value is not None and "ClassVar" not in ast.unparse(field.annotation)
+                    and "init=False" not in ast.unparse(field.value)
+                ]
+                if fields:
+                    out[(real, qualname)] = fields
+            _options_in(child, qualname + ".", path, real, out)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            qualname = prefix + child.name
+            args = child.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+            pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            if pairs:
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                out[(real, first, child.name)] = [
+                    Option(f"{path}::{qualname}({a.arg})", a.arg, ast.unparse(d)) for a, d in pairs
+                ]
+            _options_in(child, qualname + ".<locals>.", path, real, out)
+        else:
+            _options_in(child, prefix, path, real, out)
+
+
+def enumerate_options(root: pathlib.Path, package: pathlib.Path, skip: tuple = ()) -> dict:
+    """Every defaulted parameter under ``package``, ``skip`` subpackages excluded.
+
+    ``{(real path, first line, name): [Option]}`` for a function and
+    ``{(real path, class qualname): [Option]}`` for a dataclass's fields.
+    """
+    found: dict = {}
+    for file in sorted(package.rglob("*.py")):
+        if file.relative_to(package).parts[0] in skip:
+            continue
+        tree = ast.parse(file.read_text(encoding="utf-8"))
+        _options_in(tree, "", file.relative_to(root).as_posix(), os.path.realpath(file), found)
+    return found
+
+
+def _value_text(value) -> str:
+    return repr(value) if _primitive(value) else OBJECT
+
+
+def _primitive(value) -> bool:
+    if type(value) in _PRIMITIVES:
+        return True
+    return type(value) is tuple and len(value) <= 8 and all(map(_primitive, value))
+
+
+def _first_resume(code) -> int:
+    """``f_lasti`` at a generator's first call event (it is called again on every resume)."""
+    for instruction in dis.get_instructions(code):
+        if instruction.opname == "RESUME":
+            return instruction.offset
+    return -1  # before 3.11 a fresh frame has not run an instruction
+
+
+class OptionTracer(_Hook):
+    """Records the values each defaulted parameter of ``options`` takes."""
+
+    def __init__(self, options: dict) -> None:
+        self.options = options
+        self.plans: dict = {}  # code -> (start offset or None, options), or () if none
+        self.values: dict = collections.defaultdict(set)
+
+    def _trace_function(self) -> Callable:
+        plans, values = self.plans, self.values
+
+        def trace(frame, event, arg):
+            code = frame.f_code
+            plan = plans.get(code)
+            if plan is None:
+                plan = plans[code] = self._plan(frame)
+            if plan and (plan[0] is None or frame.f_lasti == plan[0]):
+                local = frame.f_locals
+                for option in plan[1]:
+                    values[option.key].add(_value_text(local[option.param]))
+
+        return trace
+
+    def _plan(self, frame):
+        code = frame.f_code
+        if code.co_filename == "<string>" and code.co_name == "__init__":
+            options = self._dataclass_fields(frame)
+        else:
+            ident = (os.path.realpath(code.co_filename), code.co_firstlineno, code.co_name)
+            options = self.options.get(ident, [])
+        if not options:
+            return ()
+        return (_first_resume(code) if code.co_flags & _RESUMABLE else None, tuple(options))
+
+    def _dataclass_fields(self, frame) -> list:
+        """The defaulted fields a generated dataclass ``__init__`` takes."""
+        instance = frame.f_locals.get(frame.f_code.co_varnames[0])
+        owner = next(
+            (c for c in type(instance).__mro__
+             if getattr(vars(c).get("__init__"), "__code__", None) is frame.f_code),
+            None,
+        )
+        fields = []
+        for cls in owner.__mro__ if owner else ():
+            file = getattr(sys.modules.get(cls.__module__), "__file__", None)
+            if file:
+                fields += self.options.get((os.path.realpath(file), cls.__qualname__), [])
+        return fields
+
+    def result(self) -> dict:
+        return dict(self.values)
+
+
+def census(options: dict, values: dict) -> str:
+    """One line a reached parameter, sorted, then the counts: all options,
+    then function parameters and dataclass fields apart."""
+    every = {option.key: option for found in options.values() for option in found}
+    reached = [every[key] for key in sorted(every) if key in values]
+    lines = [
+        f"{o.key} default={o.default} seen={' | '.join(sorted(values[o.key]))}\n" for o in reached
+    ]
+
+    def counts(label: str, keep) -> str:
+        total = [o for o in every.values() if keep(o)]
+        seen = [o for o in reached if keep(o)]
+        single = [o for o in seen if len(values[o.key]) == 1 and OBJECT not in values[o.key]]
+        return (
+            f"{label}: {len(total)} defaulted, {len(seen)} reached, "
+            f"{len(single)} single-valued primitive\n"
+        )
+
+    lines.append(counts("options", lambda o: True))
+    lines.append(counts("  parameters", lambda o: not o.field))
+    lines.append(counts("  dataclass fields", lambda o: o.field))
+    return "".join(lines)
 
 
 def unreached(functions: dict, reached: set) -> list[Function]:
@@ -222,13 +420,23 @@ def check(missing: list[Function], entries: dict[str, str]) -> list[str]:
     return problems
 
 
-def _recorded_worlds(scratch: pathlib.Path) -> list[tuple[str, Callable[[], object]]]:
-    def experiments():
+def _experiment_commands() -> list[str]:
+    from repro.experiments.__main__ import COMMANDS
+
+    return list(COMMANDS)
+
+
+def _recorded_worlds(
+    scratch: pathlib.Path, commands: list[str]
+) -> list[tuple[str, Callable[[], object]]]:
+    """``all --smoke`` runs as one world a command: its commands share no state."""
+
+    def experiment(command: str):
         from repro.experiments.__main__ import main
 
         return main(
-            ["all", "--smoke", "--metrics-out", str(scratch / "metrics"),
-             "--baseline", str(scratch / "baselines")]
+            [command, "--smoke", "--metrics-out", str(scratch / f"{command}.metrics.json"),
+             "--baseline", str(scratch / f"{command}.baseline.json")]
         )
 
     def benchmarks():
@@ -242,10 +450,10 @@ def _recorded_worlds(scratch: pathlib.Path) -> list[tuple[str, Callable[[], obje
         return main(["run", "--selftest"])
 
     worlds = [
-        ("experiments all --smoke", experiments),
-        ("pytest benchmarks", benchmarks),
-        ("bench run --selftest", selftest),
+        (f"experiments {command} --smoke", lambda command=command: experiment(command))
+        for command in commands
     ]
+    worlds += [("pytest benchmarks", benchmarks), ("bench run --selftest", selftest)]
 
     def example(path: pathlib.Path):
         runpy.run_path(str(path), run_name="__main__")
@@ -255,18 +463,74 @@ def _recorded_worlds(scratch: pathlib.Path) -> list[tuple[str, Callable[[], obje
     return worlds
 
 
+_make_tracer: Callable[[], _Hook] = CallTracer  # set before the workers fork
+
+#: The longest worlds, traced, on 2 vCPUs: fig5 ~85 s, pytest benchmarks
+#: ~55 s, the selftest ~40 s; every other world takes seconds.  They start
+#: first, and the short ones fill in behind them.
+_LONGEST_FIRST = ("experiments fig5 --smoke", "pytest benchmarks", "bench run --selftest")
+
+
+def _world_in_worker(job: tuple[int, str, list[str]]):
+    """Run world ``index`` under a fresh tracer: ``(failure or None, result)``."""
+    index, scratch, commands = job
+    name, world = _recorded_worlds(pathlib.Path(scratch), commands)[index]
+    tracer = _make_tracer()
+    try:
+        with tracer:
+            tracer.run(name, world)
+    except SystemExit as failure:
+        return str(failure.code), None
+    return None, tracer.result()
+
+
+def run_worlds(make_tracer: Callable[[], _Hook], scratch: pathlib.Path) -> list:
+    """Each recorded world's result, each world run in its own forked worker.
+
+    Workers run ``os.cpu_count()`` at a time.  Nothing of ``repro`` is
+    imported in this process, so every worker imports it afresh under its
+    hook and no world sees state another left behind.
+    """
+    global _make_tracer
+    _make_tracer = make_tracer
+    results = []
+    with multiprocessing.get_context("fork").Pool(os.cpu_count(), maxtasksperchild=1) as pool:
+        commands = pool.apply(_experiment_commands)
+        names = [name for name, _world in _recorded_worlds(scratch, commands)]
+        order = sorted(
+            range(len(names)),
+            key=lambda i: _LONGEST_FIRST.index(names[i]) if names[i] in _LONGEST_FIRST else 3,
+        )
+        jobs = [(index, str(scratch), commands) for index in order]
+        for failure, result in pool.imap_unordered(_world_in_worker, jobs):
+            if failure:
+                raise SystemExit(failure)
+            results.append(result)
+    return results
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m tests.reachability", description=__doc__.split("\n\n")[0])
-    parser.add_argument("--check", action="store_true", help="compare the unreached set to the allowlist")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--check", action="store_true", help="compare the unreached set to the allowlist")
+    mode.add_argument("--options", action="store_true", help="print the option census")
     args = parser.parse_args(argv)
     os.chdir(ROOT)
     if str(ROOT) not in sys.path:
         sys.path.insert(0, str(ROOT))  # bench
-    functions = enumerate_functions(ROOT, ROOT / "src" / "repro")
-    with tempfile.TemporaryDirectory() as scratch, CallTracer() as tracer:
-        for name, world in _recorded_worlds(pathlib.Path(scratch)):
-            tracer.run(name, world)
-    missing = unreached(functions, tracer.reached())
+    package = ROOT / "src" / "repro"
+    with tempfile.TemporaryDirectory() as scratch:
+        if args.options:
+            options = enumerate_options(ROOT, package, skip=("experiments",))
+            values: dict = collections.defaultdict(set)
+            for result in run_worlds(lambda: OptionTracer(options), pathlib.Path(scratch)):
+                for key, seen in result.items():
+                    values[key] |= seen
+            sys.stdout.write(census(options, values))
+            return 0
+        functions = enumerate_functions(ROOT, package)
+        reached = set().union(*run_worlds(CallTracer, pathlib.Path(scratch)))
+    missing = unreached(functions, reached)
     exempt = sum(f.exempt for f in functions.values())
     print(
         f"reachability: {len(functions)} functions, {exempt} debugging aids exempt, "

@@ -1,11 +1,14 @@
 """Unit tests for the reconfiguration trigger sources."""
 
+import pytest
+
 from repro.chunnels import SerializeFallback, ShardXdp
 from repro.reconfig import (
     DeviceFailureDetector,
     DiscoveryWatcher,
     PathQualityMonitor,
 )
+from repro.reconfig import triggers
 from repro.sim import FaultPlan, Network
 
 from ..conftest import run
@@ -153,6 +156,11 @@ class TestDiscoveryWatcher:
 
 
 class TestPathQualityMonitor:
+    @pytest.fixture(autouse=True)
+    def _poll_every_millisecond(self, monkeypatch):
+        monkeypatch.setattr(triggers, "PATH_POLL_INTERVAL", 1e-3)
+        monkeypatch.setattr(triggers, "PATH_MIN_SAMPLES", 8)
+
     def _world(self):
         net = Network()
         net.add_host("a")
@@ -166,7 +174,7 @@ class TestPathQualityMonitor:
 
     def test_lossy_window_alarms_once_then_rearms(self):
         net, plan = self._world()
-        monitor = PathQualityMonitor(net, interval=1e-3)
+        monitor = PathQualityMonitor(net)
         alarms = []
         monitor.watch_path(
             "p",
@@ -197,7 +205,7 @@ class TestPathQualityMonitor:
 
     def test_down_link_reads_as_total_loss(self):
         net, _plan = self._world()
-        monitor = PathQualityMonitor(net, interval=1e-3)
+        monitor = PathQualityMonitor(net)
         alarms = []
         monitor.watch_path(
             "p",
@@ -220,14 +228,13 @@ class TestPathQualityMonitor:
 
     def test_windows_below_min_samples_are_skipped(self):
         net, plan = self._world()
-        monitor = PathQualityMonitor(net, interval=1e-3)
+        monitor = PathQualityMonitor(net)
         alarms = []
         monitor.watch_path(
             "p",
             ["a", "sw", "b"],
             threshold=0.2,
             callback=lambda name, path, rate: alarms.append(rate),
-            min_samples=8,
         )
 
         def scenario(env):
@@ -241,7 +248,7 @@ class TestPathQualityMonitor:
 
     def test_stop_drains_the_poll_loop(self):
         net, _plan = self._world()
-        monitor = PathQualityMonitor(net, interval=1e-3)
+        monitor = PathQualityMonitor(net)
         monitor.watch_path("p", ["a", "sw", "b"], 0.5, lambda *a: None)
 
         def scenario(env):

@@ -7,11 +7,11 @@ from repro.sim import Environment, SimulationError
 
 class TestClockSemantics:
     def test_initial_time(self):
-        env = Environment(initial_time=100.0)
-        assert env.now == 100.0
+        env = Environment()
+        assert env.now == 0.0
         env.timeout(5)
         env.run()
-        assert env.now == 105.0
+        assert env.now == 5.0
 
     def test_run_until_time_advances_clock_even_without_events(self):
         env = Environment()

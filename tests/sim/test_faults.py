@@ -48,8 +48,6 @@ class TestFaultPlan:
             FaultPlan(drop_rate=1.5)
         with pytest.raises(ValueError):
             FaultPlan(duplicate_rate=-0.1)
-        with pytest.raises(ValueError):
-            FaultPlan(reorder_max_delay=-1e-6)
 
     def test_is_benign(self):
         assert FaultPlan().is_benign
@@ -129,7 +127,7 @@ class TestFaultsOnTheWire:
 
     def test_reordering_is_bounded(self):
         net, tx, rx, received = pair(latency=5e-6)
-        plan = FaultPlan(reorder_rate=1.0, reorder_max_delay=200e-6, seed=1)
+        plan = FaultPlan(reorder_rate=1.0, seed=1)
         net.attach_faults("a", "b", plan)
         blast(net, tx, 20, gap=10e-6)
         net.env.run(until=0.01)

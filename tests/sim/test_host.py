@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import AddressError, TransportError
 from repro.sim import CostModel, LossProgram, Network, SmartNic, UdpSocket
+from repro.sim import host as host_mod
+from repro.sim.link import LINK_BANDWIDTH
 
 
 class TestHostAndContainers:
@@ -13,7 +15,7 @@ class TestHostAndContainers:
         ct = host.add_container("ct")
         assert net.entity("ct") is ct
         assert ct.host is host
-        assert ct in host.entities_on_host()
+        assert host.containers == {"ct": ct}
 
     def test_container_name_collision_rejected(self):
         net = Network()
@@ -105,9 +107,10 @@ class TestKernelPrograms:
         with pytest.raises(TransportError):
             host.remove_kernel_program(LossProgram("ghost"))
 
-    def test_xdp_cores_configurable(self):
+    def test_xdp_cores_configurable(self, monkeypatch):
+        monkeypatch.setattr(host_mod, "XDP_CORES", 4)
         net = Network()
-        host = net.add_host("box", xdp_cores=4)
+        host = net.add_host("box")
         assert host.xdp_station.servers == 4
 
 
@@ -117,7 +120,7 @@ class TestCostModelExtras:
         net = Network()
         net.add_host("a", cost=fast)
         net.add_host("b", cost=fast)
-        net.add_link("a", "b", latency=1e-6, bandwidth=None)
+        net.add_link("a", "b", latency=1e-6)
         env = net.env
         arrived = {}
 
@@ -136,8 +139,9 @@ class TestCostModelExtras:
         env.process(server(env))
         env.process(client(env))
         env.run(until=1.0)
-        # tx stack 1us + link 1us + NIC 0.5us + rx stack 1us = 3.5us
-        assert arrived["t"] == pytest.approx(3.5e-6, rel=1e-6)
+        # tx stack 1us + link 1us (and one byte at 10 Gbit/s) + NIC 0.5us
+        # + rx stack 1us = 3.5us
+        assert arrived["t"] == pytest.approx(3.5e-6 + 1 / LINK_BANDWIDTH, rel=1e-6)
 
     def test_per_host_cost_models_are_independent(self):
         net = Network()

@@ -687,15 +687,6 @@ class TestNameService:
         addresses = [r.address.host for r in net.names.resolve("svc")]
         assert addresses == ["h1", "h2"]
 
-    def test_resolve_local_finds_same_host_instance(self):
-        net = star(2)
-        ct = net.hosts["h0"].add_container("ct")
-        net.names.register("svc", Address("h1", 1))
-        net.names.register("svc", Address("ct", 1))
-        local = net.names.resolve_local("svc", "h0")
-        assert local is not None
-        assert local.address.host == "ct"
-
     def test_resolve_unknown_name_is_empty(self):
         net = star(1)
         assert net.names.resolve("ghost") == []

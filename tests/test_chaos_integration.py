@@ -29,6 +29,7 @@ from repro.chunnels import (
 from repro.core import Runtime, wrap
 from repro.discovery import DiscoveryService
 from repro.discovery.client import RemoteDiscoveryClient
+from repro.reconfig import engine as reconfig_engine
 from repro.sim import Address, FaultPlan, Network
 
 from .conftest import run
@@ -196,7 +197,9 @@ class TestKvStoreUnderChaos:
 
 
 class TestReconfigUnderChaos:
-    def test_revocation_transition_survives_loss(self):
+    def test_revocation_transition_survives_loss(self, monkeypatch):
+        # The upgrade poll doubles as a watchdog (see below): poll often.
+        monkeypatch.setattr(reconfig_engine, "UPGRADE_POLL_INTERVAL", 5e-3)
         net, service = chaos_world(seed=13)
         server_rt = make_runtime(net, service, "srv")
         client_rt = make_runtime(net, service, "cl")
@@ -217,9 +220,7 @@ class TestReconfigUnderChaos:
             server_conn = server.listener.connections[0]
             # The upgrade poll doubles as a watchdog: even if the watch
             # notification datagram is lost, the next poll re-decides.
-            server_rt.reconfig.enable_upgrade_polling(
-                server_conn, interval=5e-3
-            )
+            server_rt.reconfig.enable_upgrade_polling(server_conn)
             before = shard_impl(server_conn)
             for index in range(15):
                 reply = yield from kv_rpc(

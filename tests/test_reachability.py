@@ -44,6 +44,40 @@ class Shape:
 '''
 
 
+OPTIONS = '''
+import dataclasses
+
+
+def one_value(x, flag=True):
+    return x
+
+
+def two_values(x, level=1):
+    return x
+
+
+def object_value(x, sink=None):
+    return x
+
+
+def never_called(x, mode="a"):
+    return x
+
+
+def generator(n, step=1):
+    step = 99  # a resumed frame must not report the rebound value
+    yield n + step
+    yield n
+
+
+@dataclasses.dataclass
+class Config:
+    name: str
+    retries: int = 3
+    hidden: int = dataclasses.field(default=0, init=False)
+'''
+
+
 @pytest.fixture
 def toy(tmp_path, monkeypatch):
     package = tmp_path / "src" / "toy"
@@ -81,7 +115,6 @@ class TestEnumeration:
         exempt = [f.key for f in functions.values() if f.exempt]
         assert exempt == ["src/toy/mod.py::Shape.__repr__"]
 
-
 class TestTracing:
     def test_called_is_reached_and_uncalled_is_not(self, toy):
         root, package = toy
@@ -109,6 +142,53 @@ class TestTracing:
         with reach.CallTracer() as tracer:
             with pytest.raises(SystemExit, match="broken exited 3"):
                 tracer.run("broken", lambda: 3)
+
+
+@pytest.fixture
+def toy_options(tmp_path, monkeypatch):
+    package = tmp_path / "src" / "toyopts"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "opts.py").write_text(textwrap.dedent(OPTIONS))
+    monkeypatch.syspath_prepend(str(tmp_path / "src"))
+    yield tmp_path, package
+    for name in [n for n in sys.modules if n == "toyopts" or n.startswith("toyopts.")]:
+        del sys.modules[name]
+
+
+class TestOptionCensus:
+    def census(self, toy_options):
+        root, package = toy_options
+        options = reach.enumerate_options(root, package)
+        with reach.OptionTracer(options) as tracer:
+            from toyopts import opts
+
+            def world():
+                opts.one_value(1), opts.one_value(2, flag=True)
+                opts.two_values(1), opts.two_values(2, level=2)
+                opts.object_value(1, sink=[]), opts.object_value(2, sink=[])
+                list(opts.generator(1))
+                opts.Config("a"), opts.Config("b", retries=3)
+
+            tracer.run("toy world", world)
+        return reach.census(options, tracer.result()).splitlines()
+
+    def test_report_lines_and_counts(self, toy_options):
+        assert self.census(toy_options) == [
+            "src/toyopts/opts.py::Config.__init__(retries) default=3 seen=3",
+            "src/toyopts/opts.py::generator(step) default=1 seen=1",
+            "src/toyopts/opts.py::object_value(sink) default=None seen=<object>",
+            "src/toyopts/opts.py::one_value(flag) default=True seen=True",
+            "src/toyopts/opts.py::two_values(level) default=1 seen=1 | 2",
+            "options: 6 defaulted, 5 reached, 3 single-valued primitive",
+            "  parameters: 5 defaulted, 4 reached, 2 single-valued primitive",
+            "  dataclass fields: 1 defaulted, 1 reached, 1 single-valued primitive",
+        ]  # never_called(mode) is defaulted but unreached; init=False is no option
+
+    def test_primitive_values_by_repr_others_as_objects(self):
+        assert reach._value_text(("a", 1, None, (2.5,))) == "('a', 1, None, (2.5,))"
+        assert reach._value_text(tuple(range(9))) == reach.OBJECT
+        assert reach._value_text(["list"]) == reach.OBJECT
 
 
 def missing_of(*names):
