@@ -165,15 +165,28 @@ class BincodeCodec(Codec):
             )
 
     def decode(self, data: bytes) -> Any:
+        """Strict inverse of :meth:`encode`: any malformed input raises
+        :class:`ChunnelArgumentError`."""
         try:
             obj, offset = self._decode_from(memoryview(data), 0)
         except struct.error as exc:
             raise ChunnelArgumentError(f"bincode: truncated input ({exc})") from exc
+        except RecursionError:  # nested deeper than the interpreter's stack
+            raise ChunnelArgumentError("bincode: nested too deeply") from None
         if offset != len(data):
             raise ChunnelArgumentError(
                 f"bincode: {len(data) - offset} trailing bytes"
             )
         return obj
+
+    @staticmethod
+    def _take(view: memoryview, offset: int) -> tuple[bytes, int]:
+        """A length-prefixed byte string at ``offset``, and the offset past it."""
+        (length,) = struct.unpack_from(">I", view, offset)
+        offset += 4
+        if offset + length > len(view):
+            raise ChunnelArgumentError("bincode: truncated input")
+        return view[offset : offset + length].tobytes(), offset + length
 
     def _decode_from(self, view: memoryview, offset: int) -> tuple[Any, int]:
         if offset >= len(view):
@@ -189,24 +202,22 @@ class BincodeCodec(Codec):
         if tag == b"i":
             return struct.unpack_from(">q", view, offset)[0], offset + 8
         if tag == b"I":
-            (length,) = struct.unpack_from(">I", view, offset)
-            offset += 4
-            magnitude = int.from_bytes(view[offset : offset + length], "big")
-            offset += length
+            magnitude, offset = self._take(view, offset)
             sign = view[offset : offset + 1].tobytes()
-            offset += 1
-            return (-magnitude if sign == b"-" else magnitude), offset
+            if sign not in (b"-", b"+"):
+                raise ChunnelArgumentError(f"bincode: bad big-int sign {sign!r}")
+            value = int.from_bytes(magnitude, "big")
+            return (-value if sign == b"-" else value), offset + 1
         if tag == b"d":
             return struct.unpack_from(">d", view, offset)[0], offset + 8
         if tag == b"b":
-            (length,) = struct.unpack_from(">I", view, offset)
-            offset += 4
-            return view[offset : offset + length].tobytes(), offset + length
+            return self._take(view, offset)
         if tag == b"s":
-            (length,) = struct.unpack_from(">I", view, offset)
-            offset += 4
-            raw = view[offset : offset + length].tobytes()
-            return raw.decode("utf-8"), offset + length
+            raw, offset = self._take(view, offset)
+            try:
+                return raw.decode("utf-8"), offset
+            except UnicodeDecodeError as exc:
+                raise ChunnelArgumentError(f"bincode: invalid UTF-8 ({exc})") from None
         if tag == b"l":
             (count,) = struct.unpack_from(">I", view, offset)
             offset += 4
@@ -221,6 +232,10 @@ class BincodeCodec(Codec):
             result = {}
             for _ in range(count):
                 key, offset = self._decode_from(view, offset)
+                if isinstance(key, (list, dict)):
+                    raise ChunnelArgumentError(
+                        f"bincode: a {type(key).__name__} cannot be a map key"
+                    )
                 value, offset = self._decode_from(view, offset)
                 result[key] = value
             return result, offset

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Optional, Type
+from typing import Any, ClassVar, Dict, List, Optional, Type, Union
 
 from ..errors import (
     IncompatibleDagError,
     NegotiationError,
     NoImplementationError,
+    OfferReferenceError,
     ResourceExhaustedError,
 )
 from ..sim.datagram import Address
@@ -158,11 +159,27 @@ def request_id(payload: Any) -> Optional[str]:
 # --------------------------------------------------------------------------
 # Negotiation (§4.3) and live reconfiguration
 # --------------------------------------------------------------------------
+#: An OFFER list entry: a reference — an implementation name in ``offers``,
+#: a discovery record id in ``network_offers`` — or the offer in full.
+OfferEntry = Union[str, ImplOffer]
+#: An ACCEPT choice: an index into the OFFER's expanded lists for the
+#: node's chunnel type (its client offers, then its network offers), or
+#: the chosen offer in full.
+ChoiceEntry = Union[int, ImplOffer]
+
+
 @control_message
 @dataclass(frozen=True)
 class Offer(ControlMessage):
     """Negotiation request: the client's DAG plus every implementation
-    offer it holds (its own registry and its discovery view).
+    offer it holds (its own registry and its discovery view), each by
+    reference where the listener holds it too — an ``endpoints: both``
+    registry offer by implementation name, a network offer by discovery
+    record id — and in full otherwise, with the digest of the fully
+    expanded lists.  A reference the listener cannot resolve, or a
+    digest other than its expansion's, is answered with a
+    ``bertha.error`` of type ``OfferReferenceError``, and the client
+    re-offers every entry in full under a fresh ``conn_id``.
 
     Direction: client → server, control socket.
     Retransmit: client resends on a fixed timeout; the server replays its
@@ -170,12 +187,14 @@ class Offer(ControlMessage):
     """
 
     KIND: ClassVar[str] = "bertha.offer"
+    VERSION: ClassVar[int] = 2
 
     conn_id: str
     dag: ChunnelDag
-    offers: Dict[str, List[ImplOffer]]
+    offers: Dict[str, List[OfferEntry]]
     client_entity: str
-    network_offers: Dict[str, List[ImplOffer]] = field(default_factory=dict)
+    network_offers: Dict[str, List[OfferEntry]]
+    offers_digest: Digest
 
 
 @control_message
@@ -183,6 +202,9 @@ class Offer(ControlMessage):
 class Accept(ControlMessage):
     """Negotiation response: the unified DAG, the per-node implementation
     choice, the server's data-path address, and negotiated parameters.
+    Each choice is an index into the OFFER's expanded lists where the
+    client sent the chosen offer, and the offer in full otherwise (a
+    server-origin offer, a record only the listener's pool holds).
 
     Direction: server → client, control socket (reply to ``bertha.offer``).
     Retransmit: never sent unsolicited; replayed from the server's reply
@@ -190,10 +212,11 @@ class Accept(ControlMessage):
     """
 
     KIND: ClassVar[str] = "bertha.accept"
+    VERSION: ClassVar[int] = 2
 
     conn_id: str
     dag: ChunnelDag
-    choice: Dict[int, ImplOffer]
+    choice: Dict[int, ChoiceEntry]
     data_addr: Address
     transport: str
     params: Dict[str, Any] = field(default_factory=dict)
@@ -276,6 +299,7 @@ class Error(ControlMessage):
         for cls in (
             IncompatibleDagError,
             NoImplementationError,
+            OfferReferenceError,
             ResourceExhaustedError,
         ):
             if cls.__name__ == self.error_type:
@@ -831,7 +855,7 @@ class ResumeAccept(ControlMessage):
     params: Dict[str, Any] = field(default_factory=dict)
     policy_epoch: int = 0
 
-    def with_binding(self, dag: ChunnelDag, choice: Dict[int, ImplOffer]) -> Accept:
+    def with_binding(self, dag: ChunnelDag, choice: Dict[int, ChoiceEntry]) -> Accept:
         """The ``bertha.accept`` for this connection on ``dag``/``choice``."""
         return Accept(
             conn_id=self.conn_id,

@@ -31,7 +31,9 @@ world's metrics registry under ``negcache.<entity>.*``.
 A RESUME names what both ends cached instead of carrying it: the
 :func:`binding_digest` of the accepted ``(dag, choice)`` and the
 :func:`shape_digest` of the client's DAG, each computed once, when an
-entry is stored.
+entry is stored.  A cold OFFER that names offers by reference carries
+the same kind of digest over the lists it expands to
+(:func:`offers_digest`).
 """
 
 from __future__ import annotations
@@ -45,9 +47,18 @@ from .chunnel import Offer
 from .dag import ChunnelDag
 from .wire import Digest, canonical_encoder
 
-__all__ = ["CacheEntry", "NegotiationCache", "binding_digest", "shape_digest"]
+__all__ = [
+    "CacheEntry",
+    "NegotiationCache",
+    "binding_digest",
+    "offers_digest",
+    "shape_digest",
+]
 
 _binding_bytes = canonical_encoder(tuple[ChunnelDag, dict[int, Offer]])
+_offers_bytes = canonical_encoder(
+    tuple[dict[str, list[Offer]], dict[str, list[Offer]]]
+)
 _shape_bytes = canonical_encoder(Any)
 
 
@@ -63,6 +74,15 @@ def binding_digest(dag: ChunnelDag, choice: dict[int, Offer]) -> Digest:
     Any difference in an argument, a record id or an offer's resources
     changes it."""
     return _digest(_binding_bytes((dag, choice)))
+
+
+def offers_digest(
+    offers: dict[str, list[Offer]], network_offers: dict[str, list[Offer]]
+) -> Digest:
+    """The digest of an OFFER's fully expanded client and network offer
+    lists: the client computes it before naming offers by reference, the
+    listener over what the references resolve to (PROTOCOL.md §1.2)."""
+    return _digest(_offers_bytes((offers, network_offers)))
 
 
 def shape_digest(dag: ChunnelDag) -> Digest:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Type
 
 from ..errors import NoImplementationError, RegistrationError
-from .chunnel import ChunnelImpl, ChunnelSpec, Offer
+from .chunnel import ChunnelImpl, ChunnelSpec, ImplMeta, Offer
 
 __all__ = ["ImplCatalog", "ChunnelRegistry", "catalog"]
 
@@ -114,6 +114,11 @@ class ChunnelRegistry:
     def has(self, chunnel_type: str, impl_name: str) -> bool:
         """True if this process registered the named implementation."""
         return (chunnel_type, impl_name) in self._registered
+
+    def meta(self, chunnel_type: str, impl_name: str) -> Optional[ImplMeta]:
+        """The metadata of the named registered implementation, or None."""
+        impl_cls = self._registered.get((chunnel_type, impl_name))
+        return None if impl_cls is None else impl_cls.meta
 
     def registered_types(self) -> set[str]:
         """All Chunnel types with at least one registered implementation."""

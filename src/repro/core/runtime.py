@@ -34,6 +34,7 @@ transparently.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
@@ -45,6 +46,7 @@ from ..errors import (
     DegradedEstablishmentWarning,
     NegotiationError,
     NoImplementationError,
+    OfferReferenceError,
 )
 from ..sim.datagram import Address
 from ..sim.eventloop import Event, Interrupt, Process
@@ -57,7 +59,7 @@ from .connection import Connection, next_conn_id
 from .dag import ChunnelDag, wrap
 from .establish import establish_connection
 from .leases import LeaseHandle, LeaseTable
-from .negcache import NegotiationCache, binding_digest, shape_digest
+from .negcache import NegotiationCache, binding_digest, offers_digest, shape_digest
 from .negotiation import (
     candidate_pool,
     decide_with_reservations,
@@ -65,6 +67,7 @@ from .negotiation import (
 )
 from .policy import DefaultPolicy, Policy, PolicyContext
 from .registry import ChunnelRegistry, ImplCatalog, catalog as default_catalog
+from .scope import Endpoints
 from .wire import WireError, wire_kind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -75,6 +78,69 @@ __all__ = ["Runtime", "Endpoint", "Listener"]
 ConnectTarget = Union[Address, str, Sequence[Address]]
 
 _log = logging.getLogger("repro.ctl")
+
+
+def _referenced(lists: dict, reference) -> dict:
+    """Per-type offer lists for an OFFER: each offer as ``reference(offer)``,
+    or in full where that is None."""
+    return {
+        ctype: [reference(offer) or offer for offer in offers]
+        for ctype, offers in lists.items()
+    }
+
+
+def _expand_references(lists: dict, resolve) -> dict[str, list[Offer]]:
+    """Per-type OFFER lists with every reference replaced by
+    ``resolve(chunnel_type, reference)``; a reference that resolves to
+    None raises :class:`OfferReferenceError`, since it is never guessed."""
+    expanded: dict[str, list[Offer]] = {}
+    for ctype, entries in lists.items():
+        offers = expanded[ctype] = []
+        for entry in entries:
+            offer = entry if isinstance(entry, Offer) else resolve(ctype, entry)
+            if offer is None:
+                raise OfferReferenceError(f"no {ctype!r} offer {entry!r} here")
+            offers.append(offer)
+    return expanded
+
+
+def _node_entries(offer: "msgs.Offer", dag: ChunnelDag, node_id: int) -> list:
+    """What an ACCEPT choice index for ``node_id`` counts through: the
+    expanded OFFER's client offers for the node's type, then its network
+    offers."""
+    spec = dag.nodes.get(node_id)
+    if spec is None:
+        return []
+    ctype = spec.type_name
+    return offer.offers.get(ctype, []) + offer.network_offers.get(ctype, [])
+
+
+def _choice_references(offer: "msgs.Offer", dag: ChunnelDag, choice: dict) -> dict:
+    """The ACCEPT's choice: each node's offer by its index in the expanded
+    ``offer``'s entries for the node, in full where the OFFER did not
+    carry it."""
+    references = {}
+    for node_id, chosen in choice.items():
+        entries = _node_entries(offer, dag, node_id)
+        references[node_id] = entries.index(chosen) if chosen in entries else chosen
+    return references
+
+
+def _rebuilt_accept(accept: "msgs.Accept", offer: "msgs.Offer") -> "msgs.Accept":
+    """``accept`` with every choice index replaced by the offer it names in
+    the full ``offer`` this side sent: the binding the server encoded."""
+    choice = {}
+    for node_id, entry in accept.choice.items():
+        if not isinstance(entry, Offer):
+            entries = _node_entries(offer, accept.dag, node_id)
+            if not 0 <= entry < len(entries):
+                raise NegotiationError(
+                    f"{accept.conn_id}: choice index {entry} for node "
+                    f"{node_id} names no offer"
+                )
+            entry = entries[entry]
+        choice[node_id] = entry
+    return dataclasses.replace(accept, choice=choice)
 
 
 class Runtime:
@@ -420,6 +486,7 @@ class Endpoint:
             targets, accepts = yield from self._offer(
                 conn_id, target, query_types, disc, (), timeout, retries, deadline
             )
+            conn_id = span.conn_id = accepts[0].conn_id
             if key is not None and not degraded and len(accepts) == 1:
                 # Degraded results are deliberately not cached: they encode
                 # a discovery outage, not a negotiation outcome.
@@ -607,9 +674,13 @@ class Endpoint:
     ):
         """Generator → ``(targets, accepts)``: OFFER ``conn_id`` — our DAG,
         our registry's offers for ``query_types`` and ``disc``'s network
-        offers — to each of ``target``'s endpoints over one control socket;
-        a service name's is the instance :meth:`_select_instance` picks
-        from ``disc`` outside the hosts in ``avoid``.
+        offers, by reference where the listener holds them too — to each
+        of ``target``'s endpoints over one control socket; a service
+        name's is the instance :meth:`_select_instance` picks from
+        ``disc`` outside the hosts in ``avoid``.  Each accept is rebuilt
+        with its choice in full.  After a reference miss every endpoint
+        gets the OFFER in full under ``<conn_id>:full``, which the accepts
+        then carry as their ``conn_id``.
 
         Raises :class:`NegotiationError` when there is no endpoint or a
         group's endpoints negotiate different DAGs, and a remote
@@ -629,21 +700,47 @@ class Endpoint:
             targets = list(target)
             if not targets:
                 raise NegotiationError("connect() needs at least one target")
-        message = msgs.Offer(
+        offers = runtime.registry.offers_for(query_types, origin="client")
+        full = msgs.Offer(
             conn_id=conn_id,
             dag=self.dag,
-            offers=runtime.registry.offers_for(query_types, origin="client"),
+            offers=offers,
             client_entity=runtime.entity.name,
             network_offers=disc.offers,
+            offers_digest=offers_digest(offers, disc.offers),
         )
+        # By reference where the listener holds the offer too: an
+        # endpoints::Both implementation (which the server must have
+        # registered to run it) by name, a discovery record by its id.
+        message = dataclasses.replace(
+            full,
+            offers=_referenced(
+                offers,
+                lambda o: o.meta.name if o.meta.endpoints is Endpoints.BOTH else None,
+            ),
+            network_offers=_referenced(disc.offers, lambda o: o.record_id),
+        )
+        # A listener that could not resolve a reference (or expanded to
+        # another digest) guessed nothing: offer every entry in full, to
+        # every endpoint, under a fresh id — the reply cache would replay
+        # the error.
+        refull = dataclasses.replace(full, conn_id=f"{conn_id}:full")
         ctl = UdpSocket(runtime.entity)
         try:
-            accepts = []
-            for addr in targets:
-                accepts.append((yield from self._exchange(
-                    ctl, addr, message, (msgs.Accept,), runtime.negotiation_stats,
-                    timeout, retries, deadline, "negotiation",
-                )))
+            for attempt in (message, refull):
+                accepts = []
+                try:
+                    for addr in targets:
+                        reply = yield from self._exchange(
+                            ctl, addr, attempt, (msgs.Accept,),
+                            runtime.negotiation_stats, timeout, retries, deadline,
+                            "negotiation",
+                        )
+                        accepts.append(_rebuilt_accept(reply, full))
+                    break
+                except OfferReferenceError:
+                    if attempt is refull:
+                        raise
         finally:
             ctl.close()
         if len({a.dag.canonical_shape() for a in accepts}) != 1:
@@ -759,10 +856,16 @@ class Listener:
         #: once per listener.
         self.ctl_malformed_total = 0
         self._malformed_logged: set = set()
+        #: OFFERs answered with an ``OfferReferenceError``: a reference this
+        #: listener could not resolve, or a digest its expansion missed.
+        #: Not failures — the client re-offers in full.
+        self.offer_ref_misses_total = 0
         obs = self.runtime.network.obs
         prefix = f"listener.{self.runtime.entity.name}.{endpoint.name}"
-        obs.bind(f"{prefix}.ctl_malformed_total", self, "ctl_malformed_total", replace=True)
-        obs.bind(f"{prefix}.negotiations_failed", self, "negotiations_failed", replace=True)
+        for counter in (
+            "ctl_malformed_total", "negotiations_failed", "offer_ref_misses_total"
+        ):
+            obs.bind(f"{prefix}.{counter}", self, counter, replace=True)
         self._closed = False
         # Reply cache for offer/resume retransmissions, keyed on
         # (kind, conn_id): retries arrive within a retry window, so old
@@ -873,6 +976,9 @@ class Listener:
                 reply = yield from self._handle_resume(message)
             else:
                 reply = yield from self._handle_offer(message)
+        except OfferReferenceError as error:
+            self.offer_ref_misses_total += 1
+            reply = msgs.Error.from_exception(message.conn_id, error)
         except NegotiationError as error:
             self.negotiations_failed += 1
             reply = msgs.Error.from_exception(message.conn_id, error)
@@ -984,6 +1090,32 @@ class Listener:
         self.optimizations.append(result)
         return result.dag
 
+    def _expand_offer(self, message: "msgs.Offer") -> "msgs.Offer":
+        """``message`` with every reference resolved: an implementation
+        name against this runtime's registry, a record id against the
+        offer pool.  Raises :class:`OfferReferenceError` when one resolves
+        to nothing or the expansion's digest is not the OFFER's."""
+        registry = self.runtime.registry
+        records = {
+            offer.record_id: offer
+            for offers in self._network_offers.values()
+            for offer in offers
+        }
+
+        def registered(ctype: str, name: str) -> Optional[Offer]:
+            meta = registry.meta(ctype, name)
+            return None if meta is None else Offer(meta=meta, origin="client")
+
+        offers = _expand_references(message.offers, registered)
+        network = _expand_references(
+            message.network_offers, lambda _ctype, record_id: records.get(record_id)
+        )
+        if offers_digest(offers, network) != message.offers_digest:
+            raise OfferReferenceError(
+                "the offers referenced expand to another digest here"
+            )
+        return dataclasses.replace(message, offers=offers, network_offers=network)
+
     def _handle_offer(self, message: "msgs.Offer"):
         """Generator: negotiate one connection; returns the reply message."""
         runtime = self.runtime
@@ -996,6 +1128,7 @@ class Listener:
                 yield from self._refresh_network_offers()
             except ConnectionTimeoutError:
                 pass  # keep the stale cache; better than failing the accept
+        message = self._expand_offer(message)
 
         ctx = self._policy_context(client_entity)
         owner = f"{runtime.entity.name}:{self.endpoint.name}"
@@ -1036,7 +1169,7 @@ class Listener:
 
         state = {"message": message, "ctx": ctx, "owner": owner}
         accept = self._admit(message, dag, choice, reservations, state).with_binding(
-            dag, choice
+            dag, _choice_references(message, dag, choice)
         )
         if runtime.negcache.enabled:
             # Remember the decision for one-RTT resumption: a later RESUME

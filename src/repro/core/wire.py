@@ -8,8 +8,9 @@ its size is the frame's length, floored at :data:`MIN_MESSAGE_SIZE`.
 The codec table (:func:`register_wire_type`) holds each wire class's field
 order and field types (``str``, ``int``, ``float``, ``bool``, enums,
 :class:`Digest`, ``Optional``, ``List``, fixed ``Tuple``, ``Dict[str, X]``,
-``Dict[int, X]`` as ``[key, value]`` pairs, other wire classes, ``Any``),
-compiled once at import.  ``Any`` is the one self-describing encoding (:func:`encode` /
+``Dict[int, X]`` as ``[key, value]`` pairs, other wire classes, ``Union``
+of alternatives told apart by their JSON type, ``Any``), compiled once at
+import.  ``Any`` is the one self-describing encoding (:func:`encode` /
 :func:`decode`): JSON scalars, lists and string-keyed dicts as themselves,
 ``bytes`` and wire-class instances as ``{"@": [tag, *fields]}``.
 
@@ -296,6 +297,8 @@ def _compile(tp) -> tuple[Optional[Callable], Callable]:
             None if enc is None else lambda v: None if v is None else enc(v),
             lambda v: None if v is None else dec(v),
         )
+    if origin is typing.Union:
+        return _compile_union(args)
     if origin is list:
         enc, dec = _compile(args[0])
         return (
@@ -331,6 +334,35 @@ def _compile_enum(tp: type[enum.Enum]):
     return to_wire.__getitem__, dec
 
 
+def _compile_union(args):
+    """A union travels untagged: each alternative is a ``str``, an ``int``
+    or a wire class (an array), and the value's JSON type names which one
+    it is, so no two alternatives may share a JSON type.  A value of any
+    other JSON type is an unknown alternative."""
+    arms, decoders = [], {}
+    described = f"union[{', '.join(_describe(arm) for arm in args)}]"
+    for arm in args:
+        json_type = arm if arm in (str, int) else list if arm in _codecs else None
+        if json_type is None or json_type in decoders:
+            raise WireError(f"no untagged union codec for {args!r}")
+        enc, decoders[json_type] = _compile(arm)
+        arms.append((arm, enc or (lambda value: value)))
+
+    def encode_union(value):
+        for arm, enc in arms:
+            if value.__class__ is arm or (arm in _codecs and isinstance(value, arm)):
+                return enc(value)
+        raise WireError(f"{type(value).__name__} is no alternative of {described}")
+
+    def decode_union(value):
+        dec = decoders.get(value.__class__)
+        if dec is None:
+            raise WireError(f"unknown union alternative: {type(value).__name__}")
+        return dec(value)
+
+    return encode_union, decode_union
+
+
 def _compile_pairs(pair):
     """An int-keyed dict travels as a list of ``[key, value]`` pairs."""
     enc, dec = pair
@@ -354,10 +386,12 @@ def _describe(tp) -> str:
         codec = _codecs.get(tp)
         return codec.tag if codec is not None else tp.__name__
     origin, args = typing.get_origin(tp), typing.get_args(tp)
-    if origin is typing.Union:
+    if origin is typing.Union and len(args) == 2 and type(None) in args:
         inner = args[0] if args[1] is type(None) else args[1]
         return f"optional[{_describe(inner)}]"
-    name = {list: "list", tuple: "tuple", dict: "dict"}.get(origin, str(origin))
+    name = {list: "list", tuple: "tuple", dict: "dict", typing.Union: "union"}.get(
+        origin, str(origin)
+    )
     return f"{name}[{', '.join(_describe(arg) for arg in args)}]"
 
 

@@ -17,6 +17,7 @@ __all__ = [
     "IncompatibleDagError",
     "NoImplementationError",
     "ResourceExhaustedError",
+    "OfferReferenceError",
     "ConnectionTimeoutError",
     "DeadlineExceeded",
     "DegradedEstablishmentWarning",
@@ -65,6 +66,11 @@ class NoImplementationError(NegotiationError):
 
 class ResourceExhaustedError(NegotiationError):
     """Every eligible offload's resources are occupied and no fallback exists."""
+
+
+class OfferReferenceError(NegotiationError):
+    """An OFFER named an offer the listener does not hold, or its digest
+    differs from the listener's expansion; the client re-offers in full."""
 
 
 class ConnectionTimeoutError(NegotiationError):

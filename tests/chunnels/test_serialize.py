@@ -1,7 +1,9 @@
 """Tests for the serialization Chunnel and its codecs."""
 
+import sys
+
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chunnels import (
@@ -92,6 +94,51 @@ class TestBincodeCodec:
     def test_unknown_tag_rejected(self):
         with pytest.raises(ChunnelArgumentError):
             BincodeCodec().decode(b"Z")
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"s\x00\x00\x00\x02\xff\xfe",  # not UTF-8
+            b"l\x00\x00\x00\x01" * (sys.getrecursionlimit() + 100) + b"N",
+            b"m\x00\x00\x00\x01l\x00\x00\x00\x00N",  # a list as a map key
+            b"m\x00\x00\x00\x01m\x00\x00\x00\x00N",  # a map as a map key
+            b"s\x00\x00\x00\x09abc",  # a length past the end
+            b"I\x00\x00\x00\x01\x07*",  # a big int's sign is - or +
+        ],
+        ids=["utf8", "too-deep", "list-key", "map-key", "long-length", "sign"],
+    )
+    def test_malformed_input_raises_chunnel_argument_error(self, data):
+        with pytest.raises(ChunnelArgumentError):
+            BincodeCodec().decode(data)
+
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        json_like,
+        st.integers(0, 2),
+        st.integers(0, 4096),
+        st.binary(min_size=1, max_size=8),
+    )
+    def test_mutated_encodings_decode_or_raise(self, value, choice, at, data):
+        """Truncation, a byte flip or appended bytes: the decoder either
+        returns a value the codec encodes stably, or raises
+        :class:`ChunnelArgumentError` — never another exception."""
+        codec = BincodeCodec()
+        frame = codec.encode(value)
+        at %= len(frame) + 1
+        if choice == 0:
+            mutated = frame[:at]
+        elif choice == 1:
+            at %= len(frame)
+            mutated = frame[:at] + bytes([frame[at] ^ data[0]]) + frame[at + 1:]
+        else:
+            mutated = frame + data
+        try:
+            decoded = codec.decode(mutated)
+        except ChunnelArgumentError:
+            return
+        again = codec.encode(decoded)
+        assert codec.encode(codec.decode(again)) == again
 
     def test_more_compact_than_json_for_binary(self):
         codec = BincodeCodec()

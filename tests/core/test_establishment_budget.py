@@ -14,8 +14,12 @@ The bytes are pinned too: every control datagram is sized by its frame's
 length (floored at 64 B), and each kind's size in these worlds is exact,
 so a change that re-bloats the wire fails here as well.  A resume names
 the binding both ends cached by two digests (94 B) and its answer carries
-only the new data path (the 64 B floor); the cold path's OFFER and ACCEPT
-carry the DAG and the choice in full.
+only the new data path (the 64 B floor).  The cold path's OFFER carries
+the DAG in full but names the offers the listener holds too — both
+fallbacks by implementation name, the TOE by its record id — plus the
+digest of what they expand to (239 B); the ACCEPT carries the unified DAG
+in full and names each node's choice by its index into the OFFER's
+lists (162 B).
 """
 
 from repro.apps.rpc import EchoServer
@@ -57,7 +61,10 @@ RESUMED = [
 ]
 #: ``dgram.size`` of each control datagram, in ``COLD`` order.  The two
 #: queries (and their replies) differ in the chunnel type asked about.
-COLD_SIZES = [64, 64, 64, 152, 504, 64, 376, 64, 64]
+COLD_SIZES = [64, 64, 64, 152, 239, 64, 162, 64, 64]
+#: Were 504 (OFFER) and 376 (ACCEPT) while both carried every offer in
+#: full.
+OFFER_MAX, ACCEPT_MAX = 250, 200
 #: Was ``[358, 64, 376, 64, 64]`` (in the order resume, lease_check,
 #: accept, ...) while RESUME carried the client DAG and choice and its
 #: answer the unified DAG and choice.
@@ -177,6 +184,9 @@ def test_second_cold_establishment_is_nine_datagrams_and_no_consensus():
     assert other == []  # no RSM group traffic, no data: nothing else at all
     assert rounds == [0] * 6
     assert sorted(world.sizes) == sorted(zip(COLD, COLD_SIZES))
+    sizes = dict(world.sizes)
+    assert sizes["bertha.offer"] <= OFFER_MAX
+    assert sizes["bertha.accept"] <= ACCEPT_MAX
     (lease,) = world.tier.primary(0)._leases.values()
     assert lease.count == 1
     assert world.server_rt.leases.held() == {lease.key(): 2}

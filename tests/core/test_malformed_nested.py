@@ -15,6 +15,7 @@ import pytest
 from repro.chunnels import Reliable, Serialize
 from repro.core import ImplMeta, Offer as ImplOffer, wrap
 from repro.core import messages as msgs
+from repro.core.negcache import offers_digest
 from repro.core.wire import WireError
 from repro.sim import UdpSocket
 
@@ -28,11 +29,14 @@ def reframe(frame: bytes, body) -> bytes:
 def offer_frame(mutation=None) -> bytes:
     """An OFFER for ``Serialize >> Reliable`` carrying one client offer,
     with ``mutation`` applied to its decoded JSON body."""
+    offers = {"reliable": [ImplOffer(ImplMeta("reliable", "sw"), "client")]}
     offer = msgs.Offer(
         conn_id="c1",
         dag=wrap(Serialize() >> Reliable()),
-        offers={"reliable": [ImplOffer(ImplMeta("reliable", "sw"), "client")]},
+        offers=offers,
         client_entity="cl",
+        network_offers={},
+        offers_digest=offers_digest(offers, {}),
     )
     frame = msgs.encode_message_sized(offer)[0]
     if mutation is None:

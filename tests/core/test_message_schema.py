@@ -22,7 +22,7 @@ from repro.chunnels import Reliable, Serialize
 from repro.core import ImplMeta, Offer as ImplOffer, ResourceVector, Scope, wrap
 from repro.core import messages as msgs
 from repro.core import wire
-from repro.core.negcache import binding_digest, shape_digest
+from repro.core.negcache import binding_digest, offers_digest, shape_digest
 from repro.core.scope import Endpoints, Placement
 from repro.core.wire import (
     MAGIC,
@@ -58,20 +58,25 @@ def samples():
     """One representative instance per registered message kind, with every
     optional field populated (so round-trips exercise the full schema)."""
     dag = wrap(Serialize() >> Reliable())
-    node = dag.topological_order()[0]
+    node, last = dag.topological_order()
     offers = {"reliable": [impl_offer()]}
     messages = [
+        # Each per-type list mixes an offer in full with a reference: an
+        # implementation name among the client offers, a record id among
+        # the network offers.
         msgs.Offer(
             conn_id="c1",
             dag=dag,
-            offers=offers,
+            offers={"reliable": [impl_offer(), "sw"]},
             client_entity="cl",
-            network_offers=offers,
+            network_offers={"reliable": ["rec-1", impl_offer()]},
+            offers_digest=offers_digest(offers, offers),
         ),
+        # A choice by index into the OFFER's lists, and one in full.
         msgs.Accept(
             conn_id="c1",
             dag=dag,
-            choice={node: impl_offer()},
+            choice={node: 1, last: impl_offer()},
             data_addr=Address("srv", 40001),
             transport="udp",
             params={"window": 4},
@@ -317,6 +322,68 @@ class TestNestedFieldsAreStrict:
             self.nested_meta(body)[6] = [{"nic_slots": amount}]
             with pytest.raises(WireError, match="malformed resources"):
                 msgs.decode_message(reframe(frame, body))
+
+
+class TestOfferReferences:
+    """OFFER list entries and ACCEPT choices are untagged unions: a JSON
+    string (an OFFER reference) or integer (an ACCEPT index) against an
+    array (the offer in full).  Any other JSON type is an unknown
+    alternative, and the OFFER's digest is strict like RESUME's."""
+
+    def body(self, kind):
+        frame = msgs.encode_message_sized(samples()[kind])[0]
+        return frame, header_and_body(frame)[1]
+
+    def test_offer_carries_references_and_full_entries(self):
+        _frame, body = self.body("bertha.offer")
+        assert [type(entry) for entry in body[2]["reliable"]] == [list, str]
+        assert [type(entry) for entry in body[4]["reliable"]] == [str, list]
+        assert len(body[5]) == 32
+        offer = msgs.decode_message(_frame)
+        assert offer.offers["reliable"] == [impl_offer(), "sw"]
+        assert offer.network_offers["reliable"] == ["rec-1", impl_offer()]
+
+    def test_accept_carries_an_index_and_a_full_choice(self):
+        frame, body = self.body("bertha.accept")
+        assert [type(choice) for _node, choice in body[2]] == [int, list]
+        assert list(msgs.decode_message(frame).choice.values()) == [1, impl_offer()]
+
+    @pytest.mark.parametrize(
+        "value", ["ab" * 15, "AB" * 16, "zz" * 16, 7, None],
+        ids=["short", "upper", "not-hex", "int", "null"],
+    )
+    def test_bad_offers_digest_rejected(self, value):
+        frame, body = self.body("bertha.offer")
+        body[5] = value
+        with pytest.raises(WireError, match="malformed bertha.offer"):
+            msgs.decode_message(reframe(frame, body))
+
+    @pytest.mark.parametrize(
+        "value", [7, 1.5, True, None, {"@": "sw"}],
+        ids=["int", "float", "bool", "null", "object"],
+    )
+    @pytest.mark.parametrize("field", [2, 4], ids=["offers", "network"])
+    def test_unknown_offer_entry_alternative_rejected(self, field, value):
+        frame, body = self.body("bertha.offer")
+        body[field]["reliable"][1 if field == 2 else 0] = value
+        with pytest.raises(WireError, match="malformed bertha.offer"):
+            msgs.decode_message(reframe(frame, body))
+
+    @pytest.mark.parametrize(
+        "value", ["1", 1.0, True, None, {}],
+        ids=["str", "float", "bool", "null", "object"],
+    )
+    def test_choice_index_that_is_not_an_int_rejected(self, value):
+        frame, body = self.body("bertha.accept")
+        body[2][0][1] = value
+        with pytest.raises(WireError, match="malformed bertha.accept"):
+            msgs.decode_message(reframe(frame, body))
+
+    def test_version_one_layout_rejected(self):
+        """The v1 OFFER (no digest) does not decode as v2."""
+        frame, body = self.body("bertha.offer")
+        with pytest.raises(WireError, match="malformed bertha.offer"):
+            msgs.decode_message(frame[:3] + b"\x01" + reframe(frame, body[:5])[4:])
 
 
 class TestResumeDigests:

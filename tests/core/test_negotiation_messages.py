@@ -8,6 +8,7 @@ import pytest
 from repro.chunnels import Reliable, Serialize
 from repro.core import ImplMeta, Offer, ResourceVector, Scope, wrap
 from repro.core import messages as msgs
+from repro.core.negcache import offers_digest
 from repro.core.scope import Endpoints, Placement
 from repro.errors import (
     IncompatibleDagError,
@@ -35,11 +36,14 @@ def sample_offer(name="sw", origin="client"):
 class TestOfferMessage:
     def test_roundtrip(self):
         dag = wrap(Serialize() >> Reliable())
+        offers = {"reliable": [sample_offer()]}
         message = msgs.Offer(
             conn_id="conn-1",
             dag=dag,
-            offers={"reliable": [sample_offer()]},
+            offers=offers,
             client_entity="client-entity",
+            network_offers={},
+            offers_digest=offers_digest(offers, {}),
         )
         decoded = msgs.decode_message(msgs.encode_message_sized(message)[0])
         assert isinstance(decoded, msgs.Offer)
@@ -53,11 +57,14 @@ class TestOfferMessage:
         four-byte header is plain JSON: nothing but data leaks onto the
         wire."""
         dag = wrap(Reliable())
+        offers = {"reliable": [sample_offer()]}
         message = msgs.Offer(
             conn_id="c",
             dag=dag,
-            offers={"reliable": [sample_offer()]},
+            offers=offers,
             client_entity="e",
+            network_offers={},
+            offers_digest=offers_digest(offers, {}),
         )
         body = json.loads(msgs.encode_message_sized(message)[0][4:])
         assert body[0] == "c" and body[3] == "e"

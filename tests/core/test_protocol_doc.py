@@ -80,7 +80,10 @@ def protocol_appendix() -> str:
     lines += [
         "",
         "`dict[int, X]` travels as a list of `[key, value]` pairs. A "
-        "`digest` is 16 bytes as a string of 32 lowercase hex digits. An `any` "
+        "`digest` is 16 bytes as a string of 32 lowercase hex digits. A "
+        "`union` holds one of its alternatives untagged — a string, an "
+        "integer or an array — and the value's JSON type says which; any "
+        "other JSON type is rejected. An `any` "
         "field holds JSON scalars, lists and string-keyed objects as "
         "themselves, and `bytes` or any other wire type as "
         '`{"@": [tag, *fields]}`.',
