@@ -1042,12 +1042,14 @@ class Listener:
                 done.succeed()
 
     def _offers_stale(self) -> bool:
-        # Only when the initial refresh failed (discovery outage at
-        # startup): retry on every accept, so the offer pool heals as soon
-        # as discovery comes back — otherwise a listener started during an
-        # outage would serve fallback-only stacks forever.  A pool that was
-        # fetched once is kept: the client's per-connect query carries the
-        # fresh network offers.
+        # When the initial refresh failed (discovery outage at startup):
+        # retry on every accept, so the offer pool heals as soon as
+        # discovery comes back — otherwise a listener started during an
+        # outage would serve fallback-only stacks forever.  And after an
+        # OFFER named a record this pool lacks or holds in another version
+        # (``_expand_offer``): otherwise every later OFFER naming it would
+        # miss too.  Else a pool fetched once is kept: the client's
+        # per-connect query carries the fresh network offers.
         return self._network_offers_at is None
 
     def _optimized_dag(
@@ -1107,13 +1109,19 @@ class Listener:
             return None if meta is None else Offer(meta=meta, origin="client")
 
         offers = _expand_references(message.offers, registered)
-        network = _expand_references(
-            message.network_offers, lambda _ctype, record_id: records.get(record_id)
-        )
-        if offers_digest(offers, network) != message.offers_digest:
-            raise OfferReferenceError(
-                "the offers referenced expand to another digest here"
+        try:
+            network = _expand_references(
+                message.network_offers, lambda _ctype, record_id: records.get(record_id)
             )
+            if offers_digest(offers, network) != message.offers_digest:
+                raise OfferReferenceError(
+                    "the offers referenced expand to another digest here"
+                )
+        except OfferReferenceError:
+            # The pool is behind discovery: the next accept refreshes it.
+            # A miss on an implementation name (above) is no sign of that.
+            self._network_offers_at = None
+            raise
         return dataclasses.replace(message, offers=offers, network_offers=network)
 
     def _handle_offer(self, message: "msgs.Offer"):

@@ -2,38 +2,38 @@
 
 Usage::
 
-    python -m repro.experiments fig3            # scaled-down (seconds)
-    python -m repro.experiments fig3 --full     # paper-scale parameters
-    python -m repro.experiments fig4
-    python -m repro.experiments fig5 [--full]
-    python -m repro.experiments reconfig
-    python -m repro.experiments <chaos|churn|failover|fleet> [--smoke] \
-        [--seed N] [--baseline PATH] [--shards N] [--replicas-per-shard R]
-    python -m repro.experiments <multipath|offload> [--smoke] [--seed N] \
-        [--baseline PATH]
-    python -m repro.experiments ablations
-    python -m repro.experiments all [--full] [--smoke]
+    python -m repro.experiments <row> [--smoke | --full] [--seed N] \
+        [--baseline DIR] [--metrics-out DIR]
+    python -m repro.experiments <chaos|churn|failover|fleet> \
+        [--shards N] [--replicas-per-shard R]
+    python -m repro.experiments all [--smoke | --full]
 
-Each command prints the rows/series the paper's corresponding figure
-reports (see EXPERIMENTS.md for the mapping and the recorded outputs).
+Every experiment is a row of one table, :data:`EXPERIMENTS`, run by one
+runner.  The figure and ablation rows (``fig3``, ``fig4``, ``fig5``,
+``reconfig``, ``epoch-overhead``, ``negotiation``, ``optimizer``,
+``scheduler``, ``serialization``, ``consensus``, ``caching``) print the
+table the paper's figure or claim reports; the invariant-checked rows
+(``chaos``, ``churn``, ``failover``, ``fleet``, ``multipath``,
+``offload``) their robustness accounting.  A row's default run is the
+one recorded under ``benchmarks/results`` (see EXPERIMENTS.md for the
+mapping), ``--smoke`` its CI tier, and ``--full`` a figure's paper scale.
+``--seed`` overrides the seed of a row that has one.  Each run prints
+its named invariants, the paper-shape or robustness checks, and the
+command exits 1 when any is violated.
+
+``--baseline DIR`` and ``--metrics-out DIR`` name directories.  The first
+receives each row's recorded file: a table row's rendered table (its
+``benchmarks/results`` name), an invariant-checked row's
+``BENCH_<name>.json``; so ``--baseline benchmarks/results`` re-records.
+The second receives one ``<name>.json`` per row: canonical JSON holding
+the registry snapshot (``repro.obs``) of every world the row built.  Same
+seed ⇒ byte-identical files — CI runs ``all --smoke`` twice and diffs
+the two directories as a determinism gate.
 
 Every command accepts ``--profile`` (cProfile the run, print the hottest
 functions) and ``--profile-out PATH`` (dump the raw pstats file for
 ``snakeviz``/``pstats`` digging).  How fast the simulator itself runs is
 measured by the repository's benchmark, ``python -m bench``.
-
-The six invariant-checked experiments are rows of one table,
-:data:`EXPERIMENTS`, run by one runner: ``--smoke`` picks the CI tier,
-``--seed`` the seed, ``--baseline PATH`` writes the JSON recorded as
-``benchmarks/results/BENCH_<name>.json``, and the command exits 1 when
-any invariant is violated.
-
-Every command accepts ``--metrics-out PATH``: the run's metrics-registry
-snapshot (``repro.obs``) exported as canonical JSON.  Same seed ⇒
-byte-identical file.  Under ``all``, ``--metrics-out`` and ``--baseline``
-name directories that receive one ``<command>.json`` per command — CI
-runs ``all --smoke`` twice and diffs the two directories as a
-determinism gate.
 """
 
 from __future__ import annotations
@@ -42,10 +42,16 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable
 
 from .ablations import (
+    CachingConfig,
+    ConsensusConfig,
+    NegotiationConfig,
+    OptimizerConfig,
+    SchedulerConfig,
+    SerializationConfig,
     run_caching_ablation,
     run_consensus_comparison,
     run_negotiation_overhead,
@@ -62,107 +68,20 @@ from .fig5 import Fig5Config, run_fig5
 from .fleet import FleetConfig, run_fleet
 from .multipath import MultipathConfig, run_multipath
 from .offload import OffloadConfig, run_offload
-from .reconfig import ReconfigConfig, run_epoch_overhead, run_reconfig
-
-
-def _timed(label: str, fn):
-    start = time.time()
-    result = fn()
-    print(f"\n=== {label} (wall {time.time() - start:.1f}s) ===")
-    return result
-
-
-def cmd_fig3(args) -> None:
-    config = Fig3Config() if not args.full else Fig3Config(connections=10_000)
-    result = _timed("Figure 3: container networking (RTT us)", lambda: run_fig3(config))
-    print(result.render())
-
-
-def cmd_fig4(args) -> None:
-    config = Fig4Config() if not args.full else Fig4Config(connect_interval=0.1)
-    result = _timed("Figure 4: dynamic name resolution", lambda: run_fig4(config))
-    print(result.render())
-    if result.before and result.after:
-        print(
-            f"\nbefore local instance: p50 {result.before.p50:.1f} us; "
-            f"after: p50 {result.after.p50:.1f} us; "
-            f"switch at t={result.switch_time:.2f}s"
-        )
-
-
-def cmd_fig5(args) -> None:
-    config = (
-        Fig5Config()
-        if not args.full
-        else Fig5Config(requests_per_point=150_000, record_count=1000)
-    )
-    result = _timed(
-        "Figure 5: sharding placements (p95 latency vs offered load)",
-        lambda: run_fig5(config),
-    )
-    print(result.render())
-    print("\nnegotiated shard implementations per scenario:")
-    for scenario, impls in result.chosen_impls.items():
-        print(f"  {scenario}: {impls}")
-
-
-def cmd_ablations(args) -> None:
-    from ..metrics import format_table
-
-    for label, run in (
-        ("§5 claim: negotiation overhead", run_negotiation_overhead),
-        ("§6 claim: DAG reorder/merge vs PCIe traffic", run_optimizer_ablation),
-        ("§6 claim: multi-resource offload scheduling", run_scheduler_ablation),
-    ):
-        print(_timed(label, run).render())
-    for label, run, columns in (
-        (
-            "§3.2: serialization implementations",
-            run_serialization_comparison,
-            ["implementation", "mean_rtt_us", "n"],
-        ),
-        (
-            "§3.2: consensus — host vs switch sequencer",
-            run_consensus_comparison,
-            ["sequencer", "impl", "mean_us", "p95_us", "n"],
-        ),
-        (
-            "DESIGN §5 ablation: per-connect resolution vs client caching",
-            run_caching_ablation,
-            ["mode", "mean_setup_us", "discovery_rtts", "stale_connections", "n"],
-        ),
-    ):
-        print(format_table(_timed(label, run), columns=columns))
-
-
-def cmd_reconfig(args) -> None:
-    config = (
-        ReconfigConfig()
-        if not args.full
-        else ReconfigConfig(offered_load=10_000, bucket=0.25)
-    )
-    result = _timed(
-        "Live reconfiguration: offload revoked at "
-        f"t={config.revoke_at:.0f}s, restored at t={config.restore_at:.0f}s",
-        lambda: run_reconfig(config),
-    )
-    print(result.render())
-    overhead = _timed(
-        "Steady-state overhead of arming reconfiguration", run_epoch_overhead
-    )
-    print(
-        f"latency samples identical: {overhead['identical']} "
-        f"(n={overhead['n']}, max delta "
-        f"{overhead['max_abs_delta_us']:.3f} us)"
-    )
+from .reconfig import (
+    EpochOverheadConfig,
+    ReconfigConfig,
+    run_epoch_overhead,
+    run_reconfig,
+)
 
 
 @dataclass(frozen=True)
 class Experiment:
-    """One invariant-checked experiment's CLI row.
+    """One experiment's CLI row.
 
-    ``config`` is the config class (its ``smoke(seed=)`` classmethod is
-    the CI tier, its default constructor the recorded full run), ``run``
+    ``config`` is the config class: its default constructor is the
+    recorded run and its ``smoke()`` classmethod the CI tier.  ``run``
     maps a config to an :class:`~._result.ExperimentResult`, and ``title``
     renders the run's header from its config.
     """
@@ -170,6 +89,12 @@ class Experiment:
     config: type
     run: Callable[[Any], Any]
     title: Callable[[Any], str]
+    #: The file recorded under ``benchmarks/results`` when the row is a
+    #: table (the rendered result); otherwise ``BENCH_<name>.json``.
+    table: str = ""
+    #: ``--full``: a figure's paper-scale parameters, overriding the
+    #: config's defaults.
+    full: dict = field(default_factory=dict)
     #: ``--shards``/``--replicas-per-shard`` set the config's discovery
     #: plane shape.
     sharded: bool = False
@@ -179,6 +104,80 @@ class Experiment:
 
 
 EXPERIMENTS = {
+    "fig3": Experiment(
+        Fig3Config,
+        run_fig3,
+        lambda c: f"Figure 3: container networking, {c.connections} connections "
+        "(RTT us)",
+        table="fig3_container_full.txt",
+        full={"connections": 10_000},  # the paper's count
+    ),
+    "fig4": Experiment(
+        Fig4Config,
+        run_fig4,
+        lambda c: "Figure 4: dynamic name resolution, local instance at "
+        f"t={c.local_start_time:g}s",
+        table="fig4_dynamic.txt",
+        full={"connect_interval": 0.1},
+    ),
+    "fig5": Experiment(
+        Fig5Config,
+        run_fig5,
+        lambda c: "Figure 5: sharding placements (p95 latency vs offered load), "
+        f"{len(c.offered_loads)} loads x {c.requests_per_point} requests",
+        table="fig5_sharding.txt",
+        full={"requests_per_point": 150_000, "record_count": 1000},
+    ),
+    "reconfig": Experiment(
+        ReconfigConfig,
+        run_reconfig,
+        lambda c: "Live reconfiguration: offload revoked at "
+        f"t={c.revoke_at:g}s, restored at t={c.restore_at:g}s",
+        table="reconfig_transition.txt",
+        full={"offered_load": 10_000, "bucket": 0.25},
+    ),
+    "epoch-overhead": Experiment(
+        EpochOverheadConfig,
+        run_epoch_overhead,
+        lambda c: "Steady-state overhead of arming reconfiguration",
+        table="reconfig_epoch_overhead.txt",
+    ),
+    "negotiation": Experiment(
+        NegotiationConfig,
+        run_negotiation_overhead,
+        lambda c: "§5 claim: negotiation overhead",
+        table="ablation_negotiation.txt",
+    ),
+    "optimizer": Experiment(
+        OptimizerConfig,
+        run_optimizer_ablation,
+        lambda c: "§6 claim: DAG reorder/merge vs PCIe traffic",
+        table="ablation_optimizer.txt",
+    ),
+    "scheduler": Experiment(
+        SchedulerConfig,
+        run_scheduler_ablation,
+        lambda c: "§6 claim: multi-resource offload scheduling",
+        table="ablation_scheduler.txt",
+    ),
+    "serialization": Experiment(
+        SerializationConfig,
+        run_serialization_comparison,
+        lambda c: "§3.2: serialization implementations",
+        table="ablation_serialization.txt",
+    ),
+    "consensus": Experiment(
+        ConsensusConfig,
+        run_consensus_comparison,
+        lambda c: "§3.2: consensus — host vs switch sequencer",
+        table="ablation_consensus.txt",
+    ),
+    "caching": Experiment(
+        CachingConfig,
+        run_caching_ablation,
+        lambda c: "DESIGN §5 ablation: per-connect resolution vs client caching",
+        table="ablation_caching.txt",
+    ),
     "chaos": Experiment(
         ChaosConfig,
         run_chaos,
@@ -225,65 +224,43 @@ EXPERIMENTS = {
     ),
 }
 
-COMMANDS: dict[str, Any] = {
-    "fig3": cmd_fig3,
-    "fig4": cmd_fig4,
-    "fig5": cmd_fig5,
-    "reconfig": cmd_reconfig,
-    **EXPERIMENTS,
-    "ablations": cmd_ablations,
-}
-
-
-def _output_path(path, name: str, args):
-    """``PATH`` for one command; under ``all`` a directory holding one
-    ``<name>.json`` per command."""
-    if path and args.experiment == "all":
-        os.makedirs(path, exist_ok=True)
-        return os.path.join(path, f"{name}.json")
-    return path
+def _config(row: Experiment, args, smoke: bool):
+    """The row's config at the tier asked for, with the seed and discovery
+    shape the flags name."""
+    if smoke:
+        config = row.config.smoke()
+    else:
+        config = row.config(**(row.full if args.full else {}))
+    given = {"seed": args.seed}
+    if row.sharded:
+        given.update(shards=args.shards, replicas_per_shard=args.replicas_per_shard)
+    settable = {f.name for f in fields(config)}
+    return replace(
+        config,
+        **{key: value for key, value in given.items() if value is not None and key in settable},
+    )
 
 
 def run_experiment(name: str, row: Experiment, args) -> None:
     """Time one table row's run, print it, write the requested files, and
     exit 1 if any invariant is violated."""
     smoke = args.smoke or (row.smoke_in_all and args.experiment == "all")
-    config = row.config.smoke(seed=args.seed) if smoke else row.config(
-        seed=args.seed
-    )
-    if row.sharded and args.shards is not None:
-        config.shards = args.shards
-    if row.sharded and args.replicas_per_shard is not None:
-        config.replicas_per_shard = args.replicas_per_shard
-    result = _timed(row.title(config), lambda: row.run(config))
+    config = _config(row, args, smoke)
+    start = time.time()
+    result = row.run(config)
+    print(f"\n=== {row.title(config)} (wall {time.time() - start:.1f}s) ===")
     print(result.render())
-    baseline = _output_path(args.baseline, name, args)
-    if baseline:
-        result.write_baseline(baseline)
-        print(f"\nbaseline written to {baseline}")
-    metrics_out = _output_path(args.metrics_out, name, args)
-    if metrics_out:
-        result.write_metrics(metrics_out)
-        print(f"metrics written to {metrics_out}")
+    for directory, file, write, label in (
+        (args.baseline, row.table or f"BENCH_{name}.json", result.write_baseline, "baseline"),
+        (args.metrics_out, f"{name}.json", result.write_metrics, "metrics"),
+    ):
+        if directory:
+            os.makedirs(directory, exist_ok=True)
+            path = os.path.join(directory, file)
+            write(path)
+            print(f"{label} written to {path}")
     if not result.ok:
         raise SystemExit(1)
-
-
-def run_command(name: str, args) -> None:
-    command = COMMANDS[name]
-    if isinstance(command, Experiment):
-        run_experiment(name, command, args)
-        return
-    command(args)
-    metrics_out = _output_path(args.metrics_out, name, args)
-    if metrics_out:
-        # The most recently built world's registry (every experiment
-        # builds its world(s) through Network, which installs the
-        # process-global handle).
-        from ..obs import current_registry
-
-        current_registry().write_json(metrics_out)
-        print(f"metrics written to {metrics_out}")
 
 
 def main(argv=None) -> int:
@@ -291,11 +268,39 @@ def main(argv=None) -> int:
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.",
     )
-    parser.add_argument("experiment", choices=[*COMMANDS, "all"])
-    parser.add_argument(
+    parser.add_argument("experiment", choices=[*EXPERIMENTS, "all"])
+    tier = parser.add_mutually_exclusive_group()
+    tier.add_argument(
+        "--smoke",
+        action="store_true",
+        help="CI tier: small counts, seconds per experiment",
+    )
+    tier.add_argument(
         "--full",
         action="store_true",
-        help="paper-scale parameters (minutes instead of seconds)",
+        help="paper-scale figures (minutes to hours instead of seconds)",
+    )
+    parser.add_argument(
+        "--seed",
+        type=int,
+        help="fault/workload seed of a row that has one (default: the row's, 7 "
+        "for the invariant-checked rows)",
+    )
+    parser.add_argument(
+        "--baseline",
+        metavar="DIR",
+        help=(
+            "write each row's recorded file into DIR (its benchmarks/results "
+            "table, or BENCH_<name>.json)"
+        ),
+    )
+    parser.add_argument(
+        "--metrics-out",
+        metavar="DIR",
+        help=(
+            "write each row's <name>.json into DIR: the registry snapshot of "
+            "every world it built, canonical JSON (same seed => byte-identical)"
+        ),
     )
     parser.add_argument(
         "--profile",
@@ -306,33 +311,6 @@ def main(argv=None) -> int:
         "--profile-out",
         metavar="PATH",
         help="with --profile: also dump the raw pstats data to PATH",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        help=(
-            "write the run's metrics-registry snapshot as canonical JSON "
-            "(same seed => byte-identical; under all: a directory)"
-        ),
-    )
-    checked = parser.add_argument_group(
-        f"invariant-checked experiments ({', '.join(EXPERIMENTS)})"
-    )
-    checked.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI tier: small counts, seconds per experiment",
-    )
-    checked.add_argument(
-        "--seed", type=int, default=7, help="fault/workload seed (default 7)"
-    )
-    checked.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help=(
-            "write the experiment's baseline JSON here (the shape of "
-            "benchmarks/results/BENCH_<name>.json; under all: a directory)"
-        ),
     )
     sharded = ", ".join(name for name, row in EXPERIMENTS.items() if row.sharded)
     shard_group = parser.add_argument_group(
@@ -356,9 +334,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     def dispatch() -> None:
-        names = list(COMMANDS) if args.experiment == "all" else [args.experiment]
+        names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
         for name in names:
-            run_command(name, args)
+            run_experiment(name, EXPERIMENTS[name], args)
 
     if args.profile:
         import cProfile

@@ -1,17 +1,20 @@
-"""The result contract shared by the invariant-checked experiments.
+"""The result contract every experiment of the CLI table shares.
 
-``chaos``, ``churn``, ``failover``, ``fleet``, ``multipath`` and
-``offload`` each return a dataclass result whose ``config`` carries the
-seed.  Mixing in :class:`ExperimentResult` gives it the whole contract the
-CLI, CI and the recorded baselines rely on; the subclass supplies only
-what differs per experiment:
+Each experiment returns a dataclass result whose ``config`` it ran.
+Mixing in :class:`ExperimentResult` gives it the whole contract the CLI,
+CI and the recorded files rely on; the subclass supplies only what
+differs per experiment:
 
-* ``NAME`` — the CLI command and the ``experiment`` key of both files;
+* ``NAME`` — the CLI command and the ``experiment`` key of the JSON files;
 * ``invariants`` — named booleans, every one of which must hold;
 * :meth:`~ExperimentResult.render_body` — the text above the footer;
 * :meth:`~ExperimentResult.baseline_body` and
   :meth:`~ExperimentResult.metrics_body` — the payload keys besides
   ``experiment``/``seed``/``invariants``.
+
+A figure or ablation mixes in :class:`TableResult` instead: its recorded
+file is the rendered table itself, and its metrics document holds the
+registry snapshot of every world it built.
 """
 
 from __future__ import annotations
@@ -19,11 +22,11 @@ from __future__ import annotations
 import json
 from typing import ClassVar
 
-__all__ = ["ExperimentResult"]
+__all__ = ["ExperimentResult", "TableResult"]
 
 
 class ExperimentResult:
-    """``ok``, the invariants footer, and the two JSON documents.
+    """``ok``, the invariants footer, and the two documents.
 
     Each experiment's result supplies ``invariants`` (name → held) and the
     three bodies the shared framing wraps: ``render_body()`` (table lines),
@@ -48,7 +51,7 @@ class ExperimentResult:
     def _framed(self, body: dict) -> dict:
         return {
             "experiment": self.NAME,
-            "seed": self.config.seed,
+            "seed": getattr(self.config, "seed", None),
             **body,
             "invariants": self.invariants,
         }
@@ -63,10 +66,13 @@ class ExperimentResult:
         CI diffs two of these per experiment."""
         return self._framed(self.metrics_body())
 
+    def baseline_text(self) -> str:
+        """The recorded file's contents."""
+        return json.dumps(self.to_baseline(), indent=2, sort_keys=True) + "\n"
+
     def write_baseline(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_baseline(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(self.baseline_text())
 
     def write_metrics(self, path: str) -> None:
         """Write :meth:`metrics_payload` as canonical JSON (the encoding
@@ -80,3 +86,25 @@ class ExperimentResult:
                 )
             )
             handle.write("\n")
+
+
+class TableResult(ExperimentResult):
+    """A figure or ablation: the recorded file is the rendered table.
+
+    The subclass supplies ``rows()`` and ``COLUMNS`` (or overrides
+    ``render_body``) and a ``worlds`` mapping, one registry snapshot per
+    world the run built, under a label naming it.
+    """
+
+    COLUMNS: ClassVar[list[str]]
+
+    def render_body(self) -> list[str]:
+        from ..metrics import format_table
+
+        return format_table(self.rows(), columns=self.COLUMNS).splitlines()
+
+    def baseline_text(self) -> str:
+        return "\n".join(self.render_body()) + "\n"
+
+    def metrics_body(self) -> dict:
+        return {"worlds": self.worlds}

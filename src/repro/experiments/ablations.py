@@ -24,11 +24,24 @@
 ``run_serialization_comparison``
     §3.2's serialization story: the same application binds different codec
     implementations purely through negotiation; measured end-to-end RTT.
+
+``run_consensus_comparison``
+    §3.2's consensus story: ordered multicast sequenced by a host vs by
+    the switch; measured per-operation latency.
+
+``run_caching_ablation``
+    DESIGN.md §5, ablation 1: per-connect resolution vs client-side
+    discovery caching; measured setup cost and stale placements.
+
+Each is one row of the CLI table (``python -m repro.experiments <name>``):
+its config's defaults are the recorded run, ``smoke()`` the CI tier, and
+its result's ``invariants`` the claim's shape checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Optional
 
 from ..apps.rpc import EchoServer, ping_session
 from ..baselines.hardcoded import udp_echo_server, udp_ping_session
@@ -54,36 +67,80 @@ from ..core import (
     wrap,
 )
 from ..discovery import DiscoveryService
-from ..metrics import format_table
 from ..sim import Network, PcieBus
+from ._result import TableResult
 
 __all__ = [
+    "AblationResult",
+    "CachingConfig",
+    "CachingResult",
+    "ConsensusConfig",
+    "ConsensusResult",
+    "NegotiationConfig",
     "NegotiationOverheadResult",
-    "run_negotiation_overhead",
+    "OptimizerConfig",
     "OptimizerAblationResult",
-    "run_optimizer_ablation",
+    "SchedulerConfig",
     "SchedulerAblationResult",
-    "run_scheduler_ablation",
-    "run_serialization_comparison",
+    "SerializationConfig",
+    "SerializationResult",
     "run_caching_ablation",
     "run_consensus_comparison",
+    "run_negotiation_overhead",
+    "run_optimizer_ablation",
+    "run_scheduler_ablation",
+    "run_serialization_comparison",
 ]
 
 _US = 1e6
+
+
+@dataclass
+class AblationResult(TableResult):
+    """One table row per compared variant."""
+
+    rows_: list[dict]
+    config: Any
+    worlds: dict = field(default_factory=dict, repr=False)
+
+    def rows(self) -> list[dict]:
+        return self.rows_
+
+    def by(self, column: str) -> dict[Any, dict]:
+        """The rows keyed on ``column``'s value."""
+        return {row[column]: row for row in self.rows_}
 
 
 # --------------------------------------------------------------------------
 # Negotiation overhead (§5 text claim)
 # --------------------------------------------------------------------------
 @dataclass
-class NegotiationOverheadResult:
+class NegotiationConfig:
+    """The defaults are the recorded run."""
+
+    connections: int = 30
+    requests: int = 20
+    size: int = 64
+
+    @classmethod
+    def smoke(cls) -> "NegotiationConfig":
+        return cls(connections=20, requests=10)
+
+
+@dataclass
+class NegotiationOverheadResult(TableResult):
     """Setup and steady-state costs, Bertha vs hardcoded."""
+
+    NAME = "negotiation"
+    COLUMNS = ["metric", "bertha", "hardcoded"]
 
     control_round_trips: int
     bertha_setup_us: float
     hardcoded_setup_us: float
     bertha_rtt_us: float
     hardcoded_rtt_us: float
+    config: NegotiationConfig
+    worlds: dict = field(default_factory=dict, repr=False)
 
     def rows(self) -> list[dict]:
         return [
@@ -104,12 +161,20 @@ class NegotiationOverheadResult:
             },
         ]
 
-    def render(self) -> str:
-        return format_table(self.rows(), columns=["metric", "bertha", "hardcoded"])
+    @property
+    def invariants(self) -> dict[str, bool]:
+        return {
+            "two_control_round_trips": self.control_round_trips == 2,
+            # Zero steady-state penalty: the same data path once
+            # established.
+            "steady_state_matches": abs(self.bertha_rtt_us - self.hardcoded_rtt_us)
+            <= 0.05 * self.hardcoded_rtt_us,
+            "setup_pays_negotiation": self.bertha_setup_us > self.hardcoded_setup_us,
+        }
 
 
 def run_negotiation_overhead(
-    connections: int = 50, requests: int = 20, size: int = 64
+    config: Optional[NegotiationConfig] = None,
 ) -> NegotiationOverheadResult:
     """Compare a bare Bertha connection against a hardcoded UDP socket.
 
@@ -117,6 +182,8 @@ def run_negotiation_overhead(
     data path is byte-identical to the hardcoded socket — isolating the
     control-plane overhead exactly as §5 describes.
     """
+    config = config or NegotiationConfig()
+    connections, requests, size = config.connections, config.requests, config.size
     net = Network()
     client_host = net.add_host("cl")
     server_host = net.add_host("srv")
@@ -162,6 +229,8 @@ def run_negotiation_overhead(
         hardcoded_setup_us=mean(samples["h_setup"]),
         bertha_rtt_us=mean(samples["b_rtt"]),
         hardcoded_rtt_us=mean(samples["h_rtt"]),
+        config=config,
+        worlds={"negotiation": net.obs.snapshot().as_dict()},
     )
 
 
@@ -169,23 +238,44 @@ def run_negotiation_overhead(
 # DAG optimizer (§6 reorder + merge)
 # --------------------------------------------------------------------------
 @dataclass
-class OptimizerAblationResult:
+class OptimizerConfig:
+    """The defaults are the recorded run."""
+
+    messages: int = 2000
+    message_size: int = 1500
+
+    @classmethod
+    def smoke(cls) -> "OptimizerConfig":
+        return cls(messages=100)
+
+
+class OptimizerAblationResult(AblationResult):
     """PCIe traffic for the §6 pipeline at three optimization levels."""
 
-    rows_: list[dict] = field(default_factory=list)
+    NAME = "optimizer"
+    COLUMNS = ["pipeline", "crossings", "pcie_bytes", "ratio_vs_best"]
 
-    def rows(self) -> list[dict]:
-        return self.rows_
-
-    def render(self) -> str:
-        return format_table(
-            self.rows_,
-            columns=["pipeline", "crossings", "pcie_bytes", "ratio_vs_best"],
-        )
+    @property
+    def invariants(self) -> dict[str, bool]:
+        by_name = self.by("pipeline")
+        original = by_name["encrypt |> http2 |> tcp"]
+        reordered = by_name["http2 |> encrypt |> tcp"]
+        merged = by_name.get("http2 |> tls")
+        return {
+            # The paper's 3×: NIC -> CPU -> NIC.
+            "reorder_saves_3x_pcie": original["pcie_bytes"]
+            == 3 * reordered["pcie_bytes"],
+            "original_crosses_3": original["crossings"] == 3,
+            "reordered_crosses_1": reordered["crossings"] == 1,
+            # Merge yields the TLS engine and keeps the 1-crossing profile
+            # with one fewer pipeline stage.
+            "merge_produces_tls": merged is not None,
+            "merged_crosses_1": merged is not None and merged["crossings"] == 1,
+        }
 
 
 def run_optimizer_ablation(
-    messages: int = 1000, message_size: int = 1500
+    config: Optional[OptimizerConfig] = None,
 ) -> OptimizerAblationResult:
     """Count PCIe crossings/bytes for encrypt|>http2|>tcp variants.
 
@@ -193,6 +283,8 @@ def run_optimizer_ablation(
     ``http2`` framing stays on the host.  Each host↔device boundary
     crossing moves the message over PCIe once.
     """
+    config = config or OptimizerConfig()
+    messages, message_size = config.messages, config.message_size
     offloadable = {"encrypt", "tcp", "tls"}
     optimizer = DagOptimizer()
     env_net = Network()  # only for an Environment to hang the bus off
@@ -229,37 +321,55 @@ def run_optimizer_ablation(
         row["ratio_vs_best"] = (
             row["pcie_bytes"] / best if best else float("nan")
         )
-    return OptimizerAblationResult(rows_=rows)
+    return OptimizerAblationResult(
+        rows_=rows,
+        config=config,
+        worlds={"pcie": env_net.obs.snapshot().as_dict()},
+    )
 
 
 # --------------------------------------------------------------------------
 # Multi-resource scheduling (§6)
 # --------------------------------------------------------------------------
 @dataclass
-class SchedulerAblationResult:
+class SchedulerConfig:
+    """The contention is fixed: nothing to set."""
+
+    @classmethod
+    def smoke(cls) -> "SchedulerConfig":
+        return cls()
+
+
+class SchedulerAblationResult(AblationResult):
     """Allocation quality per scheduler on a contended switch."""
 
-    rows_: list[dict] = field(default_factory=list)
+    NAME = "scheduler"
+    COLUMNS = [
+        "scheduler",
+        "tenants_served",
+        "granted",
+        "denied",
+        "share_A",
+        "share_B",
+        "max_min_gap",
+    ]
 
-    def rows(self) -> list[dict]:
-        return self.rows_
-
-    def render(self) -> str:
-        return format_table(
-            self.rows_,
-            columns=[
-                "scheduler",
-                "tenants_served",
-                "granted",
-                "denied",
-                "share_A",
-                "share_B",
-                "max_min_gap",
-            ],
-        )
+    @property
+    def invariants(self) -> dict[str, bool]:
+        by_name = self.by("scheduler")
+        return {
+            # "Chunnel priorities alone are insufficient."
+            "first_fit_starves_b": by_name["first-fit"]["tenants_served"] == 1,
+            "priority_starves_b": by_name["priority"]["tenants_served"] == 1,
+            "drf_serves_both": by_name["drf"]["tenants_served"] == 2,
+            "drf_fairer": by_name["drf"]["max_min_gap"]
+            < by_name["first-fit"]["max_min_gap"],
+        }
 
 
-def run_scheduler_ablation() -> SchedulerAblationResult:
+def run_scheduler_ablation(
+    config: Optional[SchedulerConfig] = None,
+) -> SchedulerAblationResult:
     """Two tenants contend for one switch's stages and SRAM.
 
     Tenant A arrives first and asks for a lot (three 4-stage programs);
@@ -296,13 +406,44 @@ def run_scheduler_ablation() -> SchedulerAblationResult:
                 "max_min_gap": round(abs(share_a - share_b), 3),
             }
         )
-    return SchedulerAblationResult(rows_=rows)
+    return SchedulerAblationResult(rows_=rows, config=config or SchedulerConfig())
 
 
 # --------------------------------------------------------------------------
 # Network-assisted consensus (§3.2): host vs switch sequencer
 # --------------------------------------------------------------------------
-def run_consensus_comparison(operations: int = 300) -> list[dict]:
+@dataclass
+class ConsensusConfig:
+    """The defaults are the recorded run."""
+
+    operations: int = 200
+
+    @classmethod
+    def smoke(cls) -> "ConsensusConfig":
+        return cls(operations=50)
+
+
+class ConsensusResult(AblationResult):
+    """Per-operation latency with each sequencer."""
+
+    NAME = "consensus"
+    COLUMNS = ["sequencer", "impl", "mean_us", "p95_us", "n"]
+
+    @property
+    def invariants(self) -> dict[str, bool]:
+        by_seq = self.by("sequencer")
+        host, switch = by_seq["host-sequencer"], by_seq["switch-sequencer"]
+        return {
+            "switch_sequencer_negotiated": switch["impl"] == "McastSwitchSequencer",
+            "host_sequencer_negotiated": host["impl"] == "McastSequencerFallback",
+            # The host sequencer adds a full extra network traversal per op.
+            "switch_under_80pct_of_host": switch["mean_us"] < host["mean_us"] * 0.8,
+        }
+
+
+def run_consensus_comparison(
+    config: Optional[ConsensusConfig] = None,
+) -> ConsensusResult:
     """Ordered-multicast RSM latency: host sequencer vs switch sequencer.
 
     The §3.2 consensus story, measured: with the sequencer as a userspace
@@ -319,7 +460,10 @@ def run_consensus_comparison(operations: int = 300) -> list[dict]:
     )
     from ..metrics import percentile
 
+    config = config or ConsensusConfig()
+    operations = config.operations
     rows = []
+    worlds = {}
     for label, use_switch in (("host-sequencer", False), ("switch-sequencer", True)):
         net = Network()
         members = ["r0", "r1", "r2"]
@@ -365,6 +509,7 @@ def run_consensus_comparison(operations: int = 300) -> list[dict]:
 
         net.env.process(client(net.env))
         net.env.run(until=10.0)
+        worlds[label] = net.obs.snapshot().as_dict()
         rows.append(
             {
                 "sequencer": label,
@@ -374,17 +519,45 @@ def run_consensus_comparison(operations: int = 300) -> list[dict]:
                 "n": len(latencies),
             }
         )
-    return rows
+    return ConsensusResult(rows_=rows, config=config, worlds=worlds)
 
 
 # --------------------------------------------------------------------------
 # Client-side discovery caching (DESIGN.md §5, ablation 1)
 # --------------------------------------------------------------------------
-def run_caching_ablation(
-    connections: int = 12,
-    connect_interval: float = 0.25,
-    local_start_time: float = 1.5,
-) -> list[dict]:
+@dataclass
+class CachingConfig:
+    """The defaults are the recorded run."""
+
+    connections: int = 12
+    connect_interval: float = 0.25
+    local_start_time: float = 1.5
+
+    @classmethod
+    def smoke(cls) -> "CachingConfig":
+        return cls(connections=8)
+
+
+class CachingResult(AblationResult):
+    """Setup cost and placement freshness per client configuration."""
+
+    NAME = "caching"
+    COLUMNS = ["mode", "mean_setup_us", "discovery_rtts", "stale_connections", "n"]
+
+    @property
+    def invariants(self) -> dict[str, bool]:
+        by_mode = self.by("mode")
+        cached, per_connect = by_mode["cached"], by_mode["per-connect"]
+        return {
+            "cached_setup_cheaper": cached["mean_setup_us"]
+            < per_connect["mean_setup_us"],
+            "cached_queries_once": cached["discovery_rtts"] == 1,
+            "per_connect_never_stale": per_connect["stale_connections"] == 0,
+            "cached_goes_stale": cached["stale_connections"] > 0,
+        }
+
+
+def run_caching_ablation(config: Optional[CachingConfig] = None) -> CachingResult:
     """Per-connect resolution (the paper's behaviour) vs client caching.
 
     Repeats the Figure 4 scenario under two client configurations:
@@ -396,14 +569,17 @@ def run_caching_ablation(
       the RTT on every repeat connect but keeps using the remote instance
       after a local one appears: *stale placement*.
 
-    Returns one row per configuration: mean setup latency, discovery round
-    trips, and how many post-local-start connections still went remote.
+    One row per configuration: mean setup latency, discovery round trips,
+    and how many post-local-start connections still went remote.
     """
-    from ..apps.rpc import EchoServer, ping_session
     from ..chunnels import LocalOrRemote, LocalOrRemoteFallback
-    from ..core import wrap
 
+    config = config or CachingConfig()
+    connections = config.connections
+    connect_interval = config.connect_interval
+    local_start_time = config.local_start_time
     rows = []
+    worlds = {}
     for label, ttl in (("per-connect", None), ("cached", 3600.0)):
         net = Network()
         remote = net.add_host("remote-host")
@@ -455,6 +631,7 @@ def run_caching_ablation(
         net.env.process(start_local(net.env))
         net.env.process(client(net.env))
         net.env.run(until=connections * connect_interval + 1.0)
+        worlds[label] = net.obs.snapshot().as_dict()
         rows.append(
             {
                 "mode": label,
@@ -464,15 +641,42 @@ def run_caching_ablation(
                 "n": len(setups),
             }
         )
-    return rows
+    return CachingResult(rows_=rows, config=config, worlds=worlds)
 
 
 # --------------------------------------------------------------------------
 # Serialization codecs/implementations (§3.2)
 # --------------------------------------------------------------------------
+@dataclass
+class SerializationConfig:
+    """The defaults are the recorded run."""
+
+    requests: int = 150
+    value_size: int = 8192
+
+    @classmethod
+    def smoke(cls) -> "SerializationConfig":
+        return cls(requests=40, value_size=4096)
+
+
+class SerializationResult(AblationResult):
+    """Mean RTT per serializer implementation."""
+
+    NAME = "serialization"
+    COLUMNS = ["implementation", "mean_rtt_us", "n"]
+
+    @property
+    def invariants(self) -> dict[str, bool]:
+        by_impl = self.by("implementation")
+        return {
+            "accelerated_faster": by_impl["fpga"]["mean_rtt_us"]
+            < by_impl["sw"]["mean_rtt_us"],
+        }
+
+
 def run_serialization_comparison(
-    requests: int = 200, value_size: int = 2048
-) -> list[dict]:
+    config: Optional[SerializationConfig] = None,
+) -> SerializationResult:
     """End-to-end RTT with software vs accelerated serialization.
 
     Same application, same DAG; the only change is which implementation the
@@ -481,7 +685,10 @@ def run_serialization_comparison(
     from ..core import PriorityFirstPolicy
     from ..sim import SmartNic
 
+    config = config or SerializationConfig()
+    requests, value_size = config.requests, config.value_size
     rows = []
+    worlds = {}
     for accelerated in (False, True):
         net = Network()
         client_host = net.add_host(
@@ -524,11 +731,13 @@ def run_serialization_comparison(
 
         net.env.process(driver(net.env))
         net.env.run()
+        label = "fpga" if accelerated else "sw"
+        worlds[label] = net.obs.snapshot().as_dict()
         rows.append(
             {
-                "implementation": "fpga" if accelerated else "sw",
+                "implementation": label,
                 "mean_rtt_us": sum(rtts) / len(rtts),
                 "n": len(rtts),
             }
         )
-    return rows
+    return SerializationResult(rows_=rows, config=config, worlds=worlds)

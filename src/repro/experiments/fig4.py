@@ -19,8 +19,9 @@ from ..apps.rpc import EchoServer, ping_session
 from ..chunnels import LocalOrRemote, LocalOrRemoteFallback
 from ..core import Runtime, wrap
 from ..discovery import DiscoveryService
-from ..metrics import BoxplotSummary, TimeSeries, format_table
+from ..metrics import BoxplotSummary, TimeSeries
 from ..sim import Network
+from ._result import TableResult
 
 __all__ = ["Fig4Config", "Fig4Result", "run_fig4"]
 
@@ -29,7 +30,8 @@ _US = 1e6
 
 @dataclass
 class Fig4Config:
-    """Experiment parameters (paper: local instance appears at t = 4 s)."""
+    """Experiment parameters (paper: local instance appears at t = 4 s);
+    the defaults are the recorded run."""
 
     duration: float = 10.0
     connect_interval: float = 0.25
@@ -37,16 +39,25 @@ class Fig4Config:
     request_size: int = 256
     requests_per_connection: int = 3
 
+    @classmethod
+    def smoke(cls) -> "Fig4Config":
+        return cls(duration=8.0, connect_interval=0.5)
+
 
 @dataclass
-class Fig4Result:
+class Fig4Result(TableResult):
     """Latency timeline plus before/after summaries (microseconds)."""
 
+    NAME = "fig4"
+    COLUMNS = ["t", "mean_rtt_us", "transport"]
+
+    config: Fig4Config
     series: TimeSeries
     transports: list[tuple[float, str]] = field(default_factory=list)
     before: BoxplotSummary | None = None
     after: BoxplotSummary | None = None
     switch_time: float = 0.0
+    worlds: dict = field(default_factory=dict, repr=False)
 
     def rows(self) -> list[dict]:
         return [
@@ -60,8 +71,28 @@ class Fig4Result:
             )
         ]
 
-    def render(self) -> str:
-        return format_table(self.rows(), columns=["t", "mean_rtt_us", "transport"])
+    @property
+    def invariants(self) -> dict[str, bool]:
+        config = self.config
+        interval = config.connect_interval
+        transports = [t for _time, t in self.transports]
+        return {
+            "latency_steps_down": self.before is not None
+            and self.after is not None
+            and self.after.p50 < self.before.p50 / 2,
+            "switch_within_two_intervals": config.local_start_time
+            <= self.switch_time
+            <= config.local_start_time + 2 * interval,
+            "udp_then_pipe": bool(transports)
+            and transports[0] == "udp"
+            and transports[-1] == "pipe",
+            # Every connection used the same endpoint code; only
+            # resolution changed — a connection starts in every interval.
+            "connects_every_interval": {
+                int(t // interval) for t in self.series.times
+            }
+            >= set(range(int(config.duration // interval))),
+        }
 
 
 def run_fig4(config: Fig4Config | None = None) -> Fig4Result:
@@ -95,7 +126,7 @@ def run_fig4(config: Fig4Config | None = None) -> Fig4Result:
             local_rt, port=7000, dag=wrap(LocalOrRemote()), service_name="fig4-svc"
         )
 
-    result = Fig4Result(series=TimeSeries())
+    result = Fig4Result(config=config, series=TimeSeries())
 
     def client(env):
         yield env.timeout(1e-3)
@@ -128,4 +159,5 @@ def run_fig4(config: Fig4Config | None = None) -> Fig4Result:
         if transport == "pipe":
             result.switch_time = t
             break
+    result.worlds = {"fig4": net.obs.snapshot().as_dict()}
     return result

@@ -44,9 +44,10 @@ from ..chunnels import (
 )
 from ..core import Runtime
 from ..discovery import DiscoveryService
-from ..metrics import format_table, percentile
+from ..metrics import percentile
 from ..sim import Address, CostModel, Network
 from ..workloads import PoissonArrivals, WorkloadSpec, YcsbWorkload
+from ._result import TableResult
 
 __all__ = ["Fig5Config", "Fig5Result", "SCENARIOS", "run_fig5", "run_fig5_scenario"]
 
@@ -57,19 +58,12 @@ _US = 1e6
 
 @dataclass
 class Fig5Config:
-    """Experiment parameters (paper: 300 k requests, workload A, uniform)."""
+    """Experiment parameters (paper: 300 k requests, workload A, uniform);
+    the defaults are the recorded run."""
 
     scenarios: tuple[str, ...] = SCENARIOS
-    offered_loads: tuple[int, ...] = (
-        50_000,
-        100_000,
-        200_000,
-        300_000,
-        400_000,
-        500_000,
-        600_000,
-    )
-    requests_per_point: int = 6000
+    offered_loads: tuple[int, ...] = (100_000, 200_000, 300_000, 500_000, 700_000)
+    requests_per_point: int = 4000
     record_count: int = 300
     value_size: int = 100
     shards: int = 3
@@ -78,10 +72,23 @@ class Fig5Config:
     drain_timeout: float = 0.05
     seed: int = 7
 
+    @classmethod
+    def smoke(cls) -> "Fig5Config":
+        """The CI tier: every load an invariant names."""
+        return cls(
+            offered_loads=(
+                100_000, 200_000, 300_000, 500_000, 550_000, 650_000, 700_000
+            ),
+            requests_per_point=1500,
+        )
+
 
 @dataclass
-class Fig5Result:
+class Fig5Result(TableResult):
     """p95 latency (µs) and completion counts per (scenario, load)."""
+
+    NAME = "fig5"
+    COLUMNS = ["scenario", "offered_kqps", "p50_us", "p95_us", "completed", "offered_n"]
 
     p95: dict[tuple[str, int], float]
     p50: dict[tuple[str, int], float]
@@ -89,6 +96,7 @@ class Fig5Result:
     offered: dict[tuple[str, int], int]
     chosen_impls: dict[str, list[str]]
     config: Fig5Config
+    worlds: dict = field(default_factory=dict, repr=False)
 
     def rows(self) -> list[dict]:
         out = []
@@ -107,18 +115,57 @@ class Fig5Result:
             )
         return out
 
-    def render(self) -> str:
-        return format_table(
-            self.rows(),
-            columns=[
-                "scenario",
-                "offered_kqps",
-                "p50_us",
-                "p95_us",
-                "completed",
-                "offered_n",
-            ],
-        )
+    @property
+    def invariants(self) -> dict[str, bool]:
+        def every(loads, check) -> bool:
+            """``check`` of each load's p95 by scenario, at every one of
+            ``loads`` the sweep ran; it must have run one."""
+            ran = [load for load in loads if load in self.config.offered_loads]
+            return bool(ran) and all(
+                check({s: self.p95[(s, load)] for s in self.config.scenarios})
+                for load in ran
+            )
+
+        return {
+            # Saturation order: the fallback first, then XDP, client push
+            # last.
+            "fallback_saturates_first": every(
+                (300_000,),
+                lambda p: p["server_fallback"]
+                > 5 * max(p["server_accel"], p["client_push"]),
+            ),
+            "xdp_saturates_before_push": every(
+                (650_000, 700_000), lambda p: p["server_accel"] > 2 * p["client_push"]
+            ),
+            "mixed_between": every(
+                (500_000, 550_000),
+                lambda p: p["client_push"] <= p["mixed"] <= 1.1 * p["server_accel"],
+            ),
+            # Below every knee all four are within a small factor, the
+            # fallback paying its extra hop.
+            "low_load_ordering": every(
+                (100_000,),
+                lambda p: p["server_fallback"] > p["client_push"]
+                and max(p["client_push"], p["server_accel"], p["mixed"])
+                < 2 * min(p["client_push"], p["server_accel"], p["mixed"]),
+            ),
+            # Even the worst configuration answers every request at a load
+            # it sustains ("poor performance, but still provides
+            # correctness").
+            "complete_when_sustained": all(
+                point in self.offered and self.completed[point] == self.offered[point]
+                for point in (("server_fallback", 100_000), ("client_push", 200_000))
+            ),
+            "negotiated_impls": {
+                scenario: sorted(chosen) for scenario, chosen in self.chosen_impls.items()
+            }
+            == {
+                "client_push": ["ShardClientFallback"] * 2,
+                "server_accel": ["ShardXdp"] * 2,
+                "mixed": ["ShardClientFallback", "ShardXdp"],
+                "server_fallback": ["ShardServerFallback"] * 2,
+            },
+        }
 
 
 def _build_world(scenario: str, config: Fig5Config):
@@ -255,6 +302,7 @@ def run_fig5_scenario(
         "completed": len(latencies),
         "chosen_impls": chosen,
         "server_requests": server.requests_served,
+        "metrics": net.obs.snapshot().as_dict(),
     }
 
 
@@ -266,6 +314,7 @@ def run_fig5(config: Optional[Fig5Config] = None) -> Fig5Result:
     completed: dict[tuple[str, int], int] = {}
     offered: dict[tuple[str, int], int] = {}
     chosen_impls: dict[str, list[str]] = {}
+    worlds: dict[str, dict] = {}
     for scenario in config.scenarios:
         for load in config.offered_loads:
             point = run_fig5_scenario(scenario, load, config)
@@ -276,6 +325,7 @@ def run_fig5(config: Optional[Fig5Config] = None) -> Fig5Result:
             completed[key] = point["completed"]
             offered[key] = point["offered"]
             chosen_impls.setdefault(scenario, point["chosen_impls"])
+            worlds[f"{scenario}/{load}"] = point["metrics"]
     return Fig5Result(
         p95=p95,
         p50=p50,
@@ -283,4 +333,5 @@ def run_fig5(config: Optional[Fig5Config] = None) -> Fig5Result:
         offered=offered,
         chosen_impls=chosen_impls,
         config=config,
+        worlds=worlds,
     )

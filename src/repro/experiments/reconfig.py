@@ -12,7 +12,7 @@ notices and transitions back.
 The output is a p95-latency time series: flat at the offloaded level,
 stepping up to the fallback level at ``revoke_at``, stepping back down
 shortly after ``restore_at``.  That three-phase step — plus the
-offered == completed zero-loss check — is what the shape test asserts.
+offered == completed zero-loss check — is what its invariants assert.
 
 ``run_epoch_overhead`` backs the "reconfigurability is free when unused"
 claim: the same workload run with and without the reconfiguration
@@ -31,18 +31,32 @@ from ..apps.kvstore import KvServer, kv_request
 from ..chunnels import SerializeFallback, ShardServerFallback, ShardXdp
 from ..core import Runtime
 from ..discovery import DiscoveryService
-from ..metrics import TimeSeries, format_table, percentile
+from ..metrics import TimeSeries, percentile
+from ..reconfig import engine
 from ..sim import Address, CostModel, Network
 from ..workloads import PoissonArrivals
+from ._result import TableResult
 
-__all__ = ["ReconfigConfig", "ReconfigResult", "run_reconfig", "run_epoch_overhead"]
+__all__ = [
+    "EpochOverheadConfig",
+    "EpochOverheadResult",
+    "ReconfigConfig",
+    "ReconfigResult",
+    "run_epoch_overhead",
+    "run_reconfig",
+]
 
 _US = 1e6
 
 
+#: How long after the revocation the downgrade may commit (s).
+DEGRADE_WITHIN = 0.1
+
+
 @dataclass
 class ReconfigConfig:
-    """One long-lived connection under load, with an offload outage."""
+    """One long-lived connection under load, with an offload outage; the
+    defaults are the recorded run."""
 
     duration: float = 12.0
     revoke_at: float = 4.0
@@ -59,10 +73,24 @@ class ReconfigConfig:
     drain_timeout: float = 0.05
     seed: int = 11
 
+    @classmethod
+    def smoke(cls) -> "ReconfigConfig":
+        return cls(
+            duration=3.0,
+            revoke_at=1.0,
+            restore_at=2.0,
+            offered_load=1000,
+            bucket=0.25,
+            phase_margin=0.3,
+        )
+
 
 @dataclass
-class ReconfigResult:
+class ReconfigResult(TableResult):
     """The latency time series and the transition bookkeeping."""
+
+    NAME = "reconfig"
+    COLUMNS = ["t_s", "p95_us", "p50_us", "n"]
 
     series: TimeSeries
     phase_p95: dict[str, float]
@@ -72,6 +100,7 @@ class ReconfigResult:
     impl_timeline: list[tuple[float, str]]
     pause_times: list[float]
     config: ReconfigConfig = field(repr=False)
+    worlds: dict = field(default_factory=dict, repr=False)
 
     @property
     def zero_loss(self) -> bool:
@@ -83,8 +112,8 @@ class ReconfigResult:
             for t, summary in self.series.bins(self.config.bucket, start=0.0)
         ]
 
-    def render(self) -> str:
-        lines = [format_table(self.rows(), columns=["t_s", "p95_us", "p50_us", "n"])]
+    def render_body(self) -> list[str]:
+        lines = super().render_body()
         lines.append("")
         for phase in ("baseline", "degraded", "recovered"):
             lines.append(f"{phase:>10}: p95 {self.phase_p95[phase]:.2f} us")
@@ -100,10 +129,43 @@ class ReconfigResult:
         lines.append("implementation timeline:")
         for t, impl in self.impl_timeline:
             lines.append(f"  t={t:.3f}s  {impl}")
-        return "\n".join(lines)
+        return lines
+
+    @property
+    def invariants(self) -> dict[str, bool]:
+        config = self.config
+        p95 = self.phase_p95
+        commits = [t for t, event, _ in self.transitions if event == "committed"]
+        impls = [impl for _t, impl in self.impl_timeline]
+        return {
+            # The acceptance bar: revocation mid-stream loses nothing.
+            "zero_loss": self.offered > 0 and self.zero_loss,
+            # The step: a degraded plateau above baseline, full recovery
+            # after.
+            "p95_steps_up": p95["degraded"] > 1.2 * p95["baseline"],
+            "p95_recovers": abs(p95["recovered"] - p95["baseline"])
+            <= 0.05 * p95["baseline"],
+            # The discovery push degrades at once; the upgrade waits for
+            # the server's next poll.
+            "transitions_on_time": len(commits) == 2
+            and config.revoke_at <= commits[0] <= config.revoke_at + DEGRADE_WITHIN
+            and config.restore_at
+            <= commits[1]
+            <= config.restore_at + 2 * engine.UPGRADE_POLL_INTERVAL,
+            "impls_round_trip": bool(impls)
+            and impls[0] == "ShardXdp"
+            and any("server-fallback" in impl for impl in impls)
+            and impls[-1] == "ShardXdp",
+            # Bounded pause: one control round trip over 5 us links, well
+            # under the engine's ack timeout (no retries needed).
+            "pauses_bounded": len(self.pause_times) == 2
+            and all(0 < pause < 1e-3 for pause in self.pause_times),
+        }
 
 
-def _build_world(config: ReconfigConfig):
+def _build_world(config: ReconfigConfig, auto_reconfig: bool = True):
+    """The sharded KV server, its client runtime, and the XDP shard
+    offload registered with discovery."""
     net = Network()
     server_host = net.add_host(
         "srv", cost=CostModel(xdp_per_packet=config.xdp_per_packet)
@@ -127,9 +189,10 @@ def _build_world(config: ReconfigConfig):
         port=7100,
         shards=config.shards,
         worker_service_time=config.worker_service_time,
-        auto_reconfig=True,
+        auto_reconfig=auto_reconfig,
     )
-    return net, discovery, server, server_rt, client_rt
+    record = discovery.register(ShardXdp.meta, location="srv")
+    return net, discovery, record, server, server_rt, client_rt
 
 
 def _drive_load(env, conn, config: ReconfigConfig, series: TimeSeries):
@@ -172,9 +235,8 @@ def _drive_load(env, conn, config: ReconfigConfig, series: TimeSeries):
 def run_reconfig(config: Optional[ReconfigConfig] = None) -> ReconfigResult:
     """The full outage-and-recovery run."""
     config = config or ReconfigConfig()
-    net, discovery, server, server_rt, client_rt = _build_world(config)
+    net, discovery, record, server, server_rt, client_rt = _build_world(config)
     env = net.env
-    record = discovery.register(ShardXdp.meta, location="srv")
     series = TimeSeries()
     impl_timeline: list[tuple[float, str]] = []
 
@@ -237,39 +299,78 @@ def run_reconfig(config: Optional[ReconfigConfig] = None) -> ReconfigResult:
         impl_timeline=impl_timeline,
         pause_times=list(manager.pause_times),
         config=config,
+        worlds={"reconfig": net.obs.snapshot().as_dict()},
     )
 
 
+@dataclass
+class EpochOverheadConfig:
+    """Paired runs of one closed-loop client; the defaults are the
+    recorded run."""
+
+    requests: int = 2000
+    offered_load: int = 2000
+    seed: int = 3
+
+    @classmethod
+    def smoke(cls) -> "EpochOverheadConfig":
+        return cls(requests=300)
+
+
+@dataclass
+class EpochOverheadResult(TableResult):
+    """Both latency sample lists (µs): reconfiguration absent, then armed."""
+
+    NAME = "epoch-overhead"
+
+    baseline: list[float]
+    watched: list[float]
+    config: EpochOverheadConfig
+    worlds: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def identical(self) -> bool:
+        return self.baseline == self.watched
+
+    @property
+    def max_abs_delta_us(self) -> float:
+        return max(
+            (abs(a - b) for a, b in zip(self.baseline, self.watched)), default=0.0
+        )
+
+    def render_body(self) -> list[str]:
+        return [
+            f"n={len(self.baseline)} requests, reconfig armed vs absent",
+            f"latency streams identical: {self.identical}",
+            f"max |delta|: {self.max_abs_delta_us:.6f} us",
+        ]
+
+    @property
+    def invariants(self) -> dict[str, bool]:
+        return {
+            "every_request_answered": len(self.baseline) == self.config.requests,
+            # Exact equality: the sim is deterministic and epoch 0 stamps
+            # nothing, so the latency streams are bit-identical.
+            "streams_identical": self.identical,
+            "zero_delta": self.max_abs_delta_us == 0.0,
+        }
+
+
 def run_epoch_overhead(
-    requests: int = 2000, offered_load: int = 2000, seed: int = 3
-) -> dict:
+    config: Optional[EpochOverheadConfig] = None,
+) -> EpochOverheadResult:
     """Paired runs: reconfig machinery armed vs absent, no transition fired.
 
-    Returns both latency sample lists; the simulator is deterministic, so
-    ``identical`` is an exact (not statistical) claim that arming live
-    reconfiguration adds zero per-message latency until a transition
-    actually runs.
+    The simulator is deterministic, so ``identical`` is an exact (not
+    statistical) claim that arming live reconfiguration adds zero
+    per-message latency until a transition actually runs.
     """
+    config = config or EpochOverheadConfig()
+    seed = config.seed
+    worlds = {}
 
     def one_run(auto_reconfig: bool) -> list[float]:
-        config = ReconfigConfig(seed=seed)
-        net = Network()
-        server_host = net.add_host(
-            "srv", cost=CostModel(xdp_per_packet=config.xdp_per_packet)
-        )
-        net.add_host("cl1")
-        net.add_host("dsc")
-        net.add_switch("tor")
-        for name in ("srv", "cl1", "dsc"):
-            net.add_link(name, "tor", latency=5e-6)
-        discovery = DiscoveryService(net.hosts["dsc"])
-        server_rt = Runtime(server_host, discovery=discovery.address)
-        server_rt.register_chunnel(SerializeFallback)
-        server_rt.register_chunnel(ShardServerFallback)
-        client_rt = Runtime(net.entity("cl1"), discovery=discovery.address)
-        client_rt.register_chunnel(SerializeFallback)
-        discovery.register(ShardXdp.meta, location="srv")
-        KvServer(server_rt, port=7100, auto_reconfig=auto_reconfig)
+        net, *_, client_rt = _build_world(ReconfigConfig(seed=seed), auto_reconfig)
         env = net.env
         latencies: list[float] = []
 
@@ -278,8 +379,8 @@ def run_epoch_overhead(
             endpoint = client_rt.new("overhead-client")
             conn = yield from endpoint.connect(Address("srv", 7100))
             yield env.timeout(5e-3)  # let the one-time watch RPC settle
-            arrivals = PoissonArrivals(offered_load, seed=seed)
-            for index in range(requests):
+            arrivals = PoissonArrivals(config.offered_load, seed=seed)
+            for index in range(config.requests):
                 yield env.timeout(arrivals.next_gap())
                 start = env.now
                 conn.send(kv_request("put", f"k{index % 100}", b"v"))
@@ -288,16 +389,12 @@ def run_epoch_overhead(
 
         proc = env.process(client_proc(env))
         env.run(until=proc)
+        worlds["armed" if auto_reconfig else "absent"] = net.obs.snapshot().as_dict()
         return latencies
 
-    baseline = one_run(auto_reconfig=False)
-    watched = one_run(auto_reconfig=True)
-    return {
-        "baseline": baseline,
-        "watched": watched,
-        "n": len(baseline),
-        "identical": baseline == watched,
-        "max_abs_delta_us": max(
-            (abs(a - b) for a, b in zip(baseline, watched)), default=0.0
-        ),
-    }
+    return EpochOverheadResult(
+        baseline=one_run(auto_reconfig=False),
+        watched=one_run(auto_reconfig=True),
+        config=config,
+        worlds=worlds,
+    )

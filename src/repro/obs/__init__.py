@@ -13,8 +13,7 @@
   reconfiguration engine, and the chaos controller.
 
 Each :class:`~repro.sim.network.Network` owns one registry and one trace
-log (``net.obs`` / ``net.trace``); :func:`current_registry` is the
-process-global handle, following the most recently built world.
+log (``net.obs`` / ``net.trace``).
 """
 
 from .registry import (
@@ -23,8 +22,6 @@ from .registry import (
     Histogram,
     MetricsRegistry,
     MetricsSnapshot,
-    current_registry,
-    set_current_registry,
 )
 from .trace import Span, TraceLog
 
@@ -36,6 +33,4 @@ __all__ = [
     "MetricsSnapshot",
     "Span",
     "TraceLog",
-    "current_registry",
-    "set_current_registry",
 ]

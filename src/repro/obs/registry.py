@@ -1,4 +1,4 @@
-"""The process-global metrics registry.
+"""The per-world metrics registry.
 
 Before this module existed, every layer kept its own ad-hoc counters —
 ``RpcStats`` on runtimes and discovery clients, four independent
@@ -51,8 +51,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "current_registry",
-    "set_current_registry",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z0-9_.:/-]+$")
@@ -283,33 +281,5 @@ class MetricsRegistry:
         at = self._clock() if self._clock is not None else None
         return MetricsSnapshot(values, at=at)
 
-    def write_json(self, path: str) -> None:
-        """Export one snapshot as canonical JSON (trailing newline)."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.snapshot().to_json())
-            handle.write("\n")
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<MetricsRegistry {len(self._sources)} sources>"
-
-
-#: The process-global handle: follows the most recently built world
-#: (``Network.__init__`` installs its registry here), so tooling and the
-#: experiment CLI can snapshot without threading the object through.
-_current: Optional[MetricsRegistry] = None
-
-
-def current_registry() -> MetricsRegistry:
-    """The registry of the most recently constructed world (or a fresh,
-    empty one when no world exists yet)."""
-    global _current
-    if _current is None:
-        _current = MetricsRegistry()
-    return _current
-
-
-def set_current_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Install ``registry`` as the process-global handle; returns it."""
-    global _current
-    _current = registry
-    return registry

@@ -30,7 +30,7 @@ from typing import Optional
 import networkx as nx
 
 from ..errors import AddressError
-from ..obs import MetricsRegistry, TraceLog, set_current_registry
+from ..obs import MetricsRegistry, TraceLog
 from .datagram import Address, Datagram
 from .eventloop import Environment
 from .faults import CORRUPT_HEADER, FaultPlan, clone_datagram
@@ -522,11 +522,7 @@ class Network:
         self.srcroute_fallbacks = 0
         #: One metrics registry and one trace log per world; everything
         #: constructed against this network registers its counters here.
-        #: The registry also becomes the process-global handle
-        #: (``repro.obs.current_registry``), following the newest world.
-        self.obs = set_current_registry(
-            MetricsRegistry(clock=lambda: self.env.now)
-        )
+        self.obs = MetricsRegistry(clock=lambda: self.env.now)
         self.trace = TraceLog(self.env)
         self.obs.bind("net.delivered", self, "delivered")
         for cause, attr in (

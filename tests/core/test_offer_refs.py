@@ -54,6 +54,10 @@ def misses(server):
     return server.listener.offer_ref_misses_total
 
 
+#: The frames of one discovery query: a listener's offer-pool refresh.
+REFRESH_QUERY = (msgs.Query.KIND, msgs.QueryReply.KIND)
+
+
 class TestEveryReferenceHits:
     def test_offer_and_accept_name_what_both_ends_hold(self):
         net, _disc, toe, server, client_rt = build_world(cache_size=0)
@@ -118,7 +122,9 @@ class TestFullEntries:
 class TestMiss:
     """The TOE record is re-registered with one more NIC slot after the
     listener fetched its pool: the client's record id resolves to the
-    stale record there, so the expansion's digest is not the OFFER's."""
+    stale record there, so the expansion's digest is not the OFFER's.
+    The miss marks the pool stale, so the full OFFER's accept refreshes
+    it and a later OFFER naming the record hits."""
 
     def world(self, change):
         net, _disc, toe, server, client_rt = build_world(cache_size=0)
@@ -133,18 +139,25 @@ class TestMiss:
                     resources=toe.meta.resources + ResourceVector(nic_slots=1),
                 )
             second = yield from connect(client_rt, server.address, 1)
-            return first, second, [kind for _, kind, _ in seen[start:]]
+            middle = len(seen)
+            third = yield from connect(client_rt, server.address, 2)
+            kinds = [kind for _, kind, _ in seen]
+            return first, second, third, kinds[start:middle], kinds[middle:]
 
-        first, second, kinds = drive(net, scenario())
-        return server, first, second, kinds
+        first, second, third, kinds, later = drive(net, scenario())
+        return server, first, second, third, kinds, later
 
     def test_one_extra_offer_and_error_then_the_full_offer_binds(self):
-        _server, _first, _second, hit = self.world(change=False)
-        server, first, second, miss = self.world(change=True)
+        _server, _first, _second, _third, hit, _later = self.world(change=False)
+        server, first, second, _third, miss, _later = self.world(change=True)
         extra = list(miss)
         for kind in hit:
             extra.remove(kind)
-        assert sorted(extra) == [msgs.Error.KIND, msgs.Offer.KIND]
+        # The OFFER/error pair, and the one discovery query that refreshes
+        # the listener's pool.
+        assert sorted(extra) == sorted(
+            [msgs.Error.KIND, msgs.Offer.KIND, *REFRESH_QUERY]
+        )
         assert misses(server) == 1
         assert server.listener.negotiations_failed == 0
         assert second.conn_id.endswith(":full")
@@ -153,6 +166,17 @@ class TestMiss:
         assert toe_meta(second).resources == toe_meta(first).resources + ResourceVector(
             nic_slots=1
         )
+
+    def test_the_refreshed_pool_resolves_the_next_offer(self):
+        """A miss leaves no lasting cost: the connect after it names the
+        changed record and hits, frame for frame like a world without the
+        change."""
+        _server, _first, _second, _third, _hit, hit_later = self.world(change=False)
+        server, _first, second, third, _miss, later = self.world(change=True)
+        assert sorted(later) == sorted(hit_later)
+        assert misses(server) == 1
+        assert not third.conn_id.endswith(":full")
+        assert_same_binding(server, second, third)
 
 
 class TestAcceptIndex:

@@ -1,18 +1,19 @@
 """The result contract every row of the CLI table honours, and its runner.
 
 One parametrized test per clause instead of a copy per experiment: the
-verdict, the rendered footer, same-seed determinism, and the framing and
-encoding of the two JSON files.  The runner tests drive ``main`` in
-process on the cheapest row.
+verdict, the rendered footer, same-run determinism, and the framing and
+encoding of the recorded file and the metrics document.  The runner
+tests drive ``main`` in process on cheap rows.
 """
 
+import argparse
 import json
 from dataclasses import replace
 
 import pytest
 
 from repro.experiments import __main__ as cli
-from repro.experiments.__main__ import EXPERIMENTS, cmd_fig4, main
+from repro.experiments.__main__ import EXPERIMENTS, main
 
 
 def canonical(document) -> str:
@@ -45,41 +46,48 @@ class TestContract:
         # Any nondeterminism (iteration-order leak, id() in a sort key,
         # wall-clock in a metric) fails here, before CI's diff sees it.
         row = EXPERIMENTS[name]
-        first, again = smoke_run(name), row.run(row.config.smoke(seed=7))
+        first, again = smoke_run(name), row.run(row.config.smoke())
         assert canonical(again.metrics_payload()) == canonical(
             first.metrics_payload()
         )
-        assert canonical(again.to_baseline()) == canonical(first.to_baseline())
+        assert again.baseline_text() == first.baseline_text()
 
     def test_files_round_trip(self, name, smoke_run, tmp_path):
         result = smoke_run(name)
-        metrics, baseline = tmp_path / "metrics.json", tmp_path / "base.json"
+        metrics, baseline = tmp_path / "metrics.json", tmp_path / "baseline"
         result.write_metrics(str(metrics))
         result.write_baseline(str(baseline))
         assert metrics.read_text() == canonical(result.metrics_payload()) + "\n"
-        assert baseline.read_text() == (
-            json.dumps(result.to_baseline(), indent=2, sort_keys=True) + "\n"
-        )
-        for path in (metrics, baseline):
-            document = json.loads(path.read_text())
+        documents = [json.loads(metrics.read_text())]
+        if EXPERIMENTS[name].table:
+            # The recorded table carries no footer: the invariants go to
+            # stdout and the exit code.
+            assert baseline.read_text() == "\n".join(result.render_body()) + "\n"
+        else:
+            assert baseline.read_text() == (
+                json.dumps(result.to_baseline(), indent=2, sort_keys=True) + "\n"
+            )
+            documents.append(json.loads(baseline.read_text()))
+        for document in documents:
             assert document["experiment"] == name
-            assert document["seed"] == 7
+            assert document["seed"] == getattr(result.config, "seed", None)
             assert document["invariants"] == result.invariants
 
 
 class TestRunner:
     def test_writes_the_requested_files(self, smoke_run, tmp_path, capsys):
         result = smoke_run("multipath")
-        metrics, baseline = tmp_path / "m.json", tmp_path / "b.json"
         main(
             [
                 "multipath", "--smoke",
-                "--metrics-out", str(metrics), "--baseline", str(baseline),
+                "--metrics-out", str(tmp_path / "m"),
+                "--baseline", str(tmp_path / "b"),
             ]
         )
+        metrics = tmp_path / "m" / "multipath.json"
         assert metrics.read_text() == canonical(result.metrics_payload()) + "\n"
-        assert json.loads(baseline.read_text()) == json.loads(
-            json.dumps(result.to_baseline())
+        assert json.loads((tmp_path / "b" / "BENCH_multipath.json").read_text()) == (
+            json.loads(json.dumps(result.to_baseline()))
         )
         out = capsys.readouterr().out
         assert out.splitlines()[1].startswith("=== Multipath:")
@@ -89,7 +97,7 @@ class TestRunner:
         result = smoke_run("multipath")
         broken = replace(result, reb_delivered=result.reb_delivered - 1)
         row = replace(EXPERIMENTS["multipath"], run=lambda config: broken)
-        monkeypatch.setitem(cli.COMMANDS, "multipath", row)
+        monkeypatch.setitem(cli.EXPERIMENTS, "multipath", row)
         with pytest.raises(SystemExit) as exit_info:
             main(["multipath", "--smoke"])
         assert exit_info.value.code == 1
@@ -97,20 +105,54 @@ class TestRunner:
     def test_all_writes_one_file_per_command(
         self, smoke_run, monkeypatch, tmp_path
     ):
-        # ``all`` over a two-row table: one figure command (registry
-        # export) and one invariant-checked row (its own document).
+        # ``all`` over a two-row table: one table row and one
+        # invariant-checked row, each writing its own two files.
         result = smoke_run("multipath")
         row = replace(EXPERIMENTS["multipath"], run=lambda config: result)
         monkeypatch.setattr(
-            cli, "COMMANDS", {"fig4": cmd_fig4, "multipath": row}
+            cli, "EXPERIMENTS", {"fig4": EXPERIMENTS["fig4"], "multipath": row}
         )
-        main(["all", "--smoke", "--metrics-out", str(tmp_path / "out")])
+        main(
+            [
+                "all", "--smoke",
+                "--metrics-out", str(tmp_path / "out"),
+                "--baseline", str(tmp_path / "rec"),
+            ]
+        )
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
             "fig4.json",
             "multipath.json",
         ]
+        assert sorted(p.name for p in (tmp_path / "rec").iterdir()) == [
+            "BENCH_multipath.json",
+            "fig4_dynamic.txt",
+        ]
         assert (tmp_path / "out" / "multipath.json").read_text() == (
             canonical(result.metrics_payload()) + "\n"
+        )
+        assert (tmp_path / "rec" / "fig4_dynamic.txt").read_text() == (
+            smoke_run("fig4").baseline_text()
+        )
+
+    def test_metrics_cover_every_world_built(self, smoke_run, tmp_path):
+        main(["consensus", "--smoke", "--metrics-out", str(tmp_path)])
+        worlds = json.loads((tmp_path / "consensus.json").read_text())["worlds"]
+        assert sorted(worlds) == ["host-sequencer", "switch-sequencer"]
+        assert all(worlds.values())
+        fig5 = smoke_run("fig5")
+        assert sorted(fig5.metrics_payload()["worlds"]) == sorted(
+            f"{scenario}/{load}"
+            for scenario in fig5.config.scenarios
+            for load in fig5.config.offered_loads
+        )
+
+    def test_seed_overrides_only_rows_that_have_one(self):
+        args = argparse.Namespace(
+            seed=3, full=False, shards=None, replicas_per_shard=None
+        )
+        assert cli._config(EXPERIMENTS["fig5"], args, smoke=True).seed == 3
+        assert cli._config(EXPERIMENTS["fig3"], args, smoke=True) == (
+            EXPERIMENTS["fig3"].config.smoke()
         )
 
     def test_shard_flags_name_the_discovery_tier_rows(self):

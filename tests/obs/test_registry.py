@@ -4,12 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import (
-    MetricsRegistry,
-    MetricsSnapshot,
-    current_registry,
-    set_current_registry,
-)
+from repro.obs import MetricsRegistry, MetricsSnapshot
 
 
 class TestInstruments:
@@ -168,25 +163,3 @@ class TestSnapshot:
         assert one == two
         assert json.loads(one) == {"a": 2, "b": 1}
         assert " " not in one
-
-    def test_write_json_roundtrip(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("n").inc(3)
-        path = tmp_path / "metrics.json"
-        registry.write_json(str(path))
-        text = path.read_text()
-        assert text.endswith("\n")
-        assert json.loads(text) == {"n": 3}
-
-
-class TestGlobalHandle:
-    def test_set_and_get(self):
-        registry = MetricsRegistry()
-        assert set_current_registry(registry) is registry
-        assert current_registry() is registry
-
-    def test_network_installs_itself(self):
-        from repro.sim import Network
-
-        net = Network()
-        assert current_registry() is net.obs

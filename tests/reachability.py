@@ -15,11 +15,11 @@ line number, so unrelated edits do not churn the allowlist.  A function whose
 
 *Which functions run.*  Each recorded world runs in its own worker process
 (``os.cpu_count()`` at a time) under a call-only ``sys.settrace`` function,
-and the reached sets are united: ``repro.experiments all --smoke`` with
-both ``--metrics-out`` and ``--baseline`` (so every ``baseline_body`` runs),
-one command a world,
-``pytest benchmarks`` (which rewrites ``benchmarks/results``, byte-identically
-while modelled behaviour holds), bench's selftest and every
+and the reached sets are united: every row of ``repro.experiments`` at
+``--smoke`` (what ``all --smoke`` runs), and every figure and ablation row
+at its default tier (the run recorded under ``benchmarks/results``), one
+run a world, each with both ``--metrics-out`` and ``--baseline`` (so every
+recorded file's writer runs); then bench's selftest and every
 ``examples/*.py``.  A settrace hook, not a setprofile one: bench's traced
 mode runs cProfile, which replaces the profile hook.  A world can still
 drop the trace hook (CPython removes one that raises, for instance at the
@@ -420,29 +420,25 @@ def check(missing: list[Function], entries: dict[str, str]) -> list[str]:
     return problems
 
 
-def _experiment_commands() -> list[str]:
-    from repro.experiments.__main__ import COMMANDS
+def _experiment_commands() -> list[list[str]]:
+    """Every row at ``--smoke``, then every table row at its recorded default."""
+    from repro.experiments.__main__ import EXPERIMENTS
 
-    return list(COMMANDS)
+    return [[name, "--smoke"] for name in EXPERIMENTS] + [
+        [name] for name, row in EXPERIMENTS.items() if row.table
+    ]
 
 
 def _recorded_worlds(
-    scratch: pathlib.Path, commands: list[str]
+    scratch: pathlib.Path, commands: list[list[str]]
 ) -> list[tuple[str, Callable[[], object]]]:
-    """``all --smoke`` runs as one world a command: its commands share no state."""
+    """The experiment rows run as one world a row: rows share no state."""
 
-    def experiment(command: str):
+    def experiment(command: list[str]):
         from repro.experiments.__main__ import main
 
-        return main(
-            [command, "--smoke", "--metrics-out", str(scratch / f"{command}.metrics.json"),
-             "--baseline", str(scratch / f"{command}.baseline.json")]
-        )
-
-    def benchmarks():
-        import pytest
-
-        return int(pytest.main([str(ROOT / "benchmarks"), "-q", "-p", "no:cacheprovider"]))
+        out = str(scratch / "_".join(command))
+        return main([*command, "--metrics-out", out, "--baseline", out])
 
     def selftest():
         from bench.__main__ import main
@@ -450,10 +446,10 @@ def _recorded_worlds(
         return main(["run", "--selftest"])
 
     worlds = [
-        (f"experiments {command} --smoke", lambda command=command: experiment(command))
+        (f"experiments {' '.join(command)}", lambda command=command: experiment(command))
         for command in commands
     ]
-    worlds += [("pytest benchmarks", benchmarks), ("bench run --selftest", selftest)]
+    worlds.append(("bench run --selftest", selftest))
 
     def example(path: pathlib.Path):
         runpy.run_path(str(path), run_name="__main__")
@@ -465,13 +461,13 @@ def _recorded_worlds(
 
 _make_tracer: Callable[[], _Hook] = CallTracer  # set before the workers fork
 
-#: The longest worlds, traced, on 2 vCPUs: fig5 ~85 s, pytest benchmarks
-#: ~55 s, the selftest ~40 s; every other world takes seconds.  They start
-#: first, and the short ones fill in behind them.
-_LONGEST_FIRST = ("experiments fig5 --smoke", "pytest benchmarks", "bench run --selftest")
+#: The longest worlds, traced, on 2 vCPUs: fig5's recorded run ~30 s, the
+#: selftest ~26 s, fig5 --smoke ~13 s; every other world takes seconds.
+#: They start first, and the short ones fill in behind them.
+_LONGEST_FIRST = ("experiments fig5", "bench run --selftest", "experiments fig5 --smoke")
 
 
-def _world_in_worker(job: tuple[int, str, list[str]]):
+def _world_in_worker(job: tuple[int, str, list[list[str]]]):
     """Run world ``index`` under a fresh tracer: ``(failure or None, result)``."""
     index, scratch, commands = job
     name, world = _recorded_worlds(pathlib.Path(scratch), commands)[index]

@@ -240,8 +240,6 @@ PUBLIC_SURFACE = {
         "MetricsSnapshot",
         "Span",
         "TraceLog",
-        "current_registry",
-        "set_current_registry",
     ],
     "repro.reconfig": [
         "DeviceFailureDetector",
