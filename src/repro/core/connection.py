@@ -715,17 +715,22 @@ class Connection:
         if self._pump.is_alive:
             self._pump.interrupt("connection closed")
         self.socket.close()
-        if self.runtime.ephemeral_connections:
-            obs = self.runtime.network.obs
-            prefix = f"conn.{self.conn_id}.{self.role.value}"
-            for suffix in (
-                "messages_sent",
-                "messages_received",
-                "ctl_malformed_total",
-                "transitions",
-                "stack_retransmissions",
-            ):
-                obs.unregister(f"{prefix}.{suffix}")
+        # The per-connection sources close over this connection; freezing
+        # them (or, for ephemeral connections, dropping them) lets the
+        # registry release it.
+        obs = self.runtime.network.obs
+        ephemeral = self.runtime.ephemeral_connections
+        release = obs.unregister if ephemeral else obs.freeze
+        prefix = f"conn.{self.conn_id}.{self.role.value}"
+        for suffix in (
+            "messages_sent",
+            "messages_received",
+            "ctl_malformed_total",
+            "transitions",
+            "stack_retransmissions",
+        ):
+            release(f"{prefix}.{suffix}")
+        if ephemeral:
             if self.listener is not None:
                 try:
                     self.listener.connections.remove(self)

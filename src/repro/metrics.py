@@ -4,14 +4,18 @@ The paper reports latency distributions as boxplots (median with p25/p75
 boxes and p5/p95 whiskers — Figure 3), percentile-vs-load curves (p95 —
 Figure 5), and latency-vs-time series (Figure 4).  This module implements
 exactly those reductions so experiment harnesses stay declarative.
+
+The reductions use the standard library only, and reproduce numpy's
+default ``percentile`` ("linear" rule) and ``mean`` (pairwise summation)
+bit for bit, so every recorded table kept its bytes when numpy left the
+dependency list.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 __all__ = [
     "percentile",
@@ -22,13 +26,64 @@ __all__ = [
 ]
 
 
+def _sorted_sample(values: Sequence[float], what: str) -> list[float]:
+    """``values`` as sorted floats; an empty sample or a NaN is an error
+    (a NaN has no place in an order, so ``sorted`` would misplace it)."""
+    if len(values) == 0:
+        raise ValueError(what)
+    ordered = sorted(map(float, values))
+    if any(math.isnan(v) for v in ordered):
+        raise ValueError("sample contains NaN")
+    return ordered
+
+
+def _percentile_sorted(ordered: list[float], p: float) -> float:
+    """numpy's "linear" percentile of an already sorted sample."""
+    index = (len(ordered) - 1) * (p / 100)
+    lo = int(index)
+    a = ordered[lo]
+    b = ordered[min(lo + 1, len(ordered) - 1)]
+    g = index - lo
+    # numpy's lerp: from the nearer end, so g = 1 lands exactly on b.
+    if g < 0.5:
+        return a + (b - a) * g
+    return b - (b - a) * (1 - g)
+
+
+def _pairwise_sum(values: list[float], start: int, n: int) -> float:
+    """numpy's pairwise summation of ``values[start:start + n]``: eight
+    accumulators over blocks of at most 128, larger runs halved at a
+    multiple of eight.  Plain loops, not ``sum``: from Python 3.12,
+    ``sum`` compensates float rounding and would differ in the last bit."""
+    if n < 8:
+        total = 0.0
+        for i in range(start, start + n):
+            total += values[i]
+        return total
+    if n <= 128:
+        r = values[start : start + 8]
+        end = start + n - n % 8
+        for i in range(start + 8, end, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, start + n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, half) + _pairwise_sum(
+        values, start + half, n - half
+    )
+
+
 def percentile(values: Sequence[float], p: float) -> float:
     """The ``p``-th percentile (0–100) of ``values`` (linear interpolation)."""
     if not 0 <= p <= 100:
         raise ValueError(f"percentile out of range: {p}")
-    if len(values) == 0:
-        raise ValueError("percentile of an empty sequence")
-    return float(np.percentile(np.asarray(values, dtype=float), p))
+    return _percentile_sorted(
+        _sorted_sample(values, "percentile of an empty sequence"), p
+    )
 
 
 @dataclass(frozen=True)
@@ -45,14 +100,16 @@ class BoxplotSummary:
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "BoxplotSummary":
-        """Summarize a sample (raises on an empty one)."""
-        if len(values) == 0:
-            raise ValueError("cannot summarize an empty sample")
-        arr = np.asarray(values, dtype=float)
+        """Summarize a sample (raises on an empty one or a NaN)."""
+        floats = [float(v) for v in values]
+        ordered = _sorted_sample(floats, "cannot summarize an empty sample")
         p5, p25, p50, p75, p95 = (
-            float(x) for x in np.percentile(arr, [5, 25, 50, 75, 95])
+            _percentile_sorted(ordered, p) for p in (5, 25, 50, 75, 95)
         )
-        return cls(p5, p25, p50, p75, p95, float(arr.mean()), int(arr.size))
+        # The mean sums in sample order, as numpy does; 0.0 + keeps its
+        # sign rule (an all -0.0 sample averages to 0.0).
+        mean = (0.0 + _pairwise_sum(floats, 0, len(floats))) / len(floats)
+        return cls(p5, p25, p50, p75, p95, mean, len(floats))
 
     def as_row(self, unit: str = "us") -> dict[str, float | int | str]:
         """Dict form used by the experiment harness printers."""

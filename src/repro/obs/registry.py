@@ -221,6 +221,16 @@ class MetricsRegistry:
         """
         self._sources.pop(name, None)
 
+    def freeze(self, name: str) -> None:
+        """Replace ``name``'s source with the value it reads now.
+
+        For owners that stop changing but should stay visible: a closed
+        connection's counters keep their final values in every later
+        snapshot while the source no longer keeps the owner alive.
+        """
+        value = self._sources[name]()
+        self._sources[name] = lambda: value
+
     def bind_stats(self, prefix: str, stats: Any) -> None:
         """Register every ``RpcStats`` field of ``stats`` under
         ``<prefix>.<field>`` (round_trips, retransmits_total, late_replies,

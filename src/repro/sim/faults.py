@@ -299,7 +299,7 @@ class ChaosController:
         membership: dict[str, int] = {}
         for index, group in enumerate(groups):
             for node in group:
-                if node not in self.network.graph:
+                if node not in self.network.adj:
                     raise AddressError(f"unknown node {node!r} in partition")
                 membership[node] = index
         detail = " | ".join(",".join(sorted(g)) for g in groups)

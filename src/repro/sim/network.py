@@ -1,8 +1,10 @@
 """Topology, routing, name service, and the datagram delivery engine.
 
 A :class:`Network` ties the substrate together: hosts and switches are
-vertices of a ``networkx`` graph, links are edges, and :meth:`Network.transmit`
-walks a datagram across the graph charging realistic delays:
+vertices of an adjacency dict, links are its edges, routes are
+latency-weighted shortest paths (bidirectional Dijkstra), and
+:meth:`Network.transmit` walks a datagram across the graph charging
+realistic delays:
 
 1. *(already paid by the transport)* sender-side stack cost;
 2. per-link propagation + serialization delay;
@@ -25,9 +27,9 @@ paper's Figure 4 dynamic-switchover behaviour work).
 
 from __future__ import annotations
 
-from typing import Optional
-
-import networkx as nx
+from heapq import heappop, heappush
+from itertools import count
+from typing import Callable, Iterator, Optional
 
 from ..errors import AddressError
 from ..obs import MetricsRegistry, TraceLog
@@ -178,15 +180,10 @@ class _Walk:
             link = None
             for index in range(len(pin) - 1):
                 if pin[index] == current:
-                    neighbours = net.graph.adj.get(current)
-                    data = (
-                        neighbours.get(pin[index + 1])
-                        if neighbours is not None
-                        else None
-                    )
-                    if data is not None:
+                    neighbours = net.adj.get(current)
+                    if neighbours is not None:
                         next_node = pin[index + 1]
-                        link = data["link"]
+                        link = neighbours.get(next_node)
                     break
             if link is None:
                 net.srcroute_fallbacks += 1
@@ -433,12 +430,80 @@ class _Walk:
             self._rx_stack()
 
 
-def _up_weight(u: str, v: str, data: dict) -> Optional[float]:
-    """Edge-weight callable for routing: ``None`` (= unusable) for down
-    links, the configured latency weight otherwise."""
-    if not data["link"].up:
+def _up_weight(u: str, v: str, link: Link) -> Optional[float]:
+    """Routing weight: ``None`` (= unusable) for down links, the link's
+    latency otherwise."""
+    if not link.up:
         return None
-    return data["weight"]
+    return link.latency
+
+
+def _shortest_path(
+    adj: dict[str, dict[str, Link]],
+    source: str,
+    target: str,
+    weight: Callable[[str, str, Link], Optional[float]],
+) -> Optional[list[str]]:
+    """Bidirectional Dijkstra from ``source`` to ``target``, or ``None``
+    when no usable path exists.  ``weight(u, v, link)`` is the edge's
+    cost, or ``None`` when the edge may not be used.
+
+    A port of networkx's ``bidirectional_dijkstra``, kept to its tie-breaks
+    so that routes (and every recorded baseline) match the ones networkx
+    chose: the two searches alternate, starting forward; heap entries are
+    ``(dist, counter, node)``; a node is relaxed only on strict improvement;
+    and the path returned runs through the node whose two-sided distance
+    first became strictly shortest, once some node is settled from both
+    ends.  Every weight here is symmetric, so both directions call
+    ``weight(v, w, link)``.
+    """
+    if source == target:
+        return [source]
+    dists: tuple[dict, dict] = ({}, {})
+    preds: tuple[dict, dict] = ({source: None}, {target: None})
+    seen: tuple[dict, dict] = ({source: 0}, {target: 0})
+    counter = count()
+    fringe: tuple[list, list] = (
+        [(0, next(counter), source)],
+        [(0, next(counter), target)],
+    )
+    finaldist = None
+    meetnode = None
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        dist, _, v = heappop(fringe[direction])
+        settled = dists[direction]
+        if v in settled:
+            continue
+        settled[v] = dist
+        if v in dists[1 - direction]:
+            path = []
+            node = meetnode
+            while node is not None:
+                path.append(node)
+                node = preds[0][node]
+            path.reverse()
+            node = preds[1][meetnode]
+            while node is not None:
+                path.append(node)
+                node = preds[1][node]
+            return path
+        near, far = seen[direction], seen[1 - direction]
+        for w, link in adj[v].items():
+            cost = weight(v, w, link)
+            if cost is None or w in settled:
+                continue
+            length = dist + cost
+            if w not in near or length < near[w]:
+                near[w] = length
+                heappush(fringe[direction], (length, next(counter), w))
+                preds[direction][w] = v
+                if w in far:
+                    total = length + far[w]
+                    if finaldist is None or finaldist > total:
+                        finaldist, meetnode = total, w
+    return None
 
 
 class ServiceRecord:
@@ -488,7 +553,10 @@ class Network:
 
     def __init__(self):
         self.env = Environment()
-        self.graph = nx.Graph()
+        #: The topology: node → neighbour → the link between them.  Nodes
+        #: and each node's neighbours keep insertion order (see
+        #: :meth:`edges`).
+        self.adj: dict[str, dict[str, Link]] = {}
         self.entities: dict[str, NetEntity] = {}
         self.hosts: dict[str, Host] = {}
         self.switches: dict[str, ProgrammableSwitch] = {}
@@ -551,7 +619,7 @@ class Network:
         host = Host(self.env, self, name, cost=cost, nic=nic)
         self.hosts[name] = host
         self.entities[name] = host
-        self.graph.add_node(name, kind="host")
+        self.adj[name] = {}
         if host.smartnic is not None:
             bus = host.smartnic.pcie
             self.obs.bind(f"pcie.{name}.crossings", bus, "crossings")
@@ -563,17 +631,17 @@ class Network:
         self._check_fresh_name(name)
         switch = ProgrammableSwitch(self.env, name, **kwargs)
         self.switches[name] = switch
-        self.graph.add_node(name, kind="switch")
+        self.adj[name] = {}
         return switch
 
     def add_link(self, a: str, b: str, latency: float = 5e-6) -> Link:
         """Connect two vertices with a full-duplex link."""
         for node in (a, b):
-            if node not in self.graph:
+            if node not in self.adj:
                 raise AddressError(f"unknown node {node!r}")
         link = Link(a, b, latency=latency)
         link.on_state_change = self._on_link_state_change
-        self.graph.add_edge(a, b, link=link, weight=latency)
+        self.adj[a][b] = self.adj[b][a] = link
         self._route_cache.clear()
         self._hop_cache.clear()
         self._k_route_cache.clear()
@@ -582,7 +650,7 @@ class Network:
         return link
 
     def _check_fresh_name(self, name: str) -> None:
-        if name in self.graph or name in self.entities:
+        if name in self.adj or name in self.entities:
             raise AddressError(f"node name {name!r} already in use")
 
     # -- lookup ---------------------------------------------------------------
@@ -608,25 +676,20 @@ class Network:
         cached = self._route_cache.get(key)
         if cached is not None:
             return cached
-        try:
-            path = self._shortest_path(src, dst, _up_weight)
-        except nx.NetworkXNoPath:
-            try:
-                path = nx.shortest_path(self.graph, src, dst, weight="weight")
-            except nx.NetworkXNoPath:
-                raise AddressError(
-                    f"no route from {src!r} to {dst!r}"
-                ) from None
-        except nx.NodeNotFound:
-            raise AddressError(f"no route from {src!r} to {dst!r}") from None
+        self._check_endpoints(src, dst)
+        path = _shortest_path(self.adj, src, dst, _up_weight)
+        if path is None:
+            path = _shortest_path(
+                self.adj, src, dst, lambda u, v, link: link.latency
+            )
+        if path is None:
+            raise AddressError(f"no route from {src!r} to {dst!r}")
         self._route_cache[key] = path
         return path
 
-    #: Vertex count beyond which routing switches to bidirectional
-    #: Dijkstra.  Small worlds keep the plain algorithm so their paths —
-    #: and therefore every recorded baseline — are bit-for-bit unchanged;
-    #: fleet-scale topologies get the roughly-halved search frontier.
-    ROUTE_BIDIRECTIONAL_OVER = 256
+    def _check_endpoints(self, src: str, dst: str) -> None:
+        if src not in self.adj or dst not in self.adj:
+            raise AddressError(f"no route from {src!r} to {dst!r}")
 
     def k_routes(self, src: str, dst: str, k: int) -> list[list[str]]:
         """Up to ``k`` edge-disjoint latency-weighted paths from ``src`` to
@@ -648,35 +711,25 @@ class Network:
         cached = self._k_route_cache.get(key)
         if cached is not None:
             return cached
+        self._check_endpoints(src, dst)
         banned: set[frozenset] = set()
 
-        def disjoint_up_weight(u: str, v: str, data: dict) -> Optional[float]:
+        def disjoint_up_weight(u: str, v: str, link: Link) -> Optional[float]:
             if frozenset((u, v)) in banned:
                 return None
-            return _up_weight(u, v, data)
+            return _up_weight(u, v, link)
 
         paths: list[list[str]] = []
         for _ in range(k):
-            try:
-                path = self._shortest_path(src, dst, disjoint_up_weight)
-            except nx.NetworkXNoPath:
+            path = _shortest_path(self.adj, src, dst, disjoint_up_weight)
+            if path is None:
                 break
-            except nx.NodeNotFound:
-                raise AddressError(f"no route from {src!r} to {dst!r}") from None
             paths.append(path)
             banned.update(frozenset(pair) for pair in zip(path, path[1:]))
         if not paths:
             paths = [self.route(src, dst)]
         self._k_route_cache[key] = paths
         return paths
-
-    def _shortest_path(self, src: str, dst: str, weight) -> list[str]:
-        if self.graph.number_of_nodes() > self.ROUTE_BIDIRECTIONAL_OVER:
-            _length, path = nx.bidirectional_dijkstra(
-                self.graph, src, dst, weight=weight
-            )
-            return path
-        return nx.shortest_path(self.graph, src, dst, weight=weight)
 
     def _on_link_state_change(self, _link: Link) -> None:
         """Route-cache invalidation hook installed on every link.
@@ -703,9 +756,20 @@ class Network:
     def link_between(self, a: str, b: str) -> Link:
         """The link connecting two adjacent vertices."""
         try:
-            return self.graph.edges[a, b]["link"]
+            return self.adj[a][b]
         except KeyError:
             raise AddressError(f"no link between {a!r} and {b!r}") from None
+
+    def edges(self) -> Iterator[tuple[str, str]]:
+        """Every link once, as ``(a, b)`` with ``a`` the endpoint added to
+        the topology first, in node order then neighbour order (the order
+        networkx's ``Graph.edges`` yields, which fault seeding depends on)."""
+        done: set[str] = set()
+        for a, neighbours in self.adj.items():
+            for b in neighbours:
+                if b not in done:
+                    yield a, b
+            done.add(a)
 
     # -- fault injection --------------------------------------------------------
     def attach_faults(self, a: str, b: str, plan: FaultPlan) -> FaultPlan:
@@ -735,8 +799,8 @@ class Network:
         the same order fault identically run-to-run.
         """
         plans: dict[tuple[str, str], FaultPlan] = {}
-        for index, (a, b) in enumerate(sorted(self.graph.edges)):
-            link = self.graph.edges[a, b]["link"]
+        for index, (a, b) in enumerate(sorted(self.edges())):
+            link = self.adj[a][b]
             link.fault_plan = plan.with_seed(plan.seed + 7919 * (index + 1))
             plans[(a, b)] = link.fault_plan
             self._register_fault_plan(a, b, link.fault_plan)

@@ -185,3 +185,59 @@ class TestConnectionBasics:
 
         payload = run(two_hosts.env, scenario(two_hosts.env))
         assert payload == {"op": "get", "nested": [1, {"a": b"\x01"}]}
+
+
+class TestClosedConnectionLetsGo:
+    """``close()`` freezes the connection's registry sources at their
+    final values, so the registry no longer keeps the connection alive."""
+
+    SUFFIXES = (
+        "messages_sent",
+        "messages_received",
+        "ctl_malformed_total",
+        "transitions",
+        "stack_retransmissions",
+    )
+
+    def _closed_client(self, world, **runtime_kwargs):
+        import weakref
+
+        server_rt = world.runtime("srv", **runtime_kwargs)
+        client_rt = world.runtime("cl", **runtime_kwargs)
+        for rt in (server_rt, client_rt):
+            rt.register_chunnel(ReliableFallback)
+        listener = listener_with_accept_log(world, server_rt, wrap(Reliable()))
+
+        def scenario(env):
+            accept = listener.accept()
+            yield env.timeout(1e-4)
+            conn = yield from client_rt.new("c", wrap(Reliable())).connect(
+                Address("srv", 7000)
+            )
+            server_conn = yield accept
+            for _ in range(2):
+                conn.send(b"x", size=1)
+            for _ in range(2):
+                yield server_conn.recv()
+            conn.close()
+            return weakref.ref(conn), f"conn.{conn.conn_id}.client"
+
+        return run(world.env, scenario(world.env))
+
+    def test_frozen_values_and_released(self, two_hosts):
+        import gc
+
+        ref, prefix = self._closed_client(two_hosts)
+        gc.collect()
+        assert ref() is None
+        snapshot = two_hosts.net.obs.snapshot()
+        assert snapshot[f"{prefix}.messages_sent"] == 2
+        assert snapshot[f"{prefix}.messages_received"] == 0
+        for suffix in self.SUFFIXES:
+            assert f"{prefix}.{suffix}" in snapshot
+
+    def test_ephemeral_close_unregisters(self, two_hosts):
+        _ref, prefix = self._closed_client(two_hosts, ephemeral_connections=True)
+        snapshot = two_hosts.net.obs.snapshot()
+        for suffix in self.SUFFIXES:
+            assert f"{prefix}.{suffix}" not in snapshot

@@ -109,6 +109,29 @@ class TestRegistration:
         ]
         assert registry.snapshot()["rpc.negotiation.cl.round_trips"] == 5
 
+    def test_freeze_keeps_value_and_drops_owner(self):
+        import gc
+        import weakref
+
+        class Owner:
+            hits = 0
+
+        owner = Owner()
+        registry = MetricsRegistry()
+        registry.bind("owner.hits", owner, "hits")
+        registry.register("z", lambda: 0)
+        owner.hits = 4
+        registry.freeze("owner.hits")
+        owner.hits = 9
+        assert list(registry.snapshot().as_dict().items()) == [
+            ("owner.hits", 4),
+            ("z", 0),
+        ]
+        ref = weakref.ref(owner)
+        del owner
+        gc.collect()
+        assert ref() is None
+
     def test_len_counts_sources(self):
         registry = MetricsRegistry()
         registry.register("b", lambda: 0)

@@ -805,3 +805,64 @@ class TestSourceRoutePin:
         assert dgram is not None  # rerouted, not dropped
         assert "switch:fast" in dgram.hops
         assert net.srcroute_fallbacks > 0
+
+
+class TestRouteTieBreaks:
+    """Routes where several paths cost the same.  The expected paths are
+    the ones networkx's searches chose, so worlds route (and every recorded
+    baseline replays) as they did when networkx did the routing."""
+
+    def test_equal_cost_diamond(self):
+        net = Network()
+        net.add_host("a")
+        net.add_host("b")
+        net.add_switch("s1")
+        net.add_switch("s2")
+        for a, b in (("a", "s1"), ("s1", "b"), ("a", "s2"), ("s2", "b")):
+            net.add_link(a, b)
+        assert net.route("a", "b") == ["a", "s1", "b"]
+        assert net.route("b", "a") == ["b", "s1", "a"]
+        assert net.k_routes("a", "b", 2) == [["a", "s1", "b"], ["a", "s2", "b"]]
+
+    def test_two_tier_topology_past_300_vertices(self):
+        net = Network()
+        for spine in ("spine0", "spine1"):
+            net.add_switch(spine)
+        for t in range(15):
+            tor = f"tor{t}"
+            net.add_switch(tor)
+            for spine in ("spine0", "spine1"):
+                net.add_link(tor, spine, latency=2e-6)
+            for h in range(19):
+                net.add_host(f"h{t}.{h}")
+                net.add_link(f"h{t}.{h}", tor)
+        assert len(net.adj) == 302
+        expected = {
+            ("h0.0", "h14.18"): ["h0.0", "tor0", "spine0", "tor14", "h14.18"],
+            ("h14.18", "h0.0"): ["h14.18", "tor14", "spine0", "tor0", "h0.0"],
+            ("h3.5", "h3.6"): ["h3.5", "tor3", "h3.6"],
+            ("h7.1", "h12.9"): ["h7.1", "tor7", "spine0", "tor12", "h12.9"],
+            ("h12.9", "h7.1"): ["h12.9", "tor12", "spine0", "tor7", "h7.1"],
+            ("tor2", "h9.0"): ["tor2", "spine0", "tor9", "h9.0"],
+            ("spine1", "h5.5"): ["spine1", "tor5", "h5.5"],
+        }
+        for (src, dst), path in expected.items():
+            assert net.route(src, dst) == path
+
+    def test_fault_seeds_follow_edge_order(self):
+        from repro.sim.faults import FaultPlan
+
+        net = Network()
+        net.add_host("x")
+        net.add_switch("tor")
+        net.add_host("b")
+        net.add_host("a")
+        for u, v in (("x", "tor"), ("tor", "b"), ("a", "tor"), ("b", "a")):
+            net.add_link(u, v)
+        plans = net.attach_faults_everywhere(FaultPlan(drop_rate=0.1, seed=5))
+        assert [(key, plan.seed) for key, plan in plans.items()] == [
+            (("b", "a"), 7924),
+            (("tor", "a"), 15843),
+            (("tor", "b"), 23762),
+            (("x", "tor"), 31681),
+        ]

@@ -1,7 +1,9 @@
 """Tests for percentiles, boxplot summaries, and time series."""
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import (
@@ -63,6 +65,74 @@ class TestBoxplotSummary:
         summary = BoxplotSummary.from_values(values)
         quintet = [summary.p5, summary.p25, summary.p50, summary.p75, summary.p95]
         assert quintet == sorted(quintet)
+
+
+def _mean_sample(n):
+    return [(i * 0.7373) % 1.3 + 1 / (i + 3) for i in range(n)]
+
+
+class TestNumpyExactness:
+    """The stdlib reductions reproduce numpy's ``percentile`` ("linear")
+    and ``mean`` bit for bit.  The literals were computed with numpy 2.4;
+    several differ in the last bit from the obvious alternatives (a plain
+    ``sum``, ``math.fsum``, a one-sided lerp), so they pin the rule."""
+
+    def test_single_value(self):
+        for p in (0, 50, 100):
+            assert percentile([3.7], p) == 3.7
+
+    def test_extremes_are_the_min_and_max(self):
+        values = [0.1, 0.7, 2.3, 1e3 / 3, 7.9]
+        assert percentile(values, 0) == 0.1
+        assert percentile(values, 100) == 333.3333333333333
+
+    def test_fraction_below_half_interpolates_from_below(self):
+        assert percentile([2.26, 0.4, 7.26, 8.26, 9.26], 10) == 1.1440000000000001
+
+    def test_fraction_at_half_interpolates_from_above(self):
+        assert percentile([0.1, 0.7, 2.3, 1e3 / 3, 7.9], 12.5) == 0.39999999999999997
+
+    def test_fraction_above_half_interpolates_from_above(self):
+        assert percentile([4.291, 2.16, 9.291, 10.291, 11.291], 20) == 3.8648000000000002
+
+    @pytest.mark.parametrize(
+        "n, mean",
+        [
+            (7, 0.730324036281179),
+            (8, 0.8091710317460314),
+            (9, 0.8069641494308157),
+            (128, 0.6790858698301983),
+            (129, 0.6798839141554389),
+            (1000, 0.6577374678655066),
+        ],
+    )
+    def test_mean_is_the_pairwise_sum(self, n, mean):
+        assert BoxplotSummary.from_values(_mean_sample(n)).mean == mean
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            percentile([1.0, math.nan, 2.0], 50)
+        with pytest.raises(ValueError):
+            BoxplotSummary.from_values([math.nan])
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        st.lists(
+            st.floats(min_value=-1e300, max_value=1e300),
+            min_size=1,
+            max_size=300,
+        ),
+        st.floats(min_value=0, max_value=100),
+    )
+    def test_matches_numpy(self, values, p):
+        np = pytest.importorskip("numpy")
+        arr = np.asarray(values, dtype=float)
+        assert percentile(values, p) == float(np.percentile(arr, p))
+        summary = BoxplotSummary.from_values(values)
+        expected = [float(x) for x in np.percentile(arr, [5, 25, 50, 75, 95])]
+        got = [summary.p5, summary.p25, summary.p50, summary.p75, summary.p95]
+        assert got == expected
+        assert summary.mean == float(arr.mean())
 
 
 class TestLatencyRecorder:

@@ -7,6 +7,7 @@ test runs the same check; in environments without it, it skips rather
 than fails — the contract is enforced in CI either way.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -45,3 +46,27 @@ class TestMypyControlPlaneCore:
         # Guards the CI file list: renaming a module must update the gate.
         for module in TYPED_MODULES:
             assert (REPO_ROOT / module).is_file(), module
+
+
+class TestStdlibOnlyImport:
+    """The library runs on the standard library alone: importing it (and
+    the experiments CLI) loads no third-party module."""
+
+    def test_import_loads_no_third_party_module(self):
+        probe = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import repro, repro.experiments\n"
+            "allowed = set(sys.stdlib_module_names) | {'repro'}\n"
+            "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "print(' '.join(sorted(loaded - allowed)))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == []
