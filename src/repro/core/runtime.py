@@ -340,7 +340,7 @@ class Runtime:
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Runtime on {self.entity.name!r} registry={len(self.registry)}>"
+        return f"<Runtime on {self.entity.name!r} {self.registry!r}>"
 
 
 class Endpoint:

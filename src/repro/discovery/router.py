@@ -54,6 +54,8 @@ __all__ = ["ShardRouter", "ShardedDiscoveryClient", "DEFAULT_ROUTER_PORT"]
 DEFAULT_ROUTER_PORT = 53531
 #: Consecutive missed probes after which the monitor fails a primary over.
 MISS_THRESHOLD = 3
+#: Seconds between the monitor's probe rounds.
+MONITOR_INTERVAL = 2e-3
 
 
 class ShardRouter:
@@ -137,13 +139,13 @@ class ShardRouter:
             self.socket.send(payload, dgram.src, size=size)
 
     # -- failure detection / failover ---------------------------------------
-    def start_monitor(self, interval: float = 5e-3) -> None:
-        """Start probing primaries every ``interval`` (opt-in: the loop keeps
-        the event heap non-empty, so callers must :meth:`stop` when done)."""
+    def start_monitor(self) -> None:
+        """Start probing primaries every :data:`MONITOR_INTERVAL` (opt-in:
+        the loop keeps the event heap non-empty, so callers must
+        :meth:`stop` when done)."""
         if self._monitor is None:
             self._monitor = self.env.process(
-                self._monitor_loop(interval),
-                name="shard-router.monitor",
+                self._monitor_loop(), name="shard-router.monitor"
             )
 
     def _probe_client(self, address: Address) -> RemoteDiscoveryClient:
@@ -168,12 +170,12 @@ class ShardRouter:
             self._promote_clients[address] = client
         return client
 
-    def _monitor_loop(self, interval: float):
+    def _monitor_loop(self):
         misses = {shard.shard_id: 0 for shard in self.map.shards}
         first_miss: dict[int, float] = {}
         while True:
             try:
-                yield self.env.timeout(interval)
+                yield self.env.timeout(MONITOR_INTERVAL)
             except Interrupt:
                 return
             for shard in self.map.shards:

@@ -8,7 +8,9 @@ file and ``--metrics-out`` documents.  Every experiment is a row of one
 CLI table, :data:`.__main__.EXPERIMENTS`
 (``python -m repro.experiments <row|all> [--smoke|--full]``): its
 config's defaults are the run recorded under ``benchmarks/results``,
-``smoke()`` the CI tier, and a figure's ``full()`` paper scale.
+``smoke()`` the CI tier, and a figure's ``full()`` paper scale.  A config
+holds only what those tiers or a CLI flag vary; every other parameter is
+a named constant of the experiment's module.
 """
 
 from .ablations import (

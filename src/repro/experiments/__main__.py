@@ -17,7 +17,9 @@ table the paper's figure or claim reports; the invariant-checked rows
 ``offload``) their robustness accounting.  A row's default run is the
 one recorded under ``benchmarks/results`` (see EXPERIMENTS.md for the
 mapping), ``--smoke`` its CI tier, and ``--full`` a figure's paper scale.
-``--seed`` overrides the seed of a row that has one.  Each run prints
+``--seed`` overrides the seed of a row that has one.  A row's config
+holds only what a tier or one of these flags varies; every other
+parameter is a constant of its module.  Each run prints
 its named invariants, the paper-shape or robustness checks, and the
 command exits 1 when any is violated.
 
@@ -45,6 +47,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable
 
+from . import churn, failover, fig4, multipath, offload
 from .ablations import (
     CachingConfig,
     ConsensusConfig,
@@ -81,7 +84,8 @@ class Experiment:
     """One experiment's CLI row.
 
     ``config`` is the config class: its default constructor is the
-    recorded run and its ``smoke()`` classmethod the CI tier.  ``run``
+    recorded run and its ``smoke()`` classmethod the CI tier; its fields
+    are what those tiers and the flags vary.  ``run``
     maps a config to an :class:`~._result.ExperimentResult`, and ``title``
     renders the run's header from its config.
     """
@@ -116,7 +120,7 @@ EXPERIMENTS = {
         Fig4Config,
         run_fig4,
         lambda c: "Figure 4: dynamic name resolution, local instance at "
-        f"t={c.local_start_time:g}s",
+        f"t={fig4.LOCAL_START_TIME:g}s",
         table="fig4_dynamic.txt",
         full={"connect_interval": 0.1},
     ),
@@ -189,13 +193,13 @@ EXPERIMENTS = {
         ChurnConfig,
         run_churn,
         lambda c: f"Churn: {c.sessions} short-lived connections, cold vs "
-        f"resumed (cache {c.cache_size}, seed {c.seed})",
+        f"resumed (cache {churn.CACHE_SIZE}, seed {c.seed})",
         sharded=True,
     ),
     "failover": Experiment(
         FailoverConfig,
         run_failover,
-        lambda c: f"Failover: {c.connections} connections surviving two host "
+        lambda c: f"Failover: {failover.CONNECTIONS} connections surviving two host "
         f"crashes and a total outage (seed {c.seed})",
         sharded=True,
     ),
@@ -212,14 +216,14 @@ EXPERIMENTS = {
         MultipathConfig,
         run_multipath,
         lambda c: f"Multipath: split-connection crossover over "
-        f"{len(c.asymmetry)} asymmetry points + live weight rebalance "
+        f"{len(multipath.ASYMMETRY)} asymmetry points + live weight rebalance "
         f"(seed {c.seed})",
     ),
     "offload": Experiment(
         OffloadConfig,
         run_offload,
-        lambda c: f"Offload: in-switch KV cache over {len(c.skew_points)} skew "
-        f"and {len(c.mix_points)} write-mix points + fan-in aggregation "
+        lambda c: f"Offload: in-switch KV cache over {len(offload.SKEW_POINTS)} "
+        f"skew and {len(offload.MIX_POINTS)} write-mix points + fan-in aggregation "
         f"(seed {c.seed})",
     ),
 }

@@ -20,7 +20,7 @@ registry snapshot of every world it built.
 from __future__ import annotations
 
 import json
-from typing import ClassVar
+from typing import ClassVar, Optional
 
 __all__ = ["ExperimentResult", "TableResult"]
 
@@ -91,12 +91,13 @@ class ExperimentResult:
 class TableResult(ExperimentResult):
     """A figure or ablation: the recorded file is the rendered table.
 
-    The subclass supplies ``rows()`` and ``COLUMNS`` (or overrides
-    ``render_body``) and a ``worlds`` mapping, one registry snapshot per
-    world the run built, under a label naming it.
+    The subclass supplies ``rows()`` (or overrides ``render_body``) and a
+    ``worlds`` mapping, one registry snapshot per world the run built,
+    under a label naming it.  The table's columns are the rows' keys in
+    order, unless ``COLUMNS`` picks others.
     """
 
-    COLUMNS: ClassVar[list[str]]
+    COLUMNS: ClassVar[Optional[list[str]]] = None
 
     def render_body(self) -> list[str]:
         from ..metrics import format_table

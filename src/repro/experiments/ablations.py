@@ -94,6 +94,15 @@ __all__ = [
 
 _US = 1e6
 
+#: Request size of the negotiation ablation's pings (bytes).
+PING_SIZE = 64
+#: The optimizer ablation's message size (bytes).
+MESSAGE_SIZE = 1500
+#: The caching ablation's connect cadence and when its local instance
+#: starts (virtual seconds).
+CACHING_CONNECT_INTERVAL = 0.25
+CACHING_LOCAL_START_TIME = 1.5
+
 
 @dataclass
 class AblationResult(TableResult):
@@ -120,7 +129,6 @@ class NegotiationConfig:
 
     connections: int = 30
     requests: int = 20
-    size: int = 64
 
     @classmethod
     def smoke(cls) -> "NegotiationConfig":
@@ -132,7 +140,6 @@ class NegotiationOverheadResult(TableResult):
     """Setup and steady-state costs, Bertha vs hardcoded."""
 
     NAME = "negotiation"
-    COLUMNS = ["metric", "bertha", "hardcoded"]
 
     control_round_trips: int
     bertha_setup_us: float
@@ -183,7 +190,7 @@ def run_negotiation_overhead(
     control-plane overhead exactly as §5 describes.
     """
     config = config or NegotiationConfig()
-    connections, requests, size = config.connections, config.requests, config.size
+    connections, requests = config.connections, config.requests
     net = Network()
     client_host = net.add_host("cl")
     server_host = net.add_host("srv")
@@ -205,12 +212,12 @@ def run_negotiation_overhead(
 
         for _ in range(connections):
             bertha = yield from ping_session(
-                client_rt, Address("srv", 7000), size=size, count=requests
+                client_rt, Address("srv", 7000), size=PING_SIZE, count=requests
             )
             samples["b_setup"].append(bertha.setup_time * _US)
             samples["b_rtt"].extend(r * _US for r in bertha.rtts)
             hardcoded = yield from udp_ping_session(
-                client_host, Address("srv", 7001), size=size, count=requests
+                client_host, Address("srv", 7001), size=PING_SIZE, count=requests
             )
             samples["h_setup"].append(hardcoded.setup_time * _US)
             samples["h_rtt"].extend(r * _US for r in hardcoded.rtts)
@@ -242,7 +249,6 @@ class OptimizerConfig:
     """The defaults are the recorded run."""
 
     messages: int = 2000
-    message_size: int = 1500
 
     @classmethod
     def smoke(cls) -> "OptimizerConfig":
@@ -253,7 +259,6 @@ class OptimizerAblationResult(AblationResult):
     """PCIe traffic for the §6 pipeline at three optimization levels."""
 
     NAME = "optimizer"
-    COLUMNS = ["pipeline", "crossings", "pcie_bytes", "ratio_vs_best"]
 
     @property
     def invariants(self) -> dict[str, bool]:
@@ -284,7 +289,6 @@ def run_optimizer_ablation(
     crossing moves the message over PCIe once.
     """
     config = config or OptimizerConfig()
-    messages, message_size = config.messages, config.message_size
     offloadable = {"encrypt", "tcp", "tls"}
     optimizer = DagOptimizer()
     env_net = Network()  # only for an Environment to hang the bus off
@@ -293,9 +297,9 @@ def run_optimizer_ablation(
     def measure(label: str, chain_types: list[str]) -> dict:
         bus = PcieBus(env_net.env, name=f"pcie:{label}")
         crossings = count_device_crossings(chain_types, offloadable)
-        for _ in range(messages):
+        for _ in range(config.messages):
             for _crossing in range(crossings):
-                bus.transfer(message_size)
+                bus.transfer(MESSAGE_SIZE)
         return {
             "pipeline": " |> ".join(chain_types) or "(empty)",
             "crossings": crossings,
@@ -344,15 +348,6 @@ class SchedulerAblationResult(AblationResult):
     """Allocation quality per scheduler on a contended switch."""
 
     NAME = "scheduler"
-    COLUMNS = [
-        "scheduler",
-        "tenants_served",
-        "granted",
-        "denied",
-        "share_A",
-        "share_B",
-        "max_min_gap",
-    ]
 
     @property
     def invariants(self) -> dict[str, bool]:
@@ -427,7 +422,6 @@ class ConsensusResult(AblationResult):
     """Per-operation latency with each sequencer."""
 
     NAME = "consensus"
-    COLUMNS = ["sequencer", "impl", "mean_us", "p95_us", "n"]
 
     @property
     def invariants(self) -> dict[str, bool]:
@@ -530,8 +524,6 @@ class CachingConfig:
     """The defaults are the recorded run."""
 
     connections: int = 12
-    connect_interval: float = 0.25
-    local_start_time: float = 1.5
 
     @classmethod
     def smoke(cls) -> "CachingConfig":
@@ -542,7 +534,6 @@ class CachingResult(AblationResult):
     """Setup cost and placement freshness per client configuration."""
 
     NAME = "caching"
-    COLUMNS = ["mode", "mean_setup_us", "discovery_rtts", "stale_connections", "n"]
 
     @property
     def invariants(self) -> dict[str, bool]:
@@ -576,8 +567,6 @@ def run_caching_ablation(config: Optional[CachingConfig] = None) -> CachingResul
 
     config = config or CachingConfig()
     connections = config.connections
-    connect_interval = config.connect_interval
-    local_start_time = config.local_start_time
     rows = []
     worlds = {}
     for label, ttl in (("per-connect", None), ("cached", 3600.0)):
@@ -603,7 +592,7 @@ def run_caching_ablation(config: Optional[CachingConfig] = None) -> CachingResul
         )
 
         def start_local(env, local_rt=local_rt):
-            yield env.timeout(local_start_time)
+            yield env.timeout(CACHING_LOCAL_START_TIME)
             EchoServer(
                 local_rt, port=7000, dag=wrap(LocalOrRemote()),
                 service_name="svc",
@@ -622,15 +611,15 @@ def run_caching_ablation(config: Optional[CachingConfig] = None) -> CachingResul
                     count=2,
                 )
                 setups.append(result.setup_time * _US)
-                if started > local_start_time and result.transport != "pipe":
+                if started > CACHING_LOCAL_START_TIME and result.transport != "pipe":
                     stale[0] += 1
-                remaining = connect_interval - (env.now - started)
+                remaining = CACHING_CONNECT_INTERVAL - (env.now - started)
                 if remaining > 0:
                     yield env.timeout(remaining)
 
         net.env.process(start_local(net.env))
         net.env.process(client(net.env))
-        net.env.run(until=connections * connect_interval + 1.0)
+        net.env.run(until=connections * CACHING_CONNECT_INTERVAL + 1.0)
         worlds[label] = net.obs.snapshot().as_dict()
         rows.append(
             {
@@ -663,7 +652,6 @@ class SerializationResult(AblationResult):
     """Mean RTT per serializer implementation."""
 
     NAME = "serialization"
-    COLUMNS = ["implementation", "mean_rtt_us", "n"]
 
     @property
     def invariants(self) -> dict[str, bool]:

@@ -55,38 +55,44 @@ __all__ = ["ChaosConfig", "ChaosPoint", "ChaosResult", "run_chaos"]
 
 _US = 1e6
 
+#: Constant nuisance faults applied at every sweep point.
+DUPLICATE_RATE = 0.02
+REORDER_RATE = 0.05
+#: Corruption scales with loss (corrupt = loss * this factor) so the
+#: 0%-loss point is a genuinely clean baseline.
+CORRUPT_FACTOR = 0.25
+PAYLOAD_SIZE = 64
+#: Reliability Chunnel tuning: at 20% per-link loss a frame crosses two
+#: links, so per-attempt delivery is ~0.64 and 12 retries push the
+#: abandonment probability below 1e-5 per message.
+RELIABLE_TIMEOUT = 150e-6
+RELIABLE_MAX_RETRIES = 12
+#: OFFER/ACCEPT retransmission budget (per connect).  The total
+#: (timeout * retries) must cover the server's worst-case discovery
+#: backoff chain — the listener replays its cached verdict to OFFER
+#: retransmits, but only once the server-side reservation resolved.
+NEGOTIATION_TIMEOUT = 2e-3
+NEGOTIATION_RETRIES = 80
+#: Discovery client retries (recorded in ``BENCH_chaos.json`` beside
+#: the client's fixed first wait and backoff).
+DISCOVERY_RETRIES = 8
+#: Invariant bound on the slowest establishment (virtual seconds).
+SETUP_BOUND = 0.5
+#: The discovery-outage segment runs at this loss rate.
+OUTAGE_LOSS = 0.05
+#: Virtual-time budget per segment (the workload finishes far earlier;
+#: this only bounds a hung run).
+DEADLINE = 30.0
+
 
 @dataclass
 class ChaosConfig:
     """A loss sweep plus a discovery-outage segment, fully seeded."""
 
     loss_points: tuple = (0.0, 0.05, 0.10, 0.20)
-    #: Constant nuisance faults applied at every sweep point.
-    duplicate_rate: float = 0.02
-    reorder_rate: float = 0.05
-    #: Corruption scales with loss (corrupt = loss * this factor) so the
-    #: 0%-loss point is a genuinely clean baseline.
-    corrupt_factor: float = 0.25
     sessions: int = 8
     requests_per_session: int = 25
-    payload_size: int = 64
     seed: int = 7
-    #: Reliability Chunnel tuning: at 20% per-link loss a frame crosses two
-    #: links, so per-attempt delivery is ~0.64 and 12 retries push the
-    #: abandonment probability below 1e-5 per message.
-    reliable_timeout: float = 150e-6
-    reliable_max_retries: int = 12
-    #: OFFER/ACCEPT retransmission budget (per connect).  The total
-    #: (timeout * retries) must cover the server's worst-case discovery
-    #: backoff chain — the listener replays its cached verdict to OFFER
-    #: retransmits, but only once the server-side reservation resolved.
-    negotiation_timeout: float = 2e-3
-    negotiation_retries: int = 80
-    #: Discovery client retries (recorded in ``BENCH_chaos.json`` beside
-    #: the client's fixed first wait and backoff).
-    discovery_retries: int = 8
-    #: Invariant bound on the slowest establishment (virtual seconds).
-    setup_bound: float = 0.5
     #: Discovery-plane shape (CLI ``--shards``/``--replicas-per-shard``).
     #: The single-service default keeps the recorded baseline
     #: byte-identical; ``shards > 1`` swaps in the RSM-replicated shard
@@ -95,12 +101,6 @@ class ChaosConfig:
     #: planet-scale control plane.
     shards: int = 1
     replicas_per_shard: int = 3
-    #: Discovery-outage segment: runs at this loss rate.
-    run_outage: bool = True
-    outage_loss: float = 0.05
-    #: Virtual-time budget per segment (the driver finishes far earlier;
-    #: this only bounds a hung run).
-    deadline: float = 30.0
 
     @classmethod
     def smoke(cls, seed: int = 7) -> "ChaosConfig":
@@ -151,12 +151,13 @@ class ChaosResult(ExperimentResult):
     NAME = "chaos"
 
     points: list[ChaosPoint]
-    outage: Optional[dict]
+    outage: dict
     config: ChaosConfig = field(repr=False)
 
     @property
     def invariants(self) -> dict[str, bool]:
-        verdicts = {
+        outage = self.outage
+        return {
             "all_established": all(
                 p.established == p.sessions for p in self.points
             ),
@@ -165,19 +166,15 @@ class ChaosResult(ExperimentResult):
             ),
             "no_double_reservation": all(p.audit_ok for p in self.points),
             "bounded_setup": all(
-                p.setup_max_us <= self.config.setup_bound * _US
-                for p in self.points
+                p.setup_max_us <= SETUP_BOUND * _US for p in self.points
+            ),
+            "outage_degraded_not_failed": bool(
+                outage["degraded_established"] and outage["degraded_served"]
+            ),
+            "outage_recovered": bool(
+                outage["recovered_full"] and outage["audit_ok"]
             ),
         }
-        if self.outage is not None:
-            verdicts["outage_degraded_not_failed"] = bool(
-                self.outage["degraded_established"]
-                and self.outage["degraded_served"]
-            )
-            verdicts["outage_recovered"] = bool(
-                self.outage["recovered_full"] and self.outage["audit_ok"]
-            )
-        return verdicts
 
     def rows(self) -> list[dict]:
         return [
@@ -197,42 +194,24 @@ class ChaosResult(ExperimentResult):
         ]
 
     def render_body(self) -> list[str]:
-        lines = [
-            format_table(
-                self.rows(),
-                columns=[
-                    "loss_pct",
-                    "established",
-                    "degraded",
-                    "completed",
-                    "setup_p95_us",
-                    "rtt_p95_us",
-                    "disc_retx",
-                    "rel_retx",
-                    "fault_drops",
-                    "audit",
-                ],
-            )
+        o = self.outage
+        return [
+            format_table(self.rows()),
+            "",
+            f"discovery outage @ {o['loss'] * 100:.0f}% loss: "
+            f"degraded connect {'ok' if o['degraded_established'] else 'FAILED'} "
+            f"(setup {o['degraded_setup_us']:.0f} us, "
+            f"served {o['degraded_completed']}/{o['degraded_offered']}), "
+            f"post-restart connect "
+            f"{'full-fidelity' if o['recovered_full'] else 'STILL DEGRADED'}, "
+            f"warnings={o['warnings']}",
         ]
-        if self.outage is not None:
-            o = self.outage
-            lines.append("")
-            lines.append(
-                f"discovery outage @ {o['loss'] * 100:.0f}% loss: "
-                f"degraded connect {'ok' if o['degraded_established'] else 'FAILED'} "
-                f"(setup {o['degraded_setup_us']:.0f} us, "
-                f"served {o['degraded_completed']}/{o['degraded_offered']}), "
-                f"post-restart connect "
-                f"{'full-fidelity' if o['recovered_full'] else 'STILL DEGRADED'}, "
-                f"warnings={o['warnings']}"
-            )
-        return lines
 
     def baseline_body(self) -> dict:
         return {
             "discovery": {
                 "timeout_s": RETRY_TIMEOUT,
-                "retries": self.config.discovery_retries,
+                "retries": DISCOVERY_RETRIES,
                 "backoff": RETRY_BACKOFF,
             },
             "points": [
@@ -253,29 +232,24 @@ class ChaosResult(ExperimentResult):
     def metrics_body(self) -> dict:
         """Every segment's raw registry snapshot: one per sweep point plus
         the outage world."""
-        body: dict = {
+        return {
             "points": [
                 {"loss": p.loss, "metrics": p.metrics} for p in self.points
             ],
-        }
-        if self.outage is not None:
-            body["outage"] = {
+            "outage": {
                 "loss": self.outage["loss"],
-                "metrics": self.outage.get("metrics", {}),
-            }
-        return body
+                "metrics": self.outage["metrics"],
+            },
+        }
 
 
 # --------------------------------------------------------------------------
 # World building
 # --------------------------------------------------------------------------
-def _chaos_dag(config: ChaosConfig):
+def _chaos_dag():
     return wrap(
         Serialize()
-        >> Reliable(
-            timeout=config.reliable_timeout,
-            max_retries=config.reliable_max_retries,
-        )
+        >> Reliable(timeout=RELIABLE_TIMEOUT, max_retries=RELIABLE_MAX_RETRIES)
     )
 
 
@@ -289,7 +263,7 @@ def _build_world(config: ChaosConfig, loss: float, seed: int):
     )
     client_host = net.add_host("cl")
     plane = DiscoveryPlane(
-        config.shards, config.replicas_per_shard, retries=config.discovery_retries
+        config.shards, config.replicas_per_shard, retries=DISCOVERY_RETRIES
     )
     plane.add_hosts(net)
     net.add_switch("tor")
@@ -298,9 +272,9 @@ def _build_world(config: ChaosConfig, loss: float, seed: int):
     plane.add_links(net, "tor", 5e-6)
     plan = FaultPlan(
         drop_rate=loss,
-        duplicate_rate=config.duplicate_rate,
-        reorder_rate=config.reorder_rate,
-        corrupt_rate=loss * config.corrupt_factor,
+        duplicate_rate=DUPLICATE_RATE,
+        reorder_rate=REORDER_RATE,
+        corrupt_rate=loss * CORRUPT_FACTOR,
         seed=seed,
     )
     net.attach_faults_everywhere(plan)
@@ -324,7 +298,7 @@ def _build_world(config: ChaosConfig, loss: float, seed: int):
     # touch the offload here because both processes link the fallback.
     server_rt = _runtime(server_host, policy=PriorityFirstPolicy())
     client_rt = _runtime(client_host)
-    server = EchoServer(server_rt, port=7400, dag=_chaos_dag(config))
+    server = EchoServer(server_rt, port=7400, dag=_chaos_dag())
     return net, plane, server, server_rt, client_rt
 
 
@@ -337,7 +311,7 @@ def _run_point(config: ChaosConfig, loss: float, index: int) -> ChaosPoint:
         config, loss, seed
     )
     env = net.env
-    payload = bytes(config.payload_size)
+    payload = bytes(PAYLOAD_SIZE)
     # Workload-level instruments live in the same registry as everything
     # else; the driver charges them and the ChaosPoint below is derived
     # entirely from one world-wide snapshot.
@@ -350,14 +324,14 @@ def _run_point(config: ChaosConfig, loss: float, index: int) -> ChaosPoint:
     def driver():
         for session in range(config.sessions):
             endpoint = client_rt.new(
-                f"chaos-cl-{session}", _chaos_dag(config)
+                f"chaos-cl-{session}", _chaos_dag()
             )
             start = env.now
             try:
                 conn = yield from endpoint.connect(
                     server.address,
-                    timeout=config.negotiation_timeout,
-                    retries=config.negotiation_retries,
+                    timeout=NEGOTIATION_TIMEOUT,
+                    retries=NEGOTIATION_RETRIES,
                 )
             except NegotiationError:
                 # Counted by omission: established < sessions fails the
@@ -376,7 +350,7 @@ def _run_point(config: ChaosConfig, loss: float, index: int) -> ChaosPoint:
     env.process(driver(), name="chaos.driver")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegradedEstablishmentWarning)
-        env.run(until=config.deadline)
+        env.run(until=DEADLINE)
 
     snap = net.obs.snapshot()
     setups = setup_hist.values
@@ -413,12 +387,12 @@ def _run_point(config: ChaosConfig, loss: float, index: int) -> ChaosPoint:
 def _run_outage(config: ChaosConfig) -> dict:
     seed = config.seed + 9001
     net, plane, server, server_rt, client_rt = _build_world(
-        config, config.outage_loss, seed
+        config, OUTAGE_LOSS, seed
     )
     env = net.env
-    payload = bytes(config.payload_size)
+    payload = bytes(PAYLOAD_SIZE)
     out = {
-        "loss": config.outage_loss,
+        "loss": OUTAGE_LOSS,
         "degraded_established": False,
         "degraded_setup_us": 0.0,
         "degraded_offered": config.requests_per_session,
@@ -430,12 +404,12 @@ def _run_outage(config: ChaosConfig) -> dict:
     }
 
     def _session(tag, count):
-        endpoint = client_rt.new(f"chaos-out-{tag}", _chaos_dag(config))
+        endpoint = client_rt.new(f"chaos-out-{tag}", _chaos_dag())
         start = env.now
         conn = yield from endpoint.connect(
             server.address,
-            timeout=config.negotiation_timeout,
-            retries=config.negotiation_retries,
+            timeout=NEGOTIATION_TIMEOUT,
+            retries=NEGOTIATION_RETRIES,
         )
         setup = env.now - start
         for _request in range(count):
@@ -469,7 +443,7 @@ def _run_outage(config: ChaosConfig) -> dict:
     env.process(driver(), name="chaos.outage")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegradedEstablishmentWarning)
-        env.run(until=config.deadline)
+        env.run(until=DEADLINE)
     out["warnings"] = sum(
         1
         for w in caught
@@ -487,5 +461,4 @@ def run_chaos(config: Optional[ChaosConfig] = None) -> ChaosResult:
         _run_point(config, loss, index)
         for index, loss in enumerate(config.loss_points)
     ]
-    outage = _run_outage(config) if config.run_outage else None
-    return ChaosResult(points=points, outage=outage, config=config)
+    return ChaosResult(points=points, outage=_run_outage(config), config=config)

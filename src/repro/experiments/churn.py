@@ -47,13 +47,25 @@ from ..core.dag import wrap
 from ..core.policy import PriorityFirstPolicy
 from ..errors import DegradedEstablishmentWarning
 from ..metrics import format_table, percentile
-from ..sim import FaultPlan, Network, SmartNic
+from ..sim import Network, SmartNic
 from ._plane import DiscoveryPlane
 from ._result import ExperimentResult
 
 __all__ = ["ChurnConfig", "ChurnSide", "ChurnResult", "run_churn"]
 
 _US = 1e6
+
+#: Requests each connection serves before closing (1 = pure churn).
+REQUESTS_PER_SESSION = 1
+PAYLOAD_SIZE = 64
+#: Negotiation-cache size for the *resumed* mode (the cold mode runs
+#: with the cache disabled — the default runtime configuration).  A
+#: runtime's cache entries never expire.
+CACHE_SIZE = 64
+NEGOTIATION_TIMEOUT = 2e-3
+NEGOTIATION_RETRIES = 8
+#: Virtual-time budget (the workload finishes far earlier).
+DEADLINE = 120.0
 
 
 @dataclass
@@ -62,19 +74,7 @@ class ChurnConfig:
 
     #: Sequential short-lived connections per mode.
     sessions: int = 2000
-    #: Requests each connection serves before closing (1 = pure churn).
-    requests_per_session: int = 1
-    payload_size: int = 64
     seed: int = 7
-    #: Negotiation-cache size for the *resumed* mode (the cold mode runs
-    #: with the cache disabled — the default runtime configuration).  A
-    #: runtime's cache entries never expire.
-    cache_size: int = 64
-    #: Optional per-link loss (0 keeps the fabric perfect; establishment
-    #: retransmission still rides the shared rpc core when set).
-    loss: float = 0.0
-    negotiation_timeout: float = 2e-3
-    negotiation_retries: int = 8
     #: Discovery-plane shape (CLI ``--shards``/``--replicas-per-shard``).
     #: The single-service default keeps the recorded baseline
     #: byte-identical; ``shards > 1`` swaps in the RSM-replicated shard
@@ -82,8 +82,6 @@ class ChurnConfig:
     #: saving) is measured against the planet-scale control plane.
     shards: int = 1
     replicas_per_shard: int = 3
-    #: Virtual-time budget (the driver finishes far earlier).
-    deadline: float = 120.0
 
     @classmethod
     def smoke(cls, seed: int = 7) -> "ChurnConfig":
@@ -175,19 +173,7 @@ class ChurnResult(ExperimentResult):
 
     def render_body(self) -> list[str]:
         return [
-            format_table(
-                self.rows(),
-                columns=[
-                    "mode",
-                    "established",
-                    "setup_p50_us",
-                    "setup_p95_us",
-                    "first_byte_p50_us",
-                    "ctl_rtts",
-                    "hits",
-                    "fallbacks",
-                ],
-            ),
+            format_table(self.rows()),
             "",
             (
                 "resumption: setup p50 "
@@ -215,7 +201,7 @@ class ChurnResult(ExperimentResult):
         return {
             "sessions": self.config.sessions,
             "cache": {
-                "size": self.config.cache_size,
+                "size": CACHE_SIZE,
                 "ttl": None,
             },
             "cold": side(self.cold),
@@ -239,8 +225,8 @@ def _churn_dag():
 
 def _build_world(config: ChurnConfig, cache_size: int):
     """One echo server + one client host + discovery — the chaos topology
-    minus the fault plan (unless ``loss`` is set), with the negotiation
-    cache sized per mode on *both* runtimes."""
+    minus the fault plan, with the negotiation cache sized per mode on
+    *both* runtimes."""
     from ..apps.rpc import EchoServer
 
     net = Network()
@@ -254,10 +240,6 @@ def _build_world(config: ChurnConfig, cache_size: int):
     for name in ("srv", "cl"):
         net.add_link(name, "tor", latency=5e-6)
     plane.add_links(net, "tor", 5e-6)
-    if config.loss > 0:
-        net.attach_faults_everywhere(
-            FaultPlan(drop_rate=config.loss, seed=config.seed)
-        )
 
     plane.build(net)
     # A NIC offload with real resource accounting, so resumed connects
@@ -286,10 +268,10 @@ def _build_world(config: ChurnConfig, cache_size: int):
 # One mode
 # --------------------------------------------------------------------------
 def _run_side(config: ChurnConfig, mode: str) -> ChurnSide:
-    cache_size = config.cache_size if mode == "resumed" else 0
+    cache_size = CACHE_SIZE if mode == "resumed" else 0
     net, server, client_rt = _build_world(config, cache_size)
     env = net.env
-    payload = bytes(config.payload_size)
+    payload = bytes(PAYLOAD_SIZE)
     obs = net.obs
     established = obs.counter("experiment.established")
     completed = obs.counter("experiment.completed")
@@ -302,12 +284,12 @@ def _run_side(config: ChurnConfig, mode: str) -> ChurnSide:
             start = env.now
             conn = yield from endpoint.connect(
                 server.address,
-                timeout=config.negotiation_timeout,
-                retries=config.negotiation_retries,
+                timeout=NEGOTIATION_TIMEOUT,
+                retries=NEGOTIATION_RETRIES,
             )
             setup_hist.observe(env.now - start)
             established.inc()
-            for request in range(config.requests_per_session):
+            for request in range(REQUESTS_PER_SESSION):
                 conn.send(payload, size=len(payload))
                 yield conn.recv()
                 if request == 0:
@@ -318,7 +300,7 @@ def _run_side(config: ChurnConfig, mode: str) -> ChurnSide:
     env.process(driver(), name="churn.driver")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegradedEstablishmentWarning)
-        env.run(until=config.deadline)
+        env.run(until=DEADLINE)
 
     snap = obs.snapshot()
     setups = setup_hist.values
@@ -332,7 +314,7 @@ def _run_side(config: ChurnConfig, mode: str) -> ChurnSide:
         sessions=config.sessions,
         established=sessions,
         completed=int(snap.get("experiment.completed")),
-        offered=config.sessions * config.requests_per_session,
+        offered=config.sessions * REQUESTS_PER_SESSION,
         setup_p50_us=percentile(setups, 50) * _US if setups else 0.0,
         setup_p95_us=percentile(setups, 95) * _US if setups else 0.0,
         setup_max_us=max(setups) * _US if setups else float("inf"),

@@ -58,72 +58,66 @@ __all__ = ["FailoverConfig", "FailoverResult", "run_failover"]
 _US = 1e6
 _MS = 1e3
 
+#: Client hosts, and long-lived connections per client host.
+CLIENTS = 2
+CONNECTIONS_PER_CLIENT = 4
+CONNECTIONS = CLIENTS * CONNECTIONS_PER_CLIENT
+PAYLOAD_SIZE = 64
+#: Global send cadence; each tick one connection (Zipf-chosen) sends.
+SEND_INTERVAL = 50e-6
+#: Negotiation-cache capacity (both sides) — the migration herd's
+#: resume fast path rides it.
+CACHE_SIZE = 64
+#: End-to-end budget for each initial establishment (the connect
+#: ``deadline=`` knob; relative seconds).
+CONNECT_DEADLINE = 10e-3
+#: Data-path reliability tuning: the retransmit budget must span the
+#: longest outage so no message is abandoned mid-blackout.
+REL_TIMEOUT = 400e-6
+REL_RETRIES = 100
+#: Timeline (virtual seconds, absolute).
+ESTABLISH_AT = 2e-3
+LOAD_START = 4e-3
+CRASH_PRIMARY_AT = 15e-3
+STANDBY_OUTAGE_AT = 35e-3
+STANDBY_OUTAGE = 15e-3
+LOAD_STOP = 60e-3
+DEADLINE = 90e-3
+#: Invariant bound on the per-episode blackout p99 (seconds).
+BLACKOUT_BUDGET = 30e-3
+#: The per-connection liveness tuning this world runs with.  Tighter than
+#: the library defaults: the experiment's RTT is ~20us, so a
+#: sub-millisecond probe cadence detects a crash in single-digit
+#: milliseconds while eight consecutive silent windows still bound false
+#: positives under loss.
+LIVENESS = LivenessConfig(
+    heartbeat_interval=250e-6,
+    miss_threshold=5,
+    min_rto=250e-6,
+    max_rto=1.5e-3,
+    migrate_timeout=1e-3,
+    migrate_retries=8,
+    connect_timeout=2e-3,
+    connect_retries=8,
+    migration_deadline=15e-3,
+    park_retry_interval=1e-3,
+)
+
 
 @dataclass
 class FailoverConfig:
     """A crash/migrate/park/resume timeline, fully seeded."""
 
-    #: Client hosts, and long-lived connections per client host.
-    clients: int = 2
-    connections_per_client: int = 4
-    payload_size: int = 64
-    #: Global send cadence; each tick one connection (Zipf-chosen) sends.
-    send_interval: float = 50e-6
     seed: int = 7
-    #: Negotiation-cache capacity (both sides) — the migration herd's
-    #: resume fast path rides it.
-    cache_size: int = 64
     #: Discovery-plane shape: the default exercises re-resolution through
     #: the sharded tier (``--shards``/``--replicas-per-shard`` override).
     shards: int = 2
     replicas_per_shard: int = 3
-    #: End-to-end budget for each initial establishment (the connect
-    #: ``deadline=`` knob; relative seconds).
-    connect_deadline: float = 10e-3
-    #: Data-path reliability tuning: the retransmit budget must span the
-    #: longest outage so no message is abandoned mid-blackout.
-    rel_timeout: float = 400e-6
-    rel_retries: int = 100
-    #: Timeline (virtual seconds, absolute).
-    establish_at: float = 2e-3
-    load_start: float = 4e-3
-    crash_primary_at: float = 15e-3
-    standby_outage_at: float = 35e-3
-    standby_outage: float = 15e-3
-    load_stop: float = 60e-3
-    deadline: float = 90e-3
-    #: Invariant bound on the per-episode blackout p99 (seconds).
-    blackout_budget: float = 30e-3
 
     @classmethod
     def smoke(cls, seed: int = 7) -> "FailoverConfig":
         """The CI tier — the default timeline is already sub-second."""
         return cls(seed=seed)
-
-    def liveness(self) -> LivenessConfig:
-        """The per-connection liveness tuning this world runs with.
-
-        Tighter than the library defaults: the experiment's RTT is ~20us,
-        so a sub-millisecond probe cadence detects a crash in single-digit
-        milliseconds while eight consecutive silent windows still bound
-        false positives under loss.
-        """
-        return LivenessConfig(
-            heartbeat_interval=250e-6,
-            miss_threshold=5,
-            min_rto=250e-6,
-            max_rto=1.5e-3,
-            migrate_timeout=1e-3,
-            migrate_retries=8,
-            connect_timeout=2e-3,
-            connect_retries=8,
-            migration_deadline=15e-3,
-            park_retry_interval=1e-3,
-        )
-
-    @property
-    def connections(self) -> int:
-        return self.clients * self.connections_per_client
 
 
 @dataclass
@@ -158,7 +152,6 @@ class FailoverResult(ExperimentResult):
 
     @property
     def invariants(self) -> dict[str, bool]:
-        config = self.config
         return {
             # The tentpole claim: every offered request reached a serving
             # application exactly once per instance, across two crashes
@@ -166,15 +159,15 @@ class FailoverResult(ExperimentResult):
             "zero_app_loss": self.app_loss == 0,
             "zero_duplicates": self.duplicates == 0,
             # Crash of the primary migrated every connection once.
-            "all_migrated": self.migrations == config.connections,
+            "all_migrated": self.migrations == CONNECTIONS,
             # Total outage parked every connection; the restart resumed
             # every one of them.
             "all_parked_and_resumed": (
-                self.parked == config.connections
+                self.parked == CONNECTIONS
                 and self.resumed == self.parked
             ),
             "bounded_blackout": (
-                self.blackout_p99_ms <= config.blackout_budget * _MS
+                self.blackout_p99_ms <= BLACKOUT_BUDGET * _MS
             ),
         }
 
@@ -195,20 +188,7 @@ class FailoverResult(ExperimentResult):
 
     def render_body(self) -> list[str]:
         return [
-            format_table(
-                self.rows(),
-                columns=[
-                    "offered",
-                    "delivered",
-                    "app_loss",
-                    "dups",
-                    "migrations",
-                    "parked",
-                    "resumed",
-                    "blackout_p99_ms",
-                    "recovery_max_ms",
-                ],
-            ),
+            format_table(self.rows()),
             "",
             (
                 f"blackout p50 {self.blackout_p50_ms:.3f} ms, "
@@ -221,7 +201,7 @@ class FailoverResult(ExperimentResult):
 
     def baseline_body(self) -> dict:
         return {
-            "connections": self.config.connections,
+            "connections": CONNECTIONS,
             "offered": self.offered,
             "delivered": self.delivered,
             "app_loss": self.app_loss,
@@ -251,11 +231,8 @@ class FailoverResult(ExperimentResult):
 # --------------------------------------------------------------------------
 # World building
 # --------------------------------------------------------------------------
-def _flow_dag(config: FailoverConfig):
-    return wrap(
-        Serialize()
-        >> Reliable(timeout=config.rel_timeout, max_retries=config.rel_retries)
-    )
+def _flow_dag():
+    return wrap(Serialize() >> Reliable(timeout=REL_TIMEOUT, max_retries=REL_RETRIES))
 
 
 class _FlowServer:
@@ -297,7 +274,7 @@ def _build_world(config: FailoverConfig):
     for index in range(2):
         net.add_host(f"srv{index}")
     client_hosts = [
-        net.add_host(f"cl{index}") for index in range(config.clients)
+        net.add_host(f"cl{index}") for index in range(CLIENTS)
     ]
     plane = DiscoveryPlane(config.shards, config.replicas_per_shard)
     plane.add_hosts(net)
@@ -313,7 +290,7 @@ def _build_world(config: FailoverConfig):
         runtime = Runtime(
             host,
             discovery=plane.client(host),
-            negotiation_cache_size=config.cache_size,
+            negotiation_cache_size=CACHE_SIZE,
             **kwargs,
         )
         runtime.register_chunnel(SerializeFallback)
@@ -323,13 +300,13 @@ def _build_world(config: FailoverConfig):
     servers = [
         _FlowServer(
             _runtime(net.hosts[f"srv{index}"]),
-            _flow_dag(config),
+            _flow_dag(),
             port=7400,
         )
         for index in range(2)
     ]
     client_rts = [
-        _runtime(host, failover=config.liveness()) for host in client_hosts
+        _runtime(host, failover=LIVENESS) for host in client_hosts
     ]
     return net, servers, client_rts
 
@@ -343,7 +320,7 @@ def run_failover(config: Optional[FailoverConfig] = None) -> FailoverResult:
     env = net.env
     obs = net.obs
     chaos = ChaosController(net, seed=config.seed)
-    chooser = make_chooser("zipfian", config.connections, config.seed)
+    chooser = make_chooser("zipfian", CONNECTIONS, config.seed)
 
     offered = obs.counter("experiment.offered")
     responses = obs.counter("experiment.responses")
@@ -363,14 +340,14 @@ def run_failover(config: Optional[FailoverConfig] = None) -> FailoverResult:
                 responses.inc()
 
     def establish():
-        yield env.timeout(config.establish_at)
+        yield env.timeout(ESTABLISH_AT)
         for client_index, runtime in enumerate(client_rts):
-            for slot in range(config.connections_per_client):
+            for slot in range(CONNECTIONS_PER_CLIENT):
                 endpoint = runtime.new(
-                    f"flow-{client_index}-{slot}", _flow_dag(config)
+                    f"flow-{client_index}-{slot}", _flow_dag()
                 )
                 conn = yield from endpoint.connect(
-                    "flow", deadline=config.connect_deadline
+                    "flow", deadline=CONNECT_DEADLINE
                 )
                 conns.append(conn)
                 env.process(
@@ -378,25 +355,23 @@ def run_failover(config: Optional[FailoverConfig] = None) -> FailoverResult:
                 )
 
     def load():
-        yield env.timeout(config.load_start)
+        yield env.timeout(LOAD_START)
         sequence = 0
-        while env.now < config.load_stop:
+        while env.now < LOAD_STOP:
             index = chooser.next_index()
             if index < len(conns):
                 sequence += 1
                 payload = f"{index}:{sequence}".encode()
                 send_times[payload] = env.now
-                conns[index].send(payload, size=config.payload_size)
+                conns[index].send(payload, size=PAYLOAD_SIZE)
                 offered.inc()
-            yield env.timeout(config.send_interval)
+            yield env.timeout(SEND_INTERVAL)
 
     env.process(establish(), name="failover.establish")
     env.process(load(), name="failover.load")
-    chaos.crash_host("srv0", at=config.crash_primary_at)
-    chaos.host_outage(
-        "srv1", at=config.standby_outage_at, duration=config.standby_outage
-    )
-    env.run(until=config.deadline)
+    chaos.crash_host("srv0", at=CRASH_PRIMARY_AT)
+    chaos.host_outage("srv1", at=STANDBY_OUTAGE_AT, duration=STANDBY_OUTAGE)
+    env.run(until=DEADLINE)
 
     id_union: set = set()
     duplicates = 0

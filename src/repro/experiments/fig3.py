@@ -41,6 +41,9 @@ __all__ = ["Fig3Config", "Fig3Result", "run_fig3"]
 
 _US = 1e6
 
+REQUESTS_PER_CONNECTION = 3
+SYSTEMS = ("bertha", "pipes", "tcp", "udp")
+
 
 @dataclass
 class Fig3Config:
@@ -49,8 +52,6 @@ class Fig3Config:
 
     sizes: list[int] = field(default_factory=lambda: [64, 1024, 10240, 102400])
     connections: int = 150
-    requests_per_connection: int = 3
-    systems: tuple[str, ...] = ("bertha", "pipes", "tcp", "udp")
 
     @classmethod
     def smoke(cls) -> "Fig3Config":
@@ -145,6 +146,12 @@ def run_fig3(config: Fig3Config | None = None) -> Fig3Result:
     rtt_recorder = LatencyRecorder()
     setup_recorder = LatencyRecorder()
 
+    baselines = {
+        "pipes": (pipe_ping_session, 7001),
+        "tcp": (tcp_ping_session, 7002),
+        "udp": (udp_ping_session, 7003),
+    }
+
     def session_for(system: str, size: int):
         if system == "bertha":
             return ping_session(
@@ -152,35 +159,20 @@ def run_fig3(config: Fig3Config | None = None) -> Fig3Result:
                 "fig3-svc",
                 dag=wrap(LocalOrRemote()),
                 size=size,
-                count=config.requests_per_connection,
+                count=REQUESTS_PER_CONNECTION,
             )
-        if system == "pipes":
-            return pipe_ping_session(
-                client_ct,
-                Address("server-ct", 7001),
-                size=size,
-                count=config.requests_per_connection,
-            )
-        if system == "tcp":
-            return tcp_ping_session(
-                client_ct,
-                Address("server-ct", 7002),
-                size=size,
-                count=config.requests_per_connection,
-            )
-        if system == "udp":
-            return udp_ping_session(
-                client_ct,
-                Address("server-ct", 7003),
-                size=size,
-                count=config.requests_per_connection,
-            )
-        raise ValueError(f"unknown system {system!r}")
+        session, port = baselines[system]
+        return session(
+            client_ct,
+            Address("server-ct", port),
+            size=size,
+            count=REQUESTS_PER_CONNECTION,
+        )
 
     def driver(env):
         yield env.timeout(200e-6)  # let servers finish starting
         for size in config.sizes:
-            for system in config.systems:
+            for system in SYSTEMS:
                 label = f"{system}/{size}"
                 for _connection in range(config.connections):
                     result = yield from session_for(system, size)
@@ -194,7 +186,7 @@ def run_fig3(config: Fig3Config | None = None) -> Fig3Result:
     rtts = {}
     setups = {}
     for size in config.sizes:
-        for system in config.systems:
+        for system in SYSTEMS:
             label = f"{system}/{size}"
             rtts[(system, size)] = rtt_recorder.summary(label)
             setups[(system, size)] = setup_recorder.summary(label)

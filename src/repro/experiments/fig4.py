@@ -27,17 +27,18 @@ __all__ = ["Fig4Config", "Fig4Result", "run_fig4"]
 
 _US = 1e6
 
+#: When the local instance starts (paper: t = 4 s).
+LOCAL_START_TIME = 4.0
+REQUEST_SIZE = 256
+REQUESTS_PER_CONNECTION = 3
+
 
 @dataclass
 class Fig4Config:
-    """Experiment parameters (paper: local instance appears at t = 4 s);
-    the defaults are the recorded run."""
+    """Experiment parameters; the defaults are the recorded run."""
 
     duration: float = 10.0
     connect_interval: float = 0.25
-    local_start_time: float = 4.0
-    request_size: int = 256
-    requests_per_connection: int = 3
 
     @classmethod
     def smoke(cls) -> "Fig4Config":
@@ -49,7 +50,6 @@ class Fig4Result(TableResult):
     """Latency timeline plus before/after summaries (microseconds)."""
 
     NAME = "fig4"
-    COLUMNS = ["t", "mean_rtt_us", "transport"]
 
     config: Fig4Config
     series: TimeSeries
@@ -80,9 +80,9 @@ class Fig4Result(TableResult):
             "latency_steps_down": self.before is not None
             and self.after is not None
             and self.after.p50 < self.before.p50 / 2,
-            "switch_within_two_intervals": config.local_start_time
+            "switch_within_two_intervals": LOCAL_START_TIME
             <= self.switch_time
-            <= config.local_start_time + 2 * interval,
+            <= LOCAL_START_TIME + 2 * interval,
             "udp_then_pipe": bool(transports)
             and transports[0] == "udp"
             and transports[-1] == "pipe",
@@ -121,7 +121,7 @@ def run_fig4(config: Fig4Config | None = None) -> Fig4Result:
     )
 
     def start_local_replica(env):
-        yield env.timeout(config.local_start_time)
+        yield env.timeout(LOCAL_START_TIME)
         EchoServer(
             local_rt, port=7000, dag=wrap(LocalOrRemote()), service_name="fig4-svc"
         )
@@ -136,8 +136,8 @@ def run_fig4(config: Fig4Config | None = None) -> Fig4Result:
                 client_rt,
                 "fig4-svc",
                 dag=wrap(LocalOrRemote()),
-                size=config.request_size,
-                count=config.requests_per_connection,
+                size=REQUEST_SIZE,
+                count=REQUESTS_PER_CONNECTION,
             )
             mean_rtt = sum(ping.rtts) / len(ping.rtts) * _US
             result.series.record(started, mean_rtt)
@@ -150,7 +150,7 @@ def run_fig4(config: Fig4Config | None = None) -> Fig4Result:
     env.process(client(env))
     env.run(until=config.duration + 1.0)
 
-    before, after = result.series.split_at(config.local_start_time)
+    before, after = result.series.split_at(LOCAL_START_TIME)
     if before:
         result.before = BoxplotSummary.from_values(before)
     if after:

@@ -55,21 +55,21 @@ SCENARIOS = ("client_push", "server_accel", "mixed", "server_fallback")
 
 _US = 1e6
 
+VALUE_SIZE = 100
+SHARDS = 3
+WORKER_SERVICE_TIME = 4.0e-6
+XDP_PER_PACKET = 2.0e-6
+DRAIN_TIMEOUT = 0.05
+
 
 @dataclass
 class Fig5Config:
     """Experiment parameters (paper: 300 k requests, workload A, uniform);
     the defaults are the recorded run."""
 
-    scenarios: tuple[str, ...] = SCENARIOS
     offered_loads: tuple[int, ...] = (100_000, 200_000, 300_000, 500_000, 700_000)
     requests_per_point: int = 4000
     record_count: int = 300
-    value_size: int = 100
-    shards: int = 3
-    worker_service_time: float = 4.0e-6
-    xdp_per_packet: float = 2.0e-6
-    drain_timeout: float = 0.05
     seed: int = 7
 
     @classmethod
@@ -88,7 +88,6 @@ class Fig5Result(TableResult):
     """p95 latency (µs) and completion counts per (scenario, load)."""
 
     NAME = "fig5"
-    COLUMNS = ["scenario", "offered_kqps", "p50_us", "p95_us", "completed", "offered_n"]
 
     p95: dict[tuple[str, int], float]
     p50: dict[tuple[str, int], float]
@@ -122,7 +121,7 @@ class Fig5Result(TableResult):
             ``loads`` the sweep ran; it must have run one."""
             ran = [load for load in loads if load in self.config.offered_loads]
             return bool(ran) and all(
-                check({s: self.p95[(s, load)] for s in self.config.scenarios})
+                check({s: self.p95[(s, load)] for s in SCENARIOS})
                 for load in ran
             )
 
@@ -168,11 +167,11 @@ class Fig5Result(TableResult):
         }
 
 
-def _build_world(scenario: str, config: Fig5Config):
+def _build_world(scenario: str):
     """Server host + 2 client hosts + discovery, wired per scenario."""
     net = Network()
     server_host = net.add_host(
-        "srv", cost=CostModel(xdp_per_packet=config.xdp_per_packet)
+        "srv", cost=CostModel(xdp_per_packet=XDP_PER_PACKET)
     )
     client_hosts = [net.add_host(f"cl{i}") for i in (1, 2)]
     discovery_host = net.add_host("dsc")
@@ -205,8 +204,8 @@ def _build_world(scenario: str, config: Fig5Config):
     server = KvServer(
         server_rt,
         port=7100,
-        shards=config.shards,
-        worker_service_time=config.worker_service_time,
+        shards=SHARDS,
+        worker_service_time=WORKER_SERVICE_TIME,
     )
     return net, server, client_rts
 
@@ -235,14 +234,14 @@ def run_fig5_scenario(
     config = config or Fig5Config()
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
-    net, server, client_rts = _build_world(scenario, config)
+    net, server, client_rts = _build_world(scenario)
     env = net.env
 
     spec = WorkloadSpec(
         workload="A",
         record_count=config.record_count,
         operation_count=config.requests_per_point,
-        value_size=config.value_size,
+        value_size=VALUE_SIZE,
         distribution="uniform",
         seed=config.seed,
     )
@@ -285,7 +284,7 @@ def run_fig5_scenario(
             send_times[rpc_id] = env.now
             conn.send(request, headers={"rpc_id": rpc_id})
         # Drain: give in-flight requests a bounded grace period.
-        deadline = env.timeout(config.drain_timeout)
+        deadline = env.timeout(DRAIN_TIMEOUT)
         yield env.any_of([receiver_proc, deadline])
 
     procs = [
@@ -315,7 +314,7 @@ def run_fig5(config: Optional[Fig5Config] = None) -> Fig5Result:
     offered: dict[tuple[str, int], int] = {}
     chosen_impls: dict[str, list[str]] = {}
     worlds: dict[str, dict] = {}
-    for scenario in config.scenarios:
+    for scenario in SCENARIOS:
         for load in config.offered_loads:
             point = run_fig5_scenario(scenario, load, config)
             key = (scenario, load)

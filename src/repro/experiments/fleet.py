@@ -79,6 +79,39 @@ __all__ = ["FleetConfig", "FleetResult", "run_fleet"]
 _US = 1e6
 _MS = 1e3
 
+#: Service popularity: scrambled Zipfian over the server list.
+ZIPF_THETA = 0.99
+PAYLOAD_SIZE = 64
+#: Negotiation cache on every runtime (clients resume; servers hold
+#: the verdicts the resumes are validated against).
+CACHE_SIZE = 128
+NEGOTIATION_TIMEOUT = 2e-3
+NEGOTIATION_RETRIES = 80
+#: Sharded discovery client tuning (tight first timeout, so a dead
+#: primary is noticed quickly and the one-failover-retry path
+#: engages; enough retries to ride out queueing at a busy primary).
+DISCOVERY_TIMEOUT = 1e-3
+DISCOVERY_RETRIES = 6
+#: Router failure detector.  The probe timeout must ride out the
+#: primary's serve-loop stalls (each mutation holds the loop for a
+#: replicated-log round, and they burst): 1 ms probes against a busy
+#: TOE shard read as dozens of spurious failovers per run.
+PROBE_TIMEOUT = 4e-3
+#: Crash the TOE shard's primary this far into the arrival schedule.
+CRASH_AT_FRACTION = 0.4
+#: Quiet period after the storm / the wave, for pushes and releases.
+SETTLE = 30e-3
+#: Server-side idle reaper (a client close is silent on the wire).
+IDLE_CLOSE = 20e-3
+OFFLOAD_SLOTS = 8
+RACK_LATENCY = 5e-6
+SPINE_LATENCY = 10e-6
+#: Invariant bounds.
+SETUP_P99_BOUND = 0.25
+FAILOVER_BOUND = 0.05
+#: Virtual-time budget (the workload finishes far earlier).
+DEADLINE = 120.0
+
 
 @dataclass
 class FleetConfig:
@@ -104,46 +137,13 @@ class FleetConfig:
     #: traffic there.
     establishments: int = 100_000
     arrival_rate: float = 10_000.0
-    #: Service popularity: scrambled Zipfian over the server list.
-    zipf_theta: float = 0.99
-    payload_size: int = 64
     seed: int = 7
-    #: Negotiation cache on every runtime (clients resume; servers hold
-    #: the verdicts the resumes are validated against).
-    cache_size: int = 128
-    negotiation_timeout: float = 2e-3
-    negotiation_retries: int = 80
-    #: Sharded discovery client tuning (tight first timeout, so a dead
-    #: primary is noticed quickly and the one-failover-retry path
-    #: engages; enough retries to ride out queueing at a busy primary).
-    discovery_timeout: float = 1e-3
-    discovery_retries: int = 6
-    #: Router failure detector.  The probe timeout must ride out the
-    #: primary's serve-loop stalls (each mutation holds the loop for a
-    #: replicated-log round, and they burst): 1 ms probes against a busy
-    #: TOE shard read as dozens of spurious failovers per run.
-    monitor_interval: float = 2e-3
-    probe_timeout: float = 4e-3
-    #: Crash the TOE shard's primary this far into the arrival schedule.
-    crash_at_fraction: float = 0.4
     #: TOE records revoked through the promoted primary after failover.
     revocations: int = 4
     #: Post-revocation verification connects against affected services.
     final_wave: int = 200
-    #: Quiet period after the storm / the wave, for pushes and releases.
-    settle: float = 30e-3
-    #: Server-side idle reaper (a client close is silent on the wire).
-    idle_close: float = 20e-3
     #: Trace spans kept before counting drops (keeps tracing O(1)).
     trace_limit: int = 10_000
-    offload_slots: int = 8
-    rack_latency: float = 5e-6
-    spine_latency: float = 10e-6
-    #: Invariant bounds.
-    setup_p99_bound: float = 0.25
-    failover_bound: float = 0.05
-    #: Virtual-time budget (the driver finishes far earlier).
-    deadline: float = 120.0
 
     @classmethod
     def smoke(cls, seed: int = 7) -> "FleetConfig":
@@ -214,13 +214,12 @@ class FleetResult(ExperimentResult):
             ),
             "zero_app_loss": self.completed == self.established,
             "bounded_setup_p99": (
-                self.setup_p99_us <= self.config.setup_p99_bound * _US
+                self.setup_p99_us <= SETUP_P99_BOUND * _US
             ),
             "failover_recovered": (
                 self.failovers >= 1
                 and self.failovers_failed == 0
-                and self.failover_recovery_ms
-                <= self.config.failover_bound * _MS
+                and self.failover_recovery_ms <= FAILOVER_BOUND * _MS
             ),
             "zero_lost_revocations": (
                 self.revoked == self.config.revocations
@@ -271,9 +270,7 @@ class FleetResult(ExperimentResult):
             f"rsm gap-recovery NACKs {self.rsm_gap_nacks}, "
             f"trace spans dropped {self.trace_spans_dropped}",
             "",
-            format_table(
-                self.rows(), columns=["shard", "queries_served", "share_pct"]
-            ),
+            format_table(self.rows()),
         ]
 
     def baseline_body(self) -> dict:
@@ -318,18 +315,18 @@ def _build_world(config: FleetConfig):
     net.add_switch("spine")
     # Control rack: shard replicas + router.
     net.add_switch("ctl")
-    net.add_link("ctl", "spine", latency=config.spine_latency)
+    net.add_link("ctl", "spine", latency=SPINE_LATENCY)
     shard_hosts = []
     for shard_id in range(config.shards):
         hosts = []
         for index in range(config.replicas_per_shard):
             name = f"disc-s{shard_id}r{index}"
             net.add_host(name)
-            net.add_link(name, "ctl", latency=config.rack_latency)
+            net.add_link(name, "ctl", latency=RACK_LATENCY)
             hosts.append(name)
         shard_hosts.append(hosts)
     net.add_host("rtr")
-    net.add_link("rtr", "ctl", latency=config.rack_latency)
+    net.add_link("rtr", "ctl", latency=RACK_LATENCY)
 
     # Data racks: clients and servers.
     servers_per_rack = config.servers // config.racks
@@ -342,32 +339,26 @@ def _build_world(config: FleetConfig):
     for rack in range(config.racks):
         rack_switch = f"rack{rack:03d}"
         net.add_switch(rack_switch)
-        net.add_link(rack_switch, "spine", latency=config.spine_latency)
+        net.add_link(rack_switch, "spine", latency=SPINE_LATENCY)
         for client in range(config.clients_per_rack):
             name = f"cl{rack:03d}x{client:03d}"
             net.add_host(name)
-            net.add_link(name, rack_switch, latency=config.rack_latency)
+            net.add_link(name, rack_switch, latency=RACK_LATENCY)
             client_names.append(name)
         for slot in range(servers_per_rack):
             index = rack * servers_per_rack + slot
             name = f"sv{index:03d}"
             nic = (
-                SmartNic(
-                    net.env,
-                    name=f"{name}.nic",
-                    offload_slots=config.offload_slots,
-                )
+                SmartNic(net.env, name=f"{name}.nic", offload_slots=OFFLOAD_SLOTS)
                 if index in nic_indices
                 else None
             )
             net.add_host(name, nic=nic)
-            net.add_link(name, rack_switch, latency=config.rack_latency)
+            net.add_link(name, rack_switch, latency=RACK_LATENCY)
             server_names.append(name)
 
     tier = DiscoveryShardTier(net, shard_hosts)
-    router = ShardRouter(
-        net.entity("rtr"), tier.map, probe_timeout=config.probe_timeout
-    )
+    router = ShardRouter(net.entity("rtr"), tier.map, probe_timeout=PROBE_TIMEOUT)
     toe_records = [
         tier.seed_record(ReliableToe.meta, location=server_names[index])
         for index in sorted(nic_indices)
@@ -378,13 +369,13 @@ def _build_world(config: FleetConfig):
         discovery = ShardedDiscoveryClient(
             host,
             router.address,
-            timeout=config.discovery_timeout,
-            retries=config.discovery_retries,
+            timeout=DISCOVERY_TIMEOUT,
+            retries=DISCOVERY_RETRIES,
         )
         runtime = Runtime(
             host,
             discovery=discovery,
-            negotiation_cache_size=config.cache_size,
+            negotiation_cache_size=CACHE_SIZE,
             ephemeral_connections=True,
             **kwargs,
         )
@@ -401,7 +392,7 @@ def _build_world(config: FleetConfig):
             dag=_fleet_dag(),
             service_name=f"svc-{index:03d}",
             name=f"echo-{name}",
-            idle_close=config.idle_close,
+            idle_close=IDLE_CLOSE,
         )
         for index, name in enumerate(server_names)
     ]
@@ -426,7 +417,7 @@ def run_fleet(config: Optional[FleetConfig] = None) -> FleetResult:
     ) = _build_world(config)
     env = net.env
     obs = net.obs
-    payload = bytes(config.payload_size)
+    payload = bytes(PAYLOAD_SIZE)
     established = obs.counter("experiment.established")
     completed = obs.counter("experiment.completed")
     failures = obs.counter("experiment.failures")
@@ -435,13 +426,13 @@ def run_fleet(config: Optional[FleetConfig] = None) -> FleetResult:
 
     arrivals = PoissonArrivals(config.arrival_rate, seed=config.seed)
     chooser = ScrambledZipfianChooser(
-        config.servers, theta=config.zipf_theta, seed=config.seed + 1
+        config.servers, theta=ZIPF_THETA, seed=config.seed + 1
     )
     # Crash the shard that owns the TOE records: failover and the
     # post-failover revocations then flow through the same promoted
     # primary — the correctness path under test.
     crash_shard = tier.map.shard_for_type(ReliableToe.meta.chunnel_type)
-    crash_index = int(config.establishments * config.crash_at_fraction)
+    crash_index = int(config.establishments * CRASH_AT_FRACTION)
     state = {
         "crashed_at": None,
         "revoked": [],
@@ -466,8 +457,8 @@ def run_fleet(config: Optional[FleetConfig] = None) -> FleetResult:
         try:
             conn = yield from endpoint.connect(
                 service,
-                timeout=config.negotiation_timeout,
-                retries=config.negotiation_retries,
+                timeout=NEGOTIATION_TIMEOUT,
+                retries=NEGOTIATION_RETRIES,
             )
         except NegotiationError:
             failures.inc()
@@ -534,14 +525,14 @@ def run_fleet(config: Optional[FleetConfig] = None) -> FleetResult:
                 yield env.timeout(1e-3)
 
     def _driver():
-        router.start_monitor(config.monitor_interval)
+        router.start_monitor()
         yield from _discovery_converged()
         env.process(_spawner(), name="fleet.spawner")
         revoker = env.process(_revoker(), name="fleet.revoker")
         yield done
         if revoker.is_alive:
             yield revoker
-        yield env.timeout(config.settle)
+        yield env.timeout(SETTLE)
         # Final wave: connect to the revoked records' services and let
         # the servers prove the record is gone — a stale resumed choice
         # is rejected by reservation re-validation, a fresh query no
@@ -556,8 +547,8 @@ def run_fleet(config: Optional[FleetConfig] = None) -> FleetResult:
             try:
                 conn = yield from endpoint.connect(
                     wave_targets[index % len(wave_targets)],
-                    timeout=config.negotiation_timeout,
-                    retries=config.negotiation_retries,
+                    timeout=NEGOTIATION_TIMEOUT,
+                    retries=NEGOTIATION_RETRIES,
                 )
             except NegotiationError:
                 continue
@@ -565,7 +556,7 @@ def run_fleet(config: Optional[FleetConfig] = None) -> FleetResult:
             conn.send(payload, size=len(payload))
             yield conn.recv()
             conn.close()
-        yield env.timeout(config.settle)
+        yield env.timeout(SETTLE)
         # Zero-lost-revocations audit: no live replica of the owning
         # shard may still hold a revoked record or a lease on one.
         lost = 0
@@ -587,7 +578,7 @@ def run_fleet(config: Optional[FleetConfig] = None) -> FleetResult:
     env.process(_driver(), name="fleet.driver")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegradedEstablishmentWarning)
-        env.run(until=config.deadline)
+        env.run(until=DEADLINE)
 
     snap = obs.snapshot()
     setups = setup_hist.values

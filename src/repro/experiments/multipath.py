@@ -55,45 +55,46 @@ __all__ = ["MultipathConfig", "MultipathResult", "run_multipath"]
 
 _US = 1e6
 
+# -- crossover sweep ---------------------------------------------------------
+#: Loss rates injected on the short segment (``cl — swA``), in order;
+#: the first point must be 0.0 (the clean-path control).
+ASYMMETRY = (0.0, 0.1, 0.2, 0.3)
+REQUESTS = 30
+#: Segment link latencies: the lossy segment is short, the clean one
+#: long — the asymmetry the split exploits.
+NEAR_LATENCY = 5e-6
+FAR_LATENCY = 300e-6
+#: Reliable timers.  Direct connections need the end-to-end timer;
+#: the split's downstream segment runs on its own ~20us RTT.
+DIRECT_TIMEOUT = 2e-3
+NEAR_TIMEOUT = 120e-6
+REL_RETRIES = 30
+ESTABLISH_AT = 1e-3
+LEG_DEADLINE = 1.0
+# -- live rebalance ----------------------------------------------------------
+REB_REQUESTS = 160
+REB_INTERVAL = 100e-6
+REB_REL_TIMEOUT = 250e-6
+REB_REL_RETRIES = 60
+#: Starting weights and the post-alarm weights for the degraded
+#: tunnel (tunnel 0, the watched path) and the healthy one.
+WEIGHTS = (0.5, 0.5)
+SHIFTED_WEIGHTS = (0.1, 0.9)
+DEGRADE_AT = 6e-3
+DEGRADE_DROP = 0.5
+MONITOR_THRESHOLD = 0.2
+REB_DEADLINE = 60e-3
+
 
 @dataclass
 class MultipathConfig:
-    """Both phases' knobs; the defaults are already CI-sized."""
+    """The seed of both phases; the default run is already CI-sized."""
 
     seed: int = 7
-    # -- crossover sweep ---------------------------------------------------
-    #: Loss rates injected on the short segment (``cl — swA``), in order;
-    #: the first point must be 0.0 (the clean-path control).
-    asymmetry: tuple = (0.0, 0.1, 0.2, 0.3)
-    requests: int = 30
-    #: Segment link latencies: the lossy segment is short, the clean one
-    #: long — the asymmetry the split exploits.
-    near_latency: float = 5e-6
-    far_latency: float = 300e-6
-    #: Reliable timers.  Direct connections need the end-to-end timer;
-    #: the split's downstream segment runs on its own ~20us RTT.
-    direct_timeout: float = 2e-3
-    near_timeout: float = 120e-6
-    rel_retries: int = 30
-    establish_at: float = 1e-3
-    leg_deadline: float = 1.0
-    # -- live rebalance ----------------------------------------------------
-    reb_requests: int = 160
-    reb_interval: float = 100e-6
-    reb_rel_timeout: float = 250e-6
-    reb_rel_retries: int = 60
-    #: Starting weights and the post-alarm weights for the degraded
-    #: tunnel (tunnel 0, the watched path) and the healthy one.
-    weights: tuple = (0.5, 0.5)
-    shifted_weights: tuple = (0.1, 0.9)
-    degrade_at: float = 6e-3
-    degrade_drop: float = 0.5
-    monitor_threshold: float = 0.2
-    reb_deadline: float = 60e-3
 
     @classmethod
     def smoke(cls, seed: int = 7) -> "MultipathConfig":
-        """The CI tier — the defaults already run in seconds."""
+        """The CI tier — the default run already takes seconds."""
         return cls(seed=seed)
 
 
@@ -135,8 +136,8 @@ class MultipathResult(ExperimentResult):
             "direct_wins_clean": clean["direct_rtt_us"] < clean["split_rtt_us"],
             # Reliability absorbed every swept loss rate in both modes.
             "sweep_zero_loss": all(
-                row["direct_completed"] == self.config.requests
-                and row["split_completed"] == self.config.requests
+                row["direct_completed"] == REQUESTS
+                and row["split_completed"] == REQUESTS
                 for row in self.sweep
             ),
             # The live rebalance: the path-quality trigger committed a
@@ -167,10 +168,7 @@ class MultipathResult(ExperimentResult):
 
     def render_body(self) -> list[str]:
         return [
-            format_table(
-                self.rows(),
-                columns=["loss", "direct_rtt_us", "split_rtt_us", "winner"],
-            ),
+            format_table(self.rows()),
             "",
             (
                 f"rebalance: degraded-tunnel share "
@@ -240,18 +238,18 @@ def _chain_runtime(net, disc, name):
     return runtime
 
 
-def _run_leg(config: MultipathConfig, drop: float, split: bool) -> dict:
+def _run_leg(seed: int, drop: float, split: bool) -> dict:
     """One world: the chain topology, echo workload, one mode."""
     net = Network()
     for name in ("cl", "px", "srv", "dsc"):
         net.add_host(name)
     net.add_switch("swA")
     net.add_switch("swB")
-    net.add_link("cl", "swA", latency=config.near_latency)
-    net.add_link("swA", "px", latency=config.near_latency)
-    net.add_link("px", "swB", latency=config.far_latency)
-    net.add_link("swB", "srv", latency=config.far_latency)
-    net.add_link("dsc", "swA", latency=config.near_latency)
+    net.add_link("cl", "swA", latency=NEAR_LATENCY)
+    net.add_link("swA", "px", latency=NEAR_LATENCY)
+    net.add_link("px", "swB", latency=FAR_LATENCY)
+    net.add_link("swB", "srv", latency=FAR_LATENCY)
+    net.add_link("dsc", "swA", latency=NEAR_LATENCY)
     disc = DiscoveryService(net.hosts["dsc"])
     cl_rt = _chain_runtime(net, disc, "cl")
     px_rt = _chain_runtime(net, disc, "px")
@@ -261,20 +259,14 @@ def _run_leg(config: MultipathConfig, drop: float, split: bool) -> dict:
     # the end-to-end timer from here; under a split this is the upstream
     # segment's timer (the clean long segment — it should never fire).
     server_dag = wrap(
-        Serialize()
-        >> Reliable(
-            timeout=config.direct_timeout, max_retries=config.rel_retries
-        )
+        Serialize() >> Reliable(timeout=DIRECT_TIMEOUT, max_retries=REL_RETRIES)
     )
     listener = srv_rt.new("mp-srv", server_dag).listen(port=7500)
     if split:
         # The proxy is the downstream segment's server, so *its* listener
         # dictates the downstream timer — scaled to that segment's RTT.
         down_dag = wrap(
-            Serialize()
-            >> Reliable(
-                timeout=config.near_timeout, max_retries=config.rel_retries
-            )
+            Serialize() >> Reliable(timeout=NEAR_TIMEOUT, max_retries=REL_RETRIES)
         )
         SplitProxy(
             px_rt, "mp-split", Address("srv", 7500), down_dag, port=7600
@@ -297,7 +289,7 @@ def _run_leg(config: MultipathConfig, drop: float, split: bool) -> dict:
             env.process(echo(conn), name=f"{conn.conn_id}.echo")
 
     def driver():
-        yield env.timeout(config.establish_at)
+        yield env.timeout(ESTABLISH_AT)
         target = Address("px", 7600) if split else Address("srv", 7500)
         conn = yield from cl_rt.new("mp-cl").connect(target)
         # Loss arrives after establishment: the sweep measures the data
@@ -305,9 +297,9 @@ def _run_leg(config: MultipathConfig, drop: float, split: bool) -> dict:
         # that).
         if drop:
             net.attach_faults(
-                "cl", "swA", FaultPlan(drop_rate=drop, seed=config.seed + 31)
+                "cl", "swA", FaultPlan(drop_rate=drop, seed=seed + 31)
             )
-        for index in range(config.requests):
+        for index in range(REQUESTS):
             started = env.now
             conn.send({"id": index})
             yield conn.recv()
@@ -315,7 +307,7 @@ def _run_leg(config: MultipathConfig, drop: float, split: bool) -> dict:
 
     env.process(serve(), name="mp.serve")
     env.process(driver(), name="mp.driver")
-    env.run(until=config.leg_deadline)
+    env.run(until=LEG_DEADLINE)
     mean_rtt = sum(rtts) / len(rtts) if rtts else float("inf")
     return {"rtt_us": mean_rtt * _US, "completed": len(rtts)}
 
@@ -323,7 +315,7 @@ def _run_leg(config: MultipathConfig, drop: float, split: bool) -> dict:
 # --------------------------------------------------------------------------
 # Phase 2: the live rebalance
 # --------------------------------------------------------------------------
-def _run_rebalance(config: MultipathConfig) -> dict:
+def _run_rebalance(seed: int) -> dict:
     net = Network()
     for name in ("cl", "srv", "dsc"):
         net.add_host(name)
@@ -345,12 +337,8 @@ def _run_rebalance(config: MultipathConfig) -> dict:
     cl_rt, srv_rt = runtime("cl"), runtime("srv")
     dag = wrap(
         Serialize()
-        >> Reliable(
-            timeout=config.reb_rel_timeout, max_retries=config.reb_rel_retries
-        )
-        >> WeightedMultipath(
-            tunnels=2, weights=list(config.weights), seed=config.seed
-        )
+        >> Reliable(timeout=REB_REL_TIMEOUT, max_retries=REB_REL_RETRIES)
+        >> WeightedMultipath(tunnels=2, weights=list(WEIGHTS), seed=seed)
     )
     listener = srv_rt.new("reb-srv", dag).listen(port=7700)
 
@@ -383,7 +371,7 @@ def _run_rebalance(config: MultipathConfig) -> dict:
         target_dag = conn.dag.copy()
         (node_id,) = target_dag.find("multipath")
         target_dag.nodes[node_id] = WeightedMultipath(
-            tunnels=2, weights=list(config.shifted_weights), seed=config.seed
+            tunnels=2, weights=list(SHIFTED_WEIGHTS), seed=seed
         )
         srv_rt.reconfig.request_transition(
             conn, reason=f"path-quality:{name}", target_dag=target_dag
@@ -393,16 +381,16 @@ def _run_rebalance(config: MultipathConfig) -> dict:
     monitor.watch_path(
         "tunnel0",
         paths[0],
-        threshold=config.monitor_threshold,
+        threshold=MONITOR_THRESHOLD,
         callback=on_alarm,
     )
 
     def degrade():
-        yield env.timeout(config.degrade_at)
+        yield env.timeout(DEGRADE_AT)
         net.attach_faults(
             paths[0][0],
             paths[0][1],
-            FaultPlan(drop_rate=config.degrade_drop, seed=config.seed + 101),
+            FaultPlan(drop_rate=DEGRADE_DROP, seed=seed + 101),
         )
 
     def multipath_stage(conn):
@@ -417,14 +405,14 @@ def _run_rebalance(config: MultipathConfig) -> dict:
         conn = yield from cl_rt.new("reb-cl").connect(Address("srv", 7700))
         state["client_conn"] = conn
         state["stage_before"] = multipath_stage(conn)
-        for index in range(config.reb_requests):
+        for index in range(REB_REQUESTS):
             conn.send({"id": index})
-            yield env.timeout(config.reb_interval)
+            yield env.timeout(REB_INTERVAL)
 
     env.process(serve(), name="reb.serve")
     env.process(degrade(), name="reb.degrade")
     env.process(load(), name="reb.load")
-    env.run(until=config.reb_deadline)
+    env.run(until=REB_DEADLINE)
     monitor.stop()
 
     stage_before = state["stage_before"]
@@ -438,7 +426,7 @@ def _run_rebalance(config: MultipathConfig) -> dict:
     pre_total = sum(pre_sent)
     post_total = sum(post_sent)
     return {
-        "offered": config.reb_requests,
+        "offered": REB_REQUESTS,
         "delivered": len(seen),
         "duplicates": sum(count - 1 for count in seen.values()),
         "alarms": monitor.alarms,
@@ -457,9 +445,9 @@ def _run_rebalance(config: MultipathConfig) -> dict:
 def run_multipath(config: Optional[MultipathConfig] = None) -> MultipathResult:
     config = config or MultipathConfig()
     sweep = []
-    for drop in config.asymmetry:
-        direct = _run_leg(config, drop, split=False)
-        split = _run_leg(config, drop, split=True)
+    for drop in ASYMMETRY:
+        direct = _run_leg(config.seed, drop, split=False)
+        split = _run_leg(config.seed, drop, split=True)
         sweep.append(
             {
                 "drop": drop,
@@ -469,7 +457,7 @@ def run_multipath(config: Optional[MultipathConfig] = None) -> MultipathResult:
                 "split_completed": split["completed"],
             }
         )
-    rebalance = _run_rebalance(config)
+    rebalance = _run_rebalance(config.seed)
     return MultipathResult(
         sweep=sweep,
         reb_offered=rebalance["offered"],

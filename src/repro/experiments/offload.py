@@ -91,53 +91,55 @@ __all__ = ["OffloadConfig", "OffloadResult", "run_offload"]
 
 _US = 1e6
 
+# -- the cached KV worlds ----------------------------------------------------
+RECORD_COUNT = 96
+KEYS = tuple(f"k{i:04d}" for i in range(RECORD_COUNT))
+CACHE_CAPACITY = 16
+VALUE_SIZE = 48
+SHARDS = 3
+WORKER_SERVICE_TIME = 6.0e-6
+#: Control-path seconds per cache-maintenance op.  The station has one
+#: server, so write rates near ``1 / CACHE_WRITE_COST`` queue — the
+#: saturation arm of the crossover.
+CACHE_WRITE_COST = 24.0e-6
+#: Client and discovery sit one short hop from the ToR; the server
+#: link is longer, so a ToR cache hit saves a meaningful round trip.
+NEAR_LATENCY = 5e-6
+SERVER_LATENCY = 10e-6
+# -- sweeps ------------------------------------------------------------------
+OFFERED_LOAD = 50_000.0
+REQUESTS_PER_POINT = 420
+#: Swept Zipf skew (YCSB theta; 0.0 means uniform) at a fixed
+#: read-heavy mix.
+SKEW_POINTS = (0.0, 0.5, 0.9, 0.99)
+SKEW_WRITE_FRACTION = 0.1
+#: Swept write fraction at a fixed high skew.
+MIX_POINTS = (0.05, 0.35, 0.65, 0.9)
+MIX_SKEW = 0.9
+ESTABLISH_AT = 1e-3
+DRAIN_TIMEOUT = 0.05
+# -- fan-in ------------------------------------------------------------------
+FANIN_MEMBERS = 3
+FANIN_REQUESTS = 24
+# -- mid-run switch failure --------------------------------------------------
+FAIL_REQUESTS = 200
+FAIL_LOAD = 25_000.0
+FAIL_WRITE_FRACTION = 0.1
+FAIL_SKEW = 0.9
+FAIL_AT = 4e-3
+RECOVER_AT = 7e-3
+FAIL_DEADLINE = 0.08
+
 
 @dataclass
 class OffloadConfig:
-    """All six phases' knobs; the defaults are already CI-sized."""
+    """The seed of all six phases; the default run is already CI-sized."""
 
     seed: int = 7
-    # -- the cached KV worlds ----------------------------------------------
-    record_count: int = 96
-    cache_capacity: int = 16
-    value_size: int = 48
-    shards: int = 3
-    worker_service_time: float = 6.0e-6
-    #: Control-path seconds per cache-maintenance op.  The station has one
-    #: server, so write rates near ``1 / write_cost`` queue — the
-    #: saturation arm of the crossover.
-    cache_write_cost: float = 24.0e-6
-    #: Client and discovery sit one short hop from the ToR; the server
-    #: link is longer, so a ToR cache hit saves a meaningful round trip.
-    near_latency: float = 5e-6
-    server_latency: float = 10e-6
-    # -- sweeps ------------------------------------------------------------
-    offered_load: float = 50_000.0
-    requests_per_point: int = 420
-    #: Swept Zipf skew (YCSB theta; 0.0 means uniform) at a fixed
-    #: read-heavy mix.
-    skew_points: tuple = (0.0, 0.5, 0.9, 0.99)
-    skew_write_fraction: float = 0.1
-    #: Swept write fraction at a fixed high skew.
-    mix_points: tuple = (0.05, 0.35, 0.65, 0.9)
-    mix_skew: float = 0.9
-    establish_at: float = 1e-3
-    drain_timeout: float = 0.05
-    # -- fan-in ------------------------------------------------------------
-    fanin_members: int = 3
-    fanin_requests: int = 24
-    # -- mid-run switch failure -------------------------------------------
-    fail_requests: int = 200
-    fail_load: float = 25_000.0
-    fail_write_fraction: float = 0.1
-    fail_skew: float = 0.9
-    fail_at: float = 4e-3
-    recover_at: float = 7e-3
-    fail_deadline: float = 0.08
 
     @classmethod
     def smoke(cls, seed: int = 7) -> "OffloadConfig":
-        """The CI tier — the defaults already run in seconds."""
+        """The CI tier — the default run already takes seconds."""
         return cls(seed=seed)
 
 
@@ -160,10 +162,9 @@ class OffloadResult(ExperimentResult):
 
     @property
     def invariants(self) -> dict[str, bool]:
-        requests = self.config.requests_per_point
         completed = all(
-            row["cached_completed"] == requests
-            and row["host_completed"] == requests
+            row["cached_completed"] == REQUESTS_PER_POINT
+            and row["host_completed"] == REQUESTS_PER_POINT
             for row in self.skew_sweep + self.mix_sweep
         )
         return {
@@ -192,8 +193,7 @@ class OffloadResult(ExperimentResult):
             # the switch absorbs exactly N-1 replies per request.
             "fanin_byte_identical": self.fanin["identical"],
             "fanin_absorbs_replies": (
-                self.fanin["absorbed"]
-                == (self.config.fanin_members - 1) * self.config.fanin_requests
+                self.fanin["absorbed"] == (FANIN_MEMBERS - 1) * FANIN_REQUESTS
             ),
             # Exactly-once across the failure and recovery edges.
             "failover_exactly_once": (
@@ -241,17 +241,7 @@ class OffloadResult(ExperimentResult):
 
     def render_body(self) -> list[str]:
         return [
-            format_table(
-                self.rows(),
-                columns=[
-                    "sweep",
-                    "x",
-                    "cached_us",
-                    "host_us",
-                    "hit_rate",
-                    "winner",
-                ],
-            ),
+            format_table(self.rows()),
             "",
             (
                 f"fan-in: host and switch gathers "
@@ -337,17 +327,15 @@ class OffloadResult(ExperimentResult):
 # --------------------------------------------------------------------------
 # The cached KV world
 # --------------------------------------------------------------------------
-def _build_cache_world(
-    config: OffloadConfig, cached: bool, auto_reconfig: bool = False
-):
+def _build_cache_world(cached: bool, auto_reconfig: bool = False):
     """Server + client + ToR; the switch cache registered when ``cached``."""
     net = Network()
     for name in ("cl", "srv", "dsc"):
         net.add_host(name)
     net.add_switch("tor")
-    net.add_link("cl", "tor", latency=config.near_latency)
-    net.add_link("dsc", "tor", latency=config.near_latency)
-    net.add_link("srv", "tor", latency=config.server_latency)
+    net.add_link("cl", "tor", latency=NEAR_LATENCY)
+    net.add_link("dsc", "tor", latency=NEAR_LATENCY)
+    net.add_link("srv", "tor", latency=SERVER_LATENCY)
     discovery = DiscoveryService(net.hosts["dsc"])
 
     server_rt = Runtime(net.entity("srv"), discovery=discovery.address)
@@ -357,19 +345,19 @@ def _build_cache_world(
     client_rt.register_chunnel(SerializeFallback)
     client_rt.register_chunnel(ShardClientFallback)
 
-    workers = [Address("srv", 7101 + i) for i in range(config.shards)]
+    workers = [Address("srv", 7101 + i) for i in range(SHARDS)]
     if cached:
         discovery.register(KvCacheSwitch.meta, location="tor")
     server = KvServer(
         server_rt,
         port=7100,
-        shards=config.shards,
-        worker_service_time=config.worker_service_time,
+        shards=SHARDS,
+        worker_service_time=WORKER_SERVICE_TIME,
         extra_dag=wrap(
             KvCache(
                 choices=workers,
-                capacity=config.cache_capacity,
-                write_cost=config.cache_write_cost,
+                capacity=CACHE_CAPACITY,
+                write_cost=CACHE_WRITE_COST,
             )
         ),
         auto_reconfig=auto_reconfig,
@@ -377,55 +365,46 @@ def _build_cache_world(
     return net, server, server_rt, client_rt
 
 
-def _keys(config: OffloadConfig) -> list[str]:
-    return [f"k{i:04d}" for i in range(config.record_count)]
+def _value(key: str) -> bytes:
+    return f"v:{key}".encode().ljust(VALUE_SIZE, b".")
 
 
-def _value(config: OffloadConfig, key: str) -> bytes:
-    return f"v:{key}".encode().ljust(config.value_size, b".")
-
-
-def _preload(config: OffloadConfig, server: KvServer) -> None:
+def _preload(server: KvServer) -> None:
     """Populate the shard stores directly (switch SRAM stays cold)."""
     codec = get_codec("kv")
-    for key in _keys(config):
+    for key in KEYS:
         encoded = codec.encode(kv_request("put", key, b""))
         index = KV_SHARD_FN.bucket(encoded, {}, len(server.workers))
-        server.workers[index].store[key] = _value(config, key)
+        server.workers[index].store[key] = _value(key)
 
 
-def _chooser(config: OffloadConfig, skew: float, seed: int):
+def _chooser(skew: float, seed: int):
     if skew <= 0.0:
-        return UniformChooser(config.record_count, seed=seed)
-    return ScrambledZipfianChooser(config.record_count, theta=skew, seed=seed)
+        return UniformChooser(RECORD_COUNT, seed=seed)
+    return ScrambledZipfianChooser(RECORD_COUNT, theta=skew, seed=seed)
 
 
 def _run_point(
-    config: OffloadConfig,
-    cached: bool,
-    skew: float,
-    write_fraction: float,
-    workload_seed: int,
+    cached: bool, skew: float, write_fraction: float, workload_seed: int
 ) -> dict:
     """One world, one open-loop workload; returns latency + cache stats."""
-    net, server, _server_rt, client_rt = _build_cache_world(config, cached)
-    _preload(config, server)
+    net, server, _server_rt, client_rt = _build_cache_world(cached)
+    _preload(server)
     env = net.env
-    keys = _keys(config)
-    chooser = _chooser(config, skew, workload_seed)
+    chooser = _chooser(skew, workload_seed)
     op_rng = random.Random(workload_seed + 1)
-    arrivals = PoissonArrivals(config.offered_load, seed=workload_seed + 2)
+    arrivals = PoissonArrivals(OFFERED_LOAD, seed=workload_seed + 2)
     latencies: list[float] = []
     send_times: dict[int, float] = {}
 
     def driver():
-        yield env.timeout(config.establish_at)
+        yield env.timeout(ESTABLISH_AT)
         client = KvClient(client_rt)
         conn = yield from client.connect(Address("srv", 7100))
 
         def receiver(env):
             received = 0
-            while received < config.requests_per_point:
+            while received < REQUESTS_PER_POINT:
                 msg = yield conn.recv()
                 rpc_id = msg.headers.get("rpc_id")
                 if rpc_id in send_times:
@@ -433,16 +412,16 @@ def _run_point(
                     received += 1
 
         receiver_proc = env.process(receiver(env), name="offload.rx")
-        for index in range(config.requests_per_point):
+        for index in range(REQUESTS_PER_POINT):
             yield env.timeout(arrivals.next_gap())
-            key = keys[chooser.next_index()]
+            key = KEYS[chooser.next_index()]
             if op_rng.random() < write_fraction:
-                request = kv_request("put", key, _value(config, key))
+                request = kv_request("put", key, _value(key))
             else:
                 request = kv_request("get", key)
             send_times[index] = env.now
             conn.send(request, headers={"rpc_id": index})
-        deadline = env.timeout(config.drain_timeout)
+        deadline = env.timeout(DRAIN_TIMEOUT)
         yield env.any_of([receiver_proc, deadline])
 
     proc = env.process(driver(), name="offload.driver")
@@ -466,16 +445,12 @@ def _run_point(
     }
 
 
-def _run_sweeps(config: OffloadConfig) -> tuple[list, list]:
+def _run_sweeps(seed: int) -> tuple[list, list]:
     skew_sweep = []
-    for index, skew in enumerate(config.skew_points):
-        seed = config.seed + 17 * index
-        cached = _run_point(
-            config, True, skew, config.skew_write_fraction, seed
-        )
-        host = _run_point(
-            config, False, skew, config.skew_write_fraction, seed
-        )
+    for index, skew in enumerate(SKEW_POINTS):
+        point_seed = seed + 17 * index
+        cached = _run_point(True, skew, SKEW_WRITE_FRACTION, point_seed)
+        host = _run_point(False, skew, SKEW_WRITE_FRACTION, point_seed)
         skew_sweep.append(
             {
                 "skew": skew,
@@ -487,14 +462,10 @@ def _run_sweeps(config: OffloadConfig) -> tuple[list, list]:
             }
         )
     mix_sweep = []
-    for index, write_fraction in enumerate(config.mix_points):
-        seed = config.seed + 1000 + 17 * index
-        cached = _run_point(
-            config, True, config.mix_skew, write_fraction, seed
-        )
-        host = _run_point(
-            config, False, config.mix_skew, write_fraction, seed
-        )
+    for index, write_fraction in enumerate(MIX_POINTS):
+        point_seed = seed + 1000 + 17 * index
+        cached = _run_point(True, MIX_SKEW, write_fraction, point_seed)
+        host = _run_point(False, MIX_SKEW, write_fraction, point_seed)
         mix_sweep.append(
             {
                 "write_fraction": write_fraction,
@@ -511,12 +482,12 @@ def _run_sweeps(config: OffloadConfig) -> tuple[list, list]:
 # --------------------------------------------------------------------------
 # Coherence: no stale read after an acknowledged PUT
 # --------------------------------------------------------------------------
-def _run_coherence(config: OffloadConfig) -> dict:
-    net, _server, _server_rt, client_rt = _build_cache_world(config, True)
+def _run_coherence() -> dict:
+    net, _server, _server_rt, client_rt = _build_cache_world(True)
     env = net.env
 
     def scenario():
-        yield env.timeout(config.establish_at)
+        yield env.timeout(ESTABLISH_AT)
         client = KvClient(client_rt)
         yield from client.connect(Address("srv", 7100))
         yield from client.put("coh", b"old")
@@ -554,14 +525,14 @@ def _encode_reply(payload: dict) -> bytes:
     return struct.pack(">BBI", 0x20, status, len(value)) + value
 
 
-def _run_fanin_leg(config: OffloadConfig, register_switch: bool) -> dict:
+def _run_fanin_leg(register_switch: bool) -> dict:
     net = Network()
     for name in ("cl", "srv", "dsc"):
         net.add_host(name)
     net.add_switch("tor")
-    net.add_link("cl", "tor", latency=config.near_latency)
-    net.add_link("dsc", "tor", latency=config.near_latency)
-    net.add_link("srv", "tor", latency=config.server_latency)
+    net.add_link("cl", "tor", latency=NEAR_LATENCY)
+    net.add_link("dsc", "tor", latency=NEAR_LATENCY)
+    net.add_link("srv", "tor", latency=SERVER_LATENCY)
     discovery = DiscoveryService(net.hosts["dsc"])
     # The listener ranks offers by raw priority (not origin) so the
     # network-provided aggregator can beat the client's host gather —
@@ -578,11 +549,8 @@ def _run_fanin_leg(config: OffloadConfig, register_switch: bool) -> dict:
     if register_switch:
         discovery.register(FanInSwitch.meta, location="tor")
     members = []
-    for index in range(config.fanin_members):
-        store = {
-            f"g{r:03d}": f"w{index}r{r}".encode()
-            for r in range(config.fanin_requests)
-        }
+    for index in range(FANIN_MEMBERS):
+        store = {f"g{r:03d}": f"w{index}r{r}".encode() for r in range(FANIN_REQUESTS)}
         worker = ShardWorker(server_rt.entity, 7101 + index, store=store)
         members.append(worker.address)
     dag = wrap(Serialize(codec="kv") >> FanIn(members=members))
@@ -590,20 +558,20 @@ def _run_fanin_leg(config: OffloadConfig, register_switch: bool) -> dict:
     env = net.env
 
     def scenario():
-        yield env.timeout(config.establish_at)
+        yield env.timeout(ESTABLISH_AT)
         endpoint = client_rt.new("agg-cl")
         conn = yield from endpoint.connect(Address("srv", 7100))
         node = conn.dag.find("fanin")[0]
         impl = type(conn.impls[node]).__name__
         digest = hashlib.sha256()
         parts_ok = True
-        for index in range(config.fanin_requests):
+        for index in range(FANIN_REQUESTS):
             conn.send(kv_request("get", f"g{index:03d}"))
             reply = yield conn.recv()
             encoded = _encode_reply(reply.payload)
             digest.update(encoded)
             parts = split_combined_value(reply.payload["value"])
-            parts_ok = parts_ok and len(parts) == config.fanin_members
+            parts_ok = parts_ok and len(parts) == FANIN_MEMBERS
         stage = next(
             s for s in conn.stack.stages if isinstance(s, _FanInClientStage)
         )
@@ -627,9 +595,9 @@ def _run_fanin_leg(config: OffloadConfig, register_switch: bool) -> dict:
     }
 
 
-def _run_fanin(config: OffloadConfig) -> dict:
-    host = _run_fanin_leg(config, register_switch=False)
-    switch = _run_fanin_leg(config, register_switch=True)
+def _run_fanin() -> dict:
+    host = _run_fanin_leg(register_switch=False)
+    switch = _run_fanin_leg(register_switch=True)
     return {
         "host_impl": host["impl"],
         "switch_impl": switch["impl"],
@@ -649,26 +617,23 @@ def _run_fanin(config: OffloadConfig) -> dict:
 # --------------------------------------------------------------------------
 # Mid-run switch failure: exactly-once across both edges
 # --------------------------------------------------------------------------
-def _run_failover(config: OffloadConfig) -> dict:
-    net, server, server_rt, client_rt = _build_cache_world(
-        config, True, auto_reconfig=True
-    )
-    _preload(config, server)
+def _run_failover(seed: int) -> dict:
+    net, server, server_rt, client_rt = _build_cache_world(True, auto_reconfig=True)
+    _preload(server)
     env = net.env
-    keys = _keys(config)
-    chooser = _chooser(config, config.fail_skew, config.seed + 5000)
-    op_rng = random.Random(config.seed + 5001)
-    arrivals = PoissonArrivals(config.fail_load, seed=config.seed + 5002)
+    chooser = _chooser(FAIL_SKEW, seed + 5000)
+    op_rng = random.Random(seed + 5001)
+    arrivals = PoissonArrivals(FAIL_LOAD, seed=seed + 5002)
     deliveries: dict[int, int] = {}
 
     def driver():
-        yield env.timeout(config.establish_at)
+        yield env.timeout(ESTABLISH_AT)
         client = KvClient(client_rt)
         conn = yield from client.connect(Address("srv", 7100))
 
         def receiver(env):
             received = 0
-            while received < config.fail_requests:
+            while received < FAIL_REQUESTS:
                 msg = yield conn.recv()
                 rpc_id = msg.headers.get("rpc_id")
                 if rpc_id is not None:
@@ -676,21 +641,21 @@ def _run_failover(config: OffloadConfig) -> dict:
                     received += 1
 
         receiver_proc = env.process(receiver(env), name="offload.fail-rx")
-        for index in range(config.fail_requests):
+        for index in range(FAIL_REQUESTS):
             yield env.timeout(arrivals.next_gap())
-            key = keys[chooser.next_index()]
-            if op_rng.random() < config.fail_write_fraction:
-                request = kv_request("put", key, _value(config, key))
+            key = KEYS[chooser.next_index()]
+            if op_rng.random() < FAIL_WRITE_FRACTION:
+                request = kv_request("put", key, _value(key))
             else:
                 request = kv_request("get", key)
             conn.send(request, headers={"rpc_id": index})
-        deadline = env.timeout(config.fail_deadline)
+        deadline = env.timeout(FAIL_DEADLINE)
         yield env.any_of([receiver_proc, deadline])
 
     def chaos():
-        yield env.timeout(config.fail_at)
+        yield env.timeout(FAIL_AT)
         net.switches["tor"].fail("mid-run maintenance")
-        yield env.timeout(config.recover_at - config.fail_at)
+        yield env.timeout(RECOVER_AT - FAIL_AT)
         net.switches["tor"].recover("maintenance done")
 
     proc = env.process(driver(), name="offload.fail-driver")
@@ -700,10 +665,10 @@ def _run_failover(config: OffloadConfig) -> dict:
     delivered = len(deliveries)
     duplicates = sum(count - 1 for count in deliveries.values())
     return {
-        "offered": config.fail_requests,
+        "offered": FAIL_REQUESTS,
         "delivered": delivered,
         "duplicates": duplicates,
-        "lost": config.fail_requests - delivered,
+        "lost": FAIL_REQUESTS - delivered,
         "transitions": server_rt.reconfig.transitions_committed,
         "metrics": net.obs.snapshot().as_dict(),
     }
@@ -712,14 +677,14 @@ def _run_failover(config: OffloadConfig) -> dict:
 # --------------------------------------------------------------------------
 # Scheduler contention: preemption online, DRF offline
 # --------------------------------------------------------------------------
-def _run_contention(config: OffloadConfig) -> dict:
+def _run_contention() -> dict:
     net = Network()
     net.add_host("dsc")
     # A small edge switch: either offload fits alone, both together do
     # not (5 of 4 stages, 768 of 640 KB) — the paper's "the switch only
     # has capacity for one" contention.
     net.add_switch("tor", stages=4, sram_kb=640)
-    net.add_link("dsc", "tor", latency=config.near_latency)
+    net.add_link("dsc", "tor", latency=NEAR_LATENCY)
     # Online: the aggregator holds the ToR; the higher-priority cache
     # arrives and does not fit, so the PriorityScheduler evicts the
     # aggregator lease and admits it.
@@ -785,11 +750,11 @@ def _run_contention(config: OffloadConfig) -> dict:
 # --------------------------------------------------------------------------
 def run_offload(config: Optional[OffloadConfig] = None) -> OffloadResult:
     config = config or OffloadConfig()
-    skew_sweep, mix_sweep = _run_sweeps(config)
-    coherence = _run_coherence(config)
-    fanin = _run_fanin(config)
-    failover = _run_failover(config)
-    contention = _run_contention(config)
+    skew_sweep, mix_sweep = _run_sweeps(config.seed)
+    coherence = _run_coherence()
+    fanin = _run_fanin()
+    failover = _run_failover(config.seed)
+    contention = _run_contention()
     metrics = failover.pop("metrics")
     return OffloadResult(
         skew_sweep=skew_sweep,

@@ -51,6 +51,14 @@ _US = 1e6
 
 #: How long after the revocation the downgrade may commit (s).
 DEGRADE_WITHIN = 0.1
+SHARDS = 3
+WORKER_SERVICE_TIME = 4.0e-6
+XDP_PER_PACKET = 2.0e-6
+VALUE_SIZE = 100
+KEY_COUNT = 300
+DRAIN_TIMEOUT = 0.05
+#: The epoch-overhead client's Poisson rate (requests per second).
+EPOCH_OFFERED_LOAD = 2000
 
 
 @dataclass
@@ -65,12 +73,6 @@ class ReconfigConfig:
     bucket: float = 0.5
     #: Exclusion margin around each transition when computing phase p95s.
     phase_margin: float = 0.5
-    shards: int = 3
-    worker_service_time: float = 4.0e-6
-    xdp_per_packet: float = 2.0e-6
-    value_size: int = 100
-    key_count: int = 300
-    drain_timeout: float = 0.05
     seed: int = 11
 
     @classmethod
@@ -90,7 +92,6 @@ class ReconfigResult(TableResult):
     """The latency time series and the transition bookkeeping."""
 
     NAME = "reconfig"
-    COLUMNS = ["t_s", "p95_us", "p50_us", "n"]
 
     series: TimeSeries
     phase_p95: dict[str, float]
@@ -163,12 +164,12 @@ class ReconfigResult(TableResult):
         }
 
 
-def _build_world(config: ReconfigConfig, auto_reconfig: bool = True):
+def _build_world(auto_reconfig: bool = True):
     """The sharded KV server, its client runtime, and the XDP shard
     offload registered with discovery."""
     net = Network()
     server_host = net.add_host(
-        "srv", cost=CostModel(xdp_per_packet=config.xdp_per_packet)
+        "srv", cost=CostModel(xdp_per_packet=XDP_PER_PACKET)
     )
     client_host = net.add_host("cl1")
     discovery_host = net.add_host("dsc")
@@ -187,8 +188,8 @@ def _build_world(config: ReconfigConfig, auto_reconfig: bool = True):
     server = KvServer(
         server_rt,
         port=7100,
-        shards=config.shards,
-        worker_service_time=config.worker_service_time,
+        shards=SHARDS,
+        worker_service_time=WORKER_SERVICE_TIME,
         auto_reconfig=auto_reconfig,
     )
     record = discovery.register(ShardXdp.meta, location="srv")
@@ -199,7 +200,7 @@ def _drive_load(env, conn, config: ReconfigConfig, series: TimeSeries):
     """Generator: open-loop Poisson PUT/GET load for ``duration`` seconds."""
     arrivals = PoissonArrivals(config.offered_load, seed=config.seed)
     send_times: dict[int, float] = {}
-    value = b"x" * config.value_size
+    value = b"x" * VALUE_SIZE
     sent = 0
     state = {"received": 0}
 
@@ -216,7 +217,7 @@ def _drive_load(env, conn, config: ReconfigConfig, series: TimeSeries):
     start_time = env.now
     while env.now - start_time < config.duration:
         yield env.timeout(arrivals.next_gap())
-        key = f"key-{sent % config.key_count:04d}"
+        key = f"key-{sent % KEY_COUNT:04d}"
         request = (
             kv_request("put", key, value) if sent % 5 == 0 else kv_request("get", key)
         )
@@ -224,7 +225,7 @@ def _drive_load(env, conn, config: ReconfigConfig, series: TimeSeries):
         conn.send(request, headers={"rpc_id": sent})
         sent += 1
     # Bounded drain for the tail of in-flight requests.
-    deadline = start_time + config.duration + config.drain_timeout
+    deadline = start_time + config.duration + DRAIN_TIMEOUT
     while send_times and env.now < deadline:
         yield env.timeout(1e-3)
     if rx.is_alive:
@@ -235,7 +236,7 @@ def _drive_load(env, conn, config: ReconfigConfig, series: TimeSeries):
 def run_reconfig(config: Optional[ReconfigConfig] = None) -> ReconfigResult:
     """The full outage-and-recovery run."""
     config = config or ReconfigConfig()
-    net, discovery, record, server, server_rt, client_rt = _build_world(config)
+    net, discovery, record, server, server_rt, client_rt = _build_world()
     env = net.env
     series = TimeSeries()
     impl_timeline: list[tuple[float, str]] = []
@@ -309,7 +310,6 @@ class EpochOverheadConfig:
     recorded run."""
 
     requests: int = 2000
-    offered_load: int = 2000
     seed: int = 3
 
     @classmethod
@@ -370,7 +370,7 @@ def run_epoch_overhead(
     worlds = {}
 
     def one_run(auto_reconfig: bool) -> list[float]:
-        net, *_, client_rt = _build_world(ReconfigConfig(seed=seed), auto_reconfig)
+        net, *_, client_rt = _build_world(auto_reconfig)
         env = net.env
         latencies: list[float] = []
 
@@ -379,7 +379,7 @@ def run_epoch_overhead(
             endpoint = client_rt.new("overhead-client")
             conn = yield from endpoint.connect(Address("srv", 7100))
             yield env.timeout(5e-3)  # let the one-time watch RPC settle
-            arrivals = PoissonArrivals(config.offered_load, seed=seed)
+            arrivals = PoissonArrivals(EPOCH_OFFERED_LOAD, seed=seed)
             for index in range(config.requests):
                 yield env.timeout(arrivals.next_gap())
                 start = env.now

@@ -201,8 +201,7 @@ class TestResultRendering:
     def test_fig4_render_mentions_transports(self):
         from repro.experiments import Fig4Config, run_fig4
 
-        result = run_fig4(Fig4Config(duration=2.0, connect_interval=0.5,
-                                     local_start_time=1.0))
+        result = run_fig4(Fig4Config.smoke())
         text = result.render()
         assert "transport" in text
 

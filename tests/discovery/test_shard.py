@@ -301,7 +301,7 @@ class TestFailover:
             yield env.timeout(1e-3)
             yield from client.watch(record.record_id, watcher.address)
             yield env.timeout(1e-3)
-            router.start_monitor(interval=1e-3)
+            router.start_monitor()
             yield env.timeout(5e-3)  # a few healthy probe rounds
             tier.crash_primary(0)
             crash_at = env.now
@@ -352,7 +352,7 @@ class TestFailover:
             # probe chain against the dead primary gives up and re-reads
             # the map.
             router.probe_timeout = 3e-4
-            router.start_monitor(interval=5e-4)
+            router.start_monitor()
             yield env.timeout(5e-3)
             applied = [replica.rsm.applied for replica in tier.shards[0]]
             check = env.process(client.lease_check(record.record_id, "srv:echo"))

@@ -1,5 +1,6 @@
 """The churn experiment: invariants asserted, deterministic, CI-usable."""
 
+import gc
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -167,3 +168,28 @@ class TestRecordedBaseline:
             < recorded["cold"]["setup_p50_us"]
         )
         assert recorded["resumed"]["negcache_fallbacks"] == 0
+
+
+class TestDebugReprs:
+    def test_every_live_object_reprs(self):
+        """``repr`` works on every object a churn world leaves behind whose
+        class is the library's: runtimes, endpoints, listeners, connections,
+        set-up contexts and the rest.  Collection stays off during the run
+        so its cyclic garbage is still there to inspect."""
+        gc.collect()
+        before = {id(obj) for obj in gc.get_objects()}
+        gc.disable()
+        try:
+            run_churn(ChurnConfig.smoke(seed=7))
+            fresh = [
+                obj
+                for obj in gc.get_objects()
+                if id(obj) not in before
+                and type(obj).__module__.startswith("repro.")
+            ]
+            kinds = {type(obj).__name__ for obj in fresh}
+            for obj in fresh:
+                repr(obj)
+        finally:
+            gc.enable()
+        assert {"Runtime", "SetupContext", "Connection", "Listener"} <= kinds

@@ -8,11 +8,12 @@ tests drive ``main`` in process on cheap rows.
 
 import argparse
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from repro.experiments import __main__ as cli
+from repro.experiments import SCENARIOS
 from repro.experiments.__main__ import EXPERIMENTS, main
 
 
@@ -142,7 +143,7 @@ class TestRunner:
         fig5 = smoke_run("fig5")
         assert sorted(fig5.metrics_payload()["worlds"]) == sorted(
             f"{scenario}/{load}"
-            for scenario in fig5.config.scenarios
+            for scenario in SCENARIOS
             for load in fig5.config.offered_loads
         )
 
@@ -156,6 +157,28 @@ class TestRunner:
         )
 
     def test_shard_flags_name_the_discovery_tier_rows(self):
-        # ``offload`` has a ``shards`` field too, but it counts KV shards.
         sharded = [n for n, row in EXPERIMENTS.items() if row.sharded]
         assert sharded == ["chaos", "churn", "failover", "fleet"]
+
+
+class TestConfigCensus:
+    def test_every_field_is_varied_by_a_tier_or_a_flag(self):
+        """A config holds only what a row's runs vary: each field differs
+        between the default, ``smoke()`` and the default with ``--full``
+        applied, or is one a CLI flag of the row sets.  A field that every
+        way of running the row leaves at one value is a module constant."""
+        flagged = argparse.Namespace(
+            seed=-1, full=False, shards=-1, replicas_per_shard=-1
+        )
+        single_valued = []
+        for name, row in EXPERIMENTS.items():
+            smoke = row.config.smoke()
+            tiers = (row.config(), smoke, row.config(**row.full))
+            set_by_flags = cli._config(row, flagged, smoke=True)
+            for f in fields(row.config):
+                values = [getattr(config, f.name) for config in tiers]
+                varied = any(value != values[0] for value in values)
+                flag = getattr(set_by_flags, f.name) != getattr(smoke, f.name)
+                if not (varied or flag):
+                    single_valued.append(f"{name}: {f.name}")
+        assert single_valued == []

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.failover import FailoverResult
+from repro.experiments.failover import BLACKOUT_BUDGET, CONNECTIONS, FailoverResult
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BASELINE_PATH = REPO_ROOT / "benchmarks" / "results" / "BENCH_failover.json"
@@ -30,8 +30,8 @@ class TestInvariants:
     def test_failover_actually_happened(self, result):
         # Every connection migrated off the crashed primary once, and the
         # total outage parked (then resumed) every one of them.
-        assert result.migrations == result.config.connections
-        assert result.parked == result.config.connections
+        assert result.migrations == CONNECTIONS
+        assert result.parked == CONNECTIONS
         assert result.resumed == result.parked
         assert result.suspicions >= result.migrations + result.parked
         assert result.migration_failures == 0
@@ -40,7 +40,7 @@ class TestInvariants:
     def test_blackouts_are_real_and_bounded(self, result):
         assert 0 < result.blackout_p50_ms <= result.blackout_p99_ms
         assert result.blackout_p99_ms <= result.blackout_max_ms
-        assert result.blackout_max_ms < result.config.blackout_budget * 1e3
+        assert result.blackout_max_ms < BLACKOUT_BUDGET * 1e3
         # The slowest round trip spans a blackout; the median does not.
         assert result.recovery_rtt_max_ms > result.rtt_p50_us / 1e3
 
@@ -91,7 +91,7 @@ class TestBaselineShape:
         assert payload["seed"] == 7
         assert payload["app_loss"] == 0
         assert payload["duplicates"] == 0
-        assert payload["migrations_total"] == result.config.connections
+        assert payload["migrations_total"] == CONNECTIONS
         assert payload["blackout_p99_ms"] > 0
 
     def test_rows_render(self, result):

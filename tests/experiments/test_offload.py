@@ -6,7 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.offload import OffloadResult
+from repro.experiments.offload import (
+    FANIN_MEMBERS,
+    FANIN_REQUESTS,
+    MIX_POINTS,
+    SKEW_POINTS,
+    OffloadResult,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BASELINE_PATH = REPO_ROOT / "benchmarks" / "results" / "BENCH_offload.json"
@@ -52,18 +58,17 @@ class TestInvariants:
         assert all(0.0 <= rate <= 1.0 for rate in rates)
 
     def test_fanin_switch_absorbed_n_minus_one(self, result):
-        config = result.config
-        expected = (config.fanin_members - 1) * config.fanin_requests
+        expected = (FANIN_MEMBERS - 1) * FANIN_REQUESTS
         assert result.fanin["absorbed"] == expected
-        assert result.fanin["aggregated"] == config.fanin_requests
+        assert result.fanin["aggregated"] == FANIN_REQUESTS
         assert result.fanin["host_impl"] == "FanInHost"
         assert result.fanin["switch_impl"] == "FanInSwitch"
         # The host leg gathered everything itself; the switch leg's
         # client stage only saw pre-combined replies.
-        assert result.fanin["host_gathered_at_host"] == config.fanin_requests
+        assert result.fanin["host_gathered_at_host"] == FANIN_REQUESTS
         assert (
             result.fanin["switch_gathered_in_network"]
-            == config.fanin_requests
+            == FANIN_REQUESTS
         )
 
     def test_failover_is_exactly_once(self, result):
@@ -106,5 +111,5 @@ class TestMetricsPayload:
         payload = result.metrics_payload()
         assert payload["experiment"] == "offload"
         assert payload["world"], "failover world snapshot missing"
-        assert len(payload["skew_sweep"]) == len(result.config.skew_points)
-        assert len(payload["mix_sweep"]) == len(result.config.mix_points)
+        assert len(payload["skew_sweep"]) == len(SKEW_POINTS)
+        assert len(payload["mix_sweep"]) == len(MIX_POINTS)

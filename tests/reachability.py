@@ -38,7 +38,10 @@ defaulted, reached, and single-valued primitive (the options that no two
 callers set differently, each a candidate to fold into a constant) -- in
 all, and for function parameters and dataclass fields apart.  It reads
 only what callers pass: an attribute written after construction is a second
-caller it cannot see.
+caller it cannot see.  ``experiments/`` is left out because its configs are
+censused without running anything:
+``tests/experiments/test_contract.py::TestConfigCensus`` requires every
+config field to differ between a row's tiers or be set by one of its flags.
 
 *The allowlist* (``tests/reachability_allowlist.txt``) has one entry a line:
 a key -- a function, a class (``path::Class``, covering its methods) or a
