@@ -67,13 +67,16 @@ class EchoServer:
 
     def _accept_loop(self):
         while True:
-            conn = yield self.listener.accept()
-            self.connections_served += 1
-            proc = self.runtime.env.process(
-                self._serve(conn), name=f"{self.endpoint.name}.conn"
-            )
-            if self.idle_close is not None:
-                self._sessions[conn] = (proc, -1)
+            # No local keeps the accepted connection: this frame outlives it.
+            self._admit((yield self.listener.accept()))
+
+    def _admit(self, conn: Connection) -> None:
+        self.connections_served += 1
+        proc = self.runtime.env.process(
+            self._serve(conn), name=f"{self.endpoint.name}.conn"
+        )
+        if self.idle_close is not None:
+            self._sessions[conn] = (proc, -1)
 
     def _serve(self, conn: Connection):
         while not conn.closed:
@@ -90,21 +93,24 @@ class EchoServer:
                 yield self.runtime.env.timeout(self.idle_close)
             except Interrupt:
                 return
-            for conn in list(self._sessions):
-                proc, seen = self._sessions[conn]
-                if conn.closed:
-                    del self._sessions[conn]
-                elif conn.messages_received == seen and not conn.awaiting_verdict:
-                    # A full interval without traffic: the client is gone
-                    # (its close never crosses the wire).  A connection
-                    # holding data for a lease verdict is not idle.
-                    del self._sessions[conn]
-                    self.idle_closed += 1
-                    if proc.is_alive:
-                        proc.interrupt("idle close")
-                    conn.close()
-                else:
-                    self._sessions[conn] = (proc, conn.messages_received)
+            self._sweep()
+
+    def _sweep(self) -> None:
+        for conn in list(self._sessions):
+            proc, seen = self._sessions[conn]
+            if conn.closed:
+                del self._sessions[conn]
+            elif conn.messages_received == seen and not conn.awaiting_verdict:
+                # A full interval without traffic: the client is gone
+                # (its close never crosses the wire).  A connection
+                # holding data for a lease verdict is not idle.
+                del self._sessions[conn]
+                self.idle_closed += 1
+                if proc.is_alive:
+                    proc.interrupt("idle close")
+                conn.close()
+            else:
+                self._sessions[conn] = (proc, conn.messages_received)
 
     def close(self) -> None:
         """Stop accepting new connections (and the idle reaper)."""

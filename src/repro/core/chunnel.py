@@ -118,6 +118,21 @@ def _build_spec(type_name: str, args: dict, scope: Scope) -> "ChunnelSpec":
     return spec
 
 
+def _collect_specs(value: Any, found: list["ChunnelSpec"]) -> None:
+    """Append every spec nested in ``value`` to ``found``, depth first.
+
+    Module level: a nested function that calls itself is a function ↔
+    cell cycle, which only the cyclic collector frees."""
+    if isinstance(value, ChunnelSpec):
+        found.append(value)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _collect_specs(item, found)
+    elif isinstance(value, dict):
+        for item in value.values():
+            _collect_specs(item, found)
+
+
 class ChunnelSpec:
     """A Chunnel type with arguments, as written by an application.
 
@@ -164,19 +179,8 @@ class ChunnelSpec:
     def children(self) -> list["ChunnelSpec"]:
         """Specs nested in this spec's arguments (branching, Figure 2)."""
         found: list[ChunnelSpec] = []
-
-        def walk(value: Any) -> None:
-            if isinstance(value, ChunnelSpec):
-                found.append(value)
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    walk(item)
-            elif isinstance(value, dict):
-                for item in value.values():
-                    walk(item)
-
         for value in self.args.values():
-            walk(value)
+            _collect_specs(value, found)
         return found
 
     # -- comparison ---------------------------------------------------------------
@@ -315,7 +319,8 @@ class ChunnelStage:
 
     # -- wiring ----------------------------------------------------------------
     def attach(self, stack: "ChunnelStack", index: int) -> None:
-        """Called by the stack during construction."""
+        """Called by the stack during construction; the stack's
+        :meth:`~ChunnelStack.detach` clears it again."""
         self._stack = stack
         self._index = index
 

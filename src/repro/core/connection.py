@@ -93,14 +93,17 @@ class _Pump:
     delivery (and the next receive) behind a timer, exactly as the
     generator's ``yield`` did.
 
-    Interrupting it is a flag write; a datagram handed to a dead pump is
-    lost, just as it was when a stale getter resumed a dead generator.
+    Interrupting it marks it dead, takes it out of the socket's getter
+    queue and drops its connection, so a dead pump holds nothing that
+    points back at the connection (DESIGN.md §7).  A datagram handed to a
+    dead pump is lost, just as it was when a stale getter resumed a dead
+    generator.
     """
 
     __slots__ = ("conn", "socket", "dead", "triggered", "_held")
 
     def __init__(self, conn: "Connection", socket: "SimSocket"):
-        self.conn = conn
+        self.conn: Optional["Connection"] = conn
         self.socket = socket
         self.dead = False
         #: Store-getter protocol: a triggered getter is skipped by ``put``.
@@ -108,13 +111,14 @@ class _Pump:
         self._held: Optional[list] = None
         self._request_next()
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.dead
-
     def interrupt(self, cause: object = None) -> None:
-        """Stop the pump (socket rebind / connection close)."""
+        """Stop the pump (socket rebind / connection close) and let go of
+        its connection; idempotent."""
         self.dead = True
+        self.conn = None
+        getters = self.socket.store._getters
+        if self in getters:
+            getters.remove(self)
 
     # -- store-getter protocol -------------------------------------------
     def succeed(self, item: Datagram) -> None:
@@ -132,7 +136,7 @@ class _Pump:
         while not self.dead and not conn.closed:
             sock = self.socket
             if sock.closed:
-                self.dead = True
+                self.interrupt("socket closed")
                 return
             store = sock.store
             if not store._items:
@@ -308,8 +312,8 @@ class Connection:
         self._stacks: dict[int, ChunnelStack] = {0: self.stack}
         self.stack.start()
         self._first_delivery_seen = False
-        #: Set by the accepting Listener (server side) so an ephemeral
-        #: close can drop out of its connection list.
+        #: Set by the accepting Listener (server side) so a close can drop
+        #: out of its connection list.
         self.listener = None
         # Per-connection data-path counters.  conn ids are shared by the
         # two ends of one connection, so the role disambiguates; replace
@@ -563,11 +567,12 @@ class Connection:
         """Discard a prepared epoch (rollback) and resume the old stack."""
         stack = self._stacks.pop(epoch, None)
         if stack is not None:
-            self._dispose_stack(stack)
             # Carried-over stages re-homed to the aborted stack; point them
-            # back at the stack that remains current.
+            # back at the stack that remains current, so detaching it stops
+            # only the stages it brought.
             for index, stage in enumerate(self.stack.stages):
                 stage.attach(self.stack, index)
+            stack.detach()
         self.release(EPOCH)
 
     def mark_broken(self, epoch: Optional[int] = None) -> None:
@@ -587,7 +592,7 @@ class Connection:
                 return
             stack = self._stacks.pop(epoch, None)
             if stack is not None:
-                self._dispose_stack(stack)
+                stack.detach()
 
         self.env.process(_wait(), name=f"{self.conn_id}.retire-{epoch}")
 
@@ -603,8 +608,7 @@ class Connection:
         """
         old = self.socket
         self.socket = socket
-        if self._pump.is_alive:
-            self._pump.interrupt("socket rebound")
+        self._pump.interrupt("socket rebound")
         old.close()
         self._pump = _Pump(self, socket)
 
@@ -629,13 +633,6 @@ class Connection:
                 stages.pop(id(stage), None)
                 stages[id(stage)] = stage
         return list(stages.values())
-
-    def _dispose_stack(self, stack: ChunnelStack) -> None:
-        """Stop the stages of a dropped stack that no other stack shares."""
-        live = {id(stage) for stage in self.live_stages()}
-        for stage in reversed(stack.stages):
-            if id(stage) not in live:
-                stage.stop()
 
     # -- plumbing ------------------------------------------------------------------
     def _pcie_profile(self, dag: ChunnelDag, impls, transport: str):
@@ -692,7 +689,14 @@ class Connection:
 
     # -- lifecycle -----------------------------------------------------------------
     def close(self) -> None:
-        """Tear down: stop stages, run teardown hooks, release the socket."""
+        """Tear down: detach every stack (which stops its stages), run
+        teardown hooks, release the socket, and leave the listener.
+
+        Ownership runs one way — connection → stacks → stages, connection
+        → pump → socket — and once this returns nothing the connection
+        owns points back at it and nothing that outlives it holds it, so
+        reference counting frees it as soon as the application drops it
+        (DESIGN.md §7)."""
         if self.closed:
             return
         self.closed = True
@@ -703,8 +707,10 @@ class Connection:
             sent=self.messages_sent,
             received=self.messages_received,
         )
-        for stage in reversed(self.live_stages()):
-            stage.stop()
+        # Newest epoch first: each stack stops the stages attached to it,
+        # so a stage carried across epochs stops once, with its newest one.
+        for epoch in sorted(self._stacks, reverse=True):
+            self._stacks[epoch].detach()
         for node_id, impl in self.impls.items():
             ctx = self._context_for(node_id)
             if ctx is not None:
@@ -712,9 +718,10 @@ class Connection:
         for ctx in self._setup_contexts:
             for handle in ctx.reservations:
                 self.runtime.spawn_release(handle)
-        if self._pump.is_alive:
-            self._pump.interrupt("connection closed")
+        self._pump.interrupt("connection closed")
         self.socket.close()
+        if self.runtime._reconfig is not None:
+            self.runtime._reconfig.forget(self)
         # The per-connection sources close over this connection; freezing
         # them (or, for ephemeral connections, dropping them) lets the
         # registry release it.
@@ -730,13 +737,9 @@ class Connection:
             "stack_retransmissions",
         ):
             release(f"{prefix}.{suffix}")
-        if ephemeral:
-            if self.listener is not None:
-                try:
-                    self.listener.connections.remove(self)
-                except ValueError:
-                    pass
-                self.listener = None
+        if self.listener is not None:
+            self.listener.connections.remove(self)
+            self.listener = None
 
     def _context_for(self, node_id: int) -> Optional[SetupContext]:
         for ctx in self._setup_contexts:

@@ -185,8 +185,8 @@ class Runtime:
         self.optimizer = optimizer
         self._reconfig = None
         #: Fleet-scale mode: a closed connection unbinds its per-connection
-        #: metrics and drops out of its listener's connection list, so a
-        #: world driving 10^5 establishments stays proportional to *live*
+        #: metrics instead of freezing them, so a world driving 10^5
+        #: establishments keeps a registry proportional to *live*
         #: connections.  Off by default — per-connection history stays
         #: visible in snapshots, byte-identical with earlier baselines.
         self.ephemeral_connections = ephemeral_connections

@@ -110,7 +110,8 @@ class ChunnelStack:
         self._charge = 0.0
         self._collecting: Optional[list[Message]] = None
         #: Back-reference set by the owning Connection (stages that need the
-        #: peer set — e.g. multicast fan-out — read it via Stage.connection).
+        #: peer set — e.g. multicast fan-out — read it via Stage.connection);
+        #: :meth:`detach` drops it.
         self.connection = None
         #: Live-reconfiguration epoch.  0 (the establishment stack) stamps
         #: nothing, so a connection that never transitions has an unchanged
@@ -127,6 +128,21 @@ class ChunnelStack:
         """Start every stage (timers etc.)."""
         for stage in self.stages:
             stage.start()
+
+    def detach(self) -> None:
+        """Let go of the connection: stop, last first, the stages attached
+        to this stack, clear their back-references, and drop the owner and
+        its callbacks.  A stage carried into a later epoch is attached
+        there, so it keeps running.  Afterwards nothing this stack owns
+        points back at it or at the connection, and reference counting
+        frees both once they are dropped (the kernel pauses the cyclic
+        collector while it runs)."""
+        owned = [stage for stage in self.stages if stage._stack is self]
+        for stage in reversed(owned):
+            stage.stop()
+        for stage in owned:
+            stage._stack = None
+        self.connection = self._transmit = self._deliver = None
 
     # -- accounting ---------------------------------------------------------------
     def charge(self, seconds: float) -> None:

@@ -52,7 +52,7 @@ def audits_ok(snap) -> bool:
 class DiscoveryPlane:
     """One control plane, two shapes, one facade.
 
-    ``shards == 1`` (the default) is the legacy single service;
+    ``shards == 1`` is the legacy single service;
     ``shards > 1`` builds the replicated tier.  ``crash``/``restart``
     model the experiments' total control-plane outage: on the tier they
     take down (and bring back) *every* replica of *every* shard at once,
@@ -61,8 +61,8 @@ class DiscoveryPlane:
 
     def __init__(
         self,
-        shards: int = 1,
-        replicas_per_shard: int = 3,
+        shards: int,
+        replicas_per_shard: int,
         *,
         retries: int = 5,
     ):

@@ -491,8 +491,6 @@ def run_fleet(config: Optional[FleetConfig] = None) -> FleetResult:
         _maybe_done()
 
     def _revoker():
-        if not config.revocations:
-            return
         # Wait for the failover so the revocations exercise the promoted
         # primary's push path (the revocation itself only needs quorum).
         while state["crashed_at"] is None or (
@@ -540,7 +538,7 @@ def run_fleet(config: Optional[FleetConfig] = None) -> FleetResult:
         wave_targets = sorted(
             f"svc-{server_names.index(record.location):03d}"
             for record in state["revoked"]
-        ) or ["svc-000"]
+        )
         for index in range(config.final_wave):
             runtime = client_runtimes[(index * 7) % len(client_runtimes)]
             endpoint = runtime.new(f"flw{index}", _fleet_dag())

@@ -178,14 +178,15 @@ class MetricsRegistry:
     """One hierarchical namespace over every counter in a simulated world.
 
     Sources are *pulled*: each registered name maps to a zero-argument
-    callable evaluated at :meth:`snapshot` time.  Registration happens at
+    callable evaluated at :meth:`snapshot` time, or, once :meth:`freeze`
+    has run, to the number it read.  Registration happens at
     construction time of the owning object (links, runtimes, connections,
     the discovery service, ...), so by the time an experiment snapshots,
     the whole world is visible under one namespace.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None):
-        self._sources: dict[str, Callable[[], Any]] = {}
+        self._sources: dict[str, Union[Callable[[], Any], Number]] = {}
         self._clock = clock
 
     # -- registration -------------------------------------------------------
@@ -222,14 +223,17 @@ class MetricsRegistry:
         self._sources.pop(name, None)
 
     def freeze(self, name: str) -> None:
-        """Replace ``name``'s source with the value it reads now.
+        """Replace ``name``'s source with the value it reads now, in place
+        (the name keeps its position in snapshot order).
 
         For owners that stop changing but should stay visible: a closed
         connection's counters keep their final values in every later
-        snapshot while the source no longer keeps the owner alive.
+        snapshot while the source no longer keeps the owner alive.  The
+        value itself is stored, not a closure over it; idempotent.
         """
-        value = self._sources[name]()
-        self._sources[name] = lambda: value
+        source = self._sources[name]
+        if callable(source):
+            self._sources[name] = source()
 
     def bind_stats(self, prefix: str, stats: Any) -> None:
         """Register every ``RpcStats`` field of ``stats`` under
@@ -280,7 +284,7 @@ class MetricsRegistry:
         """Evaluate every source; numbers only (bools become 0/1)."""
         values: dict[str, Number] = {}
         for name, source in self._sources.items():
-            value = source()
+            value = source() if callable(source) else source
             if isinstance(value, bool):
                 value = int(value)
             if not isinstance(value, (int, float)):

@@ -784,6 +784,13 @@ class ReconfigManager:
         state.next_epoch += 1
         return epoch
 
+    def forget(self, conn: "Connection") -> None:
+        """Drop the state of ``conn``, which closed: the engine outlives
+        its connections and must not keep one alive."""
+        state = self._states.get(conn.conn_id)
+        if state is not None and state.conn is conn:
+            del self._states[conn.conn_id]
+
     def _state(self, conn: "Connection") -> _ConnState:
         state = self._states.get(conn.conn_id)
         if state is None:

@@ -528,7 +528,8 @@ class TestListenerClose:
 
         world.env.process(closer(world.env))
         run(world.env, client(world.env))
-        assert len(listener.connections) == 2
+        # Both were accepted; the closed one left the listener's list.
+        assert listener.accepted.puts == 2 and len(listener.connections) == 1
         assert times_of(seen, "disc.lease_check_reply")[0] > closed["at"]
         assert list(server_rt.leases.held().values()) == [1]
         assert server_rt.leases.late_denials == 0

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.__main__ import EXPERIMENTS
 from repro.experiments.churn import ChurnConfig, ChurnResult, run_churn
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -170,26 +171,42 @@ class TestRecordedBaseline:
         assert recorded["resumed"]["negcache_fallbacks"] == 0
 
 
+def _repr_every_new_object(run) -> set:
+    """Call ``run()`` with collection off, ``repr`` every object of a
+    ``repro`` class it left behind (cyclic garbage included), and return
+    their class names."""
+    gc.collect()
+    before = {id(obj) for obj in gc.get_objects()}
+    gc.disable()
+    try:
+        run()
+        fresh = [
+            obj
+            for obj in gc.get_objects()
+            if id(obj) not in before and type(obj).__module__.startswith("repro.")
+        ]
+        kinds = {type(obj).__name__ for obj in fresh}
+        for obj in fresh:
+            repr(obj)
+    finally:
+        gc.enable()
+    return kinds
+
+
 class TestDebugReprs:
     def test_every_live_object_reprs(self):
         """``repr`` works on every object a churn world leaves behind whose
         class is the library's: runtimes, endpoints, listeners, connections,
         set-up contexts and the rest.  Collection stays off during the run
         so its cyclic garbage is still there to inspect."""
-        gc.collect()
-        before = {id(obj) for obj in gc.get_objects()}
-        gc.disable()
-        try:
-            run_churn(ChurnConfig.smoke(seed=7))
-            fresh = [
-                obj
-                for obj in gc.get_objects()
-                if id(obj) not in before
-                and type(obj).__module__.startswith("repro.")
-            ]
-            kinds = {type(obj).__name__ for obj in fresh}
-            for obj in fresh:
-                repr(obj)
-        finally:
-            gc.enable()
+        kinds = _repr_every_new_object(lambda: run_churn(ChurnConfig.smoke(seed=7)))
         assert {"Runtime", "SetupContext", "Connection", "Listener"} <= kinds
+
+    @pytest.mark.parametrize("row", ["fleet", "offload", "multipath"])
+    def test_every_live_object_reprs_in_other_worlds(self, row):
+        """The same for the fleet, offload and multipath smoke worlds."""
+        experiment = EXPERIMENTS[row]
+        kinds = _repr_every_new_object(
+            lambda: experiment.run(experiment.config.smoke())
+        )
+        assert {"Runtime", "Connection", "Listener"} <= kinds
