@@ -450,7 +450,7 @@ class Connection:
     def _settle_verdicts(self, bindings):
         denied: set = set()
         for node_id, offer, handle in bindings:
-            stands = yield handle.verdict
+            stands = handle.standing((yield handle.verdict))
             if stands is None:
                 denied.add((offer.meta.name, offer.record_id))
             elif stands is not handle:

@@ -13,7 +13,7 @@ trip old, without a logged mutation whose only effect would be a counter.
 That read is *optimistic*: holding a settled reference on the lease, the
 table hands out the next one at once and runs the check as a process of
 its own.  The handle's :attr:`~LeaseHandle.verdict` fires when the check
-answers — with the handle, with a fresh one when the check said no and a
+answers — with True, with a fresh handle when the check said no and a
 re-reserve was granted, or with ``None``.  Whoever binds under the handle
 decides what "not yet" means: the listener answers the client and holds
 the connection's data path until the verdict is in (PROTOCOL.md §2), the
@@ -80,15 +80,22 @@ class LeaseHandle:
         self.record_id = record_id
         self.owner = owner
         self._entry: Optional[_Entry] = entry
-        #: Fires with the handle that stands for this reference — this one,
-        #: or the one a re-reserve took after the check said no — or with
-        #: None: no lease, and this handle is already given back.  Set by
-        #: the table before the handle is handed out.
+        #: Fires with True when this handle stands, with the handle a
+        #: re-reserve took after the check said no, or with None: no lease,
+        #: and this handle is already given back (:meth:`standing` reads
+        #: it).  Never with this handle itself, which would make the two a
+        #: reference cycle.  Set by the table before the handle is handed
+        #: out.
         self.verdict: Optional[Event] = None
 
     @property
     def key(self) -> LeaseKey:
         return (self.record_id, self.owner)
+
+    def standing(self, verdict) -> Optional["LeaseHandle"]:
+        """The handle a fired :attr:`verdict`'s value says stands for this
+        reference, or None."""
+        return self if verdict is True else verdict
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "released" if self._entry is None else "held"
@@ -233,7 +240,7 @@ class LeaseTable:
     def _settled(self, key: LeaseKey, entry: _Entry) -> LeaseHandle:
         """A handle for a reference discovery has already confirmed."""
         handle = LeaseHandle(key[0], key[1], entry)
-        handle.verdict = _fired(self.env, handle)
+        handle.verdict = _fired(self.env, True)
         return handle
 
     def _confirm(self, handle: LeaseHandle, entry: _Entry, conn_id: str):
@@ -245,7 +252,7 @@ class LeaseTable:
         if handle._entry is not entry:
             return None  # given back while it was out: nobody asks
         if stands and self._entries.get(key) is entry:
-            return handle
+            return True
         if stands is None:
             self.release_nowait(handle)
             self.late_denials += 1
@@ -254,7 +261,7 @@ class LeaseTable:
         handle._entry = None
         fresh = yield from self.acquire(*key, conn_id)
         if fresh is not None:
-            fresh = yield fresh.verdict
+            fresh = fresh.standing((yield fresh.verdict))
         if fresh is None:
             self.late_denials += 1
         return fresh

@@ -303,7 +303,7 @@ def _verdicts(confirmed: dict, choice: dict):
     stood: dict[int, LeaseHandle] = {}
     denied = None
     for node_id, handle in confirmed.items():
-        stands = yield handle.verdict
+        stands = handle.standing((yield handle.verdict))
         if stands is not None:
             stood[node_id] = stands
         elif denied is None:

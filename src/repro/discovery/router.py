@@ -236,6 +236,16 @@ class ShardRouter:
         self.socket.close()
 
 
+def _caught(generator):
+    """Generator: ``generator``'s result, or the ConnectionTimeoutError it
+    raised.  The error's traceback holds this frame, which holds nothing
+    that reaches the error, so the two form no cycle."""
+    try:
+        return (yield from generator)
+    except ConnectionTimeoutError as error:
+        return error
+
+
 class ShardedDiscoveryClient(DiscoveryClientBase):
     """Route discovery operations across shards via the router's map."""
 
@@ -451,10 +461,7 @@ class ShardedDiscoveryClient(DiscoveryClientBase):
 
         def runner(index, generator):
             nonlocal remaining
-            try:
-                results[index] = yield from generator
-            except ConnectionTimeoutError as error:
-                results[index] = error
+            results[index] = yield from _caught(generator)
             remaining -= 1
             if remaining == 0:
                 done.succeed(None)
@@ -504,7 +511,12 @@ class ShardedDiscoveryClient(DiscoveryClientBase):
         instances: list[Address] = []
         for (shard_id, _subset), result in zip(plans, results):
             if isinstance(result, ConnectionTimeoutError):
-                raise result
+                try:
+                    raise result
+                finally:
+                    # The traceback holds this frame: let go of the error
+                    # here, or the two form a cycle.
+                    del result, results
             for chunnel_type, shard_offers in result.offers.items():
                 offers.setdefault(chunnel_type, []).extend(shard_offers)
             if shard_id == name_shard:

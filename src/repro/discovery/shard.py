@@ -203,11 +203,16 @@ class ShardReplica(DiscoveryService):
         """
         if self._rsm_connect is None:
             self._rsm_connect = self.env.process(
-                self._rsm_client.connect(self._rsm_addresses),
-                name=f"{self.group}.connect",
+                self._connect_rsm(), name=f"{self.group}.connect"
             )
         yield self._rsm_connect
         return (yield from self._rsm_client.submit(op))
+
+    def _connect_rsm(self):
+        """Generator: make the group connection, which the RSM client
+        keeps; the process's value is None, so the finished process does
+        not keep the connection alive after it closes."""
+        yield from self._rsm_client.connect(self._rsm_addresses)
 
     def _apply_shard_op(self, kind: str, op: dict) -> object:
         """Apply one replicated mutation to local state (called by the

@@ -178,6 +178,42 @@ def clone_datagram(dgram: Datagram) -> Datagram:
     return copy
 
 
+class FailableDevice:
+    """Fault-injection state of a programmable device (a NIC, a switch).
+
+    A failed device keeps forwarding and receiving — a dead port would make
+    live reconfiguration moot — but stops running its installed programs:
+    a wedged offload engine or match-action pipeline is exactly the failure
+    the reconfig subsystem degrades around.
+    """
+
+    def __init__(self) -> None:
+        self.failed = False
+        self.failures = 0
+        self._state_watchers: list = []
+
+    def on_state_change(self, callback) -> None:
+        """Subscribe ``callback(device, failed, reason)`` to fail/recover."""
+        self._state_watchers.append(callback)
+
+    def fail(self, reason: str = "injected-failure") -> None:
+        """Mark the device failed; synchronously notifies watchers."""
+        if self.failed:
+            return
+        self.failed = True
+        self.failures += 1
+        for callback in list(self._state_watchers):
+            callback(self, True, reason)
+
+    def recover(self, reason: str = "recovered") -> None:
+        """Clear the failure; synchronously notifies watchers."""
+        if not self.failed:
+            return
+        self.failed = False
+        for callback in list(self._state_watchers):
+            callback(self, False, reason)
+
+
 @dataclass
 class ChaosEvent:
     """One controller action, for experiment timelines and debugging."""

@@ -56,18 +56,19 @@ _MAX_REDIRECTS = 32
 SRCROUTE_HEADER = "srcroute_path"
 
 
-# _Walk states.  The first five are heap-dispatch targets (see ``_fire``).
-# In the last three the walk is not on the heap: it is running one hop's
-# packet programs, or waiting on one of their stations, and the state says
-# which hop so the chain's end knows where the datagram goes next.
+# _Walk states: each names what ``_fire`` resumes.  In the last three the
+# walk is running one hop's packet programs, or is on the heap until one of
+# their stations is done, and the state says which hop so the chain's end
+# knows where the datagram goes next.
 _W_DEPART = 0
 _W_ARRIVE_SWITCH = 1
 _W_ARRIVE_HOST = 2
 _W_RX_STACK = 3
 _W_DELIVER = 4
-_W_SWITCH_PROGRAMS = 5
-_W_NIC_PROGRAMS = 6
-_W_KERNEL_PROGRAMS = 7
+_W_NIC_DONE = 5
+_W_SWITCH_PROGRAMS = 6
+_W_NIC_PROGRAMS = 7
+_W_KERNEL_PROGRAMS = 8
 
 
 class _Walk:
@@ -95,11 +96,10 @@ class _Walk:
 
     Packet programs (switch rules, SmartNIC offloads, kernel fast-path
     hooks) run on the walk too: :meth:`_step_programs` runs a hop's matched
-    programs in order.  A station wait is one heap entry, and not the
-    walk's: the walk submits the datagram and registers as second waiter on
-    the station's completion event (after the station's own accounting), so
-    it resumes at the completion instant without scheduling anything
-    itself.  The NIC of a program-bearing host is waited on the same way.
+    programs in order.  A station wait is the walk itself on the heap: a
+    station's ``submit`` returns the completion instant, and the walk
+    pushes itself there with a state that says what resumes.  The NIC of a
+    program-bearing host is waited on the same way.
     """
 
     __slots__ = (
@@ -143,8 +143,12 @@ class _Walk:
             self._deliver()
         elif state == _W_DEPART:
             self._depart()
-        else:  # _W_RX_STACK: jittered stack-cost draw at its own instant
+        elif state == _W_RX_STACK:  # jittered stack-cost draw at its own instant
             self._rx_stack()
+        elif state == _W_NIC_DONE:
+            self._nic_done()
+        else:  # a program station is done
+            self._step_programs(True)
 
     # -- forward path ------------------------------------------------------
     def _depart(self) -> None:
@@ -293,10 +297,11 @@ class _Walk:
         if (smartnic is not None and smartnic.programs) or host.kernel_programs:
             # Programs run between NIC completion and the stack traversal,
             # each at its own instant, so nothing downstream can be fused:
-            # wait for the NIC as second waiter on its completion event.
-            nic.rx_station.submit(dgram).add_callback(self._nic_done)
+            # wake when the NIC is done.
+            self.state = _W_NIC_DONE
+            env._push_at(nic.rx_station.submit(dgram), self)
             return
-        done_at = nic.rx_station.submit_walk(dgram)
+        done_at = nic.rx_station.submit(dgram)
         dgram.hops.append(nic.rx_visit_label)
         if cost.jitter == 0:
             transport_cost = dgram.headers.get("rx_stack_cost")
@@ -338,7 +343,7 @@ class _Walk:
         socket.deliver(dgram)
 
     # -- packet programs ---------------------------------------------------
-    def _nic_done(self, _completion) -> None:
+    def _nic_done(self) -> None:
         """NIC receive completed on a host with installed programs."""
         dgram = self.dgram
         host = self.host
@@ -367,15 +372,15 @@ class _Walk:
         self.programs = programs
         self.index = 0
         self.state = stage
-        self._step_programs(None)
+        self._step_programs(False)
 
-    def _step_programs(self, completion) -> None:
+    def _step_programs(self, resumed: bool) -> None:
         """Run the hop's programs in order from ``self.index``.
 
-        Called with ``None`` to start and with a station's completion event
-        to resume.  A program whose turn has come and that has a station
-        (read now, not at match time) first queues the datagram there: the
-        walk registers on the completion and returns; called back, it runs
+        Called with ``resumed`` false to start and true when a station is
+        done.  A program whose turn has come and that has a station (read
+        now, not at match time) first queues the datagram there: the walk
+        pushes itself at the completion instant and returns; fired, it runs
         that program without queueing again and carries on down the chain.
         Clones start walks of their own from this node.
         """
@@ -386,11 +391,11 @@ class _Walk:
         verdict = PacketAction.PASS
         while index < len(programs):
             program = programs[index]
-            if completion is None and program.station is not None:
+            if not resumed and program.station is not None:
                 self.index = index
-                program.station.submit(dgram).add_callback(self._step_programs)
+                self.env._push_at(program.station.submit(dgram), self)
                 return
-            completion = None
+            resumed = False
             index += 1
             result = program.run(dgram)
             dgram.visit(f"program:{program.name}@{self.current}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from .datagram import Datagram
 from .eventloop import Environment
+from .faults import FailableDevice
 from .pcie import PcieBus
 from .programs import PacketProgram
 from .resources import Station, TokenResource
@@ -35,45 +36,17 @@ COMPUTE_PER_PACKET = 0.3e-6
 COMPUTE_UNITS = 2
 
 
-class Nic:
+class Nic(FailableDevice):
     """Receive-path NIC: a FIFO station every inbound datagram crosses."""
 
     def __init__(self, env: Environment, name: str):
+        super().__init__()
         self.env = env
         self.name = name
         #: Precomputed ``Datagram.visit`` label — built per delivery before,
         #: which showed up in profiles at fleet scale.
         self.rx_visit_label = f"nic:{name}"
         self.rx_station = Station(env, service_time=RX_PER_PACKET, name=f"{name}.rx")
-        #: Fault-injection state: a failed device stops running its
-        #: installed programs (the programmable fast path dies) but keeps
-        #: forwarding/receiving — a dead port would make live
-        #: reconfiguration moot, while a wedged offload engine is exactly
-        #: the failure the reconfig subsystem degrades around.
-        self.failed = False
-        self.failures = 0
-        self._state_watchers: list = []
-
-    def on_state_change(self, callback) -> None:
-        """Subscribe ``callback(device, failed, reason)`` to fail/recover."""
-        self._state_watchers.append(callback)
-
-    def fail(self, reason: str = "injected-failure") -> None:
-        """Mark the device failed; synchronously notifies watchers."""
-        if self.failed:
-            return
-        self.failed = True
-        self.failures += 1
-        for callback in list(self._state_watchers):
-            callback(self, True, reason)
-
-    def recover(self, reason: str = "recovered") -> None:
-        """Clear the failure; synchronously notifies watchers."""
-        if not self.failed:
-            return
-        self.failed = False
-        for callback in list(self._state_watchers):
-            callback(self, False, reason)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Nic {self.name!r} rx={self.rx_station.jobs_served}>"

@@ -21,8 +21,7 @@ Three primitives cover every contention point in the repository:
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from .eventloop import Environment, Event, SimulationError
 
@@ -33,13 +32,15 @@ class Station:
     """FIFO multi-server queue with deterministic service times.
 
     Jobs submitted to a station are served in arrival order by the first
-    server to become free.  ``submit`` returns an event that fires when the
-    job's service completes; the event's value is the job itself.
+    server to become free.  ``submit`` returns the instant the job's
+    service completes; nothing is scheduled, so a caller that must act at
+    that instant schedules itself there.
 
     Because service is non-preemptive FIFO, completion times can be computed
     at submission: a job arriving at ``t`` starts at ``max(t, earliest
-    server-free time)`` and finishes ``service_time(job)`` later.  This keeps
-    the station O(log n) without per-job bookkeeping processes.
+    server-free time)`` and finishes ``service_time(job)`` later.  The
+    station is arithmetic over its servers' free times: no process, no
+    event, no heap entry per job.
 
     Parameters
     ----------
@@ -79,30 +80,15 @@ class Station:
         self.jobs_served = 0
         self.total_wait = 0.0
         self.total_service = 0.0
-        self.busy_until = env.now
-        self.jobs_in_system = 0
-        #: Completion event of the newest job (what ``submit`` returns).
-        self._completion: Optional[Event] = None
 
-    def submit(self, job: Any = None) -> Event:
-        """Enqueue ``job``; returns an event firing at service completion."""
-        self.submit_walk(job)
-        return self._completion
+    def submit(self, job: Any = None) -> float:
+        """Enqueue ``job``; returns its absolute completion instant.
 
-    def submit_walk(self, job: Any = None) -> float:
-        """``submit`` for the delivery walk: returns the completion *time*.
-
-        The caller gets the absolute completion timestamp instead of the
-        Event, so it can schedule its next step directly at ``done + cost``
-        without waiting on a callback.  The completion event still fires on
-        the heap for ``jobs_in_system`` accounting.
-
-        This is the one enqueue body — :meth:`submit` calls it and picks the
-        event up from ``_completion`` — because every NIC receive on the
-        delivery walk's fused path comes through here and a shared helper
-        would put another Python frame under each datagram.
+        The instant is ``now + (done_at - now)`` rather than ``done_at``:
+        the two can differ in the last bit, and the first is the clock
+        reading the simulator has always landed completions on.
         """
-        now = self.env.now
+        now = self.env._now
         if self.servers == 1:
             slot = 0
         else:
@@ -116,26 +102,7 @@ class Station:
         self.jobs_served += 1
         self.total_wait += start - now
         self.total_service += duration
-        self.busy_until = max(self.busy_until, done_at)
-        self.jobs_in_system += 1
-        # Inlined Event construction + succeed(): the completion is born
-        # triggered with ``_job_done`` as its first waiter.
-        env = self.env
-        completion = self._completion = Event.__new__(Event)
-        completion.env = env
-        completion._cb = self._job_done
-        completion._cbs = None
-        completion._value = job
-        completion._ok = True
-        completion._triggered = True
-        completion._processed = False
-        at = env._now + (done_at - now)
-        heappush(env._heap, (at, env._sequence, completion))
-        env._sequence += 1
-        return at
-
-    def _job_done(self, _event: Event) -> None:
-        self.jobs_in_system -= 1
+        return now + (done_at - now)
 
     @property
     def mean_wait(self) -> float:

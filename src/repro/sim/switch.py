@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .datagram import Datagram
 from .eventloop import Environment
+from .faults import FailableDevice
 from .programs import PacketProgram
 from .resources import TokenResource
 
@@ -34,7 +35,7 @@ class SwitchProgramFootprint:
             raise ValueError("footprint components must be non-negative")
 
 
-class ProgrammableSwitch:
+class ProgrammableSwitch(FailableDevice):
     """A switch with match-action stages, SRAM, and installable programs.
 
     Datagrams crossing the switch incur :attr:`forward_latency`.  Installed
@@ -53,6 +54,7 @@ class ProgrammableSwitch:
         stages: int = 12,
         sram_kb: int = 4096,
     ):
+        super().__init__()
         self.env = env
         self.name = name
         self.stage_pool = TokenResource(env, stages, name=f"{name}.stages")
@@ -60,34 +62,6 @@ class ProgrammableSwitch:
         self.programs: list[PacketProgram] = []
         self._footprints: dict[PacketProgram, SwitchProgramFootprint] = {}
         self.datagrams_forwarded = 0
-        #: Fault-injection state: a failed switch keeps forwarding (the
-        #: fixed-function ASIC survives) but its match-action programs stop
-        #: running — the failure mode live reconfiguration degrades around.
-        self.failed = False
-        self.failures = 0
-        self._state_watchers: list = []
-
-    # -- fault injection -----------------------------------------------------
-    def on_state_change(self, callback) -> None:
-        """Subscribe ``callback(device, failed, reason)`` to fail/recover."""
-        self._state_watchers.append(callback)
-
-    def fail(self, reason: str = "injected-failure") -> None:
-        """Mark the switch's programmable stages failed; notify watchers."""
-        if self.failed:
-            return
-        self.failed = True
-        self.failures += 1
-        for callback in list(self._state_watchers):
-            callback(self, True, reason)
-
-    def recover(self, reason: str = "recovered") -> None:
-        """Clear the failure; synchronously notifies watchers."""
-        if not self.failed:
-            return
-        self.failed = False
-        for callback in list(self._state_watchers):
-            callback(self, False, reason)
 
     # -- program management -------------------------------------------------
     def can_fit(self, footprint: SwitchProgramFootprint) -> bool:

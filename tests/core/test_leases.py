@@ -115,7 +115,7 @@ def acquired(table, record_id, owner):
     handle = yield from table.acquire(record_id, owner)
     if handle is None:
         return None
-    return (yield handle.verdict)
+    return handle.standing((yield handle.verdict))
 
 
 class TestReserveOncePerLease:
@@ -144,10 +144,10 @@ class TestReserveOncePerLease:
         first, later, verdicts, reserved_at, handed_out = run(
             world.env, scenario(world.env)
         )
-        assert first.verdict.processed and first.verdict.value is first
+        assert first.verdict.processed and first.verdict.value is True
         # No round trip for the later two: same instant, nothing answered.
         assert handed_out == (reserved_at, 2)
-        assert verdicts == later  # each stands as taken
+        assert verdicts == [True, True]  # each stands as taken
         assert kinds(seen) == [
             "disc.reserve",
             "disc.reserve_reply",
@@ -788,7 +788,9 @@ class LeaseMachine(RuleBasedStateMachine):
         entry = {"conn": conn, "stage": conn._stage_map[node], "verdict": None}
         env = self.world.env
         handle.verdict.add_callback(
-            lambda event: entry.update(verdict=(env.now, event.value))
+            lambda event: entry.update(
+                verdict=(env.now, handle.standing(event.value))
+            )
         )
         self.accepted.append(entry)
         self.client.send(b"x", conn.local_address, size=1)

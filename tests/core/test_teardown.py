@@ -6,7 +6,7 @@ cycle stays resident until the simulation ends.  Ownership inside a
 connection therefore runs one way — connection → stacks → stages,
 connection → pump → socket — and ``close()`` unhooks every back-reference.
 These tests check it with the collector off, and census what every
-``run()`` of two experiment worlds leaves as cyclic garbage.
+``run()`` of three experiment worlds leaves as cyclic garbage.
 """
 
 import gc
@@ -21,17 +21,6 @@ from repro.experiments.__main__ import EXPERIMENTS
 from repro.sim import Environment
 
 from ..conftest import run
-
-#: Classes a census may find in cyclic garbage, with the reason.
-#: An optimistic lease handle's verdict is a process (or a fired event)
-#: whose value is the handle itself when the lease stands, so each one
-#: confirmed is a handle ↔ verdict cycle once the handle is given back.
-CENSUS_EXCEPTIONS = {
-    "repro.core.leases.LeaseHandle": "its verdict's value is the handle",
-    "repro.sim.eventloop.Process": "a LeaseTable._confirm verdict",
-    "repro.sim.eventloop.Event": "a verdict fired at acquire time",
-}
-
 
 def _watch(conn) -> list:
     """Weak references to ``conn``, each of its stacks and their stages."""
@@ -113,13 +102,13 @@ def census(monkeypatch):
     return found
 
 
-@pytest.mark.parametrize("row", ["churn", "failover"])
+@pytest.mark.parametrize("row", ["churn", "failover", "fleet"])
 def test_worlds_leave_no_cyclic_garbage(census, row):
     """The churn smoke world closes 100 client connections; the failover
     world migrates connections to a standby (every migration rebinds the
-    data socket, and with it the pump).  Neither leaves a library object
-    for the collector, apart from :data:`CENSUS_EXCEPTIONS`."""
+    data socket, and with it the pump); the fleet world queries sharded
+    discovery, whose legs time out, and confirms leases optimistically.
+    None of them leaves a library object for the collector."""
     experiment = EXPERIMENTS[row]
     experiment.run(experiment.config.smoke())
-    left = {name: n for name, n in census.items() if name not in CENSUS_EXCEPTIONS}
-    assert left == {}
+    assert dict(census) == {}

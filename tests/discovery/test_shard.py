@@ -218,6 +218,24 @@ class TestShardedRegistry:
             Address("cli", 4200)
         ]
 
+    def test_group_connect_process_keeps_no_connection(self):
+        """Later mutations wait on the process that made the primary's
+        group connection, so it stays; the RSM client owns the connection,
+        and the process's value is None, or it would outlive its close."""
+        net, tier, router = shard_world()
+        record = tier.seed_record(soft_meta("reliable"), "cli")
+        client = ShardedDiscoveryClient(net.entity("cli"), router.address)
+
+        def scenario(env):
+            yield env.timeout(1e-3)
+            return (yield from client.reserve(record.record_id, "alice"))
+
+        assert run(net.env, scenario(net.env))
+        (primary,) = [r for r in tier.shards[0] if r.is_primary]
+        assert primary._rsm_client.conn is not None
+        assert primary._rsm_connect.processed
+        assert primary._rsm_connect.value is None
+
     def test_whole_shard_restart_brings_its_log_back(self):
         """A total outage crashes each replica's discovery front and its
         RSM participant; restart must bring both back, or the shard can

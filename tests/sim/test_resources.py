@@ -9,48 +9,34 @@ class TestStation:
     def test_single_job_takes_service_time(self):
         env = Environment()
         station = Station(env, service_time=2.0)
-        done = station.submit("job")
+        assert station.submit("job") == 2.0
         env.run()
-        assert done.processed
-        assert env.now == 2.0
+        assert env.now == 0.0  # nothing was scheduled
 
     def test_fifo_queueing_on_one_server(self):
         env = Environment()
         station = Station(env, service_time=1.0)
-        completions = []
-        for name in ("a", "b", "c"):
-            station.submit(name).add_callback(
-                lambda e: completions.append((e.value, env.now))
-            )
-        env.run()
-        assert completions == [("a", 1.0), ("b", 2.0), ("c", 3.0)]
+        assert [station.submit(name) for name in ("a", "b", "c")] == [1.0, 2.0, 3.0]
 
     def test_parallel_servers(self):
         env = Environment()
         station = Station(env, service_time=1.0, servers=2)
-        times = []
-        for _ in range(4):
-            station.submit().add_callback(lambda e: times.append(env.now))
-        env.run()
-        assert times == [1.0, 1.0, 2.0, 2.0]
+        assert [station.submit() for _ in range(4)] == [1.0, 1.0, 2.0, 2.0]
 
     def test_callable_service_time(self):
         env = Environment()
         station = Station(env, service_time=lambda size: size * 0.5)
-        done = station.submit(4)
-        env.run(until=done)
-        assert env.now == 2.0
+        assert station.submit(4) == 2.0
 
     def test_later_arrival_after_idle_starts_immediately(self):
         env = Environment()
         station = Station(env, service_time=1.0)
 
         def proc(env):
-            yield station.submit()
+            yield env.timeout(station.submit() - env.now)
             yield env.timeout(5)  # station idles
             start = env.now
-            yield station.submit()
-            return env.now - start
+            return station.submit() - start
 
         p = env.process(proc(env))
         env.run()
@@ -61,7 +47,6 @@ class TestStation:
         station = Station(env, service_time=2.0)
         station.submit()
         station.submit()
-        env.run()
         assert station.jobs_served == 2
         assert station.total_service == pytest.approx(4.0)
         assert station.mean_wait == pytest.approx(1.0)  # (0 + 2) / 2
@@ -81,19 +66,20 @@ class TestStation:
         the service rate."""
         env = Environment()
         station = Station(env, service_time=1.0)
-        last_completion = {}
+        completions = []
         # Offered load 2x service rate: arrivals every 0.5, service 1.0.
         def arrivals(env):
             for index in range(20):
-                station.submit(index).add_callback(
-                    lambda e: last_completion.update(done=env.now)
-                )
+                completions.append(station.submit(index))
                 yield env.timeout(0.5)
 
         env.process(arrivals(env))
         env.run()
         # 20 jobs at 1s each: finishes at t=20, far beyond last arrival ~10.
-        assert last_completion["done"] == pytest.approx(20.0)
+        assert completions[-1] == pytest.approx(20.0)
+        # The wait grows with every arrival: 0.5 s more per job.
+        waits = [done - 0.5 * index - 1.0 for index, done in enumerate(completions)]
+        assert waits == pytest.approx([0.5 * index for index in range(20)])
 
 
 class TestTokenResource:
@@ -201,41 +187,3 @@ class TestStore:
         store.put(1)
         store.put(2)
         assert len(store) == 2
-
-
-class TestSubmitWalk:
-    """``submit_walk`` is ``submit`` for the delivery walk: identical
-    bookkeeping and completion instants, but the caller gets the absolute
-    completion time instead of an Event."""
-
-    def test_matches_submit_completion_times_and_stats(self):
-        env = Environment()
-        eventful = Station(env, service_time=2.0, name="eventful")
-        walked = Station(env, service_time=2.0, name="walked")
-        completions = []
-        walk_times = []
-        for job in range(5):
-            done = eventful.submit(job)
-            done.add_callback(lambda _e: completions.append(env.now))
-            walk_times.append(walked.submit_walk(job))
-        env.run()
-        assert walk_times == completions == [2.0, 4.0, 6.0, 8.0, 10.0]
-        assert walked.jobs_served == eventful.jobs_served == 5
-        assert walked.total_wait == eventful.total_wait
-        assert walked.total_service == eventful.total_service
-        # The completion slot still fires on the heap, so queue-depth
-        # accounting drains exactly as with submit().
-        assert walked.jobs_in_system == eventful.jobs_in_system == 0
-
-    def test_multi_server_assignment_matches(self):
-        env = Environment()
-        eventful = Station(env, service_time=3.0, servers=2)
-        walked = Station(env, service_time=3.0, servers=2)
-        completions = []
-        walk_times = []
-        for job in range(4):
-            done = eventful.submit(job)
-            done.add_callback(lambda _e: completions.append(env.now))
-            walk_times.append(walked.submit_walk(job))
-        env.run()
-        assert walk_times == completions == [3.0, 3.0, 6.0, 6.0]
