@@ -65,6 +65,9 @@ LIFECYCLE = {
 _DATA_HELD = frozenset(h for h, row in LIFECYCLE.items() if row[1] == HELD) - {BROKEN}
 _SENDS_HELD = frozenset(h for h, row in LIFECYCLE.items() if row[0] == HELD) - {BROKEN}
 _INBOUND_BLOCKERS = _DATA_HELD | {EPOCH}
+#: ``Connection.holds`` when nothing holds the data path, shared by every
+#: connection.
+_NO_HOLDS: frozenset = frozenset()
 
 
 def next_conn_id(entity) -> str:
@@ -84,16 +87,16 @@ class _Pump:
 
     The historical pump was a generator Process blocked on
     ``socket.recv()``: every datagram cost a getter Event, a zero-delay
-    heap slot, and a Process resume.  This object sits directly in the
-    socket store's getter queue (it speaks the ``triggered``/``succeed``
-    protocol :meth:`Store.put` expects) and dispatches **synchronously**:
+    heap slot, and a Process resume.  This object waits directly in the
+    socket store's queue (it speaks the ``triggered``/``succeed``
+    protocol :meth:`Store.wait` expects) and dispatches **synchronously**:
     the receive stack runs inside the delivery instant itself, and buffered
     datagrams drain in a loop rather than one wakeup slot apiece.  The only
     heap slot left is the real one — a positive stage CPU charge defers
     delivery (and the next receive) behind a timer, exactly as the
     generator's ``yield`` did.
 
-    Interrupting it marks it dead, takes it out of the socket's getter
+    Interrupting it marks it dead, takes it out of the socket store's
     queue and drops its connection, so a dead pump holds nothing that
     points back at the connection (DESIGN.md §7).  A datagram handed to a
     dead pump is lost, just as it was when a stale getter resumed a dead
@@ -116,9 +119,7 @@ class _Pump:
         its connection; idempotent."""
         self.dead = True
         self.conn = None
-        getters = self.socket.store._getters
-        if self in getters:
-            getters.remove(self)
+        self.socket.store.cancel(self)
 
     # -- store-getter protocol -------------------------------------------
     def succeed(self, item: Datagram) -> None:
@@ -138,12 +139,11 @@ class _Pump:
             if sock.closed:
                 self.interrupt("socket closed")
                 return
-            store = sock.store
-            if not store._items:
-                store._getters.append(self)
+            buffered, dgram = sock.store.try_get()
+            if not buffered:
+                sock.store.wait(self)
                 return
-            store.gets += 1
-            if not self._dispatch(store._items.popleft()):
+            if not self._dispatch(dgram):
                 return
 
     def _dispatch(self, dgram: Datagram) -> bool:
@@ -162,7 +162,7 @@ class _Pump:
             except WireError as error:
                 conn.ctl_malformed_total += 1
                 if ctl_kind not in conn._ctl_malformed_logged:
-                    conn._ctl_malformed_logged.add(ctl_kind)
+                    conn._ctl_malformed_logged += (ctl_kind,)
                     _log.warning(
                         "%s: dropping malformed in-band control message "
                         "kind=%r (%s)",
@@ -214,7 +214,25 @@ class _Pump:
 
 
 class Connection:
-    """A live connection: stack(s) + data socket + peer set."""
+    """A live connection: stack(s) + data socket + peer set.
+
+    Slotted: a server holds one per connection it accepted, and with more
+    than 30 attributes CPython (3.11) stops sharing instance-dict keys, so
+    each instance would carry a dict of its own (DESIGN.md §7).
+    ``__weakref__`` keeps weak references working (teardown censuses).
+    """
+
+    __slots__ = (
+        "runtime", "name", "conn_id", "role", "dag", "impls", "socket",
+        "peers", "transport", "params", "inbox", "closed", "degraded",
+        "messages_sent", "messages_received", "ctl_malformed_total",
+        "_ctl_malformed_logged", "established_at", "_setup_contexts",
+        "choice", "client_entity", "server_entity", "negotiation_state",
+        "epoch", "transitions", "migrations", "blackout", "last_inbound_at",
+        "last_src", "holds", "_send_buffer", "_inbound_buffer",
+        "_peer_waiter", "_pcie", "_pcie_crossings", "_stage_map", "stack",
+        "_stacks", "_first_delivery_seen", "listener", "_pump", "__weakref__",
+    )
 
     def __init__(
         self,
@@ -257,7 +275,7 @@ class Connection:
         #: the encoding of a registered control message).  Each offending
         #: kind is additionally logged once per connection.
         self.ctl_malformed_total = 0
-        self._ctl_malformed_logged: set = set()
+        self._ctl_malformed_logged: tuple = ()
         self.established_at = runtime.env.now
         self._setup_contexts = list(setup_contexts or [])
         #: The negotiated per-node binding (needed to re-decide later).
@@ -284,7 +302,7 @@ class Connection:
         self.last_src: Optional[Address] = None
         #: The holds on the data path (rows of :data:`LIFECYCLE`); only
         #: :meth:`hold` and :meth:`release` change it.
-        self.holds: set[str] = set()
+        self.holds: frozenset[str] = _NO_HOLDS
         self._send_buffer: list[Message] = []
         self._inbound_buffer: list[Message] = []
         #: Fires at the next inbound datagram while the verdicts wait for
@@ -328,11 +346,11 @@ class Connection:
             f"{prefix}.ctl_malformed_total", self, "ctl_malformed_total", replace=True
         )
         obs.bind(f"{prefix}.transitions", self, "transitions", replace=True)
-        obs.replace(
+        obs.bind(
             f"{prefix}.stack_retransmissions",
-            lambda: sum(
-                getattr(stage, "retransmissions", 0) for stage in self.live_stages()
-            ),
+            self,
+            "stack_retransmissions",
+            replace=True,
         )
         self._pump = _Pump(self, socket)
 
@@ -350,6 +368,13 @@ class Connection:
     def local_address(self) -> Address:
         """This side's data-socket address."""
         return self.socket.address
+
+    @property
+    def stack_retransmissions(self) -> int:
+        """Retransmissions by every live stage that counts them."""
+        return sum(
+            getattr(stage, "retransmissions", 0) for stage in self.live_stages()
+        )
 
     @property
     def awaiting_verdict(self) -> bool:
@@ -491,14 +516,14 @@ class Connection:
     # -- the lifecycle (LIFECYCLE; PROTOCOL.md §5.4) ---------------------------------
     def hold(self, hold: str) -> None:
         """Put the data path under ``hold`` (a row of :data:`LIFECYCLE`)."""
-        self.holds.add(hold)
+        self.holds = self.holds | {hold}
 
     def release(self, hold: str) -> None:
         """Drop ``hold`` (held or not) and drain, in this order, the inbound
         buffer into the current stack and then the send buffer through it —
         each only when no remaining hold blocks it.  A closed connection
         drains nothing."""
-        self.holds.discard(hold)
+        self.holds = self.holds - {hold} or _NO_HOLDS
         if self.closed:
             return
         if self.holds.isdisjoint(_INBOUND_BLOCKERS):
@@ -722,9 +747,9 @@ class Connection:
         self.socket.close()
         if self.runtime._reconfig is not None:
             self.runtime._reconfig.forget(self)
-        # The per-connection sources close over this connection; freezing
-        # them (or, for ephemeral connections, dropping them) lets the
-        # registry release it.
+        # The per-connection sources read this connection; freezing them
+        # (or, for ephemeral connections, dropping them) lets the registry
+        # release it.
         obs = self.runtime.network.obs
         ephemeral = self.runtime.ephemeral_connections
         release = obs.unregister if ephemeral else obs.freeze

@@ -409,7 +409,7 @@ class DiscoveryService:
         self.down = True
         self.crashes += 1
         self.socket.dropping = True
-        self.socket.store._items.clear()
+        self.socket.store.clear()
         self._replies.clear()
         self._inflight.clear()
         if not self.durable_watches:

@@ -64,6 +64,24 @@ def _check_name(name: str) -> str:
     return name
 
 
+class _Attr:
+    """A pull source reading ``getattr(obj, attr)``: two slots where a
+    closure over them costs a function, a tuple and two cells — and a
+    world binds five per connection."""
+
+    __slots__ = ("obj", "attr")
+
+    def __init__(self, obj: Any, attr: str):
+        self.obj = obj
+        self.attr = attr
+
+    def __call__(self) -> Any:
+        return getattr(self.obj, self.attr)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<_Attr {type(self.obj).__name__}.{self.attr}>"
+
+
 class Counter:
     """A monotonically increasing registry-owned counter."""
 
@@ -115,9 +133,14 @@ class Histogram:
     def summary(self) -> dict[str, Number]:
         if not self.values:
             return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0}
+        # A left fold, not sum(): from Python 3.12 sum() compensates float
+        # rounding, and a snapshot must read the same on every version.
+        total = 0.0
+        for value in self.values:
+            total += value
         return {
             "count": len(self.values),
-            "sum": sum(self.values),
+            "sum": total,
             "min": min(self.values),
             "max": max(self.values),
         }
@@ -211,7 +234,7 @@ class MetricsRegistry:
         the name (e.g. a rebuilt runtime on the same entity)."""
         getattr(obj, attr)  # fail fast on typos
         method = self.replace if replace else self.register
-        method(name, lambda: getattr(obj, attr))
+        method(name, _Attr(obj, attr))
 
     def unregister(self, name: str) -> None:
         """Drop ``name``'s source if present (idempotent).
@@ -252,7 +275,7 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         """Create and register a registry-owned counter."""
         instrument = Counter(name)
-        self.register(name, lambda: instrument.value)
+        self.register(name, _Attr(instrument, "value"))
         return instrument
 
     def gauge(
@@ -261,7 +284,7 @@ class MetricsRegistry:
         """Create and register a gauge; ``fn`` makes it computed-on-pull
         (the returned Gauge is then only a handle)."""
         instrument = Gauge(name)
-        self.register(name, fn if fn is not None else lambda: instrument.value)
+        self.register(name, fn if fn is not None else _Attr(instrument, "value"))
         return instrument
 
     def histogram(self, name: str) -> Histogram:

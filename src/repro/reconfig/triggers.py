@@ -104,8 +104,7 @@ class DiscoveryWatcher:
     the crash would silently stop receiving pushes after the restart.  Two
     defences: registration retries across an outage (bounded, backed off —
     the inner discovery RPC already retries within one outage window), and
-    :meth:`rearm` / the optional ``refresh_interval`` re-registration loop
-    (re-subscribing is idempotent at the service).
+    :meth:`rearm` (re-subscribing is idempotent at the service).
     """
 
     #: Outer registration attempts (each one a full discovery RPC with its
@@ -114,19 +113,11 @@ class DiscoveryWatcher:
     REGISTER_RETRIES = 3
     REGISTER_BACKOFF = 20e-3
 
-    def __init__(
-        self, runtime: "Runtime", refresh_interval: Optional[float] = None
-    ):
+    def __init__(self, runtime: "Runtime"):
         self.runtime = runtime
         self.env = runtime.env
-        #: When set, every watched record is re-registered this often — the
-        #: subscription-lease pattern.  Off by default: the refresh loop
-        #: keeps the event heap non-empty, so short-lived worlds must opt
-        #: in (and call :meth:`stop` when done).
-        self.refresh_interval = refresh_interval
         self._socket: Optional[UdpSocket] = None
         self._proc = None
-        self._refresher = None
         self._callbacks: dict[str, list[Callable]] = {}
         self.notifications = 0
         #: Pushes that failed schema decoding (dropped, never dispatched).
@@ -137,7 +128,7 @@ class DiscoveryWatcher:
         self.watch_failures = 0
         #: Outer re-attempts after a failed registration RPC.
         self.watch_retries = 0
-        #: Idempotent re-registrations sent by rearm()/the refresh loop.
+        #: Idempotent re-registrations sent by rearm().
         self.rearms = 0
         obs = runtime.network.obs
         prefix = f"reconfig.{runtime.entity.name}.watcher"
@@ -153,11 +144,6 @@ class DiscoveryWatcher:
             self._proc = self.env.process(
                 self._listen(),
                 name=f"{self.runtime.entity.name}.disc-watch",
-            )
-        if self._refresher is None and self.refresh_interval is not None:
-            self._refresher = self.env.process(
-                self._refresh(),
-                name=f"{self.runtime.entity.name}.disc-watch-refresh",
             )
 
     def watch_record(
@@ -209,14 +195,6 @@ class DiscoveryWatcher:
             self.env.process(
                 self._register(record_id), name=f"disc-rearm:{record_id}"
             )
-
-    def _refresh(self):
-        while True:
-            try:
-                yield self.env.timeout(self.refresh_interval)
-            except Interrupt:
-                return
-            self.rearm()
 
     def _listen(self):
         while True:

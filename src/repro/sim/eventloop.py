@@ -256,6 +256,9 @@ class Process(Event):
     :meth:`interrupt` O(1): delivering an interrupt abandons the old wait
     target without touching its callback storage, so the stale waiter
     costs nothing regardless of how many co-waiters share that event.
+
+    A finished process lets go of its generator, so whatever keeps it for
+    its value (a lease handle keeps its verdict) keeps nothing else.
     """
 
     __slots__ = ("generator", "name", "_waiting_on", "_interruption")
@@ -342,9 +345,11 @@ class Process(Event):
             else:
                 target = self.generator.throw(event._value)
         except StopIteration as stop:
+            self.generator = None  # finished: a held process keeps only its value
             self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate into event
+            self.generator = None
             self.fail(exc)
             return
         finally:

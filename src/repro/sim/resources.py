@@ -21,7 +21,7 @@ Three primitives cover every contention point in the repository:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 from .eventloop import Environment, Event, SimulationError
 
@@ -149,53 +149,127 @@ class TokenResource:
         return f"<TokenResource {self.name!r} {self.available}/{self.capacity}>"
 
 
+#: The empty head of a :class:`Store` queue (``None`` is a valid item).
+_EMPTY = object()
+
+
 class Store:
     """Unbounded FIFO mailbox with blocking ``get``.
 
     ``put`` never blocks.  ``get`` returns an event that fires with the next
     item — immediately if one is buffered, otherwise when one arrives.
     Pending ``get``\\ s are served in request order.
+
+    A waiter is anything with a ``triggered`` flag and a ``succeed(item)``
+    method: the :class:`Event` ``get`` returns, or a process-free receiver
+    queued with :meth:`wait`.  A waiter already triggered when its turn
+    comes was cancelled, and is skipped.
+
+    Buffered items and waiters never coexist — ``put`` serves the oldest
+    live waiter before it buffers, ``get`` takes an item before it waits —
+    so one queue holds whichever there are, and ``_waiting`` says which.
+    Its oldest entry sits in ``_head``, the rest in ``_tail``, a deque made
+    the first time a second entry queues: most stores are a socket or an
+    inbox with one waiter and nothing else, and a deque costs 760 bytes.
     """
+
+    __slots__ = ("env", "name", "puts", "gets", "_waiting", "_head", "_tail")
 
     def __init__(self, env: Environment, name: str = "store"):
         self.env = env
         self.name = name
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
         self.puts = 0
         self.gets = 0
+        self._waiting = False
+        self._head: Any = _EMPTY
+        self._tail: Optional[deque] = None
 
     def put(self, item: Any) -> None:
         """Deposit ``item``, waking the oldest waiting getter if any."""
         self.puts += 1
-        while self._getters:
-            getter = self._getters.popleft()
+        while self._waiting:
+            # _pop, inlined: every datagram a socket receives comes here.
+            getter = self._head
+            if self._tail:
+                self._head = self._tail.popleft()
+            else:
+                self._head = _EMPTY
+                self._waiting = False
             if getter.triggered:
                 continue  # cancelled getter
             self.gets += 1
             getter.succeed(item)
             return
-        self._items.append(item)
+        self._push(item)
 
     def get(self) -> Event:
         """Event that fires with the next item."""
         slot = Event(self.env)
-        if self._items:
-            self.gets += 1
-            slot.succeed(self._items.popleft())
+        if self._waiting or self._head is _EMPTY:
+            self.wait(slot)
         else:
-            self._getters.append(slot)
+            self.gets += 1
+            slot.succeed(self._pop())
         return slot
 
     def try_get(self) -> tuple[bool, Any]:
         """Non-blocking get: ``(True, item)`` or ``(False, None)``."""
-        if self._items:
-            self.gets += 1
-            return True, self._items.popleft()
-        return False, None
+        if self._waiting or self._head is _EMPTY:
+            return False, None
+        self.gets += 1
+        return True, self._pop()
+
+    def wait(self, getter: Any) -> None:
+        """Queue ``getter`` behind the waiters already queued: the next
+        item put goes to the oldest live one.  A store holding items takes
+        no waiter; :meth:`try_get` them first."""
+        if self._head is _EMPTY:
+            self._waiting = True
+            self._head = getter
+        elif self._waiting:
+            self._push(getter)
+        else:
+            raise SimulationError(f"{self.name!r}: wait with items buffered")
+
+    def cancel(self, getter: Any) -> None:
+        """Take ``getter`` out of the queue, if it waits there."""
+        if not self._waiting:
+            return
+        if self._head is getter:
+            self._pop()
+        elif self._tail and getter in self._tail:
+            self._tail.remove(getter)
+
+    def clear(self) -> None:
+        """Drop every buffered item; waiters stay queued."""
+        if not self._waiting:
+            self._head = _EMPTY
+            self._tail = None
+
+    def _push(self, entry: Any) -> None:
+        if self._head is _EMPTY:
+            self._head = entry
+        elif self._tail is None:
+            self._tail = deque((entry,))
+        else:
+            self._tail.append(entry)
+
+    def _pop(self) -> Any:
+        entry = self._head
+        if self._tail:
+            self._head = self._tail.popleft()
+        else:
+            self._head = _EMPTY
+            self._waiting = False
+        return entry
 
     def __len__(self) -> int:
-        return len(self._items)
+        """Buffered items (waiters are not counted)."""
+        if self._waiting or self._head is _EMPTY:
+            return 0
+        return 1 + len(self._tail or ())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Store {self.name!r} buffered={len(self._items)}>"
+        state = "waiting" if self._waiting else "buffered"
+        queued = 0 if self._head is _EMPTY else 1 + len(self._tail or ())
+        return f"<Store {self.name!r} {state}={queued}>"

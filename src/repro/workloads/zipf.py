@@ -63,7 +63,13 @@ class ZipfianChooser(KeyChooser):
         self._recompute_constants()
 
     def _zeta(self, n: int) -> float:
-        return sum(1.0 / (i ** self.theta) for i in range(1, n + 1))
+        """ζ(n, θ) as a left fold, not ``sum()``: from Python 3.12
+        ``sum()`` compensates float rounding, and every key drawn depends
+        on the last bits of these constants."""
+        total = 0.0
+        for i in range(1, n + 1):
+            total += 1.0 / (i ** self.theta)
+        return total
 
     def _recompute_constants(self) -> None:
         self.zetan = self._zeta(self.item_count)
@@ -77,10 +83,12 @@ class ZipfianChooser(KeyChooser):
         old = self.item_count
         super().grow(new_count)
         if new_count != old:
-            # Incremental zeta extension (avoids O(n) recompute per insert).
-            self.zetan += sum(
-                1.0 / (i ** self.theta) for i in range(old + 1, new_count + 1)
-            )
+            # Incremental zeta extension (avoids O(n) recompute per insert):
+            # fold the new tail, then add it, as _zeta's left fold.
+            tail = 0.0
+            for i in range(old + 1, new_count + 1):
+                tail += 1.0 / (i ** self.theta)
+            self.zetan += tail
             self.eta = (1 - (2.0 / self.item_count) ** (1 - self.theta)) / (
                 1 - self.zeta2 / self.zetan
             )

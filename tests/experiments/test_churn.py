@@ -201,6 +201,7 @@ class TestDebugReprs:
         so its cyclic garbage is still there to inspect."""
         kinds = _repr_every_new_object(lambda: run_churn(ChurnConfig.smoke(seed=7)))
         assert {"Runtime", "SetupContext", "Connection", "Listener"} <= kinds
+        assert {"Store", "_Attr"} <= kinds  # a mailbox, a registry source
 
     @pytest.mark.parametrize("row", ["fleet", "offload", "multipath"])
     def test_every_live_object_reprs_in_other_worlds(self, row):

@@ -39,6 +39,15 @@ class TestInstruments:
         assert snap["lat.max"] == 4.0
         assert hist.values == [2.0, 1.0, 4.0]
 
+    def test_histogram_sum_is_a_left_fold(self):
+        """``(1e16 + 1.0) - 1e16`` is 0.0 in IEEE 754; a compensated sum
+        (Python 3.12's ``sum()``) would report 1.0."""
+        registry = MetricsRegistry()
+        hist = registry.histogram("lat")
+        for value in (1e16, 1.0, -1e16):
+            hist.observe(value)
+        assert registry.snapshot()["lat.sum"] == 0.0
+
     def test_empty_histogram_summary_is_zero(self):
         registry = MetricsRegistry()
         registry.histogram("lat")

@@ -84,32 +84,6 @@ class TestDiscoveryWatcher:
         assert got == [(record.record_id, "disc.revoked")]
         assert watcher.notifications == 1
 
-    def test_watch_survives_service_crash_restart(self, two_hosts):
-        """Regression: a crash() wipes the service's watch table, so pushes
-        after the restart must be re-enabled by the watcher's refresh loop."""
-        runtime = two_hosts.runtime("cl")
-        record = two_hosts.discovery.register(ShardXdp.meta, location="srv")
-        watcher = DiscoveryWatcher(runtime, refresh_interval=5e-3)
-        events = []
-        watcher.watch_record(
-            record.record_id, lambda rid, kind, body: events.append(kind)
-        )
-
-        def scenario(env):
-            yield env.timeout(1e-3)  # initial watch registered
-            two_hosts.discovery.crash()  # drops the subscription table
-            yield env.timeout(1e-3)
-            two_hosts.discovery.restart()
-            yield env.timeout(8e-3)  # refresh loop re-registers the watch
-            two_hosts.discovery.revoke(record.record_id)
-            yield env.timeout(1e-3)
-            return list(events)
-
-        got = run(two_hosts.env, scenario(two_hosts.env))
-        assert got == ["disc.revoked"]
-        assert watcher.rearms >= 1
-        assert two_hosts.discovery._watchers.get(record.record_id)
-
     def test_explicit_rearm_restores_watches(self, two_hosts):
         runtime = two_hosts.runtime("cl")
         record = two_hosts.discovery.register(ShardXdp.meta, location="srv")

@@ -1,8 +1,12 @@
 """Tests for Station, TokenResource, and Store."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
-from repro.sim import Environment, Station, Store, TokenResource
+import repro.sim.resources
+from repro.sim import Environment, Event, Station, Store, TokenResource
 
 
 class TestStation:
@@ -187,3 +191,129 @@ class TestStore:
         store.put(1)
         store.put(2)
         assert len(store) == 2
+
+    def test_len_and_repr_while_getters_wait(self):
+        env = Environment()
+        store = Store(env, name="box")
+        store.get()
+        store.get()
+        assert len(store) == 0
+        assert repr(store) == "<Store 'box' waiting=2>"
+
+    def test_len_and_repr_while_items_buffer(self):
+        env = Environment()
+        store = Store(env, name="box")
+        assert repr(store) == "<Store 'box' buffered=0>"
+        for item in "abc":
+            store.put(item)
+        assert len(store) == 3
+        assert repr(store) == "<Store 'box' buffered=3>"
+
+    def test_fifo_across_a_switch_from_getters_to_items(self):
+        """The one queue holds getters, empties, then holds items: both
+        phases stay in order and the counters count every hand-over."""
+        env = Environment()
+        store = Store(env)
+        got = []
+        for _ in range(3):
+            store.get().add_callback(lambda e: got.append(e.value))
+        for item in range(6):
+            store.put(item)
+        assert len(store) == 3
+        env.run()
+        while True:
+            found, item = store.try_get()
+            if not found:
+                break
+            got.append(item)
+        assert got == [0, 1, 2, 3, 4, 5]
+        assert (store.puts, store.gets) == (6, 6)
+        store.get().add_callback(lambda e: got.append(e.value))
+        store.put(6)
+        env.run()
+        assert got[-1] == 6 and len(store) == 0
+
+    def test_cancelled_getter_skipped_then_item_buffered(self):
+        """A put that finds only cancelled getters buffers its item, and
+        the next get takes it."""
+        env = Environment()
+        store = Store(env)
+        first, second = store.get(), store.get()
+        first.succeed(None)
+        second.succeed(None)
+        store.put("kept")
+        assert len(store) == 1
+        assert store.gets == 0
+        later = store.get()
+        env.run()
+        assert later.value == "kept"
+        assert (store.puts, store.gets) == (1, 1)
+
+    def test_cancel_takes_a_waiter_out(self):
+        env = Environment()
+        store = Store(env)
+        waiters = [store.get() for _ in range(3)]
+        store.cancel(waiters[1])
+        store.cancel(waiters[0])
+        store.put("x")
+        env.run()
+        assert not waiters[0].triggered and not waiters[1].triggered
+        assert waiters[2].value == "x"
+
+    def test_wait_refused_while_items_buffer(self):
+        from repro.sim import SimulationError
+
+        env = Environment()
+        store = Store(env)
+        store.put(1)
+        with pytest.raises(SimulationError):
+            store.wait(Event(env))
+
+    def test_clear_drops_items_and_keeps_waiters(self):
+        env = Environment()
+        store = Store(env)
+        store.put(1)
+        store.put(2)
+        store.clear()
+        assert len(store) == 0 and store.try_get() == (False, None)
+        waiter = store.get()
+        store.clear()
+        store.put(3)
+        env.run()
+        assert waiter.value == 3
+
+
+#: The one module that may touch a Store's representation.
+_STORE_MODULE = Path(repro.sim.resources.__file__).resolve()
+
+
+def _private_store_reads(roots) -> list[str]:
+    """``<expr>.<name>`` for each underscore field of :class:`Store`,
+    outside ``sim/resources.py``; ``self.<name>`` is a class's own field."""
+    private = {name for name in Store.__slots__ if name.startswith("_")}
+    found = []
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            if path.resolve() == _STORE_MODULE:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in private
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+                ):
+                    found.append(f"{path}:{node.lineno}: .{node.attr}")
+    return found
+
+
+class TestStoreEncapsulation:
+    def test_no_module_reads_a_store_private_field(self):
+        """Sockets, pumps and services use Store's operations (``wait``,
+        ``try_get``, ``cancel``, ``clear``), never its representation."""
+        repo = Path(__file__).resolve().parents[2]
+        roots = [repo / "src", repo / "tests", repo / "examples", repo / "bench"]
+        assert _private_store_reads(roots) == []
+
+    def test_the_scan_sees_a_private_read(self, tmp_path):
+        (tmp_path / "peek.py").write_text("def f(sock):\n    return sock.store._head\n")
+        assert _private_store_reads([tmp_path]) == [f"{tmp_path / 'peek.py'}:2: ._head"]

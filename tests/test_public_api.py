@@ -395,7 +395,7 @@ OPTION_SURFACE = {
     "repro.reconfig.engine.ReconfigManager": ["runtime"],
     "repro.reconfig.engine.TransitionRecord": ["conn_id", "detail", "event", "time"],
     "repro.reconfig.triggers.DeviceFailureDetector": ["network"],
-    "repro.reconfig.triggers.DiscoveryWatcher": ["refresh_interval", "runtime"],
+    "repro.reconfig.triggers.DiscoveryWatcher": ["runtime"],
     "repro.reconfig.triggers.PathQualityMonitor": ["network"],
     "repro.sim.datagram.Address": ["host", "port"],
     "repro.sim.datagram.Datagram": [

@@ -45,6 +45,11 @@ class TestChoosers:
             b.next_index() for _ in range(50)
         ]
 
+    def test_zeta_is_a_left_fold(self):
+        """Pinned to the last bit: a compensated sum (Python 3.12's
+        ``sum()``) gives 6.447835998947556, and would move every key."""
+        assert ZipfianChooser(300, theta=0.99)._zeta(300) == 6.447835998947559
+
     def test_zipfian_is_skewed(self):
         chooser = ZipfianChooser(1000, seed=2)
         draws = [chooser.next_index() for _ in range(5000)]
