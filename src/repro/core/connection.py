@@ -13,17 +13,18 @@ destination and received messages expose their source.
 
 Connections are also *live-reconfigurable*: the runtime's reconfiguration
 engine (:mod:`repro.reconfig`) can renegotiate the implementation choice
-mid-stream and swap in a new Chunnel stack.  The connection keeps one stack
-per **epoch** so in-flight messages stamped with an older epoch still find
-the stack that knows how to process them; see PROTOCOL.md §"Live
-reconfiguration".
+mid-stream and swap in a new Chunnel stack.  The connection keeps one
+:class:`Binding` per **epoch** — the DAG, the choice, and per node its
+implementation, setup context and stage, plus the epoch's stack — so
+in-flight messages stamped with an older epoch still find the stack that
+knows how to process them; see PROTOCOL.md §"Live reconfiguration".
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-from typing import TYPE_CHECKING, Any, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from ..errors import ConnectionClosedError, TransportError
 from ..sim.datagram import Address, Datagram
@@ -39,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..sim.transport import SimSocket
     from .runtime import Runtime
 
-__all__ = ["Connection", "LIFECYCLE"]
+__all__ = ["Binding", "Connection", "LIFECYCLE"]
 
 _log = logging.getLogger("repro.ctl")
 
@@ -68,6 +69,16 @@ _INBOUND_BLOCKERS = _DATA_HELD | {EPOCH}
 #: ``Connection.holds`` when nothing holds the data path, shared by every
 #: connection.
 _NO_HOLDS: frozenset = frozenset()
+
+#: The registry sources of a connection, under ``conn.<id>.<role>.``: bound
+#: at construction, frozen (or, for ephemeral connections, dropped) at close.
+_SOURCES = (
+    "messages_sent",
+    "messages_received",
+    "ctl_malformed_total",
+    "transitions",
+    "stack_retransmissions",
+)
 
 
 def next_conn_id(entity) -> str:
@@ -213,6 +224,35 @@ class _Pump:
         self._request_next()
 
 
+class Binding:
+    """One epoch of a connection: the DAG, the per-node choice, and keyed
+    by node id the implementations, their setup contexts and their stages
+    (None where the implementation runs elsewhere), plus the epoch's
+    stack once the connection has built it.
+
+    :func:`repro.core.establish.build_binding` makes one; an epoch change
+    builds the next from the current one, carrying every unchanged node's
+    implementation, context and stage over.
+    """
+
+    __slots__ = ("dag", "choice", "impls", "contexts", "stages", "stack")
+
+    def __init__(
+        self,
+        dag: ChunnelDag,
+        choice: dict[int, Offer],
+        impls: dict[int, ChunnelImpl],
+        contexts: dict[int, SetupContext],
+        stages: dict[int, Optional[ChunnelStage]],
+    ):
+        self.dag = dag
+        self.choice = choice
+        self.impls = impls
+        self.contexts = contexts
+        self.stages = stages
+        self.stack: Optional[ChunnelStack] = None
+
+
 class Connection:
     """A live connection: stack(s) + data socket + peer set.
 
@@ -223,15 +263,14 @@ class Connection:
     """
 
     __slots__ = (
-        "runtime", "name", "conn_id", "role", "dag", "impls", "socket",
-        "peers", "transport", "params", "inbox", "closed", "degraded",
-        "messages_sent", "messages_received", "ctl_malformed_total",
-        "_ctl_malformed_logged", "established_at", "_setup_contexts",
-        "choice", "client_entity", "server_entity", "negotiation_state",
-        "epoch", "transitions", "migrations", "blackout", "last_inbound_at",
-        "last_src", "holds", "_send_buffer", "_inbound_buffer",
-        "_peer_waiter", "_pcie", "_pcie_crossings", "_stage_map", "stack",
-        "_stacks", "_first_delivery_seen", "listener", "_pump", "__weakref__",
+        "runtime", "name", "conn_id", "role", "binding", "socket", "peers",
+        "transport", "params", "inbox", "closed", "degraded", "messages_sent",
+        "messages_received", "ctl_malformed_total", "_ctl_malformed_logged",
+        "client_entity", "server_entity", "negotiation_state", "epoch",
+        "epochs_issued", "_epochs", "transitions", "migrations", "blackout",
+        "last_inbound_at", "last_src", "holds", "_send_buffer",
+        "_inbound_buffer", "_peer_waiter", "_pcie", "_pcie_crossings",
+        "_first_delivery_seen", "listener", "_pump", "__weakref__",
     )
 
     def __init__(
@@ -240,25 +279,21 @@ class Connection:
         name: str,
         conn_id: str,
         role: Role,
-        dag: ChunnelDag,
-        impls: dict[int, ChunnelImpl],
-        stack_stages: Union[list, dict],
+        binding: Binding,
         socket: "SimSocket",
         peers: Iterable[Address] = (),
         transport: str = "udp",
         params: Optional[dict] = None,
-        setup_contexts: Optional[list[SetupContext]] = None,
-        choice: Optional[dict[int, Offer]] = None,
         client_entity: str = "",
         server_entity: str = "",
-        negotiation_state: Optional[dict] = None,
+        negotiation_state: Optional[tuple] = None,
     ):
         self.runtime = runtime
         self.name = name
         self.conn_id = conn_id
         self.role = role
-        self.dag = dag
-        self.impls = impls
+        #: The current epoch's binding (``_epochs[epoch]``).
+        self.binding = binding
         self.socket = socket
         self.peers: list[Address] = list(peers)
         self.transport = transport
@@ -276,22 +311,22 @@ class Connection:
         #: kind is additionally logged once per connection.
         self.ctl_malformed_total = 0
         self._ctl_malformed_logged: tuple = ()
-        self.established_at = runtime.env.now
-        self._setup_contexts = list(setup_contexts or [])
-        #: The negotiated per-node binding (needed to re-decide later).
-        self.choice: dict[int, Offer] = dict(choice or {})
         self.client_entity = client_entity or (
             runtime.entity.name if role is Role.CLIENT else ""
         )
         self.server_entity = server_entity or (
             runtime.entity.name if role is Role.SERVER else ""
         )
-        #: Server-side: what the engine needs to renegotiate (the client's
-        #: original offer message, the policy context, the reservation
-        #: owner).  Empty on clients and raw connections.
-        self.negotiation_state = dict(negotiation_state or {})
-        #: Live-reconfiguration state.
+        #: Server-side: what a transition re-decides from — the client's
+        #: expanded offer lists and the policy context, as
+        #: ``(offers, ctx)``.  None on clients and raw connections.
+        self.negotiation_state = negotiation_state
+        #: Live-reconfiguration state: the current epoch, the highest
+        #: epoch number :meth:`new_epoch` has handed out, and the binding
+        #: of every epoch still live (current, prepared, or retiring).
         self.epoch = 0
+        self.epochs_issued = 0
+        self._epochs: dict[int, Binding] = {}
         self.transitions = 0
         #: Mid-connection failover state (repro.core.failover).  Plain
         #: attributes — no timing or wire impact unless a failover watcher
@@ -308,27 +343,8 @@ class Connection:
         #: Fires at the next inbound datagram while the verdicts wait for
         #: a peer address to announce a transition to.
         self._peer_waiter: Optional[Event] = None
-        self._pcie, self._pcie_crossings = self._pcie_profile(
-            dag, impls, transport
-        )
-        if isinstance(stack_stages, dict):
-            self._stage_map: Optional[dict[int, Optional[ChunnelStage]]] = dict(
-                stack_stages
-            )
-            stages = [
-                self._stage_map[node_id]
-                for node_id in dag.topological_order()
-                if self._stage_map[node_id] is not None
-            ]
-        else:
-            self._stage_map = None
-            stages = list(stack_stages)
-        self.stack = ChunnelStack(
-            runtime.env, stages, transmit=self._transmit, deliver=self._deliver
-        )
-        self.stack.connection = self
-        self._stacks: dict[int, ChunnelStack] = {0: self.stack}
-        self.stack.start()
+        self._pcie, self._pcie_crossings = self._pcie_profile(binding)
+        self._install(0, binding)
         self._first_delivery_seen = False
         #: Set by the accepting Listener (server side) so a close can drop
         #: out of its connection list.
@@ -338,26 +354,34 @@ class Connection:
         # covers a conn id reused after a simulated process restart.
         obs = runtime.network.obs
         prefix = f"conn.{conn_id}.{role.value}"
-        obs.bind(f"{prefix}.messages_sent", self, "messages_sent", replace=True)
-        obs.bind(
-            f"{prefix}.messages_received", self, "messages_received", replace=True
-        )
-        obs.bind(
-            f"{prefix}.ctl_malformed_total", self, "ctl_malformed_total", replace=True
-        )
-        obs.bind(f"{prefix}.transitions", self, "transitions", replace=True)
-        obs.bind(
-            f"{prefix}.stack_retransmissions",
-            self,
-            "stack_retransmissions",
-            replace=True,
-        )
+        for source in _SOURCES:
+            obs.bind(f"{prefix}.{source}", self, source, replace=True)
         self._pump = _Pump(self, socket)
 
     # -- properties -----------------------------------------------------------
     @property
     def env(self):
         return self.runtime.env
+
+    @property
+    def dag(self) -> ChunnelDag:
+        """The current epoch's DAG."""
+        return self.binding.dag
+
+    @property
+    def impls(self) -> dict[int, ChunnelImpl]:
+        """The current epoch's implementation per node id."""
+        return self.binding.impls
+
+    @property
+    def choice(self) -> dict[int, Offer]:
+        """The current epoch's negotiated offer per node id."""
+        return self.binding.choice
+
+    @property
+    def stack(self) -> ChunnelStack:
+        """The current epoch's stack."""
+        return self.binding.stack
 
     @property
     def peer(self) -> Optional[Address]:
@@ -411,7 +435,7 @@ class Connection:
             # then, so it is processed by exactly one epoch.
             self._send_buffer.append(msg)
             return
-        self.stack.send(msg)
+        self.binding.stack.send(msg)
 
     def recv(self) -> Event:
         """Event that fires with the next application-level Message."""
@@ -479,7 +503,7 @@ class Connection:
             if stands is None:
                 denied.add((offer.meta.name, offer.record_id))
             elif stands is not handle:
-                ctx = self._context_for(node_id)
+                ctx = self.binding.contexts.get(node_id)
                 if not self.closed and ctx is not None and handle in ctx.reservations:
                     ctx.reservations[ctx.reservations.index(handle)] = stands
                 else:
@@ -488,9 +512,9 @@ class Connection:
             yield from self._steer_off(denied)
         # The stacks the verdicts replaced never ran: whatever still
         # carries their epoch belongs to the newest one.
-        for stack in self._stacks.values():
-            if stack is not self.stack:
-                stack.broken = True
+        for binding in self._epochs.values():
+            if binding is not self.binding:
+                binding.stack.broken = True
         self.release(VERDICT)
 
     def _steer_off(self, denied: set):
@@ -529,44 +553,31 @@ class Connection:
         if self.holds.isdisjoint(_INBOUND_BLOCKERS):
             pending, self._inbound_buffer = self._inbound_buffer, []
             for msg in pending:
-                delivered, _charge = self.stack.receive(msg)
+                delivered, _charge = self.binding.stack.receive(msg)
                 for out in delivered:
                     self._deliver(out)
         if self.holds.isdisjoint(_SENDS_HELD):
             buffered, self._send_buffer = self._send_buffer, []
             for msg in buffered:
-                self.stack.send(msg)
+                self.binding.stack.send(msg)
 
     # -- live reconfiguration ------------------------------------------------------
-    def prepare_transition(self, epoch: int, stages: list) -> ChunnelStack:
-        """Build and start the stack for a new epoch (not yet current).
+    def new_epoch(self) -> int:
+        """Hand out this connection's next epoch number (never reused)."""
+        self.epochs_issued += 1
+        return self.epochs_issued
+
+    def prepare_transition(self, epoch: int, binding: Binding) -> ChunnelStack:
+        """Build and start the stack of ``binding`` as ``epoch`` (not yet
+        current).
 
         Stage objects carried over from the current stack re-home to the
         new one (state continuity); only genuinely new stages are started.
         """
-        live = {id(stage) for stage in self.live_stages()}
-        stack = ChunnelStack(
-            self.env, stages, transmit=self._transmit, deliver=self._deliver
-        )
-        stack.connection = self
-        stack.epoch = epoch
-        self._stacks[epoch] = stack
-        for stage in stack.stages:
-            if id(stage) not in live:
-                stage.start()
-        return stack
+        return self._install(epoch, binding)
 
-    def commit_transition(
-        self,
-        epoch: int,
-        *,
-        dag: ChunnelDag,
-        impls: dict[int, ChunnelImpl],
-        choice: dict[int, Offer],
-        contexts: list[SetupContext],
-        stage_map: Optional[dict] = None,
-    ) -> int:
-        """Make ``epoch`` the current stack; returns the previous epoch.
+    def commit_transition(self, epoch: int) -> int:
+        """Make the prepared ``epoch`` current; returns the previous epoch.
 
         The caller (the reconfiguration engine) is responsible for tearing
         down replaced implementations and retiring the old epoch's stack
@@ -574,38 +585,33 @@ class Connection:
         """
         old_epoch = self.epoch
         self.epoch = epoch
-        self.stack = self._stacks[epoch]
-        self.dag = dag
-        self.impls = impls
-        self.choice = dict(choice)
-        self._setup_contexts = list(contexts)
-        if stage_map is not None:
-            self._stage_map = dict(stage_map)
-        self._pcie, self._pcie_crossings = self._pcie_profile(
-            dag, impls, self.transport
-        )
+        self.binding = binding = self._epochs[epoch]
+        # Here, not at prepare: a migration's handshake changes the
+        # transport in between.
+        self._pcie, self._pcie_crossings = self._pcie_profile(binding)
         self.transitions += 1
         self.release(EPOCH)
         return old_epoch
 
     def abort_transition(self, epoch: int) -> None:
         """Discard a prepared epoch (rollback) and resume the old stack."""
-        stack = self._stacks.pop(epoch, None)
-        if stack is not None:
+        binding = self._epochs.pop(epoch, None)
+        if binding is not None:
             # Carried-over stages re-homed to the aborted stack; point them
             # back at the stack that remains current, so detaching it stops
             # only the stages it brought.
-            for index, stage in enumerate(self.stack.stages):
-                stage.attach(self.stack, index)
-            stack.detach()
+            current = self.binding.stack
+            for index, stage in enumerate(current.stages):
+                stage.attach(current, index)
+            binding.stack.detach()
         self.release(EPOCH)
 
     def mark_broken(self, epoch: Optional[int] = None) -> None:
         """Route messages stamped with ``epoch`` (default: current) to the
         newest stack — its device is gone, its stack can no longer serve."""
-        stack = self._stacks.get(self.epoch if epoch is None else epoch)
-        if stack is not None:
-            stack.broken = True
+        binding = self._epochs.get(self.epoch if epoch is None else epoch)
+        if binding is not None:
+            binding.stack.broken = True
 
     def retire_epoch(self, epoch: int) -> None:
         """Drop an old epoch's stack once stragglers have drained: after
@@ -615,9 +621,9 @@ class Connection:
             yield self.env.timeout(RETIRE_GRACE)
             if epoch == self.epoch or self.closed:
                 return
-            stack = self._stacks.pop(epoch, None)
-            if stack is not None:
-                stack.detach()
+            binding = self._epochs.pop(epoch, None)
+            if binding is not None:
+                binding.stack.detach()
 
         self.env.process(_wait(), name=f"{self.conn_id}.retire-{epoch}")
 
@@ -644,23 +650,48 @@ class Connection:
         route to the newest stack — the only one guaranteed to be backed by
         live implementations.
         """
-        stack = self._stacks.get(epoch)
-        if stack is None or stack.broken:
-            return self._stacks[max(self._stacks)]
-        return stack
+        binding = self._epochs.get(epoch)
+        if binding is None or binding.stack.broken:
+            return self._epochs[max(self._epochs)].stack
+        return binding.stack
 
     def live_stages(self) -> list[ChunnelStage]:
         """Every stage of every epoch's stack, once: oldest epoch first, a
         stage carried across epochs at its place in the newest stack."""
         stages: dict[int, ChunnelStage] = {}
-        for epoch in sorted(self._stacks):
-            for stage in self._stacks[epoch].stages:
+        for epoch in sorted(self._epochs):
+            for stage in self._epochs[epoch].stack.stages:
                 stages.pop(id(stage), None)
                 stages[id(stage)] = stage
         return list(stages.values())
 
     # -- plumbing ------------------------------------------------------------------
-    def _pcie_profile(self, dag: ChunnelDag, impls, transport: str):
+    def _install(self, epoch: int, binding: Binding) -> ChunnelStack:
+        """Build ``binding``'s stack — its stages in topological order —
+        start the stages no other epoch runs, and enter it in the epoch
+        table as ``epoch`` (establishment installs epoch 0)."""
+        live = {id(stage) for stage in self.live_stages()}
+        stages = binding.stages
+        stack = ChunnelStack(
+            self.runtime.env,
+            [
+                stages[node_id]
+                for node_id in binding.dag.topological_order()
+                if stages[node_id] is not None
+            ],
+            transmit=self._transmit,
+            deliver=self._deliver,
+        )
+        stack.connection = self
+        stack.epoch = epoch
+        binding.stack = stack
+        self._epochs[epoch] = binding
+        for stage in stack.stages:
+            if id(stage) not in live:
+                stage.start()
+        return stack
+
+    def _pcie_profile(self, binding: Binding):
         """How many host↔NIC bus crossings each sent message costs.
 
         On a SmartNIC host, every datagram crosses PCIe at least once on
@@ -670,10 +701,11 @@ class Connection:
         SmartNIC or the transport never touches the NIC (pipes).
         """
         smartnic = self.runtime.entity.host.smartnic
-        if smartnic is None or transport == "pipe":
+        if smartnic is None or self.transport == "pipe":
             return None, 0
         from .optimizer import count_device_crossings
 
+        dag, impls = binding.dag, binding.impls
         order = dag.topological_order()
         chain = [dag.nodes[node].type_name for node in order]
         offloaded = {
@@ -734,13 +766,12 @@ class Connection:
         )
         # Newest epoch first: each stack stops the stages attached to it,
         # so a stage carried across epochs stops once, with its newest one.
-        for epoch in sorted(self._stacks, reverse=True):
-            self._stacks[epoch].detach()
-        for node_id, impl in self.impls.items():
-            ctx = self._context_for(node_id)
-            if ctx is not None:
-                impl.teardown(ctx)
-        for ctx in self._setup_contexts:
+        for epoch in sorted(self._epochs, reverse=True):
+            self._epochs[epoch].stack.detach()
+        binding = self.binding
+        for node_id, impl in binding.impls.items():
+            impl.teardown(binding.contexts[node_id])
+        for ctx in binding.contexts.values():
             for handle in ctx.reservations:
                 self.runtime.spawn_release(handle)
         self._pump.interrupt("connection closed")
@@ -754,23 +785,11 @@ class Connection:
         ephemeral = self.runtime.ephemeral_connections
         release = obs.unregister if ephemeral else obs.freeze
         prefix = f"conn.{self.conn_id}.{self.role.value}"
-        for suffix in (
-            "messages_sent",
-            "messages_received",
-            "ctl_malformed_total",
-            "transitions",
-            "stack_retransmissions",
-        ):
-            release(f"{prefix}.{suffix}")
+        for source in _SOURCES:
+            release(f"{prefix}.{source}")
         if self.listener is not None:
             self.listener.connections.remove(self)
             self.listener = None
-
-    def _context_for(self, node_id: int) -> Optional[SetupContext]:
-        for ctx in self._setup_contexts:
-            if ctx.spec is self.dag.nodes.get(node_id):
-                return ctx
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -12,8 +12,9 @@ differences as explicit parameters:
 * ``degraded`` — the client proceeded without discovery (fallback-only);
 * ``hello`` — clients announce their data address after establishment;
 * ``changed`` / ``reuse`` — the reconfiguration engine rebuilds only the
-  nodes whose implementation changed, carrying over the rest of an
-  existing connection's impls, contexts, and stages;
+  nodes whose implementation changed, carrying over the rest of the
+  current :class:`~repro.core.connection.Binding`'s impls, contexts, and
+  stages;
 * ``fresh_params`` — establishment shares one params dict across a
   connection's setup contexts (so the transport hook's choice is visible
   to the accept reply), while a rebuild hands each node a private copy of
@@ -30,7 +31,7 @@ from ..sim.eventloop import Interrupt
 from ..sim.transport import PipeSocket, SimSocket, UdpSocket
 from . import messages as msgs
 from .chunnel import ChunnelImpl, Offer, Role
-from .connection import Connection
+from .connection import Binding, Connection
 from .dag import ChunnelDag
 from .wire import decode, encode
 from .stack import SetupContext
@@ -89,9 +90,9 @@ def build_binding(
     params: Optional[dict] = None,
     reservations: Optional[Mapping[int, "LeaseHandle"]] = None,
     changed: Optional[Iterable[int]] = None,
-    reuse: Optional[Connection] = None,
+    reuse: Optional[Binding] = None,
     fresh_params: bool = False,
-):
+) -> Binding:
     """Instantiate and set up the implementations for a binding.
 
     For every node in ``changed`` (default: all), instantiate the chosen
@@ -109,9 +110,7 @@ def build_binding(
     stage whose unacked window must survive the migration — carry straight
     over.
 
-    Returns ``(impls, contexts, stage_map)`` where ``contexts`` maps node
-    id → :class:`SetupContext` and ``stage_map`` maps node id → stage (or
-    None where the implementation runs elsewhere).
+    Returns the :class:`Binding`, its stack not yet built.
     """
     params = {} if params is None else params
     reservations = reservations or {}
@@ -124,7 +123,7 @@ def build_binding(
         for node_id in order:
             if node_id not in changed_set:
                 impls[node_id] = reuse.impls[node_id]
-                contexts[node_id] = reuse._context_for(node_id)
+                contexts[node_id] = reuse.contexts[node_id]
                 continue
             offer = choice.get(node_id)
             if offer is None:
@@ -159,16 +158,15 @@ def build_binding(
     except BerthaError:
         teardown_nodes(impls, contexts, built)
         raise
-    old_map = (reuse._stage_map or {}) if reuse is not None else {}
-    stage_map = {
+    stages = {
         node_id: (
             impls[node_id].make_stage(role)
             if node_id in changed_set
-            else old_map.get(node_id)
+            else reuse.stages[node_id]
         )
         for node_id in order
     }
-    return impls, contexts, stage_map
+    return Binding(dag, choice, impls, contexts, stages)
 
 
 def establish_connection(
@@ -186,7 +184,7 @@ def establish_connection(
     params: Optional[dict] = None,
     reservations: Optional[Mapping[int, "LeaseHandle"]] = None,
     degraded: bool = False,
-    negotiation_state: Optional[dict] = None,
+    negotiation_state: Optional[tuple] = None,
     hello: bool = False,
 ) -> Connection:
     """Build a live :class:`Connection` from a decided binding.
@@ -201,7 +199,7 @@ def establish_connection(
     trace = runtime.network.trace
     span = trace.begin("establish", conn_id, role=role.value, degraded=degraded)
     try:
-        impls, contexts, stage_map = build_binding(
+        binding = build_binding(
             runtime,
             role=role,
             conn_id=conn_id,
@@ -215,28 +213,23 @@ def establish_connection(
         if transport is None:
             transport = params.get("transport", "udp")
         socket = make_data_socket(runtime.entity, transport)
-        order = dag.topological_order()
         connection = Connection(
             runtime=runtime,
             name=name,
             conn_id=conn_id,
             role=role,
-            dag=dag,
-            impls=impls,
-            stack_stages=stage_map,
+            binding=binding,
             socket=socket,
             peers=list(peers),
             transport=transport,
             params=params,
-            setup_contexts=[contexts[node_id] for node_id in order],
-            choice=choice,
             client_entity=client_entity,
             server_entity=server_entity,
             negotiation_state=negotiation_state,
         )
         connection.degraded = degraded
-        for node_id in order:
-            impls[node_id].after_establish(contexts[node_id], connection)
+        for node_id, impl in binding.impls.items():
+            impl.after_establish(binding.contexts[node_id], connection)
         if hello:
             # Tell the server our data address (offload programs pass control
             # datagrams through), so it can initiate live transitions even
@@ -245,7 +238,7 @@ def establish_connection(
     except BerthaError as error:
         trace.finish(span, status="error", error=type(error).__name__)
         raise
-    trace.finish(span, transport=connection.transport, nodes=len(impls))
+    trace.finish(span, transport=connection.transport, nodes=len(binding.impls))
     return connection
 
 

@@ -70,14 +70,14 @@ def _location_feasible(offer: Offer, ctx: PolicyContext) -> bool:
 
 
 def candidate_pool(
-    registry, chunnel_types, message, *network_pools
+    registry, chunnel_types, client_offers, *network_pools
 ) -> dict[str, list[Offer]]:
     """The server's candidate pool for ``chunnel_types``: the client's
-    offers (from its OFFER ``message``), ``registry``'s server offers, then
-    each ``network_pools`` entry in turn, deduplicated by record id."""
+    expanded offer lists, ``registry``'s server offers, then each
+    ``network_pools`` entry in turn, deduplicated by record id."""
     wanted = set(chunnel_types)
     candidates: dict[str, list[Offer]] = {}
-    for ctype, offers in message.offers.items():
+    for ctype, offers in client_offers.items():
         if ctype in wanted:
             candidates.setdefault(ctype, []).extend(offers)
     server = registry.offers_for(sorted(wanted), origin="server")

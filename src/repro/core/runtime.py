@@ -1063,7 +1063,7 @@ class Listener:
 
         probe_types = set(dag.chunnel_types()) | optimizer.traits.merge_targets()
         probe = candidate_pool(
-            self.runtime.registry, probe_types, message,
+            self.runtime.registry, probe_types, message.offers,
             message.network_offers, self._network_offers,
         )
         offloadable = {
@@ -1139,7 +1139,6 @@ class Listener:
         message = self._expand_offer(message)
 
         ctx = self._policy_context(client_entity)
-        owner = f"{runtime.entity.name}:{self.endpoint.name}"
 
         # Try the optimized DAG first (if the runtime has an optimizer and
         # it changed anything); fall back to the application's DAG when the
@@ -1155,7 +1154,7 @@ class Listener:
         for attempt_dag in attempts:
             # Network offers: the client's discovery view, then our cache.
             candidates = candidate_pool(
-                runtime.registry, attempt_dag.chunnel_types(), message,
+                runtime.registry, attempt_dag.chunnel_types(), message.offers,
                 message.network_offers, self._network_offers,
             )
             try:
@@ -1163,7 +1162,7 @@ class Listener:
                 # runtime already holds: the connection holds its data
                 # path until they are in (``_admit``).
                 choice, reservations = yield from decide_with_reservations(
-                    runtime, attempt_dag, candidates, ctx, owner,
+                    runtime, attempt_dag, candidates, ctx, self._owner,
                     conn_id=conn_id, settle=False,
                 )
                 dag = attempt_dag
@@ -1175,7 +1174,8 @@ class Listener:
                 "negotiation produced no choice"
             )
 
-        state = {"message": message, "ctx": ctx, "owner": owner}
+        # What a transition re-decides from (the owner is the listener's).
+        state = (message.offers, ctx)
         accept = self._admit(message, dag, choice, reservations, state).with_binding(
             dag, _choice_references(message, dag, choice)
         )
@@ -1247,7 +1247,7 @@ class Listener:
         dag: ChunnelDag = entry["dag"]
         choice = entry["choice"]
         confirmed, denied = yield from reserve_choice(
-            runtime, dag, choice, entry["state"]["owner"], conn_id
+            runtime, dag, choice, self._owner, conn_id
         )
         if denied is not None:
             for handle in confirmed.values():
@@ -1262,6 +1262,12 @@ class Listener:
         reply = self._admit(message, dag, choice, confirmed, entry["state"])
         trace.finish(span, reservations=len(confirmed))
         return reply
+
+    @property
+    def _owner(self) -> str:
+        """The reservation owner of this listener's connections: the
+        reconfiguration engine derives the same from a connection."""
+        return f"{self.runtime.entity.name}:{self.endpoint.name}"
 
     def _policy_context(self, client_entity: str) -> PolicyContext:
         network = self.runtime.network
@@ -1283,7 +1289,7 @@ class Listener:
 
     def _admit(
         self, message, dag: ChunnelDag, choice: dict,
-        reservations: dict[int, LeaseHandle], state: dict,
+        reservations: dict[int, LeaseHandle], state: tuple,
     ) -> "msgs.ResumeAccept":
         """The one accept tail of an OFFER or a RESUME: establish the
         server side of ``message``'s connection on ``dag``/``choice``

@@ -30,9 +30,10 @@ All three run one sequence, :meth:`ReconfigManager._change_epoch`
    tear the *new* implementations down and keep the old stack (rollback;
    the abort releases ``EPOCH`` too).
 
-The callers differ only in data: the epoch's source, the server entity,
-and how leases go back (the server waits, a migration spawns, the peer
-holds none).
+The callers differ only in data: the epoch's source (the connection
+numbers its own epochs, :meth:`Connection.new_epoch`; an adopting peer
+takes the announced one), the server entity, and how leases go back (the
+server waits, a migration spawns, the peer holds none).
 
 Messages in flight during the handover carry their stack's epoch in a
 header; the receiving connection routes each message to the stack of its
@@ -121,7 +122,6 @@ class _ConnState:
     conn: "Connection"
     busy: bool = field(default=False, init=False)
     queue: deque = field(default_factory=deque)
-    next_epoch: int = field(default=1, init=False)
     #: Client side: cached acks per epoch, replayed on duplicate TRANSITION.
     #: Bounded — retransmits arrive within the sender's retry window, so
     #: only the most recent epochs' verdicts are ever needed.
@@ -159,7 +159,6 @@ class ReconfigManager:
         #: as negotiation and discovery).
         self.rpc_stats = rpc.RpcStats()
         self.pause_times: list[float] = []
-        self.last_pause: Optional[float] = None
         self.log: list[TransitionRecord] = []
         # Engine counters in the world registry (replace: the engine is
         # created on demand, and a rebuilt runtime rebuilds its engine).
@@ -332,7 +331,7 @@ class ReconfigManager:
         self.transitions_started += 1
         trace = self.runtime.network.trace
         span = trace.begin(
-            "reconfig", conn.conn_id, epoch=state.next_epoch, reason=reason
+            "reconfig", conn.conn_id, epoch=conn.epochs_issued + 1, reason=reason
         )
         outcome = "failed"
         try:
@@ -355,13 +354,14 @@ class ReconfigManager:
     def _transition(self, state: _ConnState, reason, exclude, target_dag):
         conn = state.conn
         runtime = self.runtime
-        ns = conn.negotiation_state
-        if not ns:
+        if conn.negotiation_state is None:
             raise ReconfigurationError(
                 f"{conn.conn_id}: no negotiation state — only the deciding "
                 "(server) side of a negotiated connection can transition"
             )
-        message, ctx, owner = ns["message"], ns["ctx"], ns["owner"]
+        offers, ctx = conn.negotiation_state
+        # The owner the listener reserved under: ``<entity>:<endpoint>``.
+        owner = f"{runtime.entity.name}:{conn.name}"
         old_shape = conn.dag.canonical_shape()
         dag, forced = _resolve_dag(
             conn, conn.dag if target_dag is None else target_dag
@@ -370,7 +370,7 @@ class ReconfigManager:
         # Re-decide against fresh offers: the client's stored offers, our
         # registry, and a *new* discovery query (the client's establishment-
         # time network view is stale by definition here).
-        candidates = yield from self._assemble_candidates(conn, dag, message)
+        candidates = yield from self._assemble_candidates(conn, dag, offers)
         excluded = set(state.excluded) | set(exclude)
         choice, confirmed = yield from decide_with_reservations(
             runtime,
@@ -389,7 +389,7 @@ class ReconfigManager:
             self._log(conn, "noop", reason)
             return "noop"
 
-        epoch = self._next_epoch(conn)
+        epoch = conn.new_epoch()
         self._log(conn, "prepare", f"epoch {epoch}: {reason}")
         # Stragglers stamped with the old epoch may rely on a device
         # program the new binding removes: once committed, they route to
@@ -424,8 +424,7 @@ class ReconfigManager:
                 )
                 if reply is None or not reply.ok:
                     return False
-            self.last_pause = self.env.now - started
-            self.pause_times.append(self.last_pause)
+            self.pause_times.append(self.env.now - started)
             return True
 
         old_epoch = yield from self._change_epoch(
@@ -462,7 +461,7 @@ class ReconfigManager:
         dag, forced = _resolve_dag(conn, accept.dag)
         changed = _changed_nodes(conn, dag, accept.choice, forced)
         return (yield from self._change_epoch(
-            conn, dag, accept.choice, changed, self._next_epoch(conn),
+            conn, dag, accept.choice, changed, conn.new_epoch(),
             server_entity=accept.data_addr.host,
             release=self._release_later, announce=handshake,
         ))
@@ -490,7 +489,7 @@ class ReconfigManager:
         reservations = reservations or {}
         # Changed nodes are set up fresh, each with a private copy of the
         # connection's params: a rebuild must not mutate the live binding.
-        impls, ctx_map, stage_map = build_binding(
+        binding = build_binding(
             self.runtime,
             role=conn.role,
             conn_id=conn.conn_id,
@@ -501,25 +500,22 @@ class ReconfigManager:
             params=conn.params,
             reservations=reservations,
             changed=changed,
-            reuse=conn,
+            reuse=conn.binding,
             fresh_params=True,
         )
-        old_map = conn._stage_map or {}
+        old_stages, stages = conn.binding.stages, binding.stages
         for node_id in sorted(changed):
-            if old_map.get(node_id) is not None and stage_map[node_id] is not None:
-                stage_map[node_id].adopt_state(old_map[node_id])
-        stages = [
-            stage_map[node_id]
-            for node_id in dag.topological_order()
-            if stage_map[node_id] is not None
-        ]
+            if old_stages.get(node_id) is not None and stages[node_id] is not None:
+                stages[node_id].adopt_state(old_stages[node_id])
         failure = acked = None
         try:
-            stack = conn.prepare_transition(epoch, stages)
+            stack = conn.prepare_transition(epoch, binding)
             # Device programs go live *now*, while the old stack still
             # serves — an upgrade loses nothing during the handover.
             for node_id in sorted(changed):
-                impls[node_id].after_establish(ctx_map[node_id], conn)
+                binding.impls[node_id].after_establish(
+                    binding.contexts[node_id], conn
+                )
             if announce is not None:
                 # Sends wait for the commit or the abort, which release
                 # the hold: each is processed by exactly one epoch.
@@ -529,31 +525,20 @@ class ReconfigManager:
             failure = error
         if not acked:
             conn.abort_transition(epoch)
-            teardown_nodes(impls, ctx_map, changed)
+            teardown_nodes(binding.impls, binding.contexts, changed)
             if release is not None:
                 yield from release(reservations.values())
             if failure is not None:
                 raise failure
             return None
 
+        old = conn.binding
         replaced = [
-            (conn.impls[node_id], conn._context_for(node_id))
+            (old.impls[node_id], old.contexts[node_id])
             for node_id in sorted(changed)
-            if node_id in conn.impls
+            if node_id in old.impls
         ]
-        contexts = [
-            ctx_map[node_id]
-            for node_id in dag.topological_order()
-            if ctx_map[node_id] is not None
-        ]
-        old_epoch = conn.commit_transition(
-            epoch,
-            dag=dag,
-            impls=impls,
-            choice=choice,
-            contexts=contexts,
-            stage_map=stage_map,
-        )
+        old_epoch = conn.commit_transition(epoch)
         if release is not None:
             # Unchanged nodes keep their context, and with it the reference
             # they were established under: the one the re-decision took for
@@ -565,10 +550,9 @@ class ReconfigManager:
             )
         # Tear down what the new binding replaced, and release its leases.
         for impl, octx in replaced:
-            if octx is not None:
-                impl.teardown(octx)
-                if release is not None:
-                    yield from release(octx.reservations)
+            impl.teardown(octx)
+            if release is not None:
+                yield from release(octx.reservations)
         conn.retire_epoch(old_epoch)
         return old_epoch
 
@@ -745,9 +729,9 @@ class ReconfigManager:
         for handle in handles:
             yield from self.runtime.leases.release(handle)
 
-    def _assemble_candidates(self, conn, dag: ChunnelDag, message: "msgs.Offer"):
-        """Generator: the re-decision candidate pool — stored client offers,
-        our registry, and a fresh discovery query."""
+    def _assemble_candidates(self, conn, dag: ChunnelDag, offers: dict):
+        """Generator: the re-decision candidate pool — the stored client
+        ``offers``, our registry, and a fresh discovery query."""
         types = dag.chunnel_types()
         registry = self.runtime.registry
         try:
@@ -758,8 +742,8 @@ class ReconfigManager:
             # trigger still degrades to a fallback; upgrades wait until
             # discovery is reachable again.
             self._log(conn, "degraded", "re-decision without discovery")
-            return candidate_pool(registry, types, message)
-        return candidate_pool(registry, types, message, fresh.offers)
+            return candidate_pool(registry, types, offers)
+        return candidate_pool(registry, types, offers, fresh.offers)
 
     def _release_later(self, handles):
         """Generator that never waits: hand each lease reference to the
@@ -776,13 +760,6 @@ class ReconfigManager:
         negcache.invalidate_tag(old_shape)
         if dag.canonical_shape() != old_shape:
             negcache.invalidate_tag(dag.canonical_shape())
-
-    def _next_epoch(self, conn: "Connection") -> int:
-        """Allocate ``conn``'s next epoch number (never reused)."""
-        state = self._state(conn)
-        epoch = state.next_epoch
-        state.next_epoch += 1
-        return epoch
 
     def forget(self, conn: "Connection") -> None:
         """Drop the state of ``conn``, which closed: the engine outlives

@@ -3,9 +3,9 @@
 A server holds every connection it accepted until the world ends (no
 control message closes the server side yet), so its memory grows by the
 footprint of one server-side connection per establishment: the
-``Connection``, its two stores (data socket and inbox), its stack and
-stages, its set-up contexts and negotiation state, and its registry
-sources.  The test builds a small echo world from the library with the
+``Connection``, its two stores (data socket and inbox), its epoch's
+binding (stack, stages, set-up contexts), its negotiation state, and its
+registry sources.  The test builds a small echo world from the library with the
 benchmark's ``conn_cold`` shape — ``serialize |> reliable`` to a server
 whose SmartNIC offers ``ReliableToe``, discovery a 2 x 3 shard tier behind
 a router — leaves the server side of every connection open, then closes
@@ -33,7 +33,9 @@ CONNECTS_PER_CLIENT = 8
 #: Python-allocated bytes per open server connection.  Before connections
 #: were slotted, stores held one queue and registry sources held no
 #: closures, this world measured 15 289 on CPython 3.11 (14 569 on 3.10,
-#: 15 060 on 3.12); after, 9 054 (10 118 on 3.10, 8 824 on 3.12).
+#: 15 060 on 3.12); after, 9 054 (10 118 on 3.10, 8 824 on 3.12).  With
+#: one binding record per epoch and a negotiation state of just the
+#: client's offer lists and the policy context, 7 197 on 3.11.
 BUDGET = 11 * 1024
 
 

@@ -20,7 +20,9 @@ These tests pin the tentpole's correctness bar end to end on small worlds:
 * a migration whose acks are lost rolls its epoch back completely (old
   stack only, prepared impls torn down, old peer and transport back,
   sends still held, nothing sent to the standby) and a later attempt
-  still loses nothing and delivers in order.
+  still loses nothing and delivers in order;
+* a client that adopted the server's epoch and then migrates prepares an
+  epoch it has already had (ROADMAP 1(b)) — pinned as a strict xfail.
 """
 
 import itertools
@@ -39,7 +41,7 @@ from repro.chunnels.reliability import _SEQ, _ReliableStage
 from repro.core import Runtime
 from repro.core.chunnel import ChunnelStage, Role
 from repro.core.dag import wrap
-from repro.core.connection import FAILOVER
+from repro.core.connection import FAILOVER, Connection
 from repro.core.failover import FailoverConfig, FailoverManager
 from repro.core.negcache import NegotiationCache
 from repro.core.policy import PriorityFirstPolicy
@@ -385,7 +387,7 @@ class TestMigrationAbort:
             stages = conn.live_stages()
             snapshots.append(
                 {
-                    "epochs": sorted(conn._stacks),
+                    "epochs": sorted(conn._epochs),
                     "epoch": conn.epoch,
                     "peers": [str(p) for p in conn.peers],
                     "transport": conn.transport,
@@ -527,6 +529,81 @@ class TestParking:
         assert client_rt.failover.resumed_total == 1
         assert FAILOVER not in conn.holds
         assert_delivered_once_in_order(recorders, sent)
+
+
+def adopt_then_migrate():
+    """The client adopts the server's transition off the primary's NIC
+    offload (epoch 1), then the primary crashes and the client migrates to
+    the standby.  Returns ``(client conn, prepares)``, one
+    ``(conn_id, role, prepared epoch, epochs the connection had)`` per
+    prepared epoch on either end."""
+    net, recorders, client_rt = build_world(servers=2, toe_primary=True)
+    env = net.env
+    server_rt = recorders[0].runtime
+    prepares: list = []
+    had: dict = {}
+    prepare = Connection.prepare_transition
+
+    def recording_prepare(conn, epoch, binding):
+        epochs = had.setdefault(id(conn), {0})
+        epochs.update(conn._epochs)
+        prepares.append((conn.conn_id, conn.role.value, epoch, sorted(epochs)))
+        epochs.add(epoch)
+        return prepare(conn, epoch, binding)
+
+    def driver():
+        yield env.timeout(1e-3)
+        conn = yield from client_rt.new("renumber", dag()).connect(
+            "flow", deadline=10e-3
+        )
+        for index in range(60):
+            conn.send(f"renumber-{index:04d}".encode(), size=64)
+            yield env.timeout(200e-6)
+        return conn
+
+    def transition():
+        yield env.timeout(3e-3)
+        (server_conn,) = recorders[0].listener.connections
+        yield server_rt.reconfig.request_transition(
+            server_conn, exclude={("toe", "rec-1")}
+        )
+
+    ChaosController(net, seed=7).crash_host("srv0", at=5e-3)
+    env.process(transition(), name="test.transition")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Connection, "prepare_transition", recording_prepare)
+        conn = drive(net, driver(), until=40e-3)
+    return conn, prepares
+
+
+class TestEpochNumbering:
+    @pytest.fixture(scope="class")
+    def world(self):
+        return adopt_then_migrate()
+
+    def test_the_client_adopts_then_migrates(self, world):
+        conn, prepares = world
+        assert conn.migrations == 1
+        client = [epoch for conn_id, role, epoch, _had in prepares if role == "client"]
+        # The adoption of the server's epoch 1, then the migration's.
+        assert len(client) == 2 and client[0] == 1
+        assert conn.epoch == client[1]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "an adopted epoch does not advance the adopter's numbering, so "
+            "the migration prepares epoch 1 again; ROADMAP item 1(b)"
+        ),
+    )
+    def test_every_prepared_epoch_is_new_to_its_connection(self, world):
+        _conn, prepares = world
+        reused = [
+            (conn_id, role, epoch, had)
+            for conn_id, role, epoch, had in prepares
+            if epoch <= max(had)
+        ]
+        assert not reused
 
 
 class TestWatcherLifetime:

@@ -455,7 +455,7 @@ class TestCheckFailures:
         machine.accept_connection(index=0, shared=False)
         (entry,) = machine.accepted
         decided_at, stands = entry["verdict"]
-        (ctx,) = entry["conn"]._setup_contexts
+        (ctx,) = entry["conn"].binding.contexts.values()
         assert stands is not None and ctx.reservations == [stands]
         assert entry["stage"].ran_at == [decided_at]
         leases = machine.runtimes[0].leases
@@ -785,7 +785,7 @@ class LeaseMachine(RuleBasedStateMachine):
         )
         if not handle.verdict.processed:
             conn.await_verdicts({node: handle})
-        entry = {"conn": conn, "stage": conn._stage_map[node], "verdict": None}
+        entry = {"conn": conn, "stage": conn.binding.stages[node], "verdict": None}
         env = self.world.env
         handle.verdict.add_callback(
             lambda event: entry.update(
@@ -920,7 +920,7 @@ class LeaseMachine(RuleBasedStateMachine):
                 # and the connection holds the reference that verdict
                 # stood on (a re-reserved one swapped in).
                 assert len(ran_at) == 1 and ran_at[0] >= decided_at
-                (ctx,) = entry["conn"]._setup_contexts
+                (ctx,) = entry["conn"].binding.contexts.values()
                 assert ctx.reservations == [stands]
 
 

@@ -46,6 +46,7 @@ from repro.core.connection import (
     HELD,
     LIFECYCLE,
     VERDICT,
+    Binding,
     Connection,
 )
 from repro.core.wire import EPOCH_HEADER
@@ -89,18 +90,21 @@ class LifecycleMachine(RuleBasedStateMachine):
         self.delivered: list[str] = []
         self.buffered_arrivals: list[str] = []
         self.prepared = None
-        self.next_epoch = 1
         self.conn = Connection(
             Runtime(host),
             "lifecycle",
             "h/conn-1",
             Role.CLIENT,
-            wrap(Serialize()),
-            {},
-            [_Tap(self, 0)],
+            self._binding(0),
             UdpSocket(host),
             peers=[Address("peer", 1)],
         )
+
+    def _binding(self, epoch):
+        """A one-node binding whose stage is a fresh tap for ``epoch``."""
+        dag = wrap(Serialize())
+        (node,) = dag.topological_order()
+        return Binding(dag, {}, {}, {}, {node: _Tap(self, epoch)})
 
     # -- rules ------------------------------------------------------------------
     @rule()
@@ -116,7 +120,7 @@ class LifecycleMachine(RuleBasedStateMachine):
         conn = self.conn
         payload = f"r{len(self.arrivals)}"
         self.arrivals.append(payload)
-        epochs = sorted(conn._stacks)
+        epochs = sorted(conn._epochs)
         epoch = epochs[0] if old else conn.epoch
         buffered = len(conn._inbound_buffer)
         before = len(self.crossings)
@@ -144,24 +148,15 @@ class LifecycleMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.prepared is None)
     @rule()
     def prepare(self):
-        epoch, self.next_epoch = self.next_epoch, self.next_epoch + 1
-        self.prepared = epoch
-        self.conn.prepare_transition(epoch, [_Tap(self, epoch)])
+        epoch = self.prepared = self.conn.new_epoch()
+        self.conn.prepare_transition(epoch, self._binding(epoch))
 
     @precondition(lambda self: self.prepared is not None)
     @rule()
     def commit(self):
         conn, epoch = self.conn, self.prepared
         self.prepared = None
-        self._released(
-            lambda: conn.commit_transition(
-                epoch,
-                dag=conn.dag,
-                impls=conn.impls,
-                choice=conn.choice,
-                contexts=[],
-            )
-        )
+        self._released(lambda: conn.commit_transition(epoch))
 
     @precondition(lambda self: self.prepared is not None)
     @rule()
@@ -171,7 +166,7 @@ class LifecycleMachine(RuleBasedStateMachine):
 
     @rule()
     def mark_newest_broken(self):
-        self.conn.mark_broken(max(self.conn._stacks))
+        self.conn.mark_broken(max(self.conn._epochs))
 
     # -- checks -------------------------------------------------------------------
     def _released(self, action):

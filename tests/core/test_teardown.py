@@ -24,7 +24,7 @@ from ..conftest import run
 
 def _watch(conn) -> list:
     """Weak references to ``conn``, each of its stacks and their stages."""
-    stacks = list(conn._stacks.values())
+    stacks = [binding.stack for binding in conn._epochs.values()]
     stages = [stage for stack in stacks for stage in stack.stages]
     return [weakref.ref(obj) for obj in (conn, *stacks, *stages)]
 

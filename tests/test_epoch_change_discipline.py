@@ -7,8 +7,9 @@ all run one prepare / commit / abort sequence,
 connection's epoch methods, or the stage hand-off ``adopt_state``, are
 called from any other function, so a second copy of the sequence (or a
 second hand-off rule) cannot grow back unnoticed.  The same scanner keeps
-the hold set to one writer and establishment to one exchange and one
-bind per side.
+the hold set to one writer, establishment to one exchange and one bind per
+side, a binding to its two builders, and a connection's epoch table and
+epoch numbers to the connection.
 """
 
 from __future__ import annotations
@@ -266,3 +267,148 @@ def test_scanner_sees_the_exchange_and_the_binds():
     for module, function, callee, _line in establishment_calls():
         callers.setdefault(callee, set()).add((module, function))
     assert callers == {"rpc.call": {EXCHANGE}, "establish_connection": ESTABLISHERS}
+
+
+# ---------------------------------------------------------------------------
+# Bindings and epochs: two builders, one owner
+# ---------------------------------------------------------------------------
+#: ``(module, function)`` allowed to call ``build_binding``: establishment
+#: and the one epoch change.
+BINDING_BUILDERS = {
+    ("core/establish.py", "establish_connection"),
+    ("reconfig/engine.py", "_change_epoch"),
+}
+#: The module that owns a connection's epoch table (``_epochs``).
+EPOCH_TABLE_OWNER = "core/connection.py"
+#: ``(module, function)`` allowed to write ``epochs_issued``: the
+#: connection creates the counter and ``new_epoch`` hands out numbers.
+EPOCH_NUMBERERS = {
+    ("core/connection.py", "__init__"),
+    ("core/connection.py", "new_epoch"),
+}
+#: Epoch counters kept outside the connection before; none may return.
+RETIRED_COUNTERS = {"next_epoch", "_next_epoch"}
+
+
+class _EpochOwnership(_EpochCalls):
+    """Collect ``(function, what, line)`` for every ``build_binding`` call,
+    every touch of an ``_epochs`` attribute, every write to an
+    ``epochs_issued`` attribute and every use of a retired counter name."""
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        if name == "build_binding":
+            self.calls.append((self.scope[-1], "build_binding()", node.lineno))
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr == "_epochs":
+            self.calls.append((self.scope[-1], "_epochs", node.lineno))
+        elif node.attr == "epochs_issued" and isinstance(node.ctx, ast.Store):
+            self.calls.append((self.scope[-1], "epochs_issued =", node.lineno))
+        elif node.attr in RETIRED_COUNTERS:
+            self.calls.append((self.scope[-1], f"retired {node.attr}", node.lineno))
+        self.generic_visit(node)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if node.id in RETIRED_COUNTERS:
+            self.calls.append((self.scope[-1], f"retired {node.id}", node.lineno))
+
+    def visit_FunctionDef(self, node) -> None:
+        if node.name in RETIRED_COUNTERS:
+            self.calls.append((node.name, f"retired {node.name}", node.lineno))
+        super().visit_FunctionDef(node)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+
+def scan_epoch_ownership(source: str, module: str) -> list[tuple[str, str, str, int]]:
+    """``(module, function, what, line)`` for what :class:`_EpochOwnership`
+    finds in ``source``."""
+    visitor = _EpochOwnership()
+    visitor.visit(ast.parse(source, filename=module))
+    return [(module, *found) for found in visitor.calls]
+
+
+def epoch_ownership() -> list[tuple[str, str, str, int]]:
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        found += scan_epoch_ownership(
+            path.read_text(), path.relative_to(SRC).as_posix()
+        )
+    return found
+
+
+def _allowed(module: str, function: str, what: str) -> bool:
+    if what == "build_binding()":
+        return (module, function) in BINDING_BUILDERS
+    if what == "_epochs":
+        return module == EPOCH_TABLE_OWNER
+    if what == "epochs_issued =":
+        return (module, function) in EPOCH_NUMBERERS
+    return False  # a retired counter name
+
+
+def _strays(found, kinds=None) -> list[str]:
+    """What in ``found`` breaks its rule, among the ``kinds`` of finding
+    (default: all)."""
+    return [
+        f"src/repro/{module}:{line}: {what} in {function}"
+        for module, function, what, line in found
+        if (kinds is None or what.split()[0] in kinds)
+        and not _allowed(module, function, what)
+    ]
+
+
+def test_build_binding_is_called_by_establishment_and_the_epoch_change():
+    stray = _strays(epoch_ownership(), {"build_binding()"})
+    assert not stray, (
+        "a binding is built by establish_connection or "
+        "ReconfigManager._change_epoch; found:\n" + "\n".join(stray)
+    )
+
+
+def test_the_epoch_table_is_touched_only_by_the_connection():
+    stray = _strays(epoch_ownership(), {"_epochs"})
+    assert not stray, (
+        "a connection's epoch table belongs to core/connection.py; found:\n"
+        + "\n".join(stray)
+    )
+
+
+def test_only_the_connection_hands_out_epoch_numbers():
+    stray = _strays(epoch_ownership(), {"epochs_issued", "retired"})
+    assert not stray, (
+        "epoch numbers come from Connection.new_epoch; found:\n" + "\n".join(stray)
+    )
+
+
+def test_scanner_sees_the_binding_builders_the_table_and_the_numberer():
+    found = epoch_ownership()
+    seen: dict[str, set] = {}
+    for module, function, what, _line in found:
+        seen.setdefault(what, set()).add((module, function))
+    assert seen["build_binding()"] == BINDING_BUILDERS
+    assert {module for module, _function in seen["_epochs"]} == {EPOCH_TABLE_OWNER}
+    assert seen["epochs_issued ="] == EPOCH_NUMBERERS
+    assert not _strays(found)
+
+
+def test_scanner_flags_a_stray_builder_table_touch_and_counter():
+    planted = """
+def rebuild(runtime, conn):
+    binding = establish.build_binding(runtime)
+    del conn._epochs[1]
+    conn.epochs_issued += 1
+    state.next_epoch = 2
+    return _next_epoch(conn)
+"""
+    stray = _strays(scan_epoch_ownership(planted, "core/failover.py"))
+    assert [line.split(": ", 1)[1] for line in stray] == [
+        "build_binding() in rebuild",
+        "_epochs in rebuild",
+        "epochs_issued = in rebuild",
+        "retired next_epoch in rebuild",
+        "retired _next_epoch in rebuild",
+    ]

@@ -323,9 +323,8 @@ OPTION_SURFACE = {
     "repro.core.chunnel.Offer": ["location", "meta", "origin", "record_id"],
     "repro.core.chunnel.Role": ["args", "kwds"],
     "repro.core.connection.Connection": [
-        "choice", "client_entity", "conn_id", "dag", "impls", "name",
-        "negotiation_state", "params", "peers", "role", "runtime", "server_entity",
-        "setup_contexts", "socket", "stack_stages", "transport",
+        "binding", "client_entity", "conn_id", "name", "negotiation_state", "params",
+        "peers", "role", "runtime", "server_entity", "socket", "transport",
     ],
     "repro.core.dag.ChunnelDag": [],
     "repro.core.establish.SplitProxy": ["downstream_dag", "name", "port", "runtime", "target"],
