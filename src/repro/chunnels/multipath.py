@@ -84,7 +84,7 @@ class WeightedMultipath(ChunnelSpec):
             raise ChunnelArgumentError(
                 f"got {len(weights)} weights for {tunnels} tunnels"
             )
-        if any(w < 0 for w in weights) or sum(weights) <= 0:
+        if any(w < 0 for w in weights) or not any(w > 0 for w in weights):
             raise ChunnelArgumentError(
                 "tunnel weights must be non-negative with a positive sum"
             )

@@ -277,7 +277,6 @@ class Runtime:
             dag = ChunnelDag.empty()
         elif isinstance(dag, ChunnelSpec):
             dag = wrap(dag)
-        dag.validate()
         return Endpoint(self, name, dag)
 
     def spawn_release(self, handle: LeaseHandle) -> None:

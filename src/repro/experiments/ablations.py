@@ -67,6 +67,7 @@ from ..core import (
     wrap,
 )
 from ..discovery import DiscoveryService
+from ..metrics import mean
 from ..sim import Network, PcieBus
 from ._result import TableResult
 
@@ -229,7 +230,6 @@ def run_negotiation_overhead(
     # One discovery query per connect; the offer/accept exchange is the
     # second round trip (it does not go through the discovery client).
     control_rtts_per_connect = round_trips // connections + 1
-    mean = lambda xs: sum(xs) / len(xs)  # noqa: E731 - tiny local reducer
     return NegotiationOverheadResult(
         control_round_trips=control_rtts_per_connect,
         bertha_setup_us=mean(samples["b_setup"]),
@@ -508,7 +508,7 @@ def run_consensus_comparison(
             {
                 "sequencer": label,
                 "impl": impl_used[0],
-                "mean_us": sum(latencies) / len(latencies),
+                "mean_us": mean(latencies),
                 "p95_us": percentile(latencies, 95),
                 "n": len(latencies),
             }
@@ -624,7 +624,7 @@ def run_caching_ablation(config: Optional[CachingConfig] = None) -> CachingResul
         rows.append(
             {
                 "mode": label,
-                "mean_setup_us": sum(setups) / len(setups),
+                "mean_setup_us": mean(setups),
                 "discovery_rtts": client_rt.discovery.round_trips,
                 "stale_connections": stale_after_local[0],
                 "n": len(setups),
@@ -724,7 +724,7 @@ def run_serialization_comparison(
         rows.append(
             {
                 "implementation": label,
-                "mean_rtt_us": sum(rtts) / len(rtts),
+                "mean_rtt_us": mean(rtts),
                 "n": len(rtts),
             }
         )

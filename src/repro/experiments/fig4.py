@@ -19,7 +19,7 @@ from ..apps.rpc import EchoServer, ping_session
 from ..chunnels import LocalOrRemote, LocalOrRemoteFallback
 from ..core import Runtime, wrap
 from ..discovery import DiscoveryService
-from ..metrics import BoxplotSummary, TimeSeries
+from ..metrics import BoxplotSummary, TimeSeries, mean
 from ..sim import Network
 from ._result import TableResult
 
@@ -139,7 +139,7 @@ def run_fig4(config: Fig4Config | None = None) -> Fig4Result:
                 size=REQUEST_SIZE,
                 count=REQUESTS_PER_CONNECTION,
             )
-            mean_rtt = sum(ping.rtts) / len(ping.rtts) * _US
+            mean_rtt = mean(ping.rtts) * _US
             result.series.record(started, mean_rtt)
             result.transports.append((started, ping.transport))
             remaining = config.connect_interval - (env.now - started)

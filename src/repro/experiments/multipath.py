@@ -45,7 +45,7 @@ from ..chunnels.multipath import _MultipathStage
 from ..core import Runtime, SplitProxy
 from ..core.dag import wrap
 from ..discovery import DiscoveryService
-from ..metrics import format_table
+from ..metrics import format_table, mean
 from ..reconfig import PathQualityMonitor
 from ..sim import Address, FaultPlan, Network
 from ..sim.eventloop import Interrupt
@@ -308,7 +308,7 @@ def _run_leg(seed: int, drop: float, split: bool) -> dict:
     env.process(serve(), name="mp.serve")
     env.process(driver(), name="mp.driver")
     env.run(until=LEG_DEADLINE)
-    mean_rtt = sum(rtts) / len(rtts) if rtts else float("inf")
+    mean_rtt = mean(rtts) if rtts else float("inf")
     return {"rtt_us": mean_rtt * _US, "completed": len(rtts)}
 
 
@@ -368,10 +368,10 @@ def _run_rebalance(seed: int) -> dict:
         if not server_conns:
             return
         conn = server_conns[0]
-        target_dag = conn.dag.copy()
-        (node_id,) = target_dag.find("multipath")
-        target_dag.nodes[node_id] = WeightedMultipath(
-            tunnels=2, weights=list(SHIFTED_WEIGHTS), seed=seed
+        (node_id,) = conn.dag.find("multipath")
+        target_dag = conn.dag.with_spec(
+            node_id,
+            WeightedMultipath(tunnels=2, weights=list(SHIFTED_WEIGHTS), seed=seed),
         )
         srv_rt.reconfig.request_transition(
             conn, reason=f"path-quality:{name}", target_dag=target_dag

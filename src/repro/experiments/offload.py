@@ -82,7 +82,7 @@ from ..core.dag import wrap
 from ..core.policy import PriorityFirstPolicy
 from ..core.scheduler import DrfScheduler, OffloadRequest, PriorityScheduler
 from ..discovery import DiscoveryService
-from ..metrics import format_table
+from ..metrics import format_table, mean
 from ..sim import Address, Network
 from ..workloads import PoissonArrivals, ScrambledZipfianChooser, UniformChooser
 from ._result import ExperimentResult
@@ -435,7 +435,7 @@ def _run_point(
         writes = reader.state.writes
     looked_up = hits + misses
     return {
-        "mean_us": (sum(latencies) / len(latencies)) * _US if latencies else float("inf"),
+        "mean_us": mean(latencies) * _US if latencies else float("inf"),
         "completed": len(latencies),
         "hit_rate": hits / looked_up if looked_up else 0.0,
         "hits": hits,

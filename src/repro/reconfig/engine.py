@@ -84,8 +84,8 @@ def _resolve_dag(conn: "Connection", incoming: ChunnelDag):
     """``(dag, forced)``: the DAG an epoch change builds, and the nodes it
     rebuilds whatever the choice.  A same-structure ``incoming`` whose
     specs differ only in args (a multipath weight update, a retuned
-    timeout) merges into the live DAG: unchanged nodes keep their spec
-    objects — and so their contexts and stages.  A same-shape DAG that
+    timeout) merges into the live DAG, and only the nodes whose args
+    changed are forced to rebuild.  A same-shape DAG that
     won't merge (relabeled node ids) keeps ours wholesale; a different
     shape rebuilds every node."""
     merge = ChunnelDag.merge_arg_updates(conn.dag, incoming)

@@ -159,12 +159,11 @@ class TestWeightRebalance:
             for i in range(10):
                 yield from request_reply(pair, b"pre-%03d" % i, size=64)
             state["reliable_before"] = reliable_stage(pair.client_conn)
-            target = pair.server_conn.dag.copy()
-            for node_id, spec in target.nodes.items():
-                if spec.type_name == "multipath":
-                    target.nodes[node_id] = WeightedMultipath(
-                        tunnels=2, weights=[1.0, 0.0], seed=7
-                    )
+            dag = pair.server_conn.dag
+            (node_id,) = dag.find("multipath")
+            target = dag.with_spec(
+                node_id, WeightedMultipath(tunnels=2, weights=[1.0, 0.0], seed=7)
+            )
             done = pair.server_rt.reconfig.request_transition(
                 pair.server_conn, reason="test-reweight", target_dag=target
             )

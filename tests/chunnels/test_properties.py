@@ -163,6 +163,8 @@ class TestDagProperties:
         result = DagOptimizer().optimize(
             dag, offloadable={"encrypt", "tcp", "tls"}
         )
-        result.dag.validate()
+        # The decoder re-checks edges and order, as construction did.
+        decoded = decode(encode(result.dag))
+        assert decoded.canonical_shape() == result.dag.canonical_shape()
         # Optimization never grows the pipeline.
         assert len(result.dag.nodes) <= len(dag.nodes)

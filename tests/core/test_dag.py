@@ -120,27 +120,52 @@ class TestDagConstruction:
         with pytest.raises(WireError, match="cycle"):
             decode(wire)
 
+    @staticmethod
+    def _built_and_decoded(edge):
+        """Build ``serialize -> reliable`` plus ``edge``, both directly and
+        off the wire; return the two errors."""
+        dag = Serialize() >> Reliable()
+        with pytest.raises(DagError) as built:
+            ChunnelDag._build(dict(dag.nodes), [*dag.edges, edge])
+        wire = encode(dag)
+        wire["@"][2] = sorted([*wire["@"][2], list(edge)])
+        with pytest.raises(WireError) as decoded:
+            decode(wire)
+        return str(built.value), str(decoded.value)
+
     def test_dangling_edge_detected(self):
-        dag = wrap(Serialize())
-        dag.edges.add((0, 99))
-        with pytest.raises(DagError):
-            dag.validate()
+        built, decoded = self._built_and_decoded((1, 99))
+        assert "missing node" in built and "missing node" in decoded
 
     def test_self_loop_detected(self):
-        dag = wrap(Serialize())
-        dag.edges.add((0, 0))
-        with pytest.raises(DagError):
-            dag.validate()
+        built, decoded = self._built_and_decoded((1, 1))
+        assert "self-loop" in built and "self-loop" in decoded
 
     def test_wrap_rejects_non_specs(self):
         with pytest.raises(DagError):
             wrap("not a spec")
 
-    def test_copy_is_independent(self):
+    def test_a_dag_cannot_be_changed(self):
         dag = Serialize() >> Reliable()
-        dup = dag.copy()
-        dup.edges.clear()
-        assert dag.edges  # original untouched
+        with pytest.raises(TypeError):
+            dag.nodes[0] = Ordered()
+        with pytest.raises(AttributeError):
+            dag.edges.add((1, 0))
+        for name in ("nodes", "edges"):
+            with pytest.raises(AttributeError):
+                setattr(dag, name, getattr(dag, name))
+        assert dag.chunnel_types() == ["serialize", "reliable"]
+
+    def test_with_spec_is_a_new_dag_with_the_same_order(self):
+        dag = wrap(Serialize() >> Reliable(max_retries=2))
+        replaced = dag.with_spec(1, Reliable(max_retries=9))
+        assert dag.nodes[1].args["max_retries"] == 2
+        assert replaced.nodes[1].args["max_retries"] == 9
+        assert replaced.nodes[0] is dag.nodes[0]
+        assert replaced.edges == dag.edges
+        assert replaced.topological_order() == dag.topological_order()
+        with pytest.raises(DagError):
+            dag.with_spec(7, Reliable())
 
 
 class TestWireRoundtrip:
@@ -234,8 +259,7 @@ class TestMergeArgUpdates:
         merged, changed = ChunnelDag.merge_arg_updates(a, b)
         assert changed == {rel_id}
         assert merged.nodes[rel_id] is b.nodes[rel_id]
-        # Unchanged nodes keep *current*'s spec objects (identity matters:
-        # it carries live stages across the reconfig epoch).
+        # Unchanged nodes keep *current*'s spec objects.
         assert merged.nodes[ser_id] is a.nodes[ser_id]
 
     def test_structural_difference_refuses_to_merge(self):
@@ -247,3 +271,51 @@ class TestMergeArgUpdates:
         a = wrap(Serialize() >> Reliable())
         b = wrap(Serialize() >> Ordered())
         assert ChunnelDag.merge_arg_updates(a, b) is None
+
+
+class TestOrderedOnce:
+    """A DAG is ordered when it is built and its shape kept once asked for:
+    a cold-connect world sorts at most once per DAG and computes no shape
+    twice."""
+
+    def test_a_cold_connect_world_orders_each_dag_once(self, monkeypatch):
+        from repro.core import dag as dag_module
+        from tests.core.test_connection_footprint import _echo_world
+
+        built, sorts, shapes = [], [0], {}
+        freeze, heapify = ChunnelDag._freeze, dag_module.heapify
+        canonical_shape = ChunnelDag.canonical_shape
+
+        def counting_freeze(dag, *args):
+            built.append(dag)  # held, so ids stay unique
+            freeze(dag, *args)
+
+        def counting_heapify(ready):
+            sorts[0] += 1
+            heapify(ready)
+
+        def counting_shape(dag):
+            if dag._shape is None:
+                shapes[id(dag)] = shapes.get(id(dag), 0) + 1
+            return canonical_shape(dag)
+
+        monkeypatch.setattr(ChunnelDag, "_freeze", counting_freeze)
+        monkeypatch.setattr(dag_module, "heapify", counting_heapify)
+        monkeypatch.setattr(ChunnelDag, "canonical_shape", counting_shape)
+        net, server, client_rts = _echo_world()
+        env = net.env
+
+        def client(runtime):
+            for op in range(3):
+                endpoint = runtime.new(f"c-{op}", Serialize() >> Reliable())
+                conn = yield from endpoint.connect(server.address)
+                conn.send(b"x" * 64, size=64)
+                yield conn.recv()
+                conn.close()
+
+        procs = [env.process(client(rt)) for rt in client_rts]
+        env.run(until=env.all_of(procs))
+        connects = 3 * len(client_rts)
+        assert len(built) >= 2 * connects
+        assert 0 < sorts[0] <= len(built)
+        assert shapes and set(shapes.values()) == {1}

@@ -11,6 +11,7 @@ from repro.metrics import (
     LatencyRecorder,
     TimeSeries,
     format_table,
+    mean,
     percentile,
 )
 
@@ -37,6 +38,24 @@ class TestPercentile:
         for p in (5, 50, 95):
             result = percentile(values, p)
             assert min(values) <= result <= max(values)
+
+
+class TestMean:
+    def test_mean_is_a_left_fold(self):
+        """``(1e16 + 1.0) - 1e16`` is 0.0 in IEEE 754; a compensated sum
+        (Python 3.12's ``sum()``) would make the mean 1/3."""
+        assert mean([1e16, 1.0, -1e16]) == 0.0
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+    def test_left_fold_of_the_sample(self, values):
+        total = 0
+        for value in values:
+            total += value
+        assert mean(values) == total / len(values)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            mean([])
 
 
 class TestBoxplotSummary:
