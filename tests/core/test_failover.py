@@ -589,13 +589,6 @@ class TestEpochNumbering:
         assert len(client) == 2 and client[0] == 1
         assert conn.epoch == client[1]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "an adopted epoch does not advance the adopter's numbering, so "
-            "the migration prepares epoch 1 again; ROADMAP item 1(b)"
-        ),
-    )
     def test_every_prepared_epoch_is_new_to_its_connection(self, world):
         _conn, prepares = world
         reused = [
@@ -604,6 +597,40 @@ class TestEpochNumbering:
             if epoch <= max(had)
         ]
         assert not reused
+
+
+#: ``(seed, CTL_TIMEOUT, CRASH)`` points of the benchmark's faults world,
+#: at 2 % scale, where a client adopted the server's epoch 1 and then
+#: prepared its migration as epoch 1 again: the adoption's retire timer
+#: detached the migration's stack, and the replay raised "not attached to
+#: a stack".  They are the failing 10 of a grid of seeds {7, 11} x
+#: ``CTL_TIMEOUT`` {0.5, 2} ms x ``CRASH`` 5.2-9.0 ms in 0.2 ms steps.
+EPOCH_REUSE_POINTS = [
+    (7, 0.5e-3, 7.4e-3),
+    (7, 2e-3, 5.8e-3),
+    (7, 2e-3, 6.4e-3),
+    (7, 2e-3, 7.4e-3),
+    (11, 0.5e-3, 7.4e-3),
+    (11, 2e-3, 5.8e-3),
+    (11, 2e-3, 6.0e-3),
+    (11, 2e-3, 6.4e-3),
+    (11, 2e-3, 7.0e-3),
+    (11, 2e-3, 7.4e-3),
+]
+
+
+@pytest.mark.parametrize("seed, ctl_timeout, crash", EPOCH_REUSE_POINTS)
+def test_the_faults_world_survives_an_adoption_then_a_migration(
+    monkeypatch, seed, ctl_timeout, crash
+):
+    from bench import faults
+
+    monkeypatch.setattr(faults, "CTL_TIMEOUT", ctl_timeout)
+    monkeypatch.setattr(faults, "CRASH", crash)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        outcome = faults.run(faults.generate(seed, scale=0.02))
+    assert outcome.problems == [] and outcome.failed == 0
 
 
 class TestWatcherLifetime:
