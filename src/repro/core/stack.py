@@ -124,11 +124,6 @@ class ChunnelStack:
             stage.attach(self, index)
 
     # -- lifecycle -------------------------------------------------------------
-    def start(self) -> None:
-        """Start every stage (timers etc.)."""
-        for stage in self.stages:
-            stage.start()
-
     def detach(self) -> None:
         """Let go of the connection: stop, last first, the stages attached
         to this stack, clear their back-references, and drop the owner and

@@ -156,19 +156,6 @@ class TestReceivePath:
 
 
 class TestLifecycle:
-    def test_start_reaches_every_stage(self):
-        # Stopping is the connection's: Connection.close stops its live
-        # stages wire side first (see tests/core/test_connection.py).
-        events = []
-
-        class Tracker(Tag):
-            def start(self):
-                events.append(f"start:{self.label}")
-
-        _env, stack, _s, _d = build([Tracker("1"), Tracker("2")])
-        stack.start()
-        assert events == ["start:1", "start:2"]
-
     def test_negative_charge_rejected(self):
         _env, stack, _s, _d = build([Tag("a")])
         with pytest.raises(ValueError):
