@@ -108,7 +108,7 @@ class OrderedMcast(ChunnelSpec):
     def reservation_scope(self) -> str:
         """One sequencer serves the whole group: reserve per group, so N
         replicas negotiating the same switch program consume its stages
-        once (refcounted), not N times."""
+        once, under one lease, not N times."""
         return f"mcast-group:{self.group}"
 
 
@@ -481,31 +481,20 @@ class _McastImplBase(ChunnelImpl):
     def setup(self, ctx: SetupContext) -> None:
         self._ctx = ctx
 
-    def _replica_resequencer(self, ctx: SetupContext) -> _GroupResequencer:
-        spec: OrderedMcast = self.spec
-        key = f"mcast-reseq:{spec.group}"
-        resequencer = ctx.shared.get(key)
-        if resequencer is None:
-            resequencer = _GroupResequencer(
-                ctx.env, spec.group, spec.args["flush_after"], entity=ctx.local_entity
-            )
-            ctx.shared[key] = resequencer
-        return resequencer
-
     def make_stage(self, role: Role) -> Optional[ChunnelStage]:
-        ctx = getattr(self, "_ctx", None)
-        if ctx is None:
-            raise NegotiationError(
-                "ordered_mcast stage requested before setup ran"
-            )
-        if role is Role.SERVER:
-            return _McastReplicaStage(
-                self,
-                role,
-                self._replica_resequencer(ctx),
-                host_sequencer=self._USE_SEQUENCER,
-            )
-        return _McastClientStage(self, role, use_sequencer=self._USE_SEQUENCER)
+        if role is not Role.SERVER:
+            return _McastClientStage(self, role, use_sequencer=self._USE_SEQUENCER)
+        ctx, spec = self._ctx, self.spec
+        # No destroy: the group's sequence space outlives any one connection.
+        resequencer = ctx.share(
+            f"mcast-reseq:{spec.group}",
+            lambda: _GroupResequencer(
+                ctx.env, spec.group, spec.args["flush_after"], entity=ctx.local_entity
+            ),
+        )
+        return _McastReplicaStage(
+            self, role, resequencer, host_sequencer=self._USE_SEQUENCER
+        )
 
 
 @catalog.add
@@ -537,14 +526,15 @@ class McastSequencerFallback(_McastImplBase):
             )
         if ctx.server_entity != min(members):
             return
-        key = f"mcast-seq:{spec.group}"
-        if key in ctx.shared:
-            return
-        sequencer = GroupSequencer(ctx.local_entity, spec.group)
-        ctx.shared[key] = sequencer
-        ctx.network.names.register(
-            sequencer_service_name(spec.group), sequencer.address
-        )
+
+        def start() -> GroupSequencer:
+            sequencer = GroupSequencer(ctx.local_entity, spec.group)
+            ctx.network.names.register(
+                sequencer_service_name(spec.group), sequencer.address
+            )
+            return sequencer
+
+        ctx.share(f"mcast-seq:{spec.group}", start)  # lives with the runtime
 
 
 @catalog.add
@@ -574,6 +564,8 @@ class McastSwitchSequencer(_McastImplBase):
             raise NegotiationError("switch sequencer chosen without a location")
         switch = ctx.network.switches[self.location]
         name = f"mcast-seq-prog:{spec.group}"
+        # Scanned on the device, not shared per runtime: every replica's
+        # runtime sets this node up, and one program must serve them all.
         if any(p.name == name for p in switch.programs):
             return
         switch.install(SequencerProgram(name, spec.group), self.FOOTPRINT)

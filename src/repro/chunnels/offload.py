@@ -221,14 +221,11 @@ class _CacheState:
         self.entries.clear()
 
 
-class SwitchKvCacheReader(PacketProgram):
-    """Serve GET hits at line rate by rewriting the request in place.
+class _CacheProgram(PacketProgram):
+    """A cache program's match: kv requests for ``server_entity``'s
+    watched ports whose op is one of :attr:`OPS`."""
 
-    Station-less on purpose: reads ride the fused `_Walk` fast path.  A hit
-    turns the transiting request datagram into the response — payload and
-    size rewritten, source/destination swapped — and redirects it straight
-    back toward the client, never touching the server host.
-    """
+    OPS: tuple[int, ...] = ()
 
     def __init__(self, name: str, server_entity: str, state: _CacheState):
         super().__init__(name)
@@ -236,7 +233,12 @@ class SwitchKvCacheReader(PacketProgram):
         self.state = state
         self.watched_ports: set[int] = set()
 
+    def clear(self) -> None:
+        self.state.clear()
+
     def match(self, dgram: Datagram) -> bool:
+        # A corrupted PUT must not write-through garbage: the NIC checksum
+        # would reject it at the host, so the switch skips it too.
         if dgram.headers.get(CTL_HEADER) or dgram.headers.get(CORRUPT_HEADER):
             return False
         if dgram.dst.host != self.server_entity:
@@ -248,8 +250,20 @@ class SwitchKvCacheReader(PacketProgram):
             isinstance(payload, (bytes, bytearray))
             and len(payload) >= 8
             and payload[0] == _REQ_TAG
-            and payload[5] == _OP_GET
+            and payload[5] in self.OPS
         )
+
+
+class SwitchKvCacheReader(_CacheProgram):
+    """Serve GET hits at line rate by rewriting the request in place.
+
+    Station-less on purpose: reads ride the fused `_Walk` fast path.  A hit
+    turns the transiting request datagram into the response — payload and
+    size rewritten, source/destination swapped — and redirects it straight
+    back toward the client, never touching the server host.
+    """
+
+    OPS = (_OP_GET,)
 
     def handle(self, dgram: Datagram) -> ProgramResult:
         parsed = _parse_request_key(bytes(dgram.payload))
@@ -277,7 +291,7 @@ class SwitchKvCacheReader(PacketProgram):
         return ProgramResult(action=PacketAction.REDIRECT)
 
 
-class SwitchKvCacheWriter(PacketProgram):
+class SwitchKvCacheWriter(_CacheProgram):
     """Cache maintenance on the switch control path (PUT/DELETE/RMW).
 
     Write-through: a PUT updates the cached value *as the packet transits*,
@@ -288,6 +302,8 @@ class SwitchKvCacheWriter(PacketProgram):
     per-op cost, and therefore a queue that grows with write rate.
     """
 
+    OPS = (_OP_PUT, _OP_DELETE, _OP_RMW)
+
     def __init__(
         self,
         name: str,
@@ -295,27 +311,8 @@ class SwitchKvCacheWriter(PacketProgram):
         state: _CacheState,
         station: Station,
     ):
-        super().__init__(name, station=station)
-        self.server_entity = server_entity
-        self.state = state
-        self.watched_ports: set[int] = set()
-
-    def match(self, dgram: Datagram) -> bool:
-        # A corrupted PUT must not write-through garbage: the NIC checksum
-        # would reject it at the host, so the switch skips it too.
-        if dgram.headers.get(CTL_HEADER) or dgram.headers.get(CORRUPT_HEADER):
-            return False
-        if dgram.dst.host != self.server_entity:
-            return False
-        if dgram.dst.port not in self.watched_ports:
-            return False
-        payload = dgram.payload
-        return (
-            isinstance(payload, (bytes, bytearray))
-            and len(payload) >= 8
-            and payload[0] == _REQ_TAG
-            and payload[5] in (_OP_PUT, _OP_DELETE, _OP_RMW)
-        )
+        super().__init__(name, server_entity, state)
+        self.station = station
 
     def handle(self, dgram: Datagram) -> ProgramResult:
         parsed = _parse_request_key(bytes(dgram.payload))
@@ -349,11 +346,6 @@ class KvCacheSwitch(ChunnelImpl):
 
     FOOTPRINT = SwitchProgramFootprint(stages=3, sram_kb=512)
 
-    def _shared_key(self) -> str:
-        spec: KvCache = self.spec
-        backends = ",".join(str(a) for a in spec.choices)
-        return f"kvcache:{self.location}:[{backends}]"
-
     def after_establish(self, ctx: SetupContext, connection) -> None:
         if not ctx.is_server:
             return
@@ -361,55 +353,27 @@ class KvCacheSwitch(ChunnelImpl):
             raise ChunnelArgumentError(
                 "switch kv-cache implementation chosen without a location"
             )
+        spec: KvCache = self.spec
         switch = ctx.network.switches[self.location]
-        key = self._shared_key()
-        entry = ctx.shared.get(key)
-        if entry is None:
-            spec: KvCache = self.spec
+        key = f"kvcache:{self.location}:[{','.join(str(a) for a in spec.choices)}]"
+
+        def install() -> tuple[SwitchKvCacheReader, SwitchKvCacheWriter]:
             state = _CacheState(spec.args["capacity"])
-            reader = SwitchKvCacheReader(
-                f"{key}/read", ctx.server_entity, state
-            )
-            station = Station(
-                ctx.env,
-                spec.args["write_cost"],
-                name=f"{key}/ctl",
-            )
+            reader = SwitchKvCacheReader(f"{key}/read", ctx.server_entity, state)
+            station = Station(ctx.env, spec.args["write_cost"], name=f"{key}/ctl")
             writer = SwitchKvCacheWriter(
                 f"{key}/write", ctx.server_entity, state, station
             )
             switch.install(reader, SwitchProgramFootprint(stages=2, sram_kb=448))
             switch.install(writer, SwitchProgramFootprint(stages=1, sram_kb=64))
-            # SRAM does not survive the ASIC restarting: wipe on both edges
-            # so a recovered cache never serves pre-failure values.
-            switch.on_state_change(
-                lambda _device, _failed, _reason: state.clear()
-            )
-            entry = (state, reader, writer)
-            ctx.shared[key] = entry
-        state, reader, writer = entry
-        spec = self.spec
-        for worker in spec.choices:
-            reader.watched_ports.add(worker.port)
-            writer.watched_ports.add(worker.port)
-        self._entry = entry
-        self._refs_key = key + "/refs"
-        ctx.shared[self._refs_key] = ctx.shared.get(self._refs_key, 0) + 1
+            return reader, writer
 
-    def teardown(self, ctx: SetupContext) -> None:
-        entry = getattr(self, "_entry", None)
-        if entry is None:
-            return
-        self._entry = None
-        refs = ctx.shared.get(self._refs_key, 1) - 1
-        ctx.shared[self._refs_key] = refs
-        if refs <= 0:
-            _state, reader, writer = entry
-            switch = ctx.network.switches[self.location]
-            switch.uninstall(reader)
-            switch.uninstall(writer)
-            ctx.shared.pop(self._shared_key(), None)
-            ctx.shared.pop(self._refs_key, None)
+        def uninstall(programs) -> None:
+            for program in programs:
+                switch.uninstall(program)
+
+        for program in ctx.share(key, install, uninstall):
+            program.watched_ports.update(worker.port for worker in spec.choices)
 
     def make_stage(self, role: Role) -> Optional[ChunnelStage]:
         return None  # the switch programs are the implementation
@@ -537,8 +501,8 @@ class SwitchFanInProgram(PacketProgram):
         self.absorbed = 0
 
     def clear(self) -> None:
-        """SRAM wipe on fail/recover: in-flight aggregations are lost and
-        their stragglers fall through to the client's host gather."""
+        """In-flight aggregations are lost; their stragglers fall through
+        to the client's host gather."""
         self.pending.clear()
 
     def match(self, dgram: Datagram) -> bool:
@@ -623,11 +587,6 @@ class FanInSwitch(ChunnelImpl):
 
     FOOTPRINT = SwitchProgramFootprint(stages=2, sram_kb=256)
 
-    def _shared_key(self) -> str:
-        spec: FanIn = self.spec
-        members = ",".join(str(a) for a in spec.members)
-        return f"fanin-agg:{self.location}:[{members}]"
-
     def after_establish(self, ctx: SetupContext, connection) -> None:
         if ctx.is_server:
             return
@@ -635,32 +594,16 @@ class FanInSwitch(ChunnelImpl):
             raise ChunnelArgumentError(
                 "switch fan-in implementation chosen without a location"
             )
+        spec: FanIn = self.spec
         switch = ctx.network.switches[self.location]
-        key = self._shared_key()
-        program: Optional[SwitchFanInProgram] = ctx.shared.get(key)
-        if program is None:
-            program = SwitchFanInProgram(key, self.spec, ctx.server_entity)
-            switch.install(program, self.FOOTPRINT)
-            switch.on_state_change(
-                lambda _device, _failed, _reason: program.clear()
-            )
-            ctx.shared[key] = program
-        self._program = program
-        self._refs_key = key + "/refs"
-        ctx.shared[self._refs_key] = ctx.shared.get(self._refs_key, 0) + 1
+        key = f"fanin-agg:{self.location}:[{','.join(str(a) for a in spec.members)}]"
 
-    def teardown(self, ctx: SetupContext) -> None:
-        program = getattr(self, "_program", None)
-        if program is None:
-            return
-        self._program = None
-        refs = ctx.shared.get(self._refs_key, 1) - 1
-        ctx.shared[self._refs_key] = refs
-        if refs <= 0:
-            switch = ctx.network.switches[self.location]
-            switch.uninstall(program)
-            ctx.shared.pop(self._shared_key(), None)
-            ctx.shared.pop(self._refs_key, None)
+        def install() -> SwitchFanInProgram:
+            program = SwitchFanInProgram(key, spec, ctx.server_entity)
+            switch.install(program, self.FOOTPRINT)
+            return program
+
+        ctx.share(key, install, switch.uninstall)
 
     def make_stage(self, role: Role) -> Optional[ChunnelStage]:
         # The scatter (and the degraded-mode gather) still run at the

@@ -222,10 +222,6 @@ class _SharedSharder:
 
         self.queue = Store(env, name="sharder")
         self.requests_forwarded = 0
-        #: Connections currently using this sharder; the last teardown
-        #: stops the process (live reconfiguration swaps sharders in and
-        #: out mid-run, so it cannot loop forever).
-        self.refs = 0
         self._stopping = False
         self._busy = False
         self._proc = env.process(self._run(), name="shard.fallback")
@@ -234,7 +230,9 @@ class _SharedSharder:
         self.queue.put((stage, msg))
 
     def stop(self) -> None:
-        """Stop once the queue drains (immediately when idle)."""
+        """Stop once the queue drains (immediately when idle).  The share's
+        last holder calls it: live reconfiguration swaps sharders in and
+        out mid-run, so one cannot loop forever."""
         self._stopping = True
         if self._proc.is_alive and not self._busy and len(self.queue) == 0:
             self._proc.interrupt("sharder stopped")
@@ -292,40 +290,18 @@ class ShardServerFallback(ChunnelImpl):
         description="userspace sharder process at the server",
     )
 
-    def _shared_key(self) -> str:
-        spec: Shard = self.spec
-        return f"sharder:[{','.join(str(a) for a in spec.choices)}]"
-
     def setup(self, ctx: SetupContext) -> None:
-        if not ctx.is_server:
-            return
-        key = self._shared_key()
-        sharder = ctx.shared.get(key)
-        if sharder is None or sharder._stopping:
-            sharder = _SharedSharder(ctx.env, self.spec)
-            ctx.shared[key] = sharder
-        sharder.refs += 1
-        self._sharder = sharder
-
-    def teardown(self, ctx: SetupContext) -> None:
-        sharder = getattr(self, "_sharder", None)
-        if sharder is None or not ctx.is_server:
-            return
-        self._sharder = None
-        sharder.refs -= 1
-        if sharder.refs <= 0:
-            sharder.stop()
-            if ctx.shared.get(self._shared_key()) is sharder:
-                ctx.shared.pop(self._shared_key(), None)
+        self._ctx = ctx
 
     def make_stage(self, role: Role) -> Optional[ChunnelStage]:
         if role is not Role.SERVER:
             return None
-        sharder = getattr(self, "_sharder", None)
-        if sharder is None:
-            raise ChunnelArgumentError(
-                "shard server-fallback stage requested before setup ran"
-            )
+        ctx, spec = self._ctx, self.spec
+        sharder = ctx.share(
+            f"sharder:[{','.join(str(a) for a in spec.choices)}]",
+            lambda: _SharedSharder(ctx.env, spec),
+            _SharedSharder.stop,
+        )
         return _ServerShardStage(self, role, sharder)
 
 
@@ -356,6 +332,20 @@ class XdpShardProgram(PacketProgram):
         return ProgramResult(action=PacketAction.REDIRECT)
 
 
+def _redirect_port(ctx: SetupContext, connection, key: str, install, uninstall) -> None:
+    """Hold the shard program under ``key`` (``install()`` makes it,
+    ``uninstall`` removes it with its last user) and the connection's
+    port in it.  The port is a share of its own: a rebuilt node takes it
+    before the node it replaces gives it back, so it stays watched."""
+    program = ctx.share(key, install, uninstall)
+    port = connection.local_address.port
+    ctx.share(
+        f"{key}:{port}",
+        lambda: program.watched_ports.add(port),
+        lambda _none: program.watched_ports.discard(port),
+    )
+
+
 @catalog.add
 class ShardXdp(ChunnelImpl):
     """Kernel-fast-path sharding at the server host (the paper's 200-line
@@ -372,34 +362,21 @@ class ShardXdp(ChunnelImpl):
         description="XDP destination rewrite before the stack",
     )
 
-    def _shared_key(self) -> str:
-        spec: Shard = self.spec
-        backends = ",".join(str(a) for a in spec.choices)
-        return f"xdp-shard:[{backends}]"
-
     def after_establish(self, ctx: SetupContext, connection) -> None:
         if not ctx.is_server:
             return
-        key = self._shared_key()
-        program: Optional[XdpShardProgram] = ctx.shared.get(key)
-        if program is None:
-            program = XdpShardProgram(key, self.spec)
-            ctx.local_entity.host.install_kernel_program(program)
-            ctx.shared[key] = program
-        program.watched_ports.add(connection.local_address.port)
-        self._program = program
-        self._watched_port = connection.local_address.port
+        spec: Shard = self.spec
+        key = f"xdp-shard:[{','.join(str(a) for a in spec.choices)}]"
+        host = ctx.local_entity.host
 
-    def teardown(self, ctx: SetupContext) -> None:
-        program = getattr(self, "_program", None)
-        if program is None:
-            return
-        program.watched_ports.discard(self._watched_port)
-        if not program.watched_ports:
-            # Last connection gone: uninstall so the fast path (and the
-            # discovery-side accounting, released separately) agree.
-            ctx.local_entity.host.remove_kernel_program(program)
-            ctx.shared.pop(self._shared_key(), None)
+        def install() -> XdpShardProgram:
+            program = XdpShardProgram(key, spec)
+            host.install_kernel_program(program)
+            return program
+
+        # The last connection gone uninstalls the program, so the fast path
+        # and the discovery-side accounting (released separately) agree.
+        _redirect_port(ctx, connection, key, install, host.remove_kernel_program)
 
     def make_stage(self, role: Role) -> Optional[ChunnelStage]:
         return None  # the kernel program is the implementation
@@ -408,38 +385,22 @@ class ShardXdp(ChunnelImpl):
 # --------------------------------------------------------------------------
 # Switch (P4) offload
 # --------------------------------------------------------------------------
-class SwitchShardProgram(PacketProgram):
+class SwitchShardProgram(XdpShardProgram):
     """Match-action destination rewrite at a programmable switch.
 
     The match is (server entity, port): unlike an XDP program — which only
     ever sees traffic addressed to its own host — a switch sees *all*
     transit traffic, so matching the port alone would catch unrelated flows
-    whose ephemeral port numbers happen to collide.
+    whose ephemeral port numbers happen to collide.  The rewrite is the XDP
+    program's.
     """
 
     def __init__(self, name: str, spec: Shard, server_entity: str):
-        super().__init__(name)
-        self.spec = spec
+        super().__init__(name, spec)
         self.server_entity = server_entity
-        self.watched_ports: set[int] = set()
-        self.redirected = 0
 
     def match(self, dgram: Datagram) -> bool:
-        if dgram.headers.get(CTL_HEADER):
-            return False  # control traffic falls through to the socket
-        return (
-            dgram.dst.host == self.server_entity
-            and dgram.dst.port in self.watched_ports
-        )
-
-    def handle(self, dgram: Datagram) -> ProgramResult:
-        index = self.spec.shard_fn.bucket(
-            dgram.payload, dgram.headers, len(self.spec.choices)
-        )
-        dgram.dst = self.spec.choices[index]
-        dgram.headers["shard_forwarded"] = True
-        self.redirected += 1
-        return ProgramResult(action=PacketAction.REDIRECT)
+        return dgram.dst.host == self.server_entity and super().match(dgram)
 
 
 @catalog.add
@@ -460,11 +421,6 @@ class ShardSwitch(ChunnelImpl):
 
     FOOTPRINT = SwitchProgramFootprint(stages=2, sram_kb=128)
 
-    def _shared_key(self) -> str:
-        spec: Shard = self.spec
-        backends = ",".join(str(a) for a in spec.choices)
-        return f"p4-shard:{self.location}:[{backends}]"
-
     def after_establish(self, ctx: SetupContext, connection) -> None:
         if not ctx.is_server:
             return
@@ -472,26 +428,16 @@ class ShardSwitch(ChunnelImpl):
             raise ChunnelArgumentError(
                 "switch shard implementation chosen without a location"
             )
+        spec: Shard = self.spec
         switch = ctx.network.switches[self.location]
-        key = self._shared_key()
-        program: Optional[SwitchShardProgram] = ctx.shared.get(key)
-        if program is None:
-            program = SwitchShardProgram(key, self.spec, ctx.server_entity)
-            switch.install(program, self.FOOTPRINT)
-            ctx.shared[key] = program
-        program.watched_ports.add(connection.local_address.port)
-        self._program = program
-        self._watched_port = connection.local_address.port
+        key = f"p4-shard:{self.location}:[{','.join(str(a) for a in spec.choices)}]"
 
-    def teardown(self, ctx: SetupContext) -> None:
-        program = getattr(self, "_program", None)
-        if program is None:
-            return
-        program.watched_ports.discard(self._watched_port)
-        if not program.watched_ports:
-            switch = ctx.network.switches[self.location]
-            switch.uninstall(program)
-            ctx.shared.pop(self._shared_key(), None)
+        def install() -> SwitchShardProgram:
+            program = SwitchShardProgram(key, spec, ctx.server_entity)
+            switch.install(program, self.FOOTPRINT)
+            return program
+
+        _redirect_port(ctx, connection, key, install, switch.uninstall)
 
     def make_stage(self, role: Role) -> Optional[ChunnelStage]:
         return None  # the switch program is the implementation

@@ -29,6 +29,7 @@ Four layers of the Chunnel abstraction live here:
 from __future__ import annotations
 
 import abc
+import copy
 import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ClassVar, Iterable, Optional
@@ -164,9 +165,11 @@ class ChunnelSpec:
         return ChunnelDag.from_spec(self) >> other
 
     def scoped(self, scope: Scope) -> "ChunnelSpec":
-        """Constrain where this Chunnel may be implemented (returns self)."""
-        self.scope_requirement = scope
-        return self
+        """This Chunnel constrained to be implemented at ``scope``: a new
+        spec, so a spec inside a built DAG never changes."""
+        spec = copy.copy(self)
+        spec.scope_requirement = scope
+        return spec
 
     def reservation_scope(self) -> Optional[str]:
         """Override the discovery-reservation owner for this Chunnel.

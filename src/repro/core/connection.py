@@ -750,7 +750,8 @@ class Connection:
     # -- lifecycle -----------------------------------------------------------------
     def close(self) -> None:
         """Tear down: detach every stack (which stops its stages), run
-        teardown hooks, release the socket, and leave the listener.
+        teardown hooks and release each node's shares and leases, release
+        the socket, and leave the listener.
 
         Ownership runs one way — connection → stacks → stages, connection
         → pump → socket — and once this returns nothing the connection
@@ -772,8 +773,9 @@ class Connection:
         for epoch in sorted(self._epochs, reverse=True):
             self._epochs[epoch].stack.detach()
         binding = self.binding
-        for node_id, impl in binding.impls.items():
-            impl.teardown(binding.contexts[node_id])
+        for node_id, ctx in binding.contexts.items():
+            binding.impls[node_id].teardown(ctx)
+            ctx.release_shares()
         for ctx in binding.contexts.values():
             for handle in ctx.reservations:
                 self.runtime.spawn_release(handle)

@@ -64,9 +64,9 @@ def teardown_nodes(
     contexts: dict[int, SetupContext],
     nodes: Iterable[int],
 ) -> None:
-    """Tear down the given nodes' implementations, swallowing Bertha
-    errors (used on partial-failure cleanup paths, where the original
-    error must win)."""
+    """Tear down the given nodes' implementations and release their
+    shares, swallowing Bertha errors (used on partial-failure cleanup
+    paths, where the original error must win)."""
     for node_id in nodes:
         impl = impls.get(node_id)
         ctx = contexts.get(node_id)
@@ -76,6 +76,8 @@ def teardown_nodes(
             impl.teardown(ctx)
         except BerthaError:
             pass
+        finally:
+            ctx.release_shares()
 
 
 def build_binding(
@@ -97,8 +99,9 @@ def build_binding(
 
     For every node in ``changed`` (default: all), instantiate the chosen
     implementation and run its setup hook in topological order; unchanged
-    nodes carry over ``reuse``'s impl, context, and stage.  On a setup
-    failure the nodes built so far are torn down before re-raising, so a
+    nodes carry over ``reuse``'s impl, context, and stage.  On a setup or
+    stage failure the nodes built so far, the failing one included, are
+    torn down and give their shares back before re-raising, so a
     half-built binding never leaks device programs.  ``reservations`` maps
     node id → the lease reference taken for it; each built node's context
     carries its own, to be given back when that node's binding goes.
@@ -141,7 +144,6 @@ def build_binding(
                 runtime=runtime,
                 role=role,
                 conn_id=conn_id,
-                dag=dag,
                 offer=offer,
                 spec=spec,
                 client_entity=client_entity,
@@ -151,21 +153,21 @@ def build_binding(
                     [reservations[node_id]] if node_id in reservations else []
                 ),
             )
-            impl.setup(ctx)
             impls[node_id] = impl
             contexts[node_id] = ctx
             built.append(node_id)
+            impl.setup(ctx)
+        stages = {
+            node_id: (
+                impls[node_id].make_stage(role)
+                if node_id in changed_set
+                else reuse.stages[node_id]
+            )
+            for node_id in order
+        }
     except BerthaError:
         teardown_nodes(impls, contexts, built)
         raise
-    stages = {
-        node_id: (
-            impls[node_id].make_stage(role)
-            if node_id in changed_set
-            else reuse.stages[node_id]
-        )
-        for node_id in order
-    }
     return Binding(dag, choice, impls, contexts, stages)
 
 

@@ -4,8 +4,8 @@ This module is the paper's §4 made concrete:
 
 * :class:`Runtime` — one per application process.  Holds the process's
   fallback-implementation registry (Listing 5), its discovery client, the
-  operator policy, and shared state reused across connections (installed
-  device programs and such).
+  operator policy, and the shares reused across connections (installed
+  device programs and such, :meth:`~repro.core.stack.SetupContext.share`).
 
 * :class:`Endpoint` — what ``runtime.new(name, dag)`` returns, the Bertha
   equivalent of a socket (§3.1).  ``listen`` produces a :class:`Listener`;
@@ -172,6 +172,8 @@ class Runtime:
         self.catalog = catalog or default_catalog
         self.registry = ChunnelRegistry(self.catalog)
         self.policy = policy or DefaultPolicy()
+        #: Runtime-wide shares by key; only :mod:`repro.core.stack`
+        #: (``SetupContext.share``) reads or writes it.
         self.shared: dict = {}
         #: Client-side discovery caching: None (the default, and the
         #: paper's behaviour) queries discovery on every connect — which is

@@ -10,10 +10,10 @@ configured the device instead.
 The :class:`SetupContext` given to setup/teardown hooks is the automation
 surface the paper describes in §4.2: it exposes the simulated network (so a
 hook can install an XDP program or a switch rule — the work a human
-system/network operator does today, Figure 1), the runtime's shared state
-(so a program installed for one connection is reused by the next), and the
-negotiation parameter channel (so a server-side hook can, e.g., switch the
-connection's transport to pipes).
+system/network operator does today, Figure 1), reference-counted runtime-wide
+shares (so a program installed for one connection is reused by the next and
+removed with the last), and the negotiation parameter channel (so a
+server-side hook can, e.g., switch the connection's transport to pipes).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..errors import NegotiationError
 from .chunnel import ChunnelSpec, ChunnelStage, Message, Offer, Role
-from .dag import ChunnelDag
 from .wire import EPOCH_HEADER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -37,13 +36,30 @@ __all__ = ["SetupContext", "ChunnelStack"]
 
 
 @dataclass
+class _Share:
+    """One runtime-wide object and the number of nodes holding it."""
+
+    value: Any
+    destroy: Optional[Callable[[Any], None]]
+    refs: int = 0
+
+
+@dataclass
 class SetupContext:
-    """Everything a Chunnel setup/teardown hook may touch."""
+    """Everything a Chunnel setup/teardown hook may touch.
+
+    State a hook keeps has one of two lifetimes.  What belongs to this
+    node lives on the impl or its stage and goes with the node.  What
+    several connections use at once — an installed device program, a
+    group's resequencer — is a runtime-wide :meth:`share`: made by the
+    first node that asks, held by each asking node until that node is
+    torn down, and destroyed with the last holder (or kept for the
+    runtime's life when it has no ``destroy``).
+    """
 
     runtime: "Runtime"
     role: Role
     conn_id: str
-    dag: ChunnelDag
     offer: Offer
     spec: ChunnelSpec
     client_entity: str
@@ -51,6 +67,9 @@ class SetupContext:
     params: dict[str, Any] = field(default_factory=dict)
     #: The lease reference this node's binding holds, if it bears resources.
     reservations: list["LeaseHandle"] = field(default_factory=list)
+    #: Keys of the shares this node holds, in the order it took them (a
+    #: tuple: most nodes hold none, and an empty one costs nothing).
+    _held: tuple[str, ...] = field(default=(), init=False, repr=False)
 
     @property
     def env(self) -> "Environment":
@@ -64,11 +83,35 @@ class SetupContext:
     def local_entity(self) -> "NetEntity":
         return self.runtime.entity
 
-    @property
-    def shared(self) -> dict:
-        """Runtime-lifetime state shared across connections (idempotent
-        device configuration stashes its handles here)."""
-        return self.runtime.shared
+    def share(
+        self,
+        key: str,
+        make: Callable[[], Any],
+        destroy: Optional[Callable[[Any], None]] = None,
+    ) -> Any:
+        """The runtime-wide object under ``key``, made by ``make()`` if no
+        node holds it yet; this node holds a reference to it until it is
+        torn down.  ``destroy(obj)`` runs when the last reference goes;
+        without one, the object lives as long as the runtime."""
+        entry = self.runtime.shared.get(key)
+        if entry is None:
+            entry = self.runtime.shared[key] = _Share(make(), destroy)
+        entry.refs += 1
+        self._held += (key,)
+        return entry.value
+
+    def release_shares(self) -> None:
+        """Give back every reference this node holds, last taken first,
+        destroying each object whose last reference this was.  The
+        teardown sites call it right after the node's ``teardown``."""
+        shared = self.runtime.shared
+        held, self._held = self._held, ()
+        for key in reversed(held):
+            entry = shared[key]
+            entry.refs -= 1
+            if entry.refs == 0 and entry.destroy is not None:
+                del shared[key]
+                entry.destroy(entry.value)
 
     @property
     def is_server(self) -> bool:

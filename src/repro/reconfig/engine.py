@@ -548,9 +548,11 @@ class ReconfigManager:
                 for node_id, handle in reservations.items()
                 if node_id not in changed
             )
-        # Tear down what the new binding replaced, and release its leases.
+        # Tear down what the new binding replaced; release its shares and
+        # its leases.
         for impl, octx in replaced:
             impl.teardown(octx)
+            octx.release_shares()
             if release is not None:
                 yield from release(octx.reservations)
         conn.retire_epoch(old_epoch)

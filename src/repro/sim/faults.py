@@ -202,6 +202,7 @@ class FailableDevice:
             return
         self.failed = True
         self.failures += 1
+        self._lose_soft_state()
         for callback in list(self._state_watchers):
             callback(self, True, reason)
 
@@ -210,8 +211,13 @@ class FailableDevice:
         if not self.failed:
             return
         self.failed = False
+        self._lose_soft_state()
         for callback in list(self._state_watchers):
             callback(self, False, reason)
+
+    def _lose_soft_state(self) -> None:
+        """Drop what the device forgets when it fails or restarts; runs
+        on both edges, before any watcher hears (default: nothing)."""
 
 
 @dataclass

@@ -65,6 +65,10 @@ class PacketProgram:
         self.matched = 0
         self.dropped = 0
 
+    def clear(self) -> None:
+        """Drop the soft state a device restart loses: a switch calls it
+        when it fails and when it recovers (default: nothing)."""
+
     def run(self, dgram: Datagram) -> ProgramResult:
         """Bookkeeping wrapper used by devices; calls :meth:`handle`."""
         self.matched += 1

@@ -124,6 +124,12 @@ class ProgrammableSwitch(FailableDevice):
         self.stage_pool.release(footprint.stages)
         self.sram_pool.release(footprint.sram_kb)
 
+    def _lose_soft_state(self) -> None:
+        # SRAM does not survive the ASIC restarting: a recovered program
+        # never serves pre-failure state.
+        for program in self.programs:
+            program.clear()
+
     # -- data path ------------------------------------------------------------
     def matching_programs(self, dgram: Datagram) -> list[PacketProgram]:
         """Programs that want to process ``dgram``, in install order.

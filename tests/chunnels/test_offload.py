@@ -72,7 +72,7 @@ class TestCombineReplies:
         assert split_combined_value(combined[6:]) == [b"", b""]
 
 
-def cache_world(world, capacity=1024, shards=3):
+def cache_world(world, capacity=1024, shards=3, auto_reconfig=False):
     """KvServer with a cache node; switch cache registered at the ToR."""
     server_rt = world.runtime("srv")
     client_rt = world.runtime("cl")
@@ -87,6 +87,7 @@ def cache_world(world, capacity=1024, shards=3):
         port=7100,
         shards=shards,
         extra_dag=wrap(KvCache(choices=workers, capacity=capacity)),
+        auto_reconfig=auto_reconfig,
     )
     return server, client_rt
 
@@ -198,6 +199,40 @@ class TestSwitchKvCache:
         during, after = run(two_hosts.env, scenario(two_hosts.env))
         assert during["value"] == b"v"
         assert after["value"] == b"v"
+
+    def test_reinstalls_across_failures_add_no_watchers(self, two_hosts):
+        # Each failure degrades the connection to the host path (the cache
+        # is uninstalled) and each recovery upgrades it again (a fresh
+        # install).  The switch wipes its programs itself, so no install
+        # leaves a watcher behind, and a recovered cache starts empty.
+        server, client_rt = cache_world(two_hosts, auto_reconfig=True)
+        tor = two_hosts.net.switches["tor"]
+
+        def scenario(env):
+            yield env.timeout(1e-4)
+            client = KvClient(client_rt)
+            yield from client.connect(Address("srv", 7100))
+            watchers, sizes, readers = [], [], []
+            for cycle in range(3):
+                yield from client.put(f"k{cycle}", b"v")
+                reader, _writer = cache_programs(two_hosts)
+                assert reader.state.entries  # cached
+                tor.fail()
+                yield env.timeout(0.01)
+                tor.recover()
+                yield env.timeout(0.01)
+                reader, _writer = cache_programs(two_hosts)
+                readers.append(reader)
+                sizes.append(len(reader.state.entries))
+                watchers.append(len(tor._state_watchers))
+            got = yield from client.get("k0")
+            return watchers, sizes, readers, got
+
+        watchers, sizes, readers, got = run(two_hosts.env, scenario(two_hosts.env))
+        assert len(set(map(id, readers))) == 3  # reinstalled every cycle
+        assert watchers == [watchers[0]] * 3
+        assert sizes == [0, 0, 0]
+        assert (got["status"], got["value"]) == ("ok", b"v")
 
     def test_scan_bypasses_the_cache(self, two_hosts):
         server, client_rt = cache_world(two_hosts, shards=1)

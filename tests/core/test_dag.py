@@ -26,6 +26,13 @@ class TestSpec:
         spec = Reliable().scoped(Scope.HOST)
         assert spec.scope_requirement is Scope.HOST
 
+    def test_scoped_is_a_new_spec(self):
+        plain = Reliable(max_retries=2)
+        spec = plain.scoped(Scope.HOST)
+        assert spec is not plain and type(spec) is Reliable
+        assert plain.scope_requirement is Scope.GLOBAL
+        assert spec.args == plain.args
+
     def test_default_scope_is_global(self):
         assert Reliable().scope_requirement is Scope.GLOBAL
 
@@ -155,6 +162,13 @@ class TestDagConstruction:
             with pytest.raises(AttributeError):
                 setattr(dag, name, getattr(dag, name))
         assert dag.chunnel_types() == ["serialize", "reliable"]
+
+    def test_a_dag_cannot_be_changed_through_its_specs(self):
+        dag = Serialize() >> Reliable()
+        before = encode(dag)
+        for spec in dag.nodes.values():
+            spec.scoped(Scope.HOST)
+        assert encode(dag) == before
 
     def test_with_spec_is_a_new_dag_with_the_same_order(self):
         dag = wrap(Serialize() >> Reliable(max_retries=2))

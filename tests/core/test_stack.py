@@ -1,8 +1,10 @@
 """Tests for the Chunnel stack: stage order, fan shapes, charge semantics."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.core import ChunnelStack, Message, Role
+from repro.core import ChunnelStack, Message, Role, SetupContext
 from repro.core.chunnel import ChunnelImpl, ChunnelStage, ImplMeta
 from repro.core.scope import Endpoints, Placement, Scope
 from repro.sim import Environment
@@ -160,3 +162,81 @@ class TestLifecycle:
         _env, stack, _s, _d = build([Tag("a")])
         with pytest.raises(ValueError):
             stack.charge(-1)
+
+
+def node_context(runtime) -> SetupContext:
+    """A setup context for one node of a connection on ``runtime``."""
+    return SetupContext(
+        runtime=runtime,
+        role=Role.SERVER,
+        conn_id="c",
+        offer=None,
+        spec=None,
+        client_entity="cl",
+        server_entity="srv",
+    )
+
+
+class TestShare:
+    def setup_method(self):
+        self.runtime = SimpleNamespace(shared={})
+        self.made: list[str] = []
+        self.destroyed: list[str] = []
+
+    def share(self, ctx, key, destroy=True):
+        def make():
+            self.made.append(key)
+            return f"obj:{key}"
+
+        return ctx.share(key, make, self.destroyed.append if destroy else None)
+
+    def test_made_once_for_every_holder(self):
+        first, second = node_context(self.runtime), node_context(self.runtime)
+        assert self.share(first, "k") == self.share(second, "k") == "obj:k"
+        assert self.made == ["k"]
+
+    def test_released_last_taken_first(self):
+        ctx = node_context(self.runtime)
+        for key in ("program", "port", "entry"):
+            self.share(ctx, key)
+        ctx.release_shares()
+        assert self.destroyed == ["obj:entry", "obj:port", "obj:program"]
+        assert self.runtime.shared == {}
+
+    def test_destroyed_with_the_last_reference(self):
+        first, second = node_context(self.runtime), node_context(self.runtime)
+        self.share(first, "k")
+        self.share(second, "k")
+        first.release_shares()
+        assert self.destroyed == [] and "k" in self.runtime.shared
+        second.release_shares()
+        assert self.destroyed == ["obj:k"] and self.runtime.shared == {}
+        # The next holder makes it afresh.
+        self.share(node_context(self.runtime), "k")
+        assert self.made == ["k", "k"]
+
+    def test_kept_without_destroy(self):
+        ctx = node_context(self.runtime)
+        self.share(ctx, "k", destroy=False)
+        ctx.release_shares()
+        assert self.share(node_context(self.runtime), "k", destroy=False) == "obj:k"
+        assert self.made == ["k"]
+
+    def test_release_is_idempotent(self):
+        first, second = node_context(self.runtime), node_context(self.runtime)
+        self.share(first, "k")
+        self.share(second, "k")
+        first.release_shares()
+        first.release_shares()
+        assert self.destroyed == []
+
+    def test_a_failed_make_holds_nothing(self):
+        ctx = node_context(self.runtime)
+
+        def make():
+            raise RuntimeError("device full")
+
+        with pytest.raises(RuntimeError):
+            ctx.share("k", make, self.destroyed.append)
+        ctx.release_shares()
+        assert self.runtime.shared == {} and self.destroyed == []

@@ -11,6 +11,7 @@ import pytest
 from repro.apps import KvClient, KvServer
 from repro.chunnels import (
     SerializeFallback,
+    Shard,
     ShardServerFallback,
     ShardSwitch,
     ShardXdp,
@@ -245,6 +246,75 @@ class TestRollback:
         assert server_conn.epoch == 0
         assert shard_impl_name(server_conn) == "ShardXdp"
         assert len(server_conn.dag.find("unbindable")) == 0
+
+
+def rebuild_costlier_shard(server, server_rt, client_rt):
+    """Scenario: one put, then a transition that doubles the server-side
+    shard's ``server_cost`` (an arg-only change: the same implementation
+    is rebuilt), then a get → (server conn, outcome, get response)."""
+
+    def scenario(env):
+        yield env.timeout(1e-4)
+        client = KvClient(client_rt)
+        yield from client.connect(Address("srv", 7100))
+        yield from client.put("a", b"1")
+        (server_conn,) = server.listener.connections
+        (node,) = server_conn.dag.find("shard")
+        spec = server_conn.dag.nodes[node]
+        costlier = Shard(
+            spec.choices,
+            spec.shard_fn,
+            client_cost=spec.args["client_cost"],
+            server_cost=2 * spec.args["server_cost"],
+        )
+        outcome = yield server_rt.reconfig.request_transition(
+            server_conn, target_dag=server_conn.dag.with_spec(node, costlier)
+        )
+        after = yield from client.get("a")
+        return server_conn, outcome, after
+
+    return scenario(server_rt.env)
+
+
+class TestArgOnlyRebuild:
+    @pytest.mark.parametrize(
+        "offload, location", [(ShardXdp, "srv"), (ShardSwitch, "tor")]
+    )
+    def test_rebuilt_offload_keeps_its_program(self, two_hosts, offload, location):
+        # The new impl reuses the installed program and the connection's
+        # port in it; tearing down the impl it replaced must take neither
+        # away.
+        server, server_rt, client_rt, record = reconfig_world(
+            two_hosts, offload=offload, location=location
+        )
+        server_conn, outcome, after = run(
+            two_hosts.env, rebuild_costlier_shard(server, server_rt, client_rt)
+        )
+        assert outcome == "committed"
+        assert server_conn.epoch == 1
+        assert shard_impl_name(server_conn) == offload.__name__
+        device = two_hosts.net.hosts["srv"].kernel_programs + two_hosts.net.switches["tor"].programs
+        (program,) = device
+        assert program.watched_ports == {server_conn.local_address.port}
+        assert (after["status"], after["value"]) == ("ok", b"1")
+
+    def test_rolled_back_rebuild_gives_its_references_back(self, two_hosts):
+        server, server_rt, client_rt, record = reconfig_world(two_hosts)
+        tap_control(
+            two_hosts.net, drop=lambda kind, _d: kind == "bertha.transition_ack"
+        )
+        server_conn, outcome, after = run(
+            two_hosts.env, rebuild_costlier_shard(server, server_rt, client_rt)
+        )
+        assert outcome == "rolled-back"
+        assert (after["status"], after["value"]) == ("ok", b"1")
+        (program,) = two_hosts.net.hosts["srv"].kernel_programs
+        port = server_conn.local_address.port
+        assert program.watched_ports == {port}
+        # The prepared impl took a reference to the program and the port;
+        # the rollback gave both back, leaving the established impl's.
+        refs = {key: entry.refs for key, entry in server_rt.shared.items()}
+        assert refs == {program.name: 1, f"{program.name}:{port}": 1}
 
 
 class TestSerialization:
