@@ -56,7 +56,7 @@ from ..core.resources import SWITCH_SRAM_KB, SWITCH_STAGES, ResourceVector
 from ..core.scope import Endpoints, Placement, Scope
 from ..core.stack import SetupContext
 from ..core.wire import CTL_HEADER
-from ..errors import ChunnelArgumentError
+from ..errors import BerthaError, ChunnelArgumentError
 from ..sim.datagram import Address, Datagram
 from ..sim.faults import CORRUPT_HEADER
 from ..sim.programs import PacketAction, PacketProgram, ProgramResult
@@ -365,7 +365,12 @@ class KvCacheSwitch(ChunnelImpl):
                 f"{key}/write", ctx.server_entity, state, station
             )
             switch.install(reader, SwitchProgramFootprint(stages=2, sram_kb=448))
-            switch.install(writer, SwitchProgramFootprint(stages=1, sram_kb=64))
+            try:
+                switch.install(writer, SwitchProgramFootprint(stages=1, sram_kb=64))
+            except BerthaError:
+                # All or nothing: a failed share leaves no program behind.
+                switch.uninstall(reader)
+                raise
             return reader, writer
 
         def uninstall(programs) -> None:

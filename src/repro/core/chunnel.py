@@ -301,7 +301,11 @@ class ChunnelImpl(abc.ABC):
         """
 
     def teardown(self, ctx: "SetupContext") -> None:
-        """Undo :meth:`setup` when the connection closes (default no-op)."""
+        """Undo :meth:`setup` when the node goes: its connection closes,
+        an epoch rollback drops it, a committed epoch replaces it, or its
+        establishment fails after setup (default no-op).  The shares the
+        node took and its lease reference are given back right after, by
+        :meth:`Binding.release <repro.core.connection.Binding.release>`."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} impl of {self.meta.chunnel_type!r}>"

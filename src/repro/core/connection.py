@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from ..errors import ConnectionClosedError, TransportError
 from ..sim.datagram import Address, Datagram
-from ..sim.eventloop import Event
+from ..sim.eventloop import Event, Process
 from ..sim.resources import Store
 from . import messages as msgs
 from .chunnel import ChunnelImpl, ChunnelStage, Message, Offer, Role
@@ -251,6 +251,19 @@ class Binding:
         self.contexts = contexts
         self.stages = stages
         self.stack: Optional[ChunnelStack] = None
+
+    def release(self, node_id: int) -> Optional[Process]:
+        """Give back what ``node_id`` holds, the one way a node goes: run
+        its ``teardown`` hook, then give back its shares, last taken first,
+        and its lease reference.  Returns the ``disc.release`` the
+        runtime's last reference on that lease started, or None; the
+        caller may wait for it."""
+        ctx = self.contexts[node_id]
+        try:
+            self.impls[node_id].teardown(ctx)
+        finally:
+            pending = ctx.release()
+        return pending
 
 
 class Connection:
@@ -504,10 +517,10 @@ class Connection:
                 denied.add((offer.meta.name, offer.record_id))
             elif stands is not handle:
                 ctx = self.binding.contexts.get(node_id)
-                if not self.closed and ctx is not None and handle in ctx.reservations:
-                    ctx.reservations[ctx.reservations.index(handle)] = stands
+                if not self.closed and ctx is not None and ctx.lease is handle:
+                    ctx.lease = stands
                 else:
-                    self.runtime.spawn_release(stands)
+                    self.runtime.leases.release_nowait(stands)
         if denied and not self.closed:
             yield from self._steer_off(denied)
         # The stacks the verdicts replaced never ran: whatever still
@@ -580,9 +593,9 @@ class Connection:
     def commit_transition(self, epoch: int) -> int:
         """Make the prepared ``epoch`` current; returns the previous epoch.
 
-        The caller (the reconfiguration engine) is responsible for tearing
-        down replaced implementations and retiring the old epoch's stack
-        after a grace period.
+        The caller (the reconfiguration engine) is responsible for
+        releasing the replaced nodes (:meth:`Binding.release`) and retiring
+        the old epoch's stack after a grace period.
         """
         old_epoch = self.epoch
         self.epoch = epoch
@@ -749,9 +762,9 @@ class Connection:
 
     # -- lifecycle -----------------------------------------------------------------
     def close(self) -> None:
-        """Tear down: detach every stack (which stops its stages), run
-        teardown hooks and release each node's shares and leases, release
-        the socket, and leave the listener.
+        """Tear down: detach every stack (which stops its stages), give
+        back what each node holds (:meth:`Binding.release`), release the
+        socket, and leave the listener.
 
         Ownership runs one way — connection → stacks → stages, connection
         → pump → socket — and once this returns nothing the connection
@@ -772,13 +785,8 @@ class Connection:
         # so a stage carried across epochs stops once, with its newest one.
         for epoch in sorted(self._epochs, reverse=True):
             self._epochs[epoch].stack.detach()
-        binding = self.binding
-        for node_id, ctx in binding.contexts.items():
-            binding.impls[node_id].teardown(ctx)
-            ctx.release_shares()
-        for ctx in binding.contexts.values():
-            for handle in ctx.reservations:
-                self.runtime.spawn_release(handle)
+        for node_id in self.binding.contexts:
+            self.binding.release(node_id)
         self._pump.interrupt("connection closed")
         self.socket.close()
         if self.runtime._reconfig is not None:

@@ -46,7 +46,6 @@ __all__ = [
     "build_binding",
     "establish_connection",
     "make_data_socket",
-    "teardown_nodes",
 ]
 
 
@@ -57,27 +56,6 @@ def make_data_socket(entity: "NetEntity", transport: str) -> SimSocket:
     if transport == "udp":
         return UdpSocket(entity)
     raise NegotiationError(f"unknown negotiated transport {transport!r}")
-
-
-def teardown_nodes(
-    impls: dict[int, ChunnelImpl],
-    contexts: dict[int, SetupContext],
-    nodes: Iterable[int],
-) -> None:
-    """Tear down the given nodes' implementations and release their
-    shares, swallowing Bertha errors (used on partial-failure cleanup
-    paths, where the original error must win)."""
-    for node_id in nodes:
-        impl = impls.get(node_id)
-        ctx = contexts.get(node_id)
-        if impl is None or ctx is None:
-            continue
-        try:
-            impl.teardown(ctx)
-        except BerthaError:
-            pass
-        finally:
-            ctx.release_shares()
 
 
 def build_binding(
@@ -99,12 +77,14 @@ def build_binding(
 
     For every node in ``changed`` (default: all), instantiate the chosen
     implementation and run its setup hook in topological order; unchanged
-    nodes carry over ``reuse``'s impl, context, and stage.  On a setup or
-    stage failure the nodes built so far, the failing one included, are
-    torn down and give their shares back before re-raising, so a
-    half-built binding never leaks device programs.  ``reservations`` maps
-    node id → the lease reference taken for it; each built node's context
-    carries its own, to be given back when that node's binding goes.
+    nodes carry over ``reuse``'s impl, context, and stage.
+    ``reservations`` maps node id → the lease reference taken for it; each
+    built node's context carries its own, given back when the node goes
+    (:meth:`Binding.release`).  On a setup or stage failure every changed
+    node gives back what it holds, last in topological order first — a
+    built one, the failing one included, is released; one not yet built
+    gives back its reference — before re-raising: a half-built binding
+    leaks neither device programs nor leases.
 
     Every epoch change rides this carry-over: the reconfiguration engine
     rebuilds only the nodes whose choice changed, whether a transition
@@ -121,7 +101,7 @@ def build_binding(
     changed_set = set(order) if changed is None else set(changed)
     impls: dict[int, ChunnelImpl] = {}
     contexts: dict[int, SetupContext] = {}
-    built: list[int] = []
+    binding = Binding(dag, choice, impls, contexts, {})
     try:
         for node_id in order:
             if node_id not in changed_set:
@@ -149,26 +129,27 @@ def build_binding(
                 client_entity=client_entity,
                 server_entity=server_entity,
                 params=dict(params) if fresh_params else params,
-                reservations=(
-                    [reservations[node_id]] if node_id in reservations else []
-                ),
+                lease=reservations.get(node_id),
             )
             impls[node_id] = impl
             contexts[node_id] = ctx
-            built.append(node_id)
             impl.setup(ctx)
-        stages = {
-            node_id: (
+        for node_id in order:
+            binding.stages[node_id] = (
                 impls[node_id].make_stage(role)
                 if node_id in changed_set
                 else reuse.stages[node_id]
             )
-            for node_id in order
-        }
     except BerthaError:
-        teardown_nodes(impls, contexts, built)
+        for node_id in reversed(order):
+            if node_id not in changed_set:
+                continue
+            if node_id in contexts:
+                binding.release(node_id)
+            elif node_id in reservations:
+                runtime.leases.release_nowait(reservations[node_id])
         raise
-    return Binding(dag, choice, impls, contexts, stages)
+    return binding
 
 
 def establish_connection(
@@ -195,11 +176,14 @@ def establish_connection(
     ``params``, so a server-side transport hook's choice is seen here) →
     create the data socket (``transport=None`` reads the hooks' choice
     from ``params``) → build the stage map → construct the Connection →
-    run ``after_establish`` hooks → optionally send the client hello.
+    run ``after_establish`` hooks → optionally send the client hello.  A
+    step that fails after the binding is built gives back everything it
+    holds — closing the connection once there is one — before re-raising.
     """
     params = {} if params is None else params
     trace = runtime.network.trace
     span = trace.begin("establish", conn_id, role=role.value, degraded=degraded)
+    binding = connection = None
     try:
         binding = build_binding(
             runtime,
@@ -238,6 +222,11 @@ def establish_connection(
             # when the data path never reaches its socket.
             connection.send_ctl(msgs.Hello(conn_id=conn_id))
     except BerthaError as error:
+        if connection is not None:
+            connection.close()
+        elif binding is not None:
+            for node_id in binding.contexts:
+                binding.release(node_id)
         trace.finish(span, status="error", error=type(error).__name__)
         raise
     trace.finish(span, transport=connection.transport, nodes=len(binding.impls))

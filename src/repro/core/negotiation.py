@@ -253,7 +253,7 @@ def reserve_choice(
             confirmed[node_id] = handle
     except Interrupt:
         for handle in confirmed.values():
-            runtime.spawn_release(handle)
+            runtime.leases.release_nowait(handle)
         raise
     return confirmed, None
 

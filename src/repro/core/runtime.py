@@ -281,18 +281,6 @@ class Runtime:
             dag = wrap(dag)
         return Endpoint(self, name, dag)
 
-    def spawn_release(self, handle: LeaseHandle) -> None:
-        """Give back a lease reference without waiting for discovery.
-
-        The reference goes at once; only the runtime's last one on a lease
-        sends anything, and that ``disc.release`` runs as the lease
-        table's own process and tolerates a discovery outage
-        (:attr:`release_failures` counts it; the table then owes the
-        release and retries it when the lease is next used and dropped) —
-        so nothing here can fail unwaited and crash the simulation.
-        """
-        self.leases.release_nowait(handle)
-
     def record_degraded(self, conn_id: str, reason: str) -> None:
         """Count (and warn about) a degraded-mode establishment."""
         self.degraded_establishments += 1
@@ -1252,7 +1240,7 @@ class Listener:
         )
         if denied is not None:
             for handle in confirmed.values():
-                runtime.spawn_release(handle)
+                runtime.leases.release_nowait(handle)
             runtime.negcache.note_fallback(key)
             reject_reason = (
                 f"reservation revalidation failed for {denied.record_id}"

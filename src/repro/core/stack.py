@@ -26,7 +26,7 @@ from .chunnel import ChunnelSpec, ChunnelStage, Message, Offer, Role
 from .wire import EPOCH_HEADER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
-    from ..sim.eventloop import Environment
+    from ..sim.eventloop import Environment, Process
     from ..sim.host import NetEntity
     from ..sim.network import Network
     from .leases import LeaseHandle
@@ -65,8 +65,8 @@ class SetupContext:
     client_entity: str
     server_entity: str
     params: dict[str, Any] = field(default_factory=dict)
-    #: The lease reference this node's binding holds, if it bears resources.
-    reservations: list["LeaseHandle"] = field(default_factory=list)
+    #: The lease reference this node holds, if it bears resources.
+    lease: Optional["LeaseHandle"] = None
     #: Keys of the shares this node holds, in the order it took them (a
     #: tuple: most nodes hold none, and an empty one costs nothing).
     _held: tuple[str, ...] = field(default=(), init=False, repr=False)
@@ -100,10 +100,13 @@ class SetupContext:
         self._held += (key,)
         return entry.value
 
-    def release_shares(self) -> None:
-        """Give back every reference this node holds, last taken first,
-        destroying each object whose last reference this was.  The
-        teardown sites call it right after the node's ``teardown``."""
+    def release(self) -> Optional["Process"]:
+        """Give back what this node holds: every share, last taken first,
+        destroying each object whose last reference this was, then its
+        lease reference.  Returns the ``disc.release`` the runtime's last
+        reference on the lease started, or None.  Only
+        :meth:`Binding.release <repro.core.connection.Binding.release>`
+        calls it, right after the node's ``teardown`` hook."""
         shared = self.runtime.shared
         held, self._held = self._held, ()
         for key in reversed(held):
@@ -112,6 +115,8 @@ class SetupContext:
             if entry.refs == 0 and entry.destroy is not None:
                 del shared[key]
                 entry.destroy(entry.value)
+        lease, self.lease = self.lease, None
+        return None if lease is None else self.runtime.leases.release_nowait(lease)
 
     @property
     def is_server(self) -> bool:

@@ -56,7 +56,7 @@ from ..core import rpc
 from ..core.chunnel import Role, same_binding
 from ..core.connection import EPOCH
 from ..core.dag import ChunnelDag
-from ..core.establish import build_binding, teardown_nodes
+from ..core.establish import build_binding
 from ..core.negotiation import candidate_pool, decide_with_reservations
 from ..core.scope import Placement
 from ..errors import BerthaError, ConnectionTimeoutError, ReconfigurationError
@@ -429,7 +429,7 @@ class ReconfigManager:
 
         old_epoch = yield from self._change_epoch(
             conn, dag, choice, changed, epoch, reservations=confirmed,
-            release=self._release_all, announce=handshake,
+            announce=handshake,
         )
         if old_epoch is None:
             error = "ack timeout" if reply is None else reply.error
@@ -462,8 +462,7 @@ class ReconfigManager:
         changed = _changed_nodes(conn, dag, accept.choice, forced)
         return (yield from self._change_epoch(
             conn, dag, accept.choice, changed, conn.new_epoch(),
-            server_entity=accept.data_addr.host,
-            release=self._release_later, announce=handshake,
+            server_entity=accept.data_addr.host, announce=handshake,
         ))
 
     # ------------------------------------------------------------------
@@ -471,8 +470,7 @@ class ReconfigManager:
     # ------------------------------------------------------------------
     def _change_epoch(
         self, conn: "Connection", dag: ChunnelDag, choice: dict, changed: set,
-        epoch: int, *, server_entity=None, reservations=None,
-        release=None, announce=None,
+        epoch: int, *, server_entity=None, reservations=None, announce=None,
     ):
         """Generator → the replaced epoch once ``epoch`` is current, or
         None when ``announce(epoch, stack)``, a generator returning whether
@@ -482,27 +480,41 @@ class ReconfigManager:
         failed prepare or announce rolls back, then raises.
 
         ``reservations`` maps node id → the lease reference a re-decision
-        took for it; ``release`` is a generator function giving references
-        back (None: the caller holds none).  Each replaced stage hands its
-        state to its successor (:meth:`ChunnelStage.adopt_state`).
+        took for it.  Unchanged nodes keep their context, and with it the
+        reference they were established under, so theirs are surplus and
+        go back on every outcome.  Each node that goes — a prepared one on
+        a rollback, a replaced one on a commit — goes through
+        :meth:`Binding.release`, and the epoch change waits for any
+        ``disc.release`` that starts.  Each replaced stage hands its state
+        to its successor (:meth:`ChunnelStage.adopt_state`).
         """
         reservations = reservations or {}
-        # Changed nodes are set up fresh, each with a private copy of the
-        # connection's params: a rebuild must not mutate the live binding.
-        binding = build_binding(
-            self.runtime,
-            role=conn.role,
-            conn_id=conn.conn_id,
-            dag=dag,
-            choice=choice,
-            client_entity=conn.client_entity,
-            server_entity=server_entity or conn.server_entity,
-            params=conn.params,
-            reservations=reservations,
-            changed=changed,
-            reuse=conn.binding,
-            fresh_params=True,
-        )
+        surplus = [
+            handle
+            for node_id, handle in reservations.items()
+            if node_id not in changed
+        ]
+        try:
+            # Changed nodes are set up fresh, each with a private copy of
+            # the connection's params: a rebuild must not mutate the live
+            # binding.
+            binding = build_binding(
+                self.runtime,
+                role=conn.role,
+                conn_id=conn.conn_id,
+                dag=dag,
+                choice=choice,
+                client_entity=conn.client_entity,
+                server_entity=server_entity or conn.server_entity,
+                params=conn.params,
+                reservations=reservations,
+                changed=changed,
+                reuse=conn.binding,
+                fresh_params=True,
+            )
+        except BerthaError:
+            yield from self._release_all(surplus)
+            raise
         old_stages, stages = conn.binding.stages, binding.stages
         for node_id in sorted(changed):
             if old_stages.get(node_id) is not None and stages[node_id] is not None:
@@ -525,38 +537,26 @@ class ReconfigManager:
             failure = error
         if not acked:
             conn.abort_transition(epoch)
-            teardown_nodes(binding.impls, binding.contexts, changed)
-            if release is not None:
-                yield from release(reservations.values())
+            yield from self._release_nodes(binding, surplus, changed)
             if failure is not None:
                 raise failure
             return None
 
         old = conn.binding
-        replaced = [
-            (old.impls[node_id], old.contexts[node_id])
-            for node_id in sorted(changed)
-            if node_id in old.impls
-        ]
         old_epoch = conn.commit_transition(epoch)
-        if release is not None:
-            # Unchanged nodes keep their context, and with it the reference
-            # they were established under: the one the re-decision took for
-            # them is surplus.
-            yield from release(
-                handle
-                for node_id, handle in reservations.items()
-                if node_id not in changed
-            )
-        # Tear down what the new binding replaced; release its shares and
-        # its leases.
-        for impl, octx in replaced:
-            impl.teardown(octx)
-            octx.release_shares()
-            if release is not None:
-                yield from release(octx.reservations)
+        yield from self._release_nodes(old, surplus, changed)
         conn.retire_epoch(old_epoch)
         return old_epoch
+
+    def _release_nodes(self, binding, surplus, nodes):
+        """Generator: give back the ``surplus`` lease references, then
+        release those of ``nodes`` that ``binding`` holds, in id order,
+        waiting for each ``disc.release`` that starts."""
+        yield from self._release_all(surplus)
+        for node_id in sorted(nodes & binding.contexts.keys()):
+            pending = binding.release(node_id)
+            if pending is not None:
+                yield pending
 
     def announce(
         self,
@@ -746,13 +746,6 @@ class ReconfigManager:
             self._log(conn, "degraded", "re-decision without discovery")
             return candidate_pool(registry, types, offers)
         return candidate_pool(registry, types, offers, fresh.offers)
-
-    def _release_later(self, handles):
-        """Generator that never waits: hand each lease reference to the
-        lease table's own release process."""
-        for handle in handles:
-            self.runtime.spawn_release(handle)
-        yield from ()
 
     def _evict_cached(self, old_shape: tuple, dag: ChunnelDag) -> None:
         """The committed binding supersedes whatever negotiation results

@@ -18,8 +18,8 @@ from repro.chunnels import (
 )
 from repro.apps.kvstore import ShardWorker
 from repro.core import wrap
-from repro.errors import ChunnelArgumentError
-from repro.sim import Address
+from repro.errors import ChunnelArgumentError, ResourceExhaustedError
+from repro.sim import Address, PacketProgram, SwitchProgramFootprint
 
 from ..conftest import run
 
@@ -249,6 +249,39 @@ class TestSwitchKvCache:
         assert scanned["status"] == "ok"
         reader, _writer = cache_programs(two_hosts)
         assert reader.state.hits == 0 and reader.state.misses == 0
+
+    def test_failed_accept_leaves_nothing_behind(self, two_hosts):
+        # Ten of the ToR's twelve stages are taken outside discovery: the
+        # cache's reader fits, its writer does not, so the server's
+        # after_establish fails after the binding (and its lease) was
+        # made.  The half-made connection must give all of it back.
+        server, client_rt = cache_world(two_hosts)
+        server_rt = two_hosts.runtimes["srv"]
+        srv = two_hosts.net.hosts["srv"]
+        tor = two_hosts.net.switches["tor"]
+        tor.install(_Squatter("<squatter>"), SwitchProgramFootprint(stages=10))
+        listening = set(srv.ports)
+
+        def scenario(env):
+            yield env.timeout(1e-4)
+            client = KvClient(client_rt)
+            with pytest.raises(ResourceExhaustedError):
+                yield from client.connect(Address("srv", 7100))
+            yield env.timeout(1.0)
+
+        run(two_hosts.env, scenario(two_hosts.env))
+        assert server_rt.leases.held() == {}
+        assert two_hosts.discovery.audit_leases()["leases"] == 0
+        assert set(srv.ports) == listening
+        assert [program.name for program in tor.programs] == ["<squatter>"]
+        assert server.listener.connections == []
+
+
+class _Squatter(PacketProgram):
+    """A switch program installed outside discovery that matches nothing."""
+
+    def match(self, dgram) -> bool:
+        return False
 
 
 def fanin_world(world, register_switch=False, shards=3, preload=None):

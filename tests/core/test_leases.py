@@ -456,7 +456,7 @@ class TestCheckFailures:
         (entry,) = machine.accepted
         decided_at, stands = entry["verdict"]
         (ctx,) = entry["conn"].binding.contexts.values()
-        assert stands is not None and ctx.reservations == [stands]
+        assert stands is not None and ctx.lease is stands
         assert entry["stage"].ran_at == [decided_at]
         leases = machine.runtimes[0].leases
         assert (leases.check_denials, leases.late_denials) == (1, 0)
@@ -921,7 +921,7 @@ class LeaseMachine(RuleBasedStateMachine):
                 # stood on (a re-reserved one swapped in).
                 assert len(ran_at) == 1 and ran_at[0] >= decided_at
                 (ctx,) = entry["conn"].binding.contexts.values()
-                assert ctx.reservations == [stands]
+                assert ctx.lease is stands
 
 
 def push_eater(machine):

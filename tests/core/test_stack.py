@@ -199,7 +199,7 @@ class TestShare:
         ctx = node_context(self.runtime)
         for key in ("program", "port", "entry"):
             self.share(ctx, key)
-        ctx.release_shares()
+        ctx.release()
         assert self.destroyed == ["obj:entry", "obj:port", "obj:program"]
         assert self.runtime.shared == {}
 
@@ -207,9 +207,9 @@ class TestShare:
         first, second = node_context(self.runtime), node_context(self.runtime)
         self.share(first, "k")
         self.share(second, "k")
-        first.release_shares()
+        first.release()
         assert self.destroyed == [] and "k" in self.runtime.shared
-        second.release_shares()
+        second.release()
         assert self.destroyed == ["obj:k"] and self.runtime.shared == {}
         # The next holder makes it afresh.
         self.share(node_context(self.runtime), "k")
@@ -218,7 +218,7 @@ class TestShare:
     def test_kept_without_destroy(self):
         ctx = node_context(self.runtime)
         self.share(ctx, "k", destroy=False)
-        ctx.release_shares()
+        ctx.release()
         assert self.share(node_context(self.runtime), "k", destroy=False) == "obj:k"
         assert self.made == ["k"]
 
@@ -226,8 +226,8 @@ class TestShare:
         first, second = node_context(self.runtime), node_context(self.runtime)
         self.share(first, "k")
         self.share(second, "k")
-        first.release_shares()
-        first.release_shares()
+        first.release()
+        first.release()
         assert self.destroyed == []
 
     def test_a_failed_make_holds_nothing(self):
@@ -238,5 +238,5 @@ class TestShare:
 
         with pytest.raises(RuntimeError):
             ctx.share("k", make, self.destroyed.append)
-        ctx.release_shares()
+        ctx.release()
         assert self.runtime.shared == {} and self.destroyed == []

@@ -16,9 +16,10 @@ from repro.chunnels import (
     ShardSwitch,
     ShardXdp,
 )
-from repro.core.chunnel import ChunnelSpec
+from repro.core.chunnel import ChunnelSpec, Role
 from repro.core.dag import wrap
 from repro.core.registry import ImplCatalog
+from repro.errors import ResourceExhaustedError
 from repro.sim import Address
 
 from ..conftest import run, tap_control
@@ -315,6 +316,35 @@ class TestArgOnlyRebuild:
         # the rollback gave both back, leaving the established impl's.
         refs = {key: entry.refs for key, entry in server_rt.shared.items()}
         assert refs == {program.name: 1, f"{program.name}:{port}": 1}
+
+    def test_failed_rebuild_gives_its_references_back(self, two_hosts, monkeypatch):
+        # The re-decision takes a lease reference for the rebuilt node
+        # before the build fails: the failure must give it back, and the
+        # close the established one, so discovery ends with no lease.
+        built = []
+
+        def make_stage(impl, role):
+            if role is Role.SERVER:
+                built.append(impl)
+                if len(built) > 1:
+                    raise ResourceExhaustedError("no room for the rebuild")
+            return None
+
+        monkeypatch.setattr(ShardXdp, "make_stage", make_stage)
+        server, server_rt, client_rt, record = reconfig_world(two_hosts)
+        server_conn, outcome, after = run(
+            two_hosts.env, rebuild_costlier_shard(server, server_rt, client_rt)
+        )
+        assert outcome == "failed"
+        assert server_conn.epoch == 0
+        assert (after["status"], after["value"]) == ("ok", b"1")
+        owner = f"srv:{server_conn.name}"
+        assert server_rt.leases.held() == {(record.record_id, owner): 1}
+        server_conn.close()
+        two_hosts.run(until=two_hosts.env.now + 0.1)
+        assert server_rt.leases.held() == {}
+        assert two_hosts.discovery.audit_leases()["leases"] == 0
+        assert two_hosts.net.hosts["srv"].kernel_programs == []
 
 
 class TestSerialization:

@@ -361,7 +361,7 @@ OPTION_SURFACE = {
     "repro.core.scope.Scope": ["args", "kwds"],
     "repro.core.stack.ChunnelStack": ["deliver", "env", "stages", "transmit"],
     "repro.core.stack.SetupContext": [
-        "client_entity", "conn_id", "offer", "params", "reservations", "role",
+        "client_entity", "conn_id", "lease", "offer", "params", "role",
         "runtime", "server_entity", "spec",
     ],
     "repro.discovery.client.DirectDiscoveryClient": ["service"],
