@@ -123,12 +123,8 @@ class RsmReplica:
                 payload.get("request_id") if isinstance(payload, dict) else None
             )
             key = (repr(msg.src), request_id)
-            cached = (
-                self._replies.get(key, rpc.MISSING)
-                if request_id is not None
-                else rpc.MISSING
-            )
-            if cached is not rpc.MISSING:
+            cached = self._replies.get(key) if request_id is not None else None
+            if cached is not None:
                 seq, result = cached
             else:
                 yield env.timeout(APPLY_COST)

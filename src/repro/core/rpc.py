@@ -14,9 +14,11 @@ is that loop, written once:
 * :func:`socket_waiter` / :func:`event_waiter` — the two wait flavours:
   a fresh datagram per attempt window, or a pre-registered event an
   out-of-band deliverer (the connection pump) fulfils;
-* :class:`ReplyCache` — the receiver side of the contract: a bounded FIFO
-  of request key → cached verdict, replayed on retransmissions so retried
-  requests stay at-most-once;
+* :class:`Responder` — the receiver half, which every control server
+  answers through: one verdict per request key, replayed to
+  retransmissions (PROTOCOL.md §6.1–§6.2);
+* :class:`ReplyCache` — the bounded FIFO of key → verdict a responder
+  keeps;
 * :class:`RttEstimator` — the RFC 6298 RTO estimator adaptive waits read.
 
 Semantics preserved from the hand-rolled loops (chaos-mode determinism
@@ -30,26 +32,21 @@ from __future__ import annotations
 
 import random
 from collections import OrderedDict
+from types import GeneratorType
 from typing import Any, Callable, Generator, Optional
 
 from ..errors import ConnectionTimeoutError, DeadlineExceeded
 
 __all__ = [
-    "MISSING",
     "RetryPolicy",
     "RpcStats",
     "ReplyCache",
+    "Responder",
     "RttEstimator",
     "call",
     "socket_waiter",
     "event_waiter",
 ]
-
-#: Sentinel distinguishing a :class:`ReplyCache` miss from a cached
-#: ``None`` reply: ``cache.get(key, MISSING) is MISSING`` is the only
-#: reliable miss test for handlers whose verdict may legitimately be None.
-MISSING: Any = object()
-
 
 class RetryPolicy:
     """Timing contract for one class of RPCs.
@@ -130,7 +127,8 @@ class ReplyCache:
     entries once past ``limit`` is safe — by then the requester has either
     its answer or its timeout.  A re-``put`` of an existing key moves it to
     the back of the eviction order: a hot, still-retransmitting request
-    must outlive entries nobody has asked about since.
+    must outlive entries nobody has asked about since.  No reply is
+    ``None``, so ``None`` from :meth:`get` is a miss.
     """
 
     def __init__(self, limit: int):
@@ -139,10 +137,8 @@ class ReplyCache:
         self.limit = limit
         self._items: "OrderedDict[Any, Any]" = OrderedDict()
 
-    def get(self, key: Any, default: Any = None) -> Any:
-        """The cached reply, or ``default`` on a miss.  Pass
-        :data:`MISSING` as the default to distinguish a cached ``None``."""
-        return self._items.get(key, default)
+    def get(self, key: Any) -> Any:
+        return self._items.get(key)
 
     def put(self, key: Any, value: Any) -> None:
         self._items[key] = value
@@ -161,6 +157,79 @@ class ReplyCache:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ReplyCache {len(self._items)}/{self.limit}>"
+
+
+_Send = Callable[[Any], None]
+
+
+class Responder:
+    """One verdict per request key, whatever retransmissions arrive.
+
+    :meth:`answer` replays a cached verdict through the retransmission's
+    own ``send``, drops a retransmission whose handler is still deciding
+    (that handler's verdict answers it), or runs the handler.  A verdict
+    is cached under its key, then sent; a ``None`` verdict (an
+    interrupted handler, a server gone away) is neither, so the client's
+    retransmit finds out.  A ``None`` key is never deduplicated.  A
+    handler leaves :attr:`inflight` however it ends; after :meth:`clear`
+    (a crashed server) the verdict of a handler that outlived it is
+    dropped, and a newer handler of the same key is left alone.
+    """
+
+    __slots__ = ("env", "replies", "inflight", "duplicates", "_generation")
+
+    def __init__(self, env: Any, limit: int):
+        self.env = env
+        self.replies = ReplyCache(limit)
+        #: Key → the process of the handler still deciding it.
+        self.inflight: dict[Any, Any] = {}
+        #: Retransmissions answered from the cache or dropped in flight.
+        self.duplicates = 0
+        self._generation = 0
+
+    def answer(self, key: Any, handle: Callable[[], Any], send: _Send) -> None:
+        """Answer one request under ``key``.  ``handle()`` returns the
+        verdict, or a generator that returns it and runs as a process;
+        ``send(verdict)`` transmits a fresh or a replayed verdict."""
+        if key is not None:
+            cached = self.replies.get(key)
+            if cached is not None:
+                self.duplicates += 1
+                send(cached)
+                return
+            if key in self.inflight:
+                self.duplicates += 1
+                return
+        verdict = handle()
+        if isinstance(verdict, GeneratorType):
+            process = self.env.process(self._run(key, verdict, send))
+            if key is not None:
+                self.inflight[key] = process
+        else:
+            self._settle(key, verdict, send)
+
+    def _run(self, key: Any, handler: Any, send: _Send):
+        generation = self._generation
+        try:
+            verdict = yield from handler
+        finally:
+            if generation == self._generation:
+                self.inflight.pop(key, None)
+        if generation == self._generation:
+            self._settle(key, verdict, send)
+
+    def _settle(self, key: Any, verdict: Any, send: _Send) -> None:
+        if verdict is None:
+            return
+        if key is not None:
+            self.replies.put(key, verdict)
+        send(verdict)
+
+    def clear(self) -> None:
+        """Forget every verdict and every handler still deciding."""
+        self.replies.clear()
+        self.inflight.clear()
+        self._generation += 1
 
 
 #: RFC 6298's ``G``, the least margin an RTO keeps over ``srtt``: a steady

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+from functools import partial
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import warnings
@@ -49,7 +50,7 @@ from ..errors import (
     OfferReferenceError,
 )
 from ..sim.datagram import Address
-from ..sim.eventloop import Event, Interrupt, Process
+from ..sim.eventloop import Event, Interrupt
 from ..sim.resources import Store
 from ..sim.transport import SimSocket, UdpSocket
 from . import messages as msgs
@@ -814,13 +815,11 @@ class Listener:
     """Accepts Bertha connections for one endpoint.
 
     The serve loop is a dispatcher, not a worker: it decodes each control
-    datagram, answers retransmissions from the reply cache, and spawns one
-    handler process per fresh OFFER/RESUME, so an establishment waiting on
-    a reservation round trip never holds up the ones behind it.  Handlers
-    are tracked in an in-flight table keyed like the reply cache,
-    ``(KIND, conn_id)`` — a retransmit arriving mid-handling is swallowed
-    (the handler's verdict answers it), which keeps it one verdict, one
-    connection and one reservation walk per key (PROTOCOL.md §6.2).
+    datagram and answers it through :attr:`responder` under ``(KIND,
+    conn_id)`` — one verdict, one connection and one reservation walk per
+    key (PROTOCOL.md §6.2).  Each fresh OFFER/RESUME runs as its own
+    handler process, so an establishment waiting on a reservation round
+    trip never holds up the ones behind it.
     """
 
     def __init__(
@@ -856,13 +855,7 @@ class Listener:
         ):
             obs.bind(f"{prefix}.{counter}", self, counter, replace=True)
         self._closed = False
-        # Reply cache for offer/resume retransmissions, keyed on
-        # (kind, conn_id): retries arrive within a retry window, so old
-        # entries are safe to evict.
-        self._replies: rpc.ReplyCache = rpc.ReplyCache(1024)
-        #: Handler processes still deciding, under the reply-cache key
-        #: their verdict will take; ``close()`` interrupts them all.
-        self._inflight: dict[tuple[str, str], Process] = {}
+        self.responder = rpc.Responder(self.env, 1024)
         self._network_offers: dict[str, list[Offer]] = {}
         self._network_offers_at: Optional[float] = None
         #: While an offer refresh is in flight, the events of the handlers
@@ -888,7 +881,7 @@ class Listener:
         self._closed = True
         if self.service_name:
             self.runtime.network.names.unregister(self.service_name, self.address)
-        for process in (self._server, *self._inflight.values()):
+        for process in (self._server, *self.responder.inflight.values()):
             process.interrupt("listener closed")
         self.ctl.close()
 
@@ -937,29 +930,20 @@ class Listener:
                     dgram.payload, f"unexpected {message.KIND} on a listener"
                 )
                 continue
-            # Keyed on (kind, conn_id): a rejected RESUME must never be
-            # replayed against an OFFER, however the ids line up.  The
-            # MISSING sentinel keeps a legitimately-cached falsy verdict
-            # distinguishable from a first sighting.
-            key = (message.KIND, message.conn_id)
-            cached = self._replies.get(key, rpc.MISSING)
-            if cached is not rpc.MISSING:
-                # Client retransmission: repeat the original verdict.
-                self._send_reply(cached, dgram.src)
-            elif key not in self._inflight:
-                self._inflight[key] = self.env.process(
-                    self._handle(key, message, dgram.src),
-                    name=f"{self.endpoint.name}.accept:{message.conn_id}",
-                )
-            # else: a retransmission overtook its own verdict; the handler
-            # already running for this key answers it.
+            # Keyed on the kind too: a rejected RESUME must never be
+            # replayed against an OFFER, however the ids line up.
+            self.responder.answer(
+                (message.KIND, message.conn_id),
+                partial(self._handle, message),
+                partial(self._send_reply, dst=dgram.src),
+            )
 
-    def _handle(self, key: tuple[str, str], message, src: Address):
-        """One establishment, run as its own process: decide, then cache
-        and send the verdict — only once reserves have resolved, so a
-        retransmission can never observe a half-made decision.  Checks of
-        leases the runtime already holds resolve afterwards, behind the
-        connection's held data path (``_admit``)."""
+    def _handle(self, message):
+        """Generator: one establishment's verdict, returned only once
+        reserves have resolved, so a retransmission can never observe a
+        half-made decision.  Checks of leases the runtime already holds
+        resolve afterwards, behind the connection's held data path
+        (``_admit``)."""
         try:
             if isinstance(message, msgs.Resume):
                 reply = yield from self._handle_resume(message)
@@ -974,15 +958,12 @@ class Listener:
         except Interrupt:
             # close() mid-decision (reservation RPCs yield): the walk has
             # handed back what it held.  The client's retransmit times out.
-            return
-        finally:
-            del self._inflight[key]
+            return None
         if self._closed:
             # close() landed in the instant the decision completed: the
             # connection stands, but a closed listener sends nothing.
-            return
-        self._replies.put(key, reply)
-        self._send_reply(reply, src)
+            return None
+        return reply
 
     def _send_reply(self, message: "msgs.ControlMessage", dst: Address) -> None:
         payload, size = msgs.encode_message_sized(message)

@@ -34,6 +34,7 @@ Two halves of the same routing contract:
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..core import messages as msgs
@@ -44,6 +45,7 @@ from ..sim.datagram import Address
 from ..sim.eventloop import Interrupt
 from ..sim.transport import UdpSocket
 from .client import DiscoveryClientBase, QueryResult, RemoteDiscoveryClient
+from .service import send_stamped
 from .shard import ShardInfo, ShardMap, _stable_hash
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -76,7 +78,7 @@ class ShardRouter:
         self.address = self.socket.address
         self.probe_timeout = probe_timeout
         self.stats = rpc.RpcStats()
-        self._replies = rpc.ReplyCache(512)
+        self.responder = rpc.Responder(self.env, 512)
         self._probe_clients: dict[Address, RemoteDiscoveryClient] = {}
         self._promote_clients: dict[Address, RemoteDiscoveryClient] = {}
         self.maps_served = 0
@@ -105,7 +107,7 @@ class ShardRouter:
 
     # -- map service ---------------------------------------------------------
     def _serve(self):
-        """Answer ``disc.shard_map`` requests (req_id-deduplicated)."""
+        """Answer ``disc.shard_map`` requests through :attr:`responder`."""
         while True:
             try:
                 dgram = yield self.socket.recv()
@@ -119,24 +121,17 @@ class ShardRouter:
                 continue
             req_id = getattr(request, "req_id", None)
             attempt = getattr(request, "attempt", 0)
-            cached = (
-                self._replies.get(req_id, rpc.MISSING)
-                if req_id is not None
-                else rpc.MISSING
+            self.responder.answer(
+                req_id,
+                self._serve_map,
+                partial(send_stamped, self.socket, req_id, attempt, dgram.src),
             )
-            if cached is not rpc.MISSING:
-                response = cached
-            else:
-                self.maps_served += 1
-                response = msgs.ShardMapReply(
-                    version=self.map.version, shards=list(self.map.shards)
-                )
-                if req_id is not None:
-                    self._replies.put(req_id, response)
-            payload, size = msgs.encode_message_sized(
-                response.stamped(req_id, attempt)
-            )
-            self.socket.send(payload, dgram.src, size=size)
+
+    def _serve_map(self) -> "msgs.ShardMapReply":
+        self.maps_served += 1
+        return msgs.ShardMapReply(
+            version=self.map.version, shards=list(self.map.shards)
+        )
 
     # -- failure detection / failover ---------------------------------------
     def start_monitor(self) -> None:

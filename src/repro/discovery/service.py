@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+from functools import partial
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..core import messages as msgs
@@ -49,6 +50,13 @@ __all__ = ["DiscoveryService", "DEFAULT_DISCOVERY_PORT"]
 DEFAULT_DISCOVERY_PORT = 53530
 
 _log = logging.getLogger("repro.ctl")
+
+
+def send_stamped(socket, req_id, attempt, dst: Address, response) -> None:
+    """Send ``response`` tagged with the request's id and the attempt it
+    answers, so a client can tell late replies from current ones."""
+    payload, size = msgs.encode_message_sized(response.stamped(req_id, attempt))
+    socket.send(payload, dst, size=size)
 
 
 class DiscoveryService:
@@ -102,17 +110,10 @@ class DiscoveryService:
         self.revocations = 0
         self.leases_expired = 0
         self.leases_preempted = 0
-        #: At-most-once guard: req_id -> cached response message.  A client
-        #: retransmit whose original request *was* handled (only the reply
-        #: got lost) replays the cached verdict instead of re-executing the
-        #: mutation, so `disc.reserve`/`disc.register_name` cannot
-        #: double-allocate.  req_ids are globally unique per client call
-        #: (``<entity>-<counter>``), so a plain bounded FIFO suffices.
-        self._replies: rpc.ReplyCache = rpc.ReplyCache(2048)
-        #: req_ids whose (detached) handler has not answered yet.
-        self._inflight: set = set()
+        #: At-most-once per ``req_id``: a retransmit replays the verdict,
+        #: so `disc.reserve`/`disc.register_name` cannot double-allocate.
+        self.responder = rpc.Responder(self.env, 2048)
         self.requests_served = 0
-        self.duplicate_requests = 0
         #: Requests that failed schema decoding (dropped or answered with
         #: ``disc.error`` when they carried a usable ``req_id``).
         self.malformed_total = 0
@@ -134,11 +135,14 @@ class DiscoveryService:
             "leases_expired",
             "leases_preempted",
             "requests_served",
-            "duplicate_requests",
             "malformed_total",
             "crashes",
         ):
             obs.bind(f"{metrics_prefix}.{counter}", self, counter, replace=True)
+        obs.bind(
+            f"{metrics_prefix}.duplicate_requests", self.responder, "duplicates",
+            replace=True,
+        )
         obs.replace(f"{metrics_prefix}.leases", lambda: len(self._leases))
         obs.replace(
             f"{metrics_prefix}.audit_ok",
@@ -397,8 +401,8 @@ class DiscoveryService:
 
         Durable state (records, leases, device accounting) survives — it
         models stable storage — but volatile state does not: queued requests
-        are lost, the request dedup cache and in-flight table are cleared
-        (a handler still running never answers), and (unless the
+        are lost, the responder is cleared (a handler still running never
+        answers), and (unless the
         service replicates its watch table, see ``durable_watches``) watch
         subscriptions are dropped — which is exactly the window the
         client-side retry, refcount, and watch re-arm semantics must
@@ -410,8 +414,7 @@ class DiscoveryService:
         self.crashes += 1
         self.socket.dropping = True
         self.socket.store.clear()
-        self._replies.clear()
-        self._inflight.clear()
+        self.responder.clear()
         if not self.durable_watches:
             self._watchers.clear()
 
@@ -502,19 +505,12 @@ class DiscoveryService:
     def _serve(self):
         """Request/response loop over the service's UDP socket.
 
-        Requests are deduplicated by ``req_id``: a retransmit of an
-        already-handled request replays the cached response (with the
-        retransmit's ``attempt`` tag, so the client can spot late replies
-        to earlier attempts) without re-executing the handler, and a
-        retransmit of a request whose handler is still running is dropped
-        — that handler's reply answers it.  Mutations are therefore
-        at-most-once per ``req_id``.
-
-        The loop dispatches; it never waits on a handler.  A request
-        answered from local state is answered at once; one whose handler
-        takes virtual time (see :meth:`_handle_request`) runs as its own
-        process behind the ``req_id`` in-flight table while the loop goes
-        on serving.
+        Every request is answered through :attr:`responder` under its
+        ``req_id``, and every reply, fresh or replayed, carries the
+        retransmit's own ``attempt`` tag, so the client can spot late
+        replies to earlier attempts.  The loop never waits on a handler:
+        one that takes virtual time (see :meth:`_handle_request`) runs as
+        its own process while the loop goes on serving.
 
         A request that fails schema decoding is counted and dropped —
         unless its frame still yields a ``req_id``, in which case a
@@ -531,48 +527,15 @@ class DiscoveryService:
                 continue
             req_id = getattr(request, "req_id", None)
             attempt = getattr(request, "attempt", 0)
-            if req_id is not None:
-                cached = self._replies.get(req_id, rpc.MISSING)
-                if cached is not rpc.MISSING:
-                    self.duplicate_requests += 1
-                    self._send(cached.stamped(req_id, attempt), dgram.src)
-                    continue
-                if req_id in self._inflight:
-                    self.duplicate_requests += 1
-                    continue
-            self.requests_served += 1
-            outcome = self._handle_request(request)
-            if isinstance(outcome, msgs.ControlMessage):
-                self._reply(outcome, req_id, attempt, dgram.src)
-            else:
-                self._inflight.add(req_id)
-                self.env.process(
-                    self._detached(outcome, req_id, attempt, dgram.src),
-                    name=f"{self.address}.handle:{req_id}",
-                )
+            self.responder.answer(
+                req_id,
+                partial(self._serve_one, request),
+                partial(send_stamped, self.socket, req_id, attempt, dgram.src),
+            )
 
-    def _detached(self, handler, req_id, attempt: int, dst: Address):
-        """Run a handler that takes virtual time; reply when it returns.
-
-        A handler that outlives :meth:`crash` belongs to a dead process:
-        its reply is neither sent nor cached (whatever it replicated is in
-        the log regardless, and the client's retransmit finds the
-        restarted service or the promoted standby).
-        """
-        incarnation = self.crashes
-        response = yield from handler
-        if self.crashes != incarnation:
-            return
-        self._inflight.discard(req_id)
-        self._reply(response, req_id, attempt, dst)
-
-    def _reply(
-        self, response: "msgs.DiscoveryMessage", req_id, attempt: int, dst: Address
-    ) -> None:
-        """Cache a fresh verdict under its ``req_id`` and send it."""
-        if req_id is not None:
-            self._replies.put(req_id, response)
-        self._send(response.stamped(req_id, attempt), dst)
+    def _serve_one(self, request: "msgs.ControlMessage"):
+        self.requests_served += 1
+        return self._handle_request(request)
 
     def _send(self, response: "msgs.DiscoveryMessage", dst: Address) -> None:
         payload, size = msgs.encode_message_sized(response)
@@ -601,7 +564,7 @@ class DiscoveryService:
     def _handle_request(self, request: "msgs.ControlMessage"):
         """Hook between the serve loop and :meth:`_handle`: returns the
         response — or, when producing it takes virtual time, a generator
-        that returns it, which the serve loop runs detached.
+        that returns it, which the responder runs as a process.
 
         The base service answers everything from local state.  The sharded
         tier returns a generator for mutations (one replication round

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..core import messages as msgs
@@ -120,12 +121,10 @@ class _ConnState:
     """Per-connection engine state."""
 
     conn: "Connection"
+    #: Adopting side: one ack per ``(announcement KIND, epoch)``.
+    acks: rpc.Responder
     busy: bool = field(default=False, init=False)
     queue: deque = field(default_factory=deque)
-    #: Client side: cached acks per epoch, replayed on duplicate TRANSITION.
-    #: Bounded — retransmits arrive within the sender's retry window, so
-    #: only the most recent epochs' verdicts are ever needed.
-    acks: rpc.ReplyCache = field(default_factory=lambda: rpc.ReplyCache(64))
     #: Announcing side: in-flight ack waiter per ``(ack kind, epoch)``.
     ack_waiters: dict = field(default_factory=dict)
     #: Client side: done-events for requests sent to the server.
@@ -608,7 +607,7 @@ class ReconfigManager:
         self, conn: "Connection", message: "msgs.ControlMessage", src
     ) -> None:
         if isinstance(message, msgs.Transition):
-            self._handle_transition(conn, message, src)
+            self._answer(conn, message, src, self._adopt_transition)
         elif isinstance(message, (msgs.TransitionAck, msgs.MigrateAck)):
             state = self._states.get(conn.conn_id)
             if state is None:
@@ -626,7 +625,7 @@ class ReconfigManager:
                 dst=src,
             )
         elif isinstance(message, msgs.Migrate):
-            self._handle_migrate(conn, message, src)
+            self._answer(conn, message, src, self._adopt_migrate)
         elif isinstance(message, msgs.HeartbeatAck):
             manager = self.runtime.failover
             if manager is not None:
@@ -634,27 +633,23 @@ class ReconfigManager:
         # anything else (Hello, ...) only updates conn.last_src, which the
         # pump already did.
 
-    def _handle_migrate(
-        self, conn: "Connection", message: "msgs.Migrate", src
-    ) -> None:
+    def _answer(self, conn: "Connection", message, src, adopt) -> None:
+        """Answer an epoch announcement once per ``(KIND, epoch)``: a
+        duplicate gets the ack ``adopt(conn, message)`` gave the first."""
+        self._state(conn).acks.answer(
+            (message.KIND, message.epoch),
+            partial(adopt, conn, message),
+            partial(conn.send_ctl, dst=src),
+        )
+
+    def _adopt_migrate(self, conn: "Connection", message: "msgs.Migrate"):
         """Acknowledge a migration epoch announced by a failed-over client.
 
         The heavy lifting (negotiation with this standby) already happened
         before the MIGRATE was sent; the ack confirms the return address
-        and readiness for the replayed unacked window.  Duplicates replay
-        the cached verdict, like TRANSITION (keys are namespaced so
-        migration epochs cannot collide with transition epochs).
+        and readiness for the replayed unacked window.
         """
-        state = self._state(conn)
-        key = ("migrate", message.epoch)
-        cached = state.acks.get(key)
-        if cached is not None:
-            conn.send_ctl(cached, dst=src)
-            return
-        ack = msgs.MigrateAck(
-            conn_id=conn.conn_id, epoch=message.epoch, ok=True
-        )
-        state.acks.put(key, ack)
+        ack = msgs.MigrateAck(conn_id=conn.conn_id, epoch=message.epoch, ok=True)
         self._log(
             conn,
             "migrate-adopted",
@@ -663,25 +658,16 @@ class ReconfigManager:
         self.runtime.network.trace.event(
             "migrate", conn.conn_id, epoch=message.epoch, role=conn.role.value
         )
-        conn.send_ctl(ack, dst=src)
+        return ack
 
-    def _handle_transition(
-        self, conn: "Connection", message: "msgs.Transition", src
-    ) -> None:
+    def _adopt_transition(self, conn: "Connection", message: "msgs.Transition"):
         """Adopt (or refuse) an epoch announced by the peer.  Synchronous:
         runs inside the connection's pump, so the ack goes out before the
         next data message is processed."""
         state = self._state(conn)
         epoch = message.epoch
-        cached = state.acks.get(epoch)
-        if cached is not None:  # duplicate announcement: replay the verdict
-            conn.send_ctl(cached, dst=src)
-            return
         if epoch <= conn.epoch:
-            ack = msgs.TransitionAck(conn_id=conn.conn_id, epoch=epoch, ok=True)
-            state.acks.put(epoch, ack)
-            conn.send_ctl(ack, dst=src)
-            return
+            return msgs.TransitionAck(conn_id=conn.conn_id, epoch=epoch, ok=True)
         try:
             old_shape = conn.dag.canonical_shape()
             dag, forced = _resolve_dag(conn, message.dag)
@@ -710,14 +696,13 @@ class ReconfigManager:
                 error=f"{type(error).__name__}: {error}",
             )
             self._log(conn, "refused", f"epoch {epoch}: {error}")
-        state.acks.put(epoch, ack)
         self.runtime.network.trace.event(
             "reconfig",
             conn.conn_id,
             epoch=epoch,
             outcome="adopted" if ack.ok else "refused",
         )
-        conn.send_ctl(ack, dst=src)
+        return ack
 
     # ------------------------------------------------------------------
     # Shared helpers
@@ -766,7 +751,7 @@ class ReconfigManager:
     def _state(self, conn: "Connection") -> _ConnState:
         state = self._states.get(conn.conn_id)
         if state is None:
-            state = _ConnState(conn=conn)
+            state = _ConnState(conn=conn, acks=rpc.Responder(self.env, 64))
             self._states[conn.conn_id] = state
         return state
 

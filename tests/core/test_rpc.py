@@ -120,15 +120,6 @@ class TestReplyCache:
         assert cache.get("req-1") == "reply-b"
         assert len(cache) == 1
 
-    def test_cached_none_distinguishable_from_miss(self):
-        # Handlers whose legitimate verdict is None (fire-and-forget
-        # releases) need a real miss test: get(key, MISSING).
-        cache = rpc.ReplyCache(2)
-        cache.put("req-1", None)
-        assert cache.get("req-1") is None
-        assert cache.get("req-1", rpc.MISSING) is None
-        assert cache.get("req-2", rpc.MISSING) is rpc.MISSING
-
     def test_retransmit_after_eviction_is_a_miss_not_a_replay(self):
         # Regression: once an entry is evicted, a late retransmission must
         # read as a miss (re-execute) rather than replay a neighbour's
@@ -137,7 +128,119 @@ class TestReplyCache:
         cache.put("req-1", "reply-1")
         cache.put("req-2", "reply-2")
         cache.put("req-3", "reply-3")  # evicts req-1
-        assert cache.get("req-1", rpc.MISSING) is rpc.MISSING
+        assert "req-1" not in cache and cache.get("req-1") is None
+
+
+class TestResponder:
+    """The receiver half: one verdict per key, whatever retransmissions
+    arrive, whenever they arrive."""
+
+    def setup_method(self):
+        self.env = Network().env
+        self.responder = rpc.Responder(self.env, 8)
+        self.runs = 0
+        #: label → what the ``send`` of that request transmitted.
+        self.sent_by = {}
+
+    def sender(self, label):
+        """A ``send`` that records which request it answered."""
+        return self.sent_by.setdefault(label, []).append
+
+    def instant(self, verdict="ok"):
+        def handle():
+            self.runs += 1
+            return verdict
+
+        return handle
+
+    def slow(self, verdict="ok", delay=1e-3, error=None):
+        def handle():
+            self.runs += 1
+            return self._decide(verdict, delay, error)
+
+        return handle
+
+    def _decide(self, verdict, delay, error):
+        yield self.env.timeout(delay)
+        if error is not None:
+            raise error
+        return verdict
+
+    def test_replay_goes_out_through_the_retransmits_send(self):
+        self.responder.answer("k", self.instant("v"), self.sender("first"))
+        self.responder.answer("k", self.instant("w"), self.sender("again"))
+        assert self.sent_by == {"first": ["v"], "again": ["v"]}
+        assert self.runs == 1
+        assert self.responder.duplicates == 1
+
+    def test_retransmit_dropped_while_its_handler_is_in_flight(self):
+        self.responder.answer("k", self.slow("v"), self.sender("first"))
+        assert set(self.responder.inflight) == {"k"}
+        self.responder.answer("k", self.slow("w"), self.sender("mid"))
+        self.env.run(until=2e-3)
+        assert self.sent_by == {"first": ["v"], "mid": []}
+        assert self.runs == 1
+        assert not self.responder.inflight
+        assert self.responder.replies.get("k") == "v"
+
+    def test_handler_that_raises_leaves_no_inflight_entry(self):
+        self.responder.answer(
+            "k", self.slow(error=RuntimeError("boom")), self.sender("first")
+        )
+        with pytest.raises(RuntimeError, match="boom"):
+            self.env.run(until=2e-3)
+        assert not self.responder.inflight
+        assert "k" not in self.responder.replies
+        # The next retransmission runs the handler again.
+        self.responder.answer("k", self.slow("v"), self.sender("again"))
+        self.env.run(until=4e-3)
+        assert self.sent_by["again"] == ["v"] and self.runs == 2
+
+    def test_none_verdict_neither_cached_nor_sent(self):
+        self.responder.answer("k", self.instant(None), self.sender("first"))
+        self.responder.answer("j", self.slow(None), self.sender("slow"))
+        self.env.run(until=2e-3)
+        assert self.sent_by == {"first": [], "slow": []}
+        assert len(self.responder.replies) == 0
+        # Nothing cached: the retransmission asks the handler again.
+        self.responder.answer("k", self.instant("v"), self.sender("again"))
+        assert self.sent_by["again"] == ["v"] and self.runs == 3
+
+    def test_clear_drops_late_verdict_and_spares_a_newer_handler(self):
+        self.responder.answer("k", self.slow("old", delay=1e-3), self.sender("old"))
+        self.env.run(until=0.5e-3)
+        self.responder.clear()
+        assert not self.responder.inflight
+        self.responder.answer("k", self.slow("new", delay=1e-3), self.sender("new"))
+        newer = self.responder.inflight["k"]
+        self.env.run(until=1.2e-3)  # the old handler ends: late, dropped
+        assert self.sent_by["old"] == []
+        assert self.responder.inflight == {"k": newer}
+        self.env.run(until=2e-3)
+        assert self.sent_by["new"] == ["new"]
+        assert self.responder.replies.get("k") == "new"
+        assert not self.responder.inflight
+
+    def test_none_key_is_never_deduplicated(self):
+        self.responder.answer(None, self.instant("v"), self.sender("first"))
+        self.responder.answer(None, self.instant("w"), self.sender("again"))
+        self.responder.answer(None, self.slow("x"), self.sender("slow"))
+        assert not self.responder.inflight
+        self.env.run(until=2e-3)
+        assert self.sent_by == {"first": ["v"], "again": ["w"], "slow": ["x"]}
+        assert self.runs == 3
+        assert len(self.responder.replies) == 0
+        assert self.responder.duplicates == 0
+
+    def test_duplicates_count_replays_and_in_flight_drops(self):
+        send = self.sender("all")
+        self.responder.answer("k", self.slow("v"), send)
+        self.responder.answer("k", self.slow("v"), send)  # in flight
+        self.env.run(until=2e-3)
+        self.responder.answer("k", self.slow("v"), send)  # replayed
+        self.responder.answer("j", self.instant("u"), send)  # fresh
+        assert self.responder.duplicates == 2
+        assert self.sent_by["all"] == ["v", "v", "u"]
 
 
 class TestCall:

@@ -528,7 +528,7 @@ class TestConcurrentAccept:
                 yield env.timeout(5e-6)  # the RESUME is mid-reserve
                 forge("bertha.offer", sockets["bertha.offer"])
                 yield env.timeout(40e-6)  # both have landed; neither decided
-                overlap.append(sorted(listener._inflight))
+                overlap.append(sorted(listener.responder.inflight))
                 yield env.timeout(1e-3)
             for kind, socket in sockets.items():
                 replies[kind] = []
@@ -582,8 +582,8 @@ class TestConcurrentAccept:
             for when, kind, dgram in seen
             if dgram.src == Address("srv", 7000) and when >= state["closed_at"]
         ]
-        assert listener.connections == [] and len(listener._replies) == 0
-        assert not listener._inflight
+        assert listener.connections == [] and len(listener.responder.replies) == 0
+        assert not listener.responder.inflight
 
     def test_close_between_two_reserves_releases_the_first(
         self, two_hosts_smartnic

@@ -97,7 +97,7 @@ class TestRetransmissionAndDedup:
         assert all(outcomes)
         # Retransmits and duplicate deliveries really happened...
         assert client.stats.retransmits_total > 0
-        assert service.duplicate_requests > 0
+        assert service.responder.duplicates > 0
         # ...yet the lease books balance exactly.
         audit = service.audit_leases()
         assert audit["ok"]
@@ -127,7 +127,7 @@ class TestRetransmissionAndDedup:
 
         first, second = run(net.env, scenario(net.env))
         assert first.ok and second.ok
-        assert service.duplicate_requests == 1
+        assert service.responder.duplicates == 1
         # The replay did not run the handler again: still exactly one lease.
         assert service.audit_leases()["leases"] == 1
         # The echoed attempt tag follows the retransmission, not the cache.
@@ -181,9 +181,9 @@ class TestCrashRestart:
         from repro.core import messages as msgs
 
         record = service.register(ReliableToe.meta, location="dsc")
-        service._replies.put("stale", msgs.ReserveReply(ok=True))
+        service.responder.replies.put("stale", msgs.ReserveReply(ok=True))
         service.crash()
-        assert not service._replies  # dedup cache is volatile
+        assert not service.responder.replies  # dedup cache is volatile
         assert record.record_id in service._records  # records are stable
         service.crash()  # idempotent while down
         assert service.crashes == 1

@@ -602,7 +602,7 @@ class TestPipelinedPrimary:
             ("disc.reserve_reply", 0, True),
             ("disc.reserve_reply", 2, True),
         ]
-        assert self.primary.duplicate_requests == 2
+        assert self.primary.responder.duplicates == 2
         for replica in self.tier.shards[0]:
             audit = replica.audit_leases()
             assert audit["ok"] and audit["leases"] == 1
@@ -651,13 +651,13 @@ class TestPipelinedPrimary:
             yield from self._warm(env)
             self._send(self._reserve(), "t-1")
             yield env.timeout(40e-6)  # landed, and mid-round
-            assert self.primary._inflight == {"t-1"}
+            assert set(self.primary.responder.inflight) == {"t-1"}
             self.primary.crash()
             yield env.timeout(20e-3)
 
         run(self.net.env, scenario(self.net.env))
         assert self.replies == []
-        assert len(self.primary._replies) == 0
-        assert not self.primary._inflight
+        assert len(self.primary.responder.replies) == 0
+        assert not self.primary.responder.inflight
         for standby in self.tier.shards[0][1:]:
             assert standby.audit_leases()["leases"] == 1
