@@ -15,8 +15,8 @@ is that loop, written once:
   a fresh datagram per attempt window, or a pre-registered event an
   out-of-band deliverer (the connection pump) fulfils;
 * :class:`Responder` — the receiver half, which every control server
-  answers through: one verdict per request key, replayed to
-  retransmissions (PROTOCOL.md §6.1–§6.2);
+  answers through: one verdict per request key, the request's kind and
+  its sender's id, replayed to retransmissions (PROTOCOL.md §6.1–§6.2);
 * :class:`ReplyCache` — the bounded FIFO of key → verdict a responder
   keeps;
 * :class:`RttEstimator` — the RFC 6298 RTO estimator adaptive waits read.

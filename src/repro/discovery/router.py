@@ -122,7 +122,7 @@ class ShardRouter:
             req_id = getattr(request, "req_id", None)
             attempt = getattr(request, "attempt", 0)
             self.responder.answer(
-                req_id,
+                None if req_id is None else (request.KIND, req_id),
                 self._serve_map,
                 partial(send_stamped, self.socket, req_id, attempt, dgram.src),
             )

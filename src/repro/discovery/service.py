@@ -110,8 +110,9 @@ class DiscoveryService:
         self.revocations = 0
         self.leases_expired = 0
         self.leases_preempted = 0
-        #: At-most-once per ``req_id``: a retransmit replays the verdict,
-        #: so `disc.reserve`/`disc.register_name` cannot double-allocate.
+        #: At-most-once per ``(KIND, req_id)``: a retransmit replays the
+        #: verdict, so `disc.reserve`/`disc.register_name` cannot
+        #: double-allocate.
         self.responder = rpc.Responder(self.env, 2048)
         self.requests_served = 0
         #: Requests that failed schema decoding (dropped or answered with
@@ -506,7 +507,7 @@ class DiscoveryService:
         """Request/response loop over the service's UDP socket.
 
         Every request is answered through :attr:`responder` under its
-        ``req_id``, and every reply, fresh or replayed, carries the
+        ``(KIND, req_id)``, and every reply, fresh or replayed, carries the
         retransmit's own ``attempt`` tag, so the client can spot late
         replies to earlier attempts.  The loop never waits on a handler:
         one that takes virtual time (see :meth:`_handle_request`) runs as
@@ -528,7 +529,7 @@ class DiscoveryService:
             req_id = getattr(request, "req_id", None)
             attempt = getattr(request, "attempt", 0)
             self.responder.answer(
-                req_id,
+                None if req_id is None else (request.KIND, req_id),
                 partial(self._serve_one, request),
                 partial(send_stamped, self.socket, req_id, attempt, dgram.src),
             )

@@ -38,7 +38,9 @@ from repro.errors import ConnectionTimeoutError, DegradedEstablishmentWarning
 from repro.sim import Address, FaultPlan, Network, SmartNic
 from repro.sim.transport import UdpSocket
 
-from ..conftest import run
+from repro.discovery.router import MISS_THRESHOLD
+
+from ..conftest import run, tap_control
 
 
 def soft_meta(chunnel_type="reliable", name="soft"):
@@ -349,6 +351,38 @@ class TestFailover:
         assert 0 < router.failover_durations[0] < 50e-3
 
 
+    def test_promoted_primary_answers_the_first_ping_with_a_pong(self):
+        """The router's probe and promote clients draw request ids from
+        one namespace, so the first ping a promoted primary gets carries
+        the promote's id.  Verdicts are keyed by kind as well (PROTOCOL.md
+        §8.2): the ping is answered, not sent the cached promote reply,
+        and the failover costs exactly the threshold's misses."""
+        net, tier, router = shard_world(shards=1)
+        seen = tap_control(net)
+
+        def scenario(env):
+            yield env.timeout(1e-3)
+            router.start_monitor()
+            yield env.timeout(5e-3)
+            tier.crash_primary(0)
+            yield env.timeout(40e-3)
+            router.stop()
+
+        run(net.env, scenario(net.env), until=10.0)
+        assert router.failovers == 1
+        assert router.probes_missed == MISS_THRESHOLD
+        promoted = tier.primary(0).address
+        answers = [
+            (kind, msgs.decode_message(dgram.payload).req_id)
+            for _when, kind, dgram in seen
+            if dgram.src == promoted
+        ]
+        assert answers[:2] == [
+            ("disc.promote_reply", "rtr-1"),
+            ("disc.pong", "rtr-1"),
+        ]
+
+
     def test_primary_crashed_mid_check_standby_answers_from_the_log(self):
         """A ``disc.lease_check`` is a read of one replica, but the lease
         it reads came through the log: when the primary dies with the
@@ -651,7 +685,7 @@ class TestPipelinedPrimary:
             yield from self._warm(env)
             self._send(self._reserve(), "t-1")
             yield env.timeout(40e-6)  # landed, and mid-round
-            assert set(self.primary.responder.inflight) == {"t-1"}
+            assert set(self.primary.responder.inflight) == {("disc.reserve", "t-1")}
             self.primary.crash()
             yield env.timeout(20e-3)
 
