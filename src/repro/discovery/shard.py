@@ -51,6 +51,7 @@ from ..core import messages as msgs
 from ..core.chunnel import ImplMeta
 from ..core.runtime import Runtime
 from ..core.wire import register_wire_type
+from ..errors import BerthaError
 from ..sim.datagram import Address
 from ..sim.eventloop import Process
 from .records import ImplementationRecord
@@ -199,13 +200,21 @@ class ShardReplica(DiscoveryService):
         """Generator: replicate one mutation; returns the applied result.
 
         The group connection is made on first use, once: mutations that
-        arrive while it is being negotiated wait on the same process.
+        arrive while it is being negotiated wait on the same process.  A
+        connect that fails is forgotten, so the next mutation tries again;
+        the mutations that waited on it fail with :class:`QuorumError`.
         """
-        if self._rsm_connect is None:
-            self._rsm_connect = self.env.process(
+        connect = self._rsm_connect
+        if connect is None:
+            connect = self._rsm_connect = self.env.process(
                 self._connect_rsm(), name=f"{self.group}.connect"
             )
-        yield self._rsm_connect
+        try:
+            yield connect
+        except BerthaError as error:
+            if self._rsm_connect is connect:
+                self._rsm_connect = None
+            raise QuorumError(f"group connect failed: {error}") from None
         return (yield from self._rsm_client.submit(op))
 
     def _connect_rsm(self):

@@ -238,6 +238,48 @@ class TestShardedRegistry:
         assert primary._rsm_connect.processed
         assert primary._rsm_connect.value is None
 
+    def test_failed_group_connect_answers_an_error_and_connects_again(self):
+        """A primary whose group connect fails (a member host is down)
+        answers the mutation ``disc.error`` instead of failing the
+        simulation, and forgets the connect: once the host is back, the
+        next mutation connects again and is applied on every replica."""
+        net, tier, _router = shard_world()
+        record = tier.seed_record(soft_meta("reliable"), "cli")
+        primary = tier.primary(0)
+        socket = UdpSocket(net.entity("cli"))
+        replies = []
+
+        def collect(env):
+            while True:
+                dgram = yield socket.recv()
+                replies.append(msgs.decode_message(dgram.payload))
+
+        def reserve(req_id):
+            request = msgs.Reserve(record_id=record.record_id, owner="alice")
+            payload, size = msgs.encode_message_sized(request.stamped(req_id, 0))
+            socket.send(payload, primary.address, size=size)
+
+        def scenario(env):
+            net.hosts["s0r2"].down = True
+            reserve("t-1")
+            while not replies:
+                yield env.timeout(1e-3)
+            net.hosts["s0r2"].down = False
+            reserve("t-2")
+            yield env.timeout(20e-3)
+
+        net.env.process(collect(net.env), name="test.replies")
+        run(net.env, scenario(net.env), until=10.0)
+        assert [(r.KIND, r.req_id) for r in replies] == [
+            ("disc.error", "t-1"),
+            ("disc.reserve_reply", "t-2"),
+        ]
+        assert "shard quorum unavailable" in replies[0].error
+        assert replies[1].ok
+        for replica in tier.shards[0]:
+            assert replica._leases[(record.record_id, "alice")].count == 1
+            assert replica.reservations_granted == 1
+
     def test_whole_shard_restart_brings_its_log_back(self):
         """A total outage crashes each replica's discovery front and its
         RSM participant; restart must bring both back, or the shard can
