@@ -524,7 +524,7 @@ class DiscoveryService:
             except WireError as error:
                 response = self._reject_malformed(dgram.payload, error)
                 if response is not None:
-                    self._send(response, dgram.src)
+                    send_stamped(self.socket, response.req_id, 0, dgram.src, response)
                 continue
             req_id = getattr(request, "req_id", None)
             attempt = getattr(request, "attempt", 0)
@@ -537,10 +537,6 @@ class DiscoveryService:
     def _serve_one(self, request: "msgs.ControlMessage"):
         self.requests_served += 1
         return self._handle_request(request)
-
-    def _send(self, response: "msgs.DiscoveryMessage", dst: Address) -> None:
-        payload, size = msgs.encode_message_sized(response)
-        self.socket.send(payload, dst, size=size)
 
     def _reject_malformed(
         self, payload, error: WireError
