@@ -183,7 +183,7 @@ class Offer(ControlMessage):
 
     Direction: client → server, control socket.
     Retransmit: client resends on a fixed timeout; the server replays its
-    original verdict from a per-``conn_id`` reply cache on duplicates.
+    original verdict per ``(kind, conn_id)`` on duplicates.
     """
 
     KIND: ClassVar[str] = "bertha.offer"
@@ -238,8 +238,7 @@ class Resume(ControlMessage):
 
     Direction: client → server, control socket.
     Retransmit: client resends on a fixed timeout; the server replays its
-    original verdict from a per-``(kind, conn_id)`` reply cache on
-    duplicates.
+    original verdict per ``(kind, conn_id)`` on duplicates.
     """
 
     KIND: ClassVar[str] = "bertha.resume"
@@ -487,7 +486,7 @@ class Query(DiscoveryMessage):
 
     Direction: any runtime → discovery service, dedicated socket.
     Retransmit: client resends with capped exponential backoff ± jitter;
-    the service dedups by ``req_id`` and replays the cached reply.
+    the service dedups by ``(kind, req_id)`` and replays the cached reply.
     """
 
     KIND: ClassVar[str] = "disc.query"
